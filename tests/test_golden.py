@@ -1,0 +1,106 @@
+"""Golden CLI reports: small studies whose outputs must stay byte-identical.
+
+Each case writes a synthetic CSV and a JSON config into a temporary
+directory, runs ``permsig.cli.main`` there with relative paths (so the
+report's ``config.data.csv`` is the constant ``data.csv``), and compares
+the SHA-256 of the JSON report and of its ``_hist.csv`` sidecar with the
+values recorded before the pipeline and study code were consolidated.
+
+Together the cases cover power, type1 and alt; resub, rub and kfold; the
+``pls``, ``pca`` and ``none`` reducers; three-class one-vs-one fits;
+one-condition alt studies; and autoencoders over two region blocks,
+including a two-worker pool.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from permsig.cli import main
+from permsig.dataset import save_csv, synth_effect
+from permsig.rng import PermutationPlan
+
+AE = {"widths": [4, 2], "epochs": 5, "learning_rate": 0.01, "validation_fraction": 0.0}
+BLOCKS = [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+# name: (study, synth (n_per_class, dim, effect, classes, seed), config, sha json, sha csv)
+CASES = {
+    "power_resub_3class": (
+        "power", (12, 4, 1.5, 3, 1), {"scheme": "resub", "m": 20, "seed": 3},
+        "4c1c1f87a4ad6f0ff2446de1150ff8d0a95af5acca82f13285571ed03cd09190",
+        "e64e9257cec5cc27f29a76de12b5a36ee7856b263c7e089b36c7f4dbd4010fc3",
+    ),
+    "power_rub_pca2": (
+        "power", (15, 5, 1.0, 2, 2),
+        {"scheme": "rub", "m": 30, "seed": 4, "pipeline": {"reducer": "pca", "pca_components": 2}},
+        "f63cc02ec71214732a5a57a60aaeec380e9b0e39cab8b5a86ff5daa08ba1eac2",
+        "b7de4cf59ff0948bcc71342f5521f0dee758ce5c24f90b057cf5e00537eefe39",
+    ),
+    "power_kfold_k3": (
+        "power", (12, 4, 1.0, 2, 3), {"scheme": "kfold", "k": 3, "m": 5, "seed": 5},
+        "332dc77a073643b10fa80741e967d192f9f0d329d0e7bc4f2afba17fe13414b6",
+        "2d98a18fcf2363f756ca199a06d2d92a58d1b590dfd1e2b72f6c1011aacf676d",
+    ),
+    "type1_rub": (
+        "type1", (25, 4, 0.0, 1, 4), {"scheme": "rub", "m": 30, "seed": 6},
+        "a581638f1105ce739310f53a8732b71fda43633a9b7b2049ffddfef424373b2a",
+        "f21d584ce732566c9eed31865343a45fec79ad4f372b709ac70a14b32eb4c36a",
+    ),
+    "type1_resub_pca": (
+        "type1", (24, 4, 0.0, 1, 5),
+        {"scheme": "resub", "m": 30, "seed": 7, "pipeline": {"reducer": "pca"}},
+        "927bb295f1b3ad33a2c6ec211bb5a8ba9719517c19130649a460695507b2be48",
+        "11346d2d82314ea109ffaf70677b545dd865a67390b2c27506dd3f283073587c",
+    ),
+    "alt_one_condition": (
+        "alt", (21, 4, 0.0, 1, 6), {"scheme": "rub", "m": 30, "seed": 8},
+        "15ec123d49c2afec8228cb365e46dec23033c9977f8f3fe79bee7bfd6f36018c",
+        "8ab85a22191429f27d737fd996d5191b672a8119d3d232d8dee2c0e537d74c42",
+    ),
+    "alt_kfold_3class": (
+        "alt", (12, 4, 1.5, 3, 7), {"scheme": "kfold", "k": 3, "m": 4, "seed": 9},
+        "4a58484b518309acb3d9e9a92f5b18187fb691c53ee7c2fe4624b0d1dddb375c",
+        "a542f096df06b5026a8875c15c9ce0fc975239f6fa3547d977778310f0838d7b",
+    ),
+    "alt_ae_blocks_workers2": (
+        "alt", (15, 8, 1.0, 2, 8),
+        {"scheme": "rub", "m": 24, "seed": 10, "workers": 2,
+         "pipeline": {"ae": AE, "reducer": "none", "region_blocks": BLOCKS}},
+        "e16744fb1ce8f6b11488c769991efad930fcc179d57053f2f56e9532dd339436",
+        "126799eff9f55f46cbadda0c53bacacf04b265446ba120c87fb36850674ec47c",
+    ),
+    "power_ae_blocks": (
+        "power", (15, 8, 1.0, 2, 9),
+        {"scheme": "rub", "m": 6, "seed": 11,
+         "pipeline": {"ae": AE, "reducer": "pls", "region_blocks": BLOCKS}},
+        "915f4c44e0a4e2f3ebdb3f340da31ac25763b234ec6a45b0144a0360aef23184",
+        "39545a53d41b8f0bf72e334645d05e98dd84f910502de285f9e563038d4832b9",
+    ),
+    "alt_pca_3class": (
+        "alt", (12, 4, 1.5, 3, 10),
+        {"scheme": "resub", "m": 30, "seed": 12, "pipeline": {"reducer": "pca"}},
+        "8ccf5c00f25a0c4ac7f6f3d8b9b0d638b021dc5cf514e9ff9d7d4c71d2c07252",
+        "d83fa0b2589373fd6c911e9b18e0176b42e78a119990754d26e6b8c86e9effe4",
+    ),
+}
+
+
+def run_case(name, workdir, monkeypatch) -> tuple[str, str]:
+    study, (n_per, dim, effect, classes, seed), config, _, _ = CASES[name]
+    monkeypatch.chdir(workdir)
+    save_csv(synth_effect(n_per, dim, effect, PermutationPlan(seed, 0), classes=classes), "data.csv")
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"data": {"csv": "data.csv"}, **config}, fh)
+    assert main([study, "--config", "cfg.json", "--out", "rep.json"]) == 0
+    with open("rep.json", "rb") as fh:
+        report = fh.read()
+    with open("rep_hist.csv", "rb") as fh:
+        hist = fh.read()
+    return hashlib.sha256(report).hexdigest(), hashlib.sha256(hist).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, tmp_path, monkeypatch):
+    *_, want_json, want_csv = CASES[name]
+    assert run_case(name, tmp_path, monkeypatch) == (want_json, want_csv)
