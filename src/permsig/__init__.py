@@ -37,15 +37,9 @@ from .errors import ConfigError, DivergenceError, FitError
 from .linclass import (
     Calibration,
     LinearSvm,
-    OvoClassifier,
     calibrate,
     calibrated_probability,
     decision_values,
-    ensemble_label,
-    ensemble_probability,
-    ovo_fit,
-    ovo_predict,
-    ovo_probability,
     svm_fit,
     svm_objective,
 )
@@ -93,7 +87,6 @@ __all__ = [
     "LinearReducer",
     "LinearSvm",
     "NullDistribution",
-    "OvoClassifier",
     "PermutationPlan",
     "PipelineSpec",
     "Scheme",
@@ -108,8 +101,6 @@ __all__ = [
     "calibrated_probability",
     "decision_values",
     "empirical_bound",
-    "ensemble_label",
-    "ensemble_probability",
     "fit_feature_maps",
     "fit_pipeline",
     "fwe_rate",
@@ -121,9 +112,6 @@ __all__ = [
     "mc_stddev",
     "null_distribution",
     "omnibus_pvalues",
-    "ovo_fit",
-    "ovo_predict",
-    "ovo_probability",
     "p_value",
     "pca_fit",
     "permute_labels",

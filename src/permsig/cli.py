@@ -103,9 +103,7 @@ def _resolve_config(args: argparse.Namespace) -> StudyConfig:
         cfg.data_csv = args.data
     if args.label_column is not None:
         cfg.label_column = args.label_column
-    if args.scheme is not None:
-        cfg.scheme = args.scheme
-    for name in ("k", "m", "alpha", "eta", "workers", "out"):
+    for name in ("scheme", "k", "m", "alpha", "eta", "workers", "out"):
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
@@ -122,6 +120,7 @@ def _resolve_config(args: argparse.Namespace) -> StudyConfig:
 
 
 def _validate_config(cfg: StudyConfig) -> None:
+    # JSON gives bool for true/false, which isinstance() would pass as int.
     _require(cfg.scheme in ("resub", "rub", "kfold"), "scheme", f"unknown scheme {cfg.scheme!r}")
     _require(
         (cfg.data_csv is None) != (cfg.synth is None),
@@ -132,15 +131,22 @@ def _validate_config(cfg: StudyConfig) -> None:
         _require(isinstance(cfg.synth, dict), "data.synth", "must be an object")
         for key in ("n_per_class", "dim"):
             _require(key in cfg.synth, f"data.synth.{key}", "is required")
-    _require(isinstance(cfg.k, int) and cfg.k >= 2, "k", "must be an integer >= 2")
-    _require(cfg.m is None or (isinstance(cfg.m, int) and cfg.m >= 1), "m", "must be a positive integer")
-    _require(0.0 < cfg.alpha <= 1.0, "alpha", "must lie in (0, 1]")
-    _require(0.0 < cfg.eta < 1.0, "eta", "must lie strictly between 0 and 1")
-    _require(isinstance(cfg.seed, int) and cfg.seed >= 0, "seed", "must be a non-negative integer")
-    _require(isinstance(cfg.workers, int) and cfg.workers >= 1, "workers", "must be a positive integer")
+    _require(type(cfg.k) is int and cfg.k >= 2, "k", "must be an integer >= 2")
+    _require(cfg.m is None or (type(cfg.m) is int and cfg.m >= 1), "m", "must be a positive integer")
+    _require(type(cfg.alpha) in (int, float) and 0.0 < cfg.alpha <= 1.0, "alpha", "must lie in (0, 1]")
+    _require(type(cfg.eta) in (int, float) and 0.0 < cfg.eta < 1.0, "eta", "must lie strictly between 0 and 1")
+    _require(type(cfg.seed) is int and cfg.seed >= 0, "seed", "must be a non-negative integer")
+    _require(type(cfg.workers) is int and cfg.workers >= 1, "workers", "must be a positive integer")
     _require(cfg.reducer in ("auto", "pls", "pca", "none"), "pipeline.reducer", f"unknown reducer {cfg.reducer!r}")
-    _require(isinstance(cfg.pca_components, int) and cfg.pca_components >= 1, "pipeline.pca_components", "must be a positive integer")
-    _require(isinstance(cfg.svm_c, (int, float)) and cfg.svm_c > 0, "pipeline.svm_c", "must be positive")
+    _require(type(cfg.pca_components) is int and cfg.pca_components >= 1, "pipeline.pca_components", "must be a positive integer")
+    _require(type(cfg.svm_c) in (int, float) and cfg.svm_c > 0, "pipeline.svm_c", "must be positive")
+    _require(
+        cfg.region_blocks is None
+        or (isinstance(cfg.region_blocks, list)
+            and all(isinstance(b, list) and all(type(i) is int for i in b) for b in cfg.region_blocks)),
+        "pipeline.region_blocks",
+        "must be a list of lists of integer column indices",
+    )
 
 
 def _dataset_from(cfg: StudyConfig) -> Dataset:
@@ -195,22 +201,13 @@ def _pipeline_from(cfg: StudyConfig, class_count: int) -> PipelineSpec:
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError("pipeline.ae", str(exc)) from None
-    blocks = None
-    if cfg.region_blocks is not None:
-        _require(
-            isinstance(cfg.region_blocks, list)
-            and all(isinstance(b, list) for b in cfg.region_blocks),
-            "pipeline.region_blocks",
-            "must be a list of lists of column indices",
-        )
-        blocks = tuple(tuple(int(i) for i in b) for b in cfg.region_blocks)
     try:
         return PipelineSpec(
             ae=ae,
             reducer=_resolve_reducer(cfg, class_count),
             pca_components=cfg.pca_components,
             svm_c=float(cfg.svm_c),
-            region_blocks=blocks,
+            region_blocks=cfg.region_blocks,
         )
     except ValueError as exc:
         raise ConfigError("pipeline", str(exc)) from None

@@ -121,9 +121,9 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
     FileNotFoundError
         If the file does not exist.
     ValueError
-        If the label column is missing, any cell fails to parse (the
-        message names the 1-based data row and the column), or fewer
-        than 2 data rows are present.
+        If the label column or every feature column is missing, any
+        cell fails to parse (the message names the 1-based data row and
+        the column), or fewer than 2 data rows are present.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -136,6 +136,8 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             raise ValueError(f"{path}: label column '{label_column}' not found in header")
         label_idx = header.index(label_column)
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        if not feature_names:
+            raise ValueError(f"{path}: no feature columns besides label column '{label_column}'")
 
         rows: list[list[float]] = []
         raw_labels: list[str] = []

@@ -9,11 +9,9 @@ The pieces here are deliberately self-contained:
   to training margins by damped Newton iterations on the Bernoulli
   log-likelihood with the usual smoothed targets, so separable margins
   still yield a finite optimum.
-* :func:`ensemble_probability` / :func:`ensemble_label` aggregate
-  per-region class probabilities by an unweighted mean and pick the
-  arg-max label (ties to the lowest index).
-* :class:`OvoClassifier` handles more than two classes with one
-  (SVM, calibration) pair per class pair.
+
+One-vs-one voting over class pairs and the region-block average live in
+:mod:`permsig.pipeline`.
 """
 
 from __future__ import annotations
@@ -253,92 +251,3 @@ def calibrated_probability(cal: Calibration, margins: np.ndarray) -> np.ndarray:
     z = cal.slope * np.asarray(margins, dtype=np.float64) + cal.intercept
     return 1.0 / (1.0 + np.exp(-z))
 
-
-def ensemble_probability(region_probs: np.ndarray) -> np.ndarray:
-    """Mean class probabilities over regions.
-
-    Parameters
-    ----------
-    region_probs : ndarray, shape (L, C)
-        One row of class probabilities per region; every row must sum
-        to 1 within ``1e-9``.
-
-    Returns
-    -------
-    ndarray, shape (C,)
-        Column means; again sums to 1.
-    """
-    p = np.asarray(region_probs, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
-        raise ValueError("region_probs must be a non-empty (L, C) matrix")
-    sums = p.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-9:
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(f"region row {bad} sums to {sums[bad]!r}, expected 1")
-    return p.mean(axis=0)
-
-
-def ensemble_label(total_probs: np.ndarray) -> int:
-    """Arg-max class of a probability vector, ties to the lowest index."""
-    p = np.asarray(total_probs, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("total_probs must be a non-empty vector")
-    return int(np.argmax(p))
-
-
-@dataclass(frozen=True)
-class OvoClassifier:
-    """One-vs-one multiclass classifier.
-
-    Holds one ``(LinearSvm, Calibration)`` pair per unordered class pair
-    ``(a, b)`` with ``a < b``; the SVM's +1 side is class ``b``.
-    """
-
-    class_count: int
-    pairs: tuple[tuple[int, int], ...]
-    models: tuple[LinearSvm, ...]
-    calibrations: tuple[Calibration, ...]
-
-
-def ovo_fit(x: np.ndarray, labels: np.ndarray, class_count: int, c: float = 1.0) -> OvoClassifier:
-    """Fit one calibrated SVM per class pair on shared features."""
-    labels = np.asarray(labels)
-    if class_count < 2:
-        raise ValueError("class_count must be at least 2")
-    pairs = []
-    models = []
-    cals = []
-    for a in range(class_count):
-        for b in range(a + 1, class_count):
-            rows = np.flatnonzero((labels == a) | (labels == b))
-            if rows.size == 0 or np.unique(labels[rows]).size < 2:
-                raise FitError(f"class pair ({a}, {b}) lacks training rows")
-            y = np.where(labels[rows] == b, 1.0, -1.0)
-            svm = svm_fit(x[rows], y, c)
-            cal = calibrate(decision_values(svm, x[rows]), y)
-            pairs.append((a, b))
-            models.append(svm)
-            cals.append(cal)
-    return OvoClassifier(class_count, tuple(pairs), tuple(models), tuple(cals))
-
-
-def ovo_probability(m: OvoClassifier, x: np.ndarray) -> np.ndarray:
-    """Per-class probabilities from summed pairwise calibrated votes.
-
-    Every pair contributes ``p`` to its +1 class and ``1 - p`` to the
-    other; scores are normalized by the number of pairs so rows sum to 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    scores = np.zeros((x.shape[0], m.class_count))
-    for (a, b), svm, cal in zip(m.pairs, m.models, m.calibrations):
-        p = calibrated_probability(cal, decision_values(svm, x))
-        scores[:, b] += p
-        scores[:, a] += 1.0 - p
-    return scores / len(m.pairs)
-
-
-def ovo_predict(m: OvoClassifier, x: np.ndarray) -> np.ndarray:
-    """Predicted labels; for two classes this equals thresholding the
-    single pairwise probability at 0.5 with ties to the lower class."""
-    probs = ovo_probability(m, x)
-    return np.argmax(probs, axis=1).astype(np.int64)

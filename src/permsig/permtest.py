@@ -240,6 +240,21 @@ class _ReplicateTask:
     labeling: str  # "permute" | "split"
 
 
+def _statistic(pipeline, d: Dataset, plan: PermutationPlan, scheme: Scheme, k: int, mu) -> list[float]:
+    """The scheme's error values for one labeling of ``d``.
+
+    Observed iterations and null replicates both come through here, so
+    every null value is computed by the same procedure as the observed
+    one: the k per-fold test errors for k-fold, else one resubstitution
+    error, plus ``mu`` for the bound-corrected scheme.
+    """
+    if scheme is Scheme.KFOLD:
+        tests, _ = kfold_errors(pipeline, d, stratified_folds(d, k, plan), plan)
+        return [e.value for e in tests]
+    value = resub_error(pipeline, d, plan).value
+    return [value + mu if scheme is Scheme.RUB else value]
+
+
 def _replicate_stats(task: _ReplicateTask, r: int) -> tuple[int, list[float]]:
     last: FitError | None = None
     for attempt in range(MAX_RETRIES + 1):
@@ -249,13 +264,9 @@ def _replicate_stats(task: _ReplicateTask, r: int) -> tuple[int, list[float]]:
                 d_r = split_null_groups(task.data, plan)
             else:
                 d_r = permute_labels(task.data, plan)
-            if task.scheme is Scheme.KFOLD:
-                folds = stratified_folds(d_r, task.k, plan)
-                tests, _ = kfold_errors(task.pipeline, d_r, folds, plan)
-                return plan.replicate_index, [e.value for e in tests]
-            est = resub_error(task.pipeline, d_r, plan)
-            value = est.value + task.mu if task.scheme is Scheme.RUB else est.value
-            return plan.replicate_index, [value]
+            return plan.replicate_index, _statistic(
+                task.pipeline, d_r, plan, task.scheme, task.k, task.mu
+            )
         except FitError as exc:
             last = exc
     raise FitError(f"replicate {r} failed after {MAX_RETRIES} retries: {last}")
@@ -296,10 +307,7 @@ def null_distribution(
         raise ValueError("m must be positive")
     if labeling not in ("permute", "split"):
         raise ValueError("labeling must be 'permute' or 'split'")
-    mu = None
-    if scheme is Scheme.RUB:
-        dim = pipeline.classifier_input_dim(d.n_features)
-        mu = empirical_bound(BoundSpec(d.n, dim, eta))
+    mu = _mu_for(pipeline, d, scheme, eta)
     task = _ReplicateTask(pipeline, d, scheme, k, mu, master_seed, labeling)
 
     if workers <= 1:
@@ -334,107 +342,86 @@ def _histogram(stats) -> tuple[tuple[float, ...], tuple[int, ...]]:
     return tuple(float(e) for e in edges), tuple(int(c) for c in counts)
 
 
-def _observed_values(pipeline, data: Dataset, settings: StudySettings, mu) -> list[float]:
-    values: list[float] = []
-    for i in range(settings.observed_iterations):
-        plan = PermutationPlan(settings.master_seed, OBSERVED_BASE + i)
-        d_i = shuffle_rows(data, plan)
-        if settings.scheme is Scheme.KFOLD:
-            folds = stratified_folds(d_i, settings.k, plan)
-            tests, _ = kfold_errors(pipeline, d_i, folds, plan)
-            values.extend(e.value for e in tests)
-        else:
-            est = resub_error(pipeline, d_i, plan)
-            values.append(est.value + mu if settings.scheme is Scheme.RUB else est.value)
-    return values
-
-
-def _mu_for(pipeline, data: Dataset, settings: StudySettings) -> float | None:
-    if settings.scheme is not Scheme.RUB:
+def _mu_for(pipeline, d: Dataset, scheme: Scheme, eta: float) -> float | None:
+    """The RUB scheme's deviation bound for this pipeline and data size."""
+    if scheme is not Scheme.RUB:
         return None
-    dim = pipeline.classifier_input_dim(data.n_features)
-    return empirical_bound(BoundSpec(data.n, dim, settings.eta))
+    dim = pipeline.classifier_input_dim(d.n_features)
+    return empirical_bound(BoundSpec(d.n, dim, eta))
 
 
-def _power_flavor(pipeline, data: Dataset, settings: StudySettings, study: str) -> StudyReport:
-    mu = _mu_for(pipeline, data, settings)
-    observed = _observed_values(pipeline, data, settings, mu)
+def _sd(values) -> float:
+    """Sample standard deviation; 0.0 for a single value."""
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
+def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> StudyReport:
+    """Run a study and build its report.
+
+    Labeled data gets the power flavor: the null permutes the labels,
+    the observed statistic is the mean over row-shuffled iterations
+    (which are not retried), and the report carries its p-value.
+    One-condition data gets the type-1 flavor: the null splits the rows
+    into two pseudo-groups, and the report carries the omnibus
+    family-wise error rate instead.
+    """
+    scheme = settings.scheme
+    labeling = "split" if data.class_count == 1 else "permute"
+    mu = _mu_for(pipeline, data, scheme, settings.eta)
+    observed: list[float] = []
+    if labeling == "permute":
+        for i in range(settings.observed_iterations):
+            plan = PermutationPlan(settings.master_seed, OBSERVED_BASE + i)
+            observed += _statistic(pipeline, shuffle_rows(data, plan), plan, scheme, settings.k, mu)
     null = null_distribution(
         pipeline,
         data,
         settings.replicates,
-        settings.scheme,
+        scheme,
         settings.master_seed,
         k=settings.k,
         eta=settings.eta,
-        labeling="permute",
+        labeling=labeling,
         workers=settings.workers,
     )
-    t_obs = float(np.mean(observed))
-    p = p_value(t_obs, null)
+    t_obs = p = rate = None
+    if observed:
+        t_obs = float(np.mean(observed))
+        p = p_value(t_obs, null)
+    else:
+        rate = fwe_rate(omnibus_pvalues(null), settings.alpha)
     stats = np.asarray(null.statistics)
     edges, counts = _histogram(stats)
     return StudyReport(
         study=study,
-        scheme=settings.scheme,
+        scheme=scheme,
         m=null.m,
-        k=settings.k if settings.scheme is Scheme.KFOLD else None,
+        k=settings.k if scheme is Scheme.KFOLD else None,
         alpha=settings.alpha,
         eta=settings.eta,
         mu=mu,
         observed_mean=t_obs,
-        observed_sd=float(np.std(observed, ddof=1)) if len(observed) > 1 else 0.0,
+        observed_sd=_sd(observed) if observed else None,
         null_mean=float(stats.mean()),
-        null_sd=float(stats.std(ddof=1)),
+        null_sd=_sd(stats),
         p_value=p,
-        p_value_sd=mc_stddev(p, null.m),
-        fwe_rate=None,
-        fwe_rate_sd=None,
-        histogram_edges=edges,
-        histogram_counts=counts,
-        master_seed=settings.master_seed,
-        replicate_indices=tuple(pl.replicate_index for pl in null.replicate_plans),
-    )
-
-
-def _type1_flavor(pipeline, data: Dataset, settings: StudySettings, study: str) -> StudyReport:
-    mu = _mu_for(pipeline, data, settings)
-    null = null_distribution(
-        pipeline,
-        data,
-        settings.replicates,
-        settings.scheme,
-        settings.master_seed,
-        k=settings.k,
-        eta=settings.eta,
-        labeling="split",
-        workers=settings.workers,
-    )
-    pvals = omnibus_pvalues(null)
-    rate = fwe_rate(pvals, settings.alpha)
-    stats = np.asarray(null.statistics)
-    edges, counts = _histogram(stats)
-    return StudyReport(
-        study=study,
-        scheme=settings.scheme,
-        m=null.m,
-        k=settings.k if settings.scheme is Scheme.KFOLD else None,
-        alpha=settings.alpha,
-        eta=settings.eta,
-        mu=mu,
-        observed_mean=None,
-        observed_sd=None,
-        null_mean=float(stats.mean()),
-        null_sd=float(stats.std(ddof=1)),
-        p_value=None,
-        p_value_sd=None,
+        p_value_sd=None if p is None else mc_stddev(p, null.m),
         fwe_rate=rate,
-        fwe_rate_sd=mc_stddev(rate, null.m),
+        fwe_rate_sd=None if rate is None else mc_stddev(rate, null.m),
         histogram_edges=edges,
         histogram_counts=counts,
         master_seed=settings.master_seed,
         replicate_indices=tuple(pl.replicate_index for pl in null.replicate_plans),
     )
+
+
+def _prepared(d: Dataset, settings: StudySettings) -> Dataset:
+    """Unit-interval scaling; an odd-sized one-condition set also drops a
+    seeded row, so that it splits into two equal pseudo-groups."""
+    data = scale_unit_interval(d)
+    if d.class_count == 1:
+        data = trim_to_even(data, PermutationPlan(settings.master_seed, TRIM_INDEX))
+    return data
 
 
 def power_study(pipeline: PipelineSpec, d: Dataset, settings: StudySettings) -> StudyReport:
@@ -446,8 +433,7 @@ def power_study(pipeline: PipelineSpec, d: Dataset, settings: StudySettings) -> 
     """
     if d.class_count < 2:
         raise ValueError("power_study requires at least two classes")
-    data = scale_unit_interval(d)
-    return _power_flavor(pipeline, data, settings, "power")
+    return _study(pipeline, _prepared(d, settings), settings, "power")
 
 
 def type1_study(pipeline: PipelineSpec, d: Dataset, settings: StudySettings) -> StudyReport:
@@ -459,10 +445,7 @@ def type1_study(pipeline: PipelineSpec, d: Dataset, settings: StudySettings) -> 
     """
     if d.class_count != 1:
         raise ValueError("type1_study requires a one-condition dataset")
-    data = scale_unit_interval(d)
-    if data.n % 2:
-        data = trim_to_even(data, PermutationPlan(settings.master_seed, TRIM_INDEX))
-    return _type1_flavor(pipeline, data, settings, "type1")
+    return _study(pipeline, _prepared(d, settings), settings, "type1")
 
 
 def alt_scheme_study(pipeline: PipelineSpec, d: Dataset, settings: StudySettings) -> StudyReport:
@@ -472,16 +455,6 @@ def alt_scheme_study(pipeline: PipelineSpec, d: Dataset, settings: StudySettings
     type-1 flavor (and needs an unsupervised reducer, since no labels
     exist when the feature maps are frozen).
     """
-    data = scale_unit_interval(d)
-    plan = PermutationPlan(settings.master_seed, EXTRACTOR_INDEX)
-    if d.class_count == 1:
-        if data.n % 2:
-            data = trim_to_even(data, PermutationPlan(settings.master_seed, TRIM_INDEX))
-        if pipeline.reducer == "pls":
-            raise ValueError(
-                "pls cannot be frozen on one-condition data; use reducer='pca' or 'none'"
-            )
-        maps = fit_feature_maps(pipeline, data, plan)
-        return _type1_flavor(AltPipeline(maps, pipeline), data, settings, "alt")
-    maps = fit_feature_maps(pipeline, data, plan)
-    return _power_flavor(AltPipeline(maps, pipeline), data, settings, "alt")
+    data = _prepared(d, settings)
+    maps = fit_feature_maps(pipeline, data, PermutationPlan(settings.master_seed, EXTRACTOR_INDEX))
+    return _study(AltPipeline(maps, pipeline), data, settings, "alt")

@@ -136,8 +136,7 @@ class FittedBlock:
     class_count: int
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        xb = x[:, self.columns]
-        return ae_encode(self.ae_model, xb) if self.ae_model is not None else xb
+        return _encode(self.ae_model, x[:, self.columns])
 
     def probability(self, x: np.ndarray) -> np.ndarray:
         """Per-sample class probabilities from summed pairwise votes."""
@@ -173,40 +172,69 @@ class FittedPipeline:
         return float(np.mean(self.predict(x) != np.asarray(labels)))
 
 
-def _fit_pair(
-    z: np.ndarray,
-    labels: np.ndarray,
-    a: int,
-    b: int,
-    spec: PipelineSpec,
-    fixed_reducer: LinearReducer | None = None,
-    use_fixed: bool = False,
-) -> PairModel:
+def _pair_data(z: np.ndarray, labels: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of classes ``a`` and ``b`` with signed targets, +1 = ``b``."""
     rows = np.flatnonzero((labels == a) | (labels == b))
-    if rows.size == 0:
-        raise FitError(f"class pair ({a}, {b}) has no training rows")
     y = np.where(labels[rows] == b, 1.0, -1.0)
     if np.unique(y).size < 2:
-        raise FitError(f"class pair ({a}, {b}) is single-class in training data")
-    feats = z[rows]
-    if use_fixed:
-        red = fixed_reducer
-    elif spec.reducer == "pls":
-        red = pls1_fit(feats, y)
-    elif spec.reducer == "pca":
+        raise FitError(f"class pair ({a}, {b}) is empty or single-class in training data")
+    return z[rows], y
+
+
+def _encode(ae_model: AeModel | None, xb: np.ndarray) -> np.ndarray:
+    return ae_encode(ae_model, xb) if ae_model is not None else xb
+
+
+def _fit_extractors(
+    spec: PipelineSpec, d: Dataset, plan: PermutationPlan, tag: str
+) -> list[tuple[tuple[int, ...], AeModel | None]]:
+    """Columns and (when configured) a trained autoencoder per block."""
+    blocks = spec.resolve_blocks(d.n_features)
+    if spec.ae is None:
+        return [(cols, None) for cols in blocks]
+    return [
+        (cols, ae_fit(d.features[:, cols], spec.ae, plan, tag=f"{tag}.b{bi}.ae"))
+        for bi, cols in enumerate(blocks)
+    ]
+
+
+def _fit_reducer(spec: PipelineSpec, feats: np.ndarray, y: np.ndarray) -> LinearReducer | None:
+    if spec.reducer == "pls":
+        return pls1_fit(feats, y)
+    if spec.reducer == "pca":
         cap = min(feats.shape[0] - 1, feats.shape[1])
         if spec.pca_components > cap:
             raise FitError(
                 f"pca_components={spec.pca_components} exceeds rank cap {cap} "
-                f"for class pair ({a}, {b})"
+                f"of {feats.shape[0]} rows"
             )
-        red = pca_fit(feats, spec.pca_components)
-    else:
-        red = None
-    scores = reduce(red, feats) if red is not None else feats
-    svm = svm_fit(scores, y, spec.svm_c)
-    cal = calibrate(decision_values(svm, scores), y)
-    return PairModel(a, b, red, svm, cal)
+        return pca_fit(feats, spec.pca_components)
+    return None
+
+
+def _fit_classifiers(spec: PipelineSpec, d: Dataset, extractors, reducer_for) -> FittedPipeline:
+    """The one pairwise fit path of full and frozen pipelines.
+
+    For every block and class pair, selects the pair's rows, takes the
+    reducer from ``reducer_for(block_index, pair, feats, y)`` (fitted on
+    those rows, or looked up in frozen maps), and fits the SVM and its
+    calibration on the reduced scores.
+    """
+    if d.class_count < 2:
+        raise ValueError("fitting requires at least two classes")
+    fitted = []
+    for bi, (cols, ae_model) in enumerate(extractors):
+        z = _encode(ae_model, d.features[:, cols])
+        pairs = []
+        for a, b in combinations(range(d.class_count), 2):
+            feats, y = _pair_data(z, d.labels, a, b)
+            red = reducer_for(bi, (a, b), feats, y)
+            scores = reduce(red, feats) if red is not None else feats
+            svm = svm_fit(scores, y, spec.svm_c)
+            cal = calibrate(decision_values(svm, scores), y)
+            pairs.append(PairModel(a, b, red, svm, cal))
+        fitted.append(FittedBlock(cols, ae_model, pairs, d.class_count))
+    return FittedPipeline(fitted, d.class_count, d.n_features)
 
 
 def fit_pipeline(
@@ -222,39 +250,31 @@ def fit_pipeline(
         On data-dependent failures (degenerate reduction, single-class
         pair, calibration non-convergence, training divergence).
     """
-    if d.class_count < 2:
-        raise ValueError("pipeline fitting requires at least two classes")
-    blocks = spec.resolve_blocks(d.n_features)
-    fitted = []
-    for bi, cols in enumerate(blocks):
-        xb = d.features[:, cols]
-        ae_model = None
-        z = xb
-        if spec.ae is not None:
-            ae_model = ae_fit(xb, spec.ae, plan, tag=f"{tag}.b{bi}.ae")
-            z = ae_encode(ae_model, xb)
-        pairs = [
-            _fit_pair(z, d.labels, a, b, spec)
-            for a, b in combinations(range(d.class_count), 2)
-        ]
-        fitted.append(FittedBlock(cols, ae_model, pairs, d.class_count))
-    return FittedPipeline(fitted, d.class_count, d.n_features)
+    return _fit_classifiers(
+        spec,
+        d,
+        _fit_extractors(spec, d, plan, tag),
+        lambda bi, pair, feats, y: _fit_reducer(spec, feats, y),
+    )
 
 
 @dataclass
 class BlockMaps:
-    """Frozen extractor state of one block for the alternative scheme."""
+    """Frozen extractor state of one block for the alternative scheme.
+
+    ``reducers`` maps each class pair to its frozen reducer; a shared
+    (``pca``) reducer is the same object under every key, and ``none``
+    maps every pair to ``None``.
+    """
 
     columns: tuple[int, ...]
     ae_model: AeModel | None
-    pair_reducers: dict[tuple[int, int], LinearReducer] | None
-    global_reducer: LinearReducer | None
+    reducers: dict[tuple[int, int], LinearReducer | None]
 
 
 @dataclass
 class FixedMaps:
     blocks: list[BlockMaps]
-    class_count: int
     n_features: int
 
 
@@ -265,38 +285,24 @@ def fit_feature_maps(
 
     With two or more classes, a ``pls`` reducer is fit per class pair on
     the original labels.  One-condition data cannot drive a supervised
-    reduction, so ``pca`` (or ``none``) must be used there.
+    reduction, so ``pca`` (or ``none``) must be used there; its maps
+    cover the pair ``(0, 1)`` of the two pseudo-groups a type-1 replicate
+    splits it into.
     """
-    blocks = spec.resolve_blocks(d.n_features)
+    if spec.reducer == "pls" and d.class_count < 2:
+        raise ValueError(
+            "pls cannot be frozen on one-condition data; use reducer='pca' or 'none'"
+        )
+    pairs = list(combinations(range(max(d.class_count, 2)), 2))
     out = []
-    for bi, cols in enumerate(blocks):
-        xb = d.features[:, cols]
-        ae_model = None
-        z = xb
-        if spec.ae is not None:
-            ae_model = ae_fit(xb, spec.ae, plan, tag=f"{tag}.b{bi}.ae")
-            z = ae_encode(ae_model, xb)
-        pair_reducers = None
-        global_reducer = None
+    for cols, ae_model in _fit_extractors(spec, d, plan, tag):
+        z = _encode(ae_model, d.features[:, cols])
         if spec.reducer == "pls":
-            if d.class_count < 2:
-                raise ValueError(
-                    "pls reduction needs labeled data; use pca for one-condition sets"
-                )
-            pair_reducers = {}
-            for a, b in combinations(range(d.class_count), 2):
-                rows = np.flatnonzero((d.labels == a) | (d.labels == b))
-                y = np.where(d.labels[rows] == b, 1.0, -1.0)
-                if np.unique(y).size < 2:
-                    raise FitError(f"class pair ({a}, {b}) is single-class")
-                pair_reducers[(a, b)] = pls1_fit(z[rows], y)
-        elif spec.reducer == "pca":
-            cap = min(z.shape[0] - 1, z.shape[1])
-            if spec.pca_components > cap:
-                raise FitError(f"pca_components={spec.pca_components} exceeds rank cap {cap}")
-            global_reducer = pca_fit(z, spec.pca_components)
-        out.append(BlockMaps(cols, ae_model, pair_reducers, global_reducer))
-    return FixedMaps(out, d.class_count, d.n_features)
+            reducers = {pair: _fit_reducer(spec, *_pair_data(z, d.labels, *pair)) for pair in pairs}
+        else:
+            reducers = dict.fromkeys(pairs, _fit_reducer(spec, z, None))
+        out.append(BlockMaps(cols, ae_model, reducers))
+    return FixedMaps(out, d.n_features)
 
 
 @dataclass
@@ -312,33 +318,18 @@ class AltPipeline:
     spec: PipelineSpec
 
     def classifier_input_dim(self, n_features: int) -> int:
-        if self.spec.reducer == "pls":
-            return 1
-        if self.spec.reducer == "pca":
-            return self.spec.pca_components
-        if self.spec.ae is not None:
-            return self.spec.ae.z_dim
-        return max(len(b.columns) for b in self.maps.blocks)
+        return self.spec.classifier_input_dim(n_features)
 
     def fit(self, d: Dataset, plan: PermutationPlan, tag: str = "fit") -> FittedPipeline:
-        if d.class_count < 2:
-            raise ValueError("classifier fitting requires at least two classes")
         if d.n_features != self.maps.n_features:
             raise ValueError("dataset width differs from the mapped width")
-        fitted = []
-        for bm in self.maps.blocks:
-            xb = d.features[:, bm.columns]
-            z = ae_encode(bm.ae_model, xb) if bm.ae_model is not None else xb
-            pairs = []
-            for a, b in combinations(range(d.class_count), 2):
-                if bm.pair_reducers is not None:
-                    if (a, b) not in bm.pair_reducers:
-                        raise FitError(f"no frozen reducer for class pair ({a}, {b})")
-                    red = bm.pair_reducers[(a, b)]
-                else:
-                    red = bm.global_reducer
-                pairs.append(
-                    _fit_pair(z, d.labels, a, b, self.spec, fixed_reducer=red, use_fixed=True)
-                )
-            fitted.append(FittedBlock(bm.columns, bm.ae_model, pairs, d.class_count))
-        return FittedPipeline(fitted, d.class_count, d.n_features)
+        blocks = self.maps.blocks
+
+        def frozen(bi, pair, feats, y):
+            if pair not in blocks[bi].reducers:
+                raise FitError(f"no frozen reducer for class pair {pair}")
+            return blocks[bi].reducers[pair]
+
+        return _fit_classifiers(
+            self.spec, d, [(bm.columns, bm.ae_model) for bm in blocks], frozen
+        )

@@ -240,6 +240,41 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert run("power", "--config", str(tmp_path / "absent.json")) == 2
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"alpha": "x"}, "alpha"),
+    ({"eta": "x"}, "eta"),
+    ({"m": True}, "m"),
+    ({"seed": True}, "seed"),
+    ({"k": True}, "k"),
+    ({"pipeline": {"svm_c": True}}, "pipeline.svm_c"),
+    ({"pipeline": {"pca_components": True}}, "pipeline.pca_components"),
+    ({"pipeline": {"region_blocks": [["a"]]}}, "pipeline.region_blocks"),
+    ({"pipeline": {"region_blocks": [[0, True]]}}, "pipeline.region_blocks"),
+    ({"data": {"csv": "labels_only.csv"}}, "data.csv"),
+])
+def test_malformed_field_exits_2_and_names_it(doc, field, tmp_path, blob_csv, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "labels_only.csv").write_text("label\n0\n1\n0\n1\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"csv": blob_csv}, "m": 5, **doc}))
+    assert run("power", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "power_report.json").exists()
+
+
+def test_single_replicate_report_is_strict_json(tmp_path, blob_csv):
+    out = tmp_path / "m1.json"
+    assert run("power", "--data", blob_csv, "--m", "1", "--seed", "2", "--out", str(out)) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["m"] == 1 and doc["null_sd"] == 0.0
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         run("frobnicate")

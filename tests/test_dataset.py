@@ -118,6 +118,13 @@ def test_csv_missing_label_column(tmp_path):
         load_csv(str(path))
 
 
+def test_csv_without_feature_columns(tmp_path):
+    path = tmp_path / "labels_only.csv"
+    path.write_text("label\n0\n1\n")
+    with pytest.raises(ValueError, match="no feature columns"):
+        load_csv(str(path))
+
+
 def test_csv_too_few_rows(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("label,f0\n0,1.0\n")

@@ -3,18 +3,12 @@ import time
 import numpy as np
 import pytest
 
-from permsig.errors import FitError
 from permsig.linclass import (
     Calibration,
     LinearSvm,
     calibrate,
     calibrated_probability,
     decision_values,
-    ensemble_label,
-    ensemble_probability,
-    ovo_fit,
-    ovo_predict,
-    ovo_probability,
     svm_fit,
     svm_objective,
 )
@@ -228,59 +222,3 @@ def test_calibrate_validation():
     with pytest.raises(ValueError):
         calibrate(np.zeros(3), np.zeros(4))
 
-
-# ---------------------------------------------------------------- ensemble
-
-
-def test_ensemble_probability_is_column_mean():
-    p = np.array([[0.2, 0.8], [0.6, 0.4]])
-    np.testing.assert_allclose(ensemble_probability(p), [0.4, 0.6])
-
-
-def test_ensemble_probability_validates_rows():
-    with pytest.raises(ValueError, match="row 1"):
-        ensemble_probability(np.array([[0.5, 0.5], [0.7, 0.7]]))
-    with pytest.raises(ValueError):
-        ensemble_probability(np.zeros((0, 2)))
-
-
-def test_ensemble_label_tie_breaks_low():
-    assert ensemble_label(np.array([0.4, 0.4, 0.2])) == 0
-    assert ensemble_label(np.array([0.1, 0.5, 0.4])) == 1
-
-
-# -------------------------------------------------------------------- OvO
-
-
-def blobs3(n_per=15, seed=30):
-    gen = np.random.Generator(np.random.Philox(seed))
-    centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-    x = np.vstack([gen.standard_normal((n_per, 2)) * 0.5 + c for c in centers])
-    labels = np.repeat(np.arange(3), n_per)
-    return x, labels
-
-
-def test_ovo_three_blobs_high_accuracy():
-    x, labels = blobs3()
-    m = ovo_fit(x, labels, 3)
-    assert len(m.pairs) == 3
-    pred = ovo_predict(m, x)
-    assert float(np.mean(pred == labels)) > 0.95
-    probs = ovo_probability(m, x)
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_ovo_two_class_reduces_to_threshold():
-    x, labels = blobs3()
-    keep = labels < 2
-    m = ovo_fit(x[keep], labels[keep], 2)
-    probs = ovo_probability(m, x[keep])
-    pred = ovo_predict(m, x[keep])
-    np.testing.assert_array_equal(pred, (probs[:, 1] > 0.5).astype(np.int64))
-
-
-def test_ovo_missing_pair_class():
-    x = np.zeros((4, 2))
-    labels = np.array([0, 0, 1, 1])
-    with pytest.raises(FitError, match=r"\(0, 2\)|\(1, 2\)"):
-        ovo_fit(x, labels, 3)

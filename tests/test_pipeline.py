@@ -82,10 +82,51 @@ def test_three_class_ovo_pipeline():
     assert set(np.unique(pred)) <= {0, 1, 2}
 
 
+def test_two_class_predict_thresholds_pair_probability():
+    d = blobs(effect=1.0)
+    fitted = PipelineSpec(reducer="pls").fit(d, PLAN)
+    p1 = fitted.blocks[0].pairs[0].probability(d.features)
+    # class 1 only when its probability is strictly above 0.5
+    np.testing.assert_array_equal(fitted.predict(d.features), (p1 > 0.5).astype(np.int64))
+    np.testing.assert_allclose(fitted.predict_proba(d.features)[:, 1], p1, atol=1e-15)
+
+
+def test_predict_ties_go_to_lowest_class():
+    fitted = PipelineSpec(reducer="pls").fit(blobs(), PLAN)
+    fitted.predict_proba = lambda x: np.array([[0.5, 0.5], [0.4, 0.6], [0.6, 0.4]])
+    np.testing.assert_array_equal(fitted.predict(np.zeros((3, 4))), [0, 1, 0])
+
+
+def test_three_class_probabilities_sum_to_one():
+    d = blobs(classes=3, effect=1.0)
+    probs = PipelineSpec(reducer="pls").fit(d, PLAN).predict_proba(d.features)
+    assert probs.shape == (d.n, 3)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_region_block_probabilities_are_block_means():
+    d = blobs(classes=3, effect=1.0, dim=6)
+    spec = PipelineSpec(reducer="pls", region_blocks=((0, 1, 2), (3, 4, 5)))
+    fitted = spec.fit(d, PLAN)
+    per_block = [blk.probability(d.features) for blk in fitted.blocks]
+    np.testing.assert_allclose(
+        fitted.predict_proba(d.features), (per_block[0] + per_block[1]) / 2.0, atol=1e-15
+    )
+    for probs in per_block:
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
 def test_single_class_pair_raises_fit_error():
     x = np.random.default_rng(0).standard_normal((10, 3))
     d = Dataset(x, np.zeros(10, dtype=np.int64), 2)  # class 1 never appears
     with pytest.raises(FitError, match="single-class"):
+        fit_pipeline(PipelineSpec(reducer="none"), d, PLAN)
+
+
+def test_missing_class_names_its_pair():
+    x = np.random.default_rng(2).standard_normal((8, 3))
+    d = Dataset(x, np.array([0, 1] * 4), 3)  # class 2 never appears
+    with pytest.raises(FitError, match=r"\(0, 2\)"):
         fit_pipeline(PipelineSpec(reducer="none"), d, PLAN)
 
 
@@ -127,7 +168,7 @@ def test_alt_pipeline_freezes_reducers():
     # projection of the data is identical across refits
     d_perm = permute_labels(d, PermutationPlan(3, 1))
     fitted = alt.fit(d_perm, PermutationPlan(3, 1))
-    frozen = maps.blocks[0].pair_reducers[(0, 1)]
+    frozen = maps.blocks[0].reducers[(0, 1)]
     assert fitted.blocks[0].pairs[0].reducer is frozen
 
 
@@ -139,7 +180,7 @@ def test_alt_pipeline_full_refit_differs():
     maps = fit_feature_maps(spec, d, PLAN)
     d_perm = permute_labels(d, PermutationPlan(3, 2))
     full = spec.fit(d_perm, PermutationPlan(3, 2))
-    frozen = maps.blocks[0].pair_reducers[(0, 1)]
+    frozen = maps.blocks[0].reducers[(0, 1)]
     assert not np.allclose(full.blocks[0].pairs[0].reducer.directions, frozen.directions)
 
 
@@ -158,7 +199,19 @@ def test_feature_maps_pls_needs_labels():
     with pytest.raises(ValueError, match="pls"):
         fit_feature_maps(PipelineSpec(reducer="pls"), d, PLAN)
     maps = fit_feature_maps(PipelineSpec(reducer="pca"), d, PLAN)
-    assert maps.blocks[0].global_reducer is not None
+    # one-condition maps cover the pair of a type-1 replicate's two groups
+    assert list(maps.blocks[0].reducers) == [(0, 1)]
+    assert maps.blocks[0].reducers[(0, 1)] is not None
+
+
+def test_feature_maps_share_one_pca_reducer_across_pairs():
+    d = blobs(classes=3, effect=2.0)
+    maps = fit_feature_maps(PipelineSpec(reducer="pca"), d, PLAN)
+    reducers = maps.blocks[0].reducers
+    assert sorted(reducers) == [(0, 1), (0, 2), (1, 2)]
+    assert reducers[(0, 1)] is reducers[(0, 2)] is reducers[(1, 2)]
+    fitted = AltPipeline(maps, PipelineSpec(reducer="pca")).fit(d, PLAN)
+    assert all(pair.reducer is reducers[(0, 1)] for pair in fitted.blocks[0].pairs)
 
 
 def test_spec_validation():
