@@ -127,10 +127,15 @@ def _validate_config(cfg: StudyConfig) -> None:
         "data",
         "exactly one of data.csv or data.synth is required",
     )
+    _require(cfg.data_csv is None or isinstance(cfg.data_csv, str), "data.csv", "must be a path string")
+    _require(isinstance(cfg.label_column, str), "data.label_column", "must be a string")
     if cfg.synth is not None:
         _require(isinstance(cfg.synth, dict), "data.synth", "must be an object")
         for key in ("n_per_class", "dim"):
             _require(key in cfg.synth, f"data.synth.{key}", "is required")
+        for key in ("n_per_class", "dim", "classes"):
+            _require(type(cfg.synth.get(key, 2)) is int, f"data.synth.{key}", "must be an integer")
+        _require(type(cfg.synth.get("effect", 0.0)) in (int, float), "data.synth.effect", "must be a number")
     _require(type(cfg.k) is int and cfg.k >= 2, "k", "must be an integer >= 2")
     _require(cfg.m is None or (type(cfg.m) is int and cfg.m >= 1), "m", "must be a positive integer")
     _require(type(cfg.alpha) in (int, float) and 0.0 < cfg.alpha <= 1.0, "alpha", "must lie in (0, 1]")
@@ -147,6 +152,7 @@ def _validate_config(cfg: StudyConfig) -> None:
         "pipeline.region_blocks",
         "must be a list of lists of integer column indices",
     )
+    _require(cfg.out is None or isinstance(cfg.out, str), "out", "must be a path string")
 
 
 def _dataset_from(cfg: StudyConfig) -> Dataset:
@@ -161,13 +167,9 @@ def _dataset_from(cfg: StudyConfig) -> Dataset:
     plan = PermutationPlan(cfg.seed, 0)
     try:
         return synth_effect(
-            int(s["n_per_class"]),
-            int(s["dim"]),
-            float(s.get("effect", 0.0)),
-            plan,
-            classes=int(s.get("classes", 2)),
+            s["n_per_class"], s["dim"], float(s.get("effect", 0.0)), plan, classes=s.get("classes", 2)
         )
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError("data.synth", str(exc)) from None
 
 

@@ -9,6 +9,14 @@ The pieces here are deliberately self-contained:
   to training margins by damped Newton iterations on the Bernoulli
   log-likelihood with the usual smoothed targets, so separable margins
   still yield a finite optimum.
+* :func:`zero_weight_is_optimal` decides, in closed form, whether the
+  SVM on one feature has the optimal weight ``w = 0``.
+
+On one feature the SVM cannot change the calibrated probabilities: for
+any ``w != 0`` the sigmoids of ``w * s + b`` are the sigmoids of ``s``
+itself, so calibrating the raw scores reaches the same maximum-likelihood
+fit (Platt 1999; Lin, Lin & Weng 2007), whatever the cost ``c``.  Only
+``w = 0`` differs, where the margin is constant.
 
 One-vs-one voting over class pairs and the region-block average live in
 :mod:`permsig.pipeline`.
@@ -64,6 +72,23 @@ def svm_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, c: floa
     return 0.5 * float(w @ w) + c * float(hinge.sum())
 
 
+def zero_weight_is_optimal(s: np.ndarray, y: np.ndarray) -> bool:
+    """Whether ``w = 0`` minimizes the one-feature primal, for every ``c > 0``.
+
+    With ``k`` minority rows of mean score ``mu``, and ``low``/``high``
+    the means of the ``k`` smallest and ``k`` largest majority scores,
+    zero lies in the primal's subdifferential at ``w = 0`` exactly when
+    ``low <= mu <= high``.  For balanced classes this means equal class
+    means.
+    """
+    s = np.asarray(s, dtype=np.float64).ravel()
+    pos = np.asarray(y) > 0
+    minority, majority = (s[pos], s[~pos]) if 2 * pos.sum() <= s.size else (s[~pos], s[pos])
+    k = minority.size
+    ordered = np.sort(majority)
+    return bool(ordered[:k].mean() <= minority.mean() <= ordered[-k:].mean())
+
+
 def svm_fit(
     x: np.ndarray,
     y: np.ndarray,
@@ -89,6 +114,8 @@ def svm_fit(
     ------
     ValueError
         On malformed input, non-positive ``c``, or a single-class ``y``.
+    FitError
+        If neither stopping rule is met within ``max_passes`` passes.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -104,31 +131,30 @@ def svm_fit(
     if n_pos == 0 or n_pos == n:
         raise ValueError("both label signs must be present")
 
-    g_mat = x * y[:, None]
-    q = g_mat @ g_mat.T
-    dq = np.ascontiguousarray(np.diag(q))
+    # The dual's Hessian Q_kl = y_k y_l x_k . x_l is never formed: a step
+    # needs only the kernel columns x @ x_i and x @ x_j, so memory stays
+    # O(n * d).  ``myg`` is -y * (dual gradient), which equals y - x @ w.
+    sq = np.einsum("ij,ij->i", x, x)
 
     # Feasible warm start near the typical non-separable solution.
     nu = 0.9 * c * min(n_pos, n - n_pos)
     alpha = np.where(pos, nu / n_pos, nu / (n - n_pos))
-    grad = q @ alpha - 1.0
+    myg = y - x @ (x.T @ (alpha * y))
+    # Indices that may move up or down; a step changes only i's and j's.
+    up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
+    low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
 
     prev_primal = np.inf
-    w = g_mat.T @ alpha
-    b = 0.0
     for _ in range(max_passes):
         for _ in range(n):
-            up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-            low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
-            myg = -y * grad
             up_vals = np.where(up, myg, -np.inf)
             i = int(np.argmax(up_vals))
             m_up = up_vals[i]
-            low_vals = np.where(low, myg, np.inf)
-            if m_up - low_vals.min() < 1e-10:
+            if m_up - np.where(low, myg, np.inf).min() < 1e-10:
                 break
             diff = m_up - myg
-            curv = np.maximum(dq[i] + dq - 2.0 * y[i] * y * q[:, i], _TAU)
+            k_i = x @ x[i]
+            curv = np.maximum(sq[i] + sq - 2.0 * k_i, _TAU)
             gain = np.where(low & (diff > 0.0), diff * diff / curv, -np.inf)
             j = int(np.argmax(gain))
             step = diff[j] / curv[j]
@@ -137,10 +163,13 @@ def svm_fit(
             step = min(step, cap_i, cap_j)
             alpha[i] += y[i] * step
             alpha[j] -= y[j] * step
-            grad += step * (y[i] * q[:, i] - y[j] * q[:, j])
+            myg -= step * (k_i - x @ x[j])
+            for t in (i, j):
+                up[t] = alpha[t] < c if pos[t] else alpha[t] > 0.0
+                low[t] = alpha[t] > 0.0 if pos[t] else alpha[t] < c
 
-        w = g_mat.T @ alpha
-        b = _bias_from_kkt(alpha, grad, y, pos, c)
+        w = x.T @ (alpha * y)
+        b = _bias_from_kkt(alpha, myg, pos, c)
         primal = svm_objective(x, y, w, b, c)
         dual = float(alpha.sum() - 0.5 * (w @ w))
         if primal - dual < tol * max(1.0, abs(primal)):
@@ -148,12 +177,13 @@ def svm_fit(
         if prev_primal - primal < tol:
             break
         prev_primal = primal
+    else:
+        raise FitError(f"SVM did not converge in {max_passes} passes")
     return LinearSvm(w, float(b), float(c))
 
 
-def _bias_from_kkt(alpha, grad, y, pos, c) -> float:
+def _bias_from_kkt(alpha, myg, pos, c) -> float:
     """Bias from free support vectors, or the KKT interval midpoint."""
-    myg = -y * grad
     free = (alpha > 1e-9 * c) & (alpha < c * (1.0 - 1e-9))
     if free.any():
         return float(myg[free].mean())

@@ -251,6 +251,13 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ({"pipeline": {"region_blocks": [["a"]]}}, "pipeline.region_blocks"),
     ({"pipeline": {"region_blocks": [[0, True]]}}, "pipeline.region_blocks"),
     ({"data": {"csv": "labels_only.csv"}}, "data.csv"),
+    ({"out": 7}, "out"),
+    ({"data": {"csv": 0}}, "data.csv"),
+    ({"data": {"csv": "labels_only.csv", "label_column": 3}}, "data.label_column"),
+    ({"data": {"synth": {"n_per_class": True, "dim": 2}}}, "data.synth.n_per_class"),
+    ({"data": {"synth": {"n_per_class": 5, "dim": 2.5}}}, "data.synth.dim"),
+    ({"data": {"synth": {"n_per_class": 5, "dim": 2, "classes": True}}}, "data.synth.classes"),
+    ({"data": {"synth": {"n_per_class": 5, "dim": 2, "effect": "big"}}}, "data.synth.effect"),
 ])
 def test_malformed_field_exits_2_and_names_it(doc, field, tmp_path, blob_csv, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

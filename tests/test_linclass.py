@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from permsig.errors import FitError
 from permsig.linclass import (
     Calibration,
     LinearSvm,
@@ -11,6 +12,7 @@ from permsig.linclass import (
     decision_values,
     svm_fit,
     svm_objective,
+    zero_weight_is_optimal,
 )
 
 
@@ -146,6 +148,44 @@ def test_svm_1d_fit_is_fast():
     for _ in range(5):
         svm_fit(x, y)
     assert (time.perf_counter() - t0) / 5 < 0.05
+
+
+def test_svm_raises_when_pass_cap_runs_out():
+    gen = np.random.Generator(np.random.Philox(14))
+    x = gen.standard_normal((40, 2))
+    y = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+    x += 0.3 * y[:, None]
+    with pytest.raises(FitError, match="1 passes"):
+        svm_fit(x, y, max_passes=1)
+    svm_fit(x, y)  # the default cap is enough
+
+
+# (minority scores, majority scores, whether w = 0 is optimal)
+ZERO_WEIGHT_CASES = {
+    "minority_mean_inside": ([0.2, 0.5, 0.8], [0.0, 0.1, 0.3, 0.4, 0.6, 0.7, 0.9, 1.0, 1.1], True),
+    "minority_mean_on_edge": ([2.0, 4.0], [0.0, 1.0, 2.0, 4.0], True),
+    "minority_mean_above": ([1.5, 1.8, 2.0], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2], False),
+    "minority_mean_below": ([-0.5, 0.1, 0.2], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2], False),
+    "balanced_equal_means": ([0.0, 2.0], [0.5, 1.5], True),
+    "balanced_unequal_means": ([0.0, 2.5], [0.5, 1.5], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_WEIGHT_CASES))
+@pytest.mark.parametrize("minority_sign", [1.0, -1.0])
+def test_zero_weight_guard_matches_grid_minimum(name, minority_sign):
+    minority, majority, expected = ZERO_WEIGHT_CASES[name]
+    x = np.array(minority + majority)[:, None]
+    y = minority_sign * np.r_[np.ones(len(minority)), -np.ones(len(majority))]
+    assert zero_weight_is_optimal(x, y) is expected
+    steps = np.arange(-40, 41) / 10.0  # includes 0 and +-1 exactly
+    for c in (0.5, 10.0):
+        zero = min(svm_objective(x, y, np.zeros(1), b, c) for b in steps)
+        best = min(svm_objective(x, y, np.array([w]), b, c) for w in steps for b in steps)
+        if expected:
+            assert best >= zero - 1e-12, (c, best, zero)
+        else:
+            assert best < zero - 1e-3, (c, best, zero)
 
 
 def test_decision_values_are_affine():

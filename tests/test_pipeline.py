@@ -73,6 +73,18 @@ def test_classifier_input_dim():
     assert spec.classifier_input_dim(10) == 3
 
 
+def test_one_feature_pair_stores_zero_weight_when_svm_optimum_is_zero():
+    # 3 rows of class 1 with mean 0.5, inside the means of the 3 smallest
+    # (0.13) and 3 largest (1.0) class-0 rows: the SVM's optimum is w = 0
+    x = np.array([0.2, 0.5, 0.8, 0.0, 0.1, 0.3, 0.4, 0.6, 0.7, 0.9, 1.0, 1.1])[:, None]
+    labels = np.array([1] * 3 + [0] * 9)
+    pair = PipelineSpec(reducer="none").fit(Dataset(x, labels, 2), PLAN).blocks[0].pairs[0]
+    np.testing.assert_array_equal(pair.svm.weights, [0.0])
+    assert np.ptp(pair.probability(x)) == 0.0  # a constant margin: the base rate
+    shifted = PipelineSpec(reducer="none").fit(Dataset(x + 2.0 * labels[:, None], labels, 2), PLAN)
+    np.testing.assert_array_equal(shifted.blocks[0].pairs[0].svm.weights, [1.0])
+
+
 def test_three_class_ovo_pipeline():
     d = blobs(classes=3, effect=4.0)
     fitted = PipelineSpec(reducer="pls").fit(d, PLAN)
