@@ -2,21 +2,23 @@
 
 The pieces here are deliberately self-contained:
 
-* :func:`svm_fit` trains a linear soft-margin SVM by sequential minimal
-  optimization on the dual, to an approximate minimizer of
-  ``0.5 * ||w||^2 + c * sum(max(0, 1 - y * (w @ x + b)))``.
+* :func:`svm_fit` trains a linear soft-margin SVM, a minimizer of
+  ``0.5 * ||w||^2 + c * sum(max(0, 1 - y * (w @ x + b)))``: exactly, in
+  closed form, on one feature, and by sequential minimal optimization on
+  the dual, to a tolerance, on more.
 * :func:`calibrate` fits a sigmoid ``p = sigma(slope * margin + intercept)``
   to training margins by damped Newton iterations on the Bernoulli
   log-likelihood with the usual smoothed targets, so separable margins
   still yield a finite optimum.
-* :func:`zero_weight_is_optimal` decides, in closed form, whether the
-  SVM on one feature has the optimal weight ``w = 0``.
 
-On one feature the SVM cannot change the calibrated probabilities: for
-any ``w != 0`` the sigmoids of ``w * s + b`` are the sigmoids of ``s``
-itself, so calibrating the raw scores reaches the same maximum-likelihood
-fit (Platt 1999; Lin, Lin & Weng 2007), whatever the cost ``c``.  Only
-``w = 0`` differs, where the margin is constant.
+On one feature the cost ``c`` cannot change the calibrated probabilities:
+for any ``w != 0`` the sigmoids of ``w * s + b`` are the sigmoids of ``s``
+itself, so calibration reaches the same maximum-likelihood fit (Platt
+1999; Lin, Lin & Weng 2007) whatever the SVM's weight.  Only an optimum of
+``w = 0`` differs, where the margin is constant, and whether the optimum
+is ``w = 0`` does not depend on ``c``: with ``k`` minority rows of mean
+score ``mu``, it is exactly when ``mu`` lies between the means of the
+``k`` smallest and the ``k`` largest majority scores.
 
 One-vs-one voting over class pairs and the region-block average live in
 :mod:`permsig.pipeline`.
@@ -72,23 +74,6 @@ def svm_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, c: floa
     return 0.5 * float(w @ w) + c * float(hinge.sum())
 
 
-def zero_weight_is_optimal(s: np.ndarray, y: np.ndarray) -> bool:
-    """Whether ``w = 0`` minimizes the one-feature primal, for every ``c > 0``.
-
-    With ``k`` minority rows of mean score ``mu``, and ``low``/``high``
-    the means of the ``k`` smallest and ``k`` largest majority scores,
-    zero lies in the primal's subdifferential at ``w = 0`` exactly when
-    ``low <= mu <= high``.  For balanced classes this means equal class
-    means.
-    """
-    s = np.asarray(s, dtype=np.float64).ravel()
-    pos = np.asarray(y) > 0
-    minority, majority = (s[pos], s[~pos]) if 2 * pos.sum() <= s.size else (s[~pos], s[pos])
-    k = minority.size
-    ordered = np.sort(majority)
-    return bool(ordered[:k].mean() <= minority.mean() <= ordered[-k:].mean())
-
-
 def svm_fit(
     x: np.ndarray,
     y: np.ndarray,
@@ -98,9 +83,11 @@ def svm_fit(
 ) -> LinearSvm:
     """Train a linear soft-margin SVM.
 
-    Solves the dual box-constrained problem by pairwise coordinate
-    updates with second-order working-set selection, stopping when the
-    duality gap or the per-pass objective decrease falls below ``tol``.
+    On one feature the optimum is found exactly (see :func:`_svm_1d`) and
+    ``tol`` and ``max_passes`` are unused.  Otherwise solves the dual
+    box-constrained problem by pairwise coordinate updates with
+    second-order working-set selection, stopping when the duality gap or
+    the per-pass objective decrease falls below ``tol``.
 
     Parameters
     ----------
@@ -130,6 +117,9 @@ def svm_fit(
     n = y.shape[0]
     if n_pos == 0 or n_pos == n:
         raise ValueError("both label signs must be present")
+    if x.shape[1] == 1:
+        w, b = _svm_1d(x[:, 0], y, float(c))
+        return LinearSvm(np.array([w]), b, float(c))
 
     # The dual's Hessian Q_kl = y_k y_l x_k . x_l is never formed: a step
     # needs only the kernel columns x @ x_i and x @ x_j, so memory stays
@@ -180,6 +170,60 @@ def svm_fit(
     else:
         raise FitError(f"SVM did not converge in {max_passes} passes")
     return LinearSvm(w, float(b), float(c))
+
+
+def _svm_1d(s: np.ndarray, y: np.ndarray, c: float) -> tuple[float, float]:
+    """Exact primal minimizer ``(w, b)`` on one feature, in O(n log n).
+
+    The dual maximizes ``sum(alpha) - 0.5 * w**2`` with
+    ``w = sum(alpha * y * s)``, ``0 <= alpha <= c`` and equal alpha totals
+    ``a`` on both classes.  For a given ``a`` the reachable ``w`` form an
+    interval ``[u(a), v(a)]``, whose ends fill each class's smallest or
+    largest scores first, so the best dual value is
+    ``2 * a - 0.5 * dist(0, [u, v])**2``: concave and piecewise quadratic
+    in ``a``, with ``u`` and ``v`` linear between multiples of ``c``.  Its
+    maximum is at one of those multiples, at a zero of ``u`` or ``v``, or
+    at a stationary point of a quadratic piece; every candidate of every
+    piece is evaluated.  ``w`` is then the point of ``[u, v]`` nearest 0,
+    and ``b`` the midpoint of the interval minimizing the hinge sum.
+    """
+    p = np.sort(s[y > 0])
+    q = np.sort(s[y < 0])
+    k = min(p.size, q.size)
+    p_lo, p_hi, q_lo, q_hi = p[:k], p[::-1][:k], q[:k], q[::-1][:k]
+
+    def starts(v):  # c times the sums of the first 0..k-1 entries
+        return c * np.concatenate(([0.0], np.cumsum(v)[:-1]))
+
+    # Piece j covers a = j * c + t for t in [0, c].
+    u0, du = starts(p_lo) - starts(q_hi), p_lo - q_hi
+    v0, dv = starts(p_hi) - starts(q_lo), p_hi - q_lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.column_stack([
+            np.zeros(k), np.full(k, c), -u0 / du, -v0 / dv,
+            (2.0 / du - u0) / du, (2.0 / dv - v0) / dv,
+        ])
+    t = np.where(np.isfinite(t), np.clip(t, 0.0, c), 0.0)
+    u = np.maximum(u0[:, None] + t * du[:, None], 0.0)
+    v = np.minimum(v0[:, None] + t * dv[:, None], 0.0)
+    a = c * np.arange(k)[:, None] + t
+    best = np.unravel_index(np.argmax(2.0 * a - 0.5 * (u * u + v * v)), t.shape)
+    w = float(u[best] + v[best])
+
+    # The hinge sum is convex and piecewise linear in b, with slope
+    # #{y_i = -1 and -1 - w * s_i <= b} - #{y_i = +1 and 1 - w * s_i > b}
+    # just right of b (strict and non-strict swapped just left of it).
+    # Its minimizers run from the first breakpoint whose right slope is
+    # >= 0 to the last whose left slope is <= 0.
+    t_pos = np.sort(1.0 - w * s[y > 0])
+    t_neg = np.sort(-1.0 - w * s[y < 0])
+    cand = np.concatenate((t_pos, t_neg))
+
+    def slope(side):
+        return np.searchsorted(t_neg, cand, side) + np.searchsorted(t_pos, cand, side) - t_pos.size
+
+    b = 0.5 * (cand[slope("right") >= 0].min() + cand[slope("left") <= 0].max())
+    return w, float(b)
 
 
 def _bias_from_kkt(alpha, myg, pos, c) -> float:

@@ -36,7 +36,6 @@ from .linclass import (
     calibrated_probability,
     decision_values,
     svm_fit,
-    zero_weight_is_optimal,
 )
 from .rng import PermutationPlan
 
@@ -60,7 +59,7 @@ class PipelineSpec:
     svm_c : float
         Soft-margin cost of the linear SVM.  It cannot affect the output
         when the classifier sees one feature (``pls``, ``pca`` with one
-        component, or one-wide blocks or codes), where no SVM is fitted.
+        component, or one-wide blocks or codes); see :mod:`permsig.linclass`.
     region_blocks : tuple of tuple of int, optional
         Disjoint, non-empty groups of feature columns; one sub-pipeline
         per block.  ``None`` means one block of all columns.
@@ -215,28 +214,13 @@ def _fit_reducer(spec: PipelineSpec, feats: np.ndarray, y: np.ndarray) -> Linear
     return None
 
 
-def _fit_svm(scores: np.ndarray, y: np.ndarray, c: float) -> LinearSvm:
-    """The SVM whose margins get calibrated.
-
-    On one feature calibration of ``w * s + b`` and of ``s`` reach the same
-    fit whenever ``w != 0`` (see :mod:`permsig.linclass`), so the identity
-    map stands in for the SVM and ``c`` cannot affect the output.  When the
-    SVM's optimum is ``w = 0`` its margin is constant, so the weight 0 is
-    stored instead.
-    """
-    if scores.shape[1] == 1:
-        return LinearSvm(np.zeros(1) if zero_weight_is_optimal(scores, y) else np.ones(1), 0.0, c)
-    return svm_fit(scores, y, c)
-
-
 def _fit_classifiers(spec: PipelineSpec, d: Dataset, extractors, reducer_for) -> FittedPipeline:
     """The one pairwise fit path of full and frozen pipelines.
 
     For every block and class pair, selects the pair's rows, takes the
     reducer from ``reducer_for(block_index, pair, feats, y)`` (fitted on
     those rows, or looked up in frozen maps), and fits the SVM and its
-    calibration on the reduced scores.  On one reduced feature the SVM
-    is the identity map (see :func:`_fit_svm`).
+    calibration on the reduced scores.
     """
     if d.class_count < 2:
         raise ValueError("fitting requires at least two classes")
@@ -248,7 +232,7 @@ def _fit_classifiers(spec: PipelineSpec, d: Dataset, extractors, reducer_for) ->
             feats, y = _pair_data(z, d.labels, a, b)
             red = reducer_for(bi, (a, b), feats, y)
             scores = reduce(red, feats) if red is not None else feats
-            svm = _fit_svm(scores, y, spec.svm_c)
+            svm = svm_fit(scores, y, spec.svm_c)
             cal = calibrate(decision_values(svm, scores), y)
             pairs.append(PairModel(a, b, red, svm, cal))
         fitted.append(FittedBlock(cols, ae_model, pairs, d.class_count))

@@ -9,22 +9,27 @@ values recorded before the pipeline and study code were consolidated.
 Together the cases cover power, type1 and alt; resub, rub and kfold; the
 ``pls``, ``pca`` and ``none`` reducers; three-class one-vs-one fits;
 one-condition alt studies; and autoencoders over two region blocks,
-including a two-worker pool.
+including a two-worker pool.  One two-class ``pls`` case keeps only 20
+rows of its second class, so that most permuted pairs have an SVM
+optimum of ``w = 0`` and are calibrated on a constant margin; its
+hashes were recorded while one-feature SVMs were still solved by SMO.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from permsig.cli import main
-from permsig.dataset import save_csv, synth_effect
+from permsig.dataset import Dataset, save_csv, synth_effect
 from permsig.rng import PermutationPlan
 
 AE = {"widths": [4, 2], "epochs": 5, "learning_rate": 0.01, "validation_fraction": 0.0}
 BLOCKS = [[0, 1, 2, 3], [4, 5, 6, 7]]
 
-# name: (study, synth (n_per_class, dim, effect, classes, seed), config, sha json, sha csv)
+# name: (study, synth (n_per_class, dim, effect, classes, seed[, rows kept of the last class]),
+#        config, sha json, sha csv)
 CASES = {
     "power_resub_3class": (
         "power", (12, 4, 1.5, 3, 1), {"scheme": "resub", "m": 20, "seed": 3},
@@ -83,13 +88,23 @@ CASES = {
         "8ccf5c00f25a0c4ac7f6f3d8b9b0d638b021dc5cf514e9ff9d7d4c71d2c07252",
         "d83fa0b2589373fd6c911e9b18e0176b42e78a119990754d26e6b8c86e9effe4",
     ),
+    "power_rub_pls_imbalanced": (
+        "power", (80, 6, 0.5, 2, 21, 20), {"scheme": "rub", "m": 30, "seed": 3},
+        "2ce4fc784c24b1e7548006de8564f390bd47d33e9b58a389e57fd825e6c21c72",
+        "6a865a9e60ed88cf7584c27daf98591e7c542fe06f64f336b5e9e7f39e884906",
+    ),
 }
 
 
 def run_case(name, workdir, monkeypatch) -> tuple[str, str]:
-    study, (n_per, dim, effect, classes, seed), config, _, _ = CASES[name]
+    study, (n_per, dim, effect, classes, seed, *kept), config, _, _ = CASES[name]
     monkeypatch.chdir(workdir)
-    save_csv(synth_effect(n_per, dim, effect, PermutationPlan(seed, 0), classes=classes), "data.csv")
+    d = synth_effect(n_per, dim, effect, PermutationPlan(seed, 0), classes=classes)
+    if kept:
+        last = np.flatnonzero(d.labels == classes - 1)
+        rows = np.setdiff1d(np.arange(len(d.labels)), last[kept[0]:])
+        d = Dataset(d.features[rows], d.labels[rows], classes)
+    save_csv(d, "data.csv")
     with open("cfg.json", "w", encoding="utf-8") as fh:
         json.dump({"data": {"csv": "data.csv"}, **config}, fh)
     assert main([study, "--config", "cfg.json", "--out", "rep.json"]) == 0

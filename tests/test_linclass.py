@@ -12,7 +12,6 @@ from permsig.linclass import (
     decision_values,
     svm_fit,
     svm_objective,
-    zero_weight_is_optimal,
 )
 
 
@@ -85,13 +84,23 @@ def test_svm_fully_contradictory_data():
 
 def test_svm_matches_grid_oracle_1d():
     gen = np.random.Generator(np.random.Philox(10))
+    cases = []
     for trial in range(6):
         n = 20
         x = gen.standard_normal((n, 1))
         gap = 0.5 if trial % 2 == 0 else 2.5
         y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         x[:, 0] += y * gap / 2  # class-dependent shift; small gap overlaps
-        c = (0.3, 1.0, 4.0)[trial % 3]
+        cases.append((x, y, (0.3, 1.0, 4.0)[trial % 3]))
+    # Imbalanced, overlapping classes at a large cost: optima near or at w = 0
+    for seed in (15, 38, 79):
+        g = np.random.Generator(np.random.Philox(seed))
+        k, n_maj = int(g.integers(2, 8)), int(g.integers(20, 60))
+        y = np.r_[-np.ones(k), np.ones(n_maj)]
+        x = g.standard_normal((y.size, 1))
+        x[:k] += 0.5
+        cases.append((x, y, 10.0))
+    for trial, (x, y, c) in enumerate(cases):
         m = svm_fit(x, y, c=c)
         smo_obj = svm_objective(x, y, m.weights, m.bias, c)
         _, oracle_obj = grid_min(primal_1d(x[:, 0], y, c), [-8.0, -8.0], [8.0, 8.0])
@@ -173,11 +182,12 @@ ZERO_WEIGHT_CASES = {
 
 @pytest.mark.parametrize("name", sorted(ZERO_WEIGHT_CASES))
 @pytest.mark.parametrize("minority_sign", [1.0, -1.0])
-def test_zero_weight_guard_matches_grid_minimum(name, minority_sign):
+def test_svm_1d_zero_weight_matches_grid_minimum(name, minority_sign):
+    """Whether w = 0 is optimal is read off a brute-force grid of the
+    primal, then svm_fit must return exactly w = 0 in those cases only."""
     minority, majority, expected = ZERO_WEIGHT_CASES[name]
     x = np.array(minority + majority)[:, None]
     y = minority_sign * np.r_[np.ones(len(minority)), -np.ones(len(majority))]
-    assert zero_weight_is_optimal(x, y) is expected
     steps = np.arange(-40, 41) / 10.0  # includes 0 and +-1 exactly
     for c in (0.5, 10.0):
         zero = min(svm_objective(x, y, np.zeros(1), b, c) for b in steps)
@@ -186,6 +196,7 @@ def test_zero_weight_guard_matches_grid_minimum(name, minority_sign):
             assert best >= zero - 1e-12, (c, best, zero)
         else:
             assert best < zero - 1e-3, (c, best, zero)
+        assert bool(svm_fit(x, y, c).weights[0] == 0.0) is expected
 
 
 def test_decision_values_are_affine():

@@ -4,6 +4,7 @@ import pytest
 from permsig.autoenc import AeArchitecture
 from permsig.dataset import Dataset, permute_labels, synth_effect
 from permsig.errors import FitError
+from permsig.linclass import calibrate, calibrated_probability, decision_values, svm_fit
 from permsig.pipeline import AltPipeline, PipelineSpec, fit_feature_maps, fit_pipeline
 from permsig.rng import PermutationPlan
 
@@ -82,7 +83,27 @@ def test_one_feature_pair_stores_zero_weight_when_svm_optimum_is_zero():
     np.testing.assert_array_equal(pair.svm.weights, [0.0])
     assert np.ptp(pair.probability(x)) == 0.0  # a constant margin: the base rate
     shifted = PipelineSpec(reducer="none").fit(Dataset(x + 2.0 * labels[:, None], labels, 2), PLAN)
-    np.testing.assert_array_equal(shifted.blocks[0].pairs[0].svm.weights, [1.0])
+    assert shifted.blocks[0].pairs[0].svm.weights[0] != 0.0
+
+
+@pytest.mark.parametrize("seed, n_per_class, effect", [
+    (seed, n_per_class, effect)
+    for seed, (n_per_class, effect) in enumerate(
+        (n, e) for n in (3, 5, 8, 13, 21) for e in (0.0, 0.3, 0.8, 1.5, 3.0)
+    )
+])
+def test_one_feature_pipeline_matches_smo_then_calibration(seed, n_per_class, effect):
+    """The exact one-feature SVM gives the pipeline the probabilities that
+    SMO (on the same scores plus a zero column) and calibration give."""
+    d = synth_effect(n_per_class, 1, effect, PermutationPlan(seed, 0))
+    fitted = PipelineSpec(reducer="none", svm_c=1.0).fit(d, PLAN)
+    y = np.where(d.labels == 1, 1.0, -1.0)
+    padded = np.c_[d.features, np.zeros(len(d.labels))]
+    margins = decision_values(svm_fit(padded, y, 1.0), padded)
+    p = calibrated_probability(calibrate(margins, y), margins)
+    np.testing.assert_allclose(fitted.predict_proba(d.features)[:, 1], p, rtol=0, atol=1e-6)
+    expected = np.argmax(np.column_stack([1.0 - p, p]), axis=1)
+    np.testing.assert_array_equal(fitted.predict(d.features), expected)
 
 
 def test_three_class_ovo_pipeline():
