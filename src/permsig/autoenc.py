@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, check, is_int, is_real
 from .rng import PermutationPlan
 
 _ACTIVATIONS = ("sigmoid", "relu", "identity")
@@ -62,22 +62,23 @@ class AeArchitecture:
     validation_fraction: float = 0.3
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths_encoder)
-        if not widths or any(w < 1 for w in widths):
-            raise ValueError("encoder widths must be positive integers")
-        object.__setattr__(self, "layer_widths_encoder", widths)
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-        if self.output_activation not in ("auto",) + _ACTIVATIONS:
-            raise ValueError("output_activation must be auto, sigmoid or identity")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must lie in [0, 1)")
+        widths = self.layer_widths_encoder
+        check(
+            isinstance(widths, (list, tuple)) and len(widths) > 0
+            and all(is_int(w) and w >= 1 for w in widths),
+            "layer_widths_encoder",
+            "must be a non-empty list of positive integers",
+        )
+        object.__setattr__(self, "layer_widths_encoder", tuple(int(w) for w in widths))
+        check(self.activation in _ACTIVATIONS, "activation", f"must be one of {_ACTIVATIONS}")
+        check(self.output_activation in ("auto",) + _ACTIVATIONS, "output_activation",
+              "must be auto, sigmoid or identity")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            check(is_int(value) and value >= 1, name, "must be a positive integer")
+        lr, vf = self.learning_rate, self.validation_fraction
+        check(is_real(lr) and lr > 0, "learning_rate", "must be a positive number")
+        check(is_real(vf) and 0.0 <= vf < 1.0, "validation_fraction", "must lie in [0, 1)")
 
     @property
     def z_dim(self) -> int:

@@ -22,12 +22,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict
 
 from .autoenc import AeArchitecture
 from .bounds import BoundSpec, empirical_bound, vapnik_bound
 from .dataset import Dataset, load_csv, save_csv, synth_effect
-from .errors import ConfigError, FitError
+from .errors import ConfigError, FitError, check
 from .permtest import StudySettings, alt_scheme_study, power_study, type1_study
 from .pipeline import PipelineSpec
 from .rng import PermutationPlan
@@ -35,225 +36,173 @@ from .validate import Scheme
 
 _STUDIES = {"power": power_study, "type1": type1_study, "alt": alt_scheme_study}
 
-
-@dataclass
-class StudyConfig:
-    """Fully resolved study configuration."""
-
-    study: str
-    data_csv: str | None = None
-    label_column: str = "label"
-    synth: dict | None = None
-    ae: dict | None = None
-    reducer: str = "auto"
-    pca_components: int = 1
-    svm_c: float = 1.0
-    region_blocks: list | None = None
-    scheme: str = "rub"
-    k: int = 10
-    m: int | None = None
-    alpha: float = 0.05
-    eta: float = 0.05
-    seed: int = 0
-    workers: int = 1
-    out: str | None = None
+# The keys of each config object, by the path prefix that names them.
+_KEYS = {
+    "": ("study", "data", "pipeline", "scheme", "k", "m", "alpha", "eta", "seed", "workers", "out"),
+    "data.": ("csv", "label_column", "synth"),
+    "data.synth.": ("n_per_class", "dim", "effect", "classes"),
+    "pipeline.": ("ae", "reducer", "pca_components", "svm_c", "region_blocks"),
+    "pipeline.ae.": ("widths", "activation", "output_activation", "epochs", "learning_rate",
+                     "batch_size", "validation_fraction"),
+}
+_SETTINGS = ("scheme", "m", "k", "alpha", "eta", "seed", "workers")
+# Config keys whose field in the library has another name.
+_FIELD = {"seed": "master_seed", "widths": "layer_widths_encoder"}
+_KEY = {field: key for key, field in _FIELD.items()}
 
 
-def _require(condition: bool, field: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(field, message)
+@contextmanager
+def _config_path(prefix: str, other: str | None = None):
+    """Re-raise a ``ConfigError`` under the field's config path; with
+    ``other``, also re-raise any other ``ValueError`` or ``OSError`` there."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(prefix + _KEY.get(exc.field, exc.field), exc.message) from None
+    except (ValueError, OSError) as exc:
+        if other is None:
+            raise
+        raise ConfigError(other, str(exc)) from None
+
+
+def _object(value, prefix: str) -> dict:
+    """The config object at ``prefix``, checked for unknown keys; a null
+    value counts as absent, at every level."""
+    value = {} if value is None else value
+    check(isinstance(value, dict), prefix.rstrip(".") or "config", "must be an object")
+    for key in value:
+        check(key in _KEYS[prefix], prefix + key, "unknown key")
+    return {key: v for key, v in value.items() if v is not None}
 
 
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
-    _require(isinstance(doc, dict), "config", "top level must be an object")
-    return doc
 
 
-def _resolve_config(args: argparse.Namespace) -> StudyConfig:
-    doc = _load_config_file(args.config) if args.config else {}
-    cfg = StudyConfig(study=args.study)
-
-    data = doc.get("data", {})
-    _require(isinstance(data, dict), "data", "must be an object")
-    cfg.data_csv = data.get("csv")
-    cfg.label_column = data.get("label_column", "label")
-    cfg.synth = data.get("synth")
-
-    pipe = doc.get("pipeline", {})
-    _require(isinstance(pipe, dict), "pipeline", "must be an object")
-    cfg.ae = pipe.get("ae")
-    cfg.reducer = pipe.get("reducer", "auto")
-    cfg.pca_components = pipe.get("pca_components", 1)
-    cfg.svm_c = pipe.get("svm_c", 1.0)
-    cfg.region_blocks = pipe.get("region_blocks")
-
-    for name in ("scheme", "k", "m", "alpha", "eta", "seed", "workers", "out"):
-        if name in doc:
-            setattr(cfg, name, doc[name])
-
-    # Flags override the config file.
-    if args.data is not None:
-        cfg.data_csv = args.data
-    if args.label_column is not None:
-        cfg.label_column = args.label_column
-    for name in ("scheme", "k", "m", "alpha", "eta", "workers", "out"):
-        value = getattr(args, name)
-        if value is not None:
-            setattr(cfg, name, value)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    elif "seed" not in doc and os.environ.get("PERMSIG_SEED"):
-        try:
-            cfg.seed = int(os.environ["PERMSIG_SEED"])
-        except ValueError:
-            raise ConfigError("seed", "PERMSIG_SEED must be an integer") from None
-
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: StudyConfig) -> None:
-    # JSON gives bool for true/false, which isinstance() would pass as int.
-    _require(cfg.scheme in ("resub", "rub", "kfold"), "scheme", f"unknown scheme {cfg.scheme!r}")
-    _require(
-        (cfg.data_csv is None) != (cfg.synth is None),
-        "data",
-        "exactly one of data.csv or data.synth is required",
-    )
-    _require(cfg.data_csv is None or isinstance(cfg.data_csv, str), "data.csv", "must be a path string")
-    _require(isinstance(cfg.label_column, str), "data.label_column", "must be a string")
-    if cfg.synth is not None:
-        _require(isinstance(cfg.synth, dict), "data.synth", "must be an object")
-        for key in ("n_per_class", "dim"):
-            _require(key in cfg.synth, f"data.synth.{key}", "is required")
-        for key in ("n_per_class", "dim", "classes"):
-            _require(type(cfg.synth.get(key, 2)) is int, f"data.synth.{key}", "must be an integer")
-        _require(type(cfg.synth.get("effect", 0.0)) in (int, float), "data.synth.effect", "must be a number")
-    _require(type(cfg.k) is int and cfg.k >= 2, "k", "must be an integer >= 2")
-    _require(cfg.m is None or (type(cfg.m) is int and cfg.m >= 1), "m", "must be a positive integer")
-    _require(type(cfg.alpha) in (int, float) and 0.0 < cfg.alpha <= 1.0, "alpha", "must lie in (0, 1]")
-    _require(type(cfg.eta) in (int, float) and 0.0 < cfg.eta < 1.0, "eta", "must lie strictly between 0 and 1")
-    _require(type(cfg.seed) is int and cfg.seed >= 0, "seed", "must be a non-negative integer")
-    _require(type(cfg.workers) is int and cfg.workers >= 1, "workers", "must be a positive integer")
-    _require(cfg.reducer in ("auto", "pls", "pca", "none"), "pipeline.reducer", f"unknown reducer {cfg.reducer!r}")
-    _require(type(cfg.pca_components) is int and cfg.pca_components >= 1, "pipeline.pca_components", "must be a positive integer")
-    _require(type(cfg.svm_c) in (int, float) and cfg.svm_c > 0, "pipeline.svm_c", "must be positive")
-    _require(
-        cfg.region_blocks is None
-        or (isinstance(cfg.region_blocks, list)
-            and all(isinstance(b, list) and all(type(i) is int for i in b) for b in cfg.region_blocks)),
-        "pipeline.region_blocks",
-        "must be a list of lists of integer column indices",
-    )
-    _require(cfg.out is None or isinstance(cfg.out, str), "out", "must be a path string")
-
-
-def _dataset_from(cfg: StudyConfig) -> Dataset:
-    if cfg.data_csv is not None:
-        try:
-            return load_csv(cfg.data_csv, cfg.label_column)
-        except FileNotFoundError:
-            raise ConfigError("data.csv", f"file not found: {cfg.data_csv}") from None
-        except ValueError as exc:
-            raise ConfigError("data.csv", str(exc)) from None
-    s = cfg.synth
-    plan = PermutationPlan(cfg.seed, 0)
+def _seed(flag: int | None, doc: dict):
+    """The master seed: the flag, else the config, else ``PERMSIG_SEED``, else 0."""
+    if flag is not None:
+        return flag
+    if "seed" in doc:
+        return doc["seed"]
     try:
+        return int(os.environ.get("PERMSIG_SEED") or 0)
+    except ValueError:
+        raise ConfigError("seed", "PERMSIG_SEED must be an integer") from None
+
+
+def _resolve_config(
+    args: argparse.Namespace,
+) -> tuple[dict, StudySettings, Dataset, PipelineSpec]:
+    """Merge the config file and the flags (flags win), and build the study.
+
+    Returns the merged document, the settings, the dataset and the
+    pipeline.  The objects check their own fields; their errors are
+    re-raised under the field's config path.
+    """
+    doc = _object(_load_config_file(args.config) if args.config else {}, "")
+    check(doc.get("study", args.study) == args.study, "study", f"must be {args.study!r} or absent")
+    doc["data"] = data = _object(doc.get("data"), "data.")
+    if "synth" in data:
+        data["synth"] = _object(data["synth"], "data.synth.")
+    pipe = _object(doc.get("pipeline"), "pipeline.")
+    if "ae" in pipe:
+        pipe["ae"] = _object(pipe["ae"], "pipeline.ae.")
+    for name in ("scheme", "k", "m", "alpha", "eta", "workers", "out"):
+        if getattr(args, name) is not None:
+            doc[name] = getattr(args, name)
+    doc["seed"] = _seed(args.seed, doc)
+    if args.data is not None:
+        data["csv"] = args.data
+    if args.label_column is not None:
+        data["label_column"] = args.label_column
+    check(doc.get("out") is None or isinstance(doc["out"], str), "out", "must be a path string")
+
+    with _config_path(""):
+        settings = StudySettings(**{_FIELD.get(k, k): doc[k] for k in _SETTINGS if k in doc})
+    d = _dataset_from(data, settings.master_seed)
+    spec = _pipeline_from(pipe, args.study, settings.scheme, d)
+    return doc, settings, d, spec
+
+
+def _dataset_from(data: dict, seed: int) -> Dataset:
+    csv, synth = data.get("csv"), data.get("synth")
+    check((csv is None) != (synth is None), "data",
+          "exactly one of data.csv or data.synth is required")
+    if csv is not None:
+        check(isinstance(csv, str), "data.csv", "must be a path string")
+        with _config_path("data.", other="data.csv"):
+            return load_csv(csv, data.get("label_column", "label"))
+    for key in ("n_per_class", "dim"):
+        check(key in synth, f"data.synth.{key}", "is required")
+    with _config_path("data.synth.", other="data.synth"):
         return synth_effect(
-            s["n_per_class"], s["dim"], float(s.get("effect", 0.0)), plan, classes=s.get("classes", 2)
+            synth["n_per_class"],
+            synth["dim"],
+            synth.get("effect", 0.0),
+            PermutationPlan(seed),
+            classes=synth.get("classes", 2),
         )
-    except ValueError as exc:
-        raise ConfigError("data.synth", str(exc)) from None
 
 
-def _resolve_reducer(cfg: StudyConfig, class_count: int) -> str:
+def _resolve_reducer(study: str, scheme: Scheme, class_count: int) -> str:
     """The paper-faithful default: a single supervised component for the
     resubstitution statistics, raw features for k-fold, and an
     unsupervised component when no labels exist outside the loop."""
-    if cfg.reducer != "auto":
-        return cfg.reducer
-    if cfg.scheme == "kfold":
+    if scheme is Scheme.KFOLD:
         return "none"
-    if cfg.study == "alt" and class_count == 1:
+    if study == "alt" and class_count == 1:
         return "pca"
     return "pls"
 
 
-def _pipeline_from(cfg: StudyConfig, class_count: int) -> PipelineSpec:
-    ae = None
-    if cfg.ae is not None:
-        _require(isinstance(cfg.ae, dict), "pipeline.ae", "must be an object or null")
-        _require("widths" in cfg.ae, "pipeline.ae.widths", "is required")
-        try:
-            ae = AeArchitecture(
-                layer_widths_encoder=tuple(cfg.ae["widths"]),
-                activation=cfg.ae.get("activation", "sigmoid"),
-                output_activation=cfg.ae.get("output_activation", "auto"),
-                epochs=cfg.ae.get("epochs", 50),
-                learning_rate=cfg.ae.get("learning_rate", 0.001),
-                batch_size=cfg.ae.get("batch_size", 32),
-                validation_fraction=cfg.ae.get("validation_fraction", 0.3),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("pipeline.ae", str(exc)) from None
-    try:
-        return PipelineSpec(
-            ae=ae,
-            reducer=_resolve_reducer(cfg, class_count),
-            pca_components=cfg.pca_components,
-            svm_c=float(cfg.svm_c),
-            region_blocks=cfg.region_blocks,
-        )
-    except ValueError as exc:
-        raise ConfigError("pipeline", str(exc)) from None
+def _pipeline_from(pipe: dict, study: str, scheme: Scheme, d: Dataset) -> PipelineSpec:
+    """The pipeline, checked against the data's width before the study starts."""
+    ae = pipe.get("ae")
+    if ae is not None:
+        check("widths" in ae, "pipeline.ae.widths", "is required")
+        with _config_path("pipeline.ae."):
+            ae = AeArchitecture(**{_FIELD.get(k, k): v for k, v in ae.items()})
+    reducer = pipe.get("reducer", "auto")
+    if reducer == "auto":
+        reducer = _resolve_reducer(study, scheme, d.class_count)
+    with _config_path("pipeline."):
+        spec = PipelineSpec(**{**pipe, "ae": ae, "reducer": reducer})
+        spec.resolve_blocks(d.n_features)
+    return spec
 
 
-def _config_echo(cfg: StudyConfig, spec: PipelineSpec, m_resolved: int) -> dict:
+def _config_echo(
+    study: str, data: dict, spec: PipelineSpec, settings: StudySettings, m: int
+) -> dict:
     """Resolved config embedded in the report.
 
     Execution details (worker count, output path) are excluded so that
     reruns with different workers produce byte-identical reports.
     """
-    if cfg.data_csv is not None:
-        data = {"csv": cfg.data_csv, "label_column": cfg.label_column}
+    if "csv" in data:
+        data = {"csv": data["csv"], "label_column": data.get("label_column", "label")}
     else:
-        data = {"synth": dict(sorted(cfg.synth.items()))}
-    ae = None
+        data = {"synth": data["synth"]}
+    pipeline = asdict(spec)
     if spec.ae is not None:
-        ae = {
-            "widths": list(spec.ae.layer_widths_encoder),
-            "activation": spec.ae.activation,
-            "output_activation": spec.ae.output_activation,
-            "epochs": spec.ae.epochs,
-            "learning_rate": spec.ae.learning_rate,
-            "batch_size": spec.ae.batch_size,
-            "validation_fraction": spec.ae.validation_fraction,
-        }
+        pipeline["ae"]["widths"] = pipeline["ae"].pop("layer_widths_encoder")
     return {
-        "study": cfg.study,
+        "study": study,
         "data": data,
-        "pipeline": {
-            "ae": ae,
-            "reducer": spec.reducer,
-            "pca_components": spec.pca_components,
-            "svm_c": spec.svm_c,
-            "region_blocks": [list(b) for b in spec.region_blocks]
-            if spec.region_blocks
-            else None,
-        },
-        "scheme": cfg.scheme,
-        "k": cfg.k,
-        "m": m_resolved,
-        "alpha": cfg.alpha,
-        "eta": cfg.eta,
-        "seed": cfg.seed,
+        "pipeline": pipeline,
+        "scheme": settings.scheme.value,
+        "k": settings.k,
+        "m": m,
+        "alpha": settings.alpha,
+        "eta": settings.eta,
+        "seed": settings.master_seed,
     }
 
 
@@ -284,31 +233,21 @@ def _write_outputs(report, config_echo: dict, out: str, force: bool) -> tuple[st
 
 
 def _run_study(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    data = _dataset_from(cfg)
-    spec = _pipeline_from(cfg, data.class_count)
-    settings = StudySettings(
-        scheme=Scheme(cfg.scheme),
-        m=cfg.m,
-        k=cfg.k,
-        alpha=cfg.alpha,
-        eta=cfg.eta,
-        master_seed=cfg.seed,
-        workers=cfg.workers,
-    )
+    doc, settings, data, spec = _resolve_config(args)
     try:
-        report = _STUDIES[cfg.study](spec, data, settings)
+        report = _STUDIES[args.study](spec, data, settings)
     except ValueError as exc:
         raise ConfigError("data", str(exc)) from None
-    out = cfg.out or f"{cfg.study}_report.json"
-    json_path, _ = _write_outputs(report, _config_echo(cfg, spec, report.m), out, args.force)
+    out = doc.get("out") or f"{args.study}_report.json"
+    echo = _config_echo(args.study, doc["data"], spec, settings, report.m)
+    json_path, _ = _write_outputs(report, echo, out, args.force)
     if report.p_value is not None:
         summary = f"p={report.p_value:.4f} [{report.p_value_sd:.4f}]"
         verdict = "reject H0" if report.p_value <= report.alpha else "keep H0"
         summary += f" alpha={report.alpha:g} ({verdict})"
     else:
         summary = f"fwe={report.fwe_rate:.4f} [{report.fwe_rate_sd:.4f}] alpha={report.alpha:g}"
-    print(f"{cfg.study} {report.scheme.value} m={report.m}: {summary} -> {json_path}")
+    print(f"{args.study} {report.scheme.value} m={report.m}: {summary} -> {json_path}")
     return 0
 
 
@@ -334,19 +273,14 @@ def _run_bound(args: argparse.Namespace) -> int:
 
 
 def _run_synth(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("PERMSIG_SEED", "0") or "0")
-    try:
+    with _config_path("", other="synth"):
         d = synth_effect(
             args.n_per_class,
             args.dim,
             args.effect,
-            PermutationPlan(seed, 0),
+            PermutationPlan(_seed(args.seed, {})),
             classes=args.classes,
         )
-    except ValueError as exc:
-        raise ConfigError("synth", str(exc)) from None
     path = _free_path(args.out, args.force)
     save_csv(d, path)
     print(f"synth classes={d.class_count} n={d.n} dim={d.n_features} effect={args.effect:g} -> {path}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check, is_int, is_real
 from .rng import PermutationPlan
 
 
@@ -123,8 +124,10 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
     ValueError
         If the label column or every feature column is missing, any
         cell fails to parse (the message names the 1-based data row and
-        the column), or fewer than 2 data rows are present.
+        the column), or fewer than 2 data rows are present.  A label
+        column that is not a string raises ``ConfigError``.
     """
+    check(isinstance(label_column, str), "label_column", "must be a string")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -308,14 +311,10 @@ def synth_effect(
     elsewhere.  ``effect = 0`` makes all classes identically distributed.
     Rows are shuffled so class order carries no information.
     """
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be positive")
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if classes < 1:
-        raise ValueError("classes must be positive")
-    if effect < 0:
-        raise ValueError("effect must be non-negative")
+    for name, value in (("n_per_class", n_per_class), ("dim", dim), ("classes", classes)):
+        check(is_int(value) and value >= 1, name, "must be a positive integer")
+    check(is_real(effect) and 0 <= effect < np.inf, "effect",
+          "must be a finite non-negative number")
     gen = plan.rng("synth")
     shifted = min(5, dim)
     n = n_per_class * classes

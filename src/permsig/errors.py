@@ -1,10 +1,13 @@
-"""Exceptions shared across the package.
+"""Exceptions shared across the package, and the field checks that raise them.
 
 ``ValueError`` is raised for caller mistakes (bad shapes, bad arguments);
-the classes below mark data-dependent failures that can legitimately occur
-inside a study replicate and are therefore eligible for the replicate
-retry policy.
+:class:`ConfigError` is the ``ValueError`` of a bad setting, raised by the
+object that owns the setting and naming its field.  :class:`FitError`
+marks data-dependent failures that can legitimately occur inside a study
+replicate and are therefore eligible for the replicate retry policy.
 """
+
+from numbers import Integral, Real
 
 
 class FitError(RuntimeError):
@@ -26,8 +29,25 @@ class DivergenceError(FitError):
 
 
 class ConfigError(ValueError):
-    """Invalid study configuration; names the offending field."""
+    """Invalid setting; names the offending field."""
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"config field '{field}': {message}")
+
+
+def check(ok: bool, field: str, message: str) -> None:
+    """Raise ``ConfigError(field, message)`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(field, message)
+
+
+# JSON's true/false arrive as bool, which isinstance() would pass as a
+# number.  The exact-type tests are fast paths for the common case.
+def is_int(value) -> bool:
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
+def is_real(value) -> bool:
+    return type(value) in (float, int) or (isinstance(value, Real) and not isinstance(value, bool))

@@ -39,7 +39,7 @@ from .dataset import (
     stratified_folds,
     trim_to_even,
 )
-from .errors import FitError
+from .errors import FitError, check, is_int, is_real
 from .pipeline import AltPipeline, PipelineSpec, fit_feature_maps
 from .rng import PermutationPlan
 from .validate import Scheme, kfold_errors, resub_error
@@ -76,19 +76,17 @@ class StudySettings:
     workers: int = 1
 
     def __post_init__(self):
+        check(self.scheme in list(Scheme), "scheme", f"unknown scheme {self.scheme!r}")
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be positive")
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie strictly between 0 and 1")
-        if self.observed_iterations < 1:
-            raise ValueError("observed_iterations must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
+        m, k, alpha, eta = self.m, self.k, self.alpha, self.eta
+        check(m is None or (is_int(m) and m >= 1), "m", "must be a positive integer")
+        check(is_int(k) and k >= 2, "k", "must be an integer >= 2")
+        check(is_real(alpha) and 0.0 < alpha <= 1.0, "alpha", "must lie in (0, 1]")
+        check(is_real(eta) and 0.0 < eta < 1.0, "eta", "must lie strictly between 0 and 1")
+        PermutationPlan(self.master_seed)  # checks the seed's type and range
+        for name in ("observed_iterations", "workers"):
+            value = getattr(self, name)
+            check(is_int(value) and value >= 1, name, "must be a positive integer")
 
     @property
     def replicates(self) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 from .autoenc import AeArchitecture, AeModel, ae_encode, ae_fit
 from .dataset import Dataset
 from .dimred import LinearReducer, pca_fit, pls1_fit, reduce
-from .errors import FitError
+from .errors import ConfigError, FitError, check, is_int, is_real
 from .linclass import (
     Calibration,
     LinearSvm,
@@ -72,34 +72,48 @@ class PipelineSpec:
     region_blocks: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.reducer not in _REDUCERS:
-            raise ValueError(f"reducer must be one of {_REDUCERS}")
-        if self.pca_components < 1:
-            raise ValueError("pca_components must be positive")
-        if self.svm_c <= 0:
-            raise ValueError("svm_c must be positive")
-        if self.region_blocks is not None:
-            blocks = tuple(tuple(int(i) for i in blk) for blk in self.region_blocks)
-            object.__setattr__(self, "region_blocks", blocks)
+        check(self.reducer in _REDUCERS, "reducer", f"unknown reducer {self.reducer!r}")
+        r, c = self.pca_components, self.svm_c
+        check(is_int(r) and r >= 1, "pca_components", "must be a positive integer")
+        check(is_real(c) and c > 0, "svm_c", "must be a positive number")
+        object.__setattr__(self, "svm_c", float(c))
+        if self.region_blocks is None:
+            return
+        blocks = self.region_blocks
+        check(
+            isinstance(blocks, (list, tuple)) and len(blocks) > 0
+            and all(isinstance(b, (list, tuple)) and all(is_int(i) for i in b) for b in blocks),
+            "region_blocks",
+            "must be a non-empty list of lists of integer column indices",
+        )
+        blocks = tuple(tuple(int(i) for i in blk) for blk in blocks)
+        seen: set[int] = set()
+        for bi, blk in enumerate(blocks):
+            check(len(blk) > 0, "region_blocks", f"block {bi} is empty")
+            for col in blk:
+                if col in seen:
+                    raise ConfigError("region_blocks",
+                                      f"column {col} appears in more than one block")
+                seen.add(col)
+        object.__setattr__(self, "region_blocks", blocks)
 
     def resolve_blocks(self, n_features: int) -> tuple[tuple[int, ...], ...]:
-        """Validated column blocks; a single full block when unset."""
-        if self.region_blocks is None:
-            return (tuple(range(n_features)),)
-        seen: set[int] = set()
-        for bi, blk in enumerate(self.region_blocks):
-            if len(blk) == 0:
-                raise ValueError(f"region block {bi} is empty")
+        """Column blocks of ``n_features``-wide data; one full block when unset.
+
+        Raises ``ConfigError`` when a block names a column the data lacks,
+        or when ``pca_components`` exceeds the width a block's reducer sees.
+        """
+        blocks = self.region_blocks or (tuple(range(n_features)),)
+        for bi, blk in enumerate(blocks):
             for col in blk:
                 if not 0 <= col < n_features:
-                    raise ValueError(
-                        f"region block {bi} references column {col}, "
-                        f"valid range is [0, {n_features})"
-                    )
-                if col in seen:
-                    raise ValueError(f"column {col} appears in more than one region block")
-                seen.add(col)
-        return self.region_blocks
+                    raise ConfigError("region_blocks", f"block {bi} references column {col}, "
+                                      f"valid range is [0, {n_features})")
+        width = self.ae.z_dim if self.ae is not None else min(map(len, blocks))
+        if self.reducer == "pca" and self.pca_components > width:
+            raise ConfigError("pca_components", f"{self.pca_components} exceeds the {width} "
+                              "features a block's reducer sees")
+        return blocks
 
     def classifier_input_dim(self, n_features: int) -> int:
         """Dimension of the feature vector the final classifier sees."""
@@ -204,7 +218,8 @@ def _fit_reducer(spec: PipelineSpec, feats: np.ndarray, y: np.ndarray) -> Linear
     if spec.reducer == "pls":
         return pls1_fit(feats, y)
     if spec.reducer == "pca":
-        cap = min(feats.shape[0] - 1, feats.shape[1])
+        # resolve_blocks has checked the width, so only the row count caps the rank here.
+        cap = feats.shape[0] - 1
         if spec.pca_components > cap:
             raise FitError(
                 f"pca_components={spec.pca_components} exceeds rank cap {cap} "

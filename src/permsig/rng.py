@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check, is_int
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -45,12 +47,10 @@ class PermutationPlan:
     replicate_index: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.master_seed, int) or not (
-            0 <= self.master_seed <= _MASK64
-        ):
-            raise ValueError("master_seed must be an integer in [0, 2**64)")
-        if not isinstance(self.replicate_index, int) or self.replicate_index < 0:
-            raise ValueError("replicate_index must be a non-negative integer")
+        seed, index = self.master_seed, self.replicate_index
+        check(is_int(seed) and 0 <= seed <= _MASK64, "master_seed",
+              "must be an integer in [0, 2**64)")
+        check(is_int(index) and index >= 0, "replicate_index", "must be a non-negative integer")
 
     def rng(self, tag: str) -> np.random.Generator:
         """Return a fresh generator for the named operation.

@@ -209,6 +209,25 @@ def test_architecture_validation():
         AeArchitecture(layer_widths_encoder=(4,), validation_fraction=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", True),
+    ("epochs", 2.0),
+    ("batch_size", True),
+    ("learning_rate", "x"),
+    ("learning_rate", True),
+    ("validation_fraction", False),
+])
+def test_architecture_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        AeArchitecture((2,), **{field: value})
+
+
+@pytest.mark.parametrize("widths", [(2.7,), (True,), [4, "2"], 4])
+def test_architecture_rejects_non_integer_widths(widths):
+    with pytest.raises(ValueError, match="layer_widths_encoder"):
+        AeArchitecture(widths)
+
+
 def test_save_load_round_trip_bit_exact(tmp_path):
     gen = np.random.Generator(np.random.Philox(62))
     x = gen.random((25, 6))

@@ -41,6 +41,18 @@ def test_synth_deterministic_per_seed(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_synth_bad_seed_exits_2(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "s.csv")
+    monkeypatch.setenv("PERMSIG_SEED", "abc")
+    assert run("synth", "--n-per-class", "3", "--dim", "2", "--out", out) == 2
+    monkeypatch.delenv("PERMSIG_SEED")
+    assert run("synth", "--n-per-class", "3", "--dim", "2", "--seed", str(2**64), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("config field 'seed'") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 # ------------------------------------------------------------------- bound
 
 
@@ -184,6 +196,23 @@ def test_config_synth_source(tmp_path):
     assert doc["config"]["data"]["synth"]["n_per_class"] == 10
 
 
+def test_null_values_count_as_absent(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    synth = {"n_per_class": 6, "dim": 2}
+    plain = {"data": {"synth": synth}, "m": 5, "seed": 1}
+    nulls = {
+        **plain,
+        "study": None,
+        "alpha": None,
+        "data": {"csv": None, "label_column": None, "synth": {**synth, "effect": None}},
+        "pipeline": {"ae": None, "reducer": None, "region_blocks": None},
+    }
+    for name, doc in (("plain", plain), ("nulls", nulls)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert run("power", "--config", f"{name}.json", "--out", f"{name}_rep.json") == 0
+    assert (tmp_path / "plain_rep.json").read_bytes() == (tmp_path / "nulls_rep.json").read_bytes()
+
+
 def test_seed_env_fallback(tmp_path, blob_csv, monkeypatch):
     monkeypatch.setenv("PERMSIG_SEED", "77")
     out = tmp_path / "env.json"
@@ -258,6 +287,23 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ({"data": {"synth": {"n_per_class": 5, "dim": 2.5}}}, "data.synth.dim"),
     ({"data": {"synth": {"n_per_class": 5, "dim": 2, "classes": True}}}, "data.synth.classes"),
     ({"data": {"synth": {"n_per_class": 5, "dim": 2, "effect": "big"}}}, "data.synth.effect"),
+    ({"data": {"synth": {"n_per_class": 5, "dim": 2, "effect": float("inf")}}}, "data.synth.effect"),
+    pytest.param({"data": {"synth": {"n_per_class": 5, "dim": 2, "effect": 1e308, "classes": 3}}},
+                 "data.synth", marks=pytest.mark.filterwarnings("ignore:overflow")),
+    ({"alhpa": 0.01}, "alhpa"),
+    ({"study": "alt"}, "study"),
+    ({"data": {"csv": "labels_only.csv", "kind": "csv"}}, "data.kind"),
+    ({"data": {"synth": {"n_per_class": 5, "dim": 2, "effects": 1.0}}}, "data.synth.effects"),
+    ({"pipeline": {"svmc": 2.0}}, "pipeline.svmc"),
+    ({"pipeline": {"ae": {"widths": [2], "epoch": 3}}}, "pipeline.ae.epoch"),
+    ({"pipeline": {"ae": {"widths": [2], "epochs": True}}}, "pipeline.ae.epochs"),
+    ({"pipeline": {"ae": {"widths": [2.7]}}}, "pipeline.ae.widths"),
+    ({"pipeline": {"ae": {"widths": [2], "learning_rate": "x"}}}, "pipeline.ae.learning_rate"),
+    ({"seed": 2**64}, "seed"),
+    ({"seed": 2**64, "data": {"synth": {"n_per_class": 5, "dim": 2}}}, "seed"),
+    ({"pipeline": {"region_blocks": [[0, 1], [1, 2]]}}, "pipeline.region_blocks"),
+    ({"pipeline": {"region_blocks": []}}, "pipeline.region_blocks"),
+    ({"pipeline": {"reducer": "pca", "pca_components": 5}}, "pipeline.pca_components"),
 ])
 def test_malformed_field_exits_2_and_names_it(doc, field, tmp_path, blob_csv, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -125,6 +125,13 @@ def test_csv_without_feature_columns(tmp_path):
         load_csv(str(path))
 
 
+def test_csv_label_column_must_be_a_string(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("3,f0\n0,1.0\n1,2.0\n")
+    with pytest.raises(ValueError, match="field 'label_column'"):
+        load_csv(str(path), 3)
+
+
 def test_csv_too_few_rows(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("label,f0\n0,1.0\n")
@@ -274,6 +281,20 @@ def test_synth_effect_shapes_and_determinism():
     d2 = synth_effect(25, 7, 1.5, PermutationPlan(6, 0), classes=3)
     np.testing.assert_array_equal(d.features, d2.features)
     np.testing.assert_array_equal(d.labels, d2.labels)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_per_class", True),
+    ("dim", 2.0),
+    ("classes", True),
+    ("effect", "big"),
+    ("effect", float("nan")),
+    ("effect", float("inf")),
+])
+def test_synth_effect_rejects_wrong_types(field, value):
+    args = {"n_per_class": 5, "dim": 3, "effect": 1.0, "classes": 2, field: value}
+    with pytest.raises(ValueError, match=field):
+        synth_effect(plan=PermutationPlan(0, 0), **args)
 
 
 def test_synth_effect_mean_separation():

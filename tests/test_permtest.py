@@ -222,6 +222,24 @@ def test_settings_validation():
         StudySettings(observed_iterations=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", True),
+    ("m", 5.0),
+    ("k", True),
+    ("alpha", "x"),
+    ("alpha", True),
+    ("eta", None),
+    ("master_seed", True),
+    ("master_seed", 2**64),
+    ("master_seed", -1),
+    ("workers", True),
+    ("scheme", "loo"),
+])
+def test_settings_reject_wrong_types_and_ranges(field, value):
+    with pytest.raises(ValueError, match=field):
+        StudySettings(**{field: value})
+
+
 def test_power_study_strong_effect_rejects():
     d = synth_effect(20, 5, 2.5, PermutationPlan(7, 0))
     rep = power_study(PipelineSpec(reducer="pls"),

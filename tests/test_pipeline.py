@@ -3,7 +3,7 @@ import pytest
 
 from permsig.autoenc import AeArchitecture
 from permsig.dataset import Dataset, permute_labels, synth_effect
-from permsig.errors import FitError
+from permsig.errors import ConfigError, FitError
 from permsig.linclass import calibrate, calibrated_probability, decision_values, svm_fit
 from permsig.pipeline import AltPipeline, PipelineSpec, fit_feature_maps, fit_pipeline
 from permsig.rng import PermutationPlan
@@ -171,9 +171,21 @@ def test_fit_requires_two_classes():
 
 
 def test_pca_rank_cap_raises_fit_error():
-    d = blobs(n_per=3, dim=2)  # 6 rows, pair fits see few rows
-    with pytest.raises(FitError, match="rank cap"):
-        fit_pipeline(PipelineSpec(reducer="pca", pca_components=5), d, PLAN)
+    d = blobs(n_per=3, dim=8)  # 6 rows, pair fits see few rows
+    with pytest.raises(FitError, match="rank cap 5 of 6 rows"):
+        fit_pipeline(PipelineSpec(reducer="pca", pca_components=6), d, PLAN)
+
+
+@pytest.mark.parametrize("spec, width", [
+    (PipelineSpec(reducer="pca", pca_components=5), 2),
+    (PipelineSpec(reducer="pca", pca_components=2, region_blocks=((0,), (1,))), 1),
+    (PipelineSpec(ae=AeArchitecture((1,), epochs=1), reducer="pca", pca_components=2), 1),
+])
+def test_pca_wider_than_reducer_input_is_config_error(spec, width):
+    d = blobs(n_per=30, dim=2)
+    with pytest.raises(ConfigError, match=f"pca_components.*the {width} features") as info:
+        spec.fit(d, PLAN)
+    assert info.value.field == "pca_components"
 
 
 def test_ae_pipeline_smoke():
@@ -254,6 +266,21 @@ def test_spec_validation():
         PipelineSpec(pca_components=0)
     with pytest.raises(ValueError):
         PipelineSpec(svm_c=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("svm_c", True),
+    ("svm_c", "1.0"),
+    ("pca_components", True),
+    ("pca_components", 2.0),
+    ("region_blocks", ((0, True),)),
+    ("region_blocks", ((0, 1.5),)),
+    ("region_blocks", ()),
+    ("region_blocks", "01"),
+])
+def test_spec_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        PipelineSpec(**{field: value})
 
 
 def test_predict_proba_width_check():

@@ -59,6 +59,8 @@ def test_seed_bounds_enforced():
     with pytest.raises(ValueError):
         PermutationPlan(0, -1)
     PermutationPlan(2**64 - 1, 0)  # max seed is fine
+    with pytest.raises(ValueError, match="master_seed"):
+        PermutationPlan(True, 0)
 
 
 def test_permutation_marginals_are_uniform():
