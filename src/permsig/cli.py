@@ -58,7 +58,8 @@ def _config_path(prefix: str, other: str | None = None):
     try:
         yield
     except ConfigError as exc:
-        raise ConfigError(prefix + _KEY.get(exc.field, exc.field), exc.message) from None
+        path = ".".join(_KEY.get(key, key) for key in exc.field.split("."))
+        raise ConfigError(prefix + path, exc.message) from None
     except (ValueError, OSError) as exc:
         if other is None:
             raise

@@ -5,7 +5,10 @@ The pieces here are deliberately self-contained:
 * :func:`svm_fit` trains a linear soft-margin SVM, a minimizer of
   ``0.5 * ||w||^2 + c * sum(max(0, 1 - y * (w @ x + b)))``: exactly, in
   closed form, on one feature, and by sequential minimal optimization on
-  the dual, to a tolerance, on more.
+  the dual, to a duality-gap tolerance, on more.  With balanced classes
+  the dual corner ``alpha = c`` is tested first; when it is certified
+  optimal no SMO step runs, so ``tol`` and ``max_passes`` go unused and no
+  ``FitError`` can occur.
 * :func:`calibrate` fits a sigmoid ``p = sigma(slope * margin + intercept)``
   to training margins by damped Newton iterations on the Bernoulli
   log-likelihood with the usual smoothed targets, so separable margins
@@ -86,8 +89,12 @@ def svm_fit(
     On one feature the optimum is found exactly (see :func:`_svm_1d`) and
     ``tol`` and ``max_passes`` are unused.  Otherwise solves the dual
     box-constrained problem by pairwise coordinate updates with
-    second-order working-set selection, stopping when the duality gap or
-    the per-pass objective decrease falls below ``tol``.
+    second-order working-set selection, stopping when the duality gap
+    falls below ``tol`` relative to the primal.  With balanced classes the
+    corner ``alpha = c`` is tried first, under the same stopping tests;
+    when it is certified optimal, as for heavily overlapping classes, no
+    update runs, ``tol`` and ``max_passes`` go unused and no ``FitError``
+    can occur.
 
     Parameters
     ----------
@@ -102,7 +109,8 @@ def svm_fit(
     ValueError
         On malformed input, non-positive ``c``, or a single-class ``y``.
     FitError
-        If neither stopping rule is met within ``max_passes`` passes.
+        If the duality gap is still above ``tol`` after ``max_passes``
+        passes.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -124,8 +132,19 @@ def svm_fit(
     # The dual's Hessian Q_kl = y_k y_l x_k . x_l is never formed: a step
     # needs only the kernel columns x @ x_i and x @ x_j, so memory stays
     # O(n * d).  ``myg`` is -y * (dual gradient), which equals y - x @ w.
-    sq = np.einsum("ij,ij->i", x, x)
+    if 2 * n_pos == n:
+        # Balanced classes make alpha = c feasible.  Where permuted labels
+        # overlap it is often the optimum, which SMO would reach only after
+        # n / 2 capped steps from the warm start below.  It is returned when
+        # it passes the same KKT and duality-gap tests that end an SMO pass.
+        alpha = np.full(n, float(c))
+        myg = y - x @ (x.T @ (alpha * y))
+        if myg[~pos].max() - myg[pos].min() < 1e-10:
+            w, b, gap_ok = _gap_test(x, y, alpha, myg, pos, c, tol)
+            if gap_ok:
+                return LinearSvm(w, b, float(c))
 
+    sq = np.einsum("ij,ij->i", x, x)
     # Feasible warm start near the typical non-separable solution.
     nu = 0.9 * c * min(n_pos, n - n_pos)
     alpha = np.where(pos, nu / n_pos, nu / (n - n_pos))
@@ -134,7 +153,6 @@ def svm_fit(
     up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
     low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
 
-    prev_primal = np.inf
     for _ in range(max_passes):
         for _ in range(n):
             up_vals = np.where(up, myg, -np.inf)
@@ -158,18 +176,20 @@ def svm_fit(
                 up[t] = alpha[t] < c if pos[t] else alpha[t] > 0.0
                 low[t] = alpha[t] > 0.0 if pos[t] else alpha[t] < c
 
-        w = x.T @ (alpha * y)
-        b = _bias_from_kkt(alpha, myg, pos, c)
-        primal = svm_objective(x, y, w, b, c)
-        dual = float(alpha.sum() - 0.5 * (w @ w))
-        if primal - dual < tol * max(1.0, abs(primal)):
-            break
-        if prev_primal - primal < tol:
-            break
-        prev_primal = primal
-    else:
-        raise FitError(f"SVM did not converge in {max_passes} passes")
-    return LinearSvm(w, float(b), float(c))
+        w, b, gap_ok = _gap_test(x, y, alpha, myg, pos, c, tol)
+        if gap_ok:
+            return LinearSvm(w, b, float(c))
+    raise FitError(f"SVM duality gap still above tol {tol} after {max_passes} passes")
+
+
+def _gap_test(x, y, alpha, myg, pos, c, tol) -> tuple[np.ndarray, float, bool]:
+    """Primal ``(w, b)`` of a dual point, and whether its duality gap is
+    below ``tol`` relative to the primal objective."""
+    w = x.T @ (alpha * y)
+    b = _bias_from_kkt(alpha, myg, pos, c)
+    primal = svm_objective(x, y, w, b, c)
+    dual = float(alpha.sum() - 0.5 * (w @ w))
+    return w, b, primal - dual < tol * max(1.0, abs(primal))
 
 
 def _svm_1d(s: np.ndarray, y: np.ndarray, c: float) -> tuple[float, float]:
@@ -282,31 +302,32 @@ def calibrate(
     slope = 0.0
     intercept = float(np.log(mean_t / (1.0 - mean_t)))
 
-    def nll(a: float, b: float) -> float:
+    def nll(a: float, b: float) -> tuple[float, np.ndarray]:
+        """Negative log-likelihood at ``(a, b)``, and its logits ``z``."""
         z = a * margins + b
         # log(1 + e^z) - t*z, computed stably
-        return float(np.sum(np.logaddexp(0.0, z) - target * z))
+        return float(np.sum(np.logaddexp(0.0, z) - target * z)), z
 
-    current = nll(slope, intercept)
+    sq = margins * margins
+    current, z = nll(slope, intercept)
     for _ in range(max_iter):
-        z = slope * margins + intercept
         p = 1.0 / (1.0 + np.exp(-z))
         resid = p - target
-        g = np.array([float(resid @ margins), float(resid.sum())])
-        if np.max(np.abs(g)) < tol:
+        ga, gb = float(resid @ margins), float(resid.sum())
+        if abs(ga) < tol and abs(gb) < tol:  # a NaN gradient never passes
             return Calibration(slope, intercept)
         wgt = p * (1.0 - p)
-        h11 = float(wgt @ (margins * margins)) + 1e-12
+        h11 = float(wgt @ sq) + 1e-12
         h12 = float(wgt @ margins)
         h22 = float(wgt.sum()) + 1e-12
         det = h11 * h22 - h12 * h12
         if det <= 0:
             raise FitError("calibration Hessian is singular")
-        da = -(h22 * g[0] - h12 * g[1]) / det
-        db = -(-h12 * g[0] + h11 * g[1]) / det
+        da = -(h22 * ga - h12 * gb) / det
+        db = -(-h12 * ga + h11 * gb) / det
         factor = 1.0
         for _ in range(40):
-            cand = nll(slope + factor * da, intercept + factor * db)
+            cand, z = nll(slope + factor * da, intercept + factor * db)
             if cand <= current:
                 break
             factor *= 0.5

@@ -101,7 +101,8 @@ class PipelineSpec:
         """Column blocks of ``n_features``-wide data; one full block when unset.
 
         Raises ``ConfigError`` when a block names a column the data lacks,
-        or when ``pca_components`` exceeds the width a block's reducer sees.
+        when the autoencoder's code is wider than the narrowest block, or
+        when ``pca_components`` exceeds the width a block's reducer sees.
         """
         blocks = self.region_blocks or (tuple(range(n_features)),)
         for bi, blk in enumerate(blocks):
@@ -109,7 +110,12 @@ class PipelineSpec:
                 if not 0 <= col < n_features:
                     raise ConfigError("region_blocks", f"block {bi} references column {col}, "
                                       f"valid range is [0, {n_features})")
-        width = self.ae.z_dim if self.ae is not None else min(map(len, blocks))
+        width = min(map(len, blocks))
+        if self.ae is not None:
+            if self.ae.z_dim > width:
+                raise ConfigError("ae.layer_widths_encoder", f"code width {self.ae.z_dim} "
+                                  f"exceeds the {width} columns of the narrowest block")
+            width = self.ae.z_dim
         if self.reducer == "pca" and self.pca_components > width:
             raise ConfigError("pca_components", f"{self.pca_components} exceeds the {width} "
                               "features a block's reducer sees")

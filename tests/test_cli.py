@@ -304,6 +304,9 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ({"pipeline": {"region_blocks": [[0, 1], [1, 2]]}}, "pipeline.region_blocks"),
     ({"pipeline": {"region_blocks": []}}, "pipeline.region_blocks"),
     ({"pipeline": {"reducer": "pca", "pca_components": 5}}, "pipeline.pca_components"),
+    ({"pipeline": {"ae": {"widths": [9]}}}, "pipeline.ae.widths"),
+    ({"pipeline": {"ae": {"widths": [3]}, "region_blocks": [[0, 1], [2, 3]]}},
+     "pipeline.ae.widths"),
 ])
 def test_malformed_field_exits_2_and_names_it(doc, field, tmp_path, blob_csv, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from permsig.errors import FitError
 from permsig.linclass import (
@@ -169,6 +170,63 @@ def test_svm_raises_when_pass_cap_runs_out():
     svm_fit(x, y)  # the default cap is enough
 
 
+def test_svm_balanced_overlap_certifies_the_corner():
+    # Labels independent of tightly packed 3-d codes, as after a label
+    # permutation: every row lies inside the margin at alpha = c.
+    gen = np.random.Generator(np.random.Philox(16))
+    x = 0.05 * gen.standard_normal((120, 3))
+    y = gen.permutation(np.r_[np.ones(60), -np.ones(60)])
+    for c in (0.5, 1.0):
+        m = svm_fit(x, y, c=c)
+        np.testing.assert_array_equal(m.weights, x.T @ (c * y))
+        primal = svm_objective(x, y, m.weights, m.bias, c)
+        corner_dual = y.size * c - 0.5 * float(m.weights @ m.weights)
+        assert 0.0 <= primal - corner_dual < 1e-6 * max(1.0, primal)
+        # no SMO pass runs, so the pass cap cannot be hit
+        no_passes = svm_fit(x, y, c=c, max_passes=0)
+        np.testing.assert_array_equal(no_passes.weights, m.weights)
+        assert no_passes.bias == m.bias
+
+
+@pytest.mark.parametrize("n_pos", [8, 5])  # balanced and separable, imbalanced
+def test_svm_uncertified_corner_matches_grid_oracle(n_pos):
+    gen = np.random.Generator(np.random.Philox(17))
+    x = gen.standard_normal((16, 2))
+    y = np.r_[np.ones(n_pos), -np.ones(16 - n_pos)]
+    x += y[:, None] * (2.0 if n_pos == 8 else 0.3)
+    c = 2.0
+    m = svm_fit(x, y, c=c)
+    assert not np.array_equal(m.weights, x.T @ (c * y))
+    smo_obj = svm_objective(x, y, m.weights, m.bias, c)
+    _, oracle_obj = grid_min(
+        primal_2d(x, y, c), [-6.0, -6.0, -6.0], [6.0, 6.0, 6.0], rounds=14, pts=13
+    )
+    assert abs(smo_obj - oracle_obj) <= 2e-4, (smo_obj, oracle_obj)
+
+
+# Seeds at which SMO, when it also stopped on a per-pass objective decrease
+# below tol, stopped after a pass that raised the primal, up to 126% above
+# the optimum (seed 188: 588.6 against 260.0).
+RISING_PASS_SEEDS = (53, 164, 188, 230, 239, 337, 389, 395)
+
+
+@pytest.mark.parametrize("seed", RISING_PASS_SEEDS)
+def test_svm_stops_only_at_the_optimum(seed):
+    # A zero second column keeps SMO's problem equal to the one-feature
+    # problem, which svm_fit solves exactly.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 30))
+    n_maj = int(rng.integers(k + 1, 200))
+    s = rng.random(k + n_maj) * (1.0, 3.0, 10.0)[seed % 3]
+    y = np.r_[-np.ones(k), np.ones(n_maj)]
+    c = 10.0
+    exact = svm_fit(s[:, None], y, c=c)
+    optimum = svm_objective(s[:, None], y, exact.weights, exact.bias, c)
+    x = np.column_stack([s, np.zeros(s.size)])
+    m = svm_fit(x, y, c=c)
+    assert svm_objective(x, y, m.weights, m.bias, c) <= optimum + 1e-6 * max(1.0, optimum)
+
+
 # (minority scores, majority scores, whether w = 0 is optimal)
 ZERO_WEIGHT_CASES = {
     "minority_mean_inside": ([0.2, 0.5, 0.8], [0.0, 0.1, 0.3, 0.4, 0.6, 0.7, 0.9, 1.0, 1.1], True),
@@ -263,6 +321,26 @@ def test_calibrate_separable_margins_stay_finite():
     assert np.isfinite(cal.slope) and np.isfinite(cal.intercept)
     p = calibrated_probability(cal, margins)
     assert p[0] < 0.1 and p[-1] > 0.9
+
+
+@pytest.mark.parametrize("separable", [False, True])
+def test_calibrate_matches_scipy_minimize(separable):
+    gen = np.random.Generator(np.random.Philox(22))
+    y = np.where(gen.random(150) < 0.4, 1.0, -1.0)
+    margins = gen.standard_normal(150)
+    if separable:
+        margins = y * (0.5 + np.abs(margins))
+    n_pos = int((y > 0).sum())
+    t = np.where(y > 0, (n_pos + 1) / (n_pos + 2), 1 / (y.size - n_pos + 2))
+
+    def nll(ab):
+        z = ab[0] * margins + ab[1]
+        p = 1 / (1 + np.exp(-z))
+        return np.sum(np.logaddexp(0.0, z) - t * z), np.array([(p - t) @ margins, (p - t).sum()])
+
+    ref = minimize(nll, np.zeros(2), jac=True, method="BFGS", options={"gtol": 1e-12})
+    cal = calibrate(margins, y)
+    np.testing.assert_allclose([cal.slope, cal.intercept], ref.x, rtol=0.0, atol=1e-6)
 
 
 def test_calibrate_validation():
