@@ -15,8 +15,6 @@ from .autoenc import (
     ae_encode,
     ae_fit,
     ae_gradient,
-    load_model,
-    save_model,
 )
 from .bounds import BoundSpec, empirical_bound, log_binomial_sum, vapnik_bound
 from .dataset import (
@@ -107,7 +105,6 @@ __all__ = [
     "generalization_ratio",
     "kfold_errors",
     "load_csv",
-    "load_model",
     "log_binomial_sum",
     "mc_stddev",
     "null_distribution",
@@ -121,7 +118,6 @@ __all__ = [
     "resub_error",
     "rub_error",
     "save_csv",
-    "save_model",
     "scale_unit_interval",
     "shuffle_rows",
     "split_null_groups",

@@ -18,7 +18,6 @@ Loss is the mean squared error over all entries of a batch, i.e.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,61 +274,3 @@ def ae_encode(m: AeModel, x: np.ndarray) -> np.ndarray:
         a = _apply(m.architecture.activation, s)
     return a
 
-
-def save_model(m: AeModel, path: str) -> None:
-    """Serialize a model to an ``.npz`` archive.
-
-    Layout: a JSON header (architecture fields, resolved output
-    activation, input width) plus one float64 array per weight matrix
-    (``w0, w1, ...`` row-major), per bias vector (``b0, ...``), and the
-    training history as an ``(epochs, 2)`` array.  Round trip is
-    bit-exact.
-    """
-    header = json.dumps(
-        {
-            "layer_widths_encoder": list(m.architecture.layer_widths_encoder),
-            "activation": m.architecture.activation,
-            "output_activation_setting": m.architecture.output_activation,
-            "epochs": m.architecture.epochs,
-            "learning_rate": m.architecture.learning_rate,
-            "batch_size": m.architecture.batch_size,
-            "validation_fraction": m.architecture.validation_fraction,
-            "resolved_output_activation": m.output_activation,
-            "input_width": m.input_width,
-        },
-        sort_keys=True,
-    )
-    arrays = {"header": np.frombuffer(header.encode(), dtype=np.uint8)}
-    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        arrays[f"w{i}"] = np.ascontiguousarray(w)
-        arrays[f"b{i}"] = np.ascontiguousarray(b)
-    arrays["history"] = np.asarray(m.training_history, dtype=np.float64).reshape(-1, 2)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_model(path: str) -> AeModel:
-    """Inverse of :func:`save_model`."""
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        arch = AeArchitecture(
-            layer_widths_encoder=tuple(header["layer_widths_encoder"]),
-            activation=header["activation"],
-            output_activation=header["output_activation_setting"],
-            epochs=header["epochs"],
-            learning_rate=header["learning_rate"],
-            batch_size=header["batch_size"],
-            validation_fraction=header["validation_fraction"],
-        )
-        n_layers = len(_full_widths(arch, header["input_width"])) - 1
-        weights = tuple(data[f"w{i}"] for i in range(n_layers))
-        biases = tuple(data[f"b{i}"] for i in range(n_layers))
-        history = tuple((float(a), float(b)) for a, b in data["history"])
-    return AeModel(
-        arch,
-        int(header["input_width"]),
-        weights,
-        biases,
-        header["resolved_output_activation"],
-        history,
-    )

@@ -1,15 +1,17 @@
 """Labeled feature tables and the randomized operations studies need.
 
 A :class:`Dataset` is an immutable ``(n, N)`` float matrix plus integer
-labels in ``[0, class_count)``.  All randomized operations (label
-permutation, row shuffling, fold assignment, null-group splitting,
-synthetic generation) are pure functions of their inputs and a
-:class:`~permsig.rng.PermutationPlan`, so rerunning with the same plan
+labels in ``[0, class_count)``; a :class:`Batch` holds several labelings
+of shared rows, which studies fit together.  All randomized operations
+(label permutation, row shuffling, fold assignment, null-group
+splitting, synthetic generation) are pure functions of their inputs and
+a :class:`~permsig.rng.PermutationPlan`, so rerunning with the same plan
 reproduces the result bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass
 
@@ -43,24 +45,17 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, copy=True, order="C")
-        labs = np.array(self.labels, dtype=np.int64, copy=True)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
-        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-            raise ValueError("labels must be 1-D with one entry per feature row")
+        labs = _checked_labels(self.labels, feats.shape[0], self.class_count)
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
-        if self.class_count < 1:
-            raise ValueError("class_count must be at least 1")
-        if labs.size and (labs.min() < 0 or labs.max() >= self.class_count):
-            raise ValueError("every label must lie in [0, class_count)")
         if self.feature_names is not None:
             names = tuple(str(s) for s in self.feature_names)
             if len(names) != feats.shape[1]:
                 raise ValueError("feature_names length must match column count")
             object.__setattr__(self, "feature_names", names)
         feats.setflags(write=False)
-        labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
@@ -73,13 +68,107 @@ class Dataset:
         return self.features.shape[1]
 
     def with_labels(self, labels: np.ndarray, class_count: int | None = None) -> "Dataset":
-        """Same features, new labels."""
-        return Dataset(
-            self.features,
-            labels,
-            self.class_count if class_count is None else class_count,
-            self.feature_names,
+        """Same features, new labels.
+
+        The features array is shared with this dataset, not copied: it is
+        read-only and was checked when this dataset was built.
+        """
+        class_count = self.class_count if class_count is None else class_count
+        out = copy.copy(self)
+        object.__setattr__(out, "labels", _checked_labels(labels, self.n, class_count))
+        object.__setattr__(out, "class_count", class_count)
+        return out
+
+
+def _checked_labels(labels, n: int, class_count: int) -> np.ndarray:
+    """A read-only int64 copy of ``n`` labels in ``[0, class_count)``."""
+    labs = np.array(labels, dtype=np.int64, copy=True)
+    if labs.ndim != 1 or labs.shape[0] != n:
+        raise ValueError("labels must be 1-D with one entry per feature row")
+    if class_count < 1:
+        raise ValueError("class_count must be at least 1")
+    if labs.size and (labs.min() < 0 or labs.max() >= class_count):
+        raise ValueError("every label must lie in [0, class_count)")
+    labs.setflags(write=False)
+    return labs
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Labelings of shared rows that are fitted together, one column each.
+
+    Column ``j`` is the dataset whose row ``i`` is row ``rows[j, i]`` of
+    ``features[j]`` with label ``labels[j, i]``, and whose random draws
+    come from ``plans[j]``; ``rows`` is None when every column has all
+    its features' rows, in order.  Columns made from one dataset by
+    relabeling it hold the very same features array, so work that
+    depends only on the features (an encoding, say) is done once for all
+    of them.  Fits also need every column to hold the same number of
+    rows of each class, which relabeling and stratified folds keep.
+    """
+
+    features: tuple[np.ndarray, ...]
+    rows: np.ndarray | None
+    labels: np.ndarray
+    class_count: int
+    plans: tuple[PermutationPlan, ...]
+
+    @classmethod
+    def of(cls, columns, plans) -> "Batch":
+        """The batch of the given datasets, each fitted under its plan."""
+        columns, plans = tuple(columns), tuple(plans)
+        first = columns[0]
+        if len(plans) != len(columns):
+            raise ValueError("a batch needs one plan per column")
+        if any(d.features.shape != first.features.shape or d.class_count != first.class_count
+               for d in columns):
+            raise ValueError("batch columns must share their shape and class count")
+        labels = np.stack([d.labels for d in columns])
+        return cls(tuple(d.features for d in columns), None, labels, first.class_count, plans)
+
+    @property
+    def size(self) -> int:
+        return len(self.plans)
+
+    @property
+    def n(self) -> int:
+        return self.labels.shape[1]
+
+    @property
+    def n_features(self) -> int:
+        return self.features[0].shape[1]
+
+    def column_rows(self, j: int) -> np.ndarray:
+        """Column ``j``'s rows of its features."""
+        feats = self.features[j]
+        return feats if self.rows is None else feats[self.rows[j]]
+
+    def subset(self, positions: np.ndarray) -> "Batch":
+        """Each column's rows at ``positions[j]``, an (R, n') index array."""
+        positions = np.asarray(positions)
+        rows = positions if self.rows is None else np.take_along_axis(self.rows, positions, axis=1)
+        labels = np.take_along_axis(self.labels, positions, axis=1)
+        return Batch(self.features, rows, labels, self.class_count, self.plans)
+
+    def select(self, columns) -> "Batch":
+        """The batch of the listed columns, in that order."""
+        columns = list(columns)
+        return Batch(
+            tuple(self.features[j] for j in columns),
+            None if self.rows is None else self.rows[columns],
+            self.labels[columns],
+            self.class_count,
+            tuple(self.plans[j] for j in columns),
         )
+
+
+def as_batch(d: Dataset | Batch, plan: PermutationPlan | None) -> Batch:
+    """``d`` itself if it is a batch, else the batch of ``d`` alone under ``plan``."""
+    if isinstance(d, Batch):
+        return d
+    if plan is None:
+        raise ValueError("fitting one dataset needs its plan")
+    return Batch.of([d], [plan])
 
 
 @dataclass(frozen=True)

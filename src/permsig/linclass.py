@@ -23,6 +23,11 @@ is ``w = 0`` does not depend on ``c``: with ``k`` minority rows of mean
 score ``mu``, it is exactly when ``mu`` lies between the means of the
 ``k`` smallest and the ``k`` largest majority scores.
 
+Both fits also take a batch of columns along a leading axis; each
+column's arithmetic uses only its own rows, so its result is the one a
+single fit of that column gives, bit for bit.  A single input is fitted
+as a batch of one.
+
 One-vs-one voting over class pairs and the region-block average live in
 :mod:`permsig.pipeline`.
 """
@@ -33,41 +38,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import BatchFitError, FitError, one_column
 
 _TAU = 1e-12  # curvature floor in the SMO subproblem
 
 
 @dataclass(frozen=True)
 class LinearSvm:
-    """Fitted linear decision function ``f(x) = weights @ x + bias``."""
+    """Fitted linear decision function ``f(x) = weights @ x + bias``.
+
+    A batch of R columns holds (R, d) weights and (R,) biases.
+    """
 
     weights: np.ndarray
-    bias: float
+    bias: float | np.ndarray
     c: float
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, copy=True)
-        if w.ndim != 1:
-            raise ValueError("weights must be 1-D")
+        if w.ndim not in (1, 2):
+            raise ValueError("weights must be 1-D, or 2-D for a batch")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    def column(self, j: int) -> "LinearSvm":
+        return LinearSvm(self.weights[j], float(self.bias[j]), self.c)
 
 
 @dataclass(frozen=True)
 class Calibration:
-    """Sigmoid map from margins to probabilities of the +1 class."""
+    """Sigmoid map from margins to probabilities of the +1 class.
 
-    slope: float
-    intercept: float
+    A batch of R columns holds (R,) slopes and intercepts.
+    """
+
+    slope: float | np.ndarray
+    intercept: float | np.ndarray
+
+    def column(self, j: int) -> "Calibration":
+        return Calibration(float(self.slope[j]), float(self.intercept[j]))
 
 
 def decision_values(m: LinearSvm, x: np.ndarray) -> np.ndarray:
-    """Signed margins ``x @ weights + bias`` for each row of ``x``."""
+    """Signed margins ``x @ weights + bias`` for each row of ``x``.
+
+    A batch of SVMs scores its (R, n, d) rows, or the same (n, d) rows
+    for every column, with one product per column.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != m.weights.shape[0]:
+    if x.ndim not in (2, 3) or x.shape[-1] != m.weights.shape[-1]:
         raise ValueError("x has the wrong number of columns")
-    return x @ m.weights + m.bias
+    x = np.ascontiguousarray(x)  # see dimred.reduce: the layout sets the rounding
+    return np.matmul(x, m.weights[..., None])[..., 0] + np.asarray(m.bias)[..., None]
 
 
 def svm_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, c: float) -> float:
@@ -84,23 +106,25 @@ def svm_fit(
     tol: float = 1e-6,
     max_passes: int = 10_000,
 ) -> LinearSvm:
-    """Train a linear soft-margin SVM.
+    """Train a linear soft-margin SVM, or one per column of a batch.
 
-    On one feature the optimum is found exactly (see :func:`_svm_1d`) and
-    ``tol`` and ``max_passes`` are unused.  Otherwise solves the dual
-    box-constrained problem by pairwise coordinate updates with
-    second-order working-set selection, stopping when the duality gap
-    falls below ``tol`` relative to the primal.  With balanced classes the
-    corner ``alpha = c`` is tried first, under the same stopping tests;
-    when it is certified optimal, as for heavily overlapping classes, no
-    update runs, ``tol`` and ``max_passes`` go unused and no ``FitError``
-    can occur.
+    On one feature the optimum is found exactly (see :func:`_svm_1d`),
+    for all columns at once, and ``tol`` and ``max_passes`` are unused.
+    Otherwise each column solves the dual box-constrained problem by
+    pairwise coordinate updates with second-order working-set selection,
+    stopping when the duality gap falls below ``tol`` relative to the
+    primal.  With balanced classes the corner ``alpha = c`` is tried
+    first, under the same stopping tests; when it is certified optimal,
+    as for heavily overlapping classes, no update runs, ``tol`` and
+    ``max_passes`` go unused and no ``FitError`` can occur.
 
     Parameters
     ----------
-    x : ndarray, shape (n, d)
-    y : ndarray, shape (n,)
-        Signed labels; both of ``-1`` and ``+1`` must be present.
+    x : ndarray, shape (n, d); for a batch of R columns (R, n, d), or
+        (n, d) rows that every column shares
+    y : ndarray, shape (n,), or (R, n) for a batch
+        Signed labels; both of ``-1`` and ``+1`` must be present in every
+        column.  On one feature every column needs the same class counts.
     c : float
         Misclassification cost, positive.
 
@@ -110,25 +134,48 @@ def svm_fit(
         On malformed input, non-positive ``c``, or a single-class ``y``.
     FitError
         If the duality gap is still above ``tol`` after ``max_passes``
-        passes.
+        passes; ``BatchFitError`` names the columns of a batch where it is.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ValueError("x must be (n, d) and y (n,)")
-    if not np.all(np.isin(np.unique(y), (-1.0, 1.0))):
+    if y.ndim == 1:
+        return one_column(svm_fit, x, y, c=c, tol=tol, max_passes=max_passes)
+    if x.ndim not in (2, 3) or y.ndim != 2 or x.shape[-2] != y.shape[1] \
+            or (x.ndim == 3 and x.shape[0] != y.shape[0]):
+        raise ValueError("x must be (n, d) and y (n,), or (R, n, d) or (n, d) and (R, n)")
+    if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("y must contain only -1 and +1")
     if c <= 0:
         raise ValueError("c must be positive")
+    n_pos = (y > 0).sum(axis=1)
+    if np.any(n_pos == 0) or np.any(n_pos == y.shape[1]):
+        raise ValueError("both label signs must be present")
+    c = float(c)
+    x = np.broadcast_to(x, y.shape + x.shape[-1:])
+    if x.shape[2] == 1:
+        if np.any(n_pos != n_pos[0]):
+            raise ValueError("one-feature columns of a batch need equal class counts")
+        w, b = _svm_1d(x[:, :, 0], y, c)
+        return LinearSvm(w[:, None], b, c)
+
+    weights = np.empty((len(y), x.shape[2]))
+    bias = np.empty(len(y))
+    failures = {}
+    for j in range(len(y)):
+        try:
+            weights[j], bias[j] = _svm_smo(np.ascontiguousarray(x[j]), y[j], c, tol, max_passes)
+        except FitError as exc:
+            failures[j] = exc
+    if failures:
+        raise BatchFitError(failures)
+    return LinearSvm(weights, bias, c)
+
+
+def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
+    """SMO on one column of more than one feature; returns ``(w, b)``."""
     pos = y > 0
     n_pos = int(pos.sum())
     n = y.shape[0]
-    if n_pos == 0 or n_pos == n:
-        raise ValueError("both label signs must be present")
-    if x.shape[1] == 1:
-        w, b = _svm_1d(x[:, 0], y, float(c))
-        return LinearSvm(np.array([w]), b, float(c))
-
     # The dual's Hessian Q_kl = y_k y_l x_k . x_l is never formed: a step
     # needs only the kernel columns x @ x_i and x @ x_j, so memory stays
     # O(n * d).  ``myg`` is -y * (dual gradient), which equals y - x @ w.
@@ -137,12 +184,12 @@ def svm_fit(
         # overlap it is often the optimum, which SMO would reach only after
         # n / 2 capped steps from the warm start below.  It is returned when
         # it passes the same KKT and duality-gap tests that end an SMO pass.
-        alpha = np.full(n, float(c))
+        alpha = np.full(n, c)
         myg = y - x @ (x.T @ (alpha * y))
         if myg[~pos].max() - myg[pos].min() < 1e-10:
             w, b, gap_ok = _gap_test(x, y, alpha, myg, pos, c, tol)
             if gap_ok:
-                return LinearSvm(w, b, float(c))
+                return w, b
 
     sq = np.einsum("ij,ij->i", x, x)
     # Feasible warm start near the typical non-separable solution.
@@ -178,7 +225,7 @@ def svm_fit(
 
         w, b, gap_ok = _gap_test(x, y, alpha, myg, pos, c, tol)
         if gap_ok:
-            return LinearSvm(w, b, float(c))
+            return w, b
     raise FitError(f"SVM duality gap still above tol {tol} after {max_passes} passes")
 
 
@@ -192,10 +239,12 @@ def _gap_test(x, y, alpha, myg, pos, c, tol) -> tuple[np.ndarray, float, bool]:
     return w, b, primal - dual < tol * max(1.0, abs(primal))
 
 
-def _svm_1d(s: np.ndarray, y: np.ndarray, c: float) -> tuple[float, float]:
-    """Exact primal minimizer ``(w, b)`` on one feature, in O(n log n).
+def _svm_1d(s: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact primal minimizers ``(w, b)`` on one feature, in O(n log n).
 
-    The dual maximizes ``sum(alpha) - 0.5 * w**2`` with
+    ``s`` and ``y`` hold one column per row; every column has the same
+    class counts, so each class's scores form a rectangular array.  The
+    dual maximizes ``sum(alpha) - 0.5 * w**2`` with
     ``w = sum(alpha * y * s)``, ``0 <= alpha <= c`` and equal alpha totals
     ``a`` on both classes.  For a given ``a`` the reachable ``w`` form an
     interval ``[u(a), v(a)]``, whose ends fill each class's smallest or
@@ -207,43 +256,47 @@ def _svm_1d(s: np.ndarray, y: np.ndarray, c: float) -> tuple[float, float]:
     piece is evaluated.  ``w`` is then the point of ``[u, v]`` nearest 0,
     and ``b`` the midpoint of the interval minimizing the hinge sum.
     """
-    p = np.sort(s[y > 0])
-    q = np.sort(s[y < 0])
-    k = min(p.size, q.size)
-    p_lo, p_hi, q_lo, q_hi = p[:k], p[::-1][:k], q[:k], q[::-1][:k]
+    cols, n = s.shape
+    pos = y > 0
+    n_pos = int(pos[0].sum())
+    s_pos = s[pos].reshape(cols, n_pos)
+    s_neg = s[~pos].reshape(cols, n - n_pos)
+    p, q = np.sort(s_pos, axis=1), np.sort(s_neg, axis=1)
+    k = min(n_pos, n - n_pos)
+    p_lo, p_hi, q_lo, q_hi = p[:, :k], p[:, ::-1][:, :k], q[:, :k], q[:, ::-1][:, :k]
 
     def starts(v):  # c times the sums of the first 0..k-1 entries
-        return c * np.concatenate(([0.0], np.cumsum(v)[:-1]))
+        return c * np.concatenate((np.zeros((cols, 1)), np.cumsum(v, axis=1)[:, :-1]), axis=1)
 
     # Piece j covers a = j * c + t for t in [0, c].
     u0, du = starts(p_lo) - starts(q_hi), p_lo - q_hi
     v0, dv = starts(p_hi) - starts(q_lo), p_hi - q_lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.column_stack([
-            np.zeros(k), np.full(k, c), -u0 / du, -v0 / dv,
-            (2.0 / du - u0) / du, (2.0 / dv - v0) / dv,
-        ])
-    t = np.where(np.isfinite(t), np.clip(t, 0.0, c), 0.0)
-    u = np.maximum(u0[:, None] + t * du[:, None], 0.0)
-    v = np.minimum(v0[:, None] + t * dv[:, None], 0.0)
-    a = c * np.arange(k)[:, None] + t
-    best = np.unravel_index(np.argmax(2.0 * a - 0.5 * (u * u + v * v)), t.shape)
-    w = float(u[best] + v[best])
+    candidates = (
+        lambda: np.zeros((cols, k)), lambda: np.full((cols, k), c),
+        lambda: -u0 / du, lambda: -v0 / dv,
+        lambda: (2.0 / du - u0) / du, lambda: (2.0 / dv - v0) / dv,
+    )
+    dual = np.empty((cols, k, len(candidates)))
+    w_at = np.empty((cols, k, len(candidates)))
+    for i, candidate in enumerate(candidates):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = candidate()
+        t = np.where(np.isfinite(t), np.clip(t, 0.0, c), 0.0)
+        u = np.maximum(u0 + t * du, 0.0)
+        v = np.minimum(v0 + t * dv, 0.0)
+        dual[:, :, i] = 2.0 * (c * np.arange(k) + t) - 0.5 * (u * u + v * v)
+        w_at[:, :, i] = u + v
+    best = np.argmax(dual.reshape(cols, -1), axis=1)
+    w = w_at.reshape(cols, -1)[np.arange(cols), best]
 
-    # The hinge sum is convex and piecewise linear in b, with slope
-    # #{y_i = -1 and -1 - w * s_i <= b} - #{y_i = +1 and 1 - w * s_i > b}
-    # just right of b (strict and non-strict swapped just left of it).
-    # Its minimizers run from the first breakpoint whose right slope is
-    # >= 0 to the last whose left slope is <= 0.
-    t_pos = np.sort(1.0 - w * s[y > 0])
-    t_neg = np.sort(-1.0 - w * s[y < 0])
-    cand = np.concatenate((t_pos, t_neg))
-
-    def slope(side):
-        return np.searchsorted(t_neg, cand, side) + np.searchsorted(t_pos, cand, side) - t_pos.size
-
-    b = 0.5 * (cand[slope("right") >= 0].min() + cand[slope("left") <= 0].max())
-    return w, float(b)
+    # The hinge sum is convex and piecewise linear in b, with breakpoints
+    # 1 - w * s_i on the positives and -1 - w * s_i on the negatives.  Its
+    # slope just right of b is #{breakpoints <= b} - n_pos, and just left
+    # #{breakpoints < b} - n_pos, so its minimizers run from the n_pos-th
+    # smallest breakpoint to the next one.
+    breaks = np.sort(np.concatenate(
+        (1.0 - w[:, None] * s_pos, -1.0 - w[:, None] * s_neg), axis=1), axis=1)
+    return w, 0.5 * (breaks[:, n_pos - 1] + breaks[:, n_pos])
 
 
 def _bias_from_kkt(alpha, myg, pos, c) -> float:
@@ -274,75 +327,115 @@ def calibrate(
     ``p = sigma(slope * margin + intercept)`` with damped Newton steps.
     Labels are smoothed to ``(n_pos + 1) / (n_pos + 2)`` and
     ``1 / (n_neg + 2)`` so the optimum stays finite even when margins
-    separate the classes perfectly.
+    separate the classes perfectly.  ``margins`` and ``y`` of shape (R, n)
+    fit R columns at once: each column keeps its own Newton iterate, step
+    length and stopping test, and every sum runs over its own row alone.
 
     Raises
     ------
     ValueError
         On malformed input or a single-class ``y``.
     FitError
-        If Newton fails to converge within ``max_iter`` iterations.
+        If Newton fails to converge within ``max_iter`` iterations;
+        ``BatchFitError`` names the columns of a batch that failed.
     """
-    margins = np.asarray(margins, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if margins.shape != y.shape:
-        raise ValueError("margins and y must have the same length")
-    if not np.all(np.isin(np.unique(y), (-1.0, 1.0))):
+    margins = np.asarray(margins, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim <= 1:
+        margins, y = margins.ravel(), y.ravel()
+        if margins.shape != y.shape:
+            raise ValueError("margins and y must have the same length")
+        return one_column(calibrate, margins, y, tol=tol, max_iter=max_iter)
+    if margins.ndim != 2 or margins.shape != y.shape:
+        raise ValueError("margins and y must have the same (R, n) shape")
+    if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("y must contain only -1 and +1")
-    n_pos = int((y > 0).sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    n_pos = (y > 0).sum(axis=1)
+    n_neg = y.shape[1] - n_pos
+    if np.any(n_pos == 0) or np.any(n_neg == 0):
         raise ValueError("both label signs must be present")
 
     hi = (n_pos + 1.0) / (n_pos + 2.0)
     lo = 1.0 / (n_neg + 2.0)
-    target = np.where(y > 0, hi, lo)
+    target = np.where(y > 0, hi[:, None], lo[:, None])
+    mean_t = target.mean(axis=1)
+    slope = np.zeros(len(y))
+    intercept = np.log(mean_t / (1.0 - mean_t))
+    failures = {}
 
-    mean_t = float(target.mean())
-    slope = 0.0
-    intercept = float(np.log(mean_t / (1.0 - mean_t)))
-
-    def nll(a: float, b: float) -> tuple[float, np.ndarray]:
-        """Negative log-likelihood at ``(a, b)``, and its logits ``z``."""
-        z = a * margins + b
+    def nll(a, b, m, t):
+        """Negative log-likelihoods at ``(a, b)``, and their logits ``z``."""
+        z = a[:, None] * m + b[:, None]
         # log(1 + e^z) - t*z, computed stably
-        return float(np.sum(np.logaddexp(0.0, z) - target * z)), z
+        return np.sum(np.logaddexp(0.0, z) - t * z, axis=1), z
 
-    sq = margins * margins
-    current, z = nll(slope, intercept)
+    # The columns still iterating: their indices, data and Newton state.
+    live = np.arange(len(y))
+    m, t, sq = margins, target, margins * margins
+    a, b = slope.copy(), intercept.copy()
+    current, z = nll(a, b, m, t)
+
+    def settle(done, message=None):
+        """Take the ``done`` columns out: with their result, or as failed."""
+        nonlocal live, m, t, sq, a, b, current, z
+        if not done.any():
+            return ~done
+        for j in np.flatnonzero(done):
+            if message is None:
+                slope[live[j]], intercept[live[j]] = a[j], b[j]
+            else:
+                failures[int(live[j])] = FitError(message)
+        keep = ~done
+        live, m, t, sq, a, b, current, z = (
+            v[keep] for v in (live, m, t, sq, a, b, current, z))
+        return keep
+
     for _ in range(max_iter):
+        if not live.size:
+            break
         p = 1.0 / (1.0 + np.exp(-z))
-        resid = p - target
-        ga, gb = float(resid @ margins), float(resid.sum())
-        if abs(ga) < tol and abs(gb) < tol:  # a NaN gradient never passes
-            return Calibration(slope, intercept)
+        resid = p - t
+        ga, gb = np.sum(resid * m, axis=1), np.sum(resid, axis=1)
+        keep = settle((np.abs(ga) < tol) & (np.abs(gb) < tol))  # a NaN gradient never passes
+        p, ga, gb = p[keep], ga[keep], gb[keep]
         wgt = p * (1.0 - p)
-        h11 = float(wgt @ sq) + 1e-12
-        h12 = float(wgt @ margins)
-        h22 = float(wgt.sum()) + 1e-12
+        h11 = np.sum(wgt * sq, axis=1) + 1e-12
+        h12 = np.sum(wgt * m, axis=1)
+        h22 = np.sum(wgt, axis=1) + 1e-12
         det = h11 * h22 - h12 * h12
-        if det <= 0:
-            raise FitError("calibration Hessian is singular")
+        keep = settle(det <= 0, "calibration Hessian is singular")
+        ga, gb, h11, h12, h22, det = (v[keep] for v in (ga, gb, h11, h12, h22, det))
         da = -(h22 * ga - h12 * gb) / det
         db = -(-h12 * ga + h11 * gb) / det
-        factor = 1.0
+
+        factor = np.ones(live.size)
+        cand = np.empty(live.size)
+        searching = np.ones(live.size, dtype=bool)
         for _ in range(40):
-            cand, z = nll(slope + factor * da, intercept + factor * db)
-            if cand <= current:
+            rows = np.flatnonzero(searching)
+            if not rows.size:
                 break
-            factor *= 0.5
-        else:
-            raise FitError("calibration line search failed")
-        slope += factor * da
-        intercept += factor * db
-        if max(abs(factor * da), abs(factor * db)) < tol:
-            return Calibration(slope, intercept)
-        current = cand
-    raise FitError(f"calibration did not converge in {max_iter} iterations")
+            value, z_new = nll(a[rows] + factor[rows] * da[rows],
+                               b[rows] + factor[rows] * db[rows], m[rows], t[rows])
+            ok = value <= current[rows]
+            cand[rows[ok]], z[rows[ok]] = value[ok], z_new[ok]
+            searching[rows[ok]] = False
+            factor[rows[~ok]] *= 0.5
+        keep = settle(searching, "calibration line search failed")
+        factor, da, db = factor[keep], da[keep], db[keep]
+        a, b, current = a + factor * da, b + factor * db, cand[keep]
+        settle(np.maximum(np.abs(factor * da), np.abs(factor * db)) < tol)
+    for j in live:
+        failures[int(j)] = FitError(f"calibration did not converge in {max_iter} iterations")
+    if failures:
+        raise BatchFitError(failures)
+    return Calibration(slope, intercept)
 
 
 def calibrated_probability(cal: Calibration, margins: np.ndarray) -> np.ndarray:
-    """Probability of the +1 class for each margin."""
-    z = cal.slope * np.asarray(margins, dtype=np.float64) + cal.intercept
+    """Probability of the +1 class for each margin; a batch of R
+    calibrations maps (R, n) margins."""
+    slope, intercept = np.asarray(cal.slope)[..., None], np.asarray(cal.intercept)[..., None]
+    z = slope * np.asarray(margins, dtype=np.float64) + intercept
     return 1.0 / (1.0 + np.exp(-z))
 

@@ -15,10 +15,13 @@ distribution built by refitting the pipeline on label-randomized data:
   and reducer are fitted once on the unrandomized data and only the
   classifier refits inside replicates.
 
-Replicates are independent and own their random streams, so they can
-run on a process pool; results are invariant to the worker count.
-A replicate whose fit fails is resampled with a fresh sub-stream up to
-three times before the study aborts.
+Replicates are independent and own their random streams.  They are
+fitted in chunks of :data:`CHUNK`, each chunk as one batch of label
+columns over the shared features, and chunks can run on a process pool;
+a column's arithmetic never mixes with another's, so results depend
+neither on the chunking nor on the worker count.  A replicate whose fit
+fails is resampled with a fresh sub-stream up to three times before the
+study aborts; the report lists every such retry.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 
 from .bounds import BoundSpec, empirical_bound
 from .dataset import (
+    Batch,
     Dataset,
     permute_labels,
     scale_unit_interval,
@@ -53,6 +57,10 @@ EXTRACTOR_INDEX = 2**49
 TRIM_INDEX = 2**49 + 1
 
 MAX_RETRIES = 3
+
+# Null replicates fitted together as one batch.  Chunks are fixed by the
+# replicate count alone, and a process pool hands out whole chunks.
+CHUNK = 32
 
 HISTOGRAM_BINS = 30
 
@@ -103,12 +111,15 @@ class NullDistribution:
     resubstitution schemes, ``m * k`` for k-fold.  ``replicate_plans``
     records the plan actually used per replicate (retries shift the
     index by a large stride, so the record is an honest replay log).
+    ``retries`` holds ``(replicate, attempt, message)`` for every failed
+    attempt that was retried, in replicate order.
     """
 
     statistics: tuple[float, ...]
     scheme: Scheme
     replicate_plans: tuple[PermutationPlan, ...]
     k: int | None = None
+    retries: tuple[tuple[int, int, str], ...] = ()
 
     @property
     def m(self) -> int:
@@ -138,6 +149,7 @@ class StudyReport:
     histogram_counts: tuple[int, ...]
     master_seed: int
     replicate_indices: tuple[int, ...]
+    retries: tuple[tuple[int, int, str], ...] = ()
 
     def to_json_dict(self, config: dict | None = None) -> dict:
         doc = {
@@ -165,6 +177,11 @@ class StudyReport:
                 "replicate_indices": list(self.replicate_indices),
             },
         }
+        if self.retries:
+            doc["retries"] = [
+                {"replicate": r, "attempt": attempt, "error": message}
+                for r, attempt, message in self.retries
+            ]
         if config is not None:
             doc["config"] = config
         return doc
@@ -238,36 +255,56 @@ class _ReplicateTask:
     labeling: str  # "permute" | "split"
 
 
-def _statistic(pipeline, d: Dataset, plan: PermutationPlan, scheme: Scheme, k: int, mu) -> list[float]:
-    """The scheme's error values for one labeling of ``d``.
+def _statistics(pipeline, columns: list[Dataset], plans: list[PermutationPlan],
+                scheme: Scheme, k: int, mu) -> list:
+    """The scheme's error values for each labeling in ``columns``.
 
     Observed iterations and null replicates both come through here, so
     every null value is computed by the same procedure as the observed
     one: the k per-fold test errors for k-fold, else one resubstitution
-    error, plus ``mu`` for the bound-corrected scheme.
+    error, plus ``mu`` for the bound-corrected scheme.  The labelings are
+    fitted as one batch; a column whose fit failed gets its ``FitError``
+    instead of values.
     """
+    batch = Batch.of(columns, plans)
     if scheme is Scheme.KFOLD:
-        tests, _ = kfold_errors(pipeline, d, stratified_folds(d, k, plan), plan)
-        return [e.value for e in tests]
-    value = resub_error(pipeline, d, plan).value
-    return [value + mu if scheme is Scheme.RUB else value]
+        folds = [stratified_folds(d, k, plan) for d, plan in zip(columns, plans)]
+        return [out if isinstance(out, FitError) else [e.value for e in out[0]]
+                for out in kfold_errors(pipeline, batch, folds)]
+    return [out if isinstance(out, FitError)
+            else [out.value + mu if scheme is Scheme.RUB else out.value]
+            for out in resub_error(pipeline, batch)]
 
 
-def _replicate_stats(task: _ReplicateTask, r: int) -> tuple[int, list[float]]:
-    last: FitError | None = None
+def _chunk_stats(task: _ReplicateTask, replicates: range):
+    """Statistics of a chunk of null replicates, and its retries.
+
+    Every replicate draws its labeling from its own plan.  The replicates
+    whose fit failed are drawn again from their next plan and fitted
+    together, up to ``MAX_RETRIES`` times.
+    """
+    label = split_null_groups if task.labeling == "split" else permute_labels
+    results: dict[int, tuple[int, list[float]]] = {}
+    retries: list[tuple[int, int, str]] = []
+    pending = list(replicates)
     for attempt in range(MAX_RETRIES + 1):
-        plan = PermutationPlan(task.master_seed, r + attempt * RETRY_STRIDE)
-        try:
-            if task.labeling == "split":
-                d_r = split_null_groups(task.data, plan)
+        plans = [PermutationPlan(task.master_seed, r + attempt * RETRY_STRIDE) for r in pending]
+        columns = [label(task.data, plan) for plan in plans]
+        outs = _statistics(task.pipeline, columns, plans, task.scheme, task.k, task.mu)
+        failed = []
+        for r, plan, out in zip(pending, plans, outs):
+            if isinstance(out, FitError):
+                failed.append((r, out))
             else:
-                d_r = permute_labels(task.data, plan)
-            return plan.replicate_index, _statistic(
-                task.pipeline, d_r, plan, task.scheme, task.k, task.mu
-            )
-        except FitError as exc:
-            last = exc
-    raise FitError(f"replicate {r} failed after {MAX_RETRIES} retries: {last}")
+                results[r] = (plan.replicate_index, out)
+        if attempt == MAX_RETRIES and failed:
+            r, exc = failed[0]
+            raise FitError(f"replicate {r} failed after {MAX_RETRIES} retries: {exc}")
+        retries += [(r, attempt, str(exc)) for r, exc in failed]
+        pending = [r for r, _ in failed]
+        if not pending:
+            break
+    return [results[r] for r in replicates], sorted(retries)
 
 
 _POOL_TASK: _ReplicateTask | None = None
@@ -278,8 +315,8 @@ def _pool_init(task: _ReplicateTask) -> None:
     _POOL_TASK = task
 
 
-def _pool_run(r: int) -> tuple[int, list[float]]:
-    return _replicate_stats(_POOL_TASK, r)
+def _pool_run(replicates: range):
+    return _chunk_stats(_POOL_TASK, replicates)
 
 
 def null_distribution(
@@ -297,8 +334,9 @@ def null_distribution(
     """Null statistics from ``m`` label-randomized replicates.
 
     Each replicate derives every random draw from
-    ``(master_seed, replicate_index)``; statistics are aggregated in
-    replicate order, so the result is identical for any ``workers``.
+    ``(master_seed, replicate_index)``.  Replicates are fitted in chunks
+    of ``CHUNK``, and statistics are aggregated in replicate order, so the
+    result is identical for any ``workers``.
     """
     scheme = Scheme(scheme)
     if m < 1:
@@ -307,26 +345,30 @@ def null_distribution(
         raise ValueError("labeling must be 'permute' or 'split'")
     mu = _mu_for(pipeline, d, scheme, eta)
     task = _ReplicateTask(pipeline, d, scheme, k, mu, master_seed, labeling)
+    chunks = [range(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
 
     if workers <= 1:
-        results = [_replicate_stats(task, r) for r in range(m)]
+        done = [_chunk_stats(task, chunk) for chunk in chunks]
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(task,)
         ) as pool:
-            chunk = max(1, m // (workers * 8))
-            results = list(pool.map(_pool_run, range(m), chunksize=chunk))
+            done = list(pool.map(_pool_run, chunks))
 
     stats: list[float] = []
     plans: list[PermutationPlan] = []
-    for idx, values in results:
-        stats.extend(values)
-        plans.append(PermutationPlan(master_seed, idx))
+    retries: list[tuple[int, int, str]] = []
+    for results, chunk_retries in done:
+        for idx, values in results:
+            stats.extend(values)
+            plans.append(PermutationPlan(master_seed, idx))
+        retries += chunk_retries
     return NullDistribution(
         tuple(stats),
         scheme,
         tuple(plans),
         k if scheme is Scheme.KFOLD else None,
+        tuple(retries),
     )
 
 
@@ -368,9 +410,13 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
     mu = _mu_for(pipeline, data, scheme, settings.eta)
     observed: list[float] = []
     if labeling == "permute":
-        for i in range(settings.observed_iterations):
-            plan = PermutationPlan(settings.master_seed, OBSERVED_BASE + i)
-            observed += _statistic(pipeline, shuffle_rows(data, plan), plan, scheme, settings.k, mu)
+        plans = [PermutationPlan(settings.master_seed, OBSERVED_BASE + i)
+                 for i in range(settings.observed_iterations)]
+        columns = [shuffle_rows(data, plan) for plan in plans]
+        for out in _statistics(pipeline, columns, plans, scheme, settings.k, mu):
+            if isinstance(out, FitError):
+                raise out
+            observed += out
     null = null_distribution(
         pipeline,
         data,
@@ -410,6 +456,7 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
         histogram_counts=counts,
         master_seed=settings.master_seed,
         replicate_indices=tuple(pl.replicate_index for pl in null.replicate_plans),
+        retries=null.retries,
     )
 
 

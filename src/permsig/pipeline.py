@@ -8,6 +8,11 @@ probabilities are averaged across blocks, and the arg-max class wins
 (ties to the lowest index).  With a single block this reduces exactly
 to the plain pipeline.
 
+Fits take a :class:`~permsig.dataset.Batch` of labelings as well as a
+single dataset, which is fitted as a batch of one.  Every stage then
+handles all columns at once, but a column's arithmetic stays its own, so
+its fit does not depend on the batch it is in; see :class:`FittedBatch`.
+
 Two fitting modes exist:
 
 * :meth:`PipelineSpec.fit` refits every stage on the data it is given
@@ -20,15 +25,16 @@ Two fitting modes exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from .autoenc import AeArchitecture, AeModel, ae_encode, ae_fit
-from .dataset import Dataset
+from .dataset import Batch, Dataset, as_batch
 from .dimred import LinearReducer, pca_fit, pls1_fit, reduce
-from .errors import ConfigError, FitError, check, is_int, is_real
+from .errors import BatchFitError, ConfigError, FitError, check, is_int, is_real
 from .linclass import (
     Calibration,
     LinearSvm,
@@ -131,13 +137,21 @@ class PipelineSpec:
             return self.ae.z_dim
         return max(len(blk) for blk in self.resolve_blocks(n_features))
 
-    def fit(self, d: Dataset, plan: PermutationPlan, tag: str = "fit") -> "FittedPipeline":
+    def fit(self, d: Dataset | Batch, plan: PermutationPlan | None = None,
+            tag: str = "fit") -> "FittedPipeline | FittedBatch":
+        """Fit one dataset under ``plan``, or every column of a batch; see
+        :func:`fit_pipeline`."""
         return fit_pipeline(self, d, plan, tag)
 
 
 @dataclass
 class PairModel:
-    """Calibrated pairwise classifier for classes ``(a, b)``; +1 = b."""
+    """Calibrated pairwise classifier for classes ``(a, b)``; +1 = b.
+
+    In a :class:`FittedBatch` the reducer, SVM and calibration hold one
+    model per fitted column along a leading axis; a frozen reducer is a
+    single one that every column shares.
+    """
 
     a: int
     b: int
@@ -148,6 +162,20 @@ class PairModel:
     def probability(self, z: np.ndarray) -> np.ndarray:
         feats = reduce(self.reducer, z) if self.reducer is not None else z
         return calibrated_probability(self.calibration, decision_values(self.svm, feats))
+
+    def column(self, j: int) -> "PairModel":
+        reducer = self.reducer.column(j) if self.reducer is not None else None
+        return PairModel(self.a, self.b, reducer, self.svm.column(j), self.calibration.column(j))
+
+
+def _votes(pairs: list[PairModel], z: np.ndarray, class_count: int) -> np.ndarray:
+    """Per-row class probabilities from summed pairwise votes."""
+    probs = [pair.probability(z) for pair in pairs]
+    scores = np.zeros(probs[0].shape + (class_count,))
+    for pair, p in zip(pairs, probs):
+        scores[..., pair.b] += p
+        scores[..., pair.a] += 1.0 - p
+    return scores / len(pairs)
 
 
 @dataclass
@@ -162,13 +190,7 @@ class FittedBlock:
 
     def probability(self, x: np.ndarray) -> np.ndarray:
         """Per-sample class probabilities from summed pairwise votes."""
-        z = self.encode(x)
-        scores = np.zeros((x.shape[0], self.class_count))
-        for pair in self.pairs:
-            p = pair.probability(z)
-            scores[:, pair.b] += p
-            scores[:, pair.a] += 1.0 - p
-        return scores / len(self.pairs)
+        return _votes(self.pairs, self.encode(x), self.class_count)
 
 
 @dataclass
@@ -194,30 +216,121 @@ class FittedPipeline:
         return float(np.mean(self.predict(x) != np.asarray(labels)))
 
 
-def _pair_data(z: np.ndarray, labels: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of classes ``a`` and ``b`` with signed targets, +1 = ``b``."""
-    rows = np.flatnonzero((labels == a) | (labels == b))
-    y = np.where(labels[rows] == b, 1.0, -1.0)
-    if np.unique(y).size < 2:
-        raise FitError(f"class pair ({a}, {b}) is empty or single-class in training data")
-    return z[rows], y
+@dataclass
+class FittedBatch:
+    """A pipeline fitted on every column of a batch.
+
+    ``columns`` lists the batch columns that were fitted, in the order of
+    the models' leading axis, and ``failures`` maps every other column to
+    the ``FitError`` that stopped its fit.  Each block holds its feature
+    columns, the autoencoder of each fitted column (or None), and its pair
+    models.  ``codes`` keeps the encoded features already computed.
+    """
+
+    blocks: list[tuple[tuple[int, ...], tuple[AeModel | None, ...], list[PairModel]]]
+    class_count: int
+    n_features: int
+    columns: list[int]
+    failures: dict[int, FitError]
+    codes: dict = field(default_factory=dict, repr=False)
+
+    def errors(self, batch: Batch) -> list[float | FitError]:
+        """Each column's misclassified fraction of its rows in ``batch``.
+
+        ``batch`` has the columns of the fitted batch, with any of their
+        rows.  A column that was not fitted gets its ``FitError`` instead.
+        """
+        out: list = [self.failures.get(j) for j in range(batch.size)]
+        if not self.columns:
+            return out
+        live = batch.select(self.columns)
+        votes = [_votes(pairs, _codes(live, cols, models, self.codes), self.class_count)
+                 for cols, models, pairs in self.blocks]
+        predicted = np.argmax(np.stack(votes).mean(axis=0), axis=-1)
+        wrong = np.count_nonzero(predicted != live.labels, axis=1)
+        for j, count in zip(self.columns, wrong):
+            out[j] = float(count / live.n)
+        return out
+
+    def column(self, j: int) -> FittedPipeline:
+        """The fit of batch column ``j``; raises its ``FitError`` if it failed."""
+        if j in self.failures:
+            raise self.failures[j]
+        k = self.columns.index(j)
+        blocks = [FittedBlock(cols, models[k], [pair.column(k) for pair in pairs], self.class_count)
+                  for cols, models, pairs in self.blocks]
+        return FittedPipeline(blocks, self.class_count, self.n_features)
 
 
 def _encode(ae_model: AeModel | None, xb: np.ndarray) -> np.ndarray:
     return ae_encode(ae_model, xb) if ae_model is not None else xb
 
 
-def _fit_extractors(
-    spec: PipelineSpec, d: Dataset, plan: PermutationPlan, tag: str
-) -> list[tuple[tuple[int, ...], AeModel | None]]:
-    """Columns and (when configured) a trained autoencoder per block."""
-    blocks = spec.resolve_blocks(d.n_features)
+def _codes(batch: Batch, cols: tuple[int, ...], models, cache: dict) -> np.ndarray:
+    """Each column's rows of one block, encoded.
+
+    A features array is encoded once per model, and the result kept in
+    ``cache``.  When every column has all rows of the same codes, those
+    (n, width) codes serve them all; otherwise each column gathers its
+    rows into an (R, n, width) array.
+    """
+    codes = []
+    for feats, model in zip(batch.features, models):
+        key = (id(feats), id(model), cols)
+        if key not in cache:  # the entry holds its keys' objects, so their ids stay unique
+            block = feats if cols == tuple(range(feats.shape[1])) else feats[:, cols]
+            cache[key] = (feats, model, _encode(model, block))
+        codes.append(cache[key][2])
+    shared = all(z is codes[0] for z in codes)
+    if batch.rows is None:
+        return codes[0] if shared else np.stack(codes)
+    if shared:
+        return codes[0][batch.rows]
+    return np.stack([z[rows] for z, rows in zip(codes, batch.rows)])
+
+
+def _pair_data(z: np.ndarray, labels: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's rows of classes ``a`` and ``b``, with signed targets, +1 = ``b``.
+
+    ``z`` holds each column's rows, (R, n, width), or rows shared by all
+    columns, (n, width); ``labels`` is (R, n).  Every column must hold as
+    many rows of ``a``, and of ``b``, as every other.
+    """
+    n_a, n_b = (labels == a).sum(axis=1), (labels == b).sum(axis=1)
+    if np.any(n_a != n_a[0]) or np.any(n_b != n_b[0]):
+        raise ValueError("columns of a batch need equal class counts")
+    if n_a[0] == 0 or n_b[0] == 0:
+        raise FitError(f"class pair ({a}, {b}) is empty or single-class in training data")
+    if n_a[0] + n_b[0] == labels.shape[1]:
+        return z, np.where(labels == b, 1.0, -1.0)
+    rows = np.nonzero((labels == a) | (labels == b))[1].reshape(len(labels), -1)
+    y = np.where(np.take_along_axis(labels, rows, axis=1) == b, 1.0, -1.0)
+    if z.ndim == 2:
+        return z[rows], y
+    return np.take_along_axis(z, rows[:, :, None], axis=1), y
+
+
+def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
+    """Each block's columns and each column's trained autoencoder (when
+    configured), plus the ``FitError`` of every column whose training failed."""
+    blocks = spec.resolve_blocks(batch.n_features)
     if spec.ae is None:
-        return [(cols, None) for cols in blocks]
-    return [
-        (cols, ae_fit(d.features[:, cols], spec.ae, plan, tag=f"{tag}.b{bi}.ae"))
-        for bi, cols in enumerate(blocks)
-    ]
+        return [(cols, (None,) * batch.size) for cols in blocks], {}
+    failures: dict[int, FitError] = {}
+    out = []
+    for bi, cols in enumerate(blocks):
+        models = []
+        for j, plan in enumerate(batch.plans):
+            model = None
+            if j not in failures:
+                try:
+                    feats = batch.column_rows(j)[:, cols]
+                    model = ae_fit(feats, spec.ae, plan, tag=f"{tag}.b{bi}.ae")
+                except FitError as exc:
+                    failures[j] = exc
+            models.append(model)
+        out.append((cols, tuple(models)))
+    return out, failures
 
 
 def _fit_reducer(spec: PipelineSpec, feats: np.ndarray, y: np.ndarray) -> LinearReducer | None:
@@ -225,60 +338,94 @@ def _fit_reducer(spec: PipelineSpec, feats: np.ndarray, y: np.ndarray) -> Linear
         return pls1_fit(feats, y)
     if spec.reducer == "pca":
         # resolve_blocks has checked the width, so only the row count caps the rank here.
-        cap = feats.shape[0] - 1
+        cap = feats.shape[-2] - 1
         if spec.pca_components > cap:
             raise FitError(
                 f"pca_components={spec.pca_components} exceeds rank cap {cap} "
-                f"of {feats.shape[0]} rows"
+                f"of {feats.shape[-2]} rows"
             )
         return pca_fit(feats, spec.pca_components)
     return None
 
 
-def _fit_classifiers(spec: PipelineSpec, d: Dataset, extractors, reducer_for) -> FittedPipeline:
+def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducer_for,
+                     failures: dict | None = None) -> FittedBatch:
     """The one pairwise fit path of full and frozen pipelines.
 
-    For every block and class pair, selects the pair's rows, takes the
-    reducer from ``reducer_for(block_index, pair, feats, y)`` (fitted on
-    those rows, or looked up in frozen maps), and fits the SVM and its
-    calibration on the reduced scores.
+    For every block and class pair, selects each column's rows of the
+    pair, takes the reducer from ``reducer_for(block_index, pair, feats,
+    y)`` (fitted on those rows, or looked up in frozen maps), and fits
+    the SVMs and their calibrations on the reduced scores, every column
+    at once.  A column whose fit fails is recorded with its ``FitError``,
+    and the other columns are fitted again without it.
     """
-    if d.class_count < 2:
+    if batch.class_count < 2:
         raise ValueError("fitting requires at least two classes")
-    fitted = []
-    for bi, (cols, ae_model) in enumerate(extractors):
-        z = _encode(ae_model, d.features[:, cols])
-        pairs = []
-        for a, b in combinations(range(d.class_count), 2):
-            feats, y = _pair_data(z, d.labels, a, b)
-            red = reducer_for(bi, (a, b), feats, y)
-            scores = reduce(red, feats) if red is not None else feats
-            svm = svm_fit(scores, y, spec.svm_c)
-            cal = calibrate(decision_values(svm, scores), y)
-            pairs.append(PairModel(a, b, red, svm, cal))
-        fitted.append(FittedBlock(cols, ae_model, pairs, d.class_count))
-    return FittedPipeline(fitted, d.class_count, d.n_features)
+    failures = dict(failures or {})
+    columns = [j for j in range(batch.size) if j not in failures]
+    codes: dict = {}
+    while columns:
+        live = batch.select(columns)
+        try:
+            blocks = []
+            for bi, (cols, models) in enumerate(extractors):
+                models = tuple(models[j] for j in columns)
+                z = _codes(live, cols, models, codes)
+                blocks.append((cols, models, _fit_pairs(spec, live, z, partial(reducer_for, bi))))
+            break
+        except BatchFitError as exc:
+            failed = {columns[k]: err for k, err in exc.failures.items()}
+        except FitError as exc:  # one that every column shares
+            failed = dict.fromkeys(columns, exc)
+        failures.update(failed)
+        columns = [j for j in columns if j not in failed]
+    else:
+        blocks = []
+    return FittedBatch(blocks, batch.class_count, batch.n_features, columns, failures, codes)
+
+
+def _fit_pairs(spec: PipelineSpec, batch: Batch, z: np.ndarray, reducer_for) -> list[PairModel]:
+    """The calibrated pair models of one block, for every column at once."""
+    pairs = []
+    for a, b in combinations(range(batch.class_count), 2):
+        feats, y = _pair_data(z, batch.labels, a, b)
+        red = reducer_for((a, b), feats, y)
+        scores = reduce(red, feats) if red is not None else feats
+        svm = svm_fit(scores, y, spec.svm_c)
+        cal = calibrate(decision_values(svm, scores), y)
+        pairs.append(PairModel(a, b, red, svm, cal))
+    return pairs
 
 
 def fit_pipeline(
-    spec: PipelineSpec, d: Dataset, plan: PermutationPlan, tag: str = "fit"
-) -> FittedPipeline:
+    spec: PipelineSpec, d: Dataset | Batch, plan: PermutationPlan | None = None,
+    tag: str = "fit",
+) -> FittedPipeline | FittedBatch:
     """Fit every stage of the pipeline on ``d``.
+
+    A dataset is fitted as a batch of one column, under ``plan``, and
+    comes back as a :class:`FittedPipeline`.  A :class:`Batch` is fitted
+    column by column in arithmetic, but every stage handles all its
+    columns at once; it comes back as a :class:`FittedBatch`, with the
+    ``FitError`` of each column that could not be fitted.
 
     Raises
     ------
     ValueError
         On invalid region blocks or fewer than two classes.
     FitError
-        On data-dependent failures (degenerate reduction, single-class
-        pair, calibration non-convergence, training divergence).
+        On data-dependent failures of a dataset's fit (degenerate
+        reduction, single-class pair, calibration non-convergence,
+        training divergence).
     """
-    return _fit_classifiers(
-        spec,
-        d,
-        _fit_extractors(spec, d, plan, tag),
+    batch = as_batch(d, plan)
+    extractors, failures = _fit_extractors(spec, batch, tag)
+    fitted = _fit_classifiers(
+        spec, batch, extractors,
         lambda bi, pair, feats, y: _fit_reducer(spec, feats, y),
+        failures,
     )
+    return fitted if isinstance(d, Batch) else fitted.column(0)
 
 
 @dataclass
@@ -318,10 +465,16 @@ def fit_feature_maps(
         )
     pairs = list(combinations(range(max(d.class_count, 2)), 2))
     out = []
-    for cols, ae_model in _fit_extractors(spec, d, plan, tag):
+    extractors, failures = _fit_extractors(spec, Batch.of([d], [plan]), tag)
+    if failures:
+        raise failures[0]
+    for cols, (ae_model,) in extractors:
         z = _encode(ae_model, d.features[:, cols])
         if spec.reducer == "pls":
-            reducers = {pair: _fit_reducer(spec, *_pair_data(z, d.labels, *pair)) for pair in pairs}
+            reducers = {}
+            for pair in pairs:
+                feats, y = _pair_data(z[None], d.labels[None], *pair)
+                reducers[pair] = _fit_reducer(spec, feats[0], y[0])
         else:
             reducers = dict.fromkeys(pairs, _fit_reducer(spec, z, None))
         out.append(BlockMaps(cols, ae_model, reducers))
@@ -343,8 +496,10 @@ class AltPipeline:
     def classifier_input_dim(self, n_features: int) -> int:
         return self.spec.classifier_input_dim(n_features)
 
-    def fit(self, d: Dataset, plan: PermutationPlan, tag: str = "fit") -> FittedPipeline:
-        if d.n_features != self.maps.n_features:
+    def fit(self, d: Dataset | Batch, plan: PermutationPlan | None = None,
+            tag: str = "fit") -> FittedPipeline | FittedBatch:
+        batch = as_batch(d, plan)
+        if batch.n_features != self.maps.n_features:
             raise ValueError("dataset width differs from the mapped width")
         blocks = self.maps.blocks
 
@@ -353,6 +508,6 @@ class AltPipeline:
                 raise FitError(f"no frozen reducer for class pair {pair}")
             return blocks[bi].reducers[pair]
 
-        return _fit_classifiers(
-            self.spec, d, [(bm.columns, bm.ae_model) for bm in blocks], frozen
-        )
+        extractors = [(bm.columns, (bm.ae_model,) * batch.size) for bm in blocks]
+        fitted = _fit_classifiers(self.spec, batch, extractors, frozen)
+        return fitted if isinstance(d, Batch) else fitted.column(0)

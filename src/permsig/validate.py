@@ -8,6 +8,9 @@ Three estimators of a pipeline's error share one interface:
 * k-fold cross-validation — the K per-fold test errors, kept separate
   rather than averaged, plus the matching per-fold training errors.
 
+Each takes one dataset or a :class:`~permsig.dataset.Batch` of
+labelings, whose columns it fits together.
+
 The generalization diagnostic is the relative optimism
 ``actual / empirical - 1`` of an empirical error estimate.
 """
@@ -15,13 +18,14 @@ The generalization diagnostic is the relative optimism
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .bounds import BoundSpec, empirical_bound
-from .dataset import Dataset, FoldAssignment
+from .dataset import Batch, Dataset, FoldAssignment, as_batch
 from .errors import FitError
 from .rng import PermutationPlan
 
@@ -74,14 +78,31 @@ class GeneralizationDiagnostic:
     ratio: float
 
 
-def resub_error(pipeline, d: Dataset, plan: PermutationPlan) -> ErrorEstimate:
-    """Train on all rows and evaluate on the same rows."""
-    fitted = pipeline.fit(d, plan, tag="resub")
-    return ErrorEstimate(
-        fitted.error(d.features, d.labels),
-        Scheme.RESUB,
-        iteration=plan.replicate_index,
-    )
+def resub_error(pipeline, d: Dataset | Batch, plan: PermutationPlan | None = None):
+    """Train on all rows and evaluate on the same rows.
+
+    ``d`` is one dataset, fitted under ``plan``, or a :class:`Batch`
+    whose columns are fitted together, each under its own plan.  A batch
+    gives one entry per column: its ``ErrorEstimate``, or the
+    ``FitError`` that stopped its fit.
+    """
+    batch = as_batch(d, plan)
+    fitted = pipeline.fit(batch, tag="resub")
+    out = [_estimate(value, Scheme.RESUB, p) for value, p in zip(fitted.errors(batch), batch.plans)]
+    return out if isinstance(d, Batch) else _only(out)
+
+
+def _estimate(value, scheme: Scheme, plan: PermutationPlan, fold: int | None = None):
+    if isinstance(value, FitError):
+        return value
+    return ErrorEstimate(value, scheme, fold=fold, iteration=plan.replicate_index)
+
+
+def _only(out: list):
+    """The one column's result; its ``FitError`` is raised."""
+    if isinstance(out[0], FitError):
+        raise out[0]
+    return out[0]
 
 
 def rub_error(
@@ -106,48 +127,58 @@ def rub_error(
 
 def kfold_errors(
     pipeline,
-    d: Dataset,
-    folds: FoldAssignment,
-    plan: PermutationPlan,
-) -> tuple[list[ErrorEstimate], list[float]]:
+    d: Dataset | Batch,
+    folds: FoldAssignment | Sequence[FoldAssignment],
+    plan: PermutationPlan | None = None,
+):
     """Per-fold test errors and matching training errors.
 
     Returns the K fold-wise test-error estimates (not their mean) and
     the K training errors of the same fitted models, for the
-    generalization diagnostic.
+    generalization diagnostic.  A :class:`Batch` takes one fold
+    assignment per column, all with the same fold sizes, and gives one
+    entry per column: its ``(tests, trains)``, or the ``FitError`` of the
+    first fold it could not be fitted on.  Each fold is fitted for every
+    column still standing at once.
 
     Raises
     ------
     ValueError
-        If the fold assignment length does not match the dataset.
+        If a fold assignment's length does not match the row count.
     FitError
-        When a fold cannot be fitted (for example its training rows are
-        single-class); the message names the fold.
+        When a dataset's fold cannot be fitted (for example its training
+        rows are single-class); the message names the fold.
     """
-    if folds.fold_of.shape[0] != d.n:
+    batch = as_batch(d, plan)
+    folds = [folds] if isinstance(folds, FoldAssignment) else list(folds)
+    if len(folds) != batch.size or any(fa.fold_of.shape[0] != batch.n for fa in folds):
         raise ValueError("fold assignment length must equal the row count")
-    tests: list[ErrorEstimate] = []
-    trains: list[float] = []
-    for f in range(folds.k):
-        train_rows = folds.train_rows(f)
-        test_rows = folds.test_rows(f)
-        sub = Dataset(
-            d.features[train_rows], d.labels[train_rows], d.class_count, d.feature_names
-        )
-        try:
-            fitted = pipeline.fit(sub, plan, tag=f"fold{f}")
-        except FitError as exc:
-            raise FitError(f"fold {f}: {exc}") from exc
-        tests.append(
-            ErrorEstimate(
-                fitted.error(d.features[test_rows], d.labels[test_rows]),
-                Scheme.KFOLD,
-                fold=f,
-                iteration=plan.replicate_index,
-            )
-        )
-        trains.append(fitted.error(d.features[train_rows], d.labels[train_rows]))
-    return tests, trains
+    out: list = [([], []) for _ in range(batch.size)]
+    for f in range(folds[0].k):
+        standing = [j for j in range(batch.size) if not isinstance(out[j], FitError)]
+        if not standing:
+            break
+        live = batch.select(standing)
+        train = _fold_rows([folds[j].train_rows(f) for j in standing])
+        test = _fold_rows([folds[j].test_rows(f) for j in standing])
+        fitted = pipeline.fit(live.subset(train), tag=f"fold{f}")
+        tests = fitted.errors(live.subset(test))
+        trains = fitted.errors(live.subset(train))
+        for j, test_error, train_error in zip(standing, tests, trains):
+            if isinstance(test_error, FitError):
+                error = FitError(f"fold {f}: {test_error}")
+                error.__cause__ = test_error
+                out[j] = error
+            else:
+                out[j][0].append(_estimate(test_error, Scheme.KFOLD, batch.plans[j], fold=f))
+                out[j][1].append(train_error)
+    return out if isinstance(d, Batch) else _only(out)
+
+
+def _fold_rows(rows: list[np.ndarray]) -> np.ndarray:
+    if any(r.shape != rows[0].shape for r in rows):
+        raise ValueError("the folds of a batch's columns must have equal sizes")
+    return np.stack(rows)
 
 
 def generalization_ratio(e_emp: float, e_act: float) -> GeneralizationDiagnostic:

@@ -8,8 +8,6 @@ from permsig.autoenc import (
     ae_encode,
     ae_fit,
     ae_gradient,
-    load_model,
-    save_model,
 )
 from permsig.errors import DivergenceError
 from permsig.rng import PermutationPlan
@@ -227,21 +225,3 @@ def test_architecture_rejects_non_integer_widths(widths):
     with pytest.raises(ValueError, match="layer_widths_encoder"):
         AeArchitecture(widths)
 
-
-def test_save_load_round_trip_bit_exact(tmp_path):
-    gen = np.random.Generator(np.random.Philox(62))
-    x = gen.random((25, 6))
-    arch = AeArchitecture(layer_widths_encoder=(4, 3), epochs=4, validation_fraction=0.2)
-    model = ae_fit(x, arch, PermutationPlan(5, 1))
-    path = tmp_path / "model.npz"
-    save_model(model, str(path))
-    back = load_model(str(path))
-    assert back.architecture == model.architecture
-    assert back.input_width == model.input_width
-    assert back.output_activation == model.output_activation
-    for wa, wb in zip(model.weights, back.weights):
-        np.testing.assert_array_equal(wa, wb)
-    for ba, bb in zip(model.biases, back.biases):
-        np.testing.assert_array_equal(ba, bb)
-    assert back.training_history == model.training_history
-    np.testing.assert_array_equal(ae_encode(back, x), ae_encode(model, x))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from permsig.dataset import (
+    Batch,
     Dataset,
     FoldAssignment,
     load_csv,
@@ -65,6 +66,55 @@ def test_with_labels_keeps_features():
     d2 = d.with_labels(np.zeros(d.n, dtype=int), class_count=1)
     np.testing.assert_array_equal(d2.features, d.features)
     assert d2.class_count == 1
+
+
+def test_with_labels_shares_read_only_features():
+    d = toy()
+    for relabeled in (
+        d.with_labels(np.zeros(d.n, dtype=int), class_count=1),
+        permute_labels(d, PermutationPlan(1, 0)),
+    ):
+        assert np.shares_memory(relabeled.features, d.features)
+        with pytest.raises(ValueError):
+            relabeled.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            relabeled.labels[0] = 0
+    one = Dataset(d.features, np.zeros(d.n, dtype=int), 1)
+    assert np.shares_memory(split_null_groups(one, PermutationPlan(1, 0)).features, one.features)
+
+
+def test_with_labels_checks_the_labels():
+    d = toy()
+    with pytest.raises(ValueError, match="one entry per feature row"):
+        d.with_labels(np.zeros(d.n + 1, dtype=int))
+    with pytest.raises(ValueError, match="class_count"):
+        d.with_labels(np.zeros(d.n, dtype=int), class_count=0)
+    with pytest.raises(ValueError, match="lie in"):
+        d.with_labels(np.full(d.n, 2))
+    labels = np.zeros(d.n, dtype=int)
+    relabeled = d.with_labels(labels)
+    labels[0] = 1
+    assert relabeled.labels[0] == 0  # the labels are copied
+
+
+def test_batch_of_datasets_and_its_subsets():
+    d = toy(n=6)
+    plans = [PermutationPlan(2, r) for r in range(3)]
+    batch = Batch.of([permute_labels(d, p) for p in plans], plans)
+    assert (batch.size, batch.n, batch.n_features) == (3, 6, 3)
+    assert batch.rows is None and all(f is d.features for f in batch.features)
+    sub = batch.subset(np.array([[0, 2], [1, 3], [4, 5]]))
+    np.testing.assert_array_equal(sub.rows, [[0, 2], [1, 3], [4, 5]])
+    np.testing.assert_array_equal(sub.labels[2], batch.labels[2, [4, 5]])
+    np.testing.assert_array_equal(sub.column_rows(1), d.features[[1, 3]])
+    picked = sub.select([2, 0])
+    assert picked.plans == (plans[2], plans[0])
+    np.testing.assert_array_equal(picked.rows, [[4, 5], [0, 2]])
+    np.testing.assert_array_equal(picked.subset(np.array([[1], [0]])).rows, [[5], [0]])
+    with pytest.raises(ValueError, match="one plan per column"):
+        Batch.of([d], plans)
+    with pytest.raises(ValueError, match="shape"):
+        Batch.of([d, toy(n=8)], plans[:2])
 
 
 # ---------------------------------------------------------------- CSV I/O

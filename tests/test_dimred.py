@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from permsig.dimred import LinearReducer, pca_fit, pls1_fit, reduce
-from permsig.errors import FitError
+from permsig.errors import BatchFitError, FitError
 
 
 def labeled_cloud(n=40, n_feat=6, seed=0):
@@ -152,3 +152,43 @@ def test_reducer_is_immutable():
         m.directions[0, 0] = 5.0
     with pytest.raises(ValueError):
         LinearReducer("other", np.zeros(2), np.eye(2))
+
+
+# ----------------------------------------------------------------- batches
+
+
+@pytest.mark.parametrize("cols", [1, 3, 40])
+def test_batched_pls_equals_single_fits_bit_for_bit(cols):
+    gen = np.random.Generator(np.random.Philox(80))
+    x = gen.standard_normal((cols, 30, 5))
+    y = np.stack([gen.permutation(np.repeat([1.0, -1.0], 15)) for _ in range(cols)])
+    own, shared = pls1_fit(x, y), pls1_fit(x[0], y)
+    assert own.directions.shape == (cols, 5, 1) and own.mean.shape == (cols, 5)
+    for j in range(cols):
+        one = pls1_fit(x[j], y[j])
+        np.testing.assert_array_equal(own.column(j).directions, one.directions)
+        np.testing.assert_array_equal(own.column(j).mean, one.mean)
+        np.testing.assert_array_equal(reduce(own, x)[j], reduce(one, x[j]))
+        np.testing.assert_array_equal(shared.column(j).directions, pls1_fit(x[0], y[j]).directions)
+        np.testing.assert_array_equal(reduce(shared, x[0])[j], reduce(shared.column(j), x[0]))
+
+
+def test_batched_pls_names_degenerate_columns():
+    x = np.array([[0.0], [1.0], [1.0], [0.0]])
+    y = np.array([[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
+    with pytest.raises(BatchFitError) as info:
+        pls1_fit(x, y)
+    assert list(info.value.failures) == [0, 2]
+    assert "degenerate" in str(info.value.failures[0])
+
+
+def test_batched_pca_equals_single_fits_bit_for_bit():
+    gen = np.random.Generator(np.random.Philox(81))
+    x = gen.standard_normal((4, 20, 5))
+    batch = pca_fit(x, 2)
+    for j in range(4):
+        one = pca_fit(x[j], 2)
+        np.testing.assert_array_equal(batch.column(j).directions, one.directions)
+        np.testing.assert_array_equal(reduce(batch, x)[j], reduce(one, x[j]))
+    shared = LinearReducer("pca", batch.mean[0], batch.directions[0])
+    assert shared.column(3) is shared

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from permsig.errors import FitError
+from permsig.errors import BatchFitError, FitError
 from permsig.linclass import (
     Calibration,
     LinearSvm,
@@ -351,3 +351,66 @@ def test_calibrate_validation():
     with pytest.raises(ValueError):
         calibrate(np.zeros(3), np.zeros(4))
 
+
+
+# ----------------------------------------------------------------- batches
+
+
+def _labels(gen, cols, n, n_pos):
+    """``cols`` random signed labelings of ``n`` rows, ``n_pos`` of them +1."""
+    y = np.where(np.arange(n) < n_pos, 1.0, -1.0)
+    return np.stack([gen.permutation(y) for _ in range(cols)])
+
+
+@pytest.mark.parametrize("cols", [1, 3, 40])
+@pytest.mark.parametrize("d", [1, 3])
+def test_batched_svm_equals_single_fits_bit_for_bit(cols, d):
+    gen = np.random.Generator(np.random.Philox(70 + d))
+    y = _labels(gen, cols, 30, 12 if d == 1 else 15)
+    x = gen.standard_normal((cols, 30, d)) + 0.4 * y[:, :, None]
+    batch = svm_fit(x, y, c=2.0)
+    assert batch.weights.shape == (cols, d) and batch.bias.shape == (cols,)
+    for j in range(cols):
+        one = svm_fit(x[j], y[j], c=2.0)
+        assert np.array_equal(one.weights, batch.weights[j]) and one.bias == batch.bias[j]
+    shared = svm_fit(x[0], y, c=2.0)  # rows that every column shares
+    for j in range(cols):
+        one = svm_fit(x[0], y[j], c=2.0)
+        assert np.array_equal(one.weights, shared.weights[j]) and one.bias == shared.bias[j]
+
+
+@pytest.mark.parametrize("cols", [1, 3, 40])
+def test_batched_calibration_equals_single_fits_bit_for_bit(cols):
+    gen = np.random.Generator(np.random.Philox(72))
+    y = _labels(gen, cols, 25, 10)
+    margins = gen.standard_normal((cols, 25)) + gen.random((cols, 1)) * 3.0 * y
+    margins[0] = 4.0 * y[0]  # a separable column takes more Newton steps
+    batch = calibrate(margins, y)
+    for j in range(cols):
+        one = calibrate(margins[j], y[j])
+        assert (one.slope, one.intercept) == (batch.slope[j], batch.intercept[j])
+    np.testing.assert_array_equal(
+        calibrated_probability(batch, margins)[-1],
+        calibrated_probability(batch.column(cols - 1), margins[-1]),
+    )
+
+
+def test_batch_failures_name_their_columns():
+    gen = np.random.Generator(np.random.Philox(73))
+    y = _labels(gen, 4, 20, 10)
+    margins = gen.standard_normal((4, 20))
+    margins[2] = np.nan
+    with pytest.raises(BatchFitError) as info, np.errstate(invalid="ignore"):
+        calibrate(margins, y)
+    assert list(info.value.failures) == [2]
+    assert "line search failed" in str(info.value.failures[2])
+    with pytest.raises(FitError, match="line search failed"), np.errstate(invalid="ignore"):
+        calibrate(margins[2], y[2])  # one input raises the column's own error
+
+    x = gen.standard_normal((3, 40, 2))
+    y = _labels(gen, 3, 40, 20)
+    x[1] += 0.3 * y[1][:, None]  # separated: the corner is not optimal
+    with pytest.raises(BatchFitError) as info:
+        svm_fit(x, y, max_passes=1)
+    assert 1 in info.value.failures
+    assert "1 passes" in str(info.value.failures[1])

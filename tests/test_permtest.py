@@ -3,6 +3,7 @@ import pytest
 
 from permsig.dataset import Dataset, synth_effect
 from permsig.errors import FitError
+from permsig import permtest
 from permsig.permtest import (
     EXTRACTOR_INDEX,
     OBSERVED_BASE,
@@ -33,14 +34,14 @@ def one_condition(n=40, dim=4, seed=5):
     return Dataset(gen.standard_normal((n, dim)), np.zeros(n, dtype=np.int64), 1)
 
 
-# A pipeline stand-in whose "error" is a deterministic function of the
-# plan, with scripted failures to exercise the retry path.
+# A pipeline stand-in whose "error" is a deterministic function of each
+# column's plan, with scripted failures to exercise the retry path.
 class _StubFitted:
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, values):
+        self.values = values
 
-    def error(self, x, labels):
-        return self.value
+    def errors(self, batch):
+        return list(self.values)
 
 
 class _StubPipeline:
@@ -50,10 +51,12 @@ class _StubPipeline:
     def classifier_input_dim(self, n_features):
         return 1
 
-    def fit(self, d, plan, tag="fit"):
-        if plan.replicate_index in self.fail_indices:
-            raise FitError("scripted failure")
-        return _StubFitted(float(plan.rng("stub").random()))
+    def fit(self, batch, plan=None, tag="fit"):
+        return _StubFitted([
+            FitError(f"scripted failure of {p.replicate_index}")
+            if p.replicate_index in self.fail_indices else float(p.rng("stub").random())
+            for p in batch.plans
+        ])
 
 
 # ------------------------------------------------------------------ p-value
@@ -152,6 +155,43 @@ def test_null_distribution_retries_shift_index():
     clean = null_distribution(_StubPipeline(), d, 20, Scheme.RESUB, 7, labeling="split")
     assert null.statistics[3] != clean.statistics[3]
     assert null.statistics[0] == clean.statistics[0]
+
+
+def test_null_distribution_records_retries():
+    d = one_condition()
+    fails = {3, 11, 11 + RETRY_STRIDE}
+    null = null_distribution(_StubPipeline(fails), d, 20, Scheme.RESUB, 7, labeling="split")
+    assert null.retries == (
+        (3, 0, "scripted failure of 3"),
+        (11, 0, f"scripted failure of {11}"),
+        (11, 1, f"scripted failure of {11 + RETRY_STRIDE}"),
+    )
+    assert null.replicate_plans[11].replicate_index == 11 + 2 * RETRY_STRIDE
+    assert null_distribution(_StubPipeline(), d, 20, Scheme.RESUB, 7, labeling="split").retries == ()
+
+
+def test_report_lists_retries_only_when_present():
+    d = synth_effect(10, 3, 0.0, PermutationPlan(2, 0))
+    settings = StudySettings(scheme=Scheme.RESUB, m=12, master_seed=5, observed_iterations=3)
+    doc = power_study(_StubPipeline({4, 9}), d, settings).to_json_dict()
+    assert doc["retries"] == [
+        {"replicate": 4, "attempt": 0, "error": "scripted failure of 4"},
+        {"replicate": 9, "attempt": 0, "error": "scripted failure of 9"},
+    ]
+    assert "retries" not in power_study(_StubPipeline(), d, settings).to_json_dict()
+
+
+@pytest.mark.parametrize("spec", [
+    PipelineSpec(reducer="pls"), PipelineSpec(reducer="none"), PipelineSpec(reducer="pca"),
+])
+@pytest.mark.parametrize("scheme", [Scheme.RUB, Scheme.KFOLD])
+def test_null_statistics_do_not_depend_on_the_chunking(monkeypatch, spec, scheme):
+    d = synth_effect(8, 3, 0.5, PermutationPlan(6, 0), classes=3)
+    runs = []
+    for chunk in (1, 7, 32):
+        monkeypatch.setattr(permtest, "CHUNK", chunk)
+        runs.append(null_distribution(spec, d, 15, scheme, 4, k=3))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_null_distribution_exhausted_retries_raise():

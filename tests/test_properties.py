@@ -1,0 +1,162 @@
+"""The null engine's promises, checked on fixed small cases.
+
+* Any replicate recomputed alone, from its recorded plan, gives the
+  statistics the batched run gave it, bit for bit, retried ones too.
+* Reports do not depend on the worker count.
+* ``1 / (M + 1) <= p <= 1``, ``0 <= fwe <= 1``, and the histogram
+  counts sum to the number of null values.
+
+Replicates are fitted in chunks of ``permtest.CHUNK``, so the cases use
+replicate counts below it, equal to it, and not a multiple of it.
+"""
+
+import dataclasses
+import json
+import re
+
+import numpy as np
+import pytest
+
+from permsig.autoenc import AeArchitecture
+from permsig.dataset import (
+    Dataset,
+    permute_labels,
+    scale_unit_interval,
+    shuffle_rows,
+    split_null_groups,
+    stratified_folds,
+    synth_effect,
+)
+from permsig.errors import FitError
+from permsig.permtest import (
+    CHUNK,
+    EXTRACTOR_INDEX,
+    OBSERVED_BASE,
+    RETRY_STRIDE,
+    StudySettings,
+    _mu_for,
+    alt_scheme_study,
+    null_distribution,
+    power_study,
+    type1_study,
+)
+from permsig.pipeline import AltPipeline, PipelineSpec, fit_feature_maps
+from permsig.rng import PermutationPlan
+from permsig.validate import Scheme, kfold_errors, resub_error
+
+SEED = 9
+
+
+def replay(pipeline, data, plan, scheme, k, mu, labeling):
+    """One replicate's statistics, recomputed alone through the public API."""
+    if labeling == "split":
+        d = split_null_groups(data, plan)
+    elif labeling == "permute":
+        d = permute_labels(data, plan)
+    else:
+        d = shuffle_rows(data, plan)
+    if scheme is Scheme.KFOLD:
+        tests, _ = kfold_errors(pipeline, d, stratified_folds(d, k, plan), plan)
+        return [e.value for e in tests]
+    value = resub_error(pipeline, d, plan).value
+    return [value + mu if scheme is Scheme.RUB else value]
+
+
+def _labeled(classes=2, n_per=10, dim=4):
+    return scale_unit_interval(synth_effect(n_per, dim, 0.8, PermutationPlan(3, 0), classes=classes))
+
+
+def _alt(spec, data):
+    return AltPipeline(fit_feature_maps(spec, data, PermutationPlan(SEED, EXTRACTOR_INDEX)), spec)
+
+
+AE = AeArchitecture((2,), epochs=2, validation_fraction=0.0)
+
+REPLAY_CASES = {
+    # name: (pipeline factory, data factory, m, scheme, labeling)
+    "pls_rub_3class": (lambda d: PipelineSpec(reducer="pls"), lambda: _labeled(3), 40, Scheme.RUB, "permute"),
+    "pca2_resub": (lambda d: PipelineSpec(reducer="pca", pca_components=2), _labeled, 12, Scheme.RESUB,
+                   "permute"),
+    "none_kfold_split": (lambda d: PipelineSpec(reducer="none"), lambda: _labeled(1, 24, 3), 9,
+                         Scheme.KFOLD, "split"),
+    "alt_pls_kfold_3class": (lambda d: _alt(PipelineSpec(reducer="pls"), d), lambda: _labeled(3), 8,
+                             Scheme.KFOLD, "permute"),
+    "ae_blocks_rub": (lambda d: PipelineSpec(ae=AE, reducer="pls", region_blocks=((0, 1), (2, 3))),
+                      _labeled, 6, Scheme.RUB, "permute"),
+    "alt_ae_rub": (lambda d: _alt(PipelineSpec(ae=AE, reducer="none"), d), lambda: _labeled(3), 35,
+                   Scheme.RUB, "permute"),
+    # Integer scores: about one labeling in nine leaves the PLS covariance
+    # exactly zero, so several replicates are retried.
+    "pls_retried": (lambda d: PipelineSpec(reducer="pls"),
+                    lambda: Dataset(np.arange(8.0)[:, None], np.repeat([0, 1], 4), 2), 40,
+                    Scheme.RUB, "permute"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_CASES))
+def test_replicates_replay_alone_bit_for_bit(name):
+    make_pipeline, make_data, m, scheme, labeling = REPLAY_CASES[name]
+    data = make_data()
+    pipeline = make_pipeline(data)
+    k = 3
+    null = null_distribution(pipeline, data, m, scheme, SEED, k=k, labeling=labeling)
+    mu = _mu_for(pipeline, data, scheme, 0.05)
+    width = k if scheme is Scheme.KFOLD else 1
+    retried = sorted({r for r, _, _ in null.retries})
+    chosen = set(np.random.default_rng(len(name)).choice(m, size=4, replace=False)) | set(retried)
+    for r in sorted(chosen):
+        plan = null.replicate_plans[r]
+        got = replay(pipeline, data, plan, scheme, k, mu, labeling)
+        assert got == list(null.statistics[r * width:(r + 1) * width]), r
+    if name == "pls_retried":
+        assert retried
+        for r, attempt, message in null.retries:
+            failed = PermutationPlan(SEED, r + attempt * RETRY_STRIDE)
+            with pytest.raises(FitError, match=re.escape(message)):
+                replay(pipeline, data, failed, scheme, k, mu, labeling)
+
+
+def test_observed_iterations_replay_alone_bit_for_bit():
+    data = _labeled(3)
+    settings = StudySettings(scheme=Scheme.RUB, m=5, master_seed=SEED, observed_iterations=7)
+    report = power_study(PipelineSpec(reducer="pls"), data, settings)
+    mu = _mu_for(PipelineSpec(), data, Scheme.RUB, 0.05)
+    observed = [
+        replay(PipelineSpec(reducer="pls"), data, PermutationPlan(SEED, OBSERVED_BASE + i),
+               Scheme.RUB, 10, mu, "shuffle")[0]
+        for i in range(7)
+    ]
+    assert report.observed_mean == float(np.mean(observed))
+
+
+STUDIES = {
+    "power": (power_study, lambda: synth_effect(9, 4, 0.7, PermutationPlan(1, 0), classes=3),
+              PipelineSpec(reducer="pls")),
+    "type1": (type1_study, lambda: synth_effect(13, 4, 0.0, PermutationPlan(2, 0), classes=1),
+              PipelineSpec(reducer="none")),
+    "alt": (alt_scheme_study, lambda: synth_effect(12, 4, 0.7, PermutationPlan(4, 0)),
+            PipelineSpec(reducer="pca", pca_components=2)),
+}
+REPLICATES = (5, CHUNK, CHUNK + 9)
+
+
+@pytest.mark.parametrize("i, study, scheme", [
+    (i, study, scheme)
+    for i, (study, scheme) in enumerate(
+        (s, sc) for s in sorted(STUDIES) for sc in (Scheme.RESUB, Scheme.RUB, Scheme.KFOLD)
+    )
+])
+def test_reports_keep_their_promises_at_any_worker_count(i, study, scheme):
+    run, make_data, spec = STUDIES[study]
+    m = REPLICATES[i % len(REPLICATES)]
+    settings = StudySettings(scheme=scheme, m=m, k=3, master_seed=SEED + i, observed_iterations=3)
+    serial = run(spec, make_data(), settings)
+    pooled = run(spec, make_data(), dataclasses.replace(settings, workers=2))
+    doc = serial.to_json_dict()
+    assert json.dumps(doc, sort_keys=True) == json.dumps(pooled.to_json_dict(), sort_keys=True)
+    total = m * (3 if scheme is Scheme.KFOLD else 1)
+    assert serial.m == total == sum(doc["histogram"]["counts"])
+    if serial.p_value is not None:
+        assert 1.0 / (total + 1) <= serial.p_value <= 1.0
+    else:
+        assert 0.0 <= serial.fwe_rate <= 1.0
