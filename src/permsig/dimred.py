@@ -60,6 +60,13 @@ class LinearReducer:
             return self
         return LinearReducer(self.kind, self.mean[j], self.directions[j])
 
+    def select(self, columns) -> "LinearReducer":
+        """The batch of the listed columns, in that order; a single
+        reducer is every column's."""
+        if self.mean.ndim == 1:
+            return self
+        return LinearReducer(self.kind, self.mean[columns], self.directions[columns])
+
 
 def pls1_fit(x: np.ndarray, y: np.ndarray) -> LinearReducer:
     """Fit a single partial-least-squares component.

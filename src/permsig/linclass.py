@@ -6,9 +6,10 @@ The pieces here are deliberately self-contained:
   ``0.5 * ||w||^2 + c * sum(max(0, 1 - y * (w @ x + b)))``: exactly, in
   closed form, on one feature, and by sequential minimal optimization on
   the dual, to a duality-gap tolerance, on more.  With balanced classes
-  the dual corner ``alpha = c`` is tested first; when it is certified
-  optimal no SMO step runs, so ``tol`` and ``max_passes`` go unused and no
-  ``FitError`` can occur.
+  the dual corner ``alpha = c`` is tested first, for all columns of a
+  batch at once; where it is certified optimal no SMO step runs, so
+  ``tol`` and ``max_passes`` go unused and no ``FitError`` can occur.
+  Only the other columns run SMO, one at a time.
 * :func:`calibrate` fits a sigmoid ``p = sigma(slope * margin + intercept)``
   to training margins by damped Newton iterations on the Bernoulli
   log-likelihood with the usual smoothed targets, so separable margins
@@ -64,6 +65,10 @@ class LinearSvm:
     def column(self, j: int) -> "LinearSvm":
         return LinearSvm(self.weights[j], float(self.bias[j]), self.c)
 
+    def select(self, columns) -> "LinearSvm":
+        """The batch of the listed columns, in that order."""
+        return LinearSvm(self.weights[columns], self.bias[columns], self.c)
+
 
 @dataclass(frozen=True)
 class Calibration:
@@ -77,6 +82,10 @@ class Calibration:
 
     def column(self, j: int) -> "Calibration":
         return Calibration(float(self.slope[j]), float(self.intercept[j]))
+
+    def select(self, columns) -> "Calibration":
+        """The batch of the listed columns, in that order."""
+        return Calibration(self.slope[columns], self.intercept[columns])
 
 
 def decision_values(m: LinearSvm, x: np.ndarray) -> np.ndarray:
@@ -110,13 +119,15 @@ def svm_fit(
 
     On one feature the optimum is found exactly (see :func:`_svm_1d`),
     for all columns at once, and ``tol`` and ``max_passes`` are unused.
-    Otherwise each column solves the dual box-constrained problem by
-    pairwise coordinate updates with second-order working-set selection,
-    stopping when the duality gap falls below ``tol`` relative to the
-    primal.  With balanced classes the corner ``alpha = c`` is tried
-    first, under the same stopping tests; when it is certified optimal,
-    as for heavily overlapping classes, no update runs, ``tol`` and
-    ``max_passes`` go unused and no ``FitError`` can occur.
+    Otherwise the corner ``alpha = c`` of the dual is tried first, for
+    every column at once (see :func:`_corner`), under the stopping tests
+    of SMO.  Balanced classes make it feasible; for the columns where it
+    is certified optimal, as for heavily overlapping classes, no update
+    runs, ``tol`` and ``max_passes`` go unused and no ``FitError`` can
+    occur.  Each other column solves the dual box-constrained problem on
+    its own by pairwise coordinate updates with second-order working-set
+    selection, stopping when the duality gap falls below ``tol`` relative
+    to the primal.
 
     Parameters
     ----------
@@ -151,24 +162,63 @@ def svm_fit(
     if np.any(n_pos == 0) or np.any(n_pos == y.shape[1]):
         raise ValueError("both label signs must be present")
     c = float(c)
-    x = np.broadcast_to(x, y.shape + x.shape[-1:])
-    if x.shape[2] == 1:
+    if x.shape[-1] == 1:
         if np.any(n_pos != n_pos[0]):
             raise ValueError("one-feature columns of a batch need equal class counts")
-        w, b = _svm_1d(x[:, :, 0], y, c)
+        w, b = _svm_1d(np.broadcast_to(x[..., 0], y.shape), y, c)
         return LinearSvm(w[:, None], b, c)
 
-    weights = np.empty((len(y), x.shape[2]))
-    bias = np.empty(len(y))
+    x = np.ascontiguousarray(x)  # see decision_values: the layout sets the rounding
+    weights, bias, certified = _corner(x, y, c, tol)
+    x = np.broadcast_to(x, y.shape + x.shape[-1:])
     failures = {}
-    for j in range(len(y)):
+    for j in np.flatnonzero(~certified):
         try:
-            weights[j], bias[j] = _svm_smo(np.ascontiguousarray(x[j]), y[j], c, tol, max_passes)
+            weights[j], bias[j] = _svm_smo(x[j], y[j], c, tol, max_passes)
         except FitError as exc:
-            failures[j] = exc
+            failures[int(j)] = exc
     if failures:
         raise BatchFitError(failures)
     return LinearSvm(weights, bias, c)
+
+
+def _corner(x, y, c, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dual corner ``alpha = c`` of every column, and whether it is optimal.
+
+    Balanced classes make the corner feasible.  Where permuted labels
+    overlap it is often the optimum, which SMO would reach only after
+    ``n / 2`` capped steps from its warm start.  A column's corner is
+    certified when it passes the tests that end an SMO pass: no KKT
+    violation above 1e-10, then a duality gap below ``tol`` relative to
+    the primal (see :func:`_gap_test`).  Returns the corner's ``(w, b)``
+    of every column, (R, d) and (R,), and the (R,) certified mask.
+
+    Each product is a stacked ``np.matmul``, which takes every column's
+    product on its own, and every reduction runs over one column's rows:
+    a column's values are those a fit of that column alone computes.
+    """
+    pos = y > 0
+    w = np.matmul(np.swapaxes(x, -1, -2), (c * y)[..., None])[..., 0]
+    xw = np.matmul(x, w[..., None])[..., 0]
+    # -y * (dual gradient); with no alpha free, the KKT interval of the
+    # bias runs from the largest over the negatives to the smallest over
+    # the positives, and the bias is its midpoint as in _bias_from_kkt.
+    myg = y - xw
+    hi = np.where(pos, -np.inf, myg).max(axis=1)
+    lo = np.where(pos, myg, np.inf).min(axis=1)
+    end = np.where(np.isfinite(hi), hi, lo)
+    b = 0.5 * (end + np.where(np.isfinite(lo), lo, end))
+    del myg
+    hinge = xw + b[:, None]  # then max(0, 1 - y * margin), in place
+    hinge *= y
+    np.subtract(1.0, hinge, out=hinge)
+    np.maximum(0.0, hinge, out=hinge)
+    ww = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+    primal = 0.5 * ww + c * hinge.sum(axis=1)
+    dual = np.full(y.shape[1], c).sum() - 0.5 * ww
+    certified = (2 * pos.sum(axis=1) == y.shape[1]) & (hi - lo < 1e-10) \
+        & (primal - dual < tol * np.maximum(1.0, np.abs(primal)))
+    return w, b, certified
 
 
 def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
@@ -179,18 +229,6 @@ def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
     # The dual's Hessian Q_kl = y_k y_l x_k . x_l is never formed: a step
     # needs only the kernel columns x @ x_i and x @ x_j, so memory stays
     # O(n * d).  ``myg`` is -y * (dual gradient), which equals y - x @ w.
-    if 2 * n_pos == n:
-        # Balanced classes make alpha = c feasible.  Where permuted labels
-        # overlap it is often the optimum, which SMO would reach only after
-        # n / 2 capped steps from the warm start below.  It is returned when
-        # it passes the same KKT and duality-gap tests that end an SMO pass.
-        alpha = np.full(n, c)
-        myg = y - x @ (x.T @ (alpha * y))
-        if myg[~pos].max() - myg[pos].min() < 1e-10:
-            w, b, gap_ok = _gap_test(x, y, alpha, myg, pos, c, tol)
-            if gap_ok:
-                return w, b
-
     sq = np.einsum("ij,ij->i", x, x)
     # Feasible warm start near the typical non-separable solution.
     nu = 0.9 * c * min(n_pos, n - n_pos)
@@ -357,21 +395,25 @@ def calibrate(
 
     hi = (n_pos + 1.0) / (n_pos + 2.0)
     lo = 1.0 / (n_neg + 2.0)
-    target = np.where(y > 0, hi[:, None], lo[:, None])
-    mean_t = target.mean(axis=1)
+    t = np.where(y > 0, hi[:, None], lo[:, None])  # the smoothed targets
+    mean_t = t.mean(axis=1)
     slope = np.zeros(len(y))
     intercept = np.log(mean_t / (1.0 - mean_t))
     failures = {}
 
+    # The (R, n) temporaries of a batch are as large as its margins, so
+    # they are updated in place where that keeps the arithmetic the same.
     def nll(a, b, m, t):
         """Negative log-likelihoods at ``(a, b)``, and their logits ``z``."""
-        z = a[:, None] * m + b[:, None]
-        # log(1 + e^z) - t*z, computed stably
-        return np.sum(np.logaddexp(0.0, z) - t * z, axis=1), z
+        z = a[:, None] * m
+        z += b[:, None]
+        loss = np.logaddexp(0.0, z)  # log(1 + e^z) - t*z, computed stably
+        loss -= t * z
+        return np.sum(loss, axis=1), z
 
     # The columns still iterating: their indices, data and Newton state.
     live = np.arange(len(y))
-    m, t, sq = margins, target, margins * margins
+    m, sq = margins, margins * margins
     a, b = slope.copy(), intercept.copy()
     current, z = nll(a, b, m, t)
 
@@ -386,22 +428,34 @@ def calibrate(
             else:
                 failures[int(live[j])] = FitError(message)
         keep = ~done
-        live, m, t, sq, a, b, current, z = (
-            v[keep] for v in (live, m, t, sq, a, b, current, z))
+        live, a, b, current = live[keep], a[keep], b[keep], current[keep]
+        m = m[keep]  # one at a time, so no two copies of the state coexist
+        t = t[keep]
+        sq = sq[keep]
+        z = z[keep]
         return keep
 
     for _ in range(max_iter):
         if not live.size:
             break
-        p = 1.0 / (1.0 + np.exp(-z))
+        p = np.exp(-z)
+        p += 1.0
+        np.divide(1.0, p, out=p)  # sigma(z) = 1 / (1 + e^-z)
         resid = p - t
-        ga, gb = np.sum(resid * m, axis=1), np.sum(resid, axis=1)
+        gb = np.sum(resid, axis=1)
+        resid *= m
+        ga = np.sum(resid, axis=1)
+        del resid
         keep = settle((np.abs(ga) < tol) & (np.abs(gb) < tol))  # a NaN gradient never passes
         p, ga, gb = p[keep], ga[keep], gb[keep]
-        wgt = p * (1.0 - p)
-        h11 = np.sum(wgt * sq, axis=1) + 1e-12
-        h12 = np.sum(wgt * m, axis=1)
+        wgt = 1.0 - p
+        wgt *= p
+        del p
         h22 = np.sum(wgt, axis=1) + 1e-12
+        h12 = np.sum(wgt * m, axis=1)
+        wgt *= sq
+        h11 = np.sum(wgt, axis=1) + 1e-12
+        del wgt
         det = h11 * h22 - h12 * h12
         keep = settle(det <= 0, "calibration Hessian is singular")
         ga, gb, h11, h12, h22, det = (v[keep] for v in (ga, gb, h11, h12, h22, det))
@@ -415,8 +469,10 @@ def calibrate(
             rows = np.flatnonzero(searching)
             if not rows.size:
                 break
+            every = rows.size == live.size
             value, z_new = nll(a[rows] + factor[rows] * da[rows],
-                               b[rows] + factor[rows] * db[rows], m[rows], t[rows])
+                               b[rows] + factor[rows] * db[rows],
+                               m if every else m[rows], t if every else t[rows])
             ok = value <= current[rows]
             cand[rows[ok]], z[rows[ok]] = value[ok], z_new[ok]
             searching[rows[ok]] = False

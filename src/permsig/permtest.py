@@ -336,7 +336,9 @@ def null_distribution(
     Each replicate derives every random draw from
     ``(master_seed, replicate_index)``.  Replicates are fitted in chunks
     of ``CHUNK``, and statistics are aggregated in replicate order, so the
-    result is identical for any ``workers``.
+    result is identical for any ``workers``.  A pool of
+    ``min(workers, chunk count)`` processes runs the chunks; with one, or
+    one chunk, they run in this process.
     """
     scheme = Scheme(scheme)
     if m < 1:
@@ -347,6 +349,9 @@ def null_distribution(
     task = _ReplicateTask(pipeline, d, scheme, k, mu, master_seed, labeling)
     chunks = [range(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
 
+    # The pool forks all its workers up front, so it gets no more than
+    # there are chunks to hand out; one chunk runs in this process.
+    workers = min(workers, len(chunks))
     if workers <= 1:
         done = [_chunk_stats(task, chunk) for chunk in chunks]
     else:

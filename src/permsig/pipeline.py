@@ -12,6 +12,12 @@ Fits take a :class:`~permsig.dataset.Batch` of labelings as well as a
 single dataset, which is fitted as a batch of one.  Every stage then
 handles all columns at once, but a column's arithmetic stays its own, so
 its fit does not depend on the batch it is in; see :class:`FittedBatch`.
+The classifier stage goes further: the pair problems of every block and
+class pair with the same row count, +1 count and width are stacked along
+the column axis, and each stack's SVMs and calibrations are fitted in one
+call apiece.  A column that fails carries the ``FitError`` of its first
+failing block and pair, and within those of its first failing stage:
+reducer, SVM, then calibration.
 
 Two fitting modes exist:
 
@@ -25,9 +31,9 @@ Two fitting modes exist:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -352,49 +358,183 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducer_for,
                      failures: dict | None = None) -> FittedBatch:
     """The one pairwise fit path of full and frozen pipelines.
 
-    For every block and class pair, selects each column's rows of the
-    pair, takes the reducer from ``reducer_for(block_index, pair, feats,
-    y)`` (fitted on those rows, or looked up in frozen maps), and fits
-    the SVMs and their calibrations on the reduced scores, every column
-    at once.  A column whose fit fails is recorded with its ``FitError``,
-    and the other columns are fitted again without it.
+    Every block and class pair is a pair problem: each column's rows of
+    the pair, reduced by ``reducer_for(block_index, pair, feats, y)``
+    (fitted on those rows, or looked up in frozen maps).  The problems'
+    scores are stacked along the column axis, one stack per row count,
+    +1 count and width, and :func:`_fit_pairs` fits each stack's SVMs and
+    calibrations in one call apiece.
+
+    A column fails with the ``FitError`` of its first failing problem, in
+    block and then pair order, and within a problem of its first failing
+    stage: reducer, SVM, calibration.  That is the error a fit of the
+    column alone raises.  Each stage fits every column not yet known to
+    have failed, so a column that fails late may still be fitted on
+    problems after its first failing one; those results are dropped.
     """
     if batch.class_count < 2:
         raise ValueError("fitting requires at least two classes")
     failures = dict(failures or {})
     columns = [j for j in range(batch.size) if j not in failures]
+    live = batch.select(columns)
     codes: dict = {}
-    while columns:
-        live = batch.select(columns)
-        try:
-            blocks = []
-            for bi, (cols, models) in enumerate(extractors):
-                models = tuple(models[j] for j in columns)
-                z = _codes(live, cols, models, codes)
-                blocks.append((cols, models, _fit_pairs(spec, live, z, partial(reducer_for, bi))))
-            break
-        except BatchFitError as exc:
-            failed = {columns[k]: err for k, err in exc.failures.items()}
-        except FitError as exc:  # one that every column shares
-            failed = dict.fromkeys(columns, exc)
-        failures.update(failed)
-        columns = [j for j in columns if j not in failed]
-    else:
-        blocks = []
+    first: dict[int, tuple[tuple[int, int], FitError]] = {}  # live position -> (problem, stage)
+
+    def record(k: int, order: tuple[int, int], exc: FitError) -> None:
+        if k not in first or order < first[k][0]:
+            first[k] = (order, exc)
+
+    problems, stacks, standing = _stack_pairs(live, columns, extractors, reducer_for, codes,
+                                              record)
+    for stack in stacks:
+        _fit_pairs(spec, stack, record)
+    survivors = [k for k in standing if k not in first]
+    for k, (_, exc) in first.items():
+        failures[columns[k]] = exc
+    fitted: list[list[PairModel]] = [[] for _ in extractors]
+    for bi, (a, b), positions, red, stack, offset in problems if survivors else ():
+        own = np.searchsorted(positions, survivors)
+        fitted[bi].append(PairModel(
+            a, b, _part(red, own, len(positions)),
+            _part(stack.svm, stack.svm_at[offset + own], len(stack.svm.weights)),
+            _part(stack.cal, stack.cal_at[offset + own], len(stack.cal.slope))))
+    blocks = [(cols, tuple(models[columns[k]] for k in survivors), pairs)
+              for (cols, models), pairs in zip(extractors, fitted)] if survivors else []
+    columns = [columns[k] for k in survivors]
     return FittedBatch(blocks, batch.class_count, batch.n_features, columns, failures, codes)
 
 
-def _fit_pairs(spec: PipelineSpec, batch: Batch, z: np.ndarray, reducer_for) -> list[PairModel]:
-    """The calibrated pair models of one block, for every column at once."""
-    pairs = []
-    for a, b in combinations(range(batch.class_count), 2):
-        feats, y = _pair_data(z, batch.labels, a, b)
-        red = reducer_for((a, b), feats, y)
-        scores = reduce(red, feats) if red is not None else feats
-        svm = svm_fit(scores, y, spec.svm_c)
-        cal = calibrate(decision_values(svm, scores), y)
-        pairs.append(PairModel(a, b, red, svm, cal))
-    return pairs
+def _stack_pairs(live: Batch, columns: list[int], extractors, reducer_for, codes: dict, record):
+    """The reduced scores of every pair problem, stacked.
+
+    ``live`` holds the batch ``columns`` still to be fitted.  Returns the
+    problems, in block and then pair order, each as (block, pair, live
+    positions fitted, reducer, stack, index of its first column in the
+    stack); the stacks; and the live positions whose reducers all fitted.
+    A reducer's failures go to ``record`` as stage 0 of their problem, and
+    the problem is reduced again without those columns.
+    """
+    class_count = live.class_count
+    pairs = list(combinations(range(class_count), 2))
+    # Class counts, the same in every column; they fix each problem's
+    # rows and +1 count, so each stack is sized before it is filled.
+    counts = np.bincount(live.labels[0], minlength=class_count).tolist() \
+        if columns else [0] * class_count
+    demand = Counter((counts[a] + counts[b], counts[b]) for _ in extractors for a, b in pairs)
+    problems = []
+    stacks: dict[tuple[int, int, int], _Stack] = {}
+    standing = list(range(len(columns)))
+    z_for = z = None
+    for p, (bi, (a, b)) in enumerate(product(range(len(extractors)), pairs)):
+        while standing:
+            sub = live if len(standing) == live.size else live.select(standing)
+            try:
+                if z_for != (bi, standing):
+                    cols, models = extractors[bi]
+                    z = _codes(sub, cols, tuple(models[columns[k]] for k in standing), codes)
+                    z_for = (bi, standing)
+                feats, y = _pair_data(z, sub.labels, a, b)
+                red = reducer_for(bi, (a, b), feats, y)
+                scores = reduce(red, feats) if red is not None else feats
+                break
+            except BatchFitError as exc:
+                failed = {standing[k]: err for k, err in exc.failures.items()}
+            except FitError as exc:  # one that every column shares
+                failed = dict.fromkeys(standing, exc)
+            for k, exc in failed.items():
+                record(k, (p, 0), exc)
+            standing = [k for k in standing if k not in failed]
+        else:
+            break  # every column has failed
+        shape = (counts[a] + counts[b], counts[b])
+        key = shape + (scores.shape[-1],)
+        if key not in stacks:
+            stacks[key] = _Stack(scores, y, demand[shape] * len(standing))
+        demand[shape] -= 1
+        offset = stacks[key].add(p, standing, scores, y)
+        problems.append((bi, (a, b), standing, red, stacks[key], offset))
+    return problems, list(stacks.values()), standing
+
+
+class _Stack:
+    """Pair problems of equal row count, +1 count and score width, stacked
+    along the column axis, and the fits of the stacked columns.
+
+    ``owners`` names the problem and live position of each stacked column.
+    A stack made for a single problem holds that problem's own arrays, so
+    nothing is copied, and scores that every column shares stay (n, width).
+    """
+
+    def __init__(self, scores: np.ndarray, y: np.ndarray, capacity: int):
+        if capacity == len(y):
+            self.x, self.y = scores, y
+        else:
+            self.x = np.empty((capacity,) + scores.shape[-2:])
+            self.y = np.empty((capacity, y.shape[1]))
+        self.owners: list[tuple[int, int]] = []
+        # Set by _fit_pairs: the fits, and each stacked column's index in them.
+        self.svm: LinearSvm | None = None
+        self.cal: Calibration | None = None
+        self.svm_at = self.cal_at = np.empty(0, dtype=np.intp)
+
+    def add(self, problem: int, positions: list[int], scores: np.ndarray, y: np.ndarray) -> int:
+        """Stack a problem's columns; returns the index of its first."""
+        lo = len(self.owners)
+        if self.x is not scores:
+            self.x[lo:lo + len(y)] = scores
+            self.y[lo:lo + len(y)] = y
+        self.owners += [(problem, k) for k in positions]
+        return lo
+
+
+def _fit_pairs(spec: PipelineSpec, stack: _Stack, record) -> None:
+    """The SVMs and calibrations of a stack's columns, one call apiece.
+
+    The stacked columns that a fit fails on are passed to
+    ``record(live_position, (problem, stage), error)``, stage 1 for the
+    SVM and 2 for the calibration, and the fit is repeated without them.
+    Leaves in ``stack`` the SVMs and calibrations of the columns fitted,
+    and ``svm_at`` and ``cal_at``, each stacked column's index in them.
+    """
+    n = len(stack.owners)
+    x, y = stack.x[:n] if stack.x.ndim == 3 else stack.x, stack.y[:n]
+
+    def some(a, cols):  # the listed columns of a per-column array
+        return a if len(cols) == len(a) else a[cols]
+
+    def fit(stage, owners, run):
+        cols = np.arange(len(owners))
+        while cols.size:
+            try:
+                return cols, run(cols)
+            except BatchFitError as exc:
+                for k, err in exc.failures.items():
+                    problem, position = owners[cols[k]]
+                    record(position, (problem, stage), err)
+                cols = np.delete(cols, list(exc.failures))
+        return cols, None
+
+    def scores(cols):  # scores that every column shares stay shared
+        return x if x.ndim == 2 else some(x, cols)
+
+    svm_cols, stack.svm = fit(1, stack.owners,
+                              lambda cols: svm_fit(scores(cols), some(y, cols), spec.svm_c))
+    stack.svm_at = np.full(n, -1)
+    stack.svm_at[svm_cols] = np.arange(len(svm_cols))
+    stack.cal_at = np.full(n, -1)
+    if stack.svm is None:
+        return
+    margins, labels = decision_values(stack.svm, scores(svm_cols)), some(y, svm_cols)
+    stack.x = x = None  # the calibrations need only the margins
+    cal_cols, stack.cal = fit(2, [stack.owners[i] for i in svm_cols],
+                              lambda cols: calibrate(some(margins, cols), some(labels, cols)))
+    stack.cal_at[svm_cols[cal_cols]] = np.arange(len(cal_cols))
+
+
+def _part(model, cols: np.ndarray, size: int):
+    """Columns ``cols``, increasing, of a batched model of ``size`` columns;
+    the model itself when they are all of them, or when it is None."""
+    return model if model is None or len(cols) == size else model.select(cols)
 
 
 def fit_pipeline(

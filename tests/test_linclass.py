@@ -414,3 +414,38 @@ def test_batch_failures_name_their_columns():
         svm_fit(x, y, max_passes=1)
     assert 1 in info.value.failures
     assert "1 passes" in str(info.value.failures[1])
+
+
+def test_mixed_batch_equals_single_fits_bit_for_bit():
+    # The corner is certified for the whole batch at once; only the other
+    # columns run SMO, and three passes are too few for some of them.
+    gen = np.random.Generator(np.random.Philox(75))
+    kinds = ("certified", "smo", "unbalanced", "failing") * 3
+    y = np.stack([gen.permutation(np.where(np.arange(40) < (14 if k == "unbalanced" else 20),
+                                           1.0, -1.0)) for k in kinds])
+    x = gen.standard_normal((len(kinds), 40, 3))
+    for j, kind in enumerate(kinds):
+        shift = 1.5 if kind == "smo" else 0.3
+        x[j] = 0.05 * x[j] if kind == "certified" else x[j] + shift * y[j][:, None]
+    failed = {}
+    for j in range(len(kinds)):
+        try:
+            svm_fit(x[j], y[j], c=2.0, max_passes=3)
+        except FitError as exc:
+            failed[j] = str(exc)
+    assert {kinds[j] for j in failed} == {"unbalanced", "failing"}
+    assert {kinds[j] for j in range(len(kinds)) if j not in failed} == set(kinds) - {"failing"}
+    with pytest.raises(BatchFitError) as info:
+        svm_fit(x, y, c=2.0, max_passes=3)
+    assert {j: str(exc) for j, exc in info.value.failures.items()} == failed
+    keep = [j for j in range(len(kinds)) if j not in failed]
+    batch = svm_fit(x[keep], y[keep], c=2.0, max_passes=3)
+    for k, j in enumerate(keep):
+        one = svm_fit(x[j], y[j], c=2.0, max_passes=3)
+        assert np.array_equal(one.weights, batch.weights[k]) and one.bias == batch.bias[k]
+        corner = x[j].T @ (2.0 * y[j])
+        assert np.array_equal(batch.weights[k], corner) == (kinds[j] == "certified")
+    shared = svm_fit(x[0], y, c=2.0)  # certified for the balanced columns only
+    for j in range(len(kinds)):
+        one = svm_fit(x[0], y[j], c=2.0)
+        assert np.array_equal(one.weights, shared.weights[j]) and one.bias == shared.bias[j]

@@ -194,6 +194,41 @@ def test_null_statistics_do_not_depend_on_the_chunking(monkeypatch, spec, scheme
     assert runs[0] == runs[1] == runs[2]
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, m, pool_size", [
+    (8, 20, None),  # one chunk runs in this process
+    (8, 70, 3),  # three chunks
+    (2, 70, 2),
+    (1, 70, None),
+])
+def test_pool_is_sized_to_its_chunks(monkeypatch, workers, m, pool_size):
+    monkeypatch.setattr(permtest, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    d = one_condition()
+    null = null_distribution(_StubPipeline(), d, m, Scheme.RESUB, 7, labeling="split",
+                             workers=workers)
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert null == null_distribution(_StubPipeline(), d, m, Scheme.RESUB, 7, labeling="split")
+
+
 def test_null_distribution_exhausted_retries_raise():
     fails = {5, 5 + RETRY_STRIDE, 5 + 2 * RETRY_STRIDE, 5 + 3 * RETRY_STRIDE}
     with pytest.raises(FitError, match="replicate 5"):

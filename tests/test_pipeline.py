@@ -1,8 +1,13 @@
+from functools import partial
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from permsig import pipeline
 from permsig.autoenc import AeArchitecture
-from permsig.dataset import Dataset, permute_labels, synth_effect
+from permsig.dataset import Batch, Dataset, permute_labels, synth_effect
+from permsig.dimred import pls1_fit, reduce
 from permsig.errors import ConfigError, FitError
 from permsig.linclass import calibrate, calibrated_probability, decision_values, svm_fit
 from permsig.pipeline import AltPipeline, PipelineSpec, fit_feature_maps, fit_pipeline
@@ -288,3 +293,135 @@ def test_predict_proba_width_check():
     fitted = PipelineSpec(reducer="pls").fit(d, PLAN)
     with pytest.raises(ValueError):
         fitted.predict_proba(np.zeros((2, d.n_features + 1)))
+
+
+# ------------------------------------------------------- stacked pair problems
+
+
+def _fit_one_pair_at_a_time(spec, d, reducers=None):
+    """Each block's pair models of one dataset, fitted pair by pair in block
+    and pair order; raises the first ``FitError``.  ``reducers`` holds
+    frozen reducers by block and pair."""
+    blocks = []
+    for bi, cols in enumerate(spec.resolve_blocks(d.n_features)):
+        pairs = []
+        for a, b in combinations(range(d.class_count), 2):
+            rows = (d.labels == a) | (d.labels == b)
+            x = d.features[:, list(cols)][rows]
+            y = np.where(d.labels[rows] == b, 1.0, -1.0)
+            if reducers is not None:
+                red = reducers[bi][(a, b)]
+            else:
+                red = pls1_fit(x, y) if spec.reducer == "pls" else None
+            scores = reduce(red, x) if red is not None else x
+            svm = pipeline.svm_fit(scores, y, spec.svm_c)
+            pairs.append((red, svm, pipeline.calibrate(decision_values(svm, scores), y)))
+        blocks.append(pairs)
+    return blocks
+
+
+def _assert_same_pairs(fitted, reference):
+    for block, expected in zip(fitted.blocks, reference):
+        assert len(block.pairs) == len(expected)
+        for pair, (red, svm, cal) in zip(block.pairs, expected):
+            if red is None:
+                assert pair.reducer is None
+            else:
+                assert np.array_equal(pair.reducer.directions, red.directions)
+                assert np.array_equal(pair.reducer.mean, red.mean)
+            assert np.array_equal(pair.svm.weights, svm.weights) and pair.svm.bias == svm.bias
+            got = pair.calibration
+            assert (got.slope, got.intercept) == (cal.slope, cal.intercept)
+
+
+def _counting(monkeypatch, name):
+    """Record, for each call of the pipeline's ``name``, whether it returned."""
+    calls = []
+    fn = getattr(pipeline, name)
+
+    def counted(*args, **kwargs):
+        calls.append(False)
+        out = fn(*args, **kwargs)
+        calls[-1] = True
+        return out
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def _assert_fits_columns_alone(fitted, batch, fit_alone):
+    """Each column's pair models, or its error, are those ``fit_alone(j)`` gives."""
+    for j in range(batch.size):
+        try:
+            expected = fit_alone(j)
+        except FitError as exc:
+            assert j not in fitted.columns and str(fitted.failures[j]) == str(exc)
+        else:
+            _assert_same_pairs(fitted.column(j), expected)
+
+
+# Unequal class sizes: pairs differ in rows and +1 counts, and blocks of
+# different widths give stacks of different widths.  (sizes, stacks per width)
+STACKED_CASES = {
+    "3class": ((6, 6, 9), 2),  # (0, 1): 12 rows, 6 of +1; (0, 2) and (1, 2): 15, 9
+    "4class": ((5, 5, 7, 7), 3),  # 10/5; 12/7 four times; 14/7
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+@pytest.mark.parametrize("reducer, frozen", [("none", False), ("pls", False), ("pls", True)])
+def test_stacked_pair_fits_equal_per_pair_fits_bit_for_bit(monkeypatch, case, reducer, frozen):
+    sizes, per_width = STACKED_CASES[case]
+    gen = np.random.Generator(np.random.Philox(31))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    d = Dataset(gen.standard_normal((labels.size, 5)) + 0.6 * labels[:, None], labels, len(sizes))
+    spec = PipelineSpec(reducer=reducer, region_blocks=((0, 1), (2, 3, 4)))
+    plans = [PermutationPlan(5, r) for r in range(12)]
+    batch = Batch.of([permute_labels(d, plan) for plan in plans], plans)
+    reducers = None
+    if frozen:
+        maps = fit_feature_maps(spec, d, PLAN)
+        model, reducers = AltPipeline(maps, spec), [bm.reducers for bm in maps.blocks]
+    else:
+        model = spec
+    svm_calls, cal_calls = _counting(monkeypatch, "svm_fit"), _counting(monkeypatch, "calibrate")
+    with np.errstate(all="ignore"):
+        fitted = model.fit(batch)
+        # One call per stack, repeated only without the columns a call
+        # failed on: with a reducer every width is 1, else 2 and 3.
+        stacks = per_width * (1 if reducer == "pls" else 2)
+        assert svm_calls.count(True) == cal_calls.count(True) == stacks
+        assert len(cal_calls) == stacks + cal_calls.count(False)
+        _assert_fits_columns_alone(fitted, batch, lambda j: _fit_one_pair_at_a_time(
+            spec, Dataset(d.features, batch.labels[j], d.class_count), reducers))
+    assert len(fitted.columns) > batch.size // 2
+
+
+@pytest.mark.parametrize("reducer, max_passes, max_iter, sizes, seed", [
+    # SVM and calibration failures of different pairs in both blocks
+    ("none", 8, 6, (9, 12, 7), 2),
+    # degenerate PLS directions on integer data, and calibration failures
+    ("pls", None, 5, (4, 5, 3, 4), 1),
+])
+def test_failed_columns_carry_their_first_error(monkeypatch, reducer, max_passes, max_iter,
+                                                sizes, seed):
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    gen = np.random.default_rng(seed)
+    if reducer == "pls":
+        x, blocks = gen.integers(0, 3, (labels.size, 2)).astype(float), ((0,), (1,))
+    else:
+        x, blocks = gen.standard_normal((labels.size, 5)) + labels[:, None], ((0, 1), (2, 3, 4))
+    d = Dataset(x, labels, len(sizes))
+    spec = PipelineSpec(reducer=reducer, region_blocks=blocks)
+    if max_passes is not None:
+        monkeypatch.setattr(pipeline, "svm_fit", partial(svm_fit, max_passes=max_passes))
+    monkeypatch.setattr(pipeline, "calibrate", partial(calibrate, max_iter=max_iter))
+    plans = [PermutationPlan(seed, r) for r in range(16)]
+    batch = Batch.of([permute_labels(d, plan) for plan in plans], plans)
+    with np.errstate(all="ignore"):
+        fitted = spec.fit(batch)
+        _assert_fits_columns_alone(fitted, batch, lambda j: _fit_one_pair_at_a_time(
+            spec, Dataset(x, batch.labels[j], d.class_count)))
+    assert 0 < len(fitted.columns) < batch.size
+    stages = {str(exc).split()[0] for exc in fitted.failures.values()}
+    assert stages == ({"degenerate", "calibration"} if reducer == "pls" else {"SVM", "calibration"})

@@ -2,9 +2,11 @@
 
 * Any replicate recomputed alone, from its recorded plan, gives the
   statistics the batched run gave it, bit for bit, retried ones too.
-* Reports do not depend on the worker count.
+* Reports do not depend on the worker count, retries included.
 * ``1 / (M + 1) <= p <= 1``, ``0 <= fwe <= 1``, and the histogram
   counts sum to the number of null values.
+* A positive affine rescaling of a feature column leaves the report, and
+  so every error count, unchanged.
 
 Replicates are fitted in chunks of ``permtest.CHUNK``, so the cases use
 replicate counts below it, equal to it, and not a multiple of it.
@@ -90,7 +92,14 @@ REPLAY_CASES = {
     "pls_retried": (lambda d: PipelineSpec(reducer="pls"),
                     lambda: Dataset(np.arange(8.0)[:, None], np.repeat([0, 1], 4), 2), 40,
                     Scheme.RUB, "permute"),
+    # The same with three classes: a labeling is retried when any of its
+    # pairs' PLS covariance is zero, so failures come from different pairs
+    # of one stacked fit.
+    "pls_retried_3class": (lambda d: PipelineSpec(reducer="pls"),
+                           lambda: Dataset(np.arange(9.0)[:, None], np.repeat([0, 1, 2], 3), 3),
+                           40, Scheme.RUB, "permute"),
 }
+RETRIED = sorted(name for name in REPLAY_CASES if "retried" in name)
 
 
 @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
@@ -108,7 +117,7 @@ def test_replicates_replay_alone_bit_for_bit(name):
         plan = null.replicate_plans[r]
         got = replay(pipeline, data, plan, scheme, k, mu, labeling)
         assert got == list(null.statistics[r * width:(r + 1) * width]), r
-    if name == "pls_retried":
+    if name in RETRIED:
         assert retried
         for r, attempt, message in null.retries:
             failed = PermutationPlan(SEED, r + attempt * RETRY_STRIDE)
@@ -127,6 +136,20 @@ def test_observed_iterations_replay_alone_bit_for_bit():
         for i in range(7)
     ]
     assert report.observed_mean == float(np.mean(observed))
+
+
+@pytest.mark.parametrize("name", RETRIED)
+def test_retried_reports_do_not_depend_on_worker_count(name):
+    make_pipeline, make_data, m, scheme, labeling = REPLAY_CASES[name]
+    assert m > CHUNK  # so that two workers share the chunks
+    docs = []
+    for workers in (1, 2):
+        settings = StudySettings(scheme=scheme, m=m, master_seed=SEED, observed_iterations=3,
+                                 workers=workers)
+        data = make_data()
+        docs.append(json.dumps(power_study(make_pipeline(data), data, settings).to_json_dict()))
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["retries"]
 
 
 STUDIES = {
@@ -160,3 +183,40 @@ def test_reports_keep_their_promises_at_any_worker_count(i, study, scheme):
         assert 1.0 / (total + 1) <= serial.p_value <= 1.0
     else:
         assert 0.0 <= serial.fwe_rate <= 1.0
+
+
+# (pipeline, column, scale, shift): a positive affine map of one column
+RESCALINGS = [
+    (spec, col, scale, shift)
+    for spec in (PipelineSpec(reducer="pls"), PipelineSpec(reducer="pca", pca_components=2),
+                 PipelineSpec(reducer="none"), PipelineSpec(ae=AE, reducer="none"))
+    for col, scale, shift in ((0, 7.5, -3.0), (3, 0.1, 1e4))
+]
+
+
+@pytest.mark.parametrize("i, spec, col, scale, shift",
+                         [(i, *case) for i, case in enumerate(RESCALINGS)])
+def test_affine_rescaling_of_a_column_keeps_the_report(i, spec, col, scale, shift):
+    """Error counts do not change under ``x -> scale * x + shift`` of a column.
+
+    Studies map every column onto [0, 1] first, which undoes the map up to
+    rounding: ``scale * x + shift`` is rounded to within ``eps * (|scale * x|
+    + |shift|)``, so the scaled columns agree to within a few ulps of
+    ``(max|x| + |shift| / scale) / range(x)``, up to 2.3e-12 here for scale
+    0.1 and shift 1e4.  Fits on the two can differ in their last bits, and an error
+    count changes only where a row's vote lies that close to a tie.  None
+    of these cases has such a row, so the reports, which hold error
+    fractions, are identical.
+    """
+    data = synth_effect(10, 4, 0.6, PermutationPlan(i, 0), classes=2 + i % 2)
+    x = data.features.copy()
+    x[:, col] = scale * x[:, col] + shift
+    moved = Dataset(x, data.labels, data.class_count)
+    column = data.features[:, col]
+    gap = np.abs(scale_unit_interval(data).features - scale_unit_interval(moved).features).max()
+    eps = np.finfo(float).eps
+    assert gap <= 4 * eps * (1.0 + (np.abs(column).max() + abs(shift) / scale) / np.ptp(column))
+    study = alt_scheme_study if i % 4 >= 2 else power_study
+    scheme = (Scheme.RUB, Scheme.RESUB, Scheme.KFOLD)[i % 3]
+    settings = StudySettings(scheme=scheme, m=20, k=3, master_seed=SEED, observed_iterations=3)
+    assert study(spec, data, settings).to_json_dict() == study(spec, moved, settings).to_json_dict()
