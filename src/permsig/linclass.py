@@ -234,34 +234,54 @@ def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
     nu = 0.9 * c * min(n_pos, n - n_pos)
     alpha = np.where(pos, nu / n_pos, nu / (n - n_pos))
     myg = y - x @ (x.T @ (alpha * y))
-    # Indices that may move up or down; a step changes only i's and j's.
-    up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-    low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+    # Indices that may move up or down, as additive masks: 0 where an index
+    # may move, -inf where it may not.  A step changes only i's and j's.
+    up_mask = np.where((pos & (alpha < c)) | (~pos & (alpha > 0.0)), 0.0, -np.inf)
+    low_mask = np.where((pos & (alpha > 0.0)) | (~pos & (alpha < c)), 0.0, -np.inf)
+    # A step is a few passes over these n-buffers and two kernel columns;
+    # the scalar bookkeeping runs on Python floats.
+    diff, curv, gain, k_i, upd = (np.empty(n) for _ in range(5))
+    ineligible = np.empty(n, dtype=bool)
+    alpha, signs, is_pos = alpha.tolist(), y.tolist(), pos.tolist()
 
     for _ in range(max_passes):
         for _ in range(n):
-            up_vals = np.where(up, myg, -np.inf)
-            i = int(np.argmax(up_vals))
-            m_up = up_vals[i]
-            if m_up - np.where(low, myg, np.inf).min() < 1e-10:
+            np.add(myg, up_mask, out=gain)
+            i = int(gain.argmax())
+            m_up = gain[i]  # -inf when no index may move up
+            # max over low of (m_up - myg) is m_up - (min over low of myg):
+            # rounding is monotone, so the two are equal bit for bit.
+            np.subtract(m_up, myg, out=diff)
+            diff += low_mask
+            if diff[diff.argmax()] < 1e-10:  # argmax is the faster reduction
                 break
-            diff = m_up - myg
-            k_i = x @ x[i]
-            curv = np.maximum(sq[i] + sq - 2.0 * k_i, _TAU)
-            gain = np.where(low & (diff > 0.0), diff * diff / curv, -np.inf)
-            j = int(np.argmax(gain))
-            step = diff[j] / curv[j]
-            cap_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
-            cap_j = alpha[j] if y[j] > 0 else (c - alpha[j])
+            np.matmul(x, x[i], out=k_i)
+            np.add(sq[i], sq, out=curv)
+            np.subtract(curv, np.multiply(2.0, k_i, out=gain), out=curv)
+            np.maximum(curv, _TAU, out=curv)
+            # Gains of the indices that may move down and would improve;
+            # the others stay -inf, below any gain that underflows to 0.
+            np.less_equal(diff, 0.0, out=ineligible)
+            np.multiply(diff, diff, out=gain)
+            gain /= curv
+            np.putmask(gain, ineligible, -np.inf)
+            j = int(gain.argmax())
+            step = float(diff[j]) / float(curv[j])
+            cap_i = (c - alpha[i]) if signs[i] > 0 else alpha[i]
+            cap_j = alpha[j] if signs[j] > 0 else (c - alpha[j])
             step = min(step, cap_i, cap_j)
-            alpha[i] += y[i] * step
-            alpha[j] -= y[j] * step
-            myg -= step * (k_i - x @ x[j])
+            alpha[i] += signs[i] * step
+            alpha[j] -= signs[j] * step
+            np.matmul(x, x[j], out=upd)
+            np.subtract(k_i, upd, out=upd)
+            upd *= step
+            myg -= upd
             for t in (i, j):
-                up[t] = alpha[t] < c if pos[t] else alpha[t] > 0.0
-                low[t] = alpha[t] > 0.0 if pos[t] else alpha[t] < c
+                a = alpha[t]
+                up_mask[t] = 0.0 if (a < c if is_pos[t] else a > 0.0) else -np.inf
+                low_mask[t] = 0.0 if (a > 0.0 if is_pos[t] else a < c) else -np.inf
 
-        w, b, gap_ok = _gap_test(x, y, alpha, myg, pos, c, tol)
+        w, b, gap_ok = _gap_test(x, y, np.array(alpha), myg, pos, c, tol)
         if gap_ok:
             return w, b
     raise FitError(f"SVM duality gap still above tol {tol} after {max_passes} passes")
@@ -407,7 +427,7 @@ def calibrate(
         """Negative log-likelihoods at ``(a, b)``, and their logits ``z``."""
         z = a[:, None] * m
         z += b[:, None]
-        loss = np.logaddexp(0.0, z)  # log(1 + e^z) - t*z, computed stably
+        loss = _softplus(z)  # log(1 + e^z) - t*z
         loss -= t * z
         return np.sum(loss, axis=1), z
 
@@ -486,6 +506,20 @@ def calibrate(
     if failures:
         raise BatchFitError(failures)
     return Calibration(slope, intercept)
+
+
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """``log(1 + e^z)``, stably, as ``max(z, 0) + log1p(e^-|z|)``.
+
+    Within two ulps of ``np.logaddexp(0, z)``, which calls the scalar libm
+    for each element and is several times slower on large arrays.
+    """
+    out = np.abs(z)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0)
+    return out
 
 
 def calibrated_probability(cal: Calibration, margins: np.ndarray) -> np.ndarray:

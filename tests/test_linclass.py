@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from permsig.linclass import (
     decision_values,
     svm_fit,
     svm_objective,
+    _softplus,
 )
 
 
@@ -227,6 +229,71 @@ def test_svm_stops_only_at_the_optimum(seed):
     assert svm_objective(x, y, m.weights, m.bias, c) <= optimum + 1e-6 * max(1.0, optimum)
 
 
+# SMO's path is pinned bit for bit: SHA-256 of a fit's weights' bytes and
+# its bias's repr.  Every case reaches SMO: the balanced ones shift the
+# classes apart, so the corner alpha = c is not optimal.
+# name: (seed, n, n_pos, d, c, class shift, sha)
+SMO_PINS = {
+    "balanced_d2_c1": (81, 120, 60, 2, 1.0, 1.0, "89d6af5551bc101a325d2899beb49a133801cea2011f55cb2287523cff0e17b1"),
+    "balanced_d5_c10": (82, 200, 100, 5, 10.0, 1.0, "d3737a2c70a62d4af56e61467ac9e03b1a6c11a2a9b52e88d0ade5c57d15b842"),
+    "balanced_d20_c1": (83, 600, 300, 20, 1.0, 0.3, "75e85e47ec96a3b96acb366e980645ca02df5b7a6a881c0f470d3e2586d0400e"),
+    "imbalanced_d2_c10": (84, 200, 50, 2, 10.0, 0.8, "1ae8736e841cc0014960ca14c6d6d7351d2823d879b8a1da8f8bb491ebc5a036"),
+    "imbalanced_d5_c0.1": (85, 400, 120, 5, 0.1, 0.4, "5555de2ae5906da16c0b4f225b4741f152c8b84d011ca8b937b3ed67a571bb07"),
+    "imbalanced_d20_c1": (86, 300, 90, 20, 1.0, 0.3, "8cb1a5d28432765626d214f310e42e7b3c27f1564e85a09a0f779bd2592e5d2b"),
+    "separable_d2_c10": (87, 150, 75, 2, 10.0, 2.5, "a2ca89fbd984c899facd6b34574db1dfb3e1b7b0a47f7bfa4be34a0c9d687130"),
+    "separable_d5_c1": (88, 250, 100, 5, 1.0, 2.0, "f2b1c8a519c31ba2b7b92f43749ca24facffd6ad233291ec0fb612d65c6617cd"),
+    "separable_d20_c0.1": (89, 600, 300, 20, 0.1, 1.2, "f6a372b4e9fab38665a85e6030ec70260e38f9cac32803cda7e7c3bfbe1a12fa"),
+}
+SMO_PIN_SHARED = "3367b96e836f677b73f5c17ffc4c47f698efa29ecfbdd657328616e962e20bf4"
+
+
+def _fit_digest(m):
+    bias = repr(np.asarray(m.bias).tolist())  # a float's repr, or a list of them
+    return hashlib.sha256(m.weights.tobytes() + bias.encode()).hexdigest()
+
+
+def test_smo_bits_pinned():
+    digests = {}
+    for name, (seed, n, n_pos, d, c, shift, _) in SMO_PINS.items():
+        gen = np.random.Generator(np.random.Philox(seed))
+        y = gen.permutation(np.where(np.arange(n) < n_pos, 1.0, -1.0))
+        x = gen.standard_normal((n, d)) + shift * y[:, None]
+        m = svm_fit(x, y, c=c)
+        assert not np.array_equal(m.weights, x.T @ (c * y)), name
+        digests[name] = _fit_digest(m)
+    assert digests == {name: pin[-1] for name, pin in SMO_PINS.items()}
+
+    # A batch whose three columns share their rows, and all run SMO.
+    gen = np.random.Generator(np.random.Philox(90))
+    x = gen.standard_normal((160, 3))
+    y = np.stack([gen.permutation(np.where(np.arange(160) < k, 1.0, -1.0)) for k in (80, 80, 60)])
+    m = svm_fit(x, y, c=1.0)
+    assert not any(np.array_equal(m.weights[j], x.T @ y[j]) for j in range(3))
+    assert _fit_digest(m) == SMO_PIN_SHARED
+
+
+def test_stopping_test_equals_max_of_masked_diff():
+    # SMO stops when m_up - (min over low of myg) < 1e-10, and reads that
+    # value as the max over low of (m_up - myg), from the step's own diff
+    # with the additive low mask.  Rounding is monotone, so the two are
+    # equal exactly, also with ties, signed zeros, huge magnitudes, an
+    # empty low set and m_up = -inf (an empty up set).
+    gen = np.random.Generator(np.random.Philox(91))
+    for trial in range(400):
+        n = int(gen.integers(1, 60))
+        scale = 10.0 ** gen.integers(-300, 301)
+        myg = gen.integers(-3, 4, n) * scale if trial % 2 else gen.standard_normal(n) * scale
+        myg[gen.random(n) < 0.2] = 0.0
+        myg[gen.random(n) < 0.2] = -0.0
+        low = gen.random(n) < (0.0 if trial % 10 == 0 else 0.6)
+        low_mask = np.where(low, 0.0, -np.inf)
+        m_up = -np.inf if trial % 7 == 0 else float(gen.choice(myg)) + gen.choice([0.0, scale])
+        reference = m_up - np.where(low, myg, np.inf).min()
+        diff = m_up - myg
+        diff += low_mask
+        assert diff[diff.argmax()] == reference, (trial, m_up, reference)
+
+
 # (minority scores, majority scores, whether w = 0 is optimal)
 ZERO_WEIGHT_CASES = {
     "minority_mean_inside": ([0.2, 0.5, 0.8], [0.0, 0.1, 0.3, 0.4, 0.6, 0.7, 0.9, 1.0, 1.1], True),
@@ -351,6 +418,12 @@ def test_calibrate_validation():
     with pytest.raises(ValueError):
         calibrate(np.zeros(3), np.zeros(4))
 
+
+def test_softplus_matches_logaddexp():
+    z = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 700.0, -700.0, np.inf, -np.inf])
+    np.testing.assert_array_max_ulp(_softplus(z), np.logaddexp(0.0, z), maxulp=2)
+    z = np.random.Generator(np.random.Philox(92)).standard_normal((8, 500)) * 40.0
+    np.testing.assert_array_max_ulp(_softplus(z), np.logaddexp(0.0, z), maxulp=2)
 
 
 # ----------------------------------------------------------------- batches
