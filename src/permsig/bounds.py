@@ -12,7 +12,10 @@ most ``mu``:
   ``h = d + 1`` for linear classifiers.
 
 The binomial sum is evaluated in the log domain (log-gamma plus
-log-sum-exp) so large ``n`` never overflows.
+log-sum-exp) so large ``n`` never overflows. Both are computed here with
+the same floating-point steps as ``scipy.special.gammaln`` and
+``scipy.special.logsumexp`` (scipy 1.17), so ``mu`` has the bits those
+give, without importing scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln, logsumexp
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,49 @@ class BoundSpec:
             raise ValueError("eta must lie strictly between 0 and 1")
 
 
+def _log_gamma(k: int) -> float:
+    """Return ``ln Gamma(k)`` for a positive integer ``k``.
+
+    These are the steps and constants of cephes ``lgam`` (scipy's
+    ``gammaln``) for integer arguments. Below 13 cephes multiplies
+    ``(k-1)!`` out in floats, which is exact, and its rational
+    approximation on [2, 3) is never reached; from 13 on it uses the
+    Stirling series, to fewer terms as ``k`` grows.
+    """
+    if k < 13:
+        return math.log(math.factorial(k - 1))
+    x = float(k)
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # ln sqrt(2 pi)
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p \
+            + 0.0833333333333333333333
+    else:
+        series = (((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
+                   + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p \
+            + 8.33333333333331927722e-2
+    return q + series / x
+
+
+def _logsumexp(terms: list[float]) -> float:
+    """Return ``ln(sum(exp(terms)))`` for finite terms.
+
+    These are the steps of scipy 1.17's ``logsumexp``, on the same
+    one-element arrays: the tied maxima are taken out of the sum and
+    counted, the rest is summed shifted by the maximum, and the count
+    comes back as ``log(m)``.
+    """
+    a = np.asarray(terms, dtype=np.float64)
+    a_max = a.max(keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(keepdims=True, dtype=np.float64)
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return float((np.log1p(s) + np.log(m) + a_max)[0])
+
+
 def log_binomial_sum(n: int, k_max: int) -> float:
     """Return ``ln(sum_{k=0}^{k_max} C(n, k))`` computed in log space.
 
@@ -63,11 +109,12 @@ def log_binomial_sum(n: int, k_max: int) -> float:
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     k_max = min(k_max, n)
+    log_n_fact = _log_gamma(n + 1)
     terms = [
-        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        log_n_fact - _log_gamma(k + 1) - _log_gamma(n - k + 1)
         for k in range(k_max + 1)
     ]
-    return float(logsumexp(terms))
+    return _logsumexp(terms)
 
 
 def empirical_bound(spec: BoundSpec) -> float:

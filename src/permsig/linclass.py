@@ -137,12 +137,13 @@ def svm_fit(
         Signed labels; both of ``-1`` and ``+1`` must be present in every
         column.  On one feature every column needs the same class counts.
     c : float
-        Misclassification cost, positive.
+        Misclassification cost, positive and finite.
 
     Raises
     ------
     ValueError
-        On malformed input, non-positive ``c``, or a single-class ``y``.
+        On malformed input, non-finite ``x``, ``c`` not positive and
+        finite, or a single-class ``y``.
     FitError
         If the duality gap is still above ``tol`` after ``max_passes``
         passes; ``BatchFitError`` names the columns of a batch where it is.
@@ -156,8 +157,10 @@ def svm_fit(
         raise ValueError("x must be (n, d) and y (n,), or (R, n, d) or (n, d) and (R, n)")
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("y must contain only -1 and +1")
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0.0 < c < np.inf:
+        raise ValueError("c must be positive and finite")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     n_pos = (y > 0).sum(axis=1)
     if np.any(n_pos == 0) or np.any(n_pos == y.shape[1]):
         raise ValueError("both label signs must be present")

@@ -87,7 +87,7 @@ class PipelineSpec:
         check(self.reducer in _REDUCERS, "reducer", f"unknown reducer {self.reducer!r}")
         r, c = self.pca_components, self.svm_c
         check(is_int(r) and r >= 1, "pca_components", "must be a positive integer")
-        check(is_real(c) and c > 0, "svm_c", "must be a positive number")
+        check(is_real(c) and 0 < c < np.inf, "svm_c", "must be a positive finite number")
         object.__setattr__(self, "svm_c", float(c))
         if self.region_blocks is None:
             return

@@ -3,8 +3,16 @@ import time
 
 import numpy as np
 import pytest
+import scipy
+from scipy.special import gammaln, logsumexp
 
-from permsig.bounds import BoundSpec, empirical_bound, log_binomial_sum, vapnik_bound
+from permsig.bounds import (
+    BoundSpec,
+    _log_gamma,
+    empirical_bound,
+    log_binomial_sum,
+    vapnik_bound,
+)
 
 # Hand-computed oracle: sum_{k=0}^{2} C(4, k) = 1 + 4 + 6 = 11.
 LN_11 = math.log(11.0)
@@ -121,3 +129,36 @@ def test_bound_evaluation_is_fast():
         vapnik_bound(spec)
     per_call = (time.perf_counter() - t0) / 200
     assert per_call < 1e-3
+
+
+# ------------------------------------------- bit identity with scipy 1.17
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_log_gamma_equals_scipy_gammaln_bit_for_bit():
+    ks = list(range(1, 200_002)) + [10**8, 10**8 + 1, 3 * 10**8, 2**53 - 1, 10**12]
+    ours = [_log_gamma(k) for k in ks]
+    np.testing.assert_array_equal(_bits(ours), _bits(gammaln(np.array(ks, dtype=np.float64))))
+
+
+def _scipy_log_binomial_sum(n, k_max):
+    # the reference: log_binomial_sum's formula on scipy's gammaln and logsumexp
+    k_max = min(k_max, n)
+    terms = [gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) for k in range(k_max + 1)]
+    return float(logsumexp(terms))
+
+
+@pytest.mark.skipif(not scipy.__version__.startswith("1.17."),
+                    reason="the oracle is scipy 1.17's logsumexp")
+def test_log_binomial_sum_equals_scipy_bit_for_bit():
+    # d = 2 and 3 (k_max = d - 1) at every n up to 2000; every k_max on
+    # small rows, where tied maxima occur; and large rows
+    pairs = [(n, k) for n in range(2001) for k in (1, 2)]
+    pairs += [(n, k) for n in range(41) for k in range(n + 2)]
+    pairs += [(100_000, 500), (20_000, 1000), (19_999, 19_999)]
+    ours = [log_binomial_sum(n, k) for n, k in pairs]
+    want = [_scipy_log_binomial_sum(n, k) for n, k in pairs]
+    np.testing.assert_array_equal(_bits(ours), _bits(want))

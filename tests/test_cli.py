@@ -320,6 +320,15 @@ def test_malformed_field_exits_2_and_names_it(doc, field, tmp_path, blob_csv, mo
     assert not (tmp_path / "power_report.json").exists()
 
 
+def test_overflowing_svm_c_exits_2(tmp_path, blob_csv, capsys):
+    # JSON's 1e400 parses to inf, which no SVM fit can use
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"data": {"csv": %s}, "m": 5, "pipeline": {"svm_c": 1e400}}' % json.dumps(blob_csv))
+    assert run("power", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "config field 'pipeline.svm_c'" in err and "Traceback" not in err
+
+
 def test_single_replicate_report_is_strict_json(tmp_path, blob_csv):
     out = tmp_path / "m1.json"
     assert run("power", "--data", blob_csv, "--m", "1", "--seed", "2", "--out", str(out)) == 0

@@ -13,14 +13,20 @@ including a two-worker pool.  One two-class ``pls`` case keeps only 20
 rows of its second class, so that most permuted pairs have an SVM
 optimum of ``w = 0`` and are calibrated on a constant margin; its
 hashes were recorded while one-feature SVMs were still solved by SMO.
+One RUB case with a two-feature classifier also runs in a fresh interpreter
+where scipy cannot be imported, since the package must not need it.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import permsig
 from permsig.cli import main
 from permsig.dataset import Dataset, save_csv, synth_effect
 from permsig.rng import PermutationPlan
@@ -101,8 +107,9 @@ def sha256_of(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_case(name, workdir, monkeypatch) -> tuple[str, str]:
-    study, (n_per, dim, effect, classes, seed, *kept), config, _, _ = CASES[name]
+def write_case(name, workdir, monkeypatch) -> None:
+    """Write the case's ``data.csv`` and ``cfg.json`` into ``workdir``, and go there."""
+    _, (n_per, dim, effect, classes, seed, *kept), config, _, _ = CASES[name]
     monkeypatch.chdir(workdir)
     d = synth_effect(n_per, dim, effect, PermutationPlan(seed, 0), classes=classes)
     if kept:
@@ -112,7 +119,11 @@ def run_case(name, workdir, monkeypatch) -> tuple[str, str]:
     save_csv(d, "data.csv")
     with open("cfg.json", "w", encoding="utf-8") as fh:
         json.dump({"data": {"csv": "data.csv"}, **config}, fh)
-    assert main([study, "--config", "cfg.json", "--out", "rep.json"]) == 0
+
+
+def run_case(name, workdir, monkeypatch) -> tuple[str, str]:
+    write_case(name, workdir, monkeypatch)
+    assert main([CASES[name][0], "--config", "cfg.json", "--out", "rep.json"]) == 0
     return sha256_of("rep.json"), sha256_of("rep_hist.csv")
 
 
@@ -120,6 +131,27 @@ def run_case(name, workdir, monkeypatch) -> tuple[str, str]:
 def test_golden_report(name, tmp_path, monkeypatch):
     *_, want_json, want_csv = CASES[name]
     assert run_case(name, tmp_path, monkeypatch) == (want_json, want_csv)
+
+
+NO_SCIPY = """
+import sys
+import permsig.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "permsig.cli imported scipy"
+sys.modules["scipy"] = None  # any later import of scipy raises ImportError
+sys.exit(permsig.cli.main([sys.argv[1], "--config", "cfg.json", "--out", "rep.json"]))
+"""
+
+
+def test_golden_report_without_scipy(tmp_path, monkeypatch):
+    """A RUB study with d = 2 gives its golden bytes where scipy cannot be imported."""
+    name = "power_rub_pca2"
+    *_, want_json, want_csv = CASES[name]
+    write_case(name, tmp_path, monkeypatch)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(permsig.__file__))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, CASES[name][0]],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (sha256_of("rep.json"), sha256_of("rep_hist.csv")) == (want_json, want_csv)
 
 
 KFOLD_ECHO = (

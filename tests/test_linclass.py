@@ -150,6 +150,26 @@ def test_svm_input_validation():
         svm_fit(np.zeros(4), np.array([1.0, -1.0, 1.0, -1.0]))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svm_rejects_non_finite_input_fast(d, bad):
+    # A non-finite x used to run every SMO step of max_passes before
+    # raising FitError; c = nan or inf did the same.
+    gen = np.random.Generator(np.random.Philox(15))
+    x = gen.standard_normal((40, d))
+    y = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+    x += 0.3 * y[:, None]
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        svm_fit(x, y, c=bad)
+    x[7, 0] = bad
+    with pytest.raises(ValueError, match="x must be finite"):
+        svm_fit(x, y)
+    with pytest.raises(ValueError, match="x must be finite"):
+        svm_fit(np.stack([x, x]), np.stack([y, y]))
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_svm_1d_fit_is_fast():
     gen = np.random.Generator(np.random.Philox(13))
     x = gen.standard_normal((100, 1))

@@ -282,6 +282,8 @@ def test_spec_validation():
     ("region_blocks", ((0, 1.5),)),
     ("region_blocks", ()),
     ("region_blocks", "01"),
+    ("svm_c", float("inf")),
+    ("svm_c", float("nan")),
 ])
 def test_spec_rejects_wrong_types(field, value):
     with pytest.raises(ValueError, match=field):
