@@ -22,7 +22,7 @@ print(f"{'data':>10} {'resub':>7} {'kfold':>7} {'resub+mu':>9} {'optimism':>9}")
 for name, data in (("effect", d), ("permuted", permute_labels(d, PermutationPlan(31, 1)))):
     resub = resub_error(spec, data, PermutationPlan(32, 0))
     folds = stratified_folds(data, 10, PermutationPlan(32, 0))
-    tests, _ = kfold_errors(spec, data, folds, PermutationPlan(32, 0))
+    tests = kfold_errors(spec, data, folds, PermutationPlan(32, 0))
     kfold = float(np.mean([t.value for t in tests]))
     diag = generalization_ratio(resub.value, kfold)
     print(

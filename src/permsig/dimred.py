@@ -6,7 +6,9 @@ single direction of maximal covariance with a signed binary response and
 is refit wherever labels change (per training fold, per class pair).
 PCA is the unsupervised fallback for data without labels.  Fits and
 projections take a batch of columns along a leading axis as well as a
-single input, which is fitted as a batch of one.
+single input, which is fitted as a batch of one.  A batched PLS fit
+returns ``(reducer, failures)``: a direction for every column, zero for
+a degenerate one, and the ``FitError`` of each degenerate column.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BatchFitError, FitError, one_column
+from .errors import FitError, one_column
 
 _DEGENERATE_TOL = 1e-12
 
@@ -68,7 +70,7 @@ class LinearReducer:
         return LinearReducer(self.kind, self.mean[columns], self.directions[columns])
 
 
-def pls1_fit(x: np.ndarray, y: np.ndarray) -> LinearReducer:
+def pls1_fit(x: np.ndarray, y: np.ndarray):
     """Fit a single partial-least-squares component.
 
     The direction is the unit-normalized covariance vector between the
@@ -84,13 +86,20 @@ def pls1_fit(x: np.ndarray, y: np.ndarray) -> LinearReducer:
     y : ndarray, shape (n,), or (R, n) for a batch
         Signed labels, both of ``-1`` and ``+1`` present.
 
+    Returns
+    -------
+    LinearReducer for one input.  For a batch, ``(reducer, failures)``:
+    ``failures`` maps each column whose covariance vector is numerically
+    zero (degenerate direction, e.g. constant features) to its
+    ``FitError``, and that column's direction is zero, so its scores stay
+    finite.
+
     Raises
     ------
     ValueError
         If labels are not signed binary or one sign is missing.
     FitError
-        If the covariance vector is numerically zero (degenerate
-        direction, e.g. constant features); ``BatchFitError`` for a batch.
+        For one input whose direction is degenerate.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -115,13 +124,11 @@ def pls1_fit(x: np.ndarray, y: np.ndarray) -> LinearReducer:
     norm = np.sqrt(np.sum(w * w, axis=1))
     scale = scale * x.shape[-2]
     degenerate = norm <= _DEGENERATE_TOL * np.maximum(np.where(scale == 0.0, 1.0, scale), 1.0)
-    if degenerate.any():
-        raise BatchFitError({
-            int(j): FitError("degenerate PLS direction: covariance with labels is zero")
-            for j in np.flatnonzero(degenerate)
-        })
+    failures = {int(j): FitError("degenerate PLS direction: covariance with labels is zero")
+                for j in np.flatnonzero(degenerate)}
+    w[degenerate], norm[degenerate] = 0.0, 1.0
     mean = np.broadcast_to(mean, w.shape)
-    return LinearReducer("pls", mean, (w / norm[:, None])[:, :, None])
+    return LinearReducer("pls", mean, (w / norm[:, None])[:, :, None]), failures
 
 
 def pca_fit(x: np.ndarray, r: int) -> LinearReducer:
@@ -139,7 +146,7 @@ def pca_fit(x: np.ndarray, r: int) -> LinearReducer:
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
-        return one_column(pca_fit, x, r=r)
+        return pca_fit(x[None], r).column(0)
     if x.ndim != 3:
         raise ValueError("x must be (n, N) or (R, n, N)")
     _, n, n_feat = x.shape

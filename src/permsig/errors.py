@@ -4,8 +4,10 @@
 :class:`ConfigError` is the ``ValueError`` of a bad setting, raised by the
 object that owns the setting and naming its field.  :class:`FitError`
 marks data-dependent failures that can legitimately occur inside a study
-replicate and are therefore eligible for the replicate retry policy;
-:class:`BatchFitError` carries those of several columns of a batch.
+replicate and are therefore eligible for the replicate retry policy.
+A batched fit does not raise them: it returns its model for every column
+together with the ``FitError`` of each column that failed, and the
+caller drops those columns.
 """
 
 from numbers import Integral, Real
@@ -29,32 +31,18 @@ class DivergenceError(FitError):
         super().__init__(message or f"non-finite training loss at epoch {epoch}")
 
 
-class BatchFitError(FitError):
-    """Some columns of a batch could not be fitted.
-
-    Attributes
-    ----------
-    failures : dict of int to FitError
-        The error of each failed column, keyed by its index in the batch.
-    """
-
-    def __init__(self, failures: dict):
-        self.failures = failures
-        first = min(failures)
-        super().__init__(f"column {first}: {failures[first]}")
-
-
 def one_column(fit, *arrays, **kwargs):
     """``fit`` on a batch of one column made from ``arrays``, as that column.
 
-    The single-input form of every batched fit goes through here, so one
+    ``fit`` returns ``(model, failures)`` for a batch.  The single-input
+    form of every batched fit that can fail goes through here, so one
     input is fitted by the very code that fits a batch.  A failure raises
     the column's own ``FitError``.
     """
-    try:
-        return fit(*(a[None] for a in arrays), **kwargs).column(0)
-    except BatchFitError as exc:
-        raise exc.failures[0] from None
+    model, failures = fit(*(a[None] for a in arrays), **kwargs)
+    if failures:
+        raise failures[0]
+    return model.column(0)
 
 
 class ConfigError(ValueError):

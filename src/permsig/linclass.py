@@ -26,8 +26,10 @@ score ``mu``, it is exactly when ``mu`` lies between the means of the
 
 Both fits also take a batch of columns along a leading axis; each
 column's arithmetic uses only its own rows, so its result is the one a
-single fit of that column gives, bit for bit.  A single input is fitted
-as a batch of one.
+single fit of that column gives, bit for bit.  A batch returns
+``(model, failures)``: a finite model for every column, and the
+``FitError`` of each column that failed, which the caller drops.  A
+single input is fitted as a batch of one and raises its ``FitError``.
 
 One-vs-one voting over class pairs and the region-block average live in
 :mod:`permsig.pipeline`.
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BatchFitError, FitError, one_column
+from .errors import FitError, one_column
 
 _TAU = 1e-12  # curvature floor in the SMO subproblem
 
@@ -53,7 +55,6 @@ class LinearSvm:
 
     weights: np.ndarray
     bias: float | np.ndarray
-    c: float
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, copy=True)
@@ -63,11 +64,11 @@ class LinearSvm:
         object.__setattr__(self, "weights", w)
 
     def column(self, j: int) -> "LinearSvm":
-        return LinearSvm(self.weights[j], float(self.bias[j]), self.c)
+        return LinearSvm(self.weights[j], float(self.bias[j]))
 
     def select(self, columns) -> "LinearSvm":
         """The batch of the listed columns, in that order."""
-        return LinearSvm(self.weights[columns], self.bias[columns], self.c)
+        return LinearSvm(self.weights[columns], self.bias[columns])
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def svm_fit(
     c: float = 1.0,
     tol: float = 1e-6,
     max_passes: int = 10_000,
-) -> LinearSvm:
+):
     """Train a linear soft-margin SVM, or one per column of a batch.
 
     On one feature the optimum is found exactly (see :func:`_svm_1d`),
@@ -139,14 +140,20 @@ def svm_fit(
     c : float
         Misclassification cost, positive and finite.
 
+    Returns
+    -------
+    LinearSvm for one input.  For a batch, ``(svm, failures)``:
+    ``failures`` maps each column whose duality gap is still above
+    ``tol`` after ``max_passes`` passes to its ``FitError``, and that
+    column keeps the corner's finite ``(w, b)``.
+
     Raises
     ------
     ValueError
         On malformed input, non-finite ``x``, ``c`` not positive and
         finite, or a single-class ``y``.
     FitError
-        If the duality gap is still above ``tol`` after ``max_passes``
-        passes; ``BatchFitError`` names the columns of a batch where it is.
+        For one input whose duality gap stays above ``tol``.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -169,7 +176,7 @@ def svm_fit(
         if np.any(n_pos != n_pos[0]):
             raise ValueError("one-feature columns of a batch need equal class counts")
         w, b = _svm_1d(np.broadcast_to(x[..., 0], y.shape), y, c)
-        return LinearSvm(w[:, None], b, c)
+        return LinearSvm(w[:, None], b), {}
 
     x = np.ascontiguousarray(x)  # see decision_values: the layout sets the rounding
     weights, bias, certified = _corner(x, y, c, tol)
@@ -180,9 +187,7 @@ def svm_fit(
             weights[j], bias[j] = _svm_smo(x[j], y[j], c, tol, max_passes)
         except FitError as exc:
             failures[int(j)] = exc
-    if failures:
-        raise BatchFitError(failures)
-    return LinearSvm(weights, bias, c)
+    return LinearSvm(weights, bias), failures
 
 
 def _corner(x, y, c, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -381,7 +386,7 @@ def calibrate(
     y: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 100,
-) -> Calibration:
+):
     """Fit a sigmoid probability map on training margins.
 
     Maximizes the Bernoulli log-likelihood of the labels under
@@ -392,13 +397,19 @@ def calibrate(
     fit R columns at once: each column keeps its own Newton iterate, step
     length and stopping test, and every sum runs over its own row alone.
 
+    Returns
+    -------
+    Calibration for one input.  For a batch, ``(calibration, failures)``:
+    ``failures`` maps each column where Newton failed to converge within
+    ``max_iter`` iterations to its ``FitError``, and that column keeps
+    its starting sigmoid.
+
     Raises
     ------
     ValueError
         On malformed input or a single-class ``y``.
     FitError
-        If Newton fails to converge within ``max_iter`` iterations;
-        ``BatchFitError`` names the columns of a batch that failed.
+        For one input where Newton fails to converge.
     """
     margins = np.asarray(margins, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -506,9 +517,7 @@ def calibrate(
         settle(np.maximum(np.abs(factor * da), np.abs(factor * db)) < tol)
     for j in live:
         failures[int(j)] = FitError(f"calibration did not converge in {max_iter} iterations")
-    if failures:
-        raise BatchFitError(failures)
-    return Calibration(slope, intercept)
+    return Calibration(slope, intercept), failures
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

@@ -248,11 +248,8 @@ def fwe_rate(pvalues: np.ndarray, alpha: float) -> float:
 class _ReplicateTask:
     pipeline: object  # PipelineSpec or AltPipeline
     data: Dataset
-    scheme: Scheme
-    k: int
+    settings: StudySettings
     mu: float | None
-    master_seed: int
-    labeling: str  # "permute" | "split"
 
 
 def _statistics(pipeline, columns: list[Dataset], plans: list[PermutationPlan],
@@ -269,7 +266,7 @@ def _statistics(pipeline, columns: list[Dataset], plans: list[PermutationPlan],
     batch = Batch.of(columns, plans)
     if scheme is Scheme.KFOLD:
         folds = [stratified_folds(d, k, plan) for d, plan in zip(columns, plans)]
-        return [out if isinstance(out, FitError) else [e.value for e in out[0]]
+        return [out if isinstance(out, FitError) else [e.value for e in out]
                 for out in kfold_errors(pipeline, batch, folds)]
     return [out if isinstance(out, FitError)
             else [out.value + mu if scheme is Scheme.RUB else out.value]
@@ -283,14 +280,16 @@ def _chunk_stats(task: _ReplicateTask, replicates: range):
     whose fit failed are drawn again from their next plan and fitted
     together, up to ``MAX_RETRIES`` times.
     """
-    label = split_null_groups if task.labeling == "split" else permute_labels
+    label = split_null_groups if task.data.class_count == 1 else permute_labels
+    settings = task.settings
     results: dict[int, tuple[int, list[float]]] = {}
     retries: list[tuple[int, int, str]] = []
     pending = list(replicates)
     for attempt in range(MAX_RETRIES + 1):
-        plans = [PermutationPlan(task.master_seed, r + attempt * RETRY_STRIDE) for r in pending]
+        plans = [PermutationPlan(settings.master_seed, r + attempt * RETRY_STRIDE)
+                 for r in pending]
         columns = [label(task.data, plan) for plan in plans]
-        outs = _statistics(task.pipeline, columns, plans, task.scheme, task.k, task.mu)
+        outs = _statistics(task.pipeline, columns, plans, settings.scheme, settings.k, task.mu)
         failed = []
         for r, plan, out in zip(pending, plans, outs):
             if isinstance(out, FitError):
@@ -319,39 +318,25 @@ def _pool_run(replicates: range):
     return _chunk_stats(_POOL_TASK, replicates)
 
 
-def null_distribution(
-    pipeline,
-    d: Dataset,
-    m: int,
-    scheme: Scheme | str,
-    master_seed: int,
-    *,
-    k: int = 10,
-    eta: float = 0.05,
-    labeling: str = "permute",
-    workers: int = 1,
-) -> NullDistribution:
-    """Null statistics from ``m`` label-randomized replicates.
+def null_distribution(pipeline, d: Dataset, settings: StudySettings) -> NullDistribution:
+    """Null statistics from ``settings.replicates`` label-randomized replicates.
 
-    Each replicate derives every random draw from
+    Labeled data has its labels permuted; one-condition data is split
+    into two pseudo-groups.  Each replicate derives every random draw from
     ``(master_seed, replicate_index)``.  Replicates are fitted in chunks
     of ``CHUNK``, and statistics are aggregated in replicate order, so the
     result is identical for any ``workers``.  A pool of
     ``min(workers, chunk count)`` processes runs the chunks; with one, or
     one chunk, they run in this process.
     """
-    scheme = Scheme(scheme)
-    if m < 1:
-        raise ValueError("m must be positive")
-    if labeling not in ("permute", "split"):
-        raise ValueError("labeling must be 'permute' or 'split'")
-    mu = _mu_for(pipeline, d, scheme, eta)
-    task = _ReplicateTask(pipeline, d, scheme, k, mu, master_seed, labeling)
+    scheme, m = settings.scheme, settings.replicates
+    mu = _mu_for(pipeline, d, scheme, settings.eta)
+    task = _ReplicateTask(pipeline, d, settings, mu)
     chunks = [range(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
 
     # The pool forks all its workers up front, so it gets no more than
     # there are chunks to hand out; one chunk runs in this process.
-    workers = min(workers, len(chunks))
+    workers = min(settings.workers, len(chunks))
     if workers <= 1:
         done = [_chunk_stats(task, chunk) for chunk in chunks]
     else:
@@ -366,13 +351,13 @@ def null_distribution(
     for results, chunk_retries in done:
         for idx, values in results:
             stats.extend(values)
-            plans.append(PermutationPlan(master_seed, idx))
+            plans.append(PermutationPlan(settings.master_seed, idx))
         retries += chunk_retries
     return NullDistribution(
         tuple(stats),
         scheme,
         tuple(plans),
-        k if scheme is Scheme.KFOLD else None,
+        settings.k if scheme is Scheme.KFOLD else None,
         tuple(retries),
     )
 
@@ -411,10 +396,9 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
     family-wise error rate instead.
     """
     scheme = settings.scheme
-    labeling = "split" if data.class_count == 1 else "permute"
     mu = _mu_for(pipeline, data, scheme, settings.eta)
     observed: list[float] = []
-    if labeling == "permute":
+    if data.class_count > 1:
         plans = [PermutationPlan(settings.master_seed, OBSERVED_BASE + i)
                  for i in range(settings.observed_iterations)]
         columns = [shuffle_rows(data, plan) for plan in plans]
@@ -422,17 +406,7 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
             if isinstance(out, FitError):
                 raise out
             observed += out
-    null = null_distribution(
-        pipeline,
-        data,
-        settings.replicates,
-        scheme,
-        settings.master_seed,
-        k=settings.k,
-        eta=settings.eta,
-        labeling=labeling,
-        workers=settings.workers,
-    )
+    null = null_distribution(pipeline, data, settings)
     t_obs = p = rate = None
     if observed:
         t_obs = float(np.mean(observed))

@@ -6,7 +6,7 @@ Three estimators of a pipeline's error share one interface:
 * upper-bound-corrected resubstitution — resubstitution plus an
   analytic deviation bound ``mu`` (scheme ``rub``),
 * k-fold cross-validation — the K per-fold test errors, kept separate
-  rather than averaged, plus the matching per-fold training errors.
+  rather than averaged.
 
 Each takes one dataset or a :class:`~permsig.dataset.Batch` of
 labelings, whose columns it fits together.
@@ -131,15 +131,14 @@ def kfold_errors(
     folds: FoldAssignment | Sequence[FoldAssignment],
     plan: PermutationPlan | None = None,
 ):
-    """Per-fold test errors and matching training errors.
+    """Per-fold test errors.
 
-    Returns the K fold-wise test-error estimates (not their mean) and
-    the K training errors of the same fitted models, for the
-    generalization diagnostic.  A :class:`Batch` takes one fold
-    assignment per column, all with the same fold sizes, and gives one
-    entry per column: its ``(tests, trains)``, or the ``FitError`` of the
-    first fold it could not be fitted on.  Each fold is fitted for every
-    column still standing at once.
+    Returns the list of the K fold-wise test-error estimates (not their
+    mean).  A :class:`Batch` takes one fold assignment per column, all
+    with the same fold sizes, and gives one entry per column: its list of
+    estimates, or the ``FitError`` of the first fold it could not be
+    fitted on.  Each fold is fitted for every column still standing at
+    once.
 
     Raises
     ------
@@ -153,7 +152,7 @@ def kfold_errors(
     folds = [folds] if isinstance(folds, FoldAssignment) else list(folds)
     if len(folds) != batch.size or any(fa.fold_of.shape[0] != batch.n for fa in folds):
         raise ValueError("fold assignment length must equal the row count")
-    out: list = [([], []) for _ in range(batch.size)]
+    out: list = [[] for _ in range(batch.size)]
     for f in range(folds[0].k):
         standing = [j for j in range(batch.size) if not isinstance(out[j], FitError)]
         if not standing:
@@ -162,16 +161,13 @@ def kfold_errors(
         train = _fold_rows([folds[j].train_rows(f) for j in standing])
         test = _fold_rows([folds[j].test_rows(f) for j in standing])
         fitted = pipeline.fit(live.subset(train), tag=f"fold{f}")
-        tests = fitted.errors(live.subset(test))
-        trains = fitted.errors(live.subset(train))
-        for j, test_error, train_error in zip(standing, tests, trains):
+        for j, test_error in zip(standing, fitted.errors(live.subset(test))):
             if isinstance(test_error, FitError):
                 error = FitError(f"fold {f}: {test_error}")
                 error.__cause__ = test_error
                 out[j] = error
             else:
-                out[j][0].append(_estimate(test_error, Scheme.KFOLD, batch.plans[j], fold=f))
-                out[j][1].append(train_error)
+                out[j].append(_estimate(test_error, Scheme.KFOLD, batch.plans[j], fold=f))
     return out if isinstance(d, Batch) else _only(out)
 
 

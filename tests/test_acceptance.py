@@ -176,7 +176,7 @@ def test_06_null_matches_exhaustive_enumeration():
     exact = np.sort(np.asarray(exact))
     assert exact.size == 70
 
-    nd = null_distribution(spec, d, 5000, Scheme.RESUB, 3, labeling="split")
+    nd = null_distribution(spec, d, StudySettings(Scheme.RESUB, m=5000, master_seed=3))
     mc = np.sort(nd.statistics)
     grid = np.unique(np.concatenate([exact, mc]))
     f_exact = np.searchsorted(exact, grid, side="right") / exact.size
@@ -228,8 +228,8 @@ def test_09_kfold_tracks_corrected_resub_on_null_data():
     """On permuted data the two estimates describe the same error rate."""
     d = scale_unit_interval(synth_effect(400, 5, 0.0, PermutationPlan(5, 0), classes=1))
     spec = PipelineSpec(reducer="pls")
-    rub = null_distribution(spec, d, 50, Scheme.RUB, 21, labeling="split")
-    kfold = null_distribution(spec, d, 50, Scheme.KFOLD, 21, k=10, labeling="split")
+    rub = null_distribution(spec, d, StudySettings(Scheme.RUB, m=50, master_seed=21))
+    kfold = null_distribution(spec, d, StudySettings(Scheme.KFOLD, m=50, k=10, master_seed=21))
     mu = empirical_bound(BoundSpec(d.n, spec.classifier_input_dim(d.n_features), 0.05))
     resub_mean = float(np.mean(rub.statistics)) - mu
     kfold_mean = float(np.mean(kfold.statistics))

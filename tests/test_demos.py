@@ -1,0 +1,47 @@
+"""The demos print the same bytes, on numpy alone.
+
+Each demo runs in a fresh interpreter where scipy cannot be imported, as
+the CI's demo step runs it, and the SHA-256 of its standard output is
+compared with the value recorded when the demo was last changed on
+purpose.  A demo prints results of whole studies, so a refactor that
+moves any reported number fails here.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import permsig
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+STDOUT_SHA256 = {
+    "alt_scheme.py": "4b25ce89749a6b95b62d6d9023a643e66ab3760dfe7e2e2780f5779ce90e8aa3",
+    "autoencoder_features.py": "bc361411795f0b2cb3e1bfe9c91f42f184d39ea72a35cd90918b79d7fc4fcb30",
+    "bound_curves.py": "e73e46364f42b3095dcf7da4911e416ac1f2caa562e45f1045c5d34ca89ca890",
+    "overfitting_diagnostic.py": "da909c8d57e0730763ae8be880b1f95bdfb3f1bab187fb27273b89877eb795a7",
+    "power_study.py": "a3cd7a50fff734a1d3c0200360a8286d354894c90a8e982552c48a29189d9b51",
+    "type1_control.py": "413c4200b6cf52d586c7c25cfa851c4f4f5680ed6691cbe3a716ed5fbaae238c",
+}
+
+NO_SCIPY = """
+import runpy, sys
+sys.modules["scipy"] = None  # any import of scipy raises ImportError
+runpy.run_path(sys.argv[1], run_name="__main__")
+"""
+
+
+def test_every_demo_is_pinned():
+    assert sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")) == sorted(STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("demo", sorted(STDOUT_SHA256))
+def test_demo_output_is_unchanged(demo):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(permsig.__file__))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, os.path.join(DEMOS, demo)],
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256[demo]

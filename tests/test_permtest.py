@@ -133,10 +133,15 @@ def test_fwe_rate_cases():
 # ------------------------------------------------------------------ engine
 
 
+def _resub_settings(m, **kwargs):
+    """Settings of a resubstitution null of ``m`` replicates at seed 7."""
+    return StudySettings(Scheme.RESUB, m=m, master_seed=7, **kwargs)
+
+
 def test_null_distribution_deterministic_and_sized():
     d = one_condition()
-    null = null_distribution(_StubPipeline(), d, 20, Scheme.RESUB, 7, labeling="split")
-    again = null_distribution(_StubPipeline(), d, 20, Scheme.RESUB, 7, labeling="split")
+    null = null_distribution(_StubPipeline(), d, _resub_settings(20))
+    again = null_distribution(_StubPipeline(), d, _resub_settings(20))
     assert null.statistics == again.statistics
     assert null.m == 20
     assert [p.replicate_index for p in null.replicate_plans] == list(range(20))
@@ -144,15 +149,13 @@ def test_null_distribution_deterministic_and_sized():
 
 def test_null_distribution_retries_shift_index():
     d = one_condition()
-    null = null_distribution(
-        _StubPipeline(fail_indices={3, 11}), d, 20, Scheme.RESUB, 7, labeling="split"
-    )
+    null = null_distribution(_StubPipeline(fail_indices={3, 11}), d, _resub_settings(20))
     indices = [p.replicate_index for p in null.replicate_plans]
     assert indices[3] == 3 + RETRY_STRIDE
     assert indices[11] == 11 + RETRY_STRIDE
     assert indices[0] == 0 and indices[19] == 19
     # the retried replicate used fresh randomness, not replicate 3's
-    clean = null_distribution(_StubPipeline(), d, 20, Scheme.RESUB, 7, labeling="split")
+    clean = null_distribution(_StubPipeline(), d, _resub_settings(20))
     assert null.statistics[3] != clean.statistics[3]
     assert null.statistics[0] == clean.statistics[0]
 
@@ -160,14 +163,14 @@ def test_null_distribution_retries_shift_index():
 def test_null_distribution_records_retries():
     d = one_condition()
     fails = {3, 11, 11 + RETRY_STRIDE}
-    null = null_distribution(_StubPipeline(fails), d, 20, Scheme.RESUB, 7, labeling="split")
+    null = null_distribution(_StubPipeline(fails), d, _resub_settings(20))
     assert null.retries == (
         (3, 0, "scripted failure of 3"),
         (11, 0, f"scripted failure of {11}"),
         (11, 1, f"scripted failure of {11 + RETRY_STRIDE}"),
     )
     assert null.replicate_plans[11].replicate_index == 11 + 2 * RETRY_STRIDE
-    assert null_distribution(_StubPipeline(), d, 20, Scheme.RESUB, 7, labeling="split").retries == ()
+    assert null_distribution(_StubPipeline(), d, _resub_settings(20)).retries == ()
 
 
 def test_report_lists_retries_only_when_present():
@@ -190,7 +193,7 @@ def test_null_statistics_do_not_depend_on_the_chunking(monkeypatch, spec, scheme
     runs = []
     for chunk in (1, 7, 32):
         monkeypatch.setattr(permtest, "CHUNK", chunk)
-        runs.append(null_distribution(spec, d, 15, scheme, 4, k=3))
+        runs.append(null_distribution(spec, d, StudySettings(scheme, m=15, k=3, master_seed=4)))
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -223,34 +226,30 @@ def test_pool_is_sized_to_its_chunks(monkeypatch, workers, m, pool_size):
     monkeypatch.setattr(permtest, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     d = one_condition()
-    null = null_distribution(_StubPipeline(), d, m, Scheme.RESUB, 7, labeling="split",
-                             workers=workers)
+    null = null_distribution(_StubPipeline(), d, _resub_settings(m, workers=workers))
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
-    assert null == null_distribution(_StubPipeline(), d, m, Scheme.RESUB, 7, labeling="split")
+    assert null == null_distribution(_StubPipeline(), d, _resub_settings(m))
 
 
 def test_null_distribution_exhausted_retries_raise():
     fails = {5, 5 + RETRY_STRIDE, 5 + 2 * RETRY_STRIDE, 5 + 3 * RETRY_STRIDE}
     with pytest.raises(FitError, match="replicate 5"):
-        null_distribution(
-            _StubPipeline(fail_indices=fails), one_condition(), 10,
-            Scheme.RESUB, 7, labeling="split",
-        )
+        null_distribution(_StubPipeline(fail_indices=fails), one_condition(), _resub_settings(10))
 
 
 def test_null_distribution_kfold_collects_k_values_each():
     d = synth_effect(10, 3, 0.0, PermutationPlan(2, 0))
-    null = null_distribution(
-        PipelineSpec(reducer="none"), d, 4, Scheme.KFOLD, 3, k=4, labeling="permute"
-    )
+    settings = StudySettings(Scheme.KFOLD, m=4, k=4, master_seed=3)
+    null = null_distribution(PipelineSpec(reducer="none"), d, settings)
     assert null.m == 16  # 4 replicates x 4 folds
     assert null.k == 4
 
 
 def test_null_distribution_rub_adds_bound():
     d = synth_effect(10, 3, 0.0, PermutationPlan(2, 0))
-    resub = null_distribution(PipelineSpec(reducer="pls"), d, 6, Scheme.RESUB, 3)
-    rub = null_distribution(PipelineSpec(reducer="pls"), d, 6, Scheme.RUB, 3)
+    spec = PipelineSpec(reducer="pls")
+    resub = null_distribution(spec, d, StudySettings(Scheme.RESUB, m=6, master_seed=3))
+    rub = null_distribution(spec, d, StudySettings(Scheme.RUB, m=6, master_seed=3))
     from permsig.bounds import BoundSpec, empirical_bound
 
     mu = empirical_bound(BoundSpec(d.n, 1, 0.05))
@@ -261,10 +260,12 @@ def test_null_distribution_rub_adds_bound():
 
 def test_null_distribution_worker_invariance():
     d = synth_effect(8, 3, 0.0, PermutationPlan(4, 0))
-    kwargs = dict(k=4, eta=0.05, labeling="permute")
-    serial = null_distribution(PipelineSpec(reducer="pls"), d, 8, Scheme.RESUB, 11, **kwargs)
+    kwargs = dict(m=8, k=4, eta=0.05, master_seed=11)
+    serial = null_distribution(
+        PipelineSpec(reducer="pls"), d, StudySettings(Scheme.RESUB, **kwargs)
+    )
     pooled = null_distribution(
-        PipelineSpec(reducer="pls"), d, 8, Scheme.RESUB, 11, workers=2, **kwargs
+        PipelineSpec(reducer="pls"), d, StudySettings(Scheme.RESUB, workers=2, **kwargs)
     )
     assert serial.statistics == pooled.statistics
 

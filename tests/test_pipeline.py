@@ -337,15 +337,13 @@ def _assert_same_pairs(fitted, reference):
 
 
 def _counting(monkeypatch, name):
-    """Record, for each call of the pipeline's ``name``, whether it returned."""
+    """Record the column count of each call of the pipeline's ``name``."""
     calls = []
     fn = getattr(pipeline, name)
 
     def counted(*args, **kwargs):
-        calls.append(False)
-        out = fn(*args, **kwargs)
-        calls[-1] = True
-        return out
+        calls.append(len(args[1]))
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, name, counted)
     return calls
@@ -389,11 +387,13 @@ def test_stacked_pair_fits_equal_per_pair_fits_bit_for_bit(monkeypatch, case, re
     svm_calls, cal_calls = _counting(monkeypatch, "svm_fit"), _counting(monkeypatch, "calibrate")
     with np.errstate(all="ignore"):
         fitted = model.fit(batch)
-        # One call per stack, repeated only without the columns a call
-        # failed on: with a reducer every width is 1, else 2 and 3.
+        # Exactly one call per stack, which fits every column of its
+        # problems, failed ones too: with a reducer every width is 1, else
+        # 2 and 3.  Each of the two blocks has a problem per class pair.
         stacks = per_width * (1 if reducer == "pls" else 2)
-        assert svm_calls.count(True) == cal_calls.count(True) == stacks
-        assert len(cal_calls) == stacks + cal_calls.count(False)
+        assert len(svm_calls) == len(cal_calls) == stacks
+        problems = 2 * len(list(combinations(range(len(sizes)), 2)))
+        assert svm_calls == cal_calls and sum(svm_calls) == problems * batch.size
         _assert_fits_columns_alone(fitted, batch, lambda j: _fit_one_pair_at_a_time(
             spec, Dataset(d.features, batch.labels[j], d.class_count), reducers))
     assert len(fitted.columns) > batch.size // 2

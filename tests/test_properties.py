@@ -58,7 +58,7 @@ def replay(pipeline, data, plan, scheme, k, mu, labeling):
     else:
         d = shuffle_rows(data, plan)
     if scheme is Scheme.KFOLD:
-        tests, _ = kfold_errors(pipeline, d, stratified_folds(d, k, plan), plan)
+        tests = kfold_errors(pipeline, d, stratified_folds(d, k, plan), plan)
         return [e.value for e in tests]
     value = resub_error(pipeline, d, plan).value
     return [value + mu if scheme is Scheme.RUB else value]
@@ -108,7 +108,7 @@ def test_replicates_replay_alone_bit_for_bit(name):
     data = make_data()
     pipeline = make_pipeline(data)
     k = 3
-    null = null_distribution(pipeline, data, m, scheme, SEED, k=k, labeling=labeling)
+    null = null_distribution(pipeline, data, StudySettings(scheme, m=m, k=k, master_seed=SEED))
     mu = _mu_for(pipeline, data, scheme, 0.05)
     width = k if scheme is Scheme.KFOLD else 1
     retried = sorted({r for r, _, _ in null.retries})

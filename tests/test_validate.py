@@ -58,8 +58,8 @@ def test_rub_value_may_exceed_one():
 def test_kfold_returns_per_fold_estimates():
     d = blobs(n_per=25, effect=2.0)
     folds = stratified_folds(d, 5, PLAN)
-    tests, trains = kfold_errors(PipelineSpec(reducer="pls"), d, folds, PLAN)
-    assert len(tests) == 5 and len(trains) == 5
+    tests = kfold_errors(PipelineSpec(reducer="pls"), d, folds, PLAN)
+    assert len(tests) == 5
     for f, est in enumerate(tests):
         assert est.fold == f
         assert est.scheme is Scheme.KFOLD
