@@ -54,7 +54,7 @@ from .permtest import (
     power_study,
     type1_study,
 )
-from .pipeline import AltPipeline, FittedPipeline, PipelineSpec, fit_feature_maps, fit_pipeline
+from .pipeline import AltPipeline, FittedBatch, PipelineSpec, fit_feature_maps, fit_pipeline
 from .rng import PermutationPlan
 from .validate import (
     ErrorEstimate,
@@ -79,7 +79,7 @@ __all__ = [
     "DivergenceError",
     "ErrorEstimate",
     "FitError",
-    "FittedPipeline",
+    "FittedBatch",
     "FoldAssignment",
     "GeneralizationDiagnostic",
     "LinearReducer",

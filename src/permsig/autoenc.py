@@ -221,11 +221,11 @@ def ae_fit(
     x_train = x[train_rows]
     x_val = x[val_rows]
 
+    layers = len(weights)
     model = AeModel(arch, width, tuple(weights), tuple(biases), out_act, ())
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    params = weights + biases  # Adam's view: every weight, then every bias
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     step = 0
     lr = arch.learning_rate
 
@@ -239,22 +239,13 @@ def ae_fit(
             step += 1
             corr1 = 1.0 - _ADAM_BETA1**step
             corr2 = 1.0 - _ADAM_BETA2**step
-            new_w = []
-            new_b = []
-            for idx in range(len(weights)):
-                m_w[idx] = _ADAM_BETA1 * m_w[idx] + (1 - _ADAM_BETA1) * w_grads[idx]
-                v_w[idx] = _ADAM_BETA2 * v_w[idx] + (1 - _ADAM_BETA2) * w_grads[idx] ** 2
-                new_w.append(
-                    model.weights[idx]
-                    - lr * (m_w[idx] / corr1) / (np.sqrt(v_w[idx] / corr2) + _ADAM_EPS)
-                )
-                m_b[idx] = _ADAM_BETA1 * m_b[idx] + (1 - _ADAM_BETA1) * b_grads[idx]
-                v_b[idx] = _ADAM_BETA2 * v_b[idx] + (1 - _ADAM_BETA2) * b_grads[idx] ** 2
-                new_b.append(
-                    model.biases[idx]
-                    - lr * (m_b[idx] / corr1) / (np.sqrt(v_b[idx] / corr2) + _ADAM_EPS)
-                )
-            model = AeModel(arch, width, tuple(new_w), tuple(new_b), out_act, ())
+            for idx, grad in enumerate(w_grads + b_grads):
+                m[idx] = _ADAM_BETA1 * m[idx] + (1 - _ADAM_BETA1) * grad
+                v[idx] = _ADAM_BETA2 * v[idx] + (1 - _ADAM_BETA2) * grad**2
+                step_size = lr * (m[idx] / corr1) / (np.sqrt(v[idx] / corr2) + _ADAM_EPS)
+                params[idx] = params[idx] - step_size
+            model = AeModel(arch, width, tuple(params[:layers]), tuple(params[layers:]),
+                            out_act, ())
         train_mse = ae_batch_loss(model, x_train)
         val_mse = ae_batch_loss(model, x_val) if n_val else float("nan")
         if not np.isfinite(train_mse) or (n_val and not np.isfinite(val_mse)):

@@ -28,15 +28,12 @@ class LinearReducer:
 
     Parameters
     ----------
-    kind : str
-        ``"pls"`` or ``"pca"``.
     mean : ndarray, shape (N,) or (R, N)
         Column mean subtracted before projecting.
     directions : ndarray, shape (N, r) or (R, N, r)
         Unit-norm projection directions, one column per component.
     """
 
-    kind: str
     mean: np.ndarray
     directions: np.ndarray
 
@@ -45,29 +42,23 @@ class LinearReducer:
         dirs = np.array(self.directions, dtype=np.float64, copy=True)
         if mean.ndim not in (1, 2) or dirs.ndim != mean.ndim + 1 or dirs.shape[:-1] != mean.shape:
             raise ValueError("mean must be (N,) and directions (N, r), or (R, N) and (R, N, r)")
-        if self.kind not in ("pls", "pca"):
-            raise ValueError("kind must be 'pls' or 'pca'")
         mean.setflags(write=False)
         dirs.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "directions", dirs)
 
-    @property
-    def r(self) -> int:
-        return self.directions.shape[-1]
-
     def column(self, j: int) -> "LinearReducer":
         """Column ``j`` of a batch; a single reducer is every column's."""
         if self.mean.ndim == 1:
             return self
-        return LinearReducer(self.kind, self.mean[j], self.directions[j])
+        return LinearReducer(self.mean[j], self.directions[j])
 
     def select(self, columns) -> "LinearReducer":
         """The batch of the listed columns, in that order; a single
         reducer is every column's."""
         if self.mean.ndim == 1:
             return self
-        return LinearReducer(self.kind, self.mean[columns], self.directions[columns])
+        return LinearReducer(self.mean[columns], self.directions[columns])
 
 
 def pls1_fit(x: np.ndarray, y: np.ndarray):
@@ -128,7 +119,7 @@ def pls1_fit(x: np.ndarray, y: np.ndarray):
                 for j in np.flatnonzero(degenerate)}
     w[degenerate], norm[degenerate] = 0.0, 1.0
     mean = np.broadcast_to(mean, w.shape)
-    return LinearReducer("pls", mean, (w / norm[:, None])[:, :, None]), failures
+    return LinearReducer(mean, (w / norm[:, None])[:, :, None]), failures
 
 
 def pca_fit(x: np.ndarray, r: int) -> LinearReducer:
@@ -162,7 +153,7 @@ def pca_fit(x: np.ndarray, r: int) -> LinearReducer:
     dirs = np.take_along_axis(eigvecs, order[:, None, :], axis=2)
     lead = np.take_along_axis(dirs, np.argmax(np.abs(dirs), axis=1)[:, None, :], axis=1)
     dirs = np.where(lead < 0, -dirs, dirs)
-    return LinearReducer("pca", mean, dirs)
+    return LinearReducer(mean, dirs)
 
 
 def reduce(m: LinearReducer, x: np.ndarray) -> np.ndarray:

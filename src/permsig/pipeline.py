@@ -1,26 +1,28 @@
 """Learning-pipeline composition: extractor, reducer, classifier stages.
 
-A :class:`PipelineSpec` names the stages; fitting produces a
-:class:`FittedPipeline` that predicts labels through calibrated
-probabilities.  Feature columns may be split into disjoint region
-blocks: each block trains its own sub-pipeline, per-sample class
+A :class:`PipelineSpec` names the stages.  Fits take a
+:class:`~permsig.dataset.Batch` of labelings as well as a single
+dataset, which is fitted as a batch of one, and produce a
+:class:`FittedBatch`: the only fitted type.  Its calibrated class
+probabilities of any rows of the batch's columns give their predicted
+labels, and its errors.  Feature columns may be split into disjoint
+region blocks: each block trains its own sub-pipeline, per-sample class
 probabilities are averaged across blocks, and the arg-max class wins
 (ties to the lowest index).  With a single block this reduces exactly
 to the plain pipeline.
 
-Fits take a :class:`~permsig.dataset.Batch` of labelings as well as a
-single dataset, which is fitted as a batch of one.  Every stage then
-handles all columns at once, but a column's arithmetic stays its own, so
-its fit does not depend on the batch it is in; see :class:`FittedBatch`.
-The classifier stage goes further: the pair problems of every block and
-class pair with the same row count, +1 count and width are stacked along
-the column axis, and each stack's SVMs and calibrations are fitted in one
-call apiece.  Batched fits return ``(model, failures)``: a model for
-every column and the ``FitError`` of each column that failed.  Failed
-columns are fitted alongside the others, with finite models, and then
-dropped, so each stage runs once per batch.  A column that fails
-carries the ``FitError`` of its first failing block and pair, and within
-those of its first failing stage: reducer, SVM, then calibration.
+Every stage handles all columns of a batch at once, but a column's
+arithmetic stays its own, so its fit and its probabilities do not depend
+on the batch it is in.  The classifier stage goes further: the pair
+problems of every block and class pair with the same row count, +1 count
+and width are stacked along the column axis, and each stack's SVMs and
+calibrations are fitted in one call apiece.  Batched fits return
+``(model, failures)``: a model for every column and the ``FitError`` of
+each column that failed.  Failed columns are fitted alongside the
+others, with finite models, and then dropped, so each stage runs once
+per batch.  A column that fails carries the ``FitError`` of its first
+failing block and pair, and within those of its first failing stage:
+reducer, SVM, then calibration.
 
 Two fitting modes exist:
 
@@ -146,7 +148,7 @@ class PipelineSpec:
         return max(len(blk) for blk in self.resolve_blocks(n_features))
 
     def fit(self, d: Dataset | Batch, plan: PermutationPlan | None = None,
-            tag: str = "fit") -> "FittedPipeline | FittedBatch":
+            tag: str = "fit") -> "FittedBatch":
         """Fit one dataset under ``plan``, or every column of a batch; see
         :func:`fit_pipeline`."""
         return fit_pipeline(self, d, plan, tag)
@@ -171,10 +173,6 @@ class PairModel:
         feats = reduce(self.reducer, z) if self.reducer is not None else z
         return calibrated_probability(self.calibration, decision_values(self.svm, feats))
 
-    def column(self, j: int) -> "PairModel":
-        reducer = self.reducer.column(j) if self.reducer is not None else None
-        return PairModel(self.a, self.b, reducer, self.svm.column(j), self.calibration.column(j))
-
 
 def _votes(pairs: list[PairModel], z: np.ndarray, class_count: int) -> np.ndarray:
     """Per-row class probabilities from summed pairwise votes."""
@@ -187,46 +185,9 @@ def _votes(pairs: list[PairModel], z: np.ndarray, class_count: int) -> np.ndarra
 
 
 @dataclass
-class FittedBlock:
-    columns: tuple[int, ...]
-    ae_model: AeModel | None
-    pairs: list[PairModel]
-    class_count: int
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        return _encode(self.ae_model, x[:, self.columns])
-
-    def probability(self, x: np.ndarray) -> np.ndarray:
-        """Per-sample class probabilities from summed pairwise votes."""
-        return _votes(self.pairs, self.encode(x), self.class_count)
-
-
-@dataclass
-class FittedPipeline:
-    """Trained pipeline: per-block models plus the aggregation rule."""
-
-    blocks: list[FittedBlock]
-    class_count: int
-    n_features: int
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(f"x must be (n, {self.n_features})")
-        stacked = np.stack([blk.probability(x) for blk in self.blocks])
-        return stacked.mean(axis=0)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(x), axis=1).astype(np.int64)
-
-    def error(self, x: np.ndarray, labels: np.ndarray) -> float:
-        """Misclassified fraction."""
-        return float(np.mean(self.predict(x) != np.asarray(labels)))
-
-
-@dataclass
 class FittedBatch:
-    """A pipeline fitted on every column of a batch.
+    """A pipeline fitted on every column of a batch; a dataset's fit is a
+    batch of one.
 
     ``columns`` lists the batch columns that were fitted, in the order of
     the models' leading axis, and ``failures`` maps every other column to
@@ -242,32 +203,36 @@ class FittedBatch:
     failures: dict[int, FitError]
     codes: dict = field(default_factory=dict, repr=False)
 
-    def errors(self, batch: Batch) -> list[float | FitError]:
-        """Each column's misclassified fraction of its rows in ``batch``.
+    def probabilities(self, batch: Batch) -> np.ndarray:
+        """Each fitted column's class probabilities of its rows in ``batch``.
 
         ``batch`` has the columns of the fitted batch, with any of their
-        rows.  A column that was not fitted gets its ``FitError`` instead.
+        rows.  The result is (R, n, class_count), one entry per column in
+        ``columns``: the pairwise votes of each block, averaged over the
+        blocks.
         """
-        out: list = [self.failures.get(j) for j in range(batch.size)]
+        if batch.n_features != self.n_features:
+            raise ValueError(f"batch must have {self.n_features} features, "
+                             f"got {batch.n_features}")
         if not self.columns:
-            return out
+            return np.zeros((0, batch.n, self.class_count))
         live = batch.select(self.columns)
         votes = [_votes(pairs, _codes(live, cols, models, self.codes), self.class_count)
                  for cols, models, pairs in self.blocks]
-        predicted = np.argmax(np.stack(votes).mean(axis=0), axis=-1)
-        wrong = np.count_nonzero(predicted != live.labels, axis=1)
-        for j, count in zip(self.columns, wrong):
-            out[j] = float(count / live.n)
-        return out
+        return np.stack(votes).mean(axis=0)
 
-    def column(self, j: int) -> FittedPipeline:
-        """The fit of batch column ``j``; raises its ``FitError`` if it failed."""
-        if j in self.failures:
-            raise self.failures[j]
-        k = self.columns.index(j)
-        blocks = [FittedBlock(cols, models[k], [pair.column(k) for pair in pairs], self.class_count)
-                  for cols, models, pairs in self.blocks]
-        return FittedPipeline(blocks, self.class_count, self.n_features)
+    def errors(self, batch: Batch) -> list[float | FitError]:
+        """Each column's misclassified fraction of its rows in ``batch``.
+
+        A row goes to its most probable class, ties to the lowest index.
+        A column that was not fitted gets its ``FitError`` instead.
+        """
+        out: list = [self.failures.get(j) for j in range(batch.size)]
+        predicted = np.argmax(self.probabilities(batch), axis=-1)
+        wrong = np.count_nonzero(predicted != batch.labels[self.columns], axis=1)
+        for j, count in zip(self.columns, wrong):
+            out[j] = float(count / batch.n)
+        return out
 
 
 def _encode(ae_model: AeModel | None, xb: np.ndarray) -> np.ndarray:
@@ -461,14 +426,14 @@ def _part(model, cols: np.ndarray, size: int):
 def fit_pipeline(
     spec: PipelineSpec, d: Dataset | Batch, plan: PermutationPlan | None = None,
     tag: str = "fit",
-) -> FittedPipeline | FittedBatch:
+) -> FittedBatch:
     """Fit every stage of the pipeline on ``d``.
 
-    A dataset is fitted as a batch of one column, under ``plan``, and
-    comes back as a :class:`FittedPipeline`.  A :class:`Batch` is fitted
-    column by column in arithmetic, but every stage handles all its
-    columns at once; it comes back as a :class:`FittedBatch`, with the
-    ``FitError`` of each column that could not be fitted.
+    A :class:`Batch` is fitted column by column in arithmetic, but every
+    stage handles all its columns at once; the result holds the
+    ``FitError`` of each column that could not be fitted.  A dataset is
+    fitted as a batch of one column, under ``plan``, and its failure is
+    raised.
 
     Raises
     ------
@@ -486,7 +451,14 @@ def fit_pipeline(
         lambda bi, pair, feats, y: _fit_reducer(spec, feats, y),
         failures,
     )
-    return fitted if isinstance(d, Batch) else fitted.column(0)
+    return _raise_alone(fitted, d)
+
+
+def _raise_alone(fitted: FittedBatch, d: Dataset | Batch) -> FittedBatch:
+    """``fitted``; when ``d`` is one dataset whose fit failed, its ``FitError`` is raised."""
+    if fitted.failures and not isinstance(d, Batch):
+        raise fitted.failures[0]
+    return fitted
 
 
 @dataclass
@@ -558,7 +530,7 @@ class AltPipeline:
         return self.spec.classifier_input_dim(n_features)
 
     def fit(self, d: Dataset | Batch, plan: PermutationPlan | None = None,
-            tag: str = "fit") -> FittedPipeline | FittedBatch:
+            tag: str = "fit") -> FittedBatch:
         batch = as_batch(d, plan)
         if batch.n_features != self.maps.n_features:
             raise ValueError("dataset width differs from the mapped width")
@@ -570,5 +542,4 @@ class AltPipeline:
             return blocks[bi].reducers[pair], {}
 
         extractors = [(bm.columns, (bm.ae_model,) * batch.size) for bm in blocks]
-        fitted = _fit_classifiers(self.spec, batch, extractors, frozen)
-        return fitted if isinstance(d, Batch) else fitted.column(0)
+        return _raise_alone(_fit_classifiers(self.spec, batch, extractors, frozen), d)

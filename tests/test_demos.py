@@ -1,10 +1,10 @@
 """The demos print the same bytes, on numpy alone.
 
-Each demo runs in a fresh interpreter where scipy cannot be imported, as
-the CI's demo step runs it, and the SHA-256 of its standard output is
-compared with the value recorded when the demo was last changed on
-purpose.  A demo prints results of whole studies, so a refactor that
-moves any reported number fails here.
+Each demo runs in a fresh interpreter where scipy cannot be imported,
+since the package must run on numpy alone and scipy is a test oracle.
+The SHA-256 of its standard output is compared with the value recorded
+when the demo was last changed on purpose.  A demo prints results of
+whole studies, so a refactor that moves any reported number fails here.
 """
 
 import hashlib

@@ -86,7 +86,7 @@ def test_pca_sign_is_deterministic():
     a = pca_fit(x, 4)
     b = pca_fit(x, 4)
     np.testing.assert_array_equal(a.directions, b.directions)
-    for j in range(a.r):
+    for j in range(a.directions.shape[1]):
         lead = np.argmax(np.abs(a.directions[:, j]))
         assert a.directions[lead, j] > 0
 
@@ -135,23 +135,21 @@ def test_pca_r_validation():
 
 
 def test_reduce_subtracts_mean():
-    m = LinearReducer("pca", np.array([1.0, 2.0]), np.array([[1.0], [0.0]]))
+    m = LinearReducer(np.array([1.0, 2.0]), np.array([[1.0], [0.0]]))
     out = reduce(m, np.array([[3.0, 7.0]]))
     np.testing.assert_allclose(out, [[2.0]])
 
 
 def test_reduce_rejects_wrong_width():
-    m = LinearReducer("pca", np.zeros(2), np.eye(2))
+    m = LinearReducer(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
         reduce(m, np.zeros((4, 3)))
 
 
 def test_reducer_is_immutable():
-    m = LinearReducer("pls", np.zeros(2), np.eye(2))
+    m = LinearReducer(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
         m.directions[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        LinearReducer("other", np.zeros(2), np.eye(2))
 
 
 # ----------------------------------------------------------------- batches
@@ -193,5 +191,5 @@ def test_batched_pca_equals_single_fits_bit_for_bit():
         one = pca_fit(x[j], 2)
         np.testing.assert_array_equal(batch.column(j).directions, one.directions)
         np.testing.assert_array_equal(reduce(batch, x)[j], reduce(one, x[j]))
-    shared = LinearReducer("pca", batch.mean[0], batch.directions[0])
+    shared = LinearReducer(batch.mean[0], batch.directions[0])
     assert shared.column(3) is shared

@@ -6,7 +6,7 @@ import pytest
 
 from permsig import pipeline
 from permsig.autoenc import AeArchitecture
-from permsig.dataset import Batch, Dataset, permute_labels, synth_effect
+from permsig.dataset import Batch, Dataset, permute_labels, stratified_folds, synth_effect
 from permsig.dimred import pls1_fit, reduce
 from permsig.errors import ConfigError, FitError
 from permsig.linclass import calibrate, calibrated_probability, decision_values, svm_fit
@@ -21,12 +21,32 @@ def blobs(n_per=20, dim=4, effect=3.0, classes=2, seed=0):
 PLAN = PermutationPlan(0, 0)
 
 
+def proba(fitted, x):
+    """The class probabilities of rows ``x`` under the fit of one dataset."""
+    rows = Dataset(x, np.zeros(len(x), dtype=np.int64), fitted.class_count)
+    return fitted.probabilities(Batch.of([rows], [PLAN]))[0]
+
+
+def predict(fitted, x):
+    return np.argmax(proba(fitted, x), axis=1)
+
+
+def error(fitted, d):
+    """The misclassified fraction of ``d`` under the fit of one dataset."""
+    return fitted.errors(Batch.of([d], [PLAN]))[0]
+
+
+def pairs(fitted, block=0):
+    """The pair models of one block."""
+    return fitted.blocks[block][2]
+
+
 def test_separable_blobs_fit_perfectly():
     d = blobs()
     for reducer in ("pls", "pca", "none"):
         fitted = PipelineSpec(reducer=reducer).fit(d, PLAN)
-        assert fitted.error(d.features, d.labels) == 0.0
-        probs = fitted.predict_proba(d.features)
+        assert error(fitted, d) == 0.0
+        probs = proba(fitted, d.features)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -34,9 +54,7 @@ def test_single_full_block_equals_default():
     d = blobs(effect=1.0)
     a = PipelineSpec(reducer="pls").fit(d, PLAN)
     b = PipelineSpec(reducer="pls", region_blocks=(tuple(range(d.n_features)),)).fit(d, PLAN)
-    np.testing.assert_array_equal(
-        a.predict_proba(d.features), b.predict_proba(d.features)
-    )
+    np.testing.assert_array_equal(proba(a, d.features), proba(b, d.features))
 
 
 def test_duplicate_blocks_average_to_single_block():
@@ -51,9 +69,7 @@ def test_duplicate_blocks_average_to_single_block():
         reducer="pls",
         region_blocks=(cols, tuple(i + d.n_features for i in cols)),
     ).fit(d2, PLAN)
-    np.testing.assert_allclose(
-        twin.predict_proba(x2), single.predict_proba(d.features), atol=1e-9
-    )
+    np.testing.assert_allclose(proba(twin, x2), proba(single, d.features), atol=1e-9)
 
 
 def test_region_block_validation():
@@ -84,11 +100,11 @@ def test_one_feature_pair_stores_zero_weight_when_svm_optimum_is_zero():
     # (0.13) and 3 largest (1.0) class-0 rows: the SVM's optimum is w = 0
     x = np.array([0.2, 0.5, 0.8, 0.0, 0.1, 0.3, 0.4, 0.6, 0.7, 0.9, 1.0, 1.1])[:, None]
     labels = np.array([1] * 3 + [0] * 9)
-    pair = PipelineSpec(reducer="none").fit(Dataset(x, labels, 2), PLAN).blocks[0].pairs[0]
-    np.testing.assert_array_equal(pair.svm.weights, [0.0])
+    pair = pairs(PipelineSpec(reducer="none").fit(Dataset(x, labels, 2), PLAN))[0]
+    np.testing.assert_array_equal(pair.svm.weights, [[0.0]])
     assert np.ptp(pair.probability(x)) == 0.0  # a constant margin: the base rate
     shifted = PipelineSpec(reducer="none").fit(Dataset(x + 2.0 * labels[:, None], labels, 2), PLAN)
-    assert shifted.blocks[0].pairs[0].svm.weights[0] != 0.0
+    assert pairs(shifted)[0].svm.weights[0, 0] != 0.0
 
 
 @pytest.mark.parametrize("seed, n_per_class, effect", [
@@ -106,49 +122,52 @@ def test_one_feature_pipeline_matches_smo_then_calibration(seed, n_per_class, ef
     padded = np.c_[d.features, np.zeros(len(d.labels))]
     margins = decision_values(svm_fit(padded, y, 1.0), padded)
     p = calibrated_probability(calibrate(margins, y), margins)
-    np.testing.assert_allclose(fitted.predict_proba(d.features)[:, 1], p, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(proba(fitted, d.features)[:, 1], p, rtol=0, atol=1e-6)
     expected = np.argmax(np.column_stack([1.0 - p, p]), axis=1)
-    np.testing.assert_array_equal(fitted.predict(d.features), expected)
+    np.testing.assert_array_equal(predict(fitted, d.features), expected)
 
 
 def test_three_class_ovo_pipeline():
     d = blobs(classes=3, effect=4.0)
     fitted = PipelineSpec(reducer="pls").fit(d, PLAN)
-    assert len(fitted.blocks[0].pairs) == 3
-    assert fitted.error(d.features, d.labels) <= 0.05
-    pred = fitted.predict(d.features)
+    assert len(pairs(fitted)) == 3
+    assert error(fitted, d) <= 0.05
+    pred = predict(fitted, d.features)
     assert set(np.unique(pred)) <= {0, 1, 2}
 
 
 def test_two_class_predict_thresholds_pair_probability():
     d = blobs(effect=1.0)
     fitted = PipelineSpec(reducer="pls").fit(d, PLAN)
-    p1 = fitted.blocks[0].pairs[0].probability(d.features)
+    (p1,) = pairs(fitted)[0].probability(d.features)
     # class 1 only when its probability is strictly above 0.5
-    np.testing.assert_array_equal(fitted.predict(d.features), (p1 > 0.5).astype(np.int64))
-    np.testing.assert_allclose(fitted.predict_proba(d.features)[:, 1], p1, atol=1e-15)
+    np.testing.assert_array_equal(predict(fitted, d.features), (p1 > 0.5).astype(np.int64))
+    np.testing.assert_allclose(proba(fitted, d.features)[:, 1], p1, atol=1e-15)
 
 
 def test_predict_ties_go_to_lowest_class():
     fitted = PipelineSpec(reducer="pls").fit(blobs(), PLAN)
-    fitted.predict_proba = lambda x: np.array([[0.5, 0.5], [0.4, 0.6], [0.6, 0.4]])
-    np.testing.assert_array_equal(fitted.predict(np.zeros((3, 4))), [0, 1, 0])
+    fitted.probabilities = lambda batch: np.array([[[0.5, 0.5], [0.4, 0.6], [0.6, 0.4]]])
+    x = np.zeros((3, 4))
+    assert error(fitted, Dataset(x, [0, 1, 0], 2)) == 0.0
+    assert error(fitted, Dataset(x, [1, 1, 0], 2)) == 1 / 3
 
 
 def test_three_class_probabilities_sum_to_one():
     d = blobs(classes=3, effect=1.0)
-    probs = PipelineSpec(reducer="pls").fit(d, PLAN).predict_proba(d.features)
+    probs = proba(PipelineSpec(reducer="pls").fit(d, PLAN), d.features)
     assert probs.shape == (d.n, 3)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_region_block_probabilities_are_block_means():
     d = blobs(classes=3, effect=1.0, dim=6)
-    spec = PipelineSpec(reducer="pls", region_blocks=((0, 1, 2), (3, 4, 5)))
-    fitted = spec.fit(d, PLAN)
-    per_block = [blk.probability(d.features) for blk in fitted.blocks]
+    blocks = ((0, 1, 2), (3, 4, 5))
+    fitted = PipelineSpec(reducer="pls", region_blocks=blocks).fit(d, PLAN)
+    per_block = [proba(PipelineSpec(reducer="pls", region_blocks=(blk,)).fit(d, PLAN), d.features)
+                 for blk in blocks]
     np.testing.assert_allclose(
-        fitted.predict_proba(d.features), (per_block[0] + per_block[1]) / 2.0, atol=1e-15
+        proba(fitted, d.features), (per_block[0] + per_block[1]) / 2.0, atol=1e-15
     )
     for probs in per_block:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -198,13 +217,12 @@ def test_ae_pipeline_smoke():
     ae = AeArchitecture(layer_widths_encoder=(4, 2), epochs=15, learning_rate=0.01,
                         validation_fraction=0.0)
     fitted = PipelineSpec(ae=ae, reducer="pls").fit(d, PLAN)
-    assert fitted.blocks[0].ae_model is not None
-    assert fitted.error(d.features, d.labels) <= 0.4
+    (ae_model,) = fitted.blocks[0][1]
+    assert ae_model is not None
+    assert error(fitted, d) <= 0.4
     # deterministic under the same plan
     again = PipelineSpec(ae=ae, reducer="pls").fit(d, PLAN)
-    np.testing.assert_array_equal(
-        fitted.predict_proba(d.features), again.predict_proba(d.features)
-    )
+    np.testing.assert_array_equal(proba(fitted, d.features), proba(again, d.features))
 
 
 def test_alt_pipeline_freezes_reducers():
@@ -219,7 +237,7 @@ def test_alt_pipeline_freezes_reducers():
     d_perm = permute_labels(d, PermutationPlan(3, 1))
     fitted = alt.fit(d_perm, PermutationPlan(3, 1))
     frozen = maps.blocks[0].reducers[(0, 1)]
-    assert fitted.blocks[0].pairs[0].reducer is frozen
+    assert pairs(fitted)[0].reducer is frozen
 
 
 def test_alt_pipeline_full_refit_differs():
@@ -231,7 +249,7 @@ def test_alt_pipeline_full_refit_differs():
     d_perm = permute_labels(d, PermutationPlan(3, 2))
     full = spec.fit(d_perm, PermutationPlan(3, 2))
     frozen = maps.blocks[0].reducers[(0, 1)]
-    assert not np.allclose(full.blocks[0].pairs[0].reducer.directions, frozen.directions)
+    assert not np.allclose(pairs(full)[0].reducer.directions[0], frozen.directions)
 
 
 def test_alt_pipeline_width_check():
@@ -261,7 +279,7 @@ def test_feature_maps_share_one_pca_reducer_across_pairs():
     assert sorted(reducers) == [(0, 1), (0, 2), (1, 2)]
     assert reducers[(0, 1)] is reducers[(0, 2)] is reducers[(1, 2)]
     fitted = AltPipeline(maps, PipelineSpec(reducer="pca")).fit(d, PLAN)
-    assert all(pair.reducer is reducers[(0, 1)] for pair in fitted.blocks[0].pairs)
+    assert all(pair.reducer is reducers[(0, 1)] for pair in pairs(fitted))
 
 
 def test_spec_validation():
@@ -290,11 +308,11 @@ def test_spec_rejects_wrong_types(field, value):
         PipelineSpec(**{field: value})
 
 
-def test_predict_proba_width_check():
+def test_probabilities_width_check():
     d = blobs()
     fitted = PipelineSpec(reducer="pls").fit(d, PLAN)
-    with pytest.raises(ValueError):
-        fitted.predict_proba(np.zeros((2, d.n_features + 1)))
+    with pytest.raises(ValueError, match=f"{d.n_features} features"):
+        proba(fitted, np.zeros((2, d.n_features + 1)))
 
 
 # ------------------------------------------------------- stacked pair problems
@@ -322,17 +340,21 @@ def _fit_one_pair_at_a_time(spec, d, reducers=None):
     return blocks
 
 
-def _assert_same_pairs(fitted, reference):
-    for block, expected in zip(fitted.blocks, reference):
-        assert len(block.pairs) == len(expected)
-        for pair, (red, svm, cal) in zip(block.pairs, expected):
+def _assert_same_pairs(fitted, k, reference):
+    """The pair models of fitted column ``k``, sliced from the batched ones,
+    are those of ``reference``."""
+    for (_, _, fitted_pairs), expected in zip(fitted.blocks, reference):
+        assert len(fitted_pairs) == len(expected)
+        for pair, (red, svm, cal) in zip(fitted_pairs, expected):
             if red is None:
                 assert pair.reducer is None
             else:
-                assert np.array_equal(pair.reducer.directions, red.directions)
-                assert np.array_equal(pair.reducer.mean, red.mean)
-            assert np.array_equal(pair.svm.weights, svm.weights) and pair.svm.bias == svm.bias
-            got = pair.calibration
+                got = pair.reducer.column(k)  # a frozen reducer is every column's
+                assert np.array_equal(got.directions, red.directions)
+                assert np.array_equal(got.mean, red.mean)
+            got = pair.svm.column(k)
+            assert np.array_equal(got.weights, svm.weights) and got.bias == svm.bias
+            got = pair.calibration.column(k)
             assert (got.slope, got.intercept) == (cal.slope, cal.intercept)
 
 
@@ -357,7 +379,46 @@ def _assert_fits_columns_alone(fitted, batch, fit_alone):
         except FitError as exc:
             assert j not in fitted.columns and str(fitted.failures[j]) == str(exc)
         else:
-            _assert_same_pairs(fitted.column(j), expected)
+            _assert_same_pairs(fitted, fitted.columns.index(j), expected)
+
+
+@pytest.mark.parametrize("folds", [False, True])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_batch_probabilities_equal_each_column_fitted_alone(monkeypatch, frozen, folds):
+    """Each column of a 12-column batch gets, bit for bit, the probabilities
+    its own dataset gets when fitted alone, or the same ``FitError``."""
+    monkeypatch.setattr(pipeline, "calibrate", partial(calibrate, max_iter=5))  # some columns fail
+    labels = np.repeat(np.arange(3), (9, 9, 12))
+    gen = np.random.Generator(np.random.Philox(2))
+    d = Dataset(gen.standard_normal((labels.size, 5)) + 0.5 * labels[:, None], labels, 3)
+    spec = PipelineSpec(reducer="pls", region_blocks=((0, 1), (2, 3, 4)))
+    model = AltPipeline(fit_feature_maps(spec, d, PLAN), spec) if frozen else spec
+    plans = [PermutationPlan(7, r) for r in range(12)]
+    columns = [permute_labels(d, plan) for plan in plans]
+    batch = Batch.of(columns, plans)
+    if folds:  # fit on the training rows of fold 0, and predict its test rows
+        assignments = [stratified_folds(c, 3, plan) for c, plan in zip(columns, plans)]
+        train = np.stack([fa.train_rows(0) for fa in assignments])
+        test = np.stack([fa.test_rows(0) for fa in assignments])
+        train_batch, test_batch = batch.subset(train), batch.subset(test)
+    else:  # every column shares all rows of one features array
+        train = test = np.tile(np.arange(d.n), (len(plans), 1))
+        train_batch = test_batch = batch
+    with np.errstate(all="ignore"):
+        fitted = model.fit(train_batch)
+        probs = fitted.probabilities(test_batch)
+        assert 0 < len(fitted.columns) < len(plans)
+        assert probs.shape == (len(fitted.columns), test.shape[1], 3)
+        for j, (column, plan) in enumerate(zip(columns, plans)):
+            train_j = Dataset(d.features[train[j]], column.labels[train[j]], 3)
+            if j in fitted.failures:
+                with pytest.raises(FitError) as info:
+                    model.fit(train_j, plan)
+                assert str(info.value) == str(fitted.failures[j])
+                continue
+            test_j = Dataset(d.features[test[j]], column.labels[test[j]], 3)
+            (alone,) = model.fit(train_j, plan).probabilities(Batch.of([test_j], [plan]))
+            assert np.array_equal(probs[fitted.columns.index(j)], alone)
 
 
 # Unequal class sizes: pairs differ in rows and +1 counts, and blocks of
