@@ -9,7 +9,9 @@ into a cautious estimate at or above k-fold instead.
 import numpy as np
 
 from permsig.bounds import BoundSpec, empirical_bound
-from permsig.dataset import permute_labels, scale_unit_interval, stratified_folds, synth_effect
+from permsig.dataset import (
+    Batch, permute_labels, scale_unit_interval, stratified_folds, synth_effect,
+)
 from permsig.pipeline import PipelineSpec
 from permsig.rng import PermutationPlan
 from permsig.validate import generalization_ratio, kfold_errors, resub_error
@@ -20,9 +22,9 @@ mu = empirical_bound(BoundSpec(d.n, spec.classifier_input_dim(d.n_features), 0.0
 
 print(f"{'data':>10} {'resub':>7} {'kfold':>7} {'resub+mu':>9} {'optimism':>9}")
 for name, data in (("effect", d), ("permuted", permute_labels(d, PermutationPlan(31, 1)))):
-    resub = resub_error(spec, data, PermutationPlan(32, 0))
-    folds = stratified_folds(data, 10, PermutationPlan(32, 0))
-    tests = kfold_errors(spec, data, folds, PermutationPlan(32, 0))
+    batch = Batch.of([data], [PermutationPlan(32, 0)])
+    (resub,) = resub_error(spec, batch)
+    (tests,) = kfold_errors(spec, batch, [stratified_folds(data, 10, PermutationPlan(32, 0))])
     kfold = float(np.mean([t.value for t in tests]))
     diag = generalization_ratio(resub.value, kfold)
     print(

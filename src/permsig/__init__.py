@@ -18,6 +18,7 @@ from .autoenc import (
 )
 from .bounds import BoundSpec, empirical_bound, log_binomial_sum, vapnik_bound
 from .dataset import (
+    Batch,
     Dataset,
     FoldAssignment,
     load_csv,
@@ -54,7 +55,7 @@ from .permtest import (
     power_study,
     type1_study,
 )
-from .pipeline import AltPipeline, FittedBatch, PipelineSpec, fit_feature_maps, fit_pipeline
+from .pipeline import AltPipeline, FittedBatch, PipelineSpec, fit_feature_maps
 from .rng import PermutationPlan
 from .validate import (
     ErrorEstimate,
@@ -72,6 +73,7 @@ __all__ = [
     "AeArchitecture",
     "AeModel",
     "AltPipeline",
+    "Batch",
     "BoundSpec",
     "Calibration",
     "ConfigError",
@@ -100,7 +102,6 @@ __all__ = [
     "decision_values",
     "empirical_bound",
     "fit_feature_maps",
-    "fit_pipeline",
     "fwe_rate",
     "generalization_ratio",
     "kfold_errors",

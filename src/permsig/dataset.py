@@ -117,9 +117,11 @@ class Batch:
     def of(cls, columns, plans) -> "Batch":
         """The batch of the given datasets, each fitted under its plan."""
         columns, plans = tuple(columns), tuple(plans)
-        first = columns[0]
+        if not columns:
+            raise ValueError("a batch needs at least one column")
         if len(plans) != len(columns):
             raise ValueError("a batch needs one plan per column")
+        first = columns[0]
         if any(d.features.shape != first.features.shape or d.class_count != first.class_count
                for d in columns):
             raise ValueError("batch columns must share their shape and class count")
@@ -160,15 +162,6 @@ class Batch:
             self.class_count,
             tuple(self.plans[j] for j in columns),
         )
-
-
-def as_batch(d: Dataset | Batch, plan: PermutationPlan | None) -> Batch:
-    """``d`` itself if it is a batch, else the batch of ``d`` alone under ``plan``."""
-    if isinstance(d, Batch):
-        return d
-    if plan is None:
-        raise ValueError("fitting one dataset needs its plan")
-    return Batch.of([d], [plan])
 
 
 @dataclass(frozen=True)

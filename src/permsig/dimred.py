@@ -4,11 +4,10 @@ Both reducers store a column mean and a set of unit-norm projection
 directions; :func:`reduce` applies them to new data.  PLS extracts the
 single direction of maximal covariance with a signed binary response and
 is refit wherever labels change (per training fold, per class pair).
-PCA is the unsupervised fallback for data without labels.  Fits and
-projections take a batch of columns along a leading axis as well as a
-single input, which is fitted as a batch of one.  A batched PLS fit
-returns ``(reducer, failures)``: a direction for every column, zero for
-a degenerate one, and the ``FitError`` of each degenerate column.
+PCA is the unsupervised fallback for data without labels.  A PLS fit
+takes only a batch of columns along a leading axis and returns
+``(reducer, failures)``: a direction for every column, zero for a
+degenerate one, and the ``FitError`` of each degenerate column.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, one_column
+from .errors import FitError
 
 _DEGENERATE_TOL = 1e-12
 
@@ -62,7 +61,7 @@ class LinearReducer:
 
 
 def pls1_fit(x: np.ndarray, y: np.ndarray):
-    """Fit a single partial-least-squares component.
+    """Fit one partial-least-squares component per column of a batch.
 
     The direction is the unit-normalized covariance vector between the
     centered features and the centered signed response:
@@ -72,33 +71,29 @@ def pls1_fit(x: np.ndarray, y: np.ndarray):
 
     Parameters
     ----------
-    x : ndarray, shape (n, N); for a batch of R columns (R, n, N), or
-        (n, N) rows that every column shares
-    y : ndarray, shape (n,), or (R, n) for a batch
-        Signed labels, both of ``-1`` and ``+1`` present.
+    x : ndarray, shape (R, n, N) for a batch of R columns, or (n, N)
+        rows that every column shares
+    y : ndarray, shape (R, n)
+        Signed labels of each column, both of ``-1`` and ``+1`` present.
 
     Returns
     -------
-    LinearReducer for one input.  For a batch, ``(reducer, failures)``:
-    ``failures`` maps each column whose covariance vector is numerically
-    zero (degenerate direction, e.g. constant features) to its
-    ``FitError``, and that column's direction is zero, so its scores stay
-    finite.
+    ``(reducer, failures)``: ``failures`` maps each column whose
+    covariance vector is numerically zero (degenerate direction, e.g.
+    constant features) to its ``FitError``, and that column's direction
+    is zero, so its scores stay finite.
 
     Raises
     ------
     ValueError
-        If labels are not signed binary or one sign is missing.
-    FitError
-        For one input whose direction is degenerate.
+        On other shapes (a single (n,) ``y`` included), labels that are
+        not signed binary, or a column missing one sign.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        return one_column(pls1_fit, x, y)
     if x.ndim not in (2, 3) or y.ndim != 2 or x.shape[-2] != y.shape[1] \
             or (x.ndim == 3 and x.shape[0] != y.shape[0]):
-        raise ValueError("x must be (n, N) and y (n,), or (R, n, N) or (n, N) and (R, n)")
+        raise ValueError("x must be (R, n, N) or shared (n, N), and y (R, n)")
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("y must contain only -1 and +1")
     if not np.all((y > 0).any(axis=1) & (y < 0).any(axis=1)):
@@ -128,7 +123,7 @@ def pca_fit(x: np.ndarray, r: int) -> LinearReducer:
     Directions are eigenvectors of the sample covariance matrix, ordered
     by decreasing eigenvalue.  Each direction's sign is fixed so that its
     largest-magnitude entry is positive, making the result deterministic.
-    ``x`` of shape (R, n, N) fits each of R columns on its own.
+    ``x`` of shape (R, n, N) fits each of R columns on its own; (n, N), one.
 
     Raises
     ------

@@ -5,9 +5,10 @@
 object that owns the setting and naming its field.  :class:`FitError`
 marks data-dependent failures that can legitimately occur inside a study
 replicate and are therefore eligible for the replicate retry policy.
-A batched fit does not raise them: it returns its model for every column
-together with the ``FitError`` of each column that failed, and the
-caller drops those columns.
+The PLS, SVM, calibration and pipeline fits take a batch and do not
+raise them: each returns its model for every column with the
+``FitError`` of each column that failed, and the caller drops those
+columns.
 """
 
 from numbers import Integral, Real
@@ -29,20 +30,6 @@ class DivergenceError(FitError):
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"non-finite training loss at epoch {epoch}")
-
-
-def one_column(fit, *arrays, **kwargs):
-    """``fit`` on a batch of one column made from ``arrays``, as that column.
-
-    ``fit`` returns ``(model, failures)`` for a batch.  The single-input
-    form of every batched fit that can fail goes through here, so one
-    input is fitted by the very code that fits a batch.  A failure raises
-    the column's own ``FitError``.
-    """
-    model, failures = fit(*(a[None] for a in arrays), **kwargs)
-    if failures:
-        raise failures[0]
-    return model.column(0)
 
 
 class ConfigError(ValueError):

@@ -24,12 +24,11 @@ is ``w = 0`` does not depend on ``c``: with ``k`` minority rows of mean
 score ``mu``, it is exactly when ``mu`` lies between the means of the
 ``k`` smallest and the ``k`` largest majority scores.
 
-Both fits also take a batch of columns along a leading axis; each
+Both fits take only a batch of columns along a leading axis; each
 column's arithmetic uses only its own rows, so its result is the one a
-single fit of that column gives, bit for bit.  A batch returns
+batch of that column alone gives, bit for bit.  A fit returns
 ``(model, failures)``: a finite model for every column, and the
-``FitError`` of each column that failed, which the caller drops.  A
-single input is fitted as a batch of one and raises its ``FitError``.
+``FitError`` of each column that failed, which the caller drops.
 
 One-vs-one voting over class pairs and the region-block average live in
 :mod:`permsig.pipeline`.
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, one_column
+from .errors import FitError
 
 _TAU = 1e-12  # curvature floor in the SMO subproblem
 
@@ -63,9 +62,6 @@ class LinearSvm:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    def column(self, j: int) -> "LinearSvm":
-        return LinearSvm(self.weights[j], float(self.bias[j]))
-
     def select(self, columns) -> "LinearSvm":
         """The batch of the listed columns, in that order."""
         return LinearSvm(self.weights[columns], self.bias[columns])
@@ -80,9 +76,6 @@ class Calibration:
 
     slope: float | np.ndarray
     intercept: float | np.ndarray
-
-    def column(self, j: int) -> "Calibration":
-        return Calibration(float(self.slope[j]), float(self.intercept[j]))
 
     def select(self, columns) -> "Calibration":
         """The batch of the listed columns, in that order."""
@@ -116,7 +109,7 @@ def svm_fit(
     tol: float = 1e-6,
     max_passes: int = 10_000,
 ):
-    """Train a linear soft-margin SVM, or one per column of a batch.
+    """Train a linear soft-margin SVM on each column of a batch.
 
     On one feature the optimum is found exactly (see :func:`_svm_1d`),
     for all columns at once, and ``tol`` and ``max_passes`` are unused.
@@ -132,9 +125,9 @@ def svm_fit(
 
     Parameters
     ----------
-    x : ndarray, shape (n, d); for a batch of R columns (R, n, d), or
-        (n, d) rows that every column shares
-    y : ndarray, shape (n,), or (R, n) for a batch
+    x : ndarray, shape (R, n, d) for a batch of R columns, or (n, d)
+        rows that every column shares
+    y : ndarray, shape (R, n)
         Signed labels; both of ``-1`` and ``+1`` must be present in every
         column.  On one feature every column needs the same class counts.
     c : float
@@ -142,26 +135,21 @@ def svm_fit(
 
     Returns
     -------
-    LinearSvm for one input.  For a batch, ``(svm, failures)``:
-    ``failures`` maps each column whose duality gap is still above
-    ``tol`` after ``max_passes`` passes to its ``FitError``, and that
-    column keeps the corner's finite ``(w, b)``.
+    ``(svm, failures)``: ``failures`` maps each column whose duality gap
+    is still above ``tol`` after ``max_passes`` passes to its
+    ``FitError``, and that column keeps the corner's finite ``(w, b)``.
 
     Raises
     ------
     ValueError
-        On malformed input, non-finite ``x``, ``c`` not positive and
-        finite, or a single-class ``y``.
-    FitError
-        For one input whose duality gap stays above ``tol``.
+        On other shapes (a single (n,) ``y`` included), non-finite ``x``,
+        ``c`` not positive and finite, or a single-class column.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        return one_column(svm_fit, x, y, c=c, tol=tol, max_passes=max_passes)
     if x.ndim not in (2, 3) or y.ndim != 2 or x.shape[-2] != y.shape[1] \
             or (x.ndim == 3 and x.shape[0] != y.shape[0]):
-        raise ValueError("x must be (n, d) and y (n,), or (R, n, d) or (n, d) and (R, n)")
+        raise ValueError("x must be (R, n, d) or shared (n, d), and y (R, n)")
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("y must contain only -1 and +1")
     if not 0.0 < c < np.inf:
@@ -399,27 +387,20 @@ def calibrate(
 
     Returns
     -------
-    Calibration for one input.  For a batch, ``(calibration, failures)``:
-    ``failures`` maps each column where Newton failed to converge within
-    ``max_iter`` iterations to its ``FitError``, and that column keeps
-    its starting sigmoid.
+    ``(calibration, failures)``: ``failures`` maps each column where
+    Newton failed to converge within ``max_iter`` iterations to its
+    ``FitError``, and that column keeps its starting sigmoid.
 
     Raises
     ------
     ValueError
-        On malformed input or a single-class ``y``.
-    FitError
-        For one input where Newton fails to converge.
+        On other shapes (a single (n,) ``y`` included) or a single-class
+        column.
     """
     margins = np.asarray(margins, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim <= 1:
-        margins, y = margins.ravel(), y.ravel()
-        if margins.shape != y.shape:
-            raise ValueError("margins and y must have the same length")
-        return one_column(calibrate, margins, y, tol=tol, max_iter=max_iter)
     if margins.ndim != 2 or margins.shape != y.shape:
-        raise ValueError("margins and y must have the same (R, n) shape")
+        raise ValueError("margins and y must both be (R, n)")
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("y must contain only -1 and +1")
     n_pos = (y > 0).sum(axis=1)

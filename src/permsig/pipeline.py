@@ -1,9 +1,9 @@
 """Learning-pipeline composition: extractor, reducer, classifier stages.
 
-A :class:`PipelineSpec` names the stages.  Fits take a
-:class:`~permsig.dataset.Batch` of labelings as well as a single
-dataset, which is fitted as a batch of one, and produce a
-:class:`FittedBatch`: the only fitted type.  Its calibrated class
+A :class:`PipelineSpec` names the stages.  Fits take only a
+:class:`~permsig.dataset.Batch` of labelings, ``Batch.of([d], [plan])``
+for one dataset, and produce a :class:`FittedBatch`: the only fitted
+type, which holds each failed column's ``FitError``.  Its calibrated class
 probabilities of any rows of the batch's columns give their predicted
 labels, and its errors.  Feature columns may be split into disjoint
 region blocks: each block trains its own sub-pipeline, per-sample class
@@ -16,7 +16,7 @@ arithmetic stays its own, so its fit and its probabilities do not depend
 on the batch it is in.  The classifier stage goes further: the pair
 problems of every block and class pair with the same row count, +1 count
 and width are stacked along the column axis, and each stack's SVMs and
-calibrations are fitted in one call apiece.  Batched fits return
+calibrations are fitted in one call apiece.  The stage fits return
 ``(model, failures)``: a model for every column and the ``FitError`` of
 each column that failed.  Failed columns are fitted alongside the
 others, with finite models, and then dropped, so each stage runs once
@@ -42,7 +42,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .autoenc import AeArchitecture, AeModel, ae_encode, ae_fit
-from .dataset import Batch, Dataset, as_batch
+from .dataset import Batch, Dataset
 from .dimred import LinearReducer, pca_fit, pls1_fit, reduce
 from .errors import ConfigError, FitError, check, is_int, is_real
 from .linclass import (
@@ -147,11 +147,19 @@ class PipelineSpec:
             return self.ae.z_dim
         return max(len(blk) for blk in self.resolve_blocks(n_features))
 
-    def fit(self, d: Dataset | Batch, plan: PermutationPlan | None = None,
-            tag: str = "fit") -> "FittedBatch":
-        """Fit one dataset under ``plan``, or every column of a batch; see
-        :func:`fit_pipeline`."""
-        return fit_pipeline(self, d, plan, tag)
+    def fit(self, batch: Batch, tag: str = "fit") -> "FittedBatch":
+        """Fit every stage of the pipeline on each column of ``batch``.
+
+        The result holds the ``FitError`` of each column that could not be
+        fitted.  Invalid region blocks or fewer than two classes raise
+        ``ValueError``.
+        """
+        extractors, failures = _fit_extractors(self, batch, tag)
+        return _fit_classifiers(
+            self, batch, extractors,
+            lambda bi, pair, feats, y: _fit_reducer(self, feats, y),
+            failures,
+        )
 
 
 @dataclass
@@ -214,6 +222,9 @@ class FittedBatch:
         if batch.n_features != self.n_features:
             raise ValueError(f"batch must have {self.n_features} features, "
                              f"got {batch.n_features}")
+        size = len(self.columns) + len(self.failures)
+        if batch.size != size:
+            raise ValueError(f"batch must have the fit's {size} columns, got {batch.size}")
         if not self.columns:
             return np.zeros((0, batch.n, self.class_count))
         live = batch.select(self.columns)
@@ -339,7 +350,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducer_for,
     finite.  A column then fails with the ``FitError`` of its first
     failing problem, in block and then pair order, and within a problem
     of its first failing stage: reducer, SVM, calibration.  That is the
-    error a fit of the column alone raises.  Failed columns are dropped
+    error a batch of the column alone records.  Failed columns are dropped
     from the result.  A ``FitError`` that every column shares ends the
     problems; the stacks of the problems before it are still fitted, as
     their errors come first.
@@ -423,44 +434,6 @@ def _part(model, cols: np.ndarray, size: int):
     return model if model is None or len(cols) == size else model.select(cols)
 
 
-def fit_pipeline(
-    spec: PipelineSpec, d: Dataset | Batch, plan: PermutationPlan | None = None,
-    tag: str = "fit",
-) -> FittedBatch:
-    """Fit every stage of the pipeline on ``d``.
-
-    A :class:`Batch` is fitted column by column in arithmetic, but every
-    stage handles all its columns at once; the result holds the
-    ``FitError`` of each column that could not be fitted.  A dataset is
-    fitted as a batch of one column, under ``plan``, and its failure is
-    raised.
-
-    Raises
-    ------
-    ValueError
-        On invalid region blocks or fewer than two classes.
-    FitError
-        On data-dependent failures of a dataset's fit (degenerate
-        reduction, single-class pair, calibration non-convergence,
-        training divergence).
-    """
-    batch = as_batch(d, plan)
-    extractors, failures = _fit_extractors(spec, batch, tag)
-    fitted = _fit_classifiers(
-        spec, batch, extractors,
-        lambda bi, pair, feats, y: _fit_reducer(spec, feats, y),
-        failures,
-    )
-    return _raise_alone(fitted, d)
-
-
-def _raise_alone(fitted: FittedBatch, d: Dataset | Batch) -> FittedBatch:
-    """``fitted``; when ``d`` is one dataset whose fit failed, its ``FitError`` is raised."""
-    if fitted.failures and not isinstance(d, Batch):
-        raise fitted.failures[0]
-    return fitted
-
-
 @dataclass
 class BlockMaps:
     """Frozen extractor state of one block for the alternative scheme.
@@ -490,7 +463,7 @@ def fit_feature_maps(
     the original labels.  One-condition data cannot drive a supervised
     reduction, so ``pca`` (or ``none``) must be used there; its maps
     cover the pair ``(0, 1)`` of the two pseudo-groups a type-1 replicate
-    splits it into.
+    splits it into.  A failed fit raises its ``FitError``.
     """
     if spec.reducer == "pls" and d.class_count < 2:
         raise ValueError(
@@ -506,8 +479,10 @@ def fit_feature_maps(
         if spec.reducer == "pls":
             reducers = {}
             for pair in pairs:
-                feats, y = _pair_data(z[None], d.labels[None], *pair)
-                reducers[pair] = pls1_fit(feats[0], y[0])
+                red, failed = pls1_fit(*_pair_data(z[None], d.labels[None], *pair))
+                if failed:
+                    raise failed[0]
+                reducers[pair] = red.column(0)
         else:
             reducers = dict.fromkeys(pairs, _fit_reducer(spec, z, None)[0])
         out.append(BlockMaps(cols, ae_model, reducers))
@@ -518,9 +493,10 @@ def fit_feature_maps(
 class AltPipeline:
     """Pipeline whose extractor/reducer are frozen; classifier refits.
 
-    Exposes the same ``fit`` interface as :class:`PipelineSpec`, so the
-    validation estimators accept either.  Fitting is deterministic given
-    the data, so the plan argument is accepted but unused.
+    Exposes the same ``fit(batch, tag)`` interface as
+    :class:`PipelineSpec`, so the validation estimators accept either.
+    Fitting is deterministic given the data, so the columns' plans go
+    unused.
     """
 
     maps: FixedMaps
@@ -529,9 +505,7 @@ class AltPipeline:
     def classifier_input_dim(self, n_features: int) -> int:
         return self.spec.classifier_input_dim(n_features)
 
-    def fit(self, d: Dataset | Batch, plan: PermutationPlan | None = None,
-            tag: str = "fit") -> FittedBatch:
-        batch = as_batch(d, plan)
+    def fit(self, batch: Batch, tag: str = "fit") -> FittedBatch:
         if batch.n_features != self.maps.n_features:
             raise ValueError("dataset width differs from the mapped width")
         blocks = self.maps.blocks
@@ -542,4 +516,4 @@ class AltPipeline:
             return blocks[bi].reducers[pair], {}
 
         extractors = [(bm.columns, (bm.ae_model,) * batch.size) for bm in blocks]
-        return _raise_alone(_fit_classifiers(self.spec, batch, extractors, frozen), d)
+        return _fit_classifiers(self.spec, batch, extractors, frozen)

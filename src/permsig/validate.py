@@ -8,8 +8,9 @@ Three estimators of a pipeline's error share one interface:
 * k-fold cross-validation — the K per-fold test errors, kept separate
   rather than averaged.
 
-Each takes one dataset or a :class:`~permsig.dataset.Batch` of
-labelings, whose columns it fits together.
+Each takes a :class:`~permsig.dataset.Batch` of labelings, fits its
+columns together, and gives each column its result or its ``FitError``;
+:func:`rub_error` alone fits one dataset and raises.
 
 The generalization diagnostic is the relative optimism
 ``actual / empirical - 1`` of an empirical error estimate.
@@ -25,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .bounds import BoundSpec, empirical_bound
-from .dataset import Batch, Dataset, FoldAssignment, as_batch
+from .dataset import Batch, Dataset, FoldAssignment
 from .errors import FitError
 from .rng import PermutationPlan
 
@@ -78,31 +79,22 @@ class GeneralizationDiagnostic:
     ratio: float
 
 
-def resub_error(pipeline, d: Dataset | Batch, plan: PermutationPlan | None = None):
+def resub_error(pipeline, batch: Batch) -> list[ErrorEstimate | FitError]:
     """Train on all rows and evaluate on the same rows.
 
-    ``d`` is one dataset, fitted under ``plan``, or a :class:`Batch`
-    whose columns are fitted together, each under its own plan.  A batch
-    gives one entry per column: its ``ErrorEstimate``, or the
+    The columns of ``batch`` are fitted together, each under its own
+    plan.  Gives one entry per column: its ``ErrorEstimate``, or the
     ``FitError`` that stopped its fit.
     """
-    batch = as_batch(d, plan)
     fitted = pipeline.fit(batch, tag="resub")
-    out = [_estimate(value, Scheme.RESUB, p) for value, p in zip(fitted.errors(batch), batch.plans)]
-    return out if isinstance(d, Batch) else _only(out)
+    return [_estimate(value, Scheme.RESUB, plan)
+            for value, plan in zip(fitted.errors(batch), batch.plans)]
 
 
 def _estimate(value, scheme: Scheme, plan: PermutationPlan, fold: int | None = None):
     if isinstance(value, FitError):
         return value
     return ErrorEstimate(value, scheme, fold=fold, iteration=plan.replicate_index)
-
-
-def _only(out: list):
-    """The one column's result; its ``FitError`` is raised."""
-    if isinstance(out[0], FitError):
-        raise out[0]
-    return out[0]
 
 
 def rub_error(
@@ -112,9 +104,11 @@ def rub_error(
 
     The value is exactly ``resub.value + mu`` — a single addition — and
     the accuracy view is exactly ``resub.accuracy - mu``; both
-    identities are bit-exact.
+    identities are bit-exact.  A failed fit of ``d`` raises its ``FitError``.
     """
-    base = resub_error(pipeline, d, plan)
+    (base,) = resub_error(pipeline, Batch.of([d], [plan]))
+    if isinstance(base, FitError):
+        raise base
     mu = empirical_bound(bound_spec)
     return ErrorEstimate(
         base.value + mu,
@@ -126,32 +120,26 @@ def rub_error(
 
 
 def kfold_errors(
-    pipeline,
-    d: Dataset | Batch,
-    folds: FoldAssignment | Sequence[FoldAssignment],
-    plan: PermutationPlan | None = None,
-):
+    pipeline, batch: Batch, folds: Sequence[FoldAssignment]
+) -> list[list[ErrorEstimate] | FitError]:
     """Per-fold test errors.
 
-    Returns the list of the K fold-wise test-error estimates (not their
-    mean).  A :class:`Batch` takes one fold assignment per column, all
-    with the same fold sizes, and gives one entry per column: its list of
-    estimates, or the ``FitError`` of the first fold it could not be
-    fitted on.  Each fold is fitted for every column still standing at
-    once.
+    ``folds`` holds one fold assignment per column of ``batch``, all with
+    the same fold sizes.  Gives one entry per column: the list of its K
+    fold-wise test-error estimates (not their mean), or the ``FitError``
+    of the first fold it could not be fitted on (for example because its
+    training rows are single-class), whose message names the fold.  Each
+    fold is fitted for every column still standing at once.
 
     Raises
     ------
     ValueError
-        If a fold assignment's length does not match the row count.
-    FitError
-        When a dataset's fold cannot be fitted (for example its training
-        rows are single-class); the message names the fold.
+        If there is not one fold assignment per column, or an
+        assignment's length does not match the row count.
     """
-    batch = as_batch(d, plan)
-    folds = [folds] if isinstance(folds, FoldAssignment) else list(folds)
+    folds = list(folds)
     if len(folds) != batch.size or any(fa.fold_of.shape[0] != batch.n for fa in folds):
-        raise ValueError("fold assignment length must equal the row count")
+        raise ValueError("need one fold assignment per column, each of the row count's length")
     out: list = [[] for _ in range(batch.size)]
     for f in range(folds[0].k):
         standing = [j for j in range(batch.size) if not isinstance(out[j], FitError)]
@@ -168,7 +156,7 @@ def kfold_errors(
                 out[j] = error
             else:
                 out[j].append(_estimate(test_error, Scheme.KFOLD, batch.plans[j], fold=f))
-    return out if isinstance(d, Batch) else _only(out)
+    return out
 
 
 def _fold_rows(rows: list[np.ndarray]) -> np.ndarray:

@@ -18,7 +18,7 @@ import pytest
 
 from permsig.autoenc import AeArchitecture, AeModel, ae_batch_loss, ae_gradient
 from permsig.bounds import BoundSpec, empirical_bound, vapnik_bound
-from permsig.dataset import scale_unit_interval, synth_effect
+from permsig.dataset import Batch, scale_unit_interval, synth_effect
 from permsig.permtest import (
     StudySettings,
     alt_scheme_study,
@@ -126,7 +126,7 @@ def test_03_corrected_accuracy_identity():
     d = synth_effect(60, 4, 1.0, PermutationPlan(29, 0), classes=2)
     spec = BoundSpec(d.n, 1, 0.05)
     pipeline = PipelineSpec(reducer="pls")
-    base = resub_error(pipeline, d, PermutationPlan(31, 0))
+    (base,) = resub_error(pipeline, Batch.of([d], [PermutationPlan(31, 0)]))
     rub = rub_error(pipeline, d, PermutationPlan(31, 0), spec)
     mu = empirical_bound(spec)
     assert rub.value == base.value + mu
@@ -172,7 +172,8 @@ def test_06_null_matches_exhaustive_enumeration():
         labels = np.ones(8, dtype=np.int64)
         labels[list(combo)] = 0
         labeled = d.with_labels(labels, class_count=2)
-        exact.append(resub_error(spec, labeled, PermutationPlan(0, 0)).value)
+        (est,) = resub_error(spec, Batch.of([labeled], [PermutationPlan(0, 0)]))
+        exact.append(est.value)
     exact = np.sort(np.asarray(exact))
     assert exact.size == 70
 

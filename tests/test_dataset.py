@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,8 @@ def test_batch_of_datasets_and_its_subsets():
         Batch.of([d], plans)
     with pytest.raises(ValueError, match="shape"):
         Batch.of([d, toy(n=8)], plans[:2])
+    with pytest.raises(ValueError, match="at least one column"):
+        Batch.of([], [])
 
 
 # ---------------------------------------------------------------- CSV I/O
@@ -159,6 +162,37 @@ def test_csv_errors_name_row_and_column(tmp_path):
     path.write_text("label,f0\n0,inf\n1,2.0\n")
     with pytest.raises(ValueError, match=r"row 1"):
         load_csv(str(path))
+
+
+# Each cell goes through float(): these are what it accepts, with the exact
+# value (the sign of zero included), and what it rejects.
+CSV_CELLS = {
+    "underscore": ("1_000", 1000.0),
+    "padded": (" 1.5 ", 1.5),
+    "nbsp": ("\xa01", 1.0),
+    "arabic_digits": ("\u0661\u0662", 12.0),
+    "plus": ("+1", 1.0),
+    "negative_zero": ("-0", -0.0),
+    "underflow": ("1e-400", 0.0),
+    "nan": ("nan", None),
+    "infinity": ("infinity", None),
+    "overflow": ("1e400", None),
+    "hex": ("0x10", None),
+    "empty": ("", None),
+    "bad_exponent": ("1.5e", None),
+}
+
+
+@pytest.mark.parametrize("cell, value", list(CSV_CELLS.values()), ids=list(CSV_CELLS))
+def test_csv_cell_parsing(tmp_path, cell, value):
+    path = tmp_path / "cells.csv"
+    path.write_text(f"label,f0\n0,{cell}\n1,2.0\n", encoding="utf-8")
+    if value is None:
+        message = f"non-numeric cell {cell!r} at row 1, column 'f0'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(str(path))
+    else:
+        assert repr(float(load_csv(str(path)).features[0, 0])) == repr(value)
 
 
 def test_csv_missing_label_column(tmp_path):

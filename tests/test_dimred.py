@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,19 @@ def labeled_cloud(n=40, n_feat=6, seed=0):
     return x, y
 
 
+def pls_one(x, y) -> LinearReducer:
+    """The PLS reducer of one labeling, fitted as a batch of one, which
+    must not fail."""
+    red, failures = pls1_fit(x[None], y[None])
+    assert failures == {}
+    return red.column(0)
+
+
 # ------------------------------------------------------------------- PLS
 
 
 def test_pls_two_point_example():
-    m = pls1_fit(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
+    m = pls_one(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
     np.testing.assert_allclose(m.mean, [0.0])
     np.testing.assert_allclose(m.directions, [[1.0]])
     np.testing.assert_allclose(reduce(m, np.array([[1.0], [-1.0]])), [[1.0], [-1.0]])
@@ -27,7 +37,7 @@ def test_pls_two_point_example():
 def test_pls_direction_matches_covariance_vector():
     for seed in range(5):
         x, y = labeled_cloud(seed=seed)
-        m = pls1_fit(x, y)
+        m = pls_one(x, y)
         xc = x - x.mean(axis=0)
         yc = y - y.mean()
         w = np.einsum("ij,i->j", xc, yc)
@@ -38,7 +48,7 @@ def test_pls_direction_matches_covariance_vector():
 
 def test_pls_maximizes_label_covariance():
     x, y = labeled_cloud(seed=3)
-    m = pls1_fit(x, y)
+    m = pls_one(x, y)
     xc = x - x.mean(axis=0)
     yc = y - y.mean()
     best = abs(float(xc @ m.directions[:, 0] @ yc))
@@ -52,16 +62,20 @@ def test_pls_maximizes_label_covariance():
 def test_pls_label_validation():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError, match="-1 and \\+1"):
-        pls1_fit(x, np.array([0.0, 1.0, 0.0, 1.0]))
+        pls1_fit(x, np.array([[0.0, 1.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="both"):
-        pls1_fit(x, np.array([1.0, 1.0, 1.0, 1.0]))
+        pls1_fit(x, np.array([[1.0, 1.0, 1.0, 1.0]]))
+    # One labeling is a batch of one: a 1-D y is a shape error.
+    with pytest.raises(ValueError, match=re.escape("y (R, n)")):
+        pls1_fit(x, np.array([1.0, -1.0, 1.0, -1.0]))
 
 
 def test_pls_degenerate_direction():
     x = np.ones((6, 3))  # constant features, zero covariance
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    with pytest.raises(FitError, match="degenerate"):
-        pls1_fit(x, y)
+    _, failures = pls1_fit(x[None], y[None])
+    assert list(failures) == [0]
+    assert isinstance(failures[0], FitError) and re.search("degenerate", str(failures[0]))
 
 
 # ------------------------------------------------------------------- PCA
@@ -164,11 +178,11 @@ def test_batched_pls_equals_single_fits_bit_for_bit(cols):
     assert failed == {}
     assert own.directions.shape == (cols, 5, 1) and own.mean.shape == (cols, 5)
     for j in range(cols):
-        one = pls1_fit(x[j], y[j])
+        one = pls_one(x[j], y[j])
         np.testing.assert_array_equal(own.column(j).directions, one.directions)
         np.testing.assert_array_equal(own.column(j).mean, one.mean)
         np.testing.assert_array_equal(reduce(own, x)[j], reduce(one, x[j]))
-        np.testing.assert_array_equal(shared.column(j).directions, pls1_fit(x[0], y[j]).directions)
+        np.testing.assert_array_equal(shared.column(j).directions, pls_one(x[0], y[j]).directions)
         np.testing.assert_array_equal(reduce(shared, x[0])[j], reduce(shared.column(j), x[0]))
 
 

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from permsig.bounds import BoundSpec, empirical_bound
-from permsig.dataset import Dataset, FoldAssignment, stratified_folds, synth_effect
+from permsig.dataset import Batch, Dataset, FoldAssignment, stratified_folds, synth_effect
 from permsig.errors import FitError
 from permsig.pipeline import PipelineSpec
 from permsig.rng import PermutationPlan
@@ -24,9 +25,14 @@ def blobs(n_per=20, dim=4, effect=3.0, seed=0):
     return synth_effect(n_per, dim, effect, PermutationPlan(seed, 0))
 
 
+def one(d, plan=PLAN) -> Batch:
+    """The batch of ``d`` alone, fitted under ``plan``."""
+    return Batch.of([d], [plan])
+
+
 def test_resub_error_zero_on_separable():
     d = blobs()
-    est = resub_error(PipelineSpec(reducer="pls"), d, PLAN)
+    (est,) = resub_error(PipelineSpec(reducer="pls"), one(d))
     assert est.value == 0.0
     assert est.scheme is Scheme.RESUB
     assert est.accuracy == 1.0
@@ -36,7 +42,7 @@ def test_rub_is_resub_plus_bound_bit_exact():
     d = blobs(effect=0.5)
     spec = BoundSpec(d.n, 1, 0.05)
     pipeline = PipelineSpec(reducer="pls")
-    base = resub_error(pipeline, d, PLAN)
+    (base,) = resub_error(pipeline, one(d))
     rub = rub_error(pipeline, d, PLAN, spec)
     mu = empirical_bound(spec)
     assert rub.value == base.value + mu  # one addition, bit-exact
@@ -58,7 +64,7 @@ def test_rub_value_may_exceed_one():
 def test_kfold_returns_per_fold_estimates():
     d = blobs(n_per=25, effect=2.0)
     folds = stratified_folds(d, 5, PLAN)
-    tests = kfold_errors(PipelineSpec(reducer="pls"), d, folds, PLAN)
+    (tests,) = kfold_errors(PipelineSpec(reducer="pls"), one(d), [folds])
     assert len(tests) == 5
     for f, est in enumerate(tests):
         assert est.fold == f
@@ -73,21 +79,23 @@ def test_kfold_error_names_failing_fold():
     x = np.arange(8, dtype=np.float64).reshape(4, 2)
     d = Dataset(x, np.array([0, 0, 1, 1]), 2)
     folds = FoldAssignment(np.array([0, 0, 1, 1]), 2)
-    with pytest.raises(FitError, match="fold 0"):
-        kfold_errors(PipelineSpec(reducer="none"), d, folds, PLAN)
+    (out,) = kfold_errors(PipelineSpec(reducer="none"), one(d), [folds])
+    assert isinstance(out, FitError) and re.search("fold 0", str(out))
 
 
 def test_kfold_rejects_mismatched_assignment():
     d = blobs(n_per=5)
     folds = FoldAssignment(np.array([0, 1] * 3), 2)  # 6 rows for a 10-row set
     with pytest.raises(ValueError, match="length"):
-        kfold_errors(PipelineSpec(), d, folds, PLAN)
+        kfold_errors(PipelineSpec(), one(d), [folds])
+    with pytest.raises(ValueError, match="one fold assignment per column"):
+        kfold_errors(PipelineSpec(), one(d), [])
 
 
 def test_estimates_record_iteration():
     d = blobs()
     plan = PermutationPlan(4, 17)
-    est = resub_error(PipelineSpec(reducer="pls"), d, plan)
+    (est,) = resub_error(PipelineSpec(reducer="pls"), one(d, plan))
     assert est.iteration == 17
 
 
