@@ -18,7 +18,7 @@ arch = AeArchitecture(
     learning_rate=0.01,
     batch_size=16,
 )
-model = ae_fit(d.features, arch, PermutationPlan(22, 0))
+(model,), _ = ae_fit(d.features[None], arch, [(PermutationPlan(22, 0), "ae")])
 
 print("epoch   train mse   val mse")
 for epoch in (0, 9, 19, 29, 39, 49, 59):

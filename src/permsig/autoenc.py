@@ -6,11 +6,19 @@ reverse back to the input width.  Hidden layers share one activation;
 the output layer uses a sigmoid when the training data lies in [0, 1]
 and the identity otherwise (overridable).
 
-Training is deterministic given ``(x, architecture, plan)``: parameter
-initialization, the validation split, and every epoch's batch order are
-all drawn from plan-keyed streams.  The validation split is monitored
-only — it is scored each epoch but never trained on and never stops
-training early.
+Training is deterministic given ``(x, architecture, plan, tag)``:
+parameter initialization, the validation split, and every epoch's batch
+order are all drawn from plan-keyed streams.  The validation split is
+monitored only — it is scored each epoch but never trained on and never
+stops training early.
+
+:func:`ae_fit` trains a stack of columns at once, one autoencoder per
+column: the columns' parameters and Adam moments are stacked along a
+leading axis and every product is one stacked ``matmul``.  A column's
+arithmetic stays its own, so it gets the bits it gets in a stack of
+one, and a column whose loss stops being finite is recorded as failed
+without stopping the others.  :class:`AeModel`, :func:`ae_encode`,
+:func:`ae_batch_loss` and :func:`ae_gradient` are per model.
 
 Loss is the mean squared error over all entries of a batch, i.e.
 ``mean((x - reconstruction)**2)``.
@@ -18,6 +26,7 @@ Loss is the mean squared error over all entries of a batch, i.e.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,10 @@ _ACTIVATIONS = ("sigmoid", "relu", "identity")
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+
+# A stack whose training buffers would pass this many bytes trains in
+# parts, so memory stays near one column's when the columns are large.
+_STACK_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,12 @@ class AeArchitecture:
     def z_dim(self) -> int:
         return self.layer_widths_encoder[-1]
 
+    def output_for(self, x: np.ndarray) -> str:
+        """The output activation of a model trained on the rows ``x``."""
+        if self.output_activation != "auto":
+            return self.output_activation
+        return "sigmoid" if (x.min() >= 0.0 and x.max() <= 1.0) else "identity"
+
 
 @dataclass(frozen=True)
 class AeModel:
@@ -126,24 +145,54 @@ def _apply_grad(kind: str, s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.ones_like(s)
 
 
-def _forward(m: AeModel, x: np.ndarray):
-    """All layer outputs and pre-activations for a batch."""
-    acts = _layer_activations(m.architecture, len(m.weights), m.output_activation)
+def _forward(weights, biases, acts, x: np.ndarray):
+    """All layer outputs and pre-activations for a batch.
+
+    Works on one model's (n, w) rows or, with every parameter stacked
+    along a leading axis, on a stack of models' (R, n, w) rows.
+    """
     outputs = [x]
     pre = []
     a = x
-    for w, b, kind in zip(m.weights, m.biases, acts):
+    for w, b, kind in zip(weights, biases, acts):
         s = a @ w + b
         a = _apply(kind, s)
         pre.append(s)
         outputs.append(a)
-    return outputs, pre, acts
+    return outputs, pre
+
+
+def _gradient(weights, biases, acts, batch: np.ndarray):
+    """Gradient of each model's batch MSE for every weight and bias.
+
+    Parameters and ``batch`` may carry leading stack axes; each model's
+    gradient then comes from its own slices alone, with the products and
+    sums a single model takes, so it has the bits of that model alone.
+    """
+    outputs, pre = _forward(weights, biases, acts, batch)
+    recon = outputs[-1]
+    delta = 2.0 * (recon - batch) / (batch.shape[-2] * batch.shape[-1])
+    delta = delta * _apply_grad(acts[-1], pre[-1], recon)
+    w_grads: list[np.ndarray] = [None] * len(weights)
+    b_grads: list[np.ndarray] = [None] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        w_grads[layer] = np.swapaxes(outputs[layer], -1, -2) @ delta
+        b_grads[layer] = delta.sum(axis=-2).reshape(biases[layer].shape)
+        if layer > 0:
+            delta = (delta @ np.swapaxes(weights[layer], -1, -2)) * _apply_grad(
+                acts[layer - 1], pre[layer - 1], outputs[layer]
+            )
+    return w_grads, b_grads
+
+
+def _activations(m: AeModel) -> list[str]:
+    return _layer_activations(m.architecture, len(m.weights), m.output_activation)
 
 
 def ae_batch_loss(m: AeModel, batch: np.ndarray) -> float:
     """Mean squared reconstruction error over all entries of ``batch``."""
     batch = np.asarray(batch, dtype=np.float64)
-    outputs, _, _ = _forward(m, batch)
+    outputs, _ = _forward(m.weights, m.biases, _activations(m), batch)
     return float(np.mean((outputs[-1] - batch) ** 2))
 
 
@@ -157,29 +206,25 @@ def ae_gradient(m: AeModel, batch: np.ndarray):
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != m.input_width:
         raise ValueError(f"batch must be (b, {m.input_width})")
-    outputs, pre, acts = _forward(m, batch)
-    recon = outputs[-1]
-    delta = 2.0 * (recon - batch) / recon.size
-    delta = delta * _apply_grad(acts[-1], pre[-1], recon)
-    w_grads: list[np.ndarray] = [None] * len(m.weights)
-    b_grads: list[np.ndarray] = [None] * len(m.weights)
-    for layer in range(len(m.weights) - 1, -1, -1):
-        w_grads[layer] = outputs[layer].T @ delta
-        b_grads[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ m.weights[layer].T) * _apply_grad(
-                acts[layer - 1], pre[layer - 1], outputs[layer]
-            )
+    w_grads, b_grads = _gradient(m.weights, m.biases, _activations(m), batch)
     return tuple(w_grads), tuple(b_grads)
 
 
 def ae_fit(
     x: np.ndarray,
     arch: AeArchitecture,
-    plan: PermutationPlan,
-    tag: str = "ae",
-) -> AeModel:
-    """Train an autoencoder on the rows of ``x``.
+    keys: Sequence[tuple[PermutationPlan, str]],
+) -> tuple[list[AeModel], dict[int, DivergenceError]]:
+    """Train one autoencoder on the rows of each column of a stack.
+
+    ``x`` is (R, n, w): column ``j`` trains on the rows ``x[j]`` with the
+    random streams of ``keys[j]``, a ``(plan, tag)`` pair.  Every column
+    must resolve to the same output activation (see
+    :meth:`AeArchitecture.output_for`).  The columns train together, each
+    parameter and Adam moment stacked along a leading axis, and every
+    column gets the bits it gets trained alone.  A stack whose training
+    buffers would pass ``_STACK_BYTES`` trains in parts of as many
+    columns as fit, at least one.
 
     Parameters initialize uniformly in ``[-a, a]`` with
     ``a = sqrt(6 / (fan_in + fan_out))``; biases start at zero.  Adam
@@ -188,70 +233,135 @@ def ae_fit(
     ``epochs`` entries of ``(train_mse, val_mse)`` (``val_mse`` is NaN
     when ``validation_fraction`` rounds to zero rows).
 
+    Returns ``(models, failures)``: each column's model, and a
+    ``DivergenceError`` carrying the epoch for each column whose recorded
+    loss stopped being finite.  Such a column leaves the stack at the end
+    of that epoch; its model is the one it left with, and its history
+    holds the epochs before.
+
     Raises
     ------
     ValueError
-        If the code width exceeds the input width or ``x`` is malformed.
-    DivergenceError
-        If a recorded loss stops being finite; carries the epoch index.
+        If the code width exceeds the input width, ``x`` is malformed, or
+        the columns resolve to different output activations.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("x must be (n, N) with n >= 2")
-    n, width = x.shape
+    if x.ndim != 3 or x.shape[1] < 2:
+        raise ValueError("x must be (R, n, N) with n >= 2")
+    if len(keys) != x.shape[0]:
+        raise ValueError("need one (plan, tag) per column of x")
+    size, n, width = x.shape
     if arch.z_dim > width:
         raise ValueError(f"code width {arch.z_dim} exceeds input width {width}")
-    out_act = arch.output_activation
-    if out_act == "auto":
-        out_act = "sigmoid" if (x.min() >= 0.0 and x.max() <= 1.0) else "identity"
+    out_act = arch.output_for(x[0])
+    if any(arch.output_for(col) != out_act for col in x[1:]):
+        raise ValueError("the columns of x resolve to different output activations")
 
     widths = _full_widths(arch, width)
-    init_gen = plan.rng(f"{tag}.init")
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+    # Adam's view: every weight, then every bias
+    shapes = list(zip(widths[:-1], widths[1:])) + [(1, fan_out) for fan_out in widths[1:]]
+    n_params = sum(a * b for a, b in shapes)
+    # a column's parameters, gradient and moments, and its rows' activations
+    part = max(1, _STACK_BYTES // (8 * (4 * n_params + 3 * n * sum(widths))))
+    if size > part:
+        models, failures = [], {}
+        for at in range(0, size, part):
+            fitted, failed = ae_fit(x[at : at + part], arch, keys[at : at + part])
+            models += fitted
+            failures.update((at + k, exc) for k, exc in failed.items())
+        return models, failures
+    layers = len(widths) - 1
+    theta = np.zeros((size, n_params))
+    init_gens = [plan.rng(f"{tag}.init") for plan, tag in keys]
+    for w, (fan_in, fan_out) in zip(_views(theta, shapes), shapes[:layers]):
         a = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(init_gen.uniform(-a, a, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        for k, g in enumerate(init_gens):
+            w[k] = g.uniform(-a, a, size=(fan_in, fan_out))
 
     n_val = int(np.floor(n * arch.validation_fraction))
-    split_order = plan.rng(f"{tag}.split").permutation(n)
-    train_rows = split_order[: n - n_val]
-    val_rows = split_order[n - n_val :]
-    x_train = x[train_rows]
-    x_val = x[val_rows]
+    n_train = n - n_val
+    split = np.stack([plan.rng(f"{tag}.split").permutation(n) for plan, tag in keys])
+    stack = np.arange(size)[:, None]
+    x_train = x[stack, split[:, :n_train]]
+    x_val = x[stack, split[:, n_train:]]
 
-    layers = len(weights)
-    model = AeModel(arch, width, tuple(weights), tuple(biases), out_act, ())
-    params = weights + biases  # Adam's view: every weight, then every bias
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    acts = _layer_activations(arch, layers, out_act)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     step = 0
     lr = arch.learning_rate
 
-    batch_gen = plan.rng(f"{tag}.batches")
-    history: list[tuple[float, float]] = []
+    batch_gens = [plan.rng(f"{tag}.batches") for plan, tag in keys]
+    live = list(range(size))  # the stack's columns, in stack order
+    histories: list[list[tuple[float, float]]] = [[] for _ in range(size)]
+    models: list[AeModel | None] = [None] * size
+    failures: dict[int, DivergenceError] = {}
+
+    def leave(k: int, j: int) -> None:
+        """Record stack position ``k``'s model as column ``j``'s."""
+        params = _views(theta[k : k + 1], shapes)
+        models[j] = AeModel(arch, width, tuple(p[0] for p in params[:layers]),
+                            tuple(p[0, 0] for p in params[layers:]), out_act,
+                            tuple(histories[j]))
+
     for epoch in range(arch.epochs):
-        order = batch_gen.permutation(x_train.shape[0])
-        for start in range(0, x_train.shape[0], arch.batch_size):
-            batch = x_train[order[start : start + arch.batch_size]]
-            w_grads, b_grads = ae_gradient(model, batch)
+        params = _views(theta, shapes)
+        grad = np.empty_like(theta)
+        grads = _views(grad, shapes)
+        order = np.stack([batch_gens[j].permutation(n_train) for j in live])
+        stack = np.arange(len(live))[:, None]
+        for start in range(0, n_train, arch.batch_size):
+            batch = x_train[stack, order[:, start : start + arch.batch_size]]
+            w_grads, b_grads = _gradient(params[:layers], params[layers:], acts, batch)
+            for into, g in zip(grads, w_grads + b_grads):
+                into[...] = g
             step += 1
             corr1 = 1.0 - _ADAM_BETA1**step
             corr2 = 1.0 - _ADAM_BETA2**step
-            for idx, grad in enumerate(w_grads + b_grads):
-                m[idx] = _ADAM_BETA1 * m[idx] + (1 - _ADAM_BETA1) * grad
-                v[idx] = _ADAM_BETA2 * v[idx] + (1 - _ADAM_BETA2) * grad**2
-                step_size = lr * (m[idx] / corr1) / (np.sqrt(v[idx] / corr2) + _ADAM_EPS)
-                params[idx] = params[idx] - step_size
-            model = AeModel(arch, width, tuple(params[:layers]), tuple(params[layers:]),
-                            out_act, ())
-        train_mse = ae_batch_loss(model, x_train)
-        val_mse = ae_batch_loss(model, x_val) if n_val else float("nan")
-        if not np.isfinite(train_mse) or (n_val and not np.isfinite(val_mse)):
-            raise DivergenceError(epoch)
-        history.append((train_mse, val_mse))
-    return AeModel(arch, width, model.weights, model.biases, out_act, tuple(history))
+            # In place, with the operations and order of
+            # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g**2 and
+            # theta = theta - lr * (m / corr1) / (sqrt(v / corr2) + eps).
+            m *= _ADAM_BETA1
+            m += (1 - _ADAM_BETA1) * grad
+            v *= _ADAM_BETA2
+            v += (1 - _ADAM_BETA2) * grad**2
+            theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + _ADAM_EPS)
+        train_mse = _stack_losses(params, layers, acts, x_train)
+        val_mse = (_stack_losses(params, layers, acts, x_val) if n_val
+                   else [float("nan")] * len(live))
+        keep = []
+        for k, j in enumerate(live):
+            if np.isfinite(train_mse[k]) and (not n_val or np.isfinite(val_mse[k])):
+                histories[j].append((train_mse[k], val_mse[k]))
+                keep.append(k)
+            else:
+                failures[j] = DivergenceError(epoch)
+                leave(k, j)
+        if len(keep) < len(live):
+            live = [live[k] for k in keep]
+            theta, m, v, x_train, x_val = (a[keep] for a in (theta, m, v, x_train, x_val))
+        if not live:
+            break
+    for k, j in enumerate(live):
+        leave(k, j)
+    return models, failures
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of each column's parameters in its row of ``flat``, one
+    (R, rows, cols) array per shape; each column's slice is C-contiguous."""
+    out, at = [], 0
+    for rows, cols in shapes:
+        out.append(flat[:, at : at + rows * cols].reshape(len(flat), rows, cols))
+        at += rows * cols
+    return out
+
+
+def _stack_losses(params, layers: int, acts, x: np.ndarray) -> list[float]:
+    """Each stacked model's mean squared error over its own rows of ``x``."""
+    outputs, _ = _forward(params[:layers], params[layers:], acts, x)
+    sq = (outputs[-1] - x) ** 2
+    return [float(np.mean(col)) for col in sq]
 
 
 def ae_encode(m: AeModel, x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,21 +234,14 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
                 raise ValueError(
                     f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
                 )
-            raw_labels.append(row[label_idx].strip())
-            values = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    v = float("nan")
-                if not np.isfinite(v):
-                    raise ValueError(
-                        f"{path}: non-numeric cell {cell!r} at row {row_num}, "
-                        f"column '{header[i]}'"
-                    )
-                values.append(v)
+            raw_labels.append(row.pop(label_idx).strip())
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                values = None
+            # A non-finite cell makes the sum non-finite; so, rarely, does an overflow.
+            if values is None or not math.isfinite(sum(values)):
+                _check_cells(path, row_num, row, feature_names)
             rows.append(values)
 
     if len(rows) < 2:
@@ -260,6 +254,19 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             seen[name] = len(seen)
         labels[i] = seen[name]
     return Dataset(np.asarray(rows, dtype=np.float64), labels, len(seen), feature_names)
+
+
+def _check_cells(path: str, row_num: int, cells: list[str], names: tuple[str, ...]) -> None:
+    """Raise for the first of a row's feature cells that is not a finite float."""
+    for cell, name in zip(cells, names):
+        try:
+            ok = math.isfinite(float(cell))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"{path}: non-numeric cell {cell!r} at row {row_num}, column '{name}'"
+            )
 
 
 def save_csv(d: Dataset, path: str) -> None:

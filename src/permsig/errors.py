@@ -5,8 +5,8 @@
 object that owns the setting and naming its field.  :class:`FitError`
 marks data-dependent failures that can legitimately occur inside a study
 replicate and are therefore eligible for the replicate retry policy.
-The PLS, SVM, calibration and pipeline fits take a batch and do not
-raise them: each returns its model for every column with the
+The autoencoder, PLS, SVM, calibration and pipeline fits take a batch
+and do not raise them: each returns its model for every column with the
 ``FitError`` of each column that failed, and the caller drops those
 columns.
 """

@@ -47,20 +47,20 @@ _TAU = 1e-12  # curvature floor in the SMO subproblem
 
 @dataclass(frozen=True)
 class LinearSvm:
-    """Fitted linear decision function ``f(x) = weights @ x + bias``.
-
-    A batch of R columns holds (R, d) weights and (R,) biases.
-    """
+    """Fitted linear decision functions ``f(x) = weights[j] @ x + bias[j]``,
+    one per column of a batch: (R, d) weights and (R,) biases."""
 
     weights: np.ndarray
-    bias: float | np.ndarray
+    bias: np.ndarray
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, copy=True)
-        if w.ndim not in (1, 2):
-            raise ValueError("weights must be 1-D, or 2-D for a batch")
+        b = np.asarray(self.bias, dtype=np.float64)
+        if w.ndim != 2 or b.shape != w.shape[:1]:
+            raise ValueError("weights must be (R, d) and bias (R,)")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "bias", b)
 
     def select(self, columns) -> "LinearSvm":
         """The batch of the listed columns, in that order."""
@@ -69,13 +69,19 @@ class LinearSvm:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Sigmoid map from margins to probabilities of the +1 class.
+    """Sigmoid maps from margins to probabilities of the +1 class, one per
+    column of a batch: (R,) slopes and intercepts."""
 
-    A batch of R columns holds (R,) slopes and intercepts.
-    """
+    slope: np.ndarray
+    intercept: np.ndarray
 
-    slope: float | np.ndarray
-    intercept: float | np.ndarray
+    def __post_init__(self):
+        slope = np.asarray(self.slope, dtype=np.float64)
+        intercept = np.asarray(self.intercept, dtype=np.float64)
+        if slope.ndim != 1 or intercept.shape != slope.shape:
+            raise ValueError("slope and intercept must be (R,)")
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
 
     def select(self, columns) -> "Calibration":
         """The batch of the listed columns, in that order."""
@@ -83,16 +89,16 @@ class Calibration:
 
 
 def decision_values(m: LinearSvm, x: np.ndarray) -> np.ndarray:
-    """Signed margins ``x @ weights + bias`` for each row of ``x``.
+    """Each column's signed margins ``x @ weights[j] + bias[j]``, (R, n).
 
-    A batch of SVMs scores its (R, n, d) rows, or the same (n, d) rows
-    for every column, with one product per column.
+    ``x`` holds each column's (R, n, d) rows, or the same (n, d) rows for
+    every column; each column takes one product.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != m.weights.shape[-1]:
         raise ValueError("x has the wrong number of columns")
     x = np.ascontiguousarray(x)  # see dimred.reduce: the layout sets the rounding
-    return np.matmul(x, m.weights[..., None])[..., 0] + np.asarray(m.bias)[..., None]
+    return np.matmul(x, m.weights[..., None])[..., 0] + m.bias[:, None]
 
 
 def svm_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, c: float) -> float:
@@ -516,9 +522,7 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def calibrated_probability(cal: Calibration, margins: np.ndarray) -> np.ndarray:
-    """Probability of the +1 class for each margin; a batch of R
-    calibrations maps (R, n) margins."""
-    slope, intercept = np.asarray(cal.slope)[..., None], np.asarray(cal.intercept)[..., None]
-    z = slope * np.asarray(margins, dtype=np.float64) + intercept
+    """Each column's probability of the +1 class for its (R, n) margins."""
+    z = cal.slope[:, None] * np.asarray(margins, dtype=np.float64) + cal.intercept[:, None]
     return 1.0 / (1.0 + np.exp(-z))
 

@@ -13,16 +13,19 @@ to the plain pipeline.
 
 Every stage handles all columns of a batch at once, but a column's
 arithmetic stays its own, so its fit and its probabilities do not depend
-on the batch it is in.  The classifier stage goes further: the pair
-problems of every block and class pair with the same row count, +1 count
-and width are stacked along the column axis, and each stack's SVMs and
-calibrations are fitted in one call apiece.  The stage fits return
-``(model, failures)``: a model for every column and the ``FitError`` of
-each column that failed.  Failed columns are fitted alongside the
-others, with finite models, and then dropped, so each stage runs once
-per batch.  A column that fails carries the ``FitError`` of its first
-failing block and pair, and within those of its first failing stage:
-reducer, SVM, then calibration.
+on the batch it is in.  The autoencoders of every column and block of
+equal width and output activation train in one ``ae_fit`` call.  The
+classifier stage goes further: the pair problems of every block and
+class pair with the same row count, +1 count and width are stacked along
+the column axis, and each stack's SVMs and calibrations are fitted in
+one call apiece.  The stage fits return ``(model, failures)``: a model
+for every column and the ``FitError`` of each column that failed.
+Failed columns are fitted alongside the others, with finite models (a
+diverged autoencoder aside), and then dropped, so each stage runs once
+per batch.  A column whose autoencoder fails carries the
+``DivergenceError`` of its first failing block.  Any other column that
+fails carries the ``FitError`` of its first failing block and pair, and
+within those of its first failing stage: reducer, SVM, then calibration.
 
 Two fitting modes exist:
 
@@ -296,25 +299,36 @@ def _pair_data(z: np.ndarray, labels: np.ndarray, a: int, b: int) -> tuple[np.nd
 
 def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
     """Each block's columns and each column's trained autoencoder (when
-    configured), plus the ``FitError`` of every column whose training failed."""
+    configured), plus the ``FitError`` of every column whose training failed.
+
+    The autoencoders of every column and block with the same width and
+    output activation train in one ``ae_fit`` call.  A column that fails
+    keeps the ``FitError`` of its first failing block, and has no models.
+    """
     blocks = spec.resolve_blocks(batch.n_features)
     if spec.ae is None:
         return [(cols, (None,) * batch.size) for cols in blocks], {}
-    failures: dict[int, FitError] = {}
-    out = []
-    for bi, cols in enumerate(blocks):
-        models = []
-        for j, plan in enumerate(batch.plans):
-            model = None
-            if j not in failures:
-                try:
-                    feats = batch.column_rows(j)[:, cols]
-                    model = ae_fit(feats, spec.ae, plan, tag=f"{tag}.b{bi}.ae")
-                except FitError as exc:
-                    failures[j] = exc
-            models.append(model)
-        out.append((cols, tuple(models)))
-    return out, failures
+    stacks: dict[tuple[int, str], list] = {}  # (width, output activation) -> [(block, column)]
+    for (bi, cols), j in product(enumerate(blocks), range(batch.size)):
+        key = (len(cols), spec.ae.output_for(batch.column_rows(j)[:, cols]))
+        stacks.setdefault(key, []).append((bi, j))
+    models = [[None] * batch.size for _ in blocks]
+    first: dict[int, tuple[int, FitError]] = {}  # column -> (block, error)
+    for (width, _), members in stacks.items():
+        x = np.empty((len(members), batch.n, width))
+        for k, (bi, j) in enumerate(members):
+            x[k] = batch.column_rows(j)[:, blocks[bi]]
+        keys = [(batch.plans[j], f"{tag}.b{bi}.ae") for bi, j in members]
+        fitted, failed = ae_fit(x, spec.ae, keys)
+        for k, (bi, j) in enumerate(members):
+            models[bi][j] = fitted[k]
+            if k in failed and (j not in first or bi < first[j][0]):
+                first[j] = (bi, failed[k])
+    for j in first:
+        for block_models in models:
+            block_models[j] = None
+    return ([(cols, tuple(ms)) for cols, ms in zip(blocks, models)],
+            {j: first[j][1] for j in sorted(first)})
 
 
 def _fit_reducer(spec: PipelineSpec, feats: np.ndarray, y: np.ndarray):

@@ -164,6 +164,22 @@ def test_csv_errors_name_row_and_column(tmp_path):
         load_csv(str(path))
 
 
+def test_csv_first_faulty_row_wins(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("label,f0,f1\n0,inf,1.0\n1,2.0,3.0\n0,4.0\n")
+    with pytest.raises(ValueError, match=r"non-numeric cell 'inf' at row 1, column 'f0'"):
+        load_csv(str(path))
+    path.write_text("label,f0,f1\n0,1.0,2.0\n1,3.0\n0,x,4.0\n")
+    with pytest.raises(ValueError, match=r"row 2 has 2 cells, expected 3"):
+        load_csv(str(path))
+
+
+def test_csv_row_whose_sum_overflows_loads(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("label,f0,f1\n0,1e308,1e308\n1,-1e308,-1e308\n")
+    np.testing.assert_array_equal(load_csv(str(path)).features, [[1e308, 1e308], [-1e308, -1e308]])
+
+
 # Each cell goes through float(): these are what it accepts, with the exact
 # value (the sign of zero included), and what it rejects.
 CSV_CELLS = {

@@ -368,9 +368,19 @@ def test_svm_1d_zero_weight_matches_grid_minimum(name, minority_sign):
 
 
 def test_decision_values_are_affine():
-    m = LinearSvm(np.array([2.0, -1.0]), 0.5)
+    m = LinearSvm(np.array([[2.0, -1.0]]), np.array([0.5]))
     x = np.array([[1.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(decision_values(m, x), [1.5, 0.5])
+    np.testing.assert_allclose(decision_values(m, x), [[1.5, 0.5]])
+    with pytest.raises(ValueError, match="weights must be"):
+        LinearSvm(np.array([2.0, -1.0]), 0.5)
+
+
+def test_calibration_holds_one_map_per_column():
+    cal = Calibration(np.array([2.0, -1.0]), np.array([0.0, 1.0]))
+    np.testing.assert_allclose(calibrated_probability(cal, np.array([[0.0], [1.0]])),
+                               [[0.5], [0.5]])
+    with pytest.raises(ValueError, match="slope and intercept"):
+        Calibration(2.0, 0.0)
 
 
 # ------------------------------------------------------------- calibration

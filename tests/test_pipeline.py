@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 from permsig import pipeline
-from permsig.autoenc import AeArchitecture
-from permsig.dataset import Batch, Dataset, permute_labels, stratified_folds, synth_effect
+from permsig.autoenc import AeArchitecture, ae_fit
+from permsig.dataset import (
+    Batch,
+    Dataset,
+    permute_labels,
+    scale_unit_interval,
+    stratified_folds,
+    synth_effect,
+)
 from permsig.dimred import pls1_fit, reduce
-from permsig.errors import ConfigError, FitError
+from permsig.errors import ConfigError, DivergenceError, FitError
 from permsig.linclass import calibrate, calibrated_probability, decision_values, svm_fit
 from permsig.pipeline import AltPipeline, PipelineSpec, fit_feature_maps
 from permsig.rng import PermutationPlan
@@ -452,6 +459,73 @@ def test_batch_probabilities_equal_each_column_fitted_alone(monkeypatch, frozen,
             test_j = Dataset(d.features[test[j]], column.labels[test[j]], 3)
             (alone,) = fit(model, train_j, plan).probabilities(Batch.of([test_j], [plan]))
             assert np.array_equal(probs[fitted.columns.index(j)], alone)
+
+
+def _ae_bits(model):
+    """Every bit of an autoencoder's weights, biases and history."""
+    return [a.tobytes() for a in model.weights + model.biases], repr(model.training_history)
+
+
+# name: (columns, train on fold subsets, unit-scaled data, AeArchitecture settings)
+AE_STACK_CASES = {
+    "two_blocks": (1, False, True, {}),
+    "32_columns": (32, False, True, {}),
+    "kfold_subsets": (32, True, True, {}),
+    "no_validation": (4, False, False, {"validation_fraction": 0.0}),
+    # Adam's steps are about the learning rate, so at this one some
+    # columns' losses overflow, each at an epoch of its own.  Column 3
+    # fails in block 1 at epoch 17 and in block 0 at epoch 34, and keeps
+    # block 0's error.
+    "diverging": (16, False, False, {"layer_widths_encoder": (3,), "activation": "sigmoid",
+                                     "output_activation": "identity", "learning_rate": 5e152,
+                                     "batch_size": 1, "epochs": 40, "validation_fraction": 0.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AE_STACK_CASES))
+def test_stacked_autoencoders_equal_each_fitted_alone(monkeypatch, case):
+    """Every block and column of a batch trains in one ``ae_fit`` call, and
+    each gets, bit for bit, the autoencoder a stack of it alone gets, or
+    the ``DivergenceError`` of its first failing block."""
+    columns, folds, unit, settings = AE_STACK_CASES[case]
+    gen = np.random.Generator(np.random.Philox(4))
+    d = Dataset(gen.standard_normal((20, 8)), np.repeat(np.arange(2), 10), 2)
+    d = scale_unit_interval(d) if unit else d
+    arch = AeArchitecture(**{"layer_widths_encoder": (3, 2), "epochs": 5, "batch_size": 4,
+                             **settings})
+    blocks = ((0, 1, 2, 3), (4, 5, 6, 7))
+    spec = PipelineSpec(ae=arch, reducer="none", region_blocks=blocks)
+    plans = [PermutationPlan(1, r) for r in range(columns)]
+    batch = Batch.of([permute_labels(d, plan) for plan in plans], plans)
+    if folds:  # each column's training rows of fold 0
+        folds = [stratified_folds(d.with_labels(labels), 3, plan)
+                 for labels, plan in zip(batch.labels, plans)]
+        batch = batch.subset(np.stack([fa.train_rows(0) for fa in folds]))
+    stacks = []
+    monkeypatch.setattr(pipeline, "ae_fit", lambda x, a, keys: stacks.append(len(keys))
+                        or ae_fit(x, a, keys))
+    with np.errstate(all="ignore"):
+        extractors, failures = pipeline._fit_extractors(spec, batch, "fit")
+    assert stacks == [2 * columns]
+    for j, plan in enumerate(plans):
+        alone, first = [], None
+        for bi, cols in enumerate(blocks):
+            with np.errstate(all="ignore"):
+                (model,), failed = ae_fit(batch.column_rows(j)[:, cols][None], arch,
+                                          [(plan, f"fit.b{bi}.ae")])
+            alone.append(model)
+            first = first or failed.get(0)
+        if first is not None:
+            assert isinstance(failures[j], DivergenceError)
+            assert failures[j].epoch == first.epoch
+            assert all(models[j] is None for _, models in extractors)
+        else:
+            assert j not in failures
+            for (_, models), model in zip(extractors, alone):
+                assert _ae_bits(models[j]) == _ae_bits(model)
+    if case == "diverging":
+        assert 0 < len(failures) < columns
+        assert len({exc.epoch for exc in failures.values()}) > 1
 
 
 # Unequal class sizes: pairs differ in rows and +1 counts, and blocks of
