@@ -10,7 +10,7 @@ import numpy as np
 
 from permsig.bounds import BoundSpec, empirical_bound
 from permsig.dataset import (
-    Batch, permute_labels, scale_unit_interval, stratified_folds, synth_effect,
+    Batch, Dataset, permute_labels, scale_unit_interval, stratified_folds, synth_effect,
 )
 from permsig.pipeline import PipelineSpec
 from permsig.rng import PermutationPlan
@@ -21,10 +21,11 @@ d = scale_unit_interval(synth_effect(100, 10, 1.0, PermutationPlan(31, 0), class
 mu = empirical_bound(BoundSpec(d.n, spec.classifier_input_dim(d.n_features), 0.05))
 
 print(f"{'data':>10} {'resub':>7} {'kfold':>7} {'resub+mu':>9} {'optimism':>9}")
-for name, data in (("effect", d), ("permuted", permute_labels(d, PermutationPlan(31, 1)))):
-    batch = Batch.of([data], [PermutationPlan(32, 0)])
+(permuted,) = permute_labels(d, [PermutationPlan(31, 1)]).labels
+for name, labels in (("effect", d.labels), ("permuted", permuted)):
+    batch = Batch.of(Dataset(d.features, labels, d.class_count), [PermutationPlan(32, 0)])
     (resub,) = resub_error(spec, batch)
-    (tests,) = kfold_errors(spec, batch, [stratified_folds(data, 10, PermutationPlan(32, 0))])
+    (tests,) = kfold_errors(spec, batch, stratified_folds(batch, 10))
     kfold = float(np.mean([t.value for t in tests]))
     diag = generalization_ratio(resub.value, kfold)
     print(

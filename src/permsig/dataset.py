@@ -1,17 +1,17 @@
 """Labeled feature tables and the randomized operations studies need.
 
 A :class:`Dataset` is an immutable ``(n, N)`` float matrix plus integer
-labels in ``[0, class_count)``; a :class:`Batch` holds several labelings
-of shared rows, which studies fit together.  All randomized operations
-(label permutation, row shuffling, fold assignment, null-group
-splitting, synthetic generation) are pure functions of their inputs and
-a :class:`~permsig.rng.PermutationPlan`, so rerunning with the same plan
-reproduces the result bit for bit.
+labels in ``[0, class_count)``; a :class:`Batch` holds columns of one
+dataset, each a labeling of its rows (or of a reordering or subset of
+them), which studies fit together.  All randomized operations (label
+permutation, row shuffling, fold assignment, null-group splitting,
+synthetic generation) are pure functions of their inputs and each
+column's :class:`~permsig.rng.PermutationPlan`, so rerunning with the
+same plans reproduces the result bit for bit.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -48,7 +48,13 @@ class Dataset:
         feats = np.array(self.features, dtype=np.float64, copy=True, order="C")
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
-        labs = _checked_labels(self.labels, feats.shape[0], self.class_count)
+        labs = np.array(self.labels, dtype=np.int64, copy=True)
+        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
+            raise ValueError("labels must be 1-D with one entry per feature row")
+        if self.class_count < 1:
+            raise ValueError("class_count must be at least 1")
+        if labs.size and (labs.min() < 0 or labs.max() >= self.class_count):
+            raise ValueError("every label must lie in [0, class_count)")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
         if self.feature_names is not None:
@@ -57,6 +63,7 @@ class Dataset:
                 raise ValueError("feature_names length must match column count")
             object.__setattr__(self, "feature_names", names)
         feats.setflags(write=False)
+        labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
@@ -68,66 +75,35 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def with_labels(self, labels: np.ndarray, class_count: int | None = None) -> "Dataset":
-        """Same features, new labels.
-
-        The features array is shared with this dataset, not copied: it is
-        read-only and was checked when this dataset was built.
-        """
-        class_count = self.class_count if class_count is None else class_count
-        out = copy.copy(self)
-        object.__setattr__(out, "labels", _checked_labels(labels, self.n, class_count))
-        object.__setattr__(out, "class_count", class_count)
-        return out
-
-
-def _checked_labels(labels, n: int, class_count: int) -> np.ndarray:
-    """A read-only int64 copy of ``n`` labels in ``[0, class_count)``."""
-    labs = np.array(labels, dtype=np.int64, copy=True)
-    if labs.ndim != 1 or labs.shape[0] != n:
-        raise ValueError("labels must be 1-D with one entry per feature row")
-    if class_count < 1:
-        raise ValueError("class_count must be at least 1")
-    if labs.size and (labs.min() < 0 or labs.max() >= class_count):
-        raise ValueError("every label must lie in [0, class_count)")
-    labs.setflags(write=False)
-    return labs
-
 
 @dataclass(frozen=True)
 class Batch:
-    """Labelings of shared rows that are fitted together, one column each.
+    """Columns of one dataset that are fitted together.
 
     Column ``j`` is the dataset whose row ``i`` is row ``rows[j, i]`` of
-    ``features[j]`` with label ``labels[j, i]``, and whose random draws
-    come from ``plans[j]``; ``rows`` is None when every column has all
-    its features' rows, in order.  Columns made from one dataset by
-    relabeling it hold the very same features array, so work that
-    depends only on the features (an encoding, say) is done once for all
-    of them.  Fits also need every column to hold the same number of
-    rows of each class, which relabeling and stratified folds keep.
+    ``features``, an (n, N) array, with label ``labels[j, i]``, and whose
+    random draws come from ``plans[j]``; ``rows`` is None when every
+    column has all rows, in order.  A relabeling gives each column its own
+    labels, a row shuffle or a fold subset its own rows, and the features
+    are never copied, so work that depends only on them (an encoding, say)
+    is done once for all columns.  Fits also need every column to hold the
+    same number of rows of each class, which all of these keep.
     """
 
-    features: tuple[np.ndarray, ...]
+    features: np.ndarray
     rows: np.ndarray | None
     labels: np.ndarray
     class_count: int
     plans: tuple[PermutationPlan, ...]
 
     @classmethod
-    def of(cls, columns, plans) -> "Batch":
-        """The batch of the given datasets, each fitted under its plan."""
-        columns, plans = tuple(columns), tuple(plans)
-        if not columns:
+    def of(cls, d: Dataset, plans) -> "Batch":
+        """Columns of ``d`` as it is, one fitted under each plan."""
+        plans = tuple(plans)
+        if not plans:
             raise ValueError("a batch needs at least one column")
-        if len(plans) != len(columns):
-            raise ValueError("a batch needs one plan per column")
-        first = columns[0]
-        if any(d.features.shape != first.features.shape or d.class_count != first.class_count
-               for d in columns):
-            raise ValueError("batch columns must share their shape and class count")
-        labels = np.stack([d.labels for d in columns])
-        return cls(tuple(d.features for d in columns), None, labels, first.class_count, plans)
+        return cls(d.features, None, np.broadcast_to(d.labels, (len(plans), d.n)),
+                   d.class_count, plans)
 
     @property
     def size(self) -> int:
@@ -139,12 +115,11 @@ class Batch:
 
     @property
     def n_features(self) -> int:
-        return self.features[0].shape[1]
+        return self.features.shape[1]
 
     def column_rows(self, j: int) -> np.ndarray:
-        """Column ``j``'s rows of its features."""
-        feats = self.features[j]
-        return feats if self.rows is None else feats[self.rows[j]]
+        """Column ``j``'s rows of the features."""
+        return self.features if self.rows is None else self.features[self.rows[j]]
 
     def subset(self, positions: np.ndarray) -> "Batch":
         """Each column's rows at ``positions[j]``, an (R, n') index array."""
@@ -157,7 +132,7 @@ class Batch:
         """The batch of the listed columns, in that order."""
         columns = list(columns)
         return Batch(
-            tuple(self.features[j] for j in columns),
+            self.features,
             None if self.rows is None else self.rows[columns],
             self.labels[columns],
             self.class_count,
@@ -298,19 +273,29 @@ def scale_unit_interval(d: Dataset) -> Dataset:
     return Dataset(scaled, d.labels, d.class_count, d.feature_names)
 
 
-def permute_labels(d: Dataset, plan: PermutationPlan) -> Dataset:
-    """Uniformly permute the label vector, leaving the features fixed.
+def _orders(n: int, plans, tag: str) -> np.ndarray:
+    """One permutation of ``range(n)`` per plan, each drawn from its ``tag`` stream."""
+    if not plans:
+        raise ValueError("a batch needs at least one column")
+    return np.stack([plan.rng(tag).permutation(n) for plan in plans])
 
-    The label histogram is preserved exactly.
+
+def permute_labels(d: Dataset, plans) -> Batch:
+    """Columns of ``d`` with uniformly permuted labels, one under each plan.
+
+    The features stay fixed, and every column keeps the label histogram
+    exactly.
     """
-    order = plan.rng("permute").permutation(d.n)
-    return d.with_labels(d.labels[order])
+    plans = tuple(plans)
+    return Batch(d.features, None, d.labels[_orders(d.n, plans, "permute")], d.class_count, plans)
 
 
-def shuffle_rows(d: Dataset, plan: PermutationPlan) -> Dataset:
-    """Shuffle rows jointly with their labels (pairs stay intact)."""
-    order = plan.rng("shuffle").permutation(d.n)
-    return Dataset(d.features[order], d.labels[order], d.class_count, d.feature_names)
+def shuffle_rows(d: Dataset, plans) -> Batch:
+    """Columns of ``d``'s rows in a shuffled order, one under each plan;
+    each row keeps its label."""
+    plans = tuple(plans)
+    orders = _orders(d.n, plans, "shuffle")
+    return Batch(d.features, orders, d.labels[orders], d.class_count, plans)
 
 
 def trim_to_even(d: Dataset, plan: PermutationPlan) -> Dataset:
@@ -324,21 +309,27 @@ def trim_to_even(d: Dataset, plan: PermutationPlan) -> Dataset:
     return Dataset(d.features[order], d.labels[order], d.class_count, d.feature_names)
 
 
-def stratified_folds(d: Dataset, k: int, plan: PermutationPlan) -> FoldAssignment:
-    """Assign rows to ``k`` folds, stratified by class.
+def stratified_folds(batch: Batch, k: int) -> list[FoldAssignment]:
+    """Assign each column's rows to ``k`` folds, stratified by its labels.
 
-    Within every class the per-fold counts differ by at most one, and the
-    extra rows of successive classes are dealt to the currently lightest
-    folds so the overall fold sizes also differ by at most one.
+    Column ``j``'s folds are drawn from ``plans[j]``.  Within every class
+    the per-fold counts differ by at most one, and the extra rows of
+    successive classes are dealt to the currently lightest folds so the
+    overall fold sizes also differ by at most one.
 
     Raises
     ------
     ValueError
-        If any class has fewer than ``k`` members.
+        If any class of a column has fewer than ``k`` members.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    counts = np.bincount(d.labels, minlength=d.class_count)
+    return [_folds(labels, batch.class_count, k, plan)
+            for labels, plan in zip(batch.labels, batch.plans)]
+
+
+def _folds(labels: np.ndarray, class_count: int, k: int, plan: PermutationPlan) -> FoldAssignment:
+    counts = np.bincount(labels, minlength=class_count)
     lacking = np.flatnonzero(counts < k)
     if lacking.size:
         raise ValueError(
@@ -346,10 +337,10 @@ def stratified_folds(d: Dataset, k: int, plan: PermutationPlan) -> FoldAssignmen
             f"fewer than k={k}"
         )
     gen = plan.rng("folds")
-    fold_of = np.empty(d.n, dtype=np.int64)
+    fold_of = np.empty(labels.size, dtype=np.int64)
     load = np.zeros(k, dtype=np.int64)
-    for c in range(d.class_count):
-        rows = np.flatnonzero(d.labels == c)
+    for c in range(class_count):
+        rows = np.flatnonzero(labels == c)
         rows = rows[gen.permutation(rows.size)]
         base, extra = divmod(rows.size, k)
         per_fold = np.full(k, base, dtype=np.int64)
@@ -364,12 +355,13 @@ def stratified_folds(d: Dataset, k: int, plan: PermutationPlan) -> FoldAssignmen
     return FoldAssignment(fold_of, k)
 
 
-def split_null_groups(d: Dataset, plan: PermutationPlan) -> Dataset:
-    """Split a one-condition dataset into two equal pseudo-groups.
+def split_null_groups(d: Dataset, plans) -> Batch:
+    """Columns of a one-condition dataset split into two equal
+    pseudo-groups, one under each plan.
 
-    Exactly ``n/2`` rows get label 0 and ``n/2`` get label 1, chosen
-    uniformly at random.  The result is a valid two-class dataset whose
-    group difference is null by construction.
+    In every column exactly ``n/2`` rows get label 0 and ``n/2`` get
+    label 1, chosen uniformly at random, so its group difference is null
+    by construction.
 
     Raises
     ------
@@ -380,10 +372,11 @@ def split_null_groups(d: Dataset, plan: PermutationPlan) -> Dataset:
         raise ValueError("split_null_groups requires a one-condition dataset")
     if d.n % 2 != 0:
         raise ValueError("split_null_groups requires an even row count")
-    order = plan.rng("split").permutation(d.n)
-    labels = np.zeros(d.n, dtype=np.int64)
-    labels[order[d.n // 2 :]] = 1
-    return d.with_labels(labels, class_count=2)
+    plans = tuple(plans)
+    orders = _orders(d.n, plans, "split")
+    labels = np.zeros(orders.shape, dtype=np.int64)
+    np.put_along_axis(labels, orders[:, d.n // 2 :], 1, axis=1)
+    return Batch(d.features, None, labels, 2, plans)
 
 
 def synth_effect(

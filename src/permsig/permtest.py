@@ -252,22 +252,19 @@ class _ReplicateTask:
     mu: float | None
 
 
-def _statistics(pipeline, columns: list[Dataset], plans: list[PermutationPlan],
-                scheme: Scheme, k: int, mu) -> list:
-    """The scheme's error values for each labeling in ``columns``.
+def _statistics(pipeline, batch: Batch, scheme: Scheme, k: int, mu) -> list:
+    """The scheme's error values for each column of ``batch``.
 
     Observed iterations and null replicates both come through here, so
     every null value is computed by the same procedure as the observed
     one: the k per-fold test errors for k-fold, else one resubstitution
-    error, plus ``mu`` for the bound-corrected scheme.  The labelings are
-    fitted as one batch; a column whose fit failed gets its ``FitError``
+    error, plus ``mu`` for the bound-corrected scheme.  The columns are
+    fitted together; a column whose fit failed gets its ``FitError``
     instead of values.
     """
-    batch = Batch.of(columns, plans)
     if scheme is Scheme.KFOLD:
-        folds = [stratified_folds(d, k, plan) for d, plan in zip(columns, plans)]
         return [out if isinstance(out, FitError) else [e.value for e in out]
-                for out in kfold_errors(pipeline, batch, folds)]
+                for out in kfold_errors(pipeline, batch, stratified_folds(batch, k))]
     return [out if isinstance(out, FitError)
             else [out.value + mu if scheme is Scheme.RUB else out.value]
             for out in resub_error(pipeline, batch)]
@@ -276,7 +273,8 @@ def _statistics(pipeline, columns: list[Dataset], plans: list[PermutationPlan],
 def _chunk_stats(task: _ReplicateTask, replicates: range):
     """Statistics of a chunk of null replicates, and its retries.
 
-    Every replicate draws its labeling from its own plan.  The replicates
+    Every replicate draws its labeling from its own plan, and the chunk's
+    labelings are one batch over the shared features.  The replicates
     whose fit failed are drawn again from their next plan and fitted
     together, up to ``MAX_RETRIES`` times.
     """
@@ -288,8 +286,8 @@ def _chunk_stats(task: _ReplicateTask, replicates: range):
     for attempt in range(MAX_RETRIES + 1):
         plans = [PermutationPlan(settings.master_seed, r + attempt * RETRY_STRIDE)
                  for r in pending]
-        columns = [label(task.data, plan) for plan in plans]
-        outs = _statistics(task.pipeline, columns, plans, settings.scheme, settings.k, task.mu)
+        batch = label(task.data, plans)
+        outs = _statistics(task.pipeline, batch, settings.scheme, settings.k, task.mu)
         failed = []
         for r, plan, out in zip(pending, plans, outs):
             if isinstance(out, FitError):
@@ -390,7 +388,8 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
 
     Labeled data gets the power flavor: the null permutes the labels,
     the observed statistic is the mean over row-shuffled iterations
-    (which are not retried), and the report carries its p-value.
+    (one batch whose columns index the data's rows in their own order,
+    not retried), and the report carries its p-value.
     One-condition data gets the type-1 flavor: the null splits the rows
     into two pseudo-groups, and the report carries the omnibus
     family-wise error rate instead.
@@ -401,8 +400,7 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
     if data.class_count > 1:
         plans = [PermutationPlan(settings.master_seed, OBSERVED_BASE + i)
                  for i in range(settings.observed_iterations)]
-        columns = [shuffle_rows(data, plan) for plan in plans]
-        for out in _statistics(pipeline, columns, plans, scheme, settings.k, mu):
+        for out in _statistics(pipeline, shuffle_rows(data, plans), scheme, settings.k, mu):
             if isinstance(out, FitError):
                 raise out
             observed += out

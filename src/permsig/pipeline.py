@@ -1,8 +1,8 @@
 """Learning-pipeline composition: extractor, reducer, classifier stages.
 
 A :class:`PipelineSpec` names the stages.  Fits take only a
-:class:`~permsig.dataset.Batch` of labelings, ``Batch.of([d], [plan])``
-for one dataset, and produce a :class:`FittedBatch`: the only fitted
+:class:`~permsig.dataset.Batch`, columns of one dataset (``Batch.of(d,
+[plan])`` for the dataset alone), and produce a :class:`FittedBatch`: the only fitted
 type, which holds each failed column's ``FitError``.  Its calibrated class
 probabilities of any rows of the batch's columns give their predicted
 labels, and its errors.  Feature columns may be split into disjoint
@@ -14,7 +14,9 @@ to the plain pipeline.
 Every stage handles all columns of a batch at once, but a column's
 arithmetic stays its own, so its fit and its probabilities do not depend
 on the batch it is in.  The autoencoders of every column and block of
-equal width and output activation train in one ``ae_fit`` call.  The
+equal width and output activation train in one ``ae_fit`` call.  Each
+autoencoder encodes the batch's one features array once, and each column
+gathers its rows of the codes (a row shuffle or a fold subset).  The
 classifier stage goes further: the pair problems of every block and
 class pair with the same row count, +1 count and width are stacked along
 the column axis, and each stack's SVMs and calibrations are fitted in
@@ -256,13 +258,13 @@ def _encode(ae_model: AeModel | None, xb: np.ndarray) -> np.ndarray:
 def _codes(batch: Batch, cols: tuple[int, ...], models, cache: dict) -> np.ndarray:
     """Each column's rows of one block, encoded.
 
-    A features array is encoded once per model, and the result kept in
+    The features are encoded once per model, and the result kept in
     ``cache``.  When every column has all rows of the same codes, those
     (n, width) codes serve them all; otherwise each column gathers its
     rows into an (R, n, width) array.
     """
-    codes = []
-    for feats, model in zip(batch.features, models):
+    feats, codes = batch.features, []
+    for model in models:
         key = (id(feats), id(model), cols)
         if key not in cache:  # the entry holds its keys' objects, so their ids stay unique
             block = feats if cols == tuple(range(feats.shape[1])) else feats[:, cols]
@@ -485,7 +487,7 @@ def fit_feature_maps(
         )
     pairs = list(combinations(range(max(d.class_count, 2)), 2))
     out = []
-    extractors, failures = _fit_extractors(spec, Batch.of([d], [plan]), tag)
+    extractors, failures = _fit_extractors(spec, Batch.of(d, [plan]), tag)
     if failures:
         raise failures[0]
     for cols, (ae_model,) in extractors:

@@ -106,7 +106,7 @@ def rub_error(
     the accuracy view is exactly ``resub.accuracy - mu``; both
     identities are bit-exact.  A failed fit of ``d`` raises its ``FitError``.
     """
-    (base,) = resub_error(pipeline, Batch.of([d], [plan]))
+    (base,) = resub_error(pipeline, Batch.of(d, [plan]))
     if isinstance(base, FitError):
         raise base
     mu = empirical_bound(bound_spec)

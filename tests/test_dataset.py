@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -46,78 +47,65 @@ def test_dataset_copies_its_inputs():
     y = np.zeros(4, dtype=int)
     d = Dataset(x, y, 1)
     x[0, 0] = 123.0
+    y[0] = 1
     assert d.features[0, 0] == 0.0
+    assert d.labels[0] == 0
 
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros(4), np.zeros(4, dtype=int), 1)  # 1-D features
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one entry per feature row"):
         Dataset(np.zeros((4, 2)), np.zeros(3, dtype=int), 1)  # length mismatch
+    with pytest.raises(ValueError, match="one entry per feature row"):
+        Dataset(np.zeros((4, 2)), np.zeros((4, 1), dtype=int), 1)  # 2-D labels
+    with pytest.raises(ValueError, match="class_count"):
+        Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 0)
     with pytest.raises(ValueError):
         Dataset(np.full((4, 2), np.nan), np.zeros(4, dtype=int), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lie in"):
         Dataset(np.zeros((4, 2)), np.array([0, 0, 0, 2]), 2)  # label out of range
+    with pytest.raises(ValueError, match="lie in"):
+        Dataset(np.zeros((4, 2)), np.array([0, -1, 0, 1]), 2)
     with pytest.raises(ValueError):
         Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 1, feature_names=("a",))
 
 
-def test_with_labels_keeps_features():
-    d = toy()
-    d2 = d.with_labels(np.zeros(d.n, dtype=int), class_count=1)
-    np.testing.assert_array_equal(d2.features, d.features)
-    assert d2.class_count == 1
-
-
-def test_with_labels_shares_read_only_features():
-    d = toy()
-    for relabeled in (
-        d.with_labels(np.zeros(d.n, dtype=int), class_count=1),
-        permute_labels(d, PermutationPlan(1, 0)),
-    ):
-        assert np.shares_memory(relabeled.features, d.features)
-        with pytest.raises(ValueError):
-            relabeled.features[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            relabeled.labels[0] = 0
-    one = Dataset(d.features, np.zeros(d.n, dtype=int), 1)
-    assert np.shares_memory(split_null_groups(one, PermutationPlan(1, 0)).features, one.features)
-
-
-def test_with_labels_checks_the_labels():
-    d = toy()
-    with pytest.raises(ValueError, match="one entry per feature row"):
-        d.with_labels(np.zeros(d.n + 1, dtype=int))
-    with pytest.raises(ValueError, match="class_count"):
-        d.with_labels(np.zeros(d.n, dtype=int), class_count=0)
-    with pytest.raises(ValueError, match="lie in"):
-        d.with_labels(np.full(d.n, 2))
-    labels = np.zeros(d.n, dtype=int)
-    relabeled = d.with_labels(labels)
-    labels[0] = 1
-    assert relabeled.labels[0] == 0  # the labels are copied
+# ---------------------------------------------------------------- Batch
 
 
 def test_batch_of_datasets_and_its_subsets():
     d = toy(n=6)
     plans = [PermutationPlan(2, r) for r in range(3)]
-    batch = Batch.of([permute_labels(d, p) for p in plans], plans)
+    batch = permute_labels(d, plans)
     assert (batch.size, batch.n, batch.n_features) == (3, 6, 3)
-    assert batch.rows is None and all(f is d.features for f in batch.features)
+    assert batch.rows is None and batch.features is d.features
     sub = batch.subset(np.array([[0, 2], [1, 3], [4, 5]]))
     np.testing.assert_array_equal(sub.rows, [[0, 2], [1, 3], [4, 5]])
     np.testing.assert_array_equal(sub.labels[2], batch.labels[2, [4, 5]])
     np.testing.assert_array_equal(sub.column_rows(1), d.features[[1, 3]])
     picked = sub.select([2, 0])
-    assert picked.plans == (plans[2], plans[0])
+    assert picked.plans == (plans[2], plans[0]) and picked.features is d.features
     np.testing.assert_array_equal(picked.rows, [[4, 5], [0, 2]])
     np.testing.assert_array_equal(picked.subset(np.array([[1], [0]])).rows, [[5], [0]])
-    with pytest.raises(ValueError, match="one plan per column"):
-        Batch.of([d], plans)
-    with pytest.raises(ValueError, match="shape"):
-        Batch.of([d, toy(n=8)], plans[:2])
-    with pytest.raises(ValueError, match="at least one column"):
-        Batch.of([], [])
+    own = Batch.of(d, plans[:2])
+    assert (own.size, own.rows, own.class_count, own.plans) == (2, None, 2, tuple(plans[:2]))
+    assert own.features is d.features
+    np.testing.assert_array_equal(own.labels, [d.labels, d.labels])
+    for make in (Batch.of, permute_labels, shuffle_rows):
+        with pytest.raises(ValueError, match="at least one column"):
+            make(d, [])
+
+
+def test_column_makers_share_the_read_only_features():
+    d = toy()
+    one = Dataset(d.features, np.zeros(d.n, dtype=int), 1)
+    plans = [PermutationPlan(1, r) for r in range(2)]
+    for data, batch in ((d, permute_labels(d, plans)), (d, shuffle_rows(d, plans)),
+                        (one, split_null_groups(one, plans)), (d, Batch.of(d, plans))):
+        assert batch.features is data.features
+        with pytest.raises(ValueError):
+            batch.features[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------- CSV I/O
@@ -256,9 +244,10 @@ def test_scale_unit_interval_range_and_constants():
 
 def test_permute_labels_preserves_histogram():
     d = toy(n=30, classes=3)
-    p = permute_labels(d, PermutationPlan(5, 0))
-    np.testing.assert_array_equal(np.bincount(p.labels), np.bincount(d.labels))
-    np.testing.assert_array_equal(p.features, d.features)
+    p = permute_labels(d, [PermutationPlan(5, r) for r in range(4)])
+    for labels in p.labels:
+        np.testing.assert_array_equal(np.bincount(labels), np.bincount(d.labels))
+    assert p.features is d.features and p.class_count == 3
 
 
 def test_permute_labels_uniform_over_arrangements():
@@ -267,9 +256,8 @@ def test_permute_labels_uniform_over_arrangements():
     d = Dataset(np.zeros((4, 1)), np.array([0, 0, 1, 1]), 2)
     reps = 3000
     counts: dict[tuple, int] = {}
-    for r in range(reps):
-        p = permute_labels(d, PermutationPlan(11, r))
-        key = tuple(p.labels.tolist())
+    for labels in permute_labels(d, [PermutationPlan(11, r) for r in range(reps)]).labels:
+        key = tuple(labels.tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     expect = reps / 6
@@ -280,12 +268,15 @@ def test_permute_labels_uniform_over_arrangements():
 
 def test_shuffle_rows_keeps_pairs_together():
     d = toy(n=12, classes=3)
-    s = shuffle_rows(d, PermutationPlan(2, 0))
-    assert not np.array_equal(s.features, d.features)
-    # every (row, label) pair must still exist
+    s = shuffle_rows(d, [PermutationPlan(2, 0), PermutationPlan(2, 1)])
+    assert s.features is d.features
     orig = {(tuple(f), int(l)) for f, l in zip(d.features, d.labels)}
-    new = {(tuple(f), int(l)) for f, l in zip(s.features, s.labels)}
-    assert orig == new
+    for j in range(s.size):
+        np.testing.assert_array_equal(np.sort(s.rows[j]), np.arange(d.n))
+        assert not np.array_equal(s.column_rows(j), d.features)
+        # every (row, label) pair must still exist
+        new = {(tuple(f), int(l)) for f, l in zip(s.column_rows(j), s.labels[j])}
+        assert orig == new
 
 
 def test_trim_to_even():
@@ -301,31 +292,34 @@ def test_trim_to_even():
 
 def test_stratified_folds_cover_and_balance():
     d = toy(n=47, classes=3)
-    folds = stratified_folds(d, 5, PermutationPlan(4, 0))
-    # exact partition
-    all_rows = np.sort(np.concatenate([folds.test_rows(f) for f in range(5)]))
-    np.testing.assert_array_equal(all_rows, np.arange(47))
-    sizes = [folds.test_rows(f).size for f in range(5)]
-    assert max(sizes) - min(sizes) <= 1
-    # per-class balance within one
-    for c in range(3):
-        per = [
-            int(np.sum(d.labels[folds.test_rows(f)] == c)) for f in range(5)
-        ]
-        assert max(per) - min(per) <= 1
+    batch = permute_labels(d, [PermutationPlan(4, r) for r in range(3)])
+    for labels, folds in zip(batch.labels, stratified_folds(batch, 5)):
+        # exact partition
+        all_rows = np.sort(np.concatenate([folds.test_rows(f) for f in range(5)]))
+        np.testing.assert_array_equal(all_rows, np.arange(47))
+        sizes = [folds.test_rows(f).size for f in range(5)]
+        assert max(sizes) - min(sizes) <= 1
+        # per-class balance within one
+        for c in range(3):
+            per = [int(np.sum(labels[folds.test_rows(f)] == c)) for f in range(5)]
+            assert max(per) - min(per) <= 1
 
 
 def test_stratified_folds_deterministic():
     d = toy(n=30, classes=2)
-    a = stratified_folds(d, 3, PermutationPlan(9, 7))
-    b = stratified_folds(d, 3, PermutationPlan(9, 7))
-    np.testing.assert_array_equal(a.fold_of, b.fold_of)
+    plans = [PermutationPlan(9, 7), PermutationPlan(9, 8)]
+    a = stratified_folds(Batch.of(d, plans), 3)
+    b = stratified_folds(Batch.of(d, plans[:1]), 3)
+    np.testing.assert_array_equal(a[0].fold_of, b[0].fold_of)
+    assert not np.array_equal(a[0].fold_of, a[1].fold_of)
 
 
 def test_stratified_folds_small_class_rejected():
     d = Dataset(np.zeros((5, 1)), np.array([0, 0, 0, 0, 1]), 2)
     with pytest.raises(ValueError, match="class 1"):
-        stratified_folds(d, 2, PermutationPlan(0, 0))
+        stratified_folds(Batch.of(d, [PermutationPlan(0, 0)]), 2)
+    with pytest.raises(ValueError, match="k must be"):
+        stratified_folds(Batch.of(d, [PermutationPlan(0, 0)]), 1)
 
 
 def test_fold_assignment_validation():
@@ -342,11 +336,10 @@ def test_fold_assignment_validation():
 
 def test_split_null_groups_exact_halves():
     d = toy(n=20, classes=1)
-    s = split_null_groups(d, PermutationPlan(3, 1))
-    assert s.class_count == 2
-    assert int(np.sum(s.labels == 0)) == 10
-    assert int(np.sum(s.labels == 1)) == 10
-    np.testing.assert_array_equal(s.features, d.features)
+    s = split_null_groups(d, [PermutationPlan(3, 1), PermutationPlan(3, 2)])
+    assert s.class_count == 2 and s.rows is None and s.features is d.features
+    np.testing.assert_array_equal(np.sum(s.labels == 0, axis=1), [10, 10])
+    np.testing.assert_array_equal(np.sum(s.labels == 1, axis=1), [10, 10])
 
 
 def test_split_null_groups_uniform():
@@ -354,9 +347,8 @@ def test_split_null_groups_uniform():
     d = Dataset(np.zeros((4, 1)), np.zeros(4, dtype=int), 1)
     reps = 3000
     counts: dict[tuple, int] = {}
-    for r in range(reps):
-        s = split_null_groups(d, PermutationPlan(8, r))
-        key = tuple(s.labels.tolist())
+    for labels in split_null_groups(d, [PermutationPlan(8, r) for r in range(reps)]).labels:
+        key = tuple(labels.tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 6
     expect = reps / 6
@@ -365,10 +357,68 @@ def test_split_null_groups_uniform():
 
 
 def test_split_null_groups_preconditions():
+    plans = [PermutationPlan(0, 0)]
     with pytest.raises(ValueError, match="one-condition"):
-        split_null_groups(toy(classes=2), PermutationPlan(0, 0))
+        split_null_groups(toy(classes=2), plans)
     with pytest.raises(ValueError, match="even"):
-        split_null_groups(toy(n=5, classes=1), PermutationPlan(0, 0))
+        split_null_groups(toy(n=5, classes=1), plans)
+    with pytest.raises(ValueError, match="at least one column"):
+        split_null_groups(toy(classes=1), [])
+
+
+# Each column maker's draws over every plan of a case, by SHA-256 of their
+# int64 bytes.  Recorded when every maker still took one plan and returned
+# one dataset per call (a shuffle's order then read off a features column of
+# 0..n-1), so the batch forms keep each stream's draws.  Class sizes are not
+# multiples of k, so the lightest-fold rule deals extra rows.
+DRAW_PLANS = [PermutationPlan(0, 0), PermutationPlan(5, 3), PermutationPlan(11, 2**48 + 1),
+              PermutationPlan(2**40 + 3, 2**32 + 7)]
+DRAW_CASES = {  # name: (class sizes, k)
+    "2class": ((7, 5), 3),
+    "3class": ((8, 6, 5), 4),
+    "one": ((14,), 3),
+}
+DRAW_SHA256 = {
+    ("2class", "permute"): "9cfe265ca853eeed3644031ab9ec5a14793c22f3efd64fdb2860351e68d87b0a",
+    ("2class", "permute.folds"): "cb350dbd0660d5033208dca6f23cdf787eb8e5a2087ecdabe5d3cfde6fcd3aa3",
+    ("2class", "shuffle"): "0b450acd137f23fb93ab8f781bddce30790d647c43081b1f335aed31a4d2a6d8",
+    ("2class", "shuffle.labels"): "6ef37b7596d6fb0ee33bdf565a98150d3686b6bdf30056f1ca38d0c21c8ebdb5",
+    ("2class", "shuffle.folds"): "fa4df63e6147de64ecd853dba25f878cb2305fb0dc32f1ceb8427fe70b322b7e",
+    ("2class", "own.folds"): "18514eee1691e571d606c5f948d1710f70c6b7e8e50205fa7597aa9c76e1ef02",
+    ("3class", "permute"): "a1fa8a60c77504e8c2a95faa2ff9d4e07de93f0af3d2f7612591123d0f3af0dd",
+    ("3class", "permute.folds"): "31b68dfd56e9c2eeaae90f8083ddcf79c22f4d5bd9670c7cf80da892dc2f9b08",
+    ("3class", "shuffle"): "7059c66dc63d34e3acfa50224cc6d777562f1634f56fb130ac2739084cebf5b4",
+    ("3class", "shuffle.labels"): "ac5bc4ac3aceb5fbbc5d2e5fdd3964fbd8a628a392d235e3c977cfbb7491beea",
+    ("3class", "shuffle.folds"): "b6b1914b560b993ca31d36412543ea927d3b57bf4002b60d386b46e21707a81f",
+    ("3class", "own.folds"): "8c9db0d9dc0be32f3c4a6802e51391f1d0218238686da711cb5d620db80e4a0f",
+    ("one", "split"): "194644444e2dec4dbfe3c97e504aceba8f9b28af2bb4df9671401f4694c244dd",
+    ("one", "split.folds"): "e926722a3bcf3448af6ef671698d88f5f93139278bd2f7049c1866cdba9ef47d",
+}
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.int64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(DRAW_CASES))
+def test_column_maker_draws_are_pinned(case):
+    sizes, k = DRAW_CASES[case]
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    d = Dataset(np.arange(labels.size, dtype=float)[:, None], labels, len(sizes))
+    got = {}
+    if len(sizes) == 1:
+        split = split_null_groups(d, DRAW_PLANS)
+        got["split"] = _sha(split.labels)
+        got["split.folds"] = _sha([fa.fold_of for fa in stratified_folds(split, k)])
+    else:
+        permuted, shuffled = permute_labels(d, DRAW_PLANS), shuffle_rows(d, DRAW_PLANS)
+        got["permute"] = _sha(permuted.labels)
+        got["permute.folds"] = _sha([fa.fold_of for fa in stratified_folds(permuted, k)])
+        got["shuffle"] = _sha(shuffled.rows)
+        got["shuffle.labels"] = _sha(shuffled.labels)
+        got["shuffle.folds"] = _sha([fa.fold_of for fa in stratified_folds(shuffled, k)])
+        got["own.folds"] = _sha([fa.fold_of for fa in stratified_folds(Batch.of(d, DRAW_PLANS), k)])
+    assert got == {draw: sha for (name, draw), sha in DRAW_SHA256.items() if name == case}
 
 
 # ---------------------------------------------------------------- synthesis

@@ -1,14 +1,17 @@
-"""The demos print the same bytes, on numpy alone.
+"""The demos print the same bytes, on numpy alone, and README's examples run.
 
 Each demo runs in a fresh interpreter where scipy cannot be imported,
 since the package must run on numpy alone and scipy is a test oracle.
 The SHA-256 of its standard output is compared with the value recorded
 when the demo was last changed on purpose.  A demo prints results of
 whole studies, so a refactor that moves any reported number fails here.
+README's Python examples run as one script, so an API change that they
+do not follow fails here too.
 """
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -16,7 +19,8 @@ import pytest
 
 import permsig
 
-DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = os.path.join(ROOT, "demos")
 
 STDOUT_SHA256 = {
     "alt_scheme.py": "4b25ce89749a6b95b62d6d9023a643e66ab3760dfe7e2e2780f5779ce90e8aa3",
@@ -45,3 +49,12 @@ def test_demo_output_is_unchanged(demo):
                           env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256[demo]
+
+
+def test_readme_examples_run(capsys):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), flags=re.M | re.S)
+    assert len(blocks) == 2
+    exec(compile("".join(blocks), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2  # the study's p-value, then the batch's errors

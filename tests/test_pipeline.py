@@ -31,7 +31,7 @@ PLAN = PermutationPlan(0, 0)
 
 def fit(model, d, plan=PLAN):
     """``model`` fitted on ``d`` alone, as a batch of one, which must not fail."""
-    fitted = model.fit(Batch.of([d], [plan]))
+    fitted = model.fit(Batch.of(d, [plan]))
     assert fitted.failures == {}
     return fitted
 
@@ -39,7 +39,7 @@ def fit(model, d, plan=PLAN):
 def failure(model, d, plan=PLAN) -> FitError:
     """The ``FitError`` that ``model`` records for ``d`` fitted alone, as a
     batch of one."""
-    fitted = model.fit(Batch.of([d], [plan]))
+    fitted = model.fit(Batch.of(d, [plan]))
     assert fitted.columns == [] and list(fitted.failures) == [0]
     return fitted.failures[0]
 
@@ -47,7 +47,7 @@ def failure(model, d, plan=PLAN) -> FitError:
 def proba(fitted, x):
     """The class probabilities of rows ``x`` under the fit of one dataset."""
     rows = Dataset(x, np.zeros(len(x), dtype=np.int64), fitted.class_count)
-    return fitted.probabilities(Batch.of([rows], [PLAN]))[0]
+    return fitted.probabilities(Batch.of(rows, [PLAN]))[0]
 
 
 def predict(fitted, x):
@@ -56,7 +56,7 @@ def predict(fitted, x):
 
 def error(fitted, d):
     """The misclassified fraction of ``d`` under the fit of one dataset."""
-    return fitted.errors(Batch.of([d], [PLAN]))[0]
+    return fitted.errors(Batch.of(d, [PLAN]))[0]
 
 
 def pairs(fitted, block=0):
@@ -256,8 +256,8 @@ def test_alt_pipeline_freezes_reducers():
 
     # refit on permuted labels: reducer must be the frozen one, so the
     # projection of the data is identical across refits
-    d_perm = permute_labels(d, PermutationPlan(3, 1))
-    fitted = fit(alt, d_perm, PermutationPlan(3, 1))
+    fitted = alt.fit(permute_labels(d, [PermutationPlan(3, 1)]))
+    assert fitted.failures == {}
     frozen = maps.blocks[0].reducers[(0, 1)]
     assert pairs(fitted)[0].reducer is frozen
 
@@ -268,8 +268,8 @@ def test_alt_pipeline_full_refit_differs():
     d = blobs(effect=2.0, seed=5)
     spec = PipelineSpec(reducer="pls")
     maps = fit_feature_maps(spec, d, PLAN)
-    d_perm = permute_labels(d, PermutationPlan(3, 2))
-    full = fit(spec, d_perm, PermutationPlan(3, 2))
+    full = spec.fit(permute_labels(d, [PermutationPlan(3, 2)]))
+    assert full.failures == {}
     frozen = maps.blocks[0].reducers[(0, 1)]
     assert not np.allclose(pairs(full)[0].reducer.directions[0], frozen.directions)
 
@@ -342,7 +342,7 @@ def test_probabilities_and_errors_check_the_column_count():
     # and asked about 1 column raised a bare IndexError.
     d = blobs(effect=0.5)
     plans = [PermutationPlan(4, r) for r in range(3)]
-    batch = Batch.of([permute_labels(d, plan) for plan in plans], plans)
+    batch = permute_labels(d, plans)
     fitted = PipelineSpec(reducer="pls").fit(batch.select([0, 1]))
     assert fitted.failures == {}
     for other in (batch, batch.select([2])):
@@ -436,10 +436,9 @@ def test_batch_probabilities_equal_each_column_fitted_alone(monkeypatch, frozen,
     spec = PipelineSpec(reducer="pls", region_blocks=((0, 1), (2, 3, 4)))
     model = AltPipeline(fit_feature_maps(spec, d, PLAN), spec) if frozen else spec
     plans = [PermutationPlan(7, r) for r in range(12)]
-    columns = [permute_labels(d, plan) for plan in plans]
-    batch = Batch.of(columns, plans)
+    batch = permute_labels(d, plans)
     if folds:  # fit on the training rows of fold 0, and predict its test rows
-        assignments = [stratified_folds(c, 3, plan) for c, plan in zip(columns, plans)]
+        assignments = stratified_folds(batch, 3)
         train = np.stack([fa.train_rows(0) for fa in assignments])
         test = np.stack([fa.test_rows(0) for fa in assignments])
         train_batch, test_batch = batch.subset(train), batch.subset(test)
@@ -451,13 +450,13 @@ def test_batch_probabilities_equal_each_column_fitted_alone(monkeypatch, frozen,
         probs = fitted.probabilities(test_batch)
         assert 0 < len(fitted.columns) < len(plans)
         assert probs.shape == (len(fitted.columns), test.shape[1], 3)
-        for j, (column, plan) in enumerate(zip(columns, plans)):
-            train_j = Dataset(d.features[train[j]], column.labels[train[j]], 3)
+        for j, (labels, plan) in enumerate(zip(batch.labels, plans)):
+            train_j = Dataset(d.features[train[j]], labels[train[j]], 3)
             if j in fitted.failures:
                 assert str(failure(model, train_j, plan)) == str(fitted.failures[j])
                 continue
-            test_j = Dataset(d.features[test[j]], column.labels[test[j]], 3)
-            (alone,) = fit(model, train_j, plan).probabilities(Batch.of([test_j], [plan]))
+            test_j = Dataset(d.features[test[j]], labels[test[j]], 3)
+            (alone,) = fit(model, train_j, plan).probabilities(Batch.of(test_j, [plan]))
             assert np.array_equal(probs[fitted.columns.index(j)], alone)
 
 
@@ -496,10 +495,9 @@ def test_stacked_autoencoders_equal_each_fitted_alone(monkeypatch, case):
     blocks = ((0, 1, 2, 3), (4, 5, 6, 7))
     spec = PipelineSpec(ae=arch, reducer="none", region_blocks=blocks)
     plans = [PermutationPlan(1, r) for r in range(columns)]
-    batch = Batch.of([permute_labels(d, plan) for plan in plans], plans)
+    batch = permute_labels(d, plans)
     if folds:  # each column's training rows of fold 0
-        folds = [stratified_folds(d.with_labels(labels), 3, plan)
-                 for labels, plan in zip(batch.labels, plans)]
+        folds = stratified_folds(batch, 3)
         batch = batch.subset(np.stack([fa.train_rows(0) for fa in folds]))
     stacks = []
     monkeypatch.setattr(pipeline, "ae_fit", lambda x, a, keys: stacks.append(len(keys))
@@ -545,7 +543,7 @@ def test_stacked_pair_fits_equal_per_pair_fits_bit_for_bit(monkeypatch, case, re
     d = Dataset(gen.standard_normal((labels.size, 5)) + 0.6 * labels[:, None], labels, len(sizes))
     spec = PipelineSpec(reducer=reducer, region_blocks=((0, 1), (2, 3, 4)))
     plans = [PermutationPlan(5, r) for r in range(12)]
-    batch = Batch.of([permute_labels(d, plan) for plan in plans], plans)
+    batch = permute_labels(d, plans)
     reducers = None
     if frozen:
         maps = fit_feature_maps(spec, d, PLAN)
@@ -587,7 +585,7 @@ def test_failed_columns_carry_their_first_error(monkeypatch, reducer, max_passes
         monkeypatch.setattr(pipeline, "svm_fit", partial(svm_fit, max_passes=max_passes))
     monkeypatch.setattr(pipeline, "calibrate", partial(calibrate, max_iter=max_iter))
     plans = [PermutationPlan(seed, r) for r in range(16)]
-    batch = Batch.of([permute_labels(d, plan) for plan in plans], plans)
+    batch = permute_labels(d, plans)
     with np.errstate(all="ignore"):
         fitted = spec.fit(batch)
         _assert_fits_columns_alone(fitted, batch, lambda j: _fit_one_pair_at_a_time(

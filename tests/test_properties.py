@@ -52,16 +52,21 @@ SEED = 9
 
 def replay(pipeline, data, plan, scheme, k, mu, labeling):
     """One replicate's statistics, recomputed alone through the public API
-    as a batch of one; the ``FitError`` of a failed fit is returned."""
+    as a batch of one; the ``FitError`` of a failed fit is returned.
+
+    A shuffled replicate is refitted on a copy of the data with its rows in
+    the drawn order, not on the row indices a study gathers through.
+    """
     if labeling == "split":
-        d = split_null_groups(data, plan)
+        batch = split_null_groups(data, [plan])
     elif labeling == "permute":
-        d = permute_labels(data, plan)
+        batch = permute_labels(data, [plan])
     else:
-        d = shuffle_rows(data, plan)
-    batch = Batch.of([d], [plan])
+        (order,) = shuffle_rows(data, [plan]).rows
+        copy = Dataset(data.features[order], data.labels[order], data.class_count)
+        batch = Batch.of(copy, [plan])
     if scheme is Scheme.KFOLD:
-        (tests,) = kfold_errors(pipeline, batch, [stratified_folds(d, k, plan)])
+        (tests,) = kfold_errors(pipeline, batch, stratified_folds(batch, k))
         return tests if isinstance(tests, FitError) else [e.value for e in tests]
     (est,) = resub_error(pipeline, batch)
     if isinstance(est, FitError):
@@ -130,17 +135,34 @@ def test_replicates_replay_alone_bit_for_bit(name):
             assert isinstance(out, FitError) and re.search(re.escape(message), str(out))
 
 
+# Minibatches smaller than the data and a validation split make an
+# autoencoder's training depend on the order of its rows.
+SHUFFLED_AE = AeArchitecture((2,), epochs=5, learning_rate=0.05, batch_size=4)
+
+# name: (study, spec, scheme)
+OBSERVED_CASES = {
+    "pls_rub": (power_study, PipelineSpec(reducer="pls"), Scheme.RUB),
+    "ae_refit_rub": (power_study, PipelineSpec(ae=SHUFFLED_AE, reducer="none",
+                                               region_blocks=((0, 1), (2, 3))), Scheme.RUB),
+    "ae_refit_kfold": (power_study, PipelineSpec(ae=SHUFFLED_AE, reducer="pls"), Scheme.KFOLD),
+    "alt_ae_rub": (alt_scheme_study, PipelineSpec(ae=SHUFFLED_AE, reducer="none"), Scheme.RUB),
+    "alt_ae_kfold": (alt_scheme_study, PipelineSpec(ae=SHUFFLED_AE, reducer="pls"), Scheme.KFOLD),
+}
+
+
 def test_observed_iterations_replay_alone_bit_for_bit():
     data = _labeled(3)
-    settings = StudySettings(scheme=Scheme.RUB, m=5, master_seed=SEED, observed_iterations=7)
-    report = power_study(PipelineSpec(reducer="pls"), data, settings)
-    mu = _mu_for(PipelineSpec(), data, Scheme.RUB, 0.05)
-    observed = [
-        replay(PipelineSpec(reducer="pls"), data, PermutationPlan(SEED, OBSERVED_BASE + i),
-               Scheme.RUB, 10, mu, "shuffle")[0]
-        for i in range(7)
-    ]
-    assert report.observed_mean == float(np.mean(observed))
+    for name, (study, spec, scheme) in OBSERVED_CASES.items():
+        settings = StudySettings(scheme=scheme, m=5, k=3, master_seed=SEED, observed_iterations=7)
+        report = study(spec, data, settings)
+        pipeline = _alt(spec, data) if study is alt_scheme_study else spec
+        mu = _mu_for(pipeline, data, scheme, 0.05)
+        observed = []
+        for i in range(7):
+            observed += replay(pipeline, data, PermutationPlan(SEED, OBSERVED_BASE + i), scheme, 3,
+                               mu, "shuffle")
+        assert len(observed) == 7 * (3 if scheme is Scheme.KFOLD else 1), name
+        assert report.observed_mean == float(np.mean(observed)), name
 
 
 @pytest.mark.parametrize("name", RETRIED)

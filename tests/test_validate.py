@@ -27,7 +27,7 @@ def blobs(n_per=20, dim=4, effect=3.0, seed=0):
 
 def one(d, plan=PLAN) -> Batch:
     """The batch of ``d`` alone, fitted under ``plan``."""
-    return Batch.of([d], [plan])
+    return Batch.of(d, [plan])
 
 
 def test_resub_error_zero_on_separable():
@@ -63,8 +63,8 @@ def test_rub_value_may_exceed_one():
 
 def test_kfold_returns_per_fold_estimates():
     d = blobs(n_per=25, effect=2.0)
-    folds = stratified_folds(d, 5, PLAN)
-    (tests,) = kfold_errors(PipelineSpec(reducer="pls"), one(d), [folds])
+    batch = one(d)
+    (tests,) = kfold_errors(PipelineSpec(reducer="pls"), batch, stratified_folds(batch, 5))
     assert len(tests) == 5
     for f, est in enumerate(tests):
         assert est.fold == f
