@@ -9,7 +9,8 @@ The pieces here are deliberately self-contained:
   the dual corner ``alpha = c`` is tested first, for all columns of a
   batch at once; where it is certified optimal no SMO step runs, so
   ``tol`` and ``max_passes`` go unused and no ``FitError`` can occur.
-  Only the other columns run SMO, one at a time.
+  Only the other columns run SMO, one at a time, each with a FIFO cache
+  of kernel columns ``x @ x_t`` held to a fixed byte budget.
 * :func:`calibrate` fits a sigmoid ``p = sigma(slope * margin + intercept)``
   to training margins by damped Newton iterations on the Bernoulli
   log-likelihood with the usual smoothed targets, so separable margins
@@ -43,6 +44,7 @@ import numpy as np
 from .errors import FitError
 
 _TAU = 1e-12  # curvature floor in the SMO subproblem
+_CACHE_BYTES = 512 * 1024  # kernel and curvature rows cached per SMO fit
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,9 @@ def svm_fit(
     occur.  Each other column solves the dual box-constrained problem on
     its own by pairwise coordinate updates with second-order working-set
     selection, stopping when the duality gap falls below ``tol`` relative
-    to the primal.
+    to the primal.  A pass that ends with no KKT violation left, its gap
+    still above ``tol``, leaves no step for another pass, so the column
+    fails then rather than after ``max_passes`` identical passes.
 
     Parameters
     ----------
@@ -142,8 +146,9 @@ def svm_fit(
     Returns
     -------
     ``(svm, failures)``: ``failures`` maps each column whose duality gap
-    is still above ``tol`` after ``max_passes`` passes to its
-    ``FitError``, and that column keeps the corner's finite ``(w, b)``.
+    is still above ``tol`` after ``max_passes`` passes, or after a pass
+    that left no step to take, to its ``FitError``, and that column keeps
+    the corner's finite ``(w, b)``.
 
     Raises
     ------
@@ -224,7 +229,14 @@ def _corner(x, y, c, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
-    """SMO on one column of more than one feature; returns ``(w, b)``."""
+    """SMO on one column of more than one feature; returns ``(w, b)``.
+
+    A step takes the first index ``i`` of the up set with the largest
+    ``myg``, the second ``j`` by the second-order rule of Fan, Chen & Lin
+    (2005; see :func:`_second_index`), and takes the pair's Newton step,
+    clipped to the box.  Kernel columns and curvature rows come from a FIFO cache
+    (Joachims 1999; LIBSVM), which changes no bit of the result.
+    """
     pos = y > 0
     n_pos = int(pos.sum())
     n = y.shape[0]
@@ -240,13 +252,38 @@ def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
     # may move, -inf where it may not.  A step changes only i's and j's.
     up_mask = np.where((pos & (alpha < c)) | (~pos & (alpha > 0.0)), 0.0, -np.inf)
     low_mask = np.where((pos & (alpha > 0.0)) | (~pos & (alpha < c)), 0.0, -np.inf)
-    # A step is a few passes over these n-buffers and two kernel columns;
-    # the scalar bookkeeping runs on Python floats.
-    diff, curv, gain, k_i, upd = (np.empty(n) for _ in range(5))
+    # A step is a few passes over these n-buffers and at most two new
+    # kernel columns, with no array allocated; the scalar bookkeeping
+    # runs on Python floats.
+    diff, gain, upd = (np.empty(n) for _ in range(3))
     ineligible = np.empty(n, dtype=bool)
     alpha, signs, is_pos = alpha.tolist(), y.tolist(), pos.tolist()
 
+    # About half of a step's i and j were an i or j a few steps before, so
+    # kernel columns x @ x_t are kept in a FIFO cache of ``slots`` rows
+    # within a byte budget, memory O(n), each with the curvature row
+    # max(sq_t + sq - 2 x @ x_t, _TAU) filled the first time t is an i.
+    # A row comes from the same matmul on the same operands as a fresh
+    # one, so a hit gives the same bits.  j's lookup never evicts i's slot.
+    slots = max(2, min(n, _CACHE_BYTES // (16 * n)))
+    kernel, curvature = list(np.empty((slots, n))), list(np.empty((slots, n)))
+    slot_of, held, curved = {}, [-1] * slots, [False] * slots
+    clock = 0
+
+    def column(t, keep):
+        """The slot that holds x @ x_t, filled on a miss; never ``keep``."""
+        nonlocal clock
+        s = slot_of.get(t)
+        if s is None:
+            s = clock if clock != keep else (clock + 1) % slots
+            clock = (s + 1) % slots
+            slot_of.pop(held[s], None)
+            held[s], slot_of[t], curved[s] = t, s, False
+            np.matmul(x, x[t], out=kernel[s])
+        return s
+
     for _ in range(max_passes):
+        stuck = False
         for _ in range(n):
             np.add(myg, up_mask, out=gain)
             i = int(gain.argmax())
@@ -256,26 +293,23 @@ def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
             np.subtract(m_up, myg, out=diff)
             diff += low_mask
             if diff[diff.argmax()] < 1e-10:  # argmax is the faster reduction
+                stuck = True  # no step moves: every later pass ends here too
                 break
-            np.matmul(x, x[i], out=k_i)
-            np.add(sq[i], sq, out=curv)
-            np.subtract(curv, np.multiply(2.0, k_i, out=gain), out=curv)
-            np.maximum(curv, _TAU, out=curv)
-            # Gains of the indices that may move down and would improve;
-            # the others stay -inf, below any gain that underflows to 0.
-            np.less_equal(diff, 0.0, out=ineligible)
-            np.multiply(diff, diff, out=gain)
-            gain /= curv
-            np.putmask(gain, ineligible, -np.inf)
-            j = int(gain.argmax())
+            s_i = column(i, -1)
+            k_i, curv = kernel[s_i], curvature[s_i]
+            if not curved[s_i]:
+                np.add(sq[i], sq, out=curv)
+                np.subtract(curv, np.multiply(2.0, k_i, out=gain), out=curv)
+                np.maximum(curv, _TAU, out=curv)
+                curved[s_i] = True
+            j = _second_index(diff, curv, gain, ineligible)
             step = float(diff[j]) / float(curv[j])
             cap_i = (c - alpha[i]) if signs[i] > 0 else alpha[i]
             cap_j = alpha[j] if signs[j] > 0 else (c - alpha[j])
             step = min(step, cap_i, cap_j)
             alpha[i] += signs[i] * step
             alpha[j] -= signs[j] * step
-            np.matmul(x, x[j], out=upd)
-            np.subtract(k_i, upd, out=upd)
+            np.subtract(k_i, kernel[column(j, s_i)], out=upd)
             upd *= step
             myg -= upd
             for t in (i, j):
@@ -286,7 +320,31 @@ def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
         w, b, gap_ok = _gap_test(x, y, np.array(alpha), myg, pos, c, tol)
         if gap_ok:
             return w, b
+        if stuck:
+            break
     raise FitError(f"SVM duality gap still above tol {tol} after {max_passes} passes")
+
+
+def _second_index(diff, curv, gain, ineligible) -> int:
+    """SMO's second index: the first maximizer of ``diff**2 / curv`` over
+    the indices with ``diff > 0``.  ``gain`` and ``ineligible`` are
+    scratch buffers.
+
+    ``diff * |diff|`` is ``diff * diff`` where ``diff > 0`` and at most 0
+    elsewhere, so a positive maximum of ``diff * |diff| / curv`` is first
+    reached at the same index.  Only when it is not positive (every
+    eligible gain underflows to 0, or a NaN) are the ineligible indices
+    masked to -inf, below any gain that underflows to 0.
+    """
+    np.abs(diff, out=gain)
+    gain *= diff
+    gain /= curv
+    j = int(gain.argmax())
+    if gain[j] > 0.0:
+        return j
+    np.less_equal(diff, 0.0, out=ineligible)
+    np.putmask(gain, ineligible, -np.inf)
+    return int(gain.argmax())
 
 
 def _gap_test(x, y, alpha, myg, pos, c, tol) -> tuple[np.ndarray, float, bool]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from permsig import linclass
 from permsig.errors import FitError
 from permsig.linclass import (
     Calibration,
@@ -15,6 +16,7 @@ from permsig.linclass import (
     decision_values,
     svm_fit,
     svm_objective,
+    _second_index,
     _softplus,
 )
 
@@ -213,6 +215,28 @@ def test_svm_raises_when_pass_cap_runs_out():
     fit_one(svm_fit, x, y)  # the default cap is enough
 
 
+def test_svm_stuck_pass_fails_at_once(monkeypatch):
+    # A pass that ends by the KKT test leaves no step for the next pass,
+    # so when its duality gap is still above tol (never below 0) the fit
+    # fails then, not after repeating the same gap test max_passes times.
+    gen = np.random.Generator(np.random.Philox(84))
+    y = gen.permutation(np.where(np.arange(200) < 50, 1.0, -1.0))
+    x = gen.standard_normal((200, 2)) + 0.8 * y[:, None]
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return gap_test(*args)
+
+    gap_test = linclass._gap_test
+    monkeypatch.setattr(linclass, "_gap_test", counted)
+    m, failures = svm_fit(x[None], y[None], tol=0.0, max_passes=10**6)
+    assert list(failures) == [0]
+    assert str(failures[0]) == "SVM duality gap still above tol 0.0 after 1000000 passes"
+    assert 1 <= len(calls) <= 10  # 4: three full passes, then one stuck
+    np.testing.assert_array_equal(m.weights[0], x.T @ y)  # the corner's (w, b)
+
+
 def test_svm_balanced_overlap_certifies_the_corner():
     # Labels independent of tightly packed 3-d codes, as after a label
     # permutation: every row lies inside the margin at alpha = c.
@@ -313,6 +337,40 @@ def test_smo_bits_pinned():
     assert failures == {}
     assert not any(np.array_equal(m.weights[j], x.T @ y[j]) for j in range(3))
     assert _fit_digest(m.weights, m.bias) == SMO_PIN_SHARED
+
+
+def test_smo_bits_pinned_under_heavy_eviction(monkeypatch):
+    # Every fit gets the cache's floor of two kernel-column slots, so most
+    # lookups evict; a j miss that evicted i's slot would change the step.
+    monkeypatch.setattr(linclass, "_CACHE_BYTES", 0)
+    test_smo_bits_pinned()
+
+
+def test_second_index_equals_masked_argmax():
+    # SMO's second index is the first maximizer of diff**2 / curv over
+    # diff > 0, with the others masked to -inf.  The helper skips the mask
+    # when the unmasked diff * |diff| / curv has a positive maximum; check
+    # it against the masked reference with ties, signed zeros, negatives,
+    # -inf entries, and tiny positives whose squares underflow to 0, where
+    # it must fall back to the mask.
+    gen = np.random.Generator(np.random.Philox(92))
+    fallbacks = 0
+    for trial in range(600):
+        n = int(gen.integers(1, 60))
+        scale = 10.0 ** gen.integers(-3, 4)
+        diff = gen.integers(-3, 4, n) * scale if trial % 2 else gen.standard_normal(n) * scale
+        diff[gen.random(n) < 0.2] = 0.0
+        diff[gen.random(n) < 0.2] = -0.0
+        diff[gen.random(n) < 0.2] = -np.inf
+        if trial % 3 == 0:
+            diff[diff > 0] = 10.0 ** gen.integers(-200, -162)  # diff**2 is 0
+        curv = gen.choice([1e-12, 0.5, 2.0, 3.0], n) if trial % 2 else gen.random(n) * scale + 1e-12
+        reference = diff * diff / curv
+        reference[diff <= 0.0] = -np.inf
+        j = _second_index(diff, curv, np.empty(n), np.empty(n, dtype=bool))
+        assert j == int(reference.argmax()), trial
+        fallbacks += not reference.max() > 0.0
+    assert 100 < fallbacks < 500
 
 
 def test_stopping_test_equals_max_of_masked_diff():
