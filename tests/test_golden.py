@@ -13,8 +13,10 @@ including a two-worker pool.  One two-class ``pls`` case keeps only 20
 rows of its second class, so that most permuted pairs have an SVM
 optimum of ``w = 0`` and are calibrated on a constant margin; its
 hashes were recorded while one-feature SVMs were still solved by SMO.
-One RUB case with a two-feature classifier also runs in a fresh interpreter
-where scipy cannot be imported, since the package must not need it.
+``alt_pls_3class``, recorded later, is the one alt case that freezes a
+``pls`` reducer for each class pair.  One RUB case with a two-feature
+classifier also runs in a fresh interpreter where scipy cannot be
+imported, since the package must not need it.
 """
 
 import hashlib
@@ -93,6 +95,12 @@ CASES = {
         {"scheme": "resub", "m": 30, "seed": 12, "pipeline": {"reducer": "pca"}},
         "8ccf5c00f25a0c4ac7f6f3d8b9b0d638b021dc5cf514e9ff9d7d4c71d2c07252",
         "d83fa0b2589373fd6c911e9b18e0176b42e78a119990754d26e6b8c86e9effe4",
+    ),
+    "alt_pls_3class": (
+        "alt", (12, 4, 1.5, 3, 11),
+        {"scheme": "rub", "m": 30, "seed": 13, "pipeline": {"reducer": "pls"}},
+        "af9820c59c050fea3517f4219d029b74eecab49b41f97bdc4e2df0ee6d0b7a0f",
+        "239b9c81b526807bca12f5d28ca0736121caf865bec8655d06a5ed9ba3aad8fd",
     ),
     "power_rub_pls_imbalanced": (
         "power", (80, 6, 0.5, 2, 21, 20), {"scheme": "rub", "m": 30, "seed": 3},

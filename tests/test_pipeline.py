@@ -1,3 +1,4 @@
+import hashlib
 import re
 from functools import partial
 from itertools import combinations
@@ -12,6 +13,7 @@ from permsig.dataset import (
     Dataset,
     permute_labels,
     scale_unit_interval,
+    split_null_groups,
     stratified_folds,
     synth_effect,
 )
@@ -292,6 +294,78 @@ def test_feature_maps_pls_needs_labels():
     # one-condition maps cover the pair of a type-1 replicate's two groups
     assert list(maps.blocks[0].reducers) == [(0, 1)]
     assert maps.blocks[0].reducers[(0, 1)] is not None
+
+
+# The first 16 hex digits of the SHA-256 of a frozen fit: each frozen
+# reducer's mean and directions, in block and then pair order, then the
+# probabilities of an alt fit on four relabelings of the data.
+# (reducer, autoencoder, region blocks, classes) -> digest
+FROZEN_PINS = {
+    ("none", False, False, 1): "f503fd7846d0007f",
+    ("none", False, False, 2): "c728df5e498025f0",
+    ("none", False, False, 3): "69878b2363e658e7",
+    ("none", False, True, 1): "a5a62c446d203bc6",
+    ("none", False, True, 2): "85a71ce6f2c0dce8",
+    ("none", False, True, 3): "37419005498701fe",
+    ("none", True, False, 1): "1f65167aaa653e27",
+    ("none", True, False, 2): "87e4bd73351df912",
+    ("none", True, False, 3): "a6d0aded628cab98",
+    ("none", True, True, 1): "f6d745071a5deebe",
+    ("none", True, True, 2): "1bb081c44a115f69",
+    ("none", True, True, 3): "584a7fd471ffdbc6",
+    ("pca", False, False, 1): "edc479b217e7c2c9",
+    ("pca", False, False, 2): "6308233a5d6dd75b",
+    ("pca", False, False, 3): "c801ee79714e12f6",
+    ("pca", False, True, 1): "b5f3577b2eef944a",
+    ("pca", False, True, 2): "54443c9f511f2736",
+    ("pca", False, True, 3): "b02d64ffadc0a1c5",
+    ("pca", True, False, 1): "368a25296cef28c7",
+    ("pca", True, False, 2): "eb9ffa842a4696ac",
+    ("pca", True, False, 3): "b02d4ac8e1f14280",
+    ("pca", True, True, 1): "6c34180d7686ac70",
+    ("pca", True, True, 2): "54f8cd82a32133b0",
+    ("pca", True, True, 3): "46e571e40e52d789",
+    ("pls", False, False, 2): "32b237c617e09de7",
+    ("pls", False, False, 3): "4d233211135c3807",
+    ("pls", False, True, 2): "9ba0403cb0b02a2c",
+    ("pls", False, True, 3): "fab61a514d66d28a",
+    ("pls", True, False, 2): "dbc6b99b2eff1650",
+    ("pls", True, False, 3): "4b1bc9ad1df75d5f",
+    ("pls", True, True, 2): "a5960764d9887857",
+    ("pls", True, True, 3): "950d20a341d1ea1e",
+}
+
+
+def _frozen(spec, d):
+    """The frozen pipeline of ``spec`` on ``d``, and its reducers in block
+    and then pair order."""
+    maps = fit_feature_maps(spec, d, PLAN)
+    return AltPipeline(maps, spec), [red for bm in maps.blocks for red in bm.reducers.values()]
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_PINS))
+def test_frozen_fit_bits_pinned(case):
+    """Frozen reducers depend on the memory layout of each block's copy of
+    the features, so a layout change shows here even where no report moves."""
+    reducer, ae, blocks, classes = case
+    spec = PipelineSpec(
+        ae=AeArchitecture(layer_widths_encoder=(3, 2), epochs=3, learning_rate=0.01,
+                          validation_fraction=0.0) if ae else None,
+        reducer=reducer, pca_components=2,
+        region_blocks=((0, 1, 2), (3, 4, 5)) if blocks else None,
+    )
+    d = synth_effect(20 // classes * 2, 6, 1.0, PermutationPlan(17, 0), classes=classes)
+    model, reducers = _frozen(spec, d)
+    plans = [PermutationPlan(19, r) for r in range(4)]
+    batch = (split_null_groups if classes == 1 else permute_labels)(d, plans)
+    digest = hashlib.sha256()
+    for red in reducers:
+        if red is not None:
+            digest.update(red.mean.tobytes())
+            digest.update(red.directions.tobytes())
+    with np.errstate(all="ignore"):
+        digest.update(model.fit(batch).probabilities(batch).tobytes())
+    assert digest.hexdigest()[:16] == FROZEN_PINS[case]
 
 
 def test_feature_maps_share_one_pca_reducer_across_pairs():
