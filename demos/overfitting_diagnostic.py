@@ -27,10 +27,10 @@ for name, labels in (("effect", d.labels), ("permuted", permuted)):
     (resub,) = resub_error(spec, batch)
     (tests,) = kfold_errors(spec, batch, stratified_folds(batch, 10))
     kfold = float(np.mean([t.value for t in tests]))
-    diag = generalization_ratio(resub.value, kfold)
+    optimism = generalization_ratio(resub.value, kfold)
     print(
         f"{name:>10} {resub.value:>7.3f} {kfold:>7.3f} "
-        f"{resub.value + mu:>9.3f} {diag.ratio:>9.2f}"
+        f"{resub.value + mu:>9.3f} {optimism:>9.2f}"
     )
 
 print(f"\nmu = {mu:.4f} at n = {d.n}")

@@ -59,7 +59,6 @@ from .pipeline import AltPipeline, FittedBatch, PipelineSpec, fit_feature_maps
 from .rng import PermutationPlan
 from .validate import (
     ErrorEstimate,
-    GeneralizationDiagnostic,
     Scheme,
     generalization_ratio,
     kfold_errors,
@@ -83,7 +82,6 @@ __all__ = [
     "FitError",
     "FittedBatch",
     "FoldAssignment",
-    "GeneralizationDiagnostic",
     "LinearReducer",
     "LinearSvm",
     "NullDistribution",

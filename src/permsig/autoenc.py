@@ -369,9 +369,8 @@ def ae_encode(m: AeModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.input_width:
         raise ValueError(f"x must be (n, {m.input_width})")
-    a = x
-    for layer in range(m.encoder_layers):
-        s = a @ m.weights[layer] + m.biases[layer]
-        a = _apply(m.architecture.activation, s)
-    return a
+    layers = m.encoder_layers
+    outputs, _ = _forward(m.weights[:layers], m.biases[:layers],
+                          (m.architecture.activation,) * layers, x)
+    return outputs[-1]
 

@@ -44,7 +44,7 @@ from .dataset import (
     trim_to_even,
 )
 from .errors import FitError, check, is_int, is_real
-from .pipeline import AltPipeline, PipelineSpec, fit_feature_maps
+from .pipeline import PipelineSpec, fit_feature_maps
 from .rng import PermutationPlan
 from .validate import Scheme, kfold_errors, resub_error
 
@@ -246,7 +246,7 @@ def fwe_rate(pvalues: np.ndarray, alpha: float) -> float:
 
 @dataclass
 class _ReplicateTask:
-    pipeline: object  # PipelineSpec or AltPipeline
+    pipeline: object  # a PipelineSpec, or the AltPipeline that fit_feature_maps returns
     data: Dataset
     settings: StudySettings
     mu: float | None
@@ -478,5 +478,5 @@ def alt_scheme_study(pipeline: PipelineSpec, d: Dataset, settings: StudySettings
     exist when the feature maps are frozen).
     """
     data = _prepared(d, settings)
-    maps = fit_feature_maps(pipeline, data, PermutationPlan(settings.master_seed, EXTRACTOR_INDEX))
-    return _study(AltPipeline(maps, pipeline), data, settings, "alt")
+    frozen = fit_feature_maps(pipeline, data, PermutationPlan(settings.master_seed, EXTRACTOR_INDEX))
+    return _study(frozen, data, settings, "alt")

@@ -29,14 +29,14 @@ per batch.  A column whose autoencoder fails carries the
 fails carries the ``FitError`` of its first failing block and pair, and
 within those of its first failing stage: reducer, SVM, then calibration.
 
-Two fitting modes exist:
+Two fitting modes share that one pairwise fit path:
 
 * :meth:`PipelineSpec.fit` refits every stage on the data it is given
   (the usual mode; used inside every fold and permutation replicate).
-* :func:`fit_feature_maps` + :class:`AltPipeline` freeze the extractor
-  and reducer on the original data, so only the classifier and its
-  calibration are refit afterwards — the cheap alternative scheme for
-  permutation nulls.
+* :func:`fit_feature_maps` fits the extractor and reducer once, on the
+  original data, and returns an :class:`AltPipeline` that holds them
+  frozen, so its fits refit only the classifier and its calibration —
+  the cheap alternative scheme for permutation nulls.
 """
 
 from __future__ import annotations
@@ -160,11 +160,7 @@ class PipelineSpec:
         ``ValueError``.
         """
         extractors, failures = _fit_extractors(self, batch, tag)
-        return _fit_classifiers(
-            self, batch, extractors,
-            lambda bi, pair, feats, y: _fit_reducer(self, feats, y),
-            failures,
-        )
+        return _fit_classifiers(self, batch, extractors, failures=failures)
 
 
 @dataclass
@@ -350,14 +346,14 @@ def _fit_reducer(spec: PipelineSpec, feats: np.ndarray, y: np.ndarray):
     return None, {}
 
 
-def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducer_for,
+def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dict | None = None,
                      failures: dict | None = None) -> FittedBatch:
     """The one pairwise fit path of full and frozen pipelines.
 
     Every block and class pair is a pair problem: each column's rows of
-    the pair, reduced by ``reducer_for(block_index, pair, feats, y)``,
-    which returns the reducer (fitted on those rows, or looked up in
-    frozen maps) and the ``FitError`` of each column it failed on.  The
+    the pair, reduced by the frozen reducer ``reducers[block_index,
+    pair]``, or, when ``reducers`` is None, by a reducer fitted on those
+    rows, which records the ``FitError`` of each column it failed on.  The
     problems' scores are stacked along the column axis, one stack per row
     count, +1 count and width, and each stack's SVMs and calibrations are
     fitted in one call apiece.
@@ -398,7 +394,10 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducer_for,
             z, block = _codes(live, cols, tuple(models[j] for j in columns), codes), bi
         try:
             feats, y = _pair_data(z, live.labels, a, b)
-            red, failed = reducer_for(bi, (a, b), feats, y)
+            if reducers is None:
+                red, failed = _fit_reducer(spec, feats, y)
+            else:
+                red, failed = reducers[bi, (a, b)], {}
         except FitError as exc:  # one that every column shares
             record([p], 0, dict.fromkeys(range(size), exc))
             break
@@ -450,34 +449,16 @@ def _part(model, cols: np.ndarray, size: int):
     return model if model is None or len(cols) == size else model.select(cols)
 
 
-@dataclass
-class BlockMaps:
-    """Frozen extractor state of one block for the alternative scheme.
-
-    ``reducers`` maps each class pair to its frozen reducer; a shared
-    (``pca``) reducer is the same object under every key, and ``none``
-    maps every pair to ``None``.
-    """
-
-    columns: tuple[int, ...]
-    ae_model: AeModel | None
-    reducers: dict[tuple[int, int], LinearReducer | None]
-
-
-@dataclass
-class FixedMaps:
-    blocks: list[BlockMaps]
-    n_features: int
-
-
 def fit_feature_maps(
     spec: PipelineSpec, d: Dataset, plan: PermutationPlan, tag: str = "extract"
-) -> FixedMaps:
-    """Fit extractor and reducer once, on unpermuted data.
+) -> "AltPipeline":
+    """The pipeline of ``spec`` with its extractor and reducer frozen on ``d``.
 
-    With two or more classes, a ``pls`` reducer is fit per class pair on
-    the original labels.  One-condition data cannot drive a supervised
-    reduction, so ``pca`` (or ``none``) must be used there; its maps
+    The autoencoders train once, on unpermuted data.  A ``pls`` reducer is
+    fit per class pair on the original labels, by the same reducer fit as
+    a full pipeline's; ``pca`` is fit once per block on all rows and
+    shared by every pair.  One-condition data cannot drive a supervised
+    reduction, so ``pca`` (or ``none``) must be used there; its reducers
     cover the pair ``(0, 1)`` of the two pseudo-groups a type-1 replicate
     splits it into.  A failed fit raises its ``FitError``.
     """
@@ -486,50 +467,58 @@ def fit_feature_maps(
             "pls cannot be frozen on one-condition data; use reducer='pca' or 'none'"
         )
     pairs = list(combinations(range(max(d.class_count, 2)), 2))
-    out = []
     extractors, failures = _fit_extractors(spec, Batch.of(d, [plan]), tag)
     if failures:
         raise failures[0]
-    for cols, (ae_model,) in extractors:
-        z = _encode(ae_model, d.features[:, cols])
+    frozen = [(cols, model) for cols, (model,) in extractors]
+    reducers = {}
+    for bi, (cols, model) in enumerate(frozen):
+        # Always a copy, in F order: the reducers' bits depend on its layout.
+        z = _encode(model, d.features[:, cols])
         if spec.reducer == "pls":
-            reducers = {}
             for pair in pairs:
-                red, failed = pls1_fit(*_pair_data(z[None], d.labels[None], *pair))
+                red, failed = _fit_reducer(spec, *_pair_data(z[None], d.labels[None], *pair))
                 if failed:
                     raise failed[0]
-                reducers[pair] = red.column(0)
+                reducers[bi, pair] = red.column(0)
         else:
-            reducers = dict.fromkeys(pairs, _fit_reducer(spec, z, None)[0])
-        out.append(BlockMaps(cols, ae_model, reducers))
-    return FixedMaps(out, d.n_features)
+            shared = _fit_reducer(spec, z, None)[0]
+            reducers.update({(bi, pair): shared for pair in pairs})
+    return AltPipeline(spec, frozen, reducers, d.n_features)
 
 
 @dataclass
 class AltPipeline:
-    """Pipeline whose extractor/reducer are frozen; classifier refits.
+    """A pipeline whose extractor and reducer are frozen; only the
+    classifier and its calibration refit.
 
-    Exposes the same ``fit(batch, tag)`` interface as
-    :class:`PipelineSpec`, so the validation estimators accept either.
-    Fitting is deterministic given the data, so the columns' plans go
-    unused.
+    ``extractors`` holds each block's columns and frozen autoencoder (or
+    None), and ``reducers`` maps each block index and class pair to its
+    frozen reducer (None for ``none``); a ``pca`` reducer is one object
+    under every pair of its block.  Built by :func:`fit_feature_maps`.
+    It has the ``fit(batch, tag)`` of :class:`PipelineSpec`, so the
+    validation estimators accept either.  Fitting is deterministic given
+    the data, so the columns' plans go unused.
     """
 
-    maps: FixedMaps
     spec: PipelineSpec
+    extractors: list[tuple[tuple[int, ...], AeModel | None]]
+    reducers: dict[tuple[int, tuple[int, int]], LinearReducer | None]
+    n_features: int
 
     def classifier_input_dim(self, n_features: int) -> int:
         return self.spec.classifier_input_dim(n_features)
 
     def fit(self, batch: Batch, tag: str = "fit") -> FittedBatch:
-        if batch.n_features != self.maps.n_features:
+        """Fit the classifier stage on each column of ``batch``.
+
+        A batch of another width, or with a class pair that has no frozen
+        reducer, raises ``ValueError``.
+        """
+        if batch.n_features != self.n_features:
             raise ValueError("dataset width differs from the mapped width")
-        blocks = self.maps.blocks
-
-        def frozen(bi, pair, feats, y):
-            if pair not in blocks[bi].reducers:
-                raise FitError(f"no frozen reducer for class pair {pair}")
-            return blocks[bi].reducers[pair], {}
-
-        extractors = [(bm.columns, (bm.ae_model,) * batch.size) for bm in blocks]
-        return _fit_classifiers(self.spec, batch, extractors, frozen)
+        for pair in combinations(range(batch.class_count), 2):
+            if (0, pair) not in self.reducers:
+                raise ValueError(f"no frozen reducer for class pair {pair}")
+        extractors = [(cols, (model,) * batch.size) for cols, model in self.extractors]
+        return _fit_classifiers(self.spec, batch, extractors, self.reducers)

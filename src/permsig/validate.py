@@ -70,15 +70,6 @@ class ErrorEstimate:
         return 1.0 - self.value
 
 
-@dataclass(frozen=True)
-class GeneralizationDiagnostic:
-    """Relative optimism of an empirical error estimate."""
-
-    empirical: float
-    actual: float
-    ratio: float
-
-
 def resub_error(pipeline, batch: Batch) -> list[ErrorEstimate | FitError]:
     """Train on all rows and evaluate on the same rows.
 
@@ -165,7 +156,7 @@ def _fold_rows(rows: list[np.ndarray]) -> np.ndarray:
     return np.stack(rows)
 
 
-def generalization_ratio(e_emp: float, e_act: float) -> GeneralizationDiagnostic:
+def generalization_ratio(e_emp: float, e_act: float) -> float:
     """Relative optimism ``e_act / e_emp - 1``.
 
     A zero empirical error gives 0 when the actual error is also zero
@@ -174,7 +165,5 @@ def generalization_ratio(e_emp: float, e_act: float) -> GeneralizationDiagnostic
     if e_emp < 0 or e_act < 0:
         raise ValueError("error rates must be non-negative")
     if e_emp == 0.0:
-        ratio = 0.0 if e_act == 0.0 else math.inf
-    else:
-        ratio = e_act / e_emp - 1.0
-    return GeneralizationDiagnostic(e_emp, e_act, ratio)
+        return 0.0 if e_act == 0.0 else math.inf
+    return e_act / e_emp - 1.0

@@ -20,7 +20,7 @@ from permsig.dataset import (
 from permsig.dimred import pls1_fit, reduce
 from permsig.errors import ConfigError, DivergenceError, FitError
 from permsig.linclass import calibrate, calibrated_probability, decision_values, svm_fit
-from permsig.pipeline import AltPipeline, PipelineSpec, fit_feature_maps
+from permsig.pipeline import PipelineSpec, fit_feature_maps
 from permsig.rng import PermutationPlan
 
 
@@ -252,15 +252,14 @@ def test_ae_pipeline_smoke():
 def test_alt_pipeline_freezes_reducers():
     d = blobs(effect=2.0)
     spec = PipelineSpec(reducer="pls")
-    maps = fit_feature_maps(spec, d, PLAN)
-    alt = AltPipeline(maps, spec)
+    alt = fit_feature_maps(spec, d, PLAN)
     assert alt.classifier_input_dim(d.n_features) == 1
 
     # refit on permuted labels: reducer must be the frozen one, so the
     # projection of the data is identical across refits
     fitted = alt.fit(permute_labels(d, [PermutationPlan(3, 1)]))
     assert fitted.failures == {}
-    frozen = maps.blocks[0].reducers[(0, 1)]
+    frozen = alt.reducers[0, (0, 1)]
     assert pairs(fitted)[0].reducer is frozen
 
 
@@ -269,20 +268,24 @@ def test_alt_pipeline_full_refit_differs():
     # so its projection direction differs from the frozen one
     d = blobs(effect=2.0, seed=5)
     spec = PipelineSpec(reducer="pls")
-    maps = fit_feature_maps(spec, d, PLAN)
+    alt = fit_feature_maps(spec, d, PLAN)
     full = spec.fit(permute_labels(d, [PermutationPlan(3, 2)]))
     assert full.failures == {}
-    frozen = maps.blocks[0].reducers[(0, 1)]
+    frozen = alt.reducers[0, (0, 1)]
     assert not np.allclose(pairs(full)[0].reducer.directions[0], frozen.directions)
 
 
 def test_alt_pipeline_width_check():
     d = blobs()
     spec = PipelineSpec(reducer="pca")
-    alt = AltPipeline(fit_feature_maps(spec, d, PLAN), spec)
+    alt = fit_feature_maps(spec, d, PLAN)
     narrow = Dataset(d.features[:, :2], d.labels, d.class_count)
     with pytest.raises(ValueError, match="width"):
         fit(alt, narrow)
+    # a class pair the frozen reducers do not cover is a caller mistake too
+    three = blobs(classes=3)
+    with pytest.raises(ValueError, match=re.escape("no frozen reducer for class pair (0, 2)")):
+        alt.fit(Batch.of(three, [PLAN]))
 
 
 def test_feature_maps_pls_needs_labels():
@@ -290,10 +293,10 @@ def test_feature_maps_pls_needs_labels():
     d = Dataset(x, np.zeros(10, dtype=np.int64), 1)
     with pytest.raises(ValueError, match="pls"):
         fit_feature_maps(PipelineSpec(reducer="pls"), d, PLAN)
-    maps = fit_feature_maps(PipelineSpec(reducer="pca"), d, PLAN)
-    # one-condition maps cover the pair of a type-1 replicate's two groups
-    assert list(maps.blocks[0].reducers) == [(0, 1)]
-    assert maps.blocks[0].reducers[(0, 1)] is not None
+    alt = fit_feature_maps(PipelineSpec(reducer="pca"), d, PLAN)
+    # one-condition reducers cover the pair of a type-1 replicate's two groups
+    assert list(alt.reducers) == [(0, (0, 1))]
+    assert alt.reducers[0, (0, 1)] is not None
 
 
 # The first 16 hex digits of the SHA-256 of a frozen fit: each frozen
@@ -336,14 +339,7 @@ FROZEN_PINS = {
 }
 
 
-def _frozen(spec, d):
-    """The frozen pipeline of ``spec`` on ``d``, and its reducers in block
-    and then pair order."""
-    maps = fit_feature_maps(spec, d, PLAN)
-    return AltPipeline(maps, spec), [red for bm in maps.blocks for red in bm.reducers.values()]
-
-
-@pytest.mark.parametrize("case", sorted(FROZEN_PINS))
+@pytest.mark.parametrize("case", sorted(FROZEN_PINS), ids=lambda c: "-".join(map(str, c)))
 def test_frozen_fit_bits_pinned(case):
     """Frozen reducers depend on the memory layout of each block's copy of
     the features, so a layout change shows here even where no report moves."""
@@ -355,11 +351,11 @@ def test_frozen_fit_bits_pinned(case):
         region_blocks=((0, 1, 2), (3, 4, 5)) if blocks else None,
     )
     d = synth_effect(20 // classes * 2, 6, 1.0, PermutationPlan(17, 0), classes=classes)
-    model, reducers = _frozen(spec, d)
+    model = fit_feature_maps(spec, d, PLAN)
     plans = [PermutationPlan(19, r) for r in range(4)]
     batch = (split_null_groups if classes == 1 else permute_labels)(d, plans)
     digest = hashlib.sha256()
-    for red in reducers:
+    for red in model.reducers.values():
         if red is not None:
             digest.update(red.mean.tobytes())
             digest.update(red.directions.tobytes())
@@ -370,12 +366,12 @@ def test_frozen_fit_bits_pinned(case):
 
 def test_feature_maps_share_one_pca_reducer_across_pairs():
     d = blobs(classes=3, effect=2.0)
-    maps = fit_feature_maps(PipelineSpec(reducer="pca"), d, PLAN)
-    reducers = maps.blocks[0].reducers
-    assert sorted(reducers) == [(0, 1), (0, 2), (1, 2)]
-    assert reducers[(0, 1)] is reducers[(0, 2)] is reducers[(1, 2)]
-    fitted = fit(AltPipeline(maps, PipelineSpec(reducer="pca")), d)
-    assert all(pair.reducer is reducers[(0, 1)] for pair in pairs(fitted))
+    alt = fit_feature_maps(PipelineSpec(reducer="pca"), d, PLAN)
+    reducers = alt.reducers
+    assert sorted(reducers) == [(0, (0, 1)), (0, (0, 2)), (0, (1, 2))]
+    assert reducers[0, (0, 1)] is reducers[0, (0, 2)] is reducers[0, (1, 2)]
+    fitted = fit(alt, d)
+    assert all(pair.reducer is reducers[0, (0, 1)] for pair in pairs(fitted))
 
 
 def test_spec_validation():
@@ -431,7 +427,7 @@ def test_probabilities_and_errors_check_the_column_count():
 def _fit_one_pair_at_a_time(spec, d, reducers=None):
     """Each block's pair models of one dataset, fitted pair by pair in block
     and pair order, each stage as a batch of one; the first ``FitError`` is
-    returned instead.  ``reducers`` holds frozen reducers by block and pair."""
+    returned instead.  ``reducers`` holds frozen reducers by block index and pair."""
     blocks = []
     for bi, cols in enumerate(spec.resolve_blocks(d.n_features)):
         pairs = []
@@ -441,7 +437,7 @@ def _fit_one_pair_at_a_time(spec, d, reducers=None):
             y = np.where(d.labels[rows] == b, 1.0, -1.0)[None]
             red, failures = None, {}
             if reducers is not None:
-                red = reducers[bi][(a, b)]
+                red = reducers[bi, (a, b)]
             elif spec.reducer == "pls":
                 red, failures = pls1_fit(x, y)
             scores = reduce(red, x) if red is not None else x
@@ -508,7 +504,7 @@ def test_batch_probabilities_equal_each_column_fitted_alone(monkeypatch, frozen,
     gen = np.random.Generator(np.random.Philox(2))
     d = Dataset(gen.standard_normal((labels.size, 5)) + 0.5 * labels[:, None], labels, 3)
     spec = PipelineSpec(reducer="pls", region_blocks=((0, 1), (2, 3, 4)))
-    model = AltPipeline(fit_feature_maps(spec, d, PLAN), spec) if frozen else spec
+    model = fit_feature_maps(spec, d, PLAN) if frozen else spec
     plans = [PermutationPlan(7, r) for r in range(12)]
     batch = permute_labels(d, plans)
     if folds:  # fit on the training rows of fold 0, and predict its test rows
@@ -618,12 +614,8 @@ def test_stacked_pair_fits_equal_per_pair_fits_bit_for_bit(monkeypatch, case, re
     spec = PipelineSpec(reducer=reducer, region_blocks=((0, 1), (2, 3, 4)))
     plans = [PermutationPlan(5, r) for r in range(12)]
     batch = permute_labels(d, plans)
-    reducers = None
-    if frozen:
-        maps = fit_feature_maps(spec, d, PLAN)
-        model, reducers = AltPipeline(maps, spec), [bm.reducers for bm in maps.blocks]
-    else:
-        model = spec
+    model = fit_feature_maps(spec, d, PLAN) if frozen else spec
+    reducers = model.reducers if frozen else None
     svm_calls, cal_calls = _counting(monkeypatch, "svm_fit"), _counting(monkeypatch, "calibrate")
     with np.errstate(all="ignore"):
         fitted = model.fit(batch)

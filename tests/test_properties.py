@@ -43,7 +43,7 @@ from permsig.permtest import (
     power_study,
     type1_study,
 )
-from permsig.pipeline import AltPipeline, PipelineSpec, fit_feature_maps
+from permsig.pipeline import PipelineSpec, fit_feature_maps
 from permsig.rng import PermutationPlan
 from permsig.validate import Scheme, kfold_errors, resub_error
 
@@ -79,7 +79,7 @@ def _labeled(classes=2, n_per=10, dim=4):
 
 
 def _alt(spec, data):
-    return AltPipeline(fit_feature_maps(spec, data, PermutationPlan(SEED, EXTRACTOR_INDEX)), spec)
+    return fit_feature_maps(spec, data, PermutationPlan(SEED, EXTRACTOR_INDEX))
 
 
 AE = AeArchitecture((2,), epochs=2, validation_fraction=0.0)

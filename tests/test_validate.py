@@ -100,11 +100,10 @@ def test_estimates_record_iteration():
 
 
 def test_generalization_ratio_cases():
-    g = generalization_ratio(0.1, 0.12)
-    np.testing.assert_allclose(g.ratio, 0.2)
-    assert generalization_ratio(0.0, 0.0).ratio == 0.0
-    assert generalization_ratio(0.0, 0.3).ratio == math.inf
-    assert generalization_ratio(0.2, 0.1).ratio < 0  # pessimistic estimate
+    np.testing.assert_allclose(generalization_ratio(0.1, 0.12), 0.2)
+    assert generalization_ratio(0.0, 0.0) == 0.0
+    assert generalization_ratio(0.0, 0.3) == math.inf
+    assert generalization_ratio(0.2, 0.1) < 0  # pessimistic estimate
     with pytest.raises(ValueError):
         generalization_ratio(-0.1, 0.1)
     with pytest.raises(ValueError):
