@@ -98,17 +98,21 @@ def pls1_fit(x: np.ndarray, y: np.ndarray):
         raise ValueError("y must contain only -1 and +1")
     if not np.all((y > 0).any(axis=1) & (y < 0).any(axis=1)):
         raise ValueError("both label signs must be present")
+    (cols, n), n_feat = y.shape, x.shape[-1]
     mean = x.mean(axis=-2)
     yc = y - y.mean(axis=1, keepdims=True)
-    # One feature at a time, so no temporary is larger than y.
-    w = np.empty((len(y), x.shape[-1]))
-    scale = np.zeros(len(y))
-    for j in range(x.shape[-1]):
-        xc = x[..., j] - mean[..., j, None]
-        w[:, j] = np.sum(xc * yc, axis=1)
-        scale = np.maximum(scale, np.abs(xc).max(axis=-1))
+    # Each feature's centered values are one C-ordered row, so each
+    # covariance is a sum over one contiguous row, as a lone feature's is:
+    # a sum's rounding depends on the layout it runs over.
+    xc = np.subtract(np.swapaxes(x, -1, -2), mean[..., None],
+                     out=np.empty(x.shape[:-2] + (n_feat, n)))
+    peak = np.maximum(xc.max(axis=(-2, -1), initial=0.0), -xc.min(axis=(-2, -1), initial=0.0))
+    scale = np.broadcast_to(peak * n, (cols,))
+    # The products overwrite a batch's centered values; shared ones stay.
+    prod = xc if xc.ndim == 3 else np.empty((cols, n_feat, n))
+    w = np.multiply(xc, yc[:, None, :], out=prod).sum(axis=-1)
+    del xc, prod
     norm = np.sqrt(np.sum(w * w, axis=1))
-    scale = scale * x.shape[-2]
     degenerate = norm <= _DEGENERATE_TOL * np.maximum(np.where(scale == 0.0, 1.0, scale), 1.0)
     failures = {int(j): FitError("degenerate PLS direction: covariance with labels is zero")
                 for j in np.flatnonzero(degenerate)}

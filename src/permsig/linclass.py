@@ -394,18 +394,24 @@ def _svm_1d(s: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.ndar
         lambda: -u0 / du, lambda: -v0 / dv,
         lambda: (2.0 / du - u0) / du, lambda: (2.0 / dv - v0) / dv,
     )
-    dual = np.empty((cols, k, len(candidates)))
-    w_at = np.empty((cols, k, len(candidates)))
+    # Each piece keeps its best candidate so far, then the best piece
+    # wins: ties go to the first piece, and within it to the first
+    # candidate, as in an argmax over all of them, where a NaN (from
+    # scores that overflow) counts as the largest value.
     for i, candidate in enumerate(candidates):
         with np.errstate(divide="ignore", invalid="ignore"):
             t = candidate()
         t = np.where(np.isfinite(t), np.clip(t, 0.0, c), 0.0)
         u = np.maximum(u0 + t * du, 0.0)
         v = np.minimum(v0 + t * dv, 0.0)
-        dual[:, :, i] = 2.0 * (c * np.arange(k) + t) - 0.5 * (u * u + v * v)
-        w_at[:, :, i] = u + v
-    best = np.argmax(dual.reshape(cols, -1), axis=1)
-    w = w_at.reshape(cols, -1)[np.arange(cols), best]
+        dual = 2.0 * (c * np.arange(k) + t) - 0.5 * (u * u + v * v)
+        if i == 0:
+            best, w_at = dual, u + v
+            continue
+        better = (dual > best) | (np.isnan(dual) & ~np.isnan(best))
+        np.copyto(best, dual, where=better)
+        np.copyto(w_at, u + v, where=better)
+    w = w_at[np.arange(cols), np.argmax(best, axis=1)]
 
     # The hinge sum is convex and piecewise linear in b, with breakpoints
     # 1 - w * s_i on the positives and -1 - w * s_i on the negatives.  Its

@@ -16,12 +16,16 @@ distribution built by refitting the pipeline on label-randomized data:
   classifier refits inside replicates.
 
 Replicates are independent and own their random streams.  They are
-fitted in chunks of :data:`CHUNK`, each chunk as one batch of label
-columns over the shared features, and chunks can run on a process pool;
-a column's arithmetic never mixes with another's, so results depend
-neither on the chunking nor on the worker count.  A replicate whose fit
-fails is resampled with a fresh sub-stream up to three times before the
-study aborts; the report lists every such retry.
+fitted in chunks, each chunk as one batch of label columns over the
+shared features, and chunks can run on a process pool.  A chunk holds as
+many columns as keep an (R, n, N) float64 array of the data within
+:data:`BATCH_BYTES`, and at least :data:`MIN_BATCH`, so the chunks
+depend on the replicate count and the data's shape alone, and a study's
+memory stays linear in the data.  The observed iterations are split by
+the same rule.  A column's arithmetic never mixes with another's, so
+results depend neither on the chunking nor on the worker count.  A
+replicate whose fit fails is resampled with a fresh sub-stream up to
+three times before the study aborts; the report lists every such retry.
 """
 
 from __future__ import annotations
@@ -58,9 +62,11 @@ TRIM_INDEX = 2**49 + 1
 
 MAX_RETRIES = 3
 
-# Null replicates fitted together as one batch.  Chunks are fixed by the
-# replicate count alone, and a process pool hands out whole chunks.
-CHUNK = 32
+# Columns fitted together as one batch: as many as keep an (R, n, N)
+# float64 array of the data within about one L2 cache, and at least
+# MIN_BATCH, since each batch has a fixed cost (see _batches).
+BATCH_BYTES = 3 << 19
+MIN_BATCH = 4
 
 HISTOGRAM_BINS = 30
 
@@ -316,21 +322,38 @@ def _pool_run(replicates: range):
     return _chunk_stats(_POOL_TASK, replicates)
 
 
-def null_distribution(pipeline, d: Dataset, settings: StudySettings) -> NullDistribution:
+def _batches(count: int, d: Dataset) -> list[range]:
+    """Consecutive ranges of ``count`` columns of ``d``, each one batch.
+
+    Each holds as many columns as keep an (R, n, N) float64 array within
+    ``BATCH_BYTES``, and at least ``MIN_BATCH``: the shape of the largest
+    temporaries of a fit, so memory stays linear in the data whatever
+    ``count`` is.  The ranges depend on ``count`` and the data's shape
+    alone, never on ``workers``.
+    """
+    width = max(MIN_BATCH, BATCH_BYTES // (8 * d.n * d.n_features))
+    return [range(lo, min(lo + width, count)) for lo in range(0, count, width)]
+
+
+def null_distribution(pipeline, d: Dataset, settings: StudySettings, *,
+                      mu: float | None = None) -> NullDistribution:
     """Null statistics from ``settings.replicates`` label-randomized replicates.
 
     Labeled data has its labels permuted; one-condition data is split
     into two pseudo-groups.  Each replicate derives every random draw from
-    ``(master_seed, replicate_index)``.  Replicates are fitted in chunks
-    of ``CHUNK``, and statistics are aggregated in replicate order, so the
-    result is identical for any ``workers``.  A pool of
-    ``min(workers, chunk count)`` processes runs the chunks; with one, or
-    one chunk, they run in this process.
+    ``(master_seed, replicate_index)``.  The RUB scheme adds ``mu``, its
+    deviation bound, to every statistic; other schemes ignore it.
+    Replicates are fitted in the chunks of :func:`_batches`, and
+    statistics are aggregated in replicate order, so the result is
+    identical for any ``workers``.  A pool of ``min(workers, chunk
+    count)`` processes runs the chunks; with one, or one chunk, they run
+    in this process.
     """
     scheme, m = settings.scheme, settings.replicates
-    mu = _mu_for(pipeline, d, scheme, settings.eta)
+    if scheme is Scheme.RUB and mu is None:
+        raise ValueError("the rub scheme needs mu, its deviation bound")
     task = _ReplicateTask(pipeline, d, settings, mu)
-    chunks = [range(lo, min(lo + CHUNK, m)) for lo in range(0, m, CHUNK)]
+    chunks = _batches(m, d)
 
     # The pool forks all its workers up front, so it gets no more than
     # there are chunks to hand out; one chunk runs in this process.
@@ -388,8 +411,9 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
 
     Labeled data gets the power flavor: the null permutes the labels,
     the observed statistic is the mean over row-shuffled iterations
-    (one batch whose columns index the data's rows in their own order,
-    not retried), and the report carries its p-value.
+    (batches, split as the null's chunks are, whose columns index the
+    data's rows in their own order, not retried), and the report carries
+    its p-value.
     One-condition data gets the type-1 flavor: the null splits the rows
     into two pseudo-groups, and the report carries the omnibus
     family-wise error rate instead.
@@ -398,13 +422,13 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
     mu = _mu_for(pipeline, data, scheme, settings.eta)
     observed: list[float] = []
     if data.class_count > 1:
-        plans = [PermutationPlan(settings.master_seed, OBSERVED_BASE + i)
-                 for i in range(settings.observed_iterations)]
-        for out in _statistics(pipeline, shuffle_rows(data, plans), scheme, settings.k, mu):
-            if isinstance(out, FitError):
-                raise out
-            observed += out
-    null = null_distribution(pipeline, data, settings)
+        for chunk in _batches(settings.observed_iterations, data):
+            plans = [PermutationPlan(settings.master_seed, OBSERVED_BASE + i) for i in chunk]
+            for out in _statistics(pipeline, shuffle_rows(data, plans), scheme, settings.k, mu):
+                if isinstance(out, FitError):
+                    raise out
+                observed += out
+    null = null_distribution(pipeline, data, settings, mu=mu)
     t_obs = p = rate = None
     if observed:
         t_obs = float(np.mean(observed))

@@ -229,9 +229,9 @@ def test_09_kfold_tracks_corrected_resub_on_null_data():
     """On permuted data the two estimates describe the same error rate."""
     d = scale_unit_interval(synth_effect(400, 5, 0.0, PermutationPlan(5, 0), classes=1))
     spec = PipelineSpec(reducer="pls")
-    rub = null_distribution(spec, d, StudySettings(Scheme.RUB, m=50, master_seed=21))
-    kfold = null_distribution(spec, d, StudySettings(Scheme.KFOLD, m=50, k=10, master_seed=21))
     mu = empirical_bound(BoundSpec(d.n, spec.classifier_input_dim(d.n_features), 0.05))
+    rub = null_distribution(spec, d, StudySettings(Scheme.RUB, m=50, master_seed=21), mu=mu)
+    kfold = null_distribution(spec, d, StudySettings(Scheme.KFOLD, m=50, k=10, master_seed=21))
     resub_mean = float(np.mean(rub.statistics)) - mu
     kfold_mean = float(np.mean(kfold.statistics))
     diff = abs(kfold_mean - resub_mean)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from permsig.dimred import LinearReducer, pca_fit, pls1_fit, reduce
+from permsig.dimred import _DEGENERATE_TOL, LinearReducer, pca_fit, pls1_fit, reduce
 from permsig.errors import FitError
 
 
@@ -184,6 +184,58 @@ def test_batched_pls_equals_single_fits_bit_for_bit(cols):
         np.testing.assert_array_equal(reduce(own, x)[j], reduce(one, x[j]))
         np.testing.assert_array_equal(shared.column(j).directions, pls_one(x[0], y[j]).directions)
         np.testing.assert_array_equal(reduce(shared, x[0])[j], reduce(shared.column(j), x[0]))
+
+
+def pls1_fit_per_feature(x, y):
+    """The reference of :func:`pls1_fit`: one feature at a time, each
+    covariance a sum over that feature's (R, n) centered products."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    mean = x.mean(axis=-2)
+    yc = y - y.mean(axis=1, keepdims=True)
+    w = np.empty((len(y), x.shape[-1]))
+    scale = np.zeros(len(y))
+    for j in range(x.shape[-1]):
+        xc = x[..., j] - mean[..., j, None]
+        w[:, j] = np.sum(xc * yc, axis=1)
+        scale = np.maximum(scale, np.abs(xc).max(axis=-1))
+    norm = np.sqrt(np.sum(w * w, axis=1))
+    scale = scale * x.shape[-2]
+    degenerate = norm <= _DEGENERATE_TOL * np.maximum(np.where(scale == 0.0, 1.0, scale), 1.0)
+    w[degenerate], norm[degenerate] = 0.0, 1.0
+    return np.broadcast_to(mean, w.shape), (w / norm[:, None])[:, :, None], \
+        [int(j) for j in np.flatnonzero(degenerate)]
+
+
+@pytest.mark.parametrize("layout", ["shared", "batched", "shared_f", "batched_f", "strided"])
+def test_pls_equals_the_per_feature_reference_bit_for_bit(layout):
+    # Sums over more than 128 rows take numpy's pairwise blocks; constant
+    # features give zero covariances, and constant data degenerate columns.
+    gen = np.random.Generator(np.random.Philox(83))
+    degenerate_seen = 0
+    for trial in range(60):
+        cols, n, n_feat = (int(gen.integers(1, 9)), int(gen.integers(2, 300)),
+                           int(gen.integers(1, 30)))
+        shape = (n, n_feat) if layout.startswith("shared") else (cols, n, n_feat)
+        x = gen.standard_normal(shape) * 10.0 ** gen.integers(-3, 4)
+        if trial % 4 == 0:
+            x = np.round(x)
+        if trial % 5 == 0:
+            x[..., 0] = 0.25
+        if trial % 7 == 0:
+            x[...] = 0.25
+        if layout.endswith("_f"):
+            x = np.asfortranarray(x)
+        elif layout == "strided":
+            x = np.repeat(x, 2, axis=-1)[..., ::2]
+        y = np.where(gen.random((cols, n)) < 0.5, 1.0, -1.0)
+        y[:, :2] = [1.0, -1.0]
+        red, failures = pls1_fit(x, y)
+        mean, directions, degenerate = pls1_fit_per_feature(x, y)
+        assert np.array_equal(red.mean, mean), trial
+        assert np.array_equal(red.directions, directions), trial
+        assert list(failures) == degenerate, trial
+        degenerate_seen += bool(degenerate)
+    assert degenerate_seen
 
 
 def test_batched_pls_names_degenerate_columns():

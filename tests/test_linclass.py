@@ -18,6 +18,7 @@ from permsig.linclass import (
     svm_objective,
     _second_index,
     _softplus,
+    _svm_1d,
 )
 
 
@@ -393,6 +394,80 @@ def test_stopping_test_equals_max_of_masked_diff():
         diff = m_up - myg
         diff += low_mask
         assert diff[diff.argmax()] == reference, (trial, m_up, reference)
+
+
+def svm_1d_flat_argmax(s, y, c):
+    """The reference of :func:`linclass._svm_1d`: every candidate of every
+    piece in one (cols, k, 6) array, the first maximizer taken by a
+    flattened argmax.  Also returns how many columns have a tied maximum
+    whose candidates give different ``w``."""
+    cols, n = s.shape
+    pos = y > 0
+    n_pos = int(pos[0].sum())
+    s_pos, s_neg = s[pos].reshape(cols, n_pos), s[~pos].reshape(cols, n - n_pos)
+    p, q = np.sort(s_pos, axis=1), np.sort(s_neg, axis=1)
+    k = min(n_pos, n - n_pos)
+    p_lo, p_hi, q_lo, q_hi = p[:, :k], p[:, ::-1][:, :k], q[:, :k], q[:, ::-1][:, :k]
+
+    def starts(v):
+        return c * np.concatenate((np.zeros((cols, 1)), np.cumsum(v, axis=1)[:, :-1]), axis=1)
+
+    u0, du = starts(p_lo) - starts(q_hi), p_lo - q_hi
+    v0, dv = starts(p_hi) - starts(q_lo), p_hi - q_lo
+    candidates = (
+        lambda: np.zeros((cols, k)), lambda: np.full((cols, k), c),
+        lambda: -u0 / du, lambda: -v0 / dv,
+        lambda: (2.0 / du - u0) / du, lambda: (2.0 / dv - v0) / dv,
+    )
+    dual = np.empty((cols, k, len(candidates)))
+    w_at = np.empty((cols, k, len(candidates)))
+    for i, candidate in enumerate(candidates):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = candidate()
+        t = np.where(np.isfinite(t), np.clip(t, 0.0, c), 0.0)
+        u = np.maximum(u0 + t * du, 0.0)
+        v = np.minimum(v0 + t * dv, 0.0)
+        dual[:, :, i] = 2.0 * (c * np.arange(k) + t) - 0.5 * (u * u + v * v)
+        w_at[:, :, i] = u + v
+    dual, w_at = dual.reshape(cols, -1), w_at.reshape(cols, -1)
+    best = np.argmax(dual, axis=1)
+    w = w_at[np.arange(cols), best]
+    tied = dual == dual[np.arange(cols), best][:, None]
+    split_ties = int(np.count_nonzero((tied & (w_at != w[:, None])).any(axis=1)))
+    breaks = np.sort(np.concatenate(
+        (1.0 - w[:, None] * s_pos, -1.0 - w[:, None] * s_neg), axis=1), axis=1)
+    return w, 0.5 * (breaks[:, n_pos - 1] + breaks[:, n_pos]), split_ties
+
+
+def test_svm_1d_running_best_equals_flat_argmax_bit_for_bit():
+    # Where 2 * a dwarfs the distance term in the dual, candidates at
+    # different a round to the same maximum with different w, and only the
+    # first (piece, candidate) is right: small integer scores with a huge
+    # c, or huge scores with a small c.  Scores near the float limit
+    # overflow into inf and NaN.
+    gen = np.random.Generator(np.random.Philox(93))
+    split_ties = 0
+    for trial in range(400):
+        cols, n = int(gen.integers(1, 8)), int(gen.integers(2, 40))
+        y = _labels(gen, cols, n, int(gen.integers(1, n)))
+        kind, c = trial % 5, float(gen.choice([0.25, 1.0, 10.0]))
+        if kind == 0:
+            s = gen.standard_normal((cols, n))
+        elif kind == 1:
+            s, c = gen.integers(-2, 3, (cols, n)).astype(float), 1e16
+        elif kind == 2:
+            s, c = gen.standard_normal((cols, n)) * 1e9, 1e-3
+        elif kind == 3:
+            s = np.repeat(gen.integers(-1, 2, (cols, 1)) * 0.5, n, axis=1)
+        else:
+            s = gen.uniform(-1.0, 1.0, (cols, n)) * 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, b = _svm_1d(s, y, c)
+            w_ref, b_ref, ties = svm_1d_flat_argmax(s, y, c)
+        assert np.array_equal(w, w_ref, equal_nan=True), trial
+        assert np.array_equal(b, b_ref, equal_nan=True), trial
+        split_ties += ties
+    assert split_ties > 20
 
 
 # (minority scores, majority scores, whether w = 0 is optimal)

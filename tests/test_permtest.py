@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from permsig.bounds import BoundSpec, empirical_bound
 from permsig.dataset import Dataset, synth_effect
 from permsig.errors import FitError
 from permsig import permtest
@@ -184,17 +187,40 @@ def test_report_lists_retries_only_when_present():
     assert "retries" not in power_study(_StubPipeline(), d, settings).to_json_dict()
 
 
+def _batch_width(monkeypatch, d, width):
+    """Sets the batch byte budget so that ``d``'s batches hold ``width`` columns."""
+    monkeypatch.setattr(permtest, "BATCH_BYTES", width * 8 * d.n * d.n_features)
+
+
 @pytest.mark.parametrize("spec", [
     PipelineSpec(reducer="pls"), PipelineSpec(reducer="none"), PipelineSpec(reducer="pca"),
 ])
 @pytest.mark.parametrize("scheme", [Scheme.RUB, Scheme.KFOLD])
 def test_null_statistics_do_not_depend_on_the_chunking(monkeypatch, spec, scheme):
     d = synth_effect(8, 3, 0.5, PermutationPlan(6, 0), classes=3)
+    settings = StudySettings(scheme, m=15, k=3, master_seed=4)
+    mu = permtest._mu_for(spec, d, scheme, settings.eta)
+    monkeypatch.setattr(permtest, "MIN_BATCH", 1)
     runs = []
-    for chunk in (1, 7, 32):
-        monkeypatch.setattr(permtest, "CHUNK", chunk)
-        runs.append(null_distribution(spec, d, StudySettings(scheme, m=15, k=3, master_seed=4)))
+    for width, split in ((1, [1] * 15), (7, [7, 7, 1]), (15, [15])):
+        _batch_width(monkeypatch, d, width)
+        assert [len(chunk) for chunk in permtest._batches(15, d)] == split
+        runs.append(null_distribution(spec, d, settings, mu=mu))
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("n, n_features, count, split", [
+    (200, 10, 250, [98, 98, 54]),  # 98 columns of 16,000 B fill 1.5 MiB
+    (180, 32, 200, [34] * 5 + [30]),
+    (2000, 20, 4, [4]),  # at the floor of four columns
+    (200, 4000, 10, [4, 4, 2]),  # a column alone is over the budget
+    (10, 3, 20, [20]),
+])
+def test_batches_hold_a_byte_budget_of_columns(n, n_features, count, split):
+    d = Dataset(np.zeros((n, n_features)), np.zeros(n, dtype=np.int64), 1)
+    chunks = permtest._batches(count, d)
+    assert [len(chunk) for chunk in chunks] == split
+    assert [i for chunk in chunks for i in chunk] == list(range(count))
 
 
 class _RecordingPool:
@@ -226,6 +252,8 @@ def test_pool_is_sized_to_its_chunks(monkeypatch, workers, m, pool_size):
     monkeypatch.setattr(permtest, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     d = one_condition()
+    _batch_width(monkeypatch, d, 32)
+    assert [len(chunk) for chunk in permtest._batches(m, d)] == ([20] if m == 20 else [32, 32, 6])
     null = null_distribution(_StubPipeline(), d, _resub_settings(m, workers=workers))
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
     assert null == null_distribution(_StubPipeline(), d, _resub_settings(m))
@@ -248,19 +276,39 @@ def test_null_distribution_kfold_collects_k_values_each():
 def test_null_distribution_rub_adds_bound():
     d = synth_effect(10, 3, 0.0, PermutationPlan(2, 0))
     spec = PipelineSpec(reducer="pls")
-    resub = null_distribution(spec, d, StudySettings(Scheme.RESUB, m=6, master_seed=3))
-    rub = null_distribution(spec, d, StudySettings(Scheme.RUB, m=6, master_seed=3))
-    from permsig.bounds import BoundSpec, empirical_bound
-
     mu = empirical_bound(BoundSpec(d.n, 1, 0.05))
+    resub = null_distribution(spec, d, StudySettings(Scheme.RESUB, m=6, master_seed=3))
+    rub = null_distribution(spec, d, StudySettings(Scheme.RUB, m=6, master_seed=3), mu=mu)
     np.testing.assert_allclose(
         np.asarray(rub.statistics) - np.asarray(resub.statistics), mu, atol=1e-12
     )
+    with pytest.raises(ValueError, match="needs mu"):
+        null_distribution(spec, d, StudySettings(Scheme.RUB, m=6, master_seed=3))
 
 
-def test_null_distribution_worker_invariance():
+@pytest.mark.parametrize("study, data", [
+    (power_study, synth_effect(10, 3, 0.5, PermutationPlan(2, 0))),
+    (alt_scheme_study, synth_effect(10, 3, 0.5, PermutationPlan(2, 0), classes=3)),
+])
+def test_a_rub_study_computes_its_bound_once(monkeypatch, study, data):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return empirical_bound(spec)
+
+    monkeypatch.setattr(permtest, "empirical_bound", counted)
+    settings = StudySettings(Scheme.RUB, m=6, master_seed=3, observed_iterations=3)
+    report = study(PipelineSpec(reducer="pls"), data, settings)
+    assert len(calls) == 1
+    assert report.mu == empirical_bound(calls[0])
+
+
+def test_null_distribution_worker_invariance(monkeypatch):
     d = synth_effect(8, 3, 0.0, PermutationPlan(4, 0))
     kwargs = dict(m=8, k=4, eta=0.05, master_seed=11)
+    monkeypatch.setattr(permtest, "BATCH_BYTES", 0)  # batches of MIN_BATCH columns
+    assert [len(chunk) for chunk in permtest._batches(8, d)] == [4, 4]
     serial = null_distribution(
         PipelineSpec(reducer="pls"), d, StudySettings(Scheme.RESUB, **kwargs)
     )
@@ -268,6 +316,27 @@ def test_null_distribution_worker_invariance():
         PipelineSpec(reducer="pls"), d, StudySettings(Scheme.RESUB, workers=2, **kwargs)
     )
     assert serial.statistics == pooled.statistics
+
+
+def test_a_wide_study_peaks_at_a_fixed_multiple_of_the_data():
+    """Memory is linear in the data, whatever the replicate count.
+
+    At n = 60 and d = 2,000 a column alone is over the byte budget, so
+    every batch has four columns, and a fit holds at most a few (R, n, N)
+    arrays at once: gathered rows, the PLS centering and its products, and
+    the reduced copy.  With 32-column batches this study peaked at 42
+    times the data.
+    """
+    d = synth_effect(30, 2000, 0.3, PermutationPlan(1, 0))
+    assert [len(chunk) for chunk in permtest._batches(20, d)] == [4] * 5
+    settings = StudySettings(Scheme.RUB, m=8, master_seed=1)  # 20 observed iterations
+    tracemalloc.start()
+    try:
+        power_study(PipelineSpec(reducer="pls"), d, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * d.n * d.n_features * 8
 
 
 # ------------------------------------------------------------------ studies

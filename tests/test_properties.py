@@ -8,8 +8,9 @@
 * A positive affine rescaling of a feature column leaves the report, and
   so every error count, unchanged.
 
-Replicates are fitted in chunks of ``permtest.CHUNK``, so the cases use
-replicate counts below it, equal to it, and not a multiple of it.
+Each case sets the batch byte budget so that its replicates are fitted
+in chunks of ``WIDTH`` columns, and the cases use replicate counts below
+it, equal to it, and not a multiple of it.
 """
 
 import dataclasses
@@ -31,8 +32,8 @@ from permsig.dataset import (
     synth_effect,
 )
 from permsig.errors import FitError
+from permsig import permtest
 from permsig.permtest import (
-    CHUNK,
     EXTRACTOR_INDEX,
     OBSERVED_BASE,
     RETRY_STRIDE,
@@ -48,6 +49,14 @@ from permsig.rng import PermutationPlan
 from permsig.validate import Scheme, kfold_errors, resub_error
 
 SEED = 9
+WIDTH = 32
+
+
+def batch_width(monkeypatch, data, m):
+    """Sets the batch byte budget so that ``data``'s batches hold ``WIDTH``
+    columns; returns the sizes of the batches of ``m`` columns."""
+    monkeypatch.setattr(permtest, "BATCH_BYTES", WIDTH * 8 * data.n * data.n_features)
+    return [len(chunk) for chunk in permtest._batches(m, data)]
 
 
 def replay(pipeline, data, plan, scheme, k, mu, labeling):
@@ -113,13 +122,15 @@ RETRIED = sorted(name for name in REPLAY_CASES if "retried" in name)
 
 
 @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
-def test_replicates_replay_alone_bit_for_bit(name):
+def test_replicates_replay_alone_bit_for_bit(monkeypatch, name):
     make_pipeline, make_data, m, scheme, labeling = REPLAY_CASES[name]
     data = make_data()
     pipeline = make_pipeline(data)
     k = 3
-    null = null_distribution(pipeline, data, StudySettings(scheme, m=m, k=k, master_seed=SEED))
+    assert batch_width(monkeypatch, data, m) == ([WIDTH, m - WIDTH] if m > WIDTH else [m])
     mu = _mu_for(pipeline, data, scheme, 0.05)
+    null = null_distribution(pipeline, data, StudySettings(scheme, m=m, k=k, master_seed=SEED),
+                             mu=mu)
     width = k if scheme is Scheme.KFOLD else 1
     retried = sorted({r for r, _, _ in null.retries})
     chosen = set(np.random.default_rng(len(name)).choice(m, size=4, replace=False)) | set(retried)
@@ -150,8 +161,10 @@ OBSERVED_CASES = {
 }
 
 
-def test_observed_iterations_replay_alone_bit_for_bit():
+def test_observed_iterations_replay_alone_bit_for_bit(monkeypatch):
     data = _labeled(3)
+    monkeypatch.setattr(permtest, "BATCH_BYTES", 0)  # batches of MIN_BATCH columns
+    assert [len(chunk) for chunk in permtest._batches(7, data)] == [4, 3]
     for name, (study, spec, scheme) in OBSERVED_CASES.items():
         settings = StudySettings(scheme=scheme, m=5, k=3, master_seed=SEED, observed_iterations=7)
         report = study(spec, data, settings)
@@ -166,9 +179,10 @@ def test_observed_iterations_replay_alone_bit_for_bit():
 
 
 @pytest.mark.parametrize("name", RETRIED)
-def test_retried_reports_do_not_depend_on_worker_count(name):
+def test_retried_reports_do_not_depend_on_worker_count(monkeypatch, name):
     make_pipeline, make_data, m, scheme, labeling = REPLAY_CASES[name]
-    assert m > CHUNK  # so that two workers share the chunks
+    # so that two workers share the chunks
+    assert batch_width(monkeypatch, make_data(), m) == [WIDTH, m - WIDTH]
     docs = []
     for workers in (1, 2):
         settings = StudySettings(scheme=scheme, m=m, master_seed=SEED, observed_iterations=3,
@@ -187,7 +201,7 @@ STUDIES = {
     "alt": (alt_scheme_study, lambda: synth_effect(12, 4, 0.7, PermutationPlan(4, 0)),
             PipelineSpec(reducer="pca", pca_components=2)),
 }
-REPLICATES = (5, CHUNK, CHUNK + 9)
+REPLICATES = (5, WIDTH, WIDTH + 9)
 
 
 @pytest.mark.parametrize("i, study, scheme", [
@@ -196,10 +210,13 @@ REPLICATES = (5, CHUNK, CHUNK + 9)
         (s, sc) for s in sorted(STUDIES) for sc in (Scheme.RESUB, Scheme.RUB, Scheme.KFOLD)
     )
 ])
-def test_reports_keep_their_promises_at_any_worker_count(i, study, scheme):
+def test_reports_keep_their_promises_at_any_worker_count(monkeypatch, i, study, scheme):
     run, make_data, spec = STUDIES[study]
     m = REPLICATES[i % len(REPLICATES)]
     settings = StudySettings(scheme=scheme, m=m, k=3, master_seed=SEED + i, observed_iterations=3)
+    # The study fits its prepared data: a type-1 set of odd size loses a row.
+    split = batch_width(monkeypatch, permtest._prepared(make_data(), settings), m)
+    assert split == ([WIDTH, 9] if m > WIDTH else [m])
     serial = run(spec, make_data(), settings)
     pooled = run(spec, make_data(), dataclasses.replace(settings, workers=2))
     doc = serial.to_json_dict()
