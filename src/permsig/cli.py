@@ -220,9 +220,7 @@ def _free_path(path: str, force: bool) -> str:
 def _write_outputs(report, config_echo: dict, out: str, force: bool) -> tuple[str, str]:
     json_path = _free_path(out, force)
     stem, _ = os.path.splitext(json_path)
-    csv_path = f"{stem}_hist.csv"
-    if not force and os.path.exists(csv_path):
-        csv_path = _free_path(csv_path, False)
+    csv_path = _free_path(f"{stem}_hist.csv", force)
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(config_echo), fh, indent=2, sort_keys=True)
         fh.write("\n")

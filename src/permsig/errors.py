@@ -27,9 +27,9 @@ class DivergenceError(FitError):
         Zero-based epoch index at which the loss stopped being finite.
     """
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(message or f"non-finite training loss at epoch {epoch}")
+        super().__init__(f"non-finite training loss at epoch {epoch}")
 
 
 class ConfigError(ValueError):

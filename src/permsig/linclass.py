@@ -148,7 +148,9 @@ def svm_fit(
     ``(svm, failures)``: ``failures`` maps each column whose duality gap
     is still above ``tol`` after ``max_passes`` passes, or after a pass
     that left no step to take, to its ``FitError``, and that column keeps
-    the corner's finite ``(w, b)``.
+    the corner's finite ``(w, b)``.  On one feature, scores near the float
+    limit can overflow to a non-finite ``(w, b)``; such a column gets its
+    ``FitError`` and keeps ``(0, 0)``.
 
     Raises
     ------
@@ -174,8 +176,12 @@ def svm_fit(
     if x.shape[-1] == 1:
         if np.any(n_pos != n_pos[0]):
             raise ValueError("one-feature columns of a batch need equal class counts")
-        w, b = _svm_1d(np.broadcast_to(x[..., 0], y.shape), y, c)
-        return LinearSvm(w[:, None], b), {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, b = _svm_1d(np.broadcast_to(x[..., 0], y.shape), y, c)
+        bad = np.flatnonzero(~(np.isfinite(w) & np.isfinite(b)))
+        w[bad] = b[bad] = 0.0
+        return LinearSvm(w[:, None], b), {
+            int(j): FitError("one-feature SVM overflowed to a non-finite (w, b)") for j in bad}
 
     x = np.ascontiguousarray(x)  # see decision_values: the layout sets the rounding
     weights, bias, certified = _corner(x, y, c, tol)

@@ -111,20 +111,19 @@ class StudySettings:
 
 @dataclass(frozen=True)
 class NullDistribution:
-    """Null statistics plus the plans that generated them.
+    """Null statistics and the replicate indices that generated them.
 
     ``statistics`` holds every null value — ``m`` entries for
-    resubstitution schemes, ``m * k`` for k-fold.  ``replicate_plans``
-    records the plan actually used per replicate (retries shift the
-    index by a large stride, so the record is an honest replay log).
+    resubstitution schemes, ``m * k`` for k-fold.  ``replicate_indices``
+    holds the plan index each replicate actually used, in replicate
+    order: a retry shifts it by a large stride, so
+    ``PermutationPlan(master_seed, index)`` replays the replicate.
     ``retries`` holds ``(replicate, attempt, message)`` for every failed
     attempt that was retried, in replicate order.
     """
 
     statistics: tuple[float, ...]
-    scheme: Scheme
-    replicate_plans: tuple[PermutationPlan, ...]
-    k: int | None = None
+    replicate_indices: tuple[int, ...]
     retries: tuple[tuple[int, int, str], ...] = ()
 
     @property
@@ -349,11 +348,10 @@ def null_distribution(pipeline, d: Dataset, settings: StudySettings, *,
     count)`` processes runs the chunks; with one, or one chunk, they run
     in this process.
     """
-    scheme, m = settings.scheme, settings.replicates
-    if scheme is Scheme.RUB and mu is None:
+    if settings.scheme is Scheme.RUB and mu is None:
         raise ValueError("the rub scheme needs mu, its deviation bound")
     task = _ReplicateTask(pipeline, d, settings, mu)
-    chunks = _batches(m, d)
+    chunks = _batches(settings.replicates, d)
 
     # The pool forks all its workers up front, so it gets no more than
     # there are chunks to hand out; one chunk runs in this process.
@@ -367,20 +365,14 @@ def null_distribution(pipeline, d: Dataset, settings: StudySettings, *,
             done = list(pool.map(_pool_run, chunks))
 
     stats: list[float] = []
-    plans: list[PermutationPlan] = []
+    indices: list[int] = []
     retries: list[tuple[int, int, str]] = []
     for results, chunk_retries in done:
         for idx, values in results:
             stats.extend(values)
-            plans.append(PermutationPlan(settings.master_seed, idx))
+            indices.append(idx)
         retries += chunk_retries
-    return NullDistribution(
-        tuple(stats),
-        scheme,
-        tuple(plans),
-        settings.k if scheme is Scheme.KFOLD else None,
-        tuple(retries),
-    )
+    return NullDistribution(tuple(stats), tuple(indices), tuple(retries))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +448,7 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
         histogram_edges=edges,
         histogram_counts=counts,
         master_seed=settings.master_seed,
-        replicate_indices=tuple(pl.replicate_index for pl in null.replicate_plans),
+        replicate_indices=null.replicate_indices,
         retries=null.retries,
     )
 

@@ -9,8 +9,8 @@ Three estimators of a pipeline's error share one interface:
   rather than averaged.
 
 Each takes a :class:`~permsig.dataset.Batch` of labelings, fits its
-columns together, and gives each column its result or its ``FitError``;
-:func:`rub_error` alone fits one dataset and raises.
+columns together, and gives each column, in order, its result or its
+``FitError``; :func:`rub_error` alone fits one dataset and raises.
 
 The generalization diagnostic is the relative optimism
 ``actual / empirical - 1`` of an empirical error estimate.
@@ -39,7 +39,7 @@ class Scheme(str, Enum):
 
 @dataclass(frozen=True)
 class ErrorEstimate:
-    """One error value with its provenance.
+    """One error value and the scheme that estimated it.
 
     ``value`` lies in [0, 1] except for the ``rub`` scheme, where it is
     the resubstitution error plus the bound and may reach ``1 + bound``.
@@ -52,8 +52,6 @@ class ErrorEstimate:
 
     value: float
     scheme: Scheme
-    fold: int | None = None
-    iteration: int = 0
     bound: float | None = None
     base_value: float | None = None
 
@@ -78,14 +76,8 @@ def resub_error(pipeline, batch: Batch) -> list[ErrorEstimate | FitError]:
     ``FitError`` that stopped its fit.
     """
     fitted = pipeline.fit(batch, tag="resub")
-    return [_estimate(value, Scheme.RESUB, plan)
-            for value, plan in zip(fitted.errors(batch), batch.plans)]
-
-
-def _estimate(value, scheme: Scheme, plan: PermutationPlan, fold: int | None = None):
-    if isinstance(value, FitError):
-        return value
-    return ErrorEstimate(value, scheme, fold=fold, iteration=plan.replicate_index)
+    return [value if isinstance(value, FitError) else ErrorEstimate(value, Scheme.RESUB)
+            for value in fitted.errors(batch)]
 
 
 def rub_error(
@@ -101,13 +93,7 @@ def rub_error(
     if isinstance(base, FitError):
         raise base
     mu = empirical_bound(bound_spec)
-    return ErrorEstimate(
-        base.value + mu,
-        Scheme.RUB,
-        iteration=plan.replicate_index,
-        bound=mu,
-        base_value=base.value,
-    )
+    return ErrorEstimate(base.value + mu, Scheme.RUB, bound=mu, base_value=base.value)
 
 
 def kfold_errors(
@@ -146,7 +132,7 @@ def kfold_errors(
                 error.__cause__ = test_error
                 out[j] = error
             else:
-                out[j].append(_estimate(test_error, Scheme.KFOLD, batch.plans[j], fold=f))
+                out[j].append(ErrorEstimate(test_error, Scheme.KFOLD))
     return out
 
 

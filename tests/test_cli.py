@@ -138,12 +138,13 @@ def test_reruns_are_byte_identical(tmp_path, blob_csv):
     assert out.read_bytes() == first
 
 
-def test_worker_flag_does_not_change_bytes(tmp_path, blob_csv):
+def test_worker_flag_does_not_change_bytes(tmp_path, blob_csv, forked_pools):
     a = tmp_path / "w1.json"
     b = tmp_path / "w2.json"
     base = ("power", "--data", blob_csv, "--scheme", "rub", "--m", "16", "--seed", "3")
     run(*base, "--workers", "1", "--out", str(a))
     run(*base, "--workers", "2", "--out", str(b))
+    assert forked_pools == [2]
     assert a.read_bytes() == b.read_bytes()
 
 

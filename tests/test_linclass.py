@@ -642,6 +642,22 @@ def test_batched_svm_equals_single_fits_bit_for_bit(cols, d):
         assert np.array_equal(one.weights[0], shared.weights[j]) and one.bias[0] == shared.bias[j]
 
 
+def test_one_feature_svm_fails_a_column_that_overflows():
+    # Finite scores near the float limit overflow the dual's prefix sums.
+    gen = np.random.Generator(np.random.Philox(74))
+    y = _labels(gen, 5, 20, 8)
+    x = gen.standard_normal((5, 20, 1)) + 0.4 * y[:, :, None]
+    x[2] = gen.uniform(-1.0, 1.0, (20, 1)) * 1.7e308
+    batch, failures = svm_fit(x, y, c=1.0)
+    assert list(failures) == [2] and isinstance(failures[2], FitError)
+    assert np.isfinite(batch.weights).all() and np.isfinite(batch.bias).all()
+    kept = [0, 1, 3, 4]
+    alone, none_failed = svm_fit(x[kept], y[kept], c=1.0)
+    assert none_failed == {}
+    assert np.array_equal(batch.weights[kept], alone.weights)
+    assert np.array_equal(batch.bias[kept], alone.bias)
+
+
 @pytest.mark.parametrize("cols", [1, 3, 40])
 def test_batched_calibration_equals_single_fits_bit_for_bit(cols):
     gen = np.random.Generator(np.random.Philox(72))

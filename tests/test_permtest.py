@@ -147,13 +147,13 @@ def test_null_distribution_deterministic_and_sized():
     again = null_distribution(_StubPipeline(), d, _resub_settings(20))
     assert null.statistics == again.statistics
     assert null.m == 20
-    assert [p.replicate_index for p in null.replicate_plans] == list(range(20))
+    assert null.replicate_indices == tuple(range(20))
 
 
 def test_null_distribution_retries_shift_index():
     d = one_condition()
     null = null_distribution(_StubPipeline(fail_indices={3, 11}), d, _resub_settings(20))
-    indices = [p.replicate_index for p in null.replicate_plans]
+    indices = null.replicate_indices
     assert indices[3] == 3 + RETRY_STRIDE
     assert indices[11] == 11 + RETRY_STRIDE
     assert indices[0] == 0 and indices[19] == 19
@@ -172,7 +172,7 @@ def test_null_distribution_records_retries():
         (11, 0, f"scripted failure of {11}"),
         (11, 1, f"scripted failure of {11 + RETRY_STRIDE}"),
     )
-    assert null.replicate_plans[11].replicate_index == 11 + 2 * RETRY_STRIDE
+    assert null.replicate_indices[11] == 11 + 2 * RETRY_STRIDE
     assert null_distribution(_StubPipeline(), d, _resub_settings(20)).retries == ()
 
 
@@ -270,7 +270,7 @@ def test_null_distribution_kfold_collects_k_values_each():
     settings = StudySettings(Scheme.KFOLD, m=4, k=4, master_seed=3)
     null = null_distribution(PipelineSpec(reducer="none"), d, settings)
     assert null.m == 16  # 4 replicates x 4 folds
-    assert null.k == 4
+    assert null.replicate_indices == (0, 1, 2, 3)
 
 
 def test_null_distribution_rub_adds_bound():

@@ -1,6 +1,6 @@
 """The null engine's promises, checked on fixed small cases.
 
-* Any replicate recomputed alone, from its recorded plan, gives the
+* Any replicate recomputed alone, from its recorded index, gives the
   statistics the batched run gave it, bit for bit, retried ones too.
 * Reports do not depend on the worker count, retries included.
 * ``1 / (M + 1) <= p <= 1``, ``0 <= fwe <= 1``, and the histogram
@@ -135,7 +135,7 @@ def test_replicates_replay_alone_bit_for_bit(monkeypatch, name):
     retried = sorted({r for r, _, _ in null.retries})
     chosen = set(np.random.default_rng(len(name)).choice(m, size=4, replace=False)) | set(retried)
     for r in sorted(chosen):
-        plan = null.replicate_plans[r]
+        plan = PermutationPlan(SEED, null.replicate_indices[r])
         got = replay(pipeline, data, plan, scheme, k, mu, labeling)
         assert got == list(null.statistics[r * width:(r + 1) * width]), r
     if name in RETRIED:
