@@ -20,7 +20,6 @@ from .bounds import BoundSpec, empirical_bound, log_binomial_sum, vapnik_bound
 from .dataset import (
     Batch,
     Dataset,
-    FoldAssignment,
     load_csv,
     permute_labels,
     save_csv,
@@ -81,7 +80,6 @@ __all__ = [
     "ErrorEstimate",
     "FitError",
     "FittedBatch",
-    "FoldAssignment",
     "LinearReducer",
     "LinearSvm",
     "NullDistribution",

@@ -84,6 +84,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError("config", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ConfigError("config", f"cannot read {path}: {exc}") from None
 
 
 def _seed(flag: int | None, doc: dict):
@@ -233,13 +235,16 @@ def _write_outputs(report, config_echo: dict, out: str, force: bool) -> tuple[st
 
 def _run_study(args: argparse.Namespace) -> int:
     doc, settings, data, spec = _resolve_config(args)
+    out = doc.get("out") or f"{args.study}_report.json"
+    out_dir = os.path.dirname(out) or "."
+    check(os.path.isdir(out_dir), "out", f"directory not found: {out_dir}")
     try:
         report = _STUDIES[args.study](spec, data, settings)
     except ValueError as exc:
         raise ConfigError("data", str(exc)) from None
-    out = doc.get("out") or f"{args.study}_report.json"
     echo = _config_echo(args.study, doc["data"], spec, settings, report.m)
-    json_path, _ = _write_outputs(report, echo, out, args.force)
+    with _config_path("", other="out"):
+        json_path, _ = _write_outputs(report, echo, out, args.force)
     if report.p_value is not None:
         summary = f"p={report.p_value:.4f} [{report.p_value_sd:.4f}]"
         verdict = "reject H0" if report.p_value <= report.alpha else "keep H0"
@@ -260,7 +265,7 @@ def _run_bound(args: argparse.Namespace) -> int:
     print(f"empirical={emp:.4f} vapnik={vap:.4f} (n={spec.n} d={spec.d} eta={spec.eta:g})")
     if args.out:
         path = _free_path(args.out, args.force)
-        with open(path, "w", encoding="utf-8") as fh:
+        with _config_path("", other="out"), open(path, "w", encoding="utf-8") as fh:
             json.dump(
                 {"n": spec.n, "d": spec.d, "eta": spec.eta, "empirical": emp, "vapnik": vap},
                 fh,
@@ -281,7 +286,8 @@ def _run_synth(args: argparse.Namespace) -> int:
             classes=args.classes,
         )
     path = _free_path(args.out, args.force)
-    save_csv(d, path)
+    with _config_path("", other="out"):
+        save_csv(d, path)
     print(f"synth classes={d.class_count} n={d.n} dim={d.n_features} effect={args.effect:g} -> {path}")
     return 0
 

@@ -140,40 +140,13 @@ class Batch:
         )
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Assignment of each row to one of ``k`` cross-validation folds."""
-
-    fold_of: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        fold_of = np.array(self.fold_of, dtype=np.int64, copy=True)
-        if fold_of.ndim != 1:
-            raise ValueError("fold_of must be 1-D")
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
-        present = np.unique(fold_of)
-        if present.size and (present.min() < 0 or present.max() >= self.k):
-            raise ValueError("fold indices must lie in [0, k)")
-        if present.size != self.k:
-            raise ValueError("every fold must contain at least one row")
-        fold_of.setflags(write=False)
-        object.__setattr__(self, "fold_of", fold_of)
-
-    def test_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of == fold)
-
-    def train_rows(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of != fold)
-
-
 def load_csv(path: str, label_column: str = "label") -> Dataset:
     """Load a dataset from a headed CSV file.
 
     The named label column may hold arbitrary strings; classes are encoded
     by order of first appearance.  Every other column must parse as a
-    finite float.  Comma separator, ``.`` decimal point, UTF-8.
+    finite float.  Comma separator, ``.`` decimal point, UTF-8 with or
+    without a byte-order mark.
 
     Raises
     ------
@@ -186,7 +159,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         column that is not a string raises ``ConfigError``.
     """
     check(isinstance(label_column, str), "label_column", "must be a string")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -309,50 +282,52 @@ def trim_to_even(d: Dataset, plan: PermutationPlan) -> Dataset:
     return Dataset(d.features[order], d.labels[order], d.class_count, d.feature_names)
 
 
-def stratified_folds(batch: Batch, k: int) -> list[FoldAssignment]:
+def stratified_folds(batch: Batch, k: int) -> np.ndarray:
     """Assign each column's rows to ``k`` folds, stratified by its labels.
 
-    Column ``j``'s folds are drawn from ``plans[j]``.  Within every class
-    the per-fold counts differ by at most one, and the extra rows of
-    successive classes are dealt to the currently lightest folds so the
-    overall fold sizes also differ by at most one.
+    Gives an (R, n) int64 array whose entry ``[j, i]`` is the fold of
+    column ``j``'s row ``i``.  Column ``j``'s folds are drawn from
+    ``plans[j]``, class by class.  Within every class the per-fold counts
+    differ by at most one, and the extra rows of successive classes are
+    dealt to the currently lightest folds so the overall fold sizes also
+    differ by at most one.  Every column holds the same number of rows of
+    each class, so every column gets the same fold sizes.
 
     Raises
     ------
     ValueError
-        If any class of a column has fewer than ``k`` members.
+        If ``k < 2``, the columns' class counts differ, or a class has
+        fewer than ``k`` rows.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    return [_folds(labels, batch.class_count, k, plan)
-            for labels, plan in zip(batch.labels, batch.plans)]
-
-
-def _folds(labels: np.ndarray, class_count: int, k: int, plan: PermutationPlan) -> FoldAssignment:
-    counts = np.bincount(labels, minlength=class_count)
-    lacking = np.flatnonzero(counts < k)
+    counts = np.array([np.bincount(labels, minlength=batch.class_count)
+                       for labels in batch.labels])
+    if np.any(counts != counts[0]):
+        raise ValueError("every column must hold the same number of rows of each class")
+    lacking = np.flatnonzero(counts[0] < k)
     if lacking.size:
         raise ValueError(
-            f"class {int(lacking[0])} has {int(counts[lacking[0]])} rows, "
+            f"class {int(lacking[0])} has {int(counts[0, lacking[0]])} rows, "
             f"fewer than k={k}"
         )
-    gen = plan.rng("folds")
-    fold_of = np.empty(labels.size, dtype=np.int64)
+    # Each class's fold ids, in the order its shuffled rows take them.
+    class_folds = []
     load = np.zeros(k, dtype=np.int64)
-    for c in range(class_count):
-        rows = np.flatnonzero(labels == c)
-        rows = rows[gen.permutation(rows.size)]
-        base, extra = divmod(rows.size, k)
+    for count in counts[0]:
+        base, extra = divmod(int(count), k)
         per_fold = np.full(k, base, dtype=np.int64)
         if extra:
-            lightest = np.argsort(load, kind="stable")[:extra]
-            per_fold[lightest] += 1
+            per_fold[np.argsort(load, kind="stable")[:extra]] += 1
         load += per_fold
-        start = 0
-        for f in range(k):
-            fold_of[rows[start : start + per_fold[f]]] = f
-            start += per_fold[f]
-    return FoldAssignment(fold_of, k)
+        class_folds.append(np.repeat(np.arange(k, dtype=np.int64), per_fold))
+    folds = np.empty(batch.labels.shape, dtype=np.int64)
+    for fold_of, labels, plan in zip(folds, batch.labels, batch.plans):
+        gen = plan.rng("folds")
+        for c, ids in enumerate(class_folds):
+            rows = np.flatnonzero(labels == c)
+            fold_of[rows[gen.permutation(rows.size)]] = ids
+    return folds
 
 
 def split_null_groups(d: Dataset, plans) -> Batch:

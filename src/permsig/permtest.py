@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -157,32 +157,13 @@ class StudyReport:
     retries: tuple[tuple[int, int, str], ...] = ()
 
     def to_json_dict(self, config: dict | None = None) -> dict:
-        doc = {
-            "study": self.study,
-            "scheme": self.scheme.value,
-            "m": self.m,
-            "k": self.k,
-            "alpha": self.alpha,
-            "eta": self.eta,
-            "mu": self.mu,
-            "observed_mean": self.observed_mean,
-            "observed_sd": self.observed_sd,
-            "null_mean": self.null_mean,
-            "null_sd": self.null_sd,
-            "p_value": self.p_value,
-            "p_value_sd": self.p_value_sd,
-            "fwe_rate": self.fwe_rate,
-            "fwe_rate_sd": self.fwe_rate_sd,
-            "histogram": {
-                "bin_edges": list(self.histogram_edges),
-                "counts": list(self.histogram_counts),
-            },
-            "seeds": {
-                "master_seed": self.master_seed,
-                "replicate_indices": list(self.replicate_indices),
-            },
-        }
-        if self.retries:
+        doc = {field.name: getattr(self, field.name) for field in fields(self)}
+        doc["scheme"] = self.scheme.value
+        doc["histogram"] = {"bin_edges": list(doc.pop("histogram_edges")),
+                            "counts": list(doc.pop("histogram_counts"))}
+        doc["seeds"] = {"master_seed": doc.pop("master_seed"),
+                        "replicate_indices": list(doc.pop("replicate_indices"))}
+        if doc.pop("retries"):
             doc["retries"] = [
                 {"replicate": r, "attempt": attempt, "error": message}
                 for r, attempt, message in self.retries

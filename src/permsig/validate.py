@@ -19,14 +19,13 @@ The generalization diagnostic is the relative optimism
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .bounds import BoundSpec, empirical_bound
-from .dataset import Batch, Dataset, FoldAssignment
+from .dataset import Batch, Dataset
 from .errors import FitError
 from .rng import PermutationPlan
 
@@ -97,36 +96,48 @@ def rub_error(
 
 
 def kfold_errors(
-    pipeline, batch: Batch, folds: Sequence[FoldAssignment]
+    pipeline, batch: Batch, folds: np.ndarray
 ) -> list[list[ErrorEstimate] | FitError]:
     """Per-fold test errors.
 
-    ``folds`` holds one fold assignment per column of ``batch``, all with
-    the same fold sizes.  Gives one entry per column: the list of its K
-    fold-wise test-error estimates (not their mean), or the ``FitError``
-    of the first fold it could not be fitted on (for example because its
-    training rows are single-class), whose message names the fold.  Each
-    fold is fitted for every column still standing at once.
+    ``folds`` is an (R, n) array of each column's fold for each of its
+    rows, as :func:`~permsig.dataset.stratified_folds` gives; the folds
+    are ``0 .. k-1``, and each holds rows in every column, the same
+    number in all of them.  Gives one entry per column: the list of its
+    K fold-wise test-error estimates (not their mean), or the
+    ``FitError`` of the first fold it could not be fitted on (for example
+    because its training rows are single-class), whose message names the
+    fold.  Each fold is fitted for every column still standing at once,
+    on its rows in ascending order.
 
     Raises
     ------
     ValueError
-        If there is not one fold assignment per column, or an
-        assignment's length does not match the row count.
+        If ``folds`` is not of shape (R, n), holds a negative fold, or
+        has a fold with no rows or with sizes that differ between columns.
     """
-    folds = list(folds)
-    if len(folds) != batch.size or any(fa.fold_of.shape[0] != batch.n for fa in folds):
-        raise ValueError("need one fold assignment per column, each of the row count's length")
+    folds = np.asarray(folds)
+    if folds.shape != batch.labels.shape:
+        raise ValueError(f"folds must have shape {batch.labels.shape}, one row per column")
+    if folds.min() < 0:
+        raise ValueError("fold ids must be non-negative")
+    k = int(folds.max()) + 1
+    sizes = np.array([np.bincount(fold_of, minlength=k) for fold_of in folds])
+    if np.any(sizes == 0):
+        raise ValueError("every fold must contain at least one row")
+    if np.any(sizes != sizes[0]):
+        raise ValueError("the folds of a batch's columns must have equal sizes")
     out: list = [[] for _ in range(batch.size)]
-    for f in range(folds[0].k):
+    for f in range(k):
         standing = [j for j in range(batch.size) if not isinstance(out[j], FitError)]
         if not standing:
             break
         live = batch.select(standing)
-        train = _fold_rows([folds[j].train_rows(f) for j in standing])
-        test = _fold_rows([folds[j].test_rows(f) for j in standing])
-        fitted = pipeline.fit(live.subset(train), tag=f"fold{f}")
-        for j, test_error in zip(standing, fitted.errors(live.subset(test))):
+        test = folds[standing] == f
+        train_rows = np.nonzero(~test)[1].reshape(len(standing), -1)
+        test_rows = np.nonzero(test)[1].reshape(len(standing), -1)
+        fitted = pipeline.fit(live.subset(train_rows), tag=f"fold{f}")
+        for j, test_error in zip(standing, fitted.errors(live.subset(test_rows))):
             if isinstance(test_error, FitError):
                 error = FitError(f"fold {f}: {test_error}")
                 error.__cause__ = test_error
@@ -134,12 +145,6 @@ def kfold_errors(
             else:
                 out[j].append(ErrorEstimate(test_error, Scheme.KFOLD))
     return out
-
-
-def _fold_rows(rows: list[np.ndarray]) -> np.ndarray:
-    if any(r.shape != rows[0].shape for r in rows):
-        raise ValueError("the folds of a batch's columns must have equal sizes")
-    return np.stack(rows)
 
 
 def generalization_ratio(e_emp: float, e_act: float) -> float:

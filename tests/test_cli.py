@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from permsig import cli
 from permsig.cli import main
 from permsig.dataset import load_csv, save_csv, synth_effect
 from permsig.rng import PermutationPlan
@@ -268,6 +269,26 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     cfg.write_text("{not json")
     assert run("power", "--config", str(cfg)) == 2
     assert run("power", "--config", str(tmp_path / "absent.json")) == 2
+    assert run("power", "--config", str(tmp_path)) == 2  # a directory
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"alpha": "\u00e9"}'.encode("latin-1"))
+    assert run("power", "--config", str(latin1)) == 2
+    assert capsys.readouterr().err.count("config error: config field 'config'") == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("power", "--m", "5"),
+    ("bound", "--n", "100", "--d", "2"),
+    ("synth", "--n-per-class", "5", "--dim", "2"),
+], ids=lambda argv: argv[0])
+def test_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch, blob_csv, argv):
+    def no_study(*args):
+        raise AssertionError("the study ran before its output was checked")
+
+    monkeypatch.setitem(cli._STUDIES, "power", no_study)
+    data = ("--data", blob_csv) if argv[0] == "power" else ()
+    assert run(*argv, *data, "--out", str(tmp_path / "absent" / "r.json")) == 2
+    assert "config field 'out'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc, field", [

@@ -8,7 +8,6 @@ import pytest
 from permsig.dataset import (
     Batch,
     Dataset,
-    FoldAssignment,
     load_csv,
     permute_labels,
     save_csv,
@@ -124,6 +123,17 @@ def test_csv_round_trip(tmp_path):
     assert len(set(mapping.values())) == d.class_count
     assert back.class_count == d.class_count
     assert back.feature_names == d.feature_names
+
+
+def test_csv_with_byte_order_mark_loads_as_without(tmp_path):
+    d = synth_effect(5, 3, 1.0, PermutationPlan(3, 0))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    save_csv(d, str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = load_csv(str(marked)), load_csv(str(plain))
+    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(a.labels, b.labels)
+    assert (a.class_count, a.feature_names) == (b.class_count, b.feature_names)
 
 
 def test_csv_string_labels_first_appearance(tmp_path):
@@ -293,15 +303,17 @@ def test_trim_to_even():
 def test_stratified_folds_cover_and_balance():
     d = toy(n=47, classes=3)
     batch = permute_labels(d, [PermutationPlan(4, r) for r in range(3)])
-    for labels, folds in zip(batch.labels, stratified_folds(batch, 5)):
+    folds = stratified_folds(batch, 5)
+    assert folds.shape == (3, 47) and folds.dtype == np.int64
+    for labels, fold_of in zip(batch.labels, folds):
         # exact partition
-        all_rows = np.sort(np.concatenate([folds.test_rows(f) for f in range(5)]))
+        all_rows = np.sort(np.concatenate([np.flatnonzero(fold_of == f) for f in range(5)]))
         np.testing.assert_array_equal(all_rows, np.arange(47))
-        sizes = [folds.test_rows(f).size for f in range(5)]
+        sizes = [int(np.sum(fold_of == f)) for f in range(5)]
         assert max(sizes) - min(sizes) <= 1
         # per-class balance within one
         for c in range(3):
-            per = [int(np.sum(labels[folds.test_rows(f)] == c)) for f in range(5)]
+            per = [int(np.sum(labels[fold_of == f] == c)) for f in range(5)]
             assert max(per) - min(per) <= 1
 
 
@@ -310,8 +322,8 @@ def test_stratified_folds_deterministic():
     plans = [PermutationPlan(9, 7), PermutationPlan(9, 8)]
     a = stratified_folds(Batch.of(d, plans), 3)
     b = stratified_folds(Batch.of(d, plans[:1]), 3)
-    np.testing.assert_array_equal(a[0].fold_of, b[0].fold_of)
-    assert not np.array_equal(a[0].fold_of, a[1].fold_of)
+    np.testing.assert_array_equal(a[0], b[0])
+    assert not np.array_equal(a[0], a[1])
 
 
 def test_stratified_folds_small_class_rejected():
@@ -322,13 +334,12 @@ def test_stratified_folds_small_class_rejected():
         stratified_folds(Batch.of(d, [PermutationPlan(0, 0)]), 1)
 
 
-def test_fold_assignment_validation():
-    with pytest.raises(ValueError):
-        FoldAssignment(np.array([0, 0, 0]), 2)  # fold 1 empty
-    with pytest.raises(ValueError):
-        FoldAssignment(np.array([0, 2]), 2)  # index out of range
-    fa = FoldAssignment(np.array([0, 1, 0, 1]), 2)
-    np.testing.assert_array_equal(fa.train_rows(0), [1, 3])
+def test_stratified_folds_rejects_unequal_class_counts():
+    d = toy(n=8, classes=2)
+    labels = np.array([[0, 1] * 4, [0, 0, 0, 1, 1, 1, 1, 1]])
+    batch = Batch(d.features, None, labels, 2, (PermutationPlan(0, 0), PermutationPlan(0, 1)))
+    with pytest.raises(ValueError, match="same number of rows of each class"):
+        stratified_folds(batch, 2)
 
 
 # ---------------------------------------------------------------- null split
@@ -409,15 +420,15 @@ def test_column_maker_draws_are_pinned(case):
     if len(sizes) == 1:
         split = split_null_groups(d, DRAW_PLANS)
         got["split"] = _sha(split.labels)
-        got["split.folds"] = _sha([fa.fold_of for fa in stratified_folds(split, k)])
+        got["split.folds"] = _sha(stratified_folds(split, k))
     else:
         permuted, shuffled = permute_labels(d, DRAW_PLANS), shuffle_rows(d, DRAW_PLANS)
         got["permute"] = _sha(permuted.labels)
-        got["permute.folds"] = _sha([fa.fold_of for fa in stratified_folds(permuted, k)])
+        got["permute.folds"] = _sha(stratified_folds(permuted, k))
         got["shuffle"] = _sha(shuffled.rows)
         got["shuffle.labels"] = _sha(shuffled.labels)
-        got["shuffle.folds"] = _sha([fa.fold_of for fa in stratified_folds(shuffled, k)])
-        got["own.folds"] = _sha([fa.fold_of for fa in stratified_folds(Batch.of(d, DRAW_PLANS), k)])
+        got["shuffle.folds"] = _sha(stratified_folds(shuffled, k))
+        got["own.folds"] = _sha(stratified_folds(Batch.of(d, DRAW_PLANS), k))
     assert got == {draw: sha for (name, draw), sha in DRAW_SHA256.items() if name == case}
 
 

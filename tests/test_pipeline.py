@@ -508,9 +508,9 @@ def test_batch_probabilities_equal_each_column_fitted_alone(monkeypatch, frozen,
     plans = [PermutationPlan(7, r) for r in range(12)]
     batch = permute_labels(d, plans)
     if folds:  # fit on the training rows of fold 0, and predict its test rows
-        assignments = stratified_folds(batch, 3)
-        train = np.stack([fa.train_rows(0) for fa in assignments])
-        test = np.stack([fa.test_rows(0) for fa in assignments])
+        fold_of = stratified_folds(batch, 3)
+        train = np.stack([np.flatnonzero(row != 0) for row in fold_of])
+        test = np.stack([np.flatnonzero(row == 0) for row in fold_of])
         train_batch, test_batch = batch.subset(train), batch.subset(test)
     else:  # every column shares all rows of one features array
         train = test = np.tile(np.arange(d.n), (len(plans), 1))
@@ -567,8 +567,8 @@ def test_stacked_autoencoders_equal_each_fitted_alone(monkeypatch, case):
     plans = [PermutationPlan(1, r) for r in range(columns)]
     batch = permute_labels(d, plans)
     if folds:  # each column's training rows of fold 0
-        folds = stratified_folds(batch, 3)
-        batch = batch.subset(np.stack([fa.train_rows(0) for fa in folds]))
+        fold_of = stratified_folds(batch, 3)
+        batch = batch.subset(np.stack([np.flatnonzero(row != 0) for row in fold_of]))
     stacks = []
     monkeypatch.setattr(pipeline, "ae_fit", lambda x, a, keys: stacks.append(len(keys))
                         or ae_fit(x, a, keys))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from permsig.bounds import BoundSpec, empirical_bound
-from permsig.dataset import Batch, Dataset, FoldAssignment, stratified_folds, synth_effect
+from permsig.dataset import Batch, Dataset, stratified_folds, synth_effect
 from permsig.errors import FitError
 from permsig.pipeline import PipelineSpec
 from permsig.rng import PermutationPlan
@@ -77,18 +77,57 @@ def test_kfold_error_names_failing_fold():
     # hand-built folds where fold 0's training rows are single-class
     x = np.arange(8, dtype=np.float64).reshape(4, 2)
     d = Dataset(x, np.array([0, 0, 1, 1]), 2)
-    folds = FoldAssignment(np.array([0, 0, 1, 1]), 2)
-    (out,) = kfold_errors(PipelineSpec(reducer="none"), one(d), [folds])
+    (out,) = kfold_errors(PipelineSpec(reducer="none"), one(d), np.array([[0, 0, 1, 1]]))
     assert isinstance(out, FitError) and re.search("fold 0", str(out))
 
 
-def test_kfold_rejects_mismatched_assignment():
+def test_kfold_fits_each_fold_on_its_rows_in_ascending_order():
+    """Fold ``f`` trains every column on its rows outside ``f`` and tests on
+    those in ``f``, each in ascending order."""
+
+    class Recording:
+        def __init__(self):
+            self.rows = []
+
+        def fit(self, batch, tag):
+            self.rows.append(("train", batch.rows))
+            return self
+
+        def errors(self, batch):
+            self.rows.append(("test", batch.rows))
+            return [0.0] * batch.size
+
+    batch = Batch.of(blobs(n_per=6), [PLAN, PermutationPlan(0, 1), PermutationPlan(0, 2)])
+    folds = stratified_folds(batch, 3)
+    pipeline = Recording()
+    kfold_errors(pipeline, batch, folds)
+    expected = []
+    for f in range(3):
+        expected.append(("train", np.stack([np.flatnonzero(row != f) for row in folds])))
+        expected.append(("test", np.stack([np.flatnonzero(row == f) for row in folds])))
+    assert [kind for kind, _ in pipeline.rows] == [kind for kind, _ in expected]
+    for (_, got), (_, want) in zip(pipeline.rows, expected):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("folds, message", [
+    pytest.param(np.array([[0, 1] * 3]), "shape", id="short"),  # 6 rows for a 10-row set
+    pytest.param(np.array([0, 1] * 5), "shape", id="no_column_axis"),
+    pytest.param(np.zeros((0, 10), dtype=np.int64), "shape", id="no_column"),
+    pytest.param(np.array([[0, 0, 0, 2, 2, 2, 0, 0, 2, 2]]), "at least one row", id="empty_fold"),
+    pytest.param(np.array([[0, 1, -1, 0, 1, 0, 1, 0, 1, 0]]), "non-negative", id="negative"),
+])
+def test_kfold_rejects_malformed_folds(folds, message):
+    with pytest.raises(ValueError, match=message):
+        kfold_errors(PipelineSpec(), one(blobs(n_per=5)), folds)
+
+
+def test_kfold_rejects_fold_sizes_that_differ_between_columns():
     d = blobs(n_per=5)
-    folds = FoldAssignment(np.array([0, 1] * 3), 2)  # 6 rows for a 10-row set
-    with pytest.raises(ValueError, match="length"):
-        kfold_errors(PipelineSpec(), one(d), [folds])
-    with pytest.raises(ValueError, match="one fold assignment per column"):
-        kfold_errors(PipelineSpec(), one(d), [])
+    batch = Batch.of(d, [PLAN, PermutationPlan(0, 1)])
+    folds = np.array([[0, 1] * 5, [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]])
+    with pytest.raises(ValueError, match="equal sizes"):
+        kfold_errors(PipelineSpec(), batch, folds)
 
 
 def test_generalization_ratio_cases():
