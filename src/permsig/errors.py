@@ -31,6 +31,9 @@ class DivergenceError(FitError):
         self.epoch = epoch
         super().__init__(f"non-finite training loss at epoch {epoch}")
 
+    def __reduce__(self):  # errors cross from forked children to the study
+        return type(self), (self.epoch,)
+
 
 class ConfigError(ValueError):
     """Invalid setting; names the offending field."""
@@ -39,6 +42,9 @@ class ConfigError(ValueError):
         self.field = field
         self.message = message
         super().__init__(f"config field '{field}': {message}")
+
+    def __reduce__(self):
+        return type(self), (self.field, self.message)
 
 
 def check(ok: bool, field: str, message: str) -> None:

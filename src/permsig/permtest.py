@@ -17,21 +17,24 @@ distribution built by refitting the pipeline on label-randomized data:
 
 Replicates are independent and own their random streams.  They are
 fitted in chunks, each chunk as one batch of label columns over the
-shared features, and chunks can run on a process pool.  A chunk holds as
-many columns as keep an (R, n, N) float64 array of the data within
-:data:`BATCH_BYTES`, and at least :data:`MIN_BATCH`, so the chunks
-depend on the replicate count and the data's shape alone, and a study's
-memory stays linear in the data.  The observed iterations are split by
-the same rule.  A column's arithmetic never mixes with another's, so
-results depend neither on the chunking nor on the worker count.  A
-replicate whose fit fails is resampled with a fresh sub-stream up to
-three times before the study aborts; the report lists every such retry.
+shared features.  With more than one worker, the study's process fits
+chunks beside forked children, each process taking the next untaken
+chunk, and fits its observed iterations while the children start.  A
+chunk holds as many columns as keep an (R, n, N) float64 array of the
+data within :data:`BATCH_BYTES`, and at least :data:`MIN_BATCH`, so the
+chunks depend on the replicate count and the data's shape alone, and a
+study's memory stays linear in the data.  The observed iterations are
+split by the same rule.  A column's arithmetic never mixes with
+another's, so results depend neither on the chunking nor on the worker
+count.  A replicate whose fit fails is resampled with a fresh sub-stream
+up to three times before the study aborts; the report lists every such retry.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -290,18 +293,6 @@ def _chunk_stats(task: _ReplicateTask, replicates: range):
     return [results[r] for r in replicates], sorted(retries)
 
 
-_POOL_TASK: _ReplicateTask | None = None
-
-
-def _pool_init(task: _ReplicateTask) -> None:
-    global _POOL_TASK
-    _POOL_TASK = task
-
-
-def _pool_run(replicates: range):
-    return _chunk_stats(_POOL_TASK, replicates)
-
-
 def _batches(count: int, d: Dataset) -> list[range]:
     """Consecutive ranges of ``count`` columns of ``d``, each one batch.
 
@@ -315,8 +306,113 @@ def _batches(count: int, d: Dataset) -> list[range]:
     return [range(lo, min(lo + width, count)) for lo in range(0, count, width)]
 
 
+def _take(counter: tuple[int, int], then: int | None = None) -> int:
+    """The value of a counter that forked processes share, which is then
+    incremented, or set to ``then``.
+
+    The counter is a pipe holding its value as its one 8-byte token: a
+    process that reads the token holds the counter until it writes it back.
+    """
+    value = int.from_bytes(os.read(counter[0], 8), "little")
+    os.write(counter[1], (value + 1 if then is None else then).to_bytes(8, "little"))
+    return value
+
+
+def _take_chunks(task: _ReplicateTask, chunks: list[range], counter: tuple[int, int]):
+    """``{index: (results, retries)}`` of the chunks this process takes from
+    ``counter``, and the ``(index, exception)`` of one that raised, if any.
+
+    A process whose chunk raises moves the counter to the end, so no
+    process starts another chunk.  Every lower index was taken before, and
+    its chunk still runs to the end, so the lowest index that raises is
+    always found.
+    """
+    done = {}
+    while (index := _take(counter)) < len(chunks):
+        try:
+            done[index] = _chunk_stats(task, chunks[index])
+        except Exception as exc:  # raised by the parent once every child is done
+            _take(counter, then=len(chunks))
+            return done, (index, exc)
+    return done, None
+
+
+def _child(task: _ReplicateTask, chunks: list[range], counter, reader: int, writer: int):
+    """A forked child's life: fit chunks, write them to ``writer`` as one
+    pickle, and exit, never returning into the caller's frames."""
+    code = 1
+    try:
+        os.close(reader)
+        out = pickle.dumps(_take_chunks(task, chunks, counter))
+        with open(writer, "wb") as fh:
+            fh.write(out)
+        code = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _forked_chunks(task: _ReplicateTask, chunks: list[range], children: int, alongside):
+    """Every chunk's result, in chunk order, from this process and ``children`` forks.
+
+    Children inherit the task, so nothing is pickled on the way in, and no
+    module is imported or thread started for them.  This process runs
+    ``alongside`` while they start, then takes chunks from the same
+    counter.  Each child sends its chunks once, through its own pipe.  The
+    exception of the lowest chunk that raised is raised, as with no
+    children.  Every child is waited for, and killed first if this process
+    raised.
+    """
+    counter = os.pipe()
+    os.write(counter[1], bytes(8))
+    pids, readers, codes = [], [], []
+    finished = False
+    try:
+        for _ in range(children):
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(task, chunks, counter, reader, writer)
+            # Closed before the next fork, so that only the child holds the
+            # write end, and the reader sees EOF when the child ends.
+            os.close(writer)
+            pids.append(pid)
+            readers.append(open(reader, "rb"))
+        if alongside is not None:
+            alongside()
+        done, failure = _take_chunks(task, chunks, counter)
+        sent = [reader.read() for reader in readers]
+        finished = True
+    finally:
+        for pid in pids:
+            if not finished:
+                import signal  # only a study that raised pays for the import
+
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        for reader in readers:
+            reader.close()
+        os.close(counter[0])
+        os.close(counter[1])
+    failures = [failure]
+    for pid, code, data in zip(pids, codes, sent):
+        if code != 0:
+            raise RuntimeError(f"worker process {pid} exited with code {code} "
+                               "before sending its chunks")
+        child_done, child_failure = pickle.loads(data)
+        done.update(child_done)
+        failures.append(child_failure)
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [done[i] for i in range(len(chunks))]
+
+
 def null_distribution(pipeline, d: Dataset, settings: StudySettings, *,
-                      mu: float | None = None) -> NullDistribution:
+                      mu: float | None = None, alongside=None) -> NullDistribution:
     """Null statistics from ``settings.replicates`` label-randomized replicates.
 
     Labeled data has its labels permuted; one-condition data is split
@@ -325,25 +421,24 @@ def null_distribution(pipeline, d: Dataset, settings: StudySettings, *,
     deviation bound, to every statistic; other schemes ignore it.
     Replicates are fitted in the chunks of :func:`_batches`, and
     statistics are aggregated in replicate order, so the result is
-    identical for any ``workers``.  A pool of ``min(workers, chunk
-    count)`` processes runs the chunks; with one, or one chunk, they run
-    in this process.
+    identical for any ``workers``.  This process fits chunks beside
+    ``min(workers, chunk count) - 1`` forked children, each process taking
+    the next untaken chunk; with one worker, or one chunk, no child is
+    forked.  ``alongside``, if given, is called with no arguments in this
+    process before it fits any chunk, after the children are forked, so
+    that its work overlaps theirs.
     """
     if settings.scheme is Scheme.RUB and mu is None:
         raise ValueError("the rub scheme needs mu, its deviation bound")
     task = _ReplicateTask(pipeline, d, settings, mu)
     chunks = _batches(settings.replicates, d)
-
-    # The pool forks all its workers up front, so it gets no more than
-    # there are chunks to hand out; one chunk runs in this process.
-    workers = min(settings.workers, len(chunks))
-    if workers <= 1:
-        done = [_chunk_stats(task, chunk) for chunk in chunks]
+    children = min(settings.workers, len(chunks)) - 1
+    if children > 0:
+        done = _forked_chunks(task, chunks, children, alongside)
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(task,)
-        ) as pool:
-            done = list(pool.map(_pool_run, chunks))
+        if alongside is not None:
+            alongside()
+        done = [_chunk_stats(task, chunk) for chunk in chunks]
 
     stats: list[float] = []
     indices: list[int] = []
@@ -385,8 +480,9 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
     Labeled data gets the power flavor: the null permutes the labels,
     the observed statistic is the mean over row-shuffled iterations
     (batches, split as the null's chunks are, whose columns index the
-    data's rows in their own order, not retried), and the report carries
-    its p-value.
+    data's rows in their own order, not retried; they run inside
+    :func:`null_distribution`, beside any forked children), and the
+    report carries its p-value.
     One-condition data gets the type-1 flavor: the null splits the rows
     into two pseudo-groups, and the report carries the omnibus
     family-wise error rate instead.
@@ -394,14 +490,17 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
     scheme = settings.scheme
     mu = _mu_for(pipeline, data, scheme, settings.eta)
     observed: list[float] = []
-    if data.class_count > 1:
+
+    def observe() -> None:
         for chunk in _batches(settings.observed_iterations, data):
             plans = [PermutationPlan(settings.master_seed, OBSERVED_BASE + i) for i in chunk]
             for out in _statistics(pipeline, shuffle_rows(data, plans), scheme, settings.k, mu):
                 if isinstance(out, FitError):
                     raise out
-                observed += out
-    null = null_distribution(pipeline, data, settings, mu=mu)
+                observed.extend(out)
+
+    null = null_distribution(pipeline, data, settings, mu=mu,
+                             alongside=observe if data.class_count > 1 else None)
     t_obs = p = rate = None
     if observed:
         t_obs = float(np.mean(observed))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,14 +142,24 @@ def test_reruns_are_byte_identical(tmp_path, blob_csv):
     assert out.read_bytes() == first
 
 
-def test_worker_flag_does_not_change_bytes(tmp_path, blob_csv, forked_pools):
+def test_worker_flag_does_not_change_bytes(tmp_path, blob_csv, forked_children):
     a = tmp_path / "w1.json"
     b = tmp_path / "w2.json"
     base = ("power", "--data", blob_csv, "--scheme", "rub", "--m", "16", "--seed", "3")
     run(*base, "--workers", "1", "--out", str(a))
     run(*base, "--workers", "2", "--out", str(b))
-    assert forked_pools == [2]
+    assert len(forked_children) == 1
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_leaves_out_process_pools():
+    """Forking children needs neither ``multiprocessing`` nor ``concurrent.futures``."""
+    code = ("import sys, permsig.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')])")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_type1_study_via_cli(tmp_path):

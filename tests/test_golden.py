@@ -9,12 +9,13 @@ values recorded before the pipeline and study code were consolidated.
 Together the cases cover power, type1 and alt; resub, rub and kfold; the
 ``pls``, ``pca`` and ``none`` reducers; three-class one-vs-one fits;
 one-condition alt studies; and autoencoders over two region blocks,
-including a two-worker pool: that case fits its null in chunks of
-``MIN_BATCH`` columns, since its 24 replicates would otherwise make one
-chunk, which runs in-process.  One two-class ``pls`` case keeps only 20
-rows of its second class, so that most permuted pairs have an SVM
-optimum of ``w = 0`` and are calibrated on a constant margin; its
-hashes were recorded while one-feature SVMs were still solved by SMO.
+including one at two workers, which forks one child: that case fits its
+null in chunks of ``MIN_BATCH`` columns, since its 24 replicates would
+otherwise make one chunk, which runs in-process.  One two-class ``pls``
+case keeps only 20 rows of its second class, so that most permuted
+pairs have an SVM optimum of ``w = 0`` and are calibrated on a constant
+margin; its hashes were recorded while one-feature SVMs were still
+solved by SMO.
 ``alt_pls_3class``, recorded later, is the one alt case that freezes a
 ``pls`` reducer for each class pair.  One RUB case with a two-feature
 classifier also runs in a fresh interpreter where scipy cannot be
@@ -141,9 +142,9 @@ def run_case(name, workdir, monkeypatch) -> tuple[str, str]:
 def test_golden_report(name, tmp_path, monkeypatch, request):
     *_, config, want_json, want_csv = CASES[name]
     workers = config.get("workers", 1)
-    pools = request.getfixturevalue("forked_pools") if workers > 1 else []
+    children = request.getfixturevalue("forked_children") if workers > 1 else []
     assert run_case(name, tmp_path, monkeypatch) == (want_json, want_csv)
-    assert pools == ([workers] if workers > 1 else [])
+    assert len(children) == workers - 1
 
 
 NO_SCIPY = """

@@ -1,3 +1,9 @@
+import dataclasses
+import json
+import multiprocessing
+import os
+import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,10 +11,11 @@ import pytest
 
 from permsig.bounds import BoundSpec, empirical_bound
 from permsig.dataset import Dataset, synth_effect
-from permsig.errors import FitError
+from permsig.errors import ConfigError, DivergenceError, FitError
 from permsig import permtest
 from permsig.permtest import (
     EXTRACTOR_INDEX,
+    MAX_RETRIES,
     OBSERVED_BASE,
     RETRY_STRIDE,
     NullDistribution,
@@ -223,40 +230,124 @@ def test_batches_hold_a_byte_budget_of_columns(n, n_features, count, split):
     assert [i for chunk in chunks for i in chunk] == list(range(count))
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.sizes.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("workers, m, pool_size", [
-    (8, 20, None),  # one chunk runs in this process
-    (8, 70, 3),  # three chunks
+@pytest.mark.parametrize("workers, m, processes", [
+    (8, 20, None),  # one chunk runs in this process, and nothing is forked
+    (8, 70, 3),  # three chunks: this process and two children
     (2, 70, 2),
     (1, 70, None),
 ])
-def test_pool_is_sized_to_its_chunks(monkeypatch, workers, m, pool_size):
-    monkeypatch.setattr(permtest, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+def test_pool_is_sized_to_its_chunks(monkeypatch, forked_children, workers, m, processes):
     d = one_condition()
     _batch_width(monkeypatch, d, 32)
     assert [len(chunk) for chunk in permtest._batches(m, d)] == ([20] if m == 20 else [32, 32, 6])
     null = null_distribution(_StubPipeline(), d, _resub_settings(m, workers=workers))
-    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert len(forked_children) == (0 if processes is None else processes - 1)
     assert null == null_distribution(_StubPipeline(), d, _resub_settings(m))
+
+
+@pytest.mark.parametrize("study, data, scheme, spec", [
+    (power_study, synth_effect(9, 4, 0.7, PermutationPlan(1, 0), classes=3), Scheme.RUB,
+     PipelineSpec(reducer="pls")),
+    (type1_study, synth_effect(13, 4, 0.0, PermutationPlan(2, 0), classes=1), Scheme.KFOLD,
+     PipelineSpec(reducer="none")),
+    (alt_scheme_study, synth_effect(12, 4, 0.7, PermutationPlan(4, 0)), Scheme.RESUB,
+     PipelineSpec(reducer="pca", pca_components=2)),
+], ids=["power", "type1", "alt"])
+def test_reports_are_byte_identical_at_one_two_and_three_workers(forked_children, study, data,
+                                                                 scheme, spec):
+    settings = StudySettings(scheme, m=14, k=3, master_seed=8, observed_iterations=3)
+    docs = {json.dumps(study(spec, data, dataclasses.replace(settings, workers=w)).to_json_dict())
+            for w in (1, 2, 3)}
+    assert len(docs) == 1
+    assert len(forked_children) == 1 + 2  # four chunks, of 4, 4, 4 and 2 replicates
+
+
+class _ChildStub(_StubPipeline):
+    """A stub whose fits in a forked child first set ``started``, and with
+    ``exit_code`` then end the child at once.  :meth:`wait_for_a_child`,
+    passed as ``alongside``, holds this process back until a child has
+    taken the first chunk."""
+
+    def __init__(self, fail_indices=(), exit_code=None):
+        super().__init__(fail_indices)
+        self.parent = os.getpid()
+        self.exit_code = exit_code
+        self.started = multiprocessing.get_context("fork").Event()  # shared across a fork
+        self.threads = []
+
+    def fit(self, batch, plan=None, tag="fit"):
+        if os.getpid() != self.parent:
+            self.started.set()
+            if self.exit_code is not None:
+                os._exit(self.exit_code)
+        return super().fit(batch, plan, tag)
+
+    def wait_for_a_child(self):
+        self.threads.append(threading.active_count())
+        assert self.started.wait(30)
+
+
+_EXHAUSTED = {5 + attempt * RETRY_STRIDE for attempt in range(MAX_RETRIES + 1)}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_exhausted_retries_in_a_child_raise_as_in_process(monkeypatch, workers):
+    d = one_condition()
+    _batch_width(monkeypatch, d, 32)  # replicate 5 is in chunk 0, which a child takes
+    with pytest.raises(FitError) as alone:
+        null_distribution(_StubPipeline(_EXHAUSTED), d, _resub_settings(70))
+    stub = _ChildStub(_EXHAUSTED)
+    with pytest.raises(FitError) as forked:
+        null_distribution(stub, d, _resub_settings(70, workers=workers),
+                          alongside=stub.wait_for_a_child)
+    assert type(forked.value) is FitError
+    assert str(forked.value) == str(alone.value)
+    assert str(alone.value).startswith("replicate 5 failed after 3 retries")
+    assert stub.threads == [1]  # nothing started a thread before the fork
+    with pytest.raises(ChildProcessError):  # every child was waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_child_that_dies_raises_instead_of_hanging(monkeypatch, workers):
+    d = one_condition()
+    _batch_width(monkeypatch, d, 32)
+    stub = _ChildStub(exit_code=1)
+    with pytest.raises(RuntimeError, match="exited with code 1 before sending its chunks"):
+        null_distribution(stub, d, _resub_settings(70, workers=workers),
+                          alongside=stub.wait_for_a_child)
+    with pytest.raises(ChildProcessError):  # every child was waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_observed_failure_leaves_no_child_behind(forked_children, workers):
+    d = synth_effect(10, 3, 0.5, PermutationPlan(2, 0))
+    settings = StudySettings(Scheme.RESUB, m=12, master_seed=5, observed_iterations=3,
+                             workers=workers)
+    stub = _StubPipeline({OBSERVED_BASE + 1})
+    message = f"scripted failure of {OBSERVED_BASE + 1}"
+    with pytest.raises(FitError, match=message):
+        power_study(stub, d, dataclasses.replace(settings, workers=1))
+    with pytest.raises(FitError, match=message):
+        power_study(stub, d, settings)
+    assert len(forked_children) == workers - 1  # three chunks of four replicates
+    with pytest.raises(ChildProcessError):  # every child was waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("exc, attrs", [
+    (FitError("no fit"), {}),
+    (DivergenceError(3), {"epoch": 3}),
+    (ConfigError("m", "must be a positive integer"),
+     {"field": "m", "message": "must be a positive integer"}),
+], ids=["fit", "divergence", "config"])
+def test_package_errors_survive_pickling(exc, attrs):
+    """Errors raised in a forked child reach the parent pickled."""
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert {name: getattr(back, name) for name in attrs} == attrs
 
 
 def test_null_distribution_exhausted_retries_raise():
