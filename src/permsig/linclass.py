@@ -3,14 +3,14 @@
 The pieces here are deliberately self-contained:
 
 * :func:`svm_fit` trains a linear soft-margin SVM, a minimizer of
-  ``0.5 * ||w||^2 + c * sum(max(0, 1 - y * (w @ x + b)))``: exactly, in
-  closed form, on one feature, and by sequential minimal optimization on
-  the dual, to a duality-gap tolerance, on more.  With balanced classes
-  the dual corner ``alpha = c`` is tested first, for all columns of a
-  batch at once; where it is certified optimal no SMO step runs, so
-  ``tol`` and ``max_passes`` go unused and no ``FitError`` can occur.
-  Only the other columns run SMO, one at a time, each with a FIFO cache
-  of kernel columns ``x @ x_t`` held to a fixed byte budget.
+  ``0.5 * ||w||^2 + c * sum(max(0, 1 - y * (w @ x + b)))``, by sequential
+  minimal optimization on the dual, to a duality-gap tolerance (one
+  feature: see below).  With balanced classes the dual corner ``alpha = c``
+  is tested first, for all columns of a batch at once; where it is
+  certified optimal no SMO step runs, so ``tol`` and ``max_passes`` go
+  unused and no ``FitError`` can occur.  Only the other columns run SMO,
+  one at a time, each with a FIFO cache of kernel columns ``x @ x_t``
+  held to a fixed byte budget.
 * :func:`calibrate` fits a sigmoid ``p = sigma(slope * margin + intercept)``
   to training margins by damped Newton iterations on the Bernoulli
   log-likelihood with the usual smoothed targets, so separable margins
@@ -19,11 +19,14 @@ The pieces here are deliberately self-contained:
 On one feature the cost ``c`` cannot change the calibrated probabilities:
 for any ``w != 0`` the sigmoids of ``w * s + b`` are the sigmoids of ``s``
 itself, so calibration reaches the same maximum-likelihood fit (Platt
-1999; Lin, Lin & Weng 2007) whatever the SVM's weight.  Only an optimum of
-``w = 0`` differs, where the margin is constant, and whether the optimum
-is ``w = 0`` does not depend on ``c``: with ``k`` minority rows of mean
-score ``mu``, it is exactly when ``mu`` lies between the means of the
-``k`` smallest and the ``k`` largest majority scores.
+1999; Lin, Lin & Weng 2007) whatever the SVM's weight.  So :func:`svm_fit`
+returns the centred score ``w * (s - mean(s))`` with ``w = 2**-e``, ``e``
+the exponent of the score spread: margins in [-1, 1] at any spread.  Only
+an optimum of ``w = 0`` differs, and it does not depend on ``c``: with
+``k`` rows in the smaller class, it is exactly when their score sum lies
+between the sums of the ``k`` smallest and the ``k`` largest scores of
+the other class.  There the margin is ``sign(n_pos - n_neg)``, the
+midpoint of the biases that minimize the hinge sum.
 
 Both fits take only a batch of columns along a leading axis; each
 column's arithmetic uses only its own rows, so its result is the one a
@@ -37,6 +40,7 @@ One-vs-one voting over class pairs and the region-block average live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,12 +123,13 @@ def svm_fit(
 ):
     """Train a linear soft-margin SVM on each column of a batch.
 
-    On one feature the optimum is found exactly (see :func:`_svm_1d`),
-    for all columns at once, and ``tol`` and ``max_passes`` are unused.
-    Otherwise the corner ``alpha = c`` of the dual is tried first, for
-    every column at once (see :func:`_corner`), under the stopping tests
-    of SMO.  Balanced classes make it feasible; for the columns where it
-    is certified optimal, as for heavily overlapping classes, no update
+    On one feature no SVM is solved: each column gets the margin map of
+    the module docstring, a constant where the SVM optimum is ``w = 0``
+    and the centred score elsewhere; ``c``, ``tol`` and ``max_passes`` go
+    unused.  Otherwise the corner ``alpha = c`` of the dual is tried first,
+    for every column at once (see :func:`_corner`), under the stopping
+    tests of SMO.  Balanced classes make it feasible; for the columns where
+    it is certified optimal, as for heavily overlapping classes, no update
     runs, ``tol`` and ``max_passes`` go unused and no ``FitError`` can
     occur.  Each other column solves the dual box-constrained problem on
     its own by pairwise coordinate updates with second-order working-set
@@ -148,9 +153,9 @@ def svm_fit(
     ``(svm, failures)``: ``failures`` maps each column whose duality gap
     is still above ``tol`` after ``max_passes`` passes, or after a pass
     that left no step to take, to its ``FitError``, and that column keeps
-    the corner's finite ``(w, b)``.  On one feature, scores near the float
-    limit can overflow to a non-finite ``(w, b)``; such a column gets its
-    ``FitError`` and keeps ``(0, 0)``.
+    the corner's finite ``(w, b)``.  On one feature, a column whose scores
+    near the float limit overflow their sum of magnitudes, their spread or
+    the centred map gets its ``FitError`` and keeps ``(0, 0)``.
 
     Raises
     ------
@@ -173,15 +178,35 @@ def svm_fit(
     if np.any(n_pos == 0) or np.any(n_pos == y.shape[1]):
         raise ValueError("both label signs must be present")
     c = float(c)
-    if x.shape[-1] == 1:
+    if x.shape[-1] == 1:  # the margin map of the module docstring
         if np.any(n_pos != n_pos[0]):
             raise ValueError("one-feature columns of a batch need equal class counts")
+        s, n = np.broadcast_to(x[..., 0], y.shape), y.shape[1]
+        few = y > 0 if 2 * n_pos[0] <= n else y < 0  # the k rows of the smaller class
+        k = int(few[0].sum())
+        mine, other = s[few].reshape(-1, k), s[~few].reshape(-1, n - k)
+        if n > 2 * k:  # the k smallest scores first and the k largest last
+            other = np.partition(other, (k - 1, n - 2 * k), axis=1)
+        low, high = other[:, :k], other[:, n - 2 * k:]
         with np.errstate(over="ignore", invalid="ignore"):
-            w, b = _svm_1d(np.broadcast_to(x[..., 0], y.shape), y, c)
-        bad = np.flatnonzero(~(np.isfinite(w) & np.isfinite(b)))
+            total = np.abs(s).sum(axis=1)
+            spread = s.max(axis=1) - s.min(axis=1)
+            w = np.ldexp(1.0, -np.frexp(spread)[1])
+            b = -w * s.mean(axis=1)
+            gaps = (mine.sum(axis=1) - low.sum(axis=1), high.sum(axis=1) - mine.sum(axis=1))
+            zero = (gaps[0] >= 0.0) & (gaps[1] >= 0.0)
+            # A float sum of k scores is within (k - 1) * 2**-53 * total of the exact one:
+            # a gap beyond twice that, widened for rounding and underflow, has the exact sign.
+            slack = k * 2.0**-51 * total + np.finfo(np.float64).tiny
+            unsure = (np.minimum(np.abs(gaps[0]), np.abs(gaps[1])) <= slack) & np.isfinite(total)
+        for j in np.flatnonzero(unsure):  # a correctly rounded sum has the exact sign
+            zero[j] = math.fsum(mine[j].tolist() + (-low[j]).tolist()) >= 0.0 \
+                and math.fsum(high[j].tolist() + (-mine[j]).tolist()) >= 0.0
+        w[zero], b[zero] = 0.0, np.sign(2 * n_pos[0] - n)
+        bad = np.flatnonzero(~(np.isfinite(total) & np.isfinite(spread) & np.isfinite(b)))
         w[bad] = b[bad] = 0.0
         return LinearSvm(w[:, None], b), {
-            int(j): FitError("one-feature SVM overflowed to a non-finite (w, b)") for j in bad}
+            int(j): FitError("one-feature scores overflow the margin map") for j in bad}
 
     x = np.ascontiguousarray(x)  # see decision_values: the layout sets the rounding
     weights, bias, certified = _corner(x, y, c, tol)
@@ -361,72 +386,6 @@ def _gap_test(x, y, alpha, myg, pos, c, tol) -> tuple[np.ndarray, float, bool]:
     primal = svm_objective(x, y, w, b, c)
     dual = float(alpha.sum() - 0.5 * (w @ w))
     return w, b, primal - dual < tol * max(1.0, abs(primal))
-
-
-def _svm_1d(s: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact primal minimizers ``(w, b)`` on one feature, in O(n log n).
-
-    ``s`` and ``y`` hold one column per row; every column has the same
-    class counts, so each class's scores form a rectangular array.  The
-    dual maximizes ``sum(alpha) - 0.5 * w**2`` with
-    ``w = sum(alpha * y * s)``, ``0 <= alpha <= c`` and equal alpha totals
-    ``a`` on both classes.  For a given ``a`` the reachable ``w`` form an
-    interval ``[u(a), v(a)]``, whose ends fill each class's smallest or
-    largest scores first, so the best dual value is
-    ``2 * a - 0.5 * dist(0, [u, v])**2``: concave and piecewise quadratic
-    in ``a``, with ``u`` and ``v`` linear between multiples of ``c``.  Its
-    maximum is at one of those multiples, at a zero of ``u`` or ``v``, or
-    at a stationary point of a quadratic piece; every candidate of every
-    piece is evaluated.  ``w`` is then the point of ``[u, v]`` nearest 0,
-    and ``b`` the midpoint of the interval minimizing the hinge sum.
-    """
-    cols, n = s.shape
-    pos = y > 0
-    n_pos = int(pos[0].sum())
-    s_pos = s[pos].reshape(cols, n_pos)
-    s_neg = s[~pos].reshape(cols, n - n_pos)
-    p, q = np.sort(s_pos, axis=1), np.sort(s_neg, axis=1)
-    k = min(n_pos, n - n_pos)
-    p_lo, p_hi, q_lo, q_hi = p[:, :k], p[:, ::-1][:, :k], q[:, :k], q[:, ::-1][:, :k]
-
-    def starts(v):  # c times the sums of the first 0..k-1 entries
-        return c * np.concatenate((np.zeros((cols, 1)), np.cumsum(v, axis=1)[:, :-1]), axis=1)
-
-    # Piece j covers a = j * c + t for t in [0, c].
-    u0, du = starts(p_lo) - starts(q_hi), p_lo - q_hi
-    v0, dv = starts(p_hi) - starts(q_lo), p_hi - q_lo
-    candidates = (
-        lambda: np.zeros((cols, k)), lambda: np.full((cols, k), c),
-        lambda: -u0 / du, lambda: -v0 / dv,
-        lambda: (2.0 / du - u0) / du, lambda: (2.0 / dv - v0) / dv,
-    )
-    # Each piece keeps its best candidate so far, then the best piece
-    # wins: ties go to the first piece, and within it to the first
-    # candidate, as in an argmax over all of them, where a NaN (from
-    # scores that overflow) counts as the largest value.
-    for i, candidate in enumerate(candidates):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = candidate()
-        t = np.where(np.isfinite(t), np.clip(t, 0.0, c), 0.0)
-        u = np.maximum(u0 + t * du, 0.0)
-        v = np.minimum(v0 + t * dv, 0.0)
-        dual = 2.0 * (c * np.arange(k) + t) - 0.5 * (u * u + v * v)
-        if i == 0:
-            best, w_at = dual, u + v
-            continue
-        better = (dual > best) | (np.isnan(dual) & ~np.isnan(best))
-        np.copyto(best, dual, where=better)
-        np.copyto(w_at, u + v, where=better)
-    w = w_at[np.arange(cols), np.argmax(best, axis=1)]
-
-    # The hinge sum is convex and piecewise linear in b, with breakpoints
-    # 1 - w * s_i on the positives and -1 - w * s_i on the negatives.  Its
-    # slope just right of b is #{breakpoints <= b} - n_pos, and just left
-    # #{breakpoints < b} - n_pos, so its minimizers run from the n_pos-th
-    # smallest breakpoint to the next one.
-    breaks = np.sort(np.concatenate(
-        (1.0 - w[:, None] * s_pos, -1.0 - w[:, None] * s_neg), axis=1), axis=1)
-    return w, 0.5 * (breaks[:, n_pos - 1] + breaks[:, n_pos])
 
 
 def _bias_from_kkt(alpha, myg, pos, c) -> float:

@@ -78,9 +78,9 @@ class PipelineSpec:
     pca_components : int
         Component count when ``reducer == "pca"``.
     svm_c : float
-        Soft-margin cost of the linear SVM.  It cannot affect the output
-        when the classifier sees one feature (``pls``, ``pca`` with one
-        component, or one-wide blocks or codes); see :mod:`permsig.linclass`.
+        Soft-margin cost of the linear SVM, unused when the classifier sees
+        one feature (``pls``, ``pca`` with one component, or one-wide blocks
+        or codes): no SVM is fitted there; see :mod:`permsig.linclass`.
     region_blocks : tuple of tuple of int, optional
         Disjoint, non-empty groups of feature columns; one sub-pipeline
         per block.  ``None`` means one block of all columns.
@@ -263,7 +263,8 @@ def _codes(batch: Batch, cols: tuple[int, ...], models, cache: dict) -> np.ndarr
     for model in models:
         key = (id(feats), id(model), cols)
         if key not in cache:  # the entry holds its keys' objects, so their ids stay unique
-            block = feats if cols == tuple(range(feats.shape[1])) else feats[:, cols]
+            # take copies in C order, as the reducers' bits need (see fit_feature_maps)
+            block = feats if cols == tuple(range(feats.shape[1])) else feats.take(cols, axis=1)
             cache[key] = (feats, model, _encode(model, block))
         codes.append(cache[key][2])
     shared = all(z is codes[0] for z in codes)
@@ -473,8 +474,8 @@ def fit_feature_maps(
     frozen = [(cols, model) for cols, (model,) in extractors]
     reducers = {}
     for bi, (cols, model) in enumerate(frozen):
-        # Always a copy, in F order: the reducers' bits depend on its layout.
-        z = _encode(model, d.features[:, cols])
+        # A copy in C order, as _codes makes: the reducers' bits depend on its layout.
+        z = _encode(model, d.features.take(cols, axis=1))
         if spec.reducer == "pls":
             for pair in pairs:
                 red, failed = _fit_reducer(spec, *_pair_data(z[None], d.labels[None], *pair))

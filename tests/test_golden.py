@@ -17,7 +17,11 @@ pairs have an SVM optimum of ``w = 0`` and are calibrated on a constant
 margin; its hashes were recorded while one-feature SVMs were still
 solved by SMO.
 ``alt_pls_3class``, recorded later, is the one alt case that freezes a
-``pls`` reducer for each class pair.  One RUB case with a two-feature
+``pls`` reducer for each class pair.  ``power_resub_levels_blocks1``
+fits one-wide blocks of features rounded to 0..3, which scale to a grid
+of thirds: its pair scores tie, so whether an SVM optimum is ``w = 0``
+turns on exact sums (recorded while one-feature SVMs were solved by a
+1-D dual solver, and unchanged since).  One RUB case with a two-feature
 classifier also runs in a fresh interpreter where scipy cannot be
 imported, since the package must not need it.
 """
@@ -110,7 +114,16 @@ CASES = {
         "2ce4fc784c24b1e7548006de8564f390bd47d33e9b58a389e57fd825e6c21c72",
         "6a865a9e60ed88cf7584c27daf98591e7c542fe06f64f336b5e9e7f39e884906",
     ),
+    "power_resub_levels_blocks1": (
+        "power", (12, 4, 0.5, 2, 22, 8),
+        {"scheme": "resub", "m": 40, "seed": 14,
+         "pipeline": {"region_blocks": [[0], [1], [2], [3]]}},
+        "ae75bbc048fdfee4ca1c6d39b40ff3b78c10c008bfbafd3013890ab61490819b",
+        "725cc74942c41a50e20c56328aa9e10529e3bc0fddef91509c60f29b683989b1",
+    ),
 }
+# Cases whose features are rounded to the integers 0, ..., levels - 1.
+LEVELS = {"power_resub_levels_blocks1": 4}
 
 
 def sha256_of(path) -> str:
@@ -127,6 +140,9 @@ def write_case(name, workdir, monkeypatch) -> None:
         last = np.flatnonzero(d.labels == classes - 1)
         rows = np.setdiff1d(np.arange(len(d.labels)), last[kept[0]:])
         d = Dataset(d.features[rows], d.labels[rows], classes)
+    if name in LEVELS:
+        top = LEVELS[name] - 1
+        d = Dataset(np.clip(np.round(d.features + top / 2), 0, top), d.labels, classes)
     save_csv(d, "data.csv")
     with open("cfg.json", "w", encoding="utf-8") as fh:
         json.dump({"data": {"csv": "data.csv"}, **config}, fh)

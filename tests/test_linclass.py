@@ -1,6 +1,7 @@
 import hashlib
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from permsig.linclass import (
     svm_objective,
     _second_index,
     _softplus,
-    _svm_1d,
 )
 
 
@@ -88,13 +88,14 @@ def failure_of_one(fit, *arrays, **kwargs) -> str:
 
 
 def test_svm_two_point_hand_solution():
-    # x = -1 (y=-1), x = +1 (y=+1): optimum is w=1, b=0, objective 1/2
-    m = fit_one(svm_fit, np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), c=1.0)
-    np.testing.assert_allclose(m.weights[0], [1.0], atol=1e-4)
+    # x = (-1, -1) (y=-1), x = (1, 1) (y=+1): optimum is w=(1/2, 1/2), b=0,
+    # objective 1/4
+    x, y = np.array([[-1.0, -1.0], [1.0, 1.0]]), np.array([-1.0, 1.0])
+    m = fit_one(svm_fit, x, y, c=1.0)
+    np.testing.assert_allclose(m.weights[0], [0.5, 0.5], atol=1e-4)
     np.testing.assert_allclose(m.bias[0], 0.0, atol=1e-4)
-    obj = svm_objective(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]),
-                        m.weights[0], m.bias[0], 1.0)
-    np.testing.assert_allclose(obj, 0.5, atol=1e-4)
+    obj = svm_objective(x, y, m.weights[0], m.bias[0], 1.0)
+    np.testing.assert_allclose(obj, 0.25, atol=1e-4)
 
 
 def test_svm_fully_contradictory_data():
@@ -125,13 +126,32 @@ def test_svm_matches_grid_oracle_1d():
         x = g.standard_normal((y.size, 1))
         x[:k] += 0.5
         cases.append((x, y, 10.0))
+    zeros = 0
     for trial, (x, y, c) in enumerate(cases):
-        m = fit_one(svm_fit, x, y, c=c)
-        smo_obj = svm_objective(x, y, m.weights[0], m.bias[0], c)
-        _, oracle_obj = grid_min(primal_1d(x[:, 0], y, c), [-8.0, -8.0], [8.0, 8.0])
-        assert smo_obj <= oracle_obj + 1e-4, (trial, smo_obj, oracle_obj)
-        # the oracle can only be above the true minimum, never far below SMO
-        assert oracle_obj <= smo_obj + 1e-4, (trial, smo_obj, oracle_obj)
+        zeros += calibrates_as_oracle(x, y, c, trial)
+    assert 0 < zeros < len(cases)
+
+
+def calibrates_as_oracle(x, y, c, case) -> bool:
+    """Check svm_fit's one-feature margin against the grid oracle's SVM:
+    constant exactly where the SVM optimum is ``w = 0``, and otherwise
+    calibrated to the probabilities, and decisions, of the oracle SVM's
+    margins.  Returns whether the optimum is ``w = 0``."""
+    (w, b), best = grid_min(primal_1d(x[:, 0], y, c), [-8.0, -8.0], [8.0, 8.0])
+    # At w = 0 the primal's least value is 2c times the smaller class count.
+    zero = best >= 2.0 * c * min(np.sum(y > 0), np.sum(y < 0)) - 1e-9
+    m = fit_one(svm_fit, x, y, c=c)
+    margins = decision_values(m, x)
+    p = calibrated_probability(fit_one(calibrate, margins[0], y), margins)[0]
+    assert (m.weights[0, 0] == 0.0) == zero, case
+    if zero:
+        assert np.ptp(p) == 0.0, case
+    else:
+        oracle = w * x[:, 0] + b
+        p_oracle = calibrated_probability(fit_one(calibrate, oracle, y), oracle[None])[0]
+        np.testing.assert_allclose(p, p_oracle, rtol=0.0, atol=1e-6, err_msg=str(case))
+        assert np.array_equal(p > 0.5, p_oracle > 0.5), case
+    return bool(zero)
 
 
 def test_svm_matches_grid_oracle_2d():
@@ -196,14 +216,16 @@ def test_svm_rejects_non_finite_input_fast(d, bad):
 
 
 def test_svm_1d_fit_is_fast():
+    # One feature runs no solver: a batch of 300 columns, a third of them
+    # on tied scores that need exact sums, takes a few passes over them.
     gen = np.random.Generator(np.random.Philox(13))
-    x = gen.standard_normal((100, 1))
-    y = np.where(gen.random(100) < 0.5, 1.0, -1.0)
-    y[:2] = [1.0, -1.0]
-    fit_one(svm_fit, x, y)  # warm up
+    y = _labels(gen, 300, 100, 40)
+    x = gen.standard_normal((300, 100, 1))
+    x[::3] = np.round(x[::3] * 3.0) / 3.0
+    svm_fit(x, y)  # warm up
     t0 = time.perf_counter()
     for _ in range(5):
-        fit_one(svm_fit, x, y)
+        svm_fit(x, y)
     assert (time.perf_counter() - t0) / 5 < 0.05
 
 
@@ -282,15 +304,14 @@ RISING_PASS_SEEDS = (53, 164, 188, 230, 239, 337, 389, 395)
 @pytest.mark.parametrize("seed", RISING_PASS_SEEDS)
 def test_svm_stops_only_at_the_optimum(seed):
     # A zero second column keeps SMO's problem equal to the one-feature
-    # problem, which svm_fit solves exactly.
+    # problem, whose optimum the grid oracle finds.
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 30))
     n_maj = int(rng.integers(k + 1, 200))
     s = rng.random(k + n_maj) * (1.0, 3.0, 10.0)[seed % 3]
     y = np.r_[-np.ones(k), np.ones(n_maj)]
     c = 10.0
-    exact = fit_one(svm_fit, s[:, None], y, c=c)
-    optimum = svm_objective(s[:, None], y, exact.weights[0], exact.bias[0], c)
+    _, optimum = grid_min(primal_1d(s, y, c), [-8.0, -8.0], [8.0, 8.0])
     x = np.column_stack([s, np.zeros(s.size)])
     m = fit_one(svm_fit, x, y, c=c)
     assert svm_objective(x, y, m.weights[0], m.bias[0], c) <= optimum + 1e-6 * max(1.0, optimum)
@@ -396,80 +417,6 @@ def test_stopping_test_equals_max_of_masked_diff():
         assert diff[diff.argmax()] == reference, (trial, m_up, reference)
 
 
-def svm_1d_flat_argmax(s, y, c):
-    """The reference of :func:`linclass._svm_1d`: every candidate of every
-    piece in one (cols, k, 6) array, the first maximizer taken by a
-    flattened argmax.  Also returns how many columns have a tied maximum
-    whose candidates give different ``w``."""
-    cols, n = s.shape
-    pos = y > 0
-    n_pos = int(pos[0].sum())
-    s_pos, s_neg = s[pos].reshape(cols, n_pos), s[~pos].reshape(cols, n - n_pos)
-    p, q = np.sort(s_pos, axis=1), np.sort(s_neg, axis=1)
-    k = min(n_pos, n - n_pos)
-    p_lo, p_hi, q_lo, q_hi = p[:, :k], p[:, ::-1][:, :k], q[:, :k], q[:, ::-1][:, :k]
-
-    def starts(v):
-        return c * np.concatenate((np.zeros((cols, 1)), np.cumsum(v, axis=1)[:, :-1]), axis=1)
-
-    u0, du = starts(p_lo) - starts(q_hi), p_lo - q_hi
-    v0, dv = starts(p_hi) - starts(q_lo), p_hi - q_lo
-    candidates = (
-        lambda: np.zeros((cols, k)), lambda: np.full((cols, k), c),
-        lambda: -u0 / du, lambda: -v0 / dv,
-        lambda: (2.0 / du - u0) / du, lambda: (2.0 / dv - v0) / dv,
-    )
-    dual = np.empty((cols, k, len(candidates)))
-    w_at = np.empty((cols, k, len(candidates)))
-    for i, candidate in enumerate(candidates):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = candidate()
-        t = np.where(np.isfinite(t), np.clip(t, 0.0, c), 0.0)
-        u = np.maximum(u0 + t * du, 0.0)
-        v = np.minimum(v0 + t * dv, 0.0)
-        dual[:, :, i] = 2.0 * (c * np.arange(k) + t) - 0.5 * (u * u + v * v)
-        w_at[:, :, i] = u + v
-    dual, w_at = dual.reshape(cols, -1), w_at.reshape(cols, -1)
-    best = np.argmax(dual, axis=1)
-    w = w_at[np.arange(cols), best]
-    tied = dual == dual[np.arange(cols), best][:, None]
-    split_ties = int(np.count_nonzero((tied & (w_at != w[:, None])).any(axis=1)))
-    breaks = np.sort(np.concatenate(
-        (1.0 - w[:, None] * s_pos, -1.0 - w[:, None] * s_neg), axis=1), axis=1)
-    return w, 0.5 * (breaks[:, n_pos - 1] + breaks[:, n_pos]), split_ties
-
-
-def test_svm_1d_running_best_equals_flat_argmax_bit_for_bit():
-    # Where 2 * a dwarfs the distance term in the dual, candidates at
-    # different a round to the same maximum with different w, and only the
-    # first (piece, candidate) is right: small integer scores with a huge
-    # c, or huge scores with a small c.  Scores near the float limit
-    # overflow into inf and NaN.
-    gen = np.random.Generator(np.random.Philox(93))
-    split_ties = 0
-    for trial in range(400):
-        cols, n = int(gen.integers(1, 8)), int(gen.integers(2, 40))
-        y = _labels(gen, cols, n, int(gen.integers(1, n)))
-        kind, c = trial % 5, float(gen.choice([0.25, 1.0, 10.0]))
-        if kind == 0:
-            s = gen.standard_normal((cols, n))
-        elif kind == 1:
-            s, c = gen.integers(-2, 3, (cols, n)).astype(float), 1e16
-        elif kind == 2:
-            s, c = gen.standard_normal((cols, n)) * 1e9, 1e-3
-        elif kind == 3:
-            s = np.repeat(gen.integers(-1, 2, (cols, 1)) * 0.5, n, axis=1)
-        else:
-            s = gen.uniform(-1.0, 1.0, (cols, n)) * 1.7e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, b = _svm_1d(s, y, c)
-            w_ref, b_ref, ties = svm_1d_flat_argmax(s, y, c)
-        assert np.array_equal(w, w_ref, equal_nan=True), trial
-        assert np.array_equal(b, b_ref, equal_nan=True), trial
-        split_ties += ties
-    assert split_ties > 20
-
-
 # (minority scores, majority scores, whether w = 0 is optimal)
 ZERO_WEIGHT_CASES = {
     "minority_mean_inside": ([0.2, 0.5, 0.8], [0.0, 0.1, 0.3, 0.4, 0.6, 0.7, 0.9, 1.0, 1.1], True),
@@ -485,7 +432,8 @@ ZERO_WEIGHT_CASES = {
 @pytest.mark.parametrize("minority_sign", [1.0, -1.0])
 def test_svm_1d_zero_weight_matches_grid_minimum(name, minority_sign):
     """Whether w = 0 is optimal is read off a brute-force grid of the
-    primal, then svm_fit must return exactly w = 0 in those cases only."""
+    primal, then svm_fit must return exactly w = 0 in those cases only,
+    and otherwise a margin that calibrates as the oracle SVM's does."""
     minority, majority, expected = ZERO_WEIGHT_CASES[name]
     x = np.array(minority + majority)[:, None]
     y = minority_sign * np.r_[np.ones(len(minority)), -np.ones(len(majority))]
@@ -497,7 +445,35 @@ def test_svm_1d_zero_weight_matches_grid_minimum(name, minority_sign):
             assert best >= zero - 1e-12, (c, best, zero)
         else:
             assert best < zero - 1e-3, (c, best, zero)
-        assert bool(fit_one(svm_fit, x, y, c=c).weights[0, 0] == 0.0) is expected
+        assert calibrates_as_oracle(x, y, c, (name, c)) is expected
+
+
+def zero_weight_rule(s, y, number) -> bool:
+    """The ``w = 0`` rule of :mod:`permsig.linclass`, with scores summed as
+    ``number``: ``Fraction`` sums exactly, ``float`` rounds."""
+    few = y > 0 if 2 * np.sum(y > 0) <= y.size else y < 0
+    k = int(few.sum())
+    mine, other = sum(map(number, s[few])), sorted(map(number, s[~few]))
+    return sum(other[:k]) <= mine <= sum(other[-k:])
+
+
+def test_svm_1d_zero_weight_is_decided_by_exact_sums():
+    # Scores on a grid of thirds tie in exact arithmetic where their float
+    # sums may differ, and differ where float sums may tie.
+    gen = np.random.Generator(np.random.Philox(94))
+    zeros = float_wrong = 0
+    for trial in range(60):
+        n = int(gen.integers(4, 30))
+        y = _labels(gen, 50, n, n // 2 if trial % 2 else int(gen.integers(1, n)))
+        s = gen.integers(-4, 5, y.shape) / 3.0
+        svm, failures = svm_fit(s[..., None], y)
+        assert failures == {}
+        for j in range(len(y)):
+            exact = zero_weight_rule(s[j], y[j], Fraction)
+            assert (svm.weights[j, 0] == 0.0) == exact, (trial, j)
+            zeros += exact
+            float_wrong += exact != zero_weight_rule(s[j], y[j], float)
+    assert zeros > 100 and float_wrong > 10, (zeros, float_wrong)
 
 
 def test_decision_values_are_affine():
@@ -643,19 +619,41 @@ def test_batched_svm_equals_single_fits_bit_for_bit(cols, d):
 
 
 def test_one_feature_svm_fails_a_column_that_overflows():
-    # Finite scores near the float limit overflow the dual's prefix sums.
+    # Finite scores near the float limit overflow their spread (column 2)
+    # or their sum, and so their mean (column 4).
     gen = np.random.Generator(np.random.Philox(74))
-    y = _labels(gen, 5, 20, 8)
-    x = gen.standard_normal((5, 20, 1)) + 0.4 * y[:, :, None]
+    y = _labels(gen, 6, 20, 8)
+    x = gen.standard_normal((6, 20, 1)) + 0.4 * y[:, :, None]
     x[2] = gen.uniform(-1.0, 1.0, (20, 1)) * 1.7e308
+    x[4] = gen.uniform(1.0, 1.5, (20, 1)) * 1e308
     batch, failures = svm_fit(x, y, c=1.0)
-    assert list(failures) == [2] and isinstance(failures[2], FitError)
+    assert list(failures) == [2, 4] and all(isinstance(e, FitError) for e in failures.values())
     assert np.isfinite(batch.weights).all() and np.isfinite(batch.bias).all()
-    kept = [0, 1, 3, 4]
+    kept = [0, 1, 3, 5]
     alone, none_failed = svm_fit(x[kept], y[kept], c=1.0)
     assert none_failed == {}
     assert np.array_equal(batch.weights[kept], alone.weights)
     assert np.array_equal(batch.bias[kept], alone.bias)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3, 100.0])
+def test_one_feature_margins_calibrate_at_any_spread(offset):
+    # Scores N(0, 1) + 0.5 y scaled to a small spread: an SVM weight, bounded
+    # near c * n * spread, left calibration nearly constant margins, on
+    # which it failed or fitted the base rate.  The centred power-of-two
+    # map gives every column a fit that follows its scores.
+    gen = np.random.Generator(np.random.Philox(77))
+    y = _labels(gen, 200, 40, 20)
+    raw = gen.standard_normal((200, 40)) + 0.5 * y
+    raw /= np.ptp(raw, axis=1, keepdims=True)
+    for spread in (1e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-4):
+        x = (offset + spread * raw)[..., None]
+        svm, failures = svm_fit(x, y, c=1.0)
+        assert failures == {} and not np.any(svm.weights == 0.0), spread
+        margins = decision_values(svm, x)
+        cal, failures = calibrate(margins, y)
+        assert failures == {}, (spread, len(failures))
+        assert np.all(np.ptp(calibrated_probability(cal, margins), axis=1) > 0.0), spread
 
 
 @pytest.mark.parametrize("cols", [1, 3, 40])
