@@ -89,7 +89,7 @@ class AeArchitecture:
             value = getattr(self, name)
             check(is_int(value) and value >= 1, name, "must be a positive integer")
         lr, vf = self.learning_rate, self.validation_fraction
-        check(is_real(lr) and lr > 0, "learning_rate", "must be a positive number")
+        check(is_real(lr) and 0 < lr < np.inf, "learning_rate", "must be a positive finite number")
         check(is_real(vf) and 0.0 <= vf < 1.0, "validation_fraction", "must lie in [0, 1)")
 
     @property

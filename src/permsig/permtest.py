@@ -15,19 +15,21 @@ distribution built by refitting the pipeline on label-randomized data:
   and reducer are fitted once on the unrandomized data and only the
   classifier refits inside replicates.
 
-Replicates are independent and own their random streams.  They are
-fitted in chunks, each chunk as one batch of label columns over the
-shared features.  With more than one worker, the study's process fits
-chunks beside forked children, each process taking the next untaken
-chunk, and fits its observed iterations while the children start.  A
-chunk holds as many columns as keep an (R, n, N) float64 array of the
-data within :data:`BATCH_BYTES`, and at least :data:`MIN_BATCH`, so the
-chunks depend on the replicate count and the data's shape alone, and a
-study's memory stays linear in the data.  The observed iterations are
-split by the same rule.  A column's arithmetic never mixes with
-another's, so results depend neither on the chunking nor on the worker
-count.  A replicate whose fit fails is resampled with a fresh sub-stream
-up to three times before the study aborts; the report lists every such retry.
+Replicates and observed iterations are independent and own their
+random streams.  They are fitted in chunks, each chunk as one batch of
+columns over the shared features, and every chunk of a study goes
+through one queue: the observed iterations' chunks first, then the
+null's.  The study's process takes the next untaken chunk, beside
+``min(workers, chunks) - 1`` forked children that do the same; with one
+worker it forks none.  A chunk holds as many columns as keep an
+(R, n, N) float64 array of the data within :data:`BATCH_BYTES`, and at
+least :data:`MIN_BATCH`, so the chunks depend on the iteration or
+replicate count and the data's shape alone, and a study's memory stays
+linear in the data.  A column's arithmetic never mixes with another's,
+so results depend neither on the chunking nor on the worker count.  A
+replicate whose fit fails is resampled with a fresh sub-stream up to
+three times before the study aborts; the report lists every such retry.
+An observed iteration is never retried.
 """
 
 from __future__ import annotations
@@ -122,12 +124,15 @@ class NullDistribution:
     order: a retry shifts it by a large stride, so
     ``PermutationPlan(master_seed, index)`` replays the replicate.
     ``retries`` holds ``(replicate, attempt, message)`` for every failed
-    attempt that was retried, in replicate order.
+    attempt that was retried, in replicate order.  ``observed`` holds the
+    observed iterations' statistics, in iteration order, when they were
+    asked for, and is empty otherwise.
     """
 
     statistics: tuple[float, ...]
     replicate_indices: tuple[int, ...]
     retries: tuple[tuple[int, int, str], ...] = ()
+    observed: tuple[float, ...] = ()
 
     @property
     def m(self) -> int:
@@ -233,14 +238,6 @@ def fwe_rate(pvalues: np.ndarray, alpha: float) -> float:
 # Replicate engine
 
 
-@dataclass
-class _ReplicateTask:
-    pipeline: object  # a PipelineSpec, or the AltPipeline that fit_feature_maps returns
-    data: Dataset
-    settings: StudySettings
-    mu: float | None
-
-
 def _statistics(pipeline, batch: Batch, scheme: Scheme, k: int, mu) -> list:
     """The scheme's error values for each column of ``batch``.
 
@@ -259,26 +256,23 @@ def _statistics(pipeline, batch: Batch, scheme: Scheme, k: int, mu) -> list:
             for out in resub_error(pipeline, batch)]
 
 
-def _chunk_stats(task: _ReplicateTask, replicates: range):
+def _chunk_stats(statistics, d: Dataset, seed: int, replicates: range):
     """Statistics of a chunk of null replicates, and its retries.
 
     Every replicate draws its labeling from its own plan, and the chunk's
     labelings are one batch over the shared features.  The replicates
     whose fit failed are drawn again from their next plan and fitted
-    together, up to ``MAX_RETRIES`` times.
+    together, up to ``MAX_RETRIES`` times.  ``statistics`` maps a batch to
+    its columns' values, as :func:`_statistics` does.
     """
-    label = split_null_groups if task.data.class_count == 1 else permute_labels
-    settings = task.settings
+    label = split_null_groups if d.class_count == 1 else permute_labels
     results: dict[int, tuple[int, list[float]]] = {}
     retries: list[tuple[int, int, str]] = []
     pending = list(replicates)
     for attempt in range(MAX_RETRIES + 1):
-        plans = [PermutationPlan(settings.master_seed, r + attempt * RETRY_STRIDE)
-                 for r in pending]
-        batch = label(task.data, plans)
-        outs = _statistics(task.pipeline, batch, settings.scheme, settings.k, task.mu)
+        plans = [PermutationPlan(seed, r + attempt * RETRY_STRIDE) for r in pending]
         failed = []
-        for r, plan, out in zip(pending, plans, outs):
+        for r, plan, out in zip(pending, plans, statistics(label(d, plans))):
             if isinstance(out, FitError):
                 failed.append((r, out))
             else:
@@ -318,9 +312,10 @@ def _take(counter: tuple[int, int], then: int | None = None) -> int:
     return value
 
 
-def _take_chunks(task: _ReplicateTask, chunks: list[range], counter: tuple[int, int]):
-    """``{index: (results, retries)}`` of the chunks this process takes from
-    ``counter``, and the ``(index, exception)`` of one that raised, if any.
+def _take_chunks(work, count: int, counter: tuple[int, int]):
+    """``{index: work(index)}`` for the indices this process takes from
+    ``counter`` below ``count``, and the ``(index, exception)`` of one that
+    raised, if any.
 
     A process whose chunk raises moves the counter to the end, so no
     process starts another chunk.  Every lower index was taken before, and
@@ -328,22 +323,22 @@ def _take_chunks(task: _ReplicateTask, chunks: list[range], counter: tuple[int, 
     always found.
     """
     done = {}
-    while (index := _take(counter)) < len(chunks):
+    while (index := _take(counter)) < count:
         try:
-            done[index] = _chunk_stats(task, chunks[index])
+            done[index] = work(index)
         except Exception as exc:  # raised by the parent once every child is done
-            _take(counter, then=len(chunks))
+            _take(counter, then=count)
             return done, (index, exc)
     return done, None
 
 
-def _child(task: _ReplicateTask, chunks: list[range], counter, reader: int, writer: int):
+def _child(work, count: int, counter, reader: int, writer: int):
     """A forked child's life: fit chunks, write them to ``writer`` as one
     pickle, and exit, never returning into the caller's frames."""
     code = 1
     try:
         os.close(reader)
-        out = pickle.dumps(_take_chunks(task, chunks, counter))
+        out = pickle.dumps(_take_chunks(work, count, counter))
         with open(writer, "wb") as fh:
             fh.write(out)
         code = 0
@@ -355,16 +350,17 @@ def _child(task: _ReplicateTask, chunks: list[range], counter, reader: int, writ
         os._exit(code)
 
 
-def _forked_chunks(task: _ReplicateTask, chunks: list[range], children: int, alongside):
-    """Every chunk's result, in chunk order, from this process and ``children`` forks.
+def _dispatch(work, count: int, children: int) -> list:
+    """``[work(0), ..., work(count - 1)]``, from this process and ``children`` forks.
 
-    Children inherit the task, so nothing is pickled on the way in, and no
-    module is imported or thread started for them.  This process runs
-    ``alongside`` while they start, then takes chunks from the same
-    counter.  Each child sends its chunks once, through its own pipe.  The
-    exception of the lowest chunk that raised is raised, as with no
-    children.  Every child is waited for, and killed first if this process
-    raised.
+    Children inherit ``work``, so nothing is pickled on the way in, and no
+    module is imported or thread started for them.  Every process takes
+    the next untaken index from one counter; with no children this process
+    takes them all, in order.  Each child sends its results once, through
+    its own pipe.  The exception of the lowest index that raised is raised
+    once every process has finished the chunk it held.  Every child is
+    waited for, and killed first only if this process raised outside
+    ``work``, as on an interrupt.
     """
     counter = os.pipe()
     os.write(counter[1], bytes(8))
@@ -375,15 +371,13 @@ def _forked_chunks(task: _ReplicateTask, chunks: list[range], children: int, alo
             reader, writer = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child(task, chunks, counter, reader, writer)
+                _child(work, count, counter, reader, writer)
             # Closed before the next fork, so that only the child holds the
             # write end, and the reader sees EOF when the child ends.
             os.close(writer)
             pids.append(pid)
             readers.append(open(reader, "rb"))
-        if alongside is not None:
-            alongside()
-        done, failure = _take_chunks(task, chunks, counter)
+        done, failure = _take_chunks(work, count, counter)
         sent = [reader.read() for reader in readers]
         finished = True
     finally:
@@ -408,47 +402,57 @@ def _forked_chunks(task: _ReplicateTask, chunks: list[range], children: int, alo
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return [done[i] for i in range(len(chunks))]
+    return [done[i] for i in range(count)]
 
 
 def null_distribution(pipeline, d: Dataset, settings: StudySettings, *,
-                      mu: float | None = None, alongside=None) -> NullDistribution:
+                      mu: float | None = None, observed: bool = False) -> NullDistribution:
     """Null statistics from ``settings.replicates`` label-randomized replicates.
 
     Labeled data has its labels permuted; one-condition data is split
     into two pseudo-groups.  Each replicate derives every random draw from
     ``(master_seed, replicate_index)``.  The RUB scheme adds ``mu``, its
-    deviation bound, to every statistic; other schemes ignore it.
-    Replicates are fitted in the chunks of :func:`_batches`, and
-    statistics are aggregated in replicate order, so the result is
-    identical for any ``workers``.  This process fits chunks beside
-    ``min(workers, chunk count) - 1`` forked children, each process taking
-    the next untaken chunk; with one worker, or one chunk, no child is
-    forked.  ``alongside``, if given, is called with no arguments in this
-    process before it fits any chunk, after the children are forked, so
-    that its work overlaps theirs.
+    deviation bound, to every statistic; other schemes ignore it.  With
+    ``observed``, the ``settings.observed_iterations`` row-shuffled
+    iterations are fitted too, by the same procedure.
+
+    The observed iterations and the replicates are split into the chunks
+    of :func:`_batches`, the observed ones first, and this process fits
+    chunks beside ``min(workers, chunk count) - 1`` forked children, each
+    process taking the next untaken chunk.  Statistics are gathered in
+    iteration and replicate order, so the result is identical for any
+    ``workers``.  A failed observed iteration raises its ``FitError``
+    before any failure of the null.
     """
     if settings.scheme is Scheme.RUB and mu is None:
         raise ValueError("the rub scheme needs mu, its deviation bound")
-    task = _ReplicateTask(pipeline, d, settings, mu)
-    chunks = _batches(settings.replicates, d)
-    children = min(settings.workers, len(chunks)) - 1
-    if children > 0:
-        done = _forked_chunks(task, chunks, children, alongside)
-    else:
-        if alongside is not None:
-            alongside()
-        done = [_chunk_stats(task, chunk) for chunk in chunks]
+    head = _batches(settings.observed_iterations, d) if observed else []
+    chunks = head + _batches(settings.replicates, d)
 
-    stats: list[float] = []
-    indices: list[int] = []
-    retries: list[tuple[int, int, str]] = []
-    for results, chunk_retries in done:
-        for idx, values in results:
-            stats.extend(values)
-            indices.append(idx)
-        retries += chunk_retries
-    return NullDistribution(tuple(stats), tuple(indices), tuple(retries))
+    def statistics(batch: Batch) -> list:
+        return _statistics(pipeline, batch, settings.scheme, settings.k, mu)
+
+    def work(index: int):
+        if index >= len(head):
+            return _chunk_stats(statistics, d, settings.master_seed, chunks[index])
+        # Observed iteration i indexes the rows in the order of plan
+        # OBSERVED_BASE + i, and is not retried.
+        plans = [PermutationPlan(settings.master_seed, OBSERVED_BASE + i) for i in chunks[index]]
+        outs = statistics(shuffle_rows(d, plans))
+        for out in outs:
+            if isinstance(out, FitError):
+                raise out
+        return outs
+
+    done = _dispatch(work, len(chunks), min(settings.workers, len(chunks)) - 1)
+    null = done[len(head):]
+    results = [result for chunk_results, _ in null for result in chunk_results]
+    return NullDistribution(
+        tuple(value for _, values in results for value in values),
+        tuple(index for index, _ in results),
+        tuple(retry for _, chunk_retries in null for retry in chunk_retries),
+        tuple(value for outs in done[:len(head)] for out in outs for value in out),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -478,29 +482,17 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
     """Run a study and build its report.
 
     Labeled data gets the power flavor: the null permutes the labels,
-    the observed statistic is the mean over row-shuffled iterations
-    (batches, split as the null's chunks are, whose columns index the
-    data's rows in their own order, not retried; they run inside
-    :func:`null_distribution`, beside any forked children), and the
-    report carries its p-value.
+    the observed statistic is the mean over the row-shuffled iterations
+    that :func:`null_distribution` fits as the head of its chunks, and
+    the report carries its p-value.
     One-condition data gets the type-1 flavor: the null splits the rows
     into two pseudo-groups, and the report carries the omnibus
     family-wise error rate instead.
     """
     scheme = settings.scheme
     mu = _mu_for(pipeline, data, scheme, settings.eta)
-    observed: list[float] = []
-
-    def observe() -> None:
-        for chunk in _batches(settings.observed_iterations, data):
-            plans = [PermutationPlan(settings.master_seed, OBSERVED_BASE + i) for i in chunk]
-            for out in _statistics(pipeline, shuffle_rows(data, plans), scheme, settings.k, mu):
-                if isinstance(out, FitError):
-                    raise out
-                observed.extend(out)
-
-    null = null_distribution(pipeline, data, settings, mu=mu,
-                             alongside=observe if data.class_count > 1 else None)
+    null = null_distribution(pipeline, data, settings, mu=mu, observed=data.class_count > 1)
+    observed = null.observed
     t_obs = p = rate = None
     if observed:
         t_obs = float(np.mean(observed))

@@ -297,6 +297,7 @@ def test_architecture_validation():
     ("batch_size", True),
     ("learning_rate", "x"),
     ("learning_rate", True),
+    ("learning_rate", float("inf")),
     ("validation_fraction", False),
 ])
 def test_architecture_rejects_wrong_types(field, value):

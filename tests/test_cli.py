@@ -342,6 +342,9 @@ def test_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch, blob_cs
     ({"pipeline": {"ae": {"widths": [9]}}}, "pipeline.ae.widths"),
     ({"pipeline": {"ae": {"widths": [3]}, "region_blocks": [[0, 1], [2, 3]]}},
      "pipeline.ae.widths"),
+    # JSON's Infinity parses to inf, with which training diverges at once
+    ({"pipeline": {"ae": {"widths": [2], "learning_rate": float("inf")}}},
+     "pipeline.ae.learning_rate"),
 ])
 def test_malformed_field_exits_2_and_names_it(doc, field, tmp_path, blob_csv, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -10,8 +10,9 @@ Together the cases cover power, type1 and alt; resub, rub and kfold; the
 ``pls``, ``pca`` and ``none`` reducers; three-class one-vs-one fits;
 one-condition alt studies; and autoencoders over two region blocks,
 including one at two workers, which forks one child: that case fits its
-null in chunks of ``MIN_BATCH`` columns, since its 24 replicates would
-otherwise make one chunk, which runs in-process.  One two-class ``pls``
+observed iterations and its null in chunks of ``MIN_BATCH`` columns, 11
+chunks where it would otherwise make two.
+One two-class ``pls``
 case keeps only 20 rows of its second class, so that most permuted
 pairs have an SVM optimum of ``w = 0`` and are calibrated on a constant
 margin; its hashes were recorded while one-feature SVMs were still

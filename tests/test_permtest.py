@@ -264,9 +264,10 @@ def test_reports_are_byte_identical_at_one_two_and_three_workers(forked_children
 
 class _ChildStub(_StubPipeline):
     """A stub whose fits in a forked child first set ``started``, and with
-    ``exit_code`` then end the child at once.  :meth:`wait_for_a_child`,
-    passed as ``alongside``, holds this process back until a child has
-    taken the first chunk."""
+    ``exit_code`` then end the child at once; ``fitted`` lists the plans
+    fitted in this process.  :meth:`take`, patched over
+    ``permtest._take``, holds this process back at its first take until a
+    child has taken the first chunk."""
 
     def __init__(self, fail_indices=(), exit_code=None):
         super().__init__(fail_indices)
@@ -274,19 +275,25 @@ class _ChildStub(_StubPipeline):
         self.exit_code = exit_code
         self.started = multiprocessing.get_context("fork").Event()  # shared across a fork
         self.threads = []
+        self.fitted = []  # the plan indices fitted in this process
 
     def fit(self, batch, plan=None, tag="fit"):
         if os.getpid() != self.parent:
             self.started.set()
             if self.exit_code is not None:
                 os._exit(self.exit_code)
+        else:
+            self.fitted += [p.replicate_index for p in batch.plans]
         return super().fit(batch, plan, tag)
 
-    def wait_for_a_child(self):
-        self.threads.append(threading.active_count())
-        assert self.started.wait(30)
+    def take(self, counter, then=None):
+        if os.getpid() == self.parent and not self.threads:
+            self.threads.append(threading.active_count())
+            assert self.started.wait(30)
+        return _TAKE(counter, then)
 
 
+_TAKE = permtest._take  # the counter itself, which the held take calls
 _EXHAUSTED = {5 + attempt * RETRY_STRIDE for attempt in range(MAX_RETRIES + 1)}
 
 
@@ -297,9 +304,9 @@ def test_exhausted_retries_in_a_child_raise_as_in_process(monkeypatch, workers):
     with pytest.raises(FitError) as alone:
         null_distribution(_StubPipeline(_EXHAUSTED), d, _resub_settings(70))
     stub = _ChildStub(_EXHAUSTED)
+    monkeypatch.setattr(permtest, "_take", stub.take)
     with pytest.raises(FitError) as forked:
-        null_distribution(stub, d, _resub_settings(70, workers=workers),
-                          alongside=stub.wait_for_a_child)
+        null_distribution(stub, d, _resub_settings(70, workers=workers))
     assert type(forked.value) is FitError
     assert str(forked.value) == str(alone.value)
     assert str(alone.value).startswith("replicate 5 failed after 3 retries")
@@ -313,25 +320,35 @@ def test_a_child_that_dies_raises_instead_of_hanging(monkeypatch, workers):
     d = one_condition()
     _batch_width(monkeypatch, d, 32)
     stub = _ChildStub(exit_code=1)
+    monkeypatch.setattr(permtest, "_take", stub.take)
     with pytest.raises(RuntimeError, match="exited with code 1 before sending its chunks"):
-        null_distribution(stub, d, _resub_settings(70, workers=workers),
-                          alongside=stub.wait_for_a_child)
+        null_distribution(stub, d, _resub_settings(70, workers=workers))
     with pytest.raises(ChildProcessError):  # every child was waited for
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_an_observed_failure_leaves_no_child_behind(forked_children, workers):
+def test_an_observed_failure_leaves_no_child_behind(monkeypatch, forked_children, workers):
+    """An observed iteration that fails raises its own ``FitError``, from
+    whichever process fitted it.  Held back, this process takes no chunk
+    before a child has taken the first one, which holds the observed
+    iterations, so the error reaches this process from the child."""
     d = synth_effect(10, 3, 0.5, PermutationPlan(2, 0))
     settings = StudySettings(Scheme.RESUB, m=12, master_seed=5, observed_iterations=3,
                              workers=workers)
-    stub = _StubPipeline({OBSERVED_BASE + 1})
+    stub = _ChildStub({OBSERVED_BASE + 1})
     message = f"scripted failure of {OBSERVED_BASE + 1}"
-    with pytest.raises(FitError, match=message):
+    with pytest.raises(FitError, match=message) as alone:
         power_study(stub, d, dataclasses.replace(settings, workers=1))
     with pytest.raises(FitError, match=message):
         power_study(stub, d, settings)
-    assert len(forked_children) == workers - 1  # three chunks of four replicates
+    stub = _ChildStub({OBSERVED_BASE + 1})
+    monkeypatch.setattr(permtest, "_take", stub.take)
+    with pytest.raises(FitError) as held:
+        power_study(stub, d, settings)
+    assert type(held.value) is FitError and str(held.value) == str(alone.value)
+    assert all(index < OBSERVED_BASE for index in stub.fitted)  # none fitted here
+    assert len(forked_children) == 2 * (workers - 1)  # four chunks, the observed one first
     with pytest.raises(ChildProcessError):  # every child was waited for
         os.waitpid(-1, os.WNOHANG)
 

@@ -161,21 +161,25 @@ OBSERVED_CASES = {
 }
 
 
-def test_observed_iterations_replay_alone_bit_for_bit(monkeypatch):
+def test_observed_iterations_replay_alone_bit_for_bit(forked_children):
     data = _labeled(3)
-    monkeypatch.setattr(permtest, "BATCH_BYTES", 0)  # batches of MIN_BATCH columns
+    # forked_children sets BATCH_BYTES to 0: batches of MIN_BATCH columns
     assert [len(chunk) for chunk in permtest._batches(7, data)] == [4, 3]
     for name, (study, spec, scheme) in OBSERVED_CASES.items():
         settings = StudySettings(scheme=scheme, m=5, k=3, master_seed=SEED, observed_iterations=7)
-        report = study(spec, data, settings)
         pipeline = _alt(spec, data) if study is alt_scheme_study else spec
         mu = _mu_for(pipeline, data, scheme, 0.05)
-        observed = []
+        replayed = []
         for i in range(7):
-            observed += replay(pipeline, data, PermutationPlan(SEED, OBSERVED_BASE + i), scheme, 3,
+            replayed += replay(pipeline, data, PermutationPlan(SEED, OBSERVED_BASE + i), scheme, 3,
                                mu, "shuffle")
-        assert len(observed) == 7 * (3 if scheme is Scheme.KFOLD else 1), name
-        assert report.observed_mean == float(np.mean(observed)), name
+        assert len(replayed) == 7 * (3 if scheme is Scheme.KFOLD else 1), name
+        for workers in (1, 2, 3):
+            null = null_distribution(pipeline, data, dataclasses.replace(settings, workers=workers),
+                                     mu=mu, observed=True)
+            assert null.observed == tuple(replayed), (name, workers)
+        assert study(spec, data, settings).observed_mean == float(np.mean(replayed)), name
+    assert len(forked_children) == len(OBSERVED_CASES) * (1 + 2)  # four chunks of work
 
 
 @pytest.mark.parametrize("name", RETRIED)
