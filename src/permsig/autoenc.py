@@ -280,10 +280,10 @@ def ae_fit(
 
     n_val = int(np.floor(n * arch.validation_fraction))
     n_train = n - n_val
-    split = np.stack([plan.rng(f"{tag}.split").permutation(n) for plan, tag in keys])
-    stack = np.arange(size)[:, None]
-    x_train = x[stack, split[:, :n_train]]
-    x_val = x[stack, split[:, n_train:]]
+    gen = None
+    split = np.stack([(gen := plan.rng(f"{tag}.split", gen)).permutation(n) for plan, tag in keys])
+    # Each column's training rows, then its validation rows: one pass scores both.
+    x_split = x[np.arange(size)[:, None], split]
 
     acts = _layer_activations(arch, layers, out_act)
     m = np.zeros_like(theta)
@@ -311,7 +311,7 @@ def ae_fit(
         order = np.stack([batch_gens[j].permutation(n_train) for j in live])
         stack = np.arange(len(live))[:, None]
         for start in range(0, n_train, arch.batch_size):
-            batch = x_train[stack, order[:, start : start + arch.batch_size]]
+            batch = x_split[stack, order[:, start : start + arch.batch_size]]
             w_grads, b_grads = _gradient(params[:layers], params[layers:], acts, batch)
             for into, g in zip(grads, w_grads + b_grads):
                 into[...] = g
@@ -326,20 +326,18 @@ def ae_fit(
             v *= _ADAM_BETA2
             v += (1 - _ADAM_BETA2) * grad**2
             theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + _ADAM_EPS)
-        train_mse = _stack_losses(params, layers, acts, x_train)
-        val_mse = (_stack_losses(params, layers, acts, x_val) if n_val
-                   else [float("nan")] * len(live))
+        train_mse, val_mse = _stack_losses(params, layers, acts, x_split, n_train)
         keep = []
         for k, j in enumerate(live):
             if np.isfinite(train_mse[k]) and (not n_val or np.isfinite(val_mse[k])):
-                histories[j].append((train_mse[k], val_mse[k]))
+                histories[j].append((float(train_mse[k]), float(val_mse[k])))
                 keep.append(k)
             else:
                 failures[j] = DivergenceError(epoch)
                 leave(k, j)
         if len(keep) < len(live):
             live = [live[k] for k in keep]
-            theta, m, v, x_train, x_val = (a[keep] for a in (theta, m, v, x_train, x_val))
+            theta, m, v, x_split = (a[keep] for a in (theta, m, v, x_split))
         if not live:
             break
     for k, j in enumerate(live):
@@ -357,11 +355,15 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return out
 
 
-def _stack_losses(params, layers: int, acts, x: np.ndarray) -> list[float]:
-    """Each stacked model's mean squared error over its own rows of ``x``."""
-    outputs, _ = _forward(params[:layers], params[layers:], acts, x)
-    sq = (outputs[-1] - x) ** 2
-    return [float(np.mean(col)) for col in sq]
+def _stack_losses(params, layers: int, acts, x: np.ndarray, n_train: int):
+    """Each stacked model's mean squared error over its first ``n_train`` rows
+    of ``x`` and over the rest (NaN if none), with the bits of those rows alone."""
+    a = x
+    for w, b, kind in zip(params[:layers], params[layers:], acts):
+        a = _apply(kind, a @ w + b)  # as in _forward, keeping one layer at a time
+    sq = (a - x) ** 2
+    val = sq[:, n_train:].mean(axis=(1, 2)) if n_train < x.shape[1] else np.full(len(x), np.nan)
+    return sq[:, :n_train].mean(axis=(1, 2)), val
 
 
 def ae_encode(m: AeModel, x: np.ndarray) -> np.ndarray:

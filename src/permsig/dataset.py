@@ -250,7 +250,11 @@ def _orders(n: int, plans, tag: str) -> np.ndarray:
     """One permutation of ``range(n)`` per plan, each drawn from its ``tag`` stream."""
     if not plans:
         raise ValueError("a batch needs at least one column")
-    return np.stack([plan.rng(tag).permutation(n) for plan in plans])
+    # One generator, re-keyed per plan, shuffles each row as permutation(n) does.
+    orders, gen = np.tile(np.arange(n), (len(plans), 1)), None
+    for order, plan in zip(orders, plans):
+        (gen := plan.rng(tag, gen)).shuffle(order)
+    return orders
 
 
 def permute_labels(d: Dataset, plans) -> Batch:
@@ -321,9 +325,9 @@ def stratified_folds(batch: Batch, k: int) -> np.ndarray:
             per_fold[np.argsort(load, kind="stable")[:extra]] += 1
         load += per_fold
         class_folds.append(np.repeat(np.arange(k, dtype=np.int64), per_fold))
-    folds = np.empty(batch.labels.shape, dtype=np.int64)
+    folds, gen = np.empty(batch.labels.shape, dtype=np.int64), None
     for fold_of, labels, plan in zip(folds, batch.labels, batch.plans):
-        gen = plan.rng("folds")
+        gen = plan.rng("folds", gen)
         for c, ids in enumerate(class_folds):
             rows = np.flatnonzero(labels == c)
             fold_of[rows[gen.permutation(rows.size)]] = ids

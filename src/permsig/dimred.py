@@ -161,15 +161,19 @@ def reduce(m: LinearReducer, x: np.ndarray) -> np.ndarray:
     Returns the ``(..., n, r)`` scores ``(x - mean) @ directions``.  A
     batch of reducers projects a batch ``x`` of shape (R, n, N), or the
     same (n, N) rows for every column; the product is taken column by
-    column.
+    column.  Shared rows are centred once when every column's mean has
+    the same bits, as a ``pls1_fit`` on shared rows gives.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != m.mean.shape[-1]:
         raise ValueError(f"x must have {m.mean.shape[-1]} columns, got "
                          f"{x.shape[-1] if x.ndim in (2, 3) else 'non-2D'}")
+    mean = m.mean
+    if x.ndim == 2 and mean.ndim == 2 and (mean.view(np.int64) == mean[:1].view(np.int64)).all():
+        mean = mean[0]
     # A product's rounding depends on its operands' memory layout, which
     # broadcasting may leave in any order; C order makes every column's
     # product the one a single reducer computes.
-    mean = m.mean[..., None, :]
+    mean = mean[..., None, :]
     centered = np.subtract(x, mean, out=np.empty(np.broadcast_shapes(x.shape, mean.shape)))
     return np.matmul(centered, m.directions)

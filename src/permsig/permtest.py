@@ -102,7 +102,8 @@ class StudySettings:
         check(is_int(k) and k >= 2, "k", "must be an integer >= 2")
         check(is_real(alpha) and 0.0 < alpha <= 1.0, "alpha", "must lie in (0, 1]")
         check(is_real(eta) and 0.0 < eta < 1.0, "eta", "must lie strictly between 0 and 1")
-        PermutationPlan(self.master_seed)  # checks the seed's type and range
+        seed = PermutationPlan(self.master_seed).master_seed  # checked, and an int
+        object.__setattr__(self, "master_seed", seed)
         for name in ("observed_iterations", "workers"):
             value = getattr(self, name)
             check(is_int(value) and value >= 1, name, "must be a positive integer")

@@ -310,3 +310,24 @@ def test_architecture_rejects_non_integer_widths(widths):
     with pytest.raises(ValueError, match="layer_widths_encoder"):
         AeArchitecture(widths)
 
+
+
+@pytest.mark.parametrize("columns, n, width, widths, vf", [
+    (1, 20, 4, (2,), 0.3), (5, 37, 6, (4, 2), 0.25), (34, 30, 16, (12, 6, 2), 0.3),
+    (3, 12, 5, (3,), 0.0),
+])
+def test_one_pass_scores_each_split_as_its_rows_alone(columns, n, width, widths, vf):
+    # The last recorded losses are those of the final model over its
+    # training rows and over its validation rows, each scored on its own.
+    gen = np.random.Generator(np.random.Philox(63))
+    x = gen.random((columns, n, width))
+    arch = AeArchitecture(widths, epochs=2, batch_size=8, validation_fraction=vf)
+    keys = [(PermutationPlan(4, j), "ae") for j in range(columns)]
+    models, failures = ae_fit(x, arch, keys)
+    assert failures == {}
+    n_train = n - int(np.floor(n * vf))
+    for j, (model, (plan, tag)) in enumerate(zip(models, keys)):
+        rows = x[j][plan.rng(f"{tag}.split").permutation(n)]
+        train, val = model.training_history[-1]
+        assert train == ae_batch_loss(model, rows[:n_train])
+        assert val == ae_batch_loss(model, rows[n_train:]) if vf else np.isnan(val)

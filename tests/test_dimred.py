@@ -259,3 +259,33 @@ def test_batched_pca_equals_single_fits_bit_for_bit():
         np.testing.assert_array_equal(reduce(batch, x)[j], reduce(one, x[j]))
     shared = LinearReducer(batch.mean[0], batch.directions[0])
     assert shared.column(3) is shared
+
+
+@pytest.mark.parametrize("cols", [1, 4, 98])
+def test_reduce_centres_shared_rows_once_bit_for_bit(cols):
+    # A pls batch fitted on shared rows has one mean in every row, so the
+    # shared rows are centred once; the scores keep the bits of every
+    # column's own (n, N) rows and of a single reducer.
+    gen = np.random.Generator(np.random.Philox(84))
+    for n, n_feat in ((30, 5), (200, 10), (41, 300)):
+        x = gen.standard_normal((n, n_feat)) * 10.0 ** gen.integers(-3, 4)
+        y = np.where(gen.random((cols, n)) < 0.5, 1.0, -1.0)
+        y[:, :2] = [1.0, -1.0]
+        red, _ = pls1_fit(x, y)
+        shared = reduce(red, x)
+        assert shared.tobytes() == reduce(red, np.repeat(x[None], cols, axis=0)).tobytes()
+        for j in (0, cols // 2, cols - 1):
+            assert shared[j].tobytes() == reduce(red.column(j), x).tobytes()
+
+
+@pytest.mark.parametrize("shared_rows", [False, True])
+def test_reduce_keeps_each_column_mean_when_means_differ(shared_rows):
+    gen = np.random.Generator(np.random.Philox(85))
+    x = gen.standard_normal((4, 30, 5))
+    y = np.stack([gen.permutation(np.repeat([1.0, -1.0], 15)) for _ in range(4)])
+    red, _ = pls1_fit(x, y)  # each column's own rows: four different means
+    rows = x[0] if shared_rows else x
+    scores = reduce(red, rows)
+    for j in range(4):
+        own = rows if shared_rows else x[j]
+        assert scores[j].tobytes() == reduce(red.column(j), own).tobytes()
