@@ -313,7 +313,7 @@ def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
             np.matmul(x, x[t], out=kernel[s])
         return s
 
-    for _ in range(max_passes):
+    for passes in range(1, max_passes + 1):
         stuck = False
         for _ in range(n):
             np.add(myg, up_mask, out=gain)
@@ -352,7 +352,8 @@ def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
         if gap_ok:
             return w, b
         if stuck:
-            break
+            raise FitError(f"SVM duality gap still above tol {tol} after {passes} passes, "
+                           "with no step left")
     raise FitError(f"SVM duality gap still above tol {tol} after {max_passes} passes")
 
 
@@ -413,7 +414,9 @@ def calibrate(
     """Fit a sigmoid probability map on training margins.
 
     Maximizes the Bernoulli log-likelihood of the labels under
-    ``p = sigma(slope * margin + intercept)`` with damped Newton steps.
+    ``p = sigma(slope * margin + intercept)`` with Newton steps, each
+    halved until the likelihood does not fall, 40 tries at most; a column
+    tries up to 8 halvings per call, with the bits of one try per call.
     Labels are smoothed to ``(n_pos + 1) / (n_pos + 2)`` and
     ``1 / (n_neg + 2)`` so the optimum stays finite even when margins
     separate the classes perfectly.  ``margins`` and ``y`` of shape (R, n)
@@ -450,6 +453,7 @@ def calibrate(
     slope = np.zeros(len(y))
     intercept = np.log(mean_t / (1.0 - mean_t))
     failures = {}
+    total = np.add.reduce  # np.sum's reduction, without its Python wrapper
 
     # The (R, n) temporaries of a batch are as large as its margins, so
     # they are updated in place where that keeps the arithmetic the same.
@@ -459,7 +463,7 @@ def calibrate(
         z += b[:, None]
         loss = _softplus(z)  # log(1 + e^z) - t*z
         loss -= t * z
-        return np.sum(loss, axis=1), z
+        return total(loss, axis=1), z
 
     # The columns still iterating: their indices, data and Newton state.
     live = np.arange(len(y))
@@ -467,11 +471,12 @@ def calibrate(
     a, b = slope.copy(), intercept.copy()
     current, z = nll(a, b, m, t)
 
-    def settle(done, message=None):
-        """Take the ``done`` columns out: with their result, or as failed."""
+    def settle(done, message=None, *rest):
+        """Take the ``done`` columns out, with their result or as failed,
+        and give back the per-column arrays ``rest`` without them."""
         nonlocal live, m, t, sq, a, b, current, z
         if not done.any():
-            return ~done
+            return rest
         for j in np.flatnonzero(done):
             if message is None:
                 slope[live[j]], intercept[live[j]] = a[j], b[j]
@@ -483,7 +488,7 @@ def calibrate(
         t = t[keep]
         sq = sq[keep]
         z = z[keep]
-        return keep
+        return tuple(v[keep] for v in rest)
 
     for _ in range(max_iter):
         if not live.size:
@@ -492,45 +497,46 @@ def calibrate(
         p += 1.0
         np.divide(1.0, p, out=p)  # sigma(z) = 1 / (1 + e^-z)
         resid = p - t
-        gb = np.sum(resid, axis=1)
+        gb = total(resid, axis=1)
         resid *= m
-        ga = np.sum(resid, axis=1)
+        ga = total(resid, axis=1)
         del resid
-        keep = settle((np.abs(ga) < tol) & (np.abs(gb) < tol))  # a NaN gradient never passes
-        p, ga, gb = p[keep], ga[keep], gb[keep]
+        done = (np.abs(ga) < tol) & (np.abs(gb) < tol)  # a NaN gradient never passes
+        p, ga, gb = settle(done, None, p, ga, gb)
         wgt = 1.0 - p
         wgt *= p
         del p
-        h22 = np.sum(wgt, axis=1) + 1e-12
-        h12 = np.sum(wgt * m, axis=1)
+        h22 = total(wgt, axis=1) + 1e-12
+        h12 = total(wgt * m, axis=1)
         wgt *= sq
-        h11 = np.sum(wgt, axis=1) + 1e-12
+        h11 = total(wgt, axis=1) + 1e-12
         del wgt
         det = h11 * h22 - h12 * h12
-        keep = settle(det <= 0, "calibration Hessian is singular")
-        ga, gb, h11, h12, h22, det = (v[keep] for v in (ga, gb, h11, h12, h22, det))
+        ga, gb, h11, h12, h22, det = settle(det <= 0, "calibration Hessian is singular",
+                                            ga, gb, h11, h12, h22, det)
         da = -(h22 * ga - h12 * gb) / det
         db = -(-h12 * ga + h11 * gb) / det
 
-        factor = np.ones(live.size)
-        cand = np.empty(live.size)
-        searching = np.ones(live.size, dtype=bool)
-        for _ in range(40):
+        # The full step first (1.0 * d is d); the columns that reject it try up to 8
+        # halvings per call, no more trial rows than columns.  A trial has the bits
+        # of one made alone, so the first of (da, db) * 2**-i, i < 40, accepted wins.
+        value, z_new = nll(a + da, b + db, m, t)
+        searching, f, tried = ~(value <= current), 1.0, 1
+        while tried < 40 and searching.any():
             rows = np.flatnonzero(searching)
-            if not rows.size:
-                break
-            every = rows.size == live.size
-            value, z_new = nll(a[rows] + factor[rows] * da[rows],
-                               b[rows] + factor[rows] * db[rows],
-                               m if every else m[rows], t if every else t[rows])
-            ok = value <= current[rows]
-            cand[rows[ok]], z[rows[ok]] = value[ok], z_new[ok]
-            searching[rows[ok]] = False
-            factor[rows[~ok]] *= 0.5
-        keep = settle(searching, "calibration line search failed")
-        factor, da, db = factor[keep], da[keep], db[keep]
-        a, b, current = a + factor * da, b + factor * db, cand[keep]
-        settle(np.maximum(np.abs(factor * da), np.abs(factor * db)) < tol)
+            k = min(8, 40 - tried, live.size // rows.size)
+            fs = np.ldexp(f, -np.arange(1, k + 1))
+            f, tried, at = fs[-1], tried + k, np.repeat(rows, k)
+            ta, tb = (fs * da[rows, None]).ravel(), (fs * db[rows, None]).ravel()
+            tv, tz = nll(a[at] + ta, b[at] + tb, m[at], t[at])
+            ok = (tv <= current[at]).reshape(-1, k)
+            hit = ok.any(axis=1)
+            i, won = np.flatnonzero(hit) * k + ok.argmax(axis=1)[hit], rows[hit]
+            da[won], db[won], value[won], z_new[won] = ta[i], tb[i], tv[i], tz[i]
+            searching[won] = False
+        a, b, current, z = a + da, b + db, value, z_new
+        da, db = settle(searching, "calibration line search failed", da, db)
+        settle(np.maximum(np.abs(da), np.abs(db)) < tol)
     for j in live:
         failures[int(j)] = FitError(f"calibration did not converge in {max_iter} iterations")
     return Calibration(slope, intercept), failures
@@ -553,5 +559,6 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 def calibrated_probability(cal: Calibration, margins: np.ndarray) -> np.ndarray:
     """Each column's probability of the +1 class for its (R, n) margins."""
     z = cal.slope[:, None] * np.asarray(margins, dtype=np.float64) + cal.intercept[:, None]
-    return 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # e^-z = inf below z = -709 still gives 0.0
+        return 1.0 / (1.0 + np.exp(-z))
 

@@ -183,14 +183,14 @@ class PairModel:
         return calibrated_probability(self.calibration, decision_values(self.svm, feats))
 
 
-def _votes(pairs: list[PairModel], z: np.ndarray, class_count: int) -> np.ndarray:
-    """Per-row class probabilities from summed pairwise votes."""
-    probs = [pair.probability(z) for pair in pairs]
-    scores = np.zeros(probs[0].shape + (class_count,))
-    for pair, p in zip(pairs, probs):
-        scores[..., pair.b] += p
-        scores[..., pair.a] += 1.0 - p
-    return scores / len(pairs)
+def _choose(votes: np.ndarray) -> np.ndarray:
+    """Each row's class, the first maximum of its (C, R, n) votes: one
+    comparison per class plane is ``np.argmax`` on votes that are not NaN."""
+    index, best = np.zeros(votes.shape[1:], dtype=np.intp), votes[0]
+    for c in range(1, len(votes)):
+        index += (votes[c] > best) * (c - index)
+        best = np.maximum(best, votes[c])
+    return index
 
 
 @dataclass
@@ -202,7 +202,9 @@ class FittedBatch:
     the models' leading axis, and ``failures`` maps every other column to
     the ``FitError`` that stopped its fit.  Each block holds its feature
     columns, the autoencoder of each fitted column (or None), and its pair
-    models.  ``codes`` keeps the encoded features already computed.
+    models.  ``codes`` keeps the encoded features already computed, and
+    ``margins`` the batch the fit was given with the (R, n) margins its
+    fit computed, by block and pair index, of each pair of all its rows.
     """
 
     blocks: list[tuple[tuple[int, ...], tuple[AeModel | None, ...], list[PairModel]]]
@@ -211,6 +213,7 @@ class FittedBatch:
     columns: list[int]
     failures: dict[int, FitError]
     codes: dict = field(default_factory=dict, repr=False)
+    margins: tuple[Batch | None, dict] = field(default=(None, {}), repr=False, compare=False)
 
     def probabilities(self, batch: Batch) -> np.ndarray:
         """Each fitted column's class probabilities of its rows in ``batch``.
@@ -218,7 +221,10 @@ class FittedBatch:
         ``batch`` has the columns of the fitted batch, with any of their
         rows.  The result is (R, n, class_count), one entry per column in
         ``columns``: the pairwise votes of each block, averaged over the
-        blocks.
+        blocks.  Each is a probability in [0, 1], never NaN.  The array is
+        a view of one contiguous (R, n) plane per class.  On the batch
+        object the fit was given, a pair fitted on all its rows takes the
+        margins its fit computed, the bits of margins computed again.
         """
         if batch.n_features != self.n_features:
             raise ValueError(f"batch must have {self.n_features} features, "
@@ -228,19 +234,31 @@ class FittedBatch:
             raise ValueError(f"batch must have the fit's {size} columns, got {batch.size}")
         if not self.columns:
             return np.zeros((0, batch.n, self.class_count))
-        live = batch.select(self.columns)
-        votes = [_votes(pairs, _codes(live, cols, models, self.codes), self.class_count)
-                 for cols, models, pairs in self.blocks]
-        return np.stack(votes).mean(axis=0)
+        live, votes = batch.select(self.columns), []
+        kept = self.margins[1] if batch is self.margins[0] else {}
+        for bi, (cols, models, pairs) in enumerate(self.blocks):
+            scores, z = np.zeros((self.class_count, len(self.columns), batch.n)), None
+            for pi, pair in enumerate(pairs):
+                margins = kept.get((bi, pi))
+                if margins is None:
+                    z = _codes(live, cols, models, self.codes) if z is None else z
+                    p = pair.probability(z)
+                else:
+                    p = calibrated_probability(pair.calibration, margins)
+                scores[pair.b] += p
+                scores[pair.a] += 1.0 - p
+            votes.append(scores / len(pairs))
+        return np.moveaxis(np.stack(votes).mean(axis=0), 0, -1)
 
     def errors(self, batch: Batch) -> list[float | FitError]:
         """Each column's misclassified fraction of its rows in ``batch``.
 
-        A row goes to its most probable class, ties to the lowest index.
-        A column that was not fitted gets its ``FitError`` instead.
+        A row goes to its most probable class, ties to the lowest index
+        (see :func:`_choose`).  A column that was not fitted gets its
+        ``FitError`` instead.
         """
         out: list = [self.failures.get(j) for j in range(batch.size)]
-        predicted = np.argmax(self.probabilities(batch), axis=-1)
+        predicted = _choose(np.moveaxis(self.probabilities(batch), -1, 0))
         wrong = np.count_nonzero(predicted != batch.labels[self.columns], axis=1)
         for j, count in zip(self.columns, wrong):
             out[j] = float(count / batch.n)
@@ -424,7 +442,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
         x = None  # the calibrations need only the margins
         cal, failed = calibrate(margins, y)
         record(owners, 2, failed)
-        fits[key] = (owners, svm, cal)
+        fits[key] = (owners, svm, cal, margins if key[0] == live.n else None)
 
     for k, (_, exc) in first.items():
         failures[columns[k]] = exc
@@ -432,16 +450,19 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
     if not survivors.size:
         return FittedBatch([], batch.class_count, batch.n_features, [], failures, codes)
     fitted: list[list[PairModel]] = [[] for _ in extractors]
+    kept = {}  # the margins of each pair of all the batch's rows
     for p, (bi, (a, b), red, key) in enumerate(problems):
-        owners, svm, cal = fits[key]
+        owners, svm, cal, margins = fits[key]
         at = owners.index(p) * size + survivors
+        if margins is not None:
+            kept[bi, len(fitted[bi])] = margins if len(at) == len(margins) else margins[at]
         fitted[bi].append(PairModel(a, b, _part(red, survivors, size),
                                     _part(svm, at, len(svm.weights)),
                                     _part(cal, at, len(cal.slope))))
     blocks = [(cols, tuple(models[columns[k]] for k in survivors), pairs)
               for (cols, models), pairs in zip(extractors, fitted)]
     return FittedBatch(blocks, batch.class_count, batch.n_features,
-                       [columns[k] for k in survivors], failures, codes)
+                       [columns[k] for k in survivors], failures, codes, (batch, kept))
 
 
 def _part(model, cols: np.ndarray, size: int):

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -255,7 +256,7 @@ def test_svm_stuck_pass_fails_at_once(monkeypatch):
     monkeypatch.setattr(linclass, "_gap_test", counted)
     m, failures = svm_fit(x[None], y[None], tol=0.0, max_passes=10**6)
     assert list(failures) == [0]
-    assert str(failures[0]) == "SVM duality gap still above tol 0.0 after 1000000 passes"
+    assert str(failures[0]) == "SVM duality gap still above tol 0.0 after 4 passes, with no step left"
     assert 1 <= len(calls) <= 10  # 4: three full passes, then one stuck
     np.testing.assert_array_equal(m.weights[0], x.T @ y)  # the corner's (w, b)
 
@@ -671,6 +672,108 @@ def test_batched_calibration_equals_single_fits_bit_for_bit(cols):
         calibrated_probability(batch, margins)[-1:],
         calibrated_probability(batch.select([cols - 1]), margins[-1:]),
     )
+
+
+def _calibrate_one_trial_per_call(margins, y, tol=1e-8, max_iter=100, trials=None):
+    """Newton with backtracking that tries one step length per call: the
+    loop :func:`calibrate` batches, kept here as the reference for its
+    bits.  Appends each line search's trial count to ``trials``."""
+    n_pos = (y > 0).sum(axis=1)
+    hi, lo = (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (y.shape[1] - n_pos + 2.0)
+    t = np.where(y > 0, hi[:, None], lo[:, None])
+    mean_t = t.mean(axis=1)
+    slope, intercept = np.zeros(len(y)), np.log(mean_t / (1.0 - mean_t))
+    failures = {}
+
+    def nll(a, b, m, t):
+        z = a[:, None] * m + b[:, None]
+        return np.sum(_softplus(z) - t * z, axis=1), z
+
+    for j in range(len(y)):  # column by column: its result is that of a batch of it alone
+        m, tj, a, b = margins[j:j + 1], t[j:j + 1], slope[j:j + 1], intercept[j:j + 1]
+        current, z = nll(a, b, m, tj)
+        failures[j] = FitError(f"calibration did not converge in {max_iter} iterations")
+        for _ in range(max_iter):
+            p = 1.0 / (1.0 + np.exp(-z))
+            ga, gb = np.sum((p - tj) * m, axis=1), np.sum(p - tj, axis=1)
+            if abs(ga[0]) < tol and abs(gb[0]) < tol:
+                slope[j], intercept[j] = a[0], b[0]
+                del failures[j]
+                break
+            wgt = (1.0 - p) * p
+            h22 = np.sum(wgt, axis=1) + 1e-12
+            h12 = np.sum(wgt * m, axis=1)
+            h11 = np.sum(wgt * (m * m), axis=1) + 1e-12
+            det = h11 * h22 - h12 * h12
+            if det[0] <= 0:
+                failures[j] = FitError("calibration Hessian is singular")
+                break
+            da, db = -(h22 * ga - h12 * gb) / det, -(-h12 * ga + h11 * gb) / det
+            factor = np.ones(1)
+            for count in range(1, 41):
+                value, z_new = nll(a + factor * da, b + factor * db, m, tj)
+                if value[0] <= current[0]:
+                    break
+                factor *= 0.5
+            else:
+                failures[j] = FitError("calibration line search failed")
+                break
+            if trials is not None:
+                trials.append(count)
+            a, b, current, z = a + factor * da, b + factor * db, value, z_new
+            if max(abs(factor[0] * da[0]), abs(factor[0] * db[0])) < tol:
+                slope[j], intercept[j] = a[0], b[0]
+                del failures[j]
+                break
+    return Calibration(slope, intercept), failures
+
+
+def _null_scores(seed, cols, n=200):
+    """Centred null scores scaled by a power of two, as one-feature SVMs
+    give calibration, with balanced labels."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    y = _labels(gen, cols, n, n // 2)
+    m = gen.standard_normal((cols, n)) + gen.uniform(0.0, 0.8, (cols, 1)) * y
+    m -= m.mean(axis=1, keepdims=True)
+    return m * np.ldexp(1.0, -np.frexp(np.ptp(m, axis=1))[1])[:, None], y
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 100])
+@pytest.mark.parametrize("cols", [1, 4, 98])
+def test_calibrate_equals_one_trial_per_call_bit_for_bit(cols, max_iter):
+    # At seed 98 column 6 rejects 12 step lengths in its sixth Newton
+    # iteration, more than one call's 8 halvings, and columns 19 and 26
+    # reject 6 and 8; the columns settle at different iterations.  A NaN
+    # column rejects all 40 step lengths.
+    margins, y = _null_scores(98, 98)
+    order = [6, 19, 26, 0] + [j for j in range(98) if j not in (6, 19, 26, 0)]
+    margins, y = margins[order][:cols], y[order][:cols]
+    if cols > 1:
+        margins[3] = np.nan
+    trials = []
+    with np.errstate(invalid="ignore"):
+        want, want_failed = _calibrate_one_trial_per_call(margins, y, max_iter=max_iter,
+                                                          trials=trials)
+        got, failed = calibrate(margins, y, max_iter=max_iter)
+    assert got.slope.tobytes() == want.slope.tobytes()
+    assert got.intercept.tobytes() == want.intercept.tobytes()
+    assert {j: str(e) for j, e in failed.items()} == {j: str(e) for j, e in want_failed.items()}
+    if max_iter == 100:
+        assert max(trials) == 13  # column 6: the full step, then 12 halvings
+        assert len(failed) == (cols > 1)
+    else:
+        assert len(failed) == cols
+
+
+def test_calibrated_probability_of_very_negative_logits_is_zero_without_warning():
+    # The slope is 882.76, so a margin of -1 is a logit below -709, where
+    # e^-z overflows to inf; the probability is still exactly 0.
+    cal, failures = calibrate([[-2e-3, -1e-3, -1.5e-3, 1e-3, 2e-3, 1.5e-3]],
+                              [[-1, -1, -1, 1, 1, 1]])
+    assert failures == {} and cal.slope[0] * -1.0 < -709.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert calibrated_probability(cal, [[-1.0, 1.0]]).tolist() == [[0.0, 1.0]]
 
 
 def test_batch_failures_name_their_columns():

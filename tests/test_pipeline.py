@@ -674,3 +674,50 @@ def test_failed_columns_carry_their_first_error(monkeypatch, reducer, max_passes
     assert 0 < len(fitted.columns) < batch.size
     stages = {str(exc).split()[0] for exc in fitted.failures.values()}
     assert stages == ({"degenerate", "calibration"} if reducer == "pls" else {"SVM", "calibration"})
+
+
+# name: (spec, classes, calibration max_iter, frozen maps)
+REUSE_CASES = {
+    "pls": (PipelineSpec(reducer="pls"), 2, 100, False),
+    "pca": (PipelineSpec(reducer="pca", pca_components=2), 2, 100, False),
+    "none": (PipelineSpec(reducer="none"), 2, 100, False),
+    "ae": (PipelineSpec(ae=AeArchitecture(layer_widths_encoder=(3, 2), epochs=3,
+                                          learning_rate=0.01, validation_fraction=0.0),
+                        reducer="none"), 2, 100, False),
+    "blocks": (PipelineSpec(reducer="pls", region_blocks=((0, 1, 2), (3, 4, 5))), 2, 100, False),
+    "frozen": (PipelineSpec(reducer="pca", region_blocks=((0, 1, 2), (3, 4, 5))), 2, 100, True),
+    "failed": (PipelineSpec(reducer="pls"), 2, 4, False),
+    "three_class": (PipelineSpec(reducer="pls"), 3, 100, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_errors_on_the_fit_batch_reuse_its_margins_bit_for_bit(monkeypatch, case):
+    """On the batch object a fit was given, a pair of all its rows takes
+    the fit's margins; an equal batch that is another object computes them
+    again, with the same bits."""
+    spec, classes, max_iter, frozen = REUSE_CASES[case]
+    monkeypatch.setattr(pipeline, "calibrate", partial(calibrate, max_iter=max_iter))
+    d = synth_effect(30 // classes * 2, 6, 0.3, PermutationPlan(23, 0), classes=classes)
+    model = fit_feature_maps(spec, d, PLAN) if frozen else spec
+    batch = permute_labels(d, [PermutationPlan(29, r) for r in range(12)])
+    equal = Batch(batch.features, batch.rows, batch.labels.copy(), batch.class_count, batch.plans)
+    fitted = model.fit(batch)
+    assert bool(fitted.failures) == (case == "failed") and fitted.columns
+    calls = {"reduce": [], "decision_values": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(pipeline, name, lambda *args, _f=getattr(pipeline, name), _seen=seen:
+                            _seen.append(None) or _f(*args))
+    own_probs, own = fitted.probabilities(batch), fitted.errors(batch)
+    assert (calls == {"reduce": [], "decision_values": []}) == (classes == 2)
+    assert fitted.probabilities(equal).tobytes() == own_probs.tobytes()
+    assert fitted.errors(equal) == own
+
+
+@pytest.mark.parametrize("classes", [2, 3, 4])
+def test_class_choice_is_the_first_arg_max(classes):
+    # Scores on a grid of fifths tie often, and exactly.
+    gen = np.random.Generator(np.random.Philox(31))
+    scores = np.round(gen.random((6, 50, classes)) * 5.0) / 5.0
+    votes = np.ascontiguousarray(np.moveaxis(scores, -1, 0))
+    assert np.array_equal(pipeline._choose(votes), np.argmax(scores, axis=-1))
