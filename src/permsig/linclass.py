@@ -4,17 +4,21 @@ The pieces here are deliberately self-contained:
 
 * :func:`svm_fit` trains a linear soft-margin SVM, a minimizer of
   ``0.5 * ||w||^2 + c * sum(max(0, 1 - y * (w @ x + b)))``, by sequential
-  minimal optimization on the dual, to a duality-gap tolerance (one
-  feature: see below).  With balanced classes the dual corner ``alpha = c``
-  is tested first, for all columns of a batch at once; where it is
-  certified optimal no SMO step runs, so ``tol`` and ``max_passes`` go
-  unused and no ``FitError`` can occur.  Only the other columns run SMO,
-  one at a time, each with a FIFO cache of kernel columns ``x @ x_t``
-  held to a fixed byte budget.
+  minimal optimization on the dual, to the duality-gap tolerance
+  ``_SVM_TOL`` (one feature: see below).  With balanced classes the dual
+  corner ``alpha = c`` is tested first, for all columns of a batch at
+  once; where it is certified optimal no SMO step runs and no ``FitError``
+  can occur.  Only the other columns run SMO, one at a time and for at
+  most ``_MAX_PASSES`` passes, each with a FIFO cache of kernel columns
+  ``x @ x_t`` held to a fixed byte budget.
 * :func:`calibrate` fits a sigmoid ``p = sigma(slope * margin + intercept)``
   to training margins by damped Newton iterations on the Bernoulli
   log-likelihood with the usual smoothed targets, so separable margins
-  still yield a finite optimum.
+  still yield a finite optimum; it stops below ``_CAL_TOL``, within
+  ``_MAX_ITER`` iterations.
+
+The stop rules are module constants, not arguments, so every fit of a
+study, observed or null, runs under the same ones.
 
 On one feature the cost ``c`` cannot change the calibrated probabilities:
 for any ``w != 0`` the sigmoids of ``w * s + b`` are the sigmoids of ``s``
@@ -49,6 +53,10 @@ from .errors import FitError
 
 _TAU = 1e-12  # curvature floor in the SMO subproblem
 _CACHE_BYTES = 512 * 1024  # kernel and curvature rows cached per SMO fit
+_SVM_TOL = 1e-6  # duality gap, relative to the primal, at which an SVM fit stops
+_MAX_PASSES = 10_000  # SMO passes before a column fails
+_CAL_TOL = 1e-8  # gradient and step size at which a calibration stops
+_MAX_ITER = 100  # Newton iterations before a calibration fails
 
 
 @dataclass(frozen=True)
@@ -114,29 +122,23 @@ def svm_objective(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, c: floa
     return 0.5 * float(w @ w) + c * float(hinge.sum())
 
 
-def svm_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    c: float = 1.0,
-    tol: float = 1e-6,
-    max_passes: int = 10_000,
-):
+def svm_fit(x: np.ndarray, y: np.ndarray, c: float = 1.0):
     """Train a linear soft-margin SVM on each column of a batch.
 
     On one feature no SVM is solved: each column gets the margin map of
     the module docstring, a constant where the SVM optimum is ``w = 0``
-    and the centred score elsewhere; ``c``, ``tol`` and ``max_passes`` go
-    unused.  Otherwise the corner ``alpha = c`` of the dual is tried first,
-    for every column at once (see :func:`_corner`), under the stopping
-    tests of SMO.  Balanced classes make it feasible; for the columns where
-    it is certified optimal, as for heavily overlapping classes, no update
-    runs, ``tol`` and ``max_passes`` go unused and no ``FitError`` can
-    occur.  Each other column solves the dual box-constrained problem on
-    its own by pairwise coordinate updates with second-order working-set
-    selection, stopping when the duality gap falls below ``tol`` relative
-    to the primal.  A pass that ends with no KKT violation left, its gap
-    still above ``tol``, leaves no step for another pass, so the column
-    fails then rather than after ``max_passes`` identical passes.
+    and the centred score elsewhere; ``c`` goes unused.  Otherwise the
+    corner ``alpha = c`` of the dual is tried first, for every column at
+    once (see :func:`_corner`), under the stopping tests of SMO.  Balanced
+    classes make it feasible; for the columns where it is certified
+    optimal, as for heavily overlapping classes, no update runs and no
+    ``FitError`` can occur.  Each other column solves the dual
+    box-constrained problem on its own by pairwise coordinate updates with
+    second-order working-set selection, stopping when the duality gap falls
+    below ``_SVM_TOL`` relative to the primal.  A pass that ends with no KKT
+    violation left, its gap still above ``_SVM_TOL``, leaves no step for
+    another pass, so the column fails then rather than after
+    ``_MAX_PASSES`` identical passes.
 
     Parameters
     ----------
@@ -151,7 +153,7 @@ def svm_fit(
     Returns
     -------
     ``(svm, failures)``: ``failures`` maps each column whose duality gap
-    is still above ``tol`` after ``max_passes`` passes, or after a pass
+    is still above ``_SVM_TOL`` after ``_MAX_PASSES`` passes, or after a pass
     that left no step to take, to its ``FitError``, and that column keeps
     the corner's finite ``(w, b)``.  On one feature, a column whose scores
     near the float limit overflow their sum of magnitudes, their spread or
@@ -209,26 +211,26 @@ def svm_fit(
             int(j): FitError("one-feature scores overflow the margin map") for j in bad}
 
     x = np.ascontiguousarray(x)  # see decision_values: the layout sets the rounding
-    weights, bias, certified = _corner(x, y, c, tol)
+    weights, bias, certified = _corner(x, y, c)
     x = np.broadcast_to(x, y.shape + x.shape[-1:])
     failures = {}
     for j in np.flatnonzero(~certified):
         try:
-            weights[j], bias[j] = _svm_smo(x[j], y[j], c, tol, max_passes)
+            weights[j], bias[j] = _svm_smo(x[j], y[j], c)
         except FitError as exc:
             failures[int(j)] = exc
     return LinearSvm(weights, bias), failures
 
 
-def _corner(x, y, c, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _corner(x, y, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The dual corner ``alpha = c`` of every column, and whether it is optimal.
 
     Balanced classes make the corner feasible.  Where permuted labels
     overlap it is often the optimum, which SMO would reach only after
     ``n / 2`` capped steps from its warm start.  A column's corner is
     certified when it passes the tests that end an SMO pass: no KKT
-    violation above 1e-10, then a duality gap below ``tol`` relative to
-    the primal (see :func:`_gap_test`).  Returns the corner's ``(w, b)``
+    violation above 1e-10, then a duality gap below ``_SVM_TOL`` relative
+    to the primal (see :func:`_gap_test`).  Returns the corner's ``(w, b)``
     of every column, (R, d) and (R,), and the (R,) certified mask.
 
     Each product is a stacked ``np.matmul``, which takes every column's
@@ -255,11 +257,11 @@ def _corner(x, y, c, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     primal = 0.5 * ww + c * hinge.sum(axis=1)
     dual = np.full(y.shape[1], c).sum() - 0.5 * ww
     certified = (2 * pos.sum(axis=1) == y.shape[1]) & (hi - lo < 1e-10) \
-        & (primal - dual < tol * np.maximum(1.0, np.abs(primal)))
+        & (primal - dual < _SVM_TOL * np.maximum(1.0, np.abs(primal)))
     return w, b, certified
 
 
-def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
+def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
     """SMO on one column of more than one feature; returns ``(w, b)``.
 
     A step takes the first index ``i`` of the up set with the largest
@@ -313,7 +315,7 @@ def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
             np.matmul(x, x[t], out=kernel[s])
         return s
 
-    for passes in range(1, max_passes + 1):
+    for passes in range(1, _MAX_PASSES + 1):
         stuck = False
         for _ in range(n):
             np.add(myg, up_mask, out=gain)
@@ -348,13 +350,13 @@ def _svm_smo(x, y, c, tol, max_passes) -> tuple[np.ndarray, float]:
                 up_mask[t] = 0.0 if (a < c if is_pos[t] else a > 0.0) else -np.inf
                 low_mask[t] = 0.0 if (a > 0.0 if is_pos[t] else a < c) else -np.inf
 
-        w, b, gap_ok = _gap_test(x, y, np.array(alpha), myg, pos, c, tol)
+        w, b, gap_ok = _gap_test(x, y, np.array(alpha), myg, pos, c)
         if gap_ok:
             return w, b
         if stuck:
-            raise FitError(f"SVM duality gap still above tol {tol} after {passes} passes, "
+            raise FitError(f"SVM duality gap still above tol {_SVM_TOL} after {passes} passes, "
                            "with no step left")
-    raise FitError(f"SVM duality gap still above tol {tol} after {max_passes} passes")
+    raise FitError(f"SVM duality gap still above tol {_SVM_TOL} after {_MAX_PASSES} passes")
 
 
 def _second_index(diff, curv, gain, ineligible) -> int:
@@ -379,14 +381,14 @@ def _second_index(diff, curv, gain, ineligible) -> int:
     return int(gain.argmax())
 
 
-def _gap_test(x, y, alpha, myg, pos, c, tol) -> tuple[np.ndarray, float, bool]:
+def _gap_test(x, y, alpha, myg, pos, c) -> tuple[np.ndarray, float, bool]:
     """Primal ``(w, b)`` of a dual point, and whether its duality gap is
-    below ``tol`` relative to the primal objective."""
+    below ``_SVM_TOL`` relative to the primal objective."""
     w = x.T @ (alpha * y)
     b = _bias_from_kkt(alpha, myg, pos, c)
     primal = svm_objective(x, y, w, b, c)
     dual = float(alpha.sum() - 0.5 * (w @ w))
-    return w, b, primal - dual < tol * max(1.0, abs(primal))
+    return w, b, primal - dual < _SVM_TOL * max(1.0, abs(primal))
 
 
 def _bias_from_kkt(alpha, myg, pos, c) -> float:
@@ -405,12 +407,7 @@ def _bias_from_kkt(alpha, myg, pos, c) -> float:
     return float(0.5 * (hi + lo))
 
 
-def calibrate(
-    margins: np.ndarray,
-    y: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-):
+def calibrate(margins: np.ndarray, y: np.ndarray):
     """Fit a sigmoid probability map on training margins.
 
     Maximizes the Bernoulli log-likelihood of the labels under
@@ -426,7 +423,7 @@ def calibrate(
     Returns
     -------
     ``(calibration, failures)``: ``failures`` maps each column where
-    Newton failed to converge within ``max_iter`` iterations to its
+    Newton failed to converge within ``_MAX_ITER`` iterations to its
     ``FitError``, and that column keeps its starting sigmoid.
 
     Raises
@@ -490,7 +487,7 @@ def calibrate(
         z = z[keep]
         return tuple(v[keep] for v in rest)
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if not live.size:
             break
         p = np.exp(-z)
@@ -501,7 +498,7 @@ def calibrate(
         resid *= m
         ga = total(resid, axis=1)
         del resid
-        done = (np.abs(ga) < tol) & (np.abs(gb) < tol)  # a NaN gradient never passes
+        done = (np.abs(ga) < _CAL_TOL) & (np.abs(gb) < _CAL_TOL)  # a NaN gradient never passes
         p, ga, gb = settle(done, None, p, ga, gb)
         wgt = 1.0 - p
         wgt *= p
@@ -536,9 +533,9 @@ def calibrate(
             searching[won] = False
         a, b, current, z = a + da, b + db, value, z_new
         da, db = settle(searching, "calibration line search failed", da, db)
-        settle(np.maximum(np.abs(da), np.abs(db)) < tol)
+        settle(np.maximum(np.abs(da), np.abs(db)) < _CAL_TOL)
     for j in live:
-        failures[int(j)] = FitError(f"calibration did not converge in {max_iter} iterations")
+        failures[int(j)] = FitError(f"calibration did not converge in {_MAX_ITER} iterations")
     return Calibration(slope, intercept), failures
 
 

@@ -313,24 +313,23 @@ def _take(counter: tuple[int, int], then: int | None = None) -> int:
     return value
 
 
-def _take_chunks(work, count: int, counter: tuple[int, int]):
+def _take_chunks(work, count: int, counter: tuple[int, int]) -> dict:
     """``{index: work(index)}`` for the indices this process takes from
-    ``counter`` below ``count``, and the ``(index, exception)`` of one that
-    raised, if any.
+    ``counter`` below ``count``; a chunk that raised has its exception.
 
     A process whose chunk raises moves the counter to the end, so no
     process starts another chunk.  Every lower index was taken before, and
-    its chunk still runs to the end, so the lowest index that raises is
-    always found.
+    its chunk still runs to the end, so a walk of the indices in order
+    meets the lowest that raised before any that was never taken.
     """
     done = {}
     while (index := _take(counter)) < count:
         try:
             done[index] = work(index)
         except Exception as exc:  # raised by the parent once every child is done
+            done[index] = exc
             _take(counter, then=count)
-            return done, (index, exc)
-    return done, None
+    return done
 
 
 def _child(work, count: int, counter, reader: int, writer: int):
@@ -358,10 +357,11 @@ def _dispatch(work, count: int, children: int) -> list:
     module is imported or thread started for them.  Every process takes
     the next untaken index from one counter; with no children this process
     takes them all, in order.  Each child sends its results once, through
-    its own pipe.  The exception of the lowest index that raised is raised
-    once every process has finished the chunk it held.  Every child is
-    waited for, and killed first only if this process raised outside
-    ``work``, as on an interrupt.
+    its own pipe, with a chunk that raised holding its exception.  The
+    results are walked in index order once every process has finished the
+    chunk it held, so the exception of the lowest index that raised is the
+    one raised.  Every child is waited for, and killed first only if this
+    process raised outside ``work``, as on an interrupt.
     """
     counter = os.pipe()
     os.write(counter[1], bytes(8))
@@ -378,7 +378,7 @@ def _dispatch(work, count: int, children: int) -> list:
             os.close(writer)
             pids.append(pid)
             readers.append(open(reader, "rb"))
-        done, failure = _take_chunks(work, count, counter)
+        done = _take_chunks(work, count, counter)
         sent = [reader.read() for reader in readers]
         finished = True
     finally:
@@ -392,17 +392,14 @@ def _dispatch(work, count: int, children: int) -> list:
             reader.close()
         os.close(counter[0])
         os.close(counter[1])
-    failures = [failure]
     for pid, code, data in zip(pids, codes, sent):
         if code != 0:
             raise RuntimeError(f"worker process {pid} exited with code {code} "
                                "before sending its chunks")
-        child_done, child_failure = pickle.loads(data)
-        done.update(child_done)
-        failures.append(child_failure)
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        done.update(pickle.loads(data))
+    for i in range(count):  # in order, so the lowest index that raised comes first
+        if isinstance(done[i], Exception):
+            raise done[i]
     return [done[i] for i in range(count)]
 
 

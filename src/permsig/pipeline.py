@@ -204,7 +204,8 @@ class FittedBatch:
     columns, the autoencoder of each fitted column (or None), and its pair
     models.  ``codes`` keeps the encoded features already computed, and
     ``margins`` the batch the fit was given with the (R, n) margins its
-    fit computed, by block and pair index, of each pair of all its rows.
+    fit computed, by block and pair index, of each pair of all its rows
+    when those are all the rows of its features.
     """
 
     blocks: list[tuple[tuple[int, ...], tuple[AeModel | None, ...], list[PairModel]]]
@@ -325,16 +326,15 @@ def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
     blocks = spec.resolve_blocks(batch.n_features)
     if spec.ae is None:
         return [(cols, (None,) * batch.size) for cols in blocks], {}
-    stacks: dict[tuple[int, str], list] = {}  # (width, output activation) -> [(block, column)]
+    stacks: dict[tuple[int, str], list] = {}  # (width, activation) -> [((block, column), rows)]
     for (bi, cols), j in product(enumerate(blocks), range(batch.size)):
-        key = (len(cols), spec.ae.output_for(batch.column_rows(j)[:, cols]))
-        stacks.setdefault(key, []).append((bi, j))
+        rows = batch.column_rows(j)[:, cols]
+        stacks.setdefault((len(cols), spec.ae.output_for(rows)), []).append(((bi, j), rows))
     models = [[None] * batch.size for _ in blocks]
     first: dict[int, tuple[int, FitError]] = {}  # column -> (block, error)
-    for (width, _), members in stacks.items():
-        x = np.empty((len(members), batch.n, width))
-        for k, (bi, j) in enumerate(members):
-            x[k] = batch.column_rows(j)[:, blocks[bi]]
+    for key in list(stacks):
+        members, rows = zip(*stacks.pop(key))
+        x, rows = np.stack(rows), None
         keys = [(batch.plans[j], f"{tag}.b{bi}.ae") for bi, j in members]
         fitted, failed = ae_fit(x, spec.ae, keys)
         for k, (bi, j) in enumerate(members):
@@ -442,7 +442,8 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
         x = None  # the calibrations need only the margins
         cal, failed = calibrate(margins, y)
         record(owners, 2, failed)
-        fits[key] = (owners, svm, cal, margins if key[0] == live.n else None)
+        whole = key[0] == live.n == live.features.shape[0]  # a resubstitution batch, not a fold
+        fits[key] = (owners, svm, cal, margins if whole else None)
 
     for k, (_, exc) in first.items():
         failures[columns[k]] = exc
@@ -471,25 +472,24 @@ def _part(model, cols: np.ndarray, size: int):
     return model if model is None or len(cols) == size else model.select(cols)
 
 
-def fit_feature_maps(
-    spec: PipelineSpec, d: Dataset, plan: PermutationPlan, tag: str = "extract"
-) -> "AltPipeline":
+def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "AltPipeline":
     """The pipeline of ``spec`` with its extractor and reducer frozen on ``d``.
 
-    The autoencoders train once, on unpermuted data.  A ``pls`` reducer is
-    fit per class pair on the original labels, by the same reducer fit as
-    a full pipeline's; ``pca`` is fit once per block on all rows and
-    shared by every pair.  One-condition data cannot drive a supervised
-    reduction, so ``pca`` (or ``none``) must be used there; its reducers
-    cover the pair ``(0, 1)`` of the two pseudo-groups a type-1 replicate
-    splits it into.  A failed fit raises its ``FitError``.
+    The autoencoders train once, on unpermuted data, from the streams of
+    ``plan`` under the tag ``extract``.  A ``pls`` reducer is fit per class
+    pair on the original labels, by the same reducer fit as a full
+    pipeline's; ``pca`` is fit once per block on all rows and shared by
+    every pair.  One-condition data cannot drive a supervised reduction, so
+    ``pca`` (or ``none``) must be used there; its reducers cover the pair
+    ``(0, 1)`` of the two pseudo-groups a type-1 replicate splits it into.
+    A failed fit raises its ``FitError``.
     """
     if spec.reducer == "pls" and d.class_count < 2:
         raise ValueError(
             "pls cannot be frozen on one-condition data; use reducer='pca' or 'none'"
         )
     pairs = list(combinations(range(max(d.class_count, 2)), 2))
-    extractors, failures = _fit_extractors(spec, Batch.of(d, [plan]), tag)
+    extractors, failures = _fit_extractors(spec, Batch.of(d, [plan]), "extract")
     if failures:
         raise failures[0]
     frozen = [(cols, model) for cols, (model,) in extractors]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from permsig import cli
+from permsig.bounds import BoundSpec, empirical_bound
 from permsig.cli import main
 from permsig.dataset import load_csv, save_csv, synth_effect
 from permsig.rng import PermutationPlan
@@ -267,6 +268,30 @@ def test_invalid_flag_values_exit_2(blob_csv):
     assert run("power", "--data", blob_csv, "--alpha", "2.0", "--m", "5") == 2
     assert run("power", "--data", blob_csv, "--m", "0") == 2
     assert run("power", "--data", blob_csv, "--k", "1", "--m", "5") == 2
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    # Constant features give every PLS fit a zero direction, and an observed
+    # iteration is never retried.
+    rows = ["label,f0,f1"] + [f"{i % 2},1.5,-2.0" for i in range(20)]
+    data = tmp_path / "flat.csv"
+    data.write_text("\n".join(rows) + "\n")
+    assert run("power", "--data", str(data), "--m", "9", "--out", str(tmp_path / "r.json")) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: degenerate PLS direction: covariance with labels is zero\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_label_column_flag_names_a_middle_column(tmp_path):
+    rows = ["f0,group,f1"] + [f"{0.1 * i},{'ab'[i % 2]},{i % 2 + 0.01 * i}" for i in range(30)]
+    rows.insert(5, "")  # a blank line is skipped
+    data, out = tmp_path / "mid.csv", tmp_path / "r.json"
+    data.write_text("\n".join(rows) + "\n")
+    assert run("power", "--data", str(data), "--label-column", "group", "--m", "9",
+               "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["data"] == {"csv": str(data), "label_column": "group"}
+    assert doc["mu"] == empirical_bound(BoundSpec(30, 1, 0.05))  # n = 30 rows
 
 
 def test_one_condition_data_for_power_exits_2(tmp_path, capsys):

@@ -209,6 +209,13 @@ def test_csv_cell_parsing(tmp_path, cell, value):
         assert repr(float(load_csv(str(path)).features[0, 0])) == repr(value)
 
 
+def test_csv_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty file, header row required"):
+        load_csv(str(path))
+
+
 def test_csv_missing_label_column(tmp_path):
     path = tmp_path / "nolabel.csv"
     path.write_text("a,b\n1,2\n3,4\n")

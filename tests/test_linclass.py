@@ -230,12 +230,14 @@ def test_svm_1d_fit_is_fast():
     assert (time.perf_counter() - t0) / 5 < 0.05
 
 
-def test_svm_raises_when_pass_cap_runs_out():
+def test_svm_raises_when_pass_cap_runs_out(monkeypatch):
     gen = np.random.Generator(np.random.Philox(14))
     x = gen.standard_normal((40, 2))
     y = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
     x += 0.3 * y[:, None]
-    assert re.search("1 passes", failure_of_one(svm_fit, x, y, max_passes=1))
+    with monkeypatch.context() as m:
+        m.setattr(linclass, "_MAX_PASSES", 1)
+        assert re.search("1 passes", failure_of_one(svm_fit, x, y))
     fit_one(svm_fit, x, y)  # the default cap is enough
 
 
@@ -254,14 +256,16 @@ def test_svm_stuck_pass_fails_at_once(monkeypatch):
 
     gap_test = linclass._gap_test
     monkeypatch.setattr(linclass, "_gap_test", counted)
-    m, failures = svm_fit(x[None], y[None], tol=0.0, max_passes=10**6)
+    monkeypatch.setattr(linclass, "_SVM_TOL", 0.0)
+    monkeypatch.setattr(linclass, "_MAX_PASSES", 10**6)
+    m, failures = svm_fit(x[None], y[None])
     assert list(failures) == [0]
     assert str(failures[0]) == "SVM duality gap still above tol 0.0 after 4 passes, with no step left"
     assert 1 <= len(calls) <= 10  # 4: three full passes, then one stuck
     np.testing.assert_array_equal(m.weights[0], x.T @ y)  # the corner's (w, b)
 
 
-def test_svm_balanced_overlap_certifies_the_corner():
+def test_svm_balanced_overlap_certifies_the_corner(monkeypatch):
     # Labels independent of tightly packed 3-d codes, as after a label
     # permutation: every row lies inside the margin at alpha = c.
     gen = np.random.Generator(np.random.Philox(16))
@@ -275,7 +279,9 @@ def test_svm_balanced_overlap_certifies_the_corner():
         corner_dual = y.size * c - 0.5 * float(w @ w)
         assert 0.0 <= primal - corner_dual < 1e-6 * max(1.0, primal)
         # no SMO pass runs, so the pass cap cannot be hit
-        no_passes = fit_one(svm_fit, x, y, c=c, max_passes=0)
+        with monkeypatch.context() as cap:
+            cap.setattr(linclass, "_MAX_PASSES", 0)
+            no_passes = fit_one(svm_fit, x, y, c=c)
         np.testing.assert_array_equal(no_passes.weights, m.weights)
         np.testing.assert_array_equal(no_passes.bias, m.bias)
 
@@ -740,7 +746,7 @@ def _null_scores(seed, cols, n=200):
 
 @pytest.mark.parametrize("max_iter", [1, 2, 100])
 @pytest.mark.parametrize("cols", [1, 4, 98])
-def test_calibrate_equals_one_trial_per_call_bit_for_bit(cols, max_iter):
+def test_calibrate_equals_one_trial_per_call_bit_for_bit(monkeypatch, cols, max_iter):
     # At seed 98 column 6 rejects 12 step lengths in its sixth Newton
     # iteration, more than one call's 8 halvings, and columns 19 and 26
     # reject 6 and 8; the columns settle at different iterations.  A NaN
@@ -751,10 +757,11 @@ def test_calibrate_equals_one_trial_per_call_bit_for_bit(cols, max_iter):
     if cols > 1:
         margins[3] = np.nan
     trials = []
+    monkeypatch.setattr(linclass, "_MAX_ITER", max_iter)
     with np.errstate(invalid="ignore"):
         want, want_failed = _calibrate_one_trial_per_call(margins, y, max_iter=max_iter,
                                                           trials=trials)
-        got, failed = calibrate(margins, y, max_iter=max_iter)
+        got, failed = calibrate(margins, y)
     assert got.slope.tobytes() == want.slope.tobytes()
     assert got.intercept.tobytes() == want.intercept.tobytes()
     assert {j: str(e) for j, e in failed.items()} == {j: str(e) for j, e in want_failed.items()}
@@ -776,7 +783,7 @@ def test_calibrated_probability_of_very_negative_logits_is_zero_without_warning(
         assert calibrated_probability(cal, [[-1.0, 1.0]]).tolist() == [[0.0, 1.0]]
 
 
-def test_batch_failures_name_their_columns():
+def test_batch_failures_name_their_columns(monkeypatch):
     gen = np.random.Generator(np.random.Philox(73))
     y = _labels(gen, 4, 20, 10)
     margins = gen.standard_normal((4, 20))
@@ -792,7 +799,8 @@ def test_batch_failures_name_their_columns():
     x = gen.standard_normal((3, 40, 2))
     y = _labels(gen, 3, 40, 20)
     x[1] += 0.3 * y[1][:, None]  # separated: the corner is not optimal
-    svm, failures = svm_fit(x, y, max_passes=1)
+    monkeypatch.setattr(linclass, "_MAX_PASSES", 1)
+    svm, failures = svm_fit(x, y)
     assert 1 in failures
     assert "1 passes" in str(failures[1])
     # A failed column keeps the corner alpha = c, so its margins stay finite.
@@ -800,7 +808,7 @@ def test_batch_failures_name_their_columns():
     assert np.isfinite(decision_values(svm, x)).all()
 
 
-def test_mixed_batch_equals_single_fits_bit_for_bit():
+def test_mixed_batch_equals_single_fits_bit_for_bit(monkeypatch):
     # The corner is certified for the whole batch at once; only the other
     # columns run SMO, and three passes are too few for some of them.
     gen = np.random.Generator(np.random.Philox(75))
@@ -812,22 +820,24 @@ def test_mixed_batch_equals_single_fits_bit_for_bit():
         shift = 1.5 if kind == "smo" else 0.3
         x[j] = 0.05 * x[j] if kind == "certified" else x[j] + shift * y[j][:, None]
     failed = {}
+    monkeypatch.setattr(linclass, "_MAX_PASSES", 3)
     for j in range(len(kinds)):
-        _, failures = svm_fit(x[j][None], y[j][None], c=2.0, max_passes=3)
+        _, failures = svm_fit(x[j][None], y[j][None], c=2.0)
         if failures:
             failed[j] = str(failures[0])
     assert {kinds[j] for j in failed} == {"unbalanced", "failing"}
     assert {kinds[j] for j in range(len(kinds)) if j not in failed} == set(kinds) - {"failing"}
-    batch, failures = svm_fit(x, y, c=2.0, max_passes=3)
+    batch, failures = svm_fit(x, y, c=2.0)
     assert {j: str(exc) for j, exc in failures.items()} == failed
     for j in range(len(kinds)):
         corner = x[j].T @ (2.0 * y[j])
         if j in failed:
             assert np.array_equal(batch.weights[j], corner)
             continue
-        one = fit_one(svm_fit, x[j], y[j], c=2.0, max_passes=3)
+        one = fit_one(svm_fit, x[j], y[j], c=2.0)
         assert np.array_equal(one.weights[0], batch.weights[j]) and one.bias[0] == batch.bias[j]
         assert np.array_equal(batch.weights[j], corner) == (kinds[j] == "certified")
+    monkeypatch.undo()  # the default pass cap
     shared, _ = svm_fit(x[0], y, c=2.0)  # certified for the balanced columns only
     for j in range(len(kinds)):
         one = fit_one(svm_fit, x[0], y[j], c=2.0)

@@ -1,18 +1,18 @@
 import hashlib
 import re
-from functools import partial
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from permsig import pipeline
+from permsig import linclass, pipeline
 from permsig.autoenc import AeArchitecture, ae_fit
 from permsig.dataset import (
     Batch,
     Dataset,
     permute_labels,
     scale_unit_interval,
+    shuffle_rows,
     split_null_groups,
     stratified_folds,
     synth_effect,
@@ -514,7 +514,7 @@ def _assert_fits_columns_alone(fitted, batch, fit_alone):
 def test_batch_probabilities_equal_each_column_fitted_alone(monkeypatch, frozen, folds):
     """Each column of a 12-column batch gets, bit for bit, the probabilities
     its own dataset gets when fitted alone, or the same ``FitError``."""
-    monkeypatch.setattr(pipeline, "calibrate", partial(calibrate, max_iter=5))  # some columns fail
+    monkeypatch.setattr(linclass, "_MAX_ITER", 5)  # some columns fail
     labels = np.repeat(np.arange(3), (9, 9, 12))
     gen = np.random.Generator(np.random.Philox(2))
     d = Dataset(gen.standard_normal((labels.size, 5)) + 0.5 * labels[:, None], labels, 3)
@@ -663,8 +663,8 @@ def test_failed_columns_carry_their_first_error(monkeypatch, reducer, max_passes
     d = Dataset(x, labels, len(sizes))
     spec = PipelineSpec(reducer=reducer, region_blocks=blocks)
     if max_passes is not None:
-        monkeypatch.setattr(pipeline, "svm_fit", partial(svm_fit, max_passes=max_passes))
-    monkeypatch.setattr(pipeline, "calibrate", partial(calibrate, max_iter=max_iter))
+        monkeypatch.setattr(linclass, "_MAX_PASSES", max_passes)
+    monkeypatch.setattr(linclass, "_MAX_ITER", max_iter)
     plans = [PermutationPlan(seed, r) for r in range(16)]
     batch = permute_labels(d, plans)
     with np.errstate(all="ignore"):
@@ -697,7 +697,7 @@ def test_errors_on_the_fit_batch_reuse_its_margins_bit_for_bit(monkeypatch, case
     the fit's margins; an equal batch that is another object computes them
     again, with the same bits."""
     spec, classes, max_iter, frozen = REUSE_CASES[case]
-    monkeypatch.setattr(pipeline, "calibrate", partial(calibrate, max_iter=max_iter))
+    monkeypatch.setattr(linclass, "_MAX_ITER", max_iter)
     d = synth_effect(30 // classes * 2, 6, 0.3, PermutationPlan(23, 0), classes=classes)
     model = fit_feature_maps(spec, d, PLAN) if frozen else spec
     batch = permute_labels(d, [PermutationPlan(29, r) for r in range(12)])
@@ -712,6 +712,56 @@ def test_errors_on_the_fit_batch_reuse_its_margins_bit_for_bit(monkeypatch, case
     assert (calls == {"reduce": [], "decision_values": []}) == (classes == 2)
     assert fitted.probabilities(equal).tobytes() == own_probs.tobytes()
     assert fitted.errors(equal) == own
+
+
+@pytest.mark.parametrize("case", ["pls", "blocks", "frozen", "three_class"])
+def test_only_a_fit_on_every_row_keeps_its_margins(case):
+    """A resubstitution fit, of permuted labels or of shuffled rows, keeps
+    the margins of each pair of all its rows; a fit on a training fold,
+    never predicted on its own rows, keeps none."""
+    spec, classes, _, frozen = REUSE_CASES[case]
+    d = synth_effect(30 // classes * 2, 6, 0.3, PermutationPlan(23, 0), classes=classes)
+    model = fit_feature_maps(spec, d, PLAN) if frozen else spec
+    plans = [PermutationPlan(29, r) for r in range(12)]
+    batch = permute_labels(d, plans)
+    for resub in (batch, shuffle_rows(d, plans)):
+        fitted = model.fit(resub)
+        pairs = [(bi, pi) for bi, (_, _, ps) in enumerate(fitted.blocks) for pi in range(len(ps))]
+        assert fitted.margins[0] is resub
+        assert sorted(fitted.margins[1]) == (pairs if classes == 2 else [])
+    train = np.stack([np.flatnonzero(row != 0) for row in stratified_folds(batch, 3)])
+    assert model.fit(batch.subset(train)).margins[1] == {}
+
+
+def _diverging_autoencoder():
+    """Features so large that an identity-output autoencoder's first loss
+    is not finite, and that autoencoder."""
+    gen = np.random.Generator(np.random.Philox(8))
+    d = Dataset(gen.standard_normal((20, 4)) * 1e200, np.repeat(np.arange(2), 10), 2)
+    return d, AeArchitecture(layer_widths_encoder=(2,), output_activation="identity", epochs=3,
+                             validation_fraction=0.0)
+
+
+def test_frozen_maps_raise_their_fit_errors():
+    flat = Dataset(np.ones((20, 3)), np.repeat(np.arange(2), 10), 2)
+    with pytest.raises(FitError, match="^degenerate PLS direction: covariance with labels is zero$"):
+        fit_feature_maps(PipelineSpec(reducer="pls"), flat, PLAN)
+    huge, arch = _diverging_autoencoder()
+    with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match="^non-finite training loss at epoch 0$"):
+        fit_feature_maps(PipelineSpec(ae=arch, reducer="none"), huge, PLAN)
+
+
+def test_a_batch_whose_every_autoencoder_diverges_fits_no_column():
+    d, arch = _diverging_autoencoder()
+    batch = permute_labels(d, [PermutationPlan(1, r) for r in range(3)])
+    with np.errstate(all="ignore"):
+        fitted = PipelineSpec(ae=arch, reducer="none").fit(batch)
+    assert fitted.columns == []
+    errors = fitted.errors(batch)
+    assert [type(e) for e in errors] == [DivergenceError] * 3
+    assert {str(e) for e in errors} == {"non-finite training loss at epoch 0"}
+    assert fitted.probabilities(batch).shape == (0, 20, 2)
 
 
 @pytest.mark.parametrize("classes", [2, 3, 4])
