@@ -17,8 +17,13 @@ column: the columns' parameters and Adam moments are stacked along a
 leading axis and every product is one stacked ``matmul``.  A column's
 arithmetic stays its own, so it gets the bits it gets in a stack of
 one, and a column whose loss stops being finite is recorded as failed
-without stopping the others.  :class:`AeModel`, :func:`ae_encode`,
-:func:`ae_batch_loss` and :func:`ae_gradient` are per model.
+without stopping the others.  One Adam step writes only into buffers
+made for the live stack (each layer's pre-activations, outputs and
+deltas, each gradient's view of the flat gradient, two temporaries for
+the moment and parameter updates), with the operations and order of the
+textbook expressions, so its bits are those of new arrays.
+:class:`AeModel`, :func:`ae_encode`, :func:`ae_batch_loss` and
+:func:`ae_gradient` are per model.
 
 Loss is the mean squared error over all entries of a batch, i.e.
 ``mean((x - reconstruction)**2)``.
@@ -26,6 +31,7 @@ Loss is the mean squared error over all entries of a batch, i.e.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -39,6 +45,9 @@ _ACTIVATIONS = ("sigmoid", "relu", "identity")
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+
+# Entered once per public call: a diverging fit ends in its DivergenceError, not a warning.
+_QUIET = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 # A stack whose training buffers would pass this many bytes trains in
 # parts, so memory stays near one column's when the columns are large.
@@ -128,61 +137,58 @@ def _layer_activations(m_arch: AeArchitecture, n_layers: int, out_act: str) -> l
     return [m_arch.activation] * (n_layers - 1) + [out_act]
 
 
-def _apply(kind: str, s: np.ndarray) -> np.ndarray:
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-s))
-    if kind == "relu":
-        return np.maximum(s, 0.0)
-    return s
+def _buffers(lead: tuple[int, ...], widths: Sequence[int], acts) -> list[tuple]:
+    """Per layer, for rows of shape ``lead``: its pre-activations, outputs (the
+    pre-activations for the identity), deltas, and a transposed view of its outputs."""
+    out = []
+    for width, kind in zip(widths[1:], acts):
+        s = np.empty(lead + (width,))
+        a = s if kind == "identity" else np.empty_like(s)
+        out.append((s, a, np.empty_like(s), a.swapaxes(-1, -2)))
+    return out
 
 
-def _apply_grad(kind: str, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation at pre-activation s (output a)."""
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    if kind == "relu":
-        return (s > 0.0).astype(np.float64)
-    return np.ones_like(s)
-
-
-def _forward(weights, biases, acts, x: np.ndarray):
-    """All layer outputs and pre-activations for a batch.
-
-    Works on one model's (n, w) rows or, with every parameter stacked
-    along a leading axis, on a stack of models' (R, n, w) rows.
-    """
-    outputs = [x]
-    pre = []
+def _forward(weights, biases, acts, x: np.ndarray, bufs) -> np.ndarray:
+    """The last layer's outputs for rows ``x``, each layer's pre-activations and
+    outputs written to the first two buffers of its ``bufs`` entry: one model's
+    (n, w) rows or, with every parameter stacked, a stack of models' (R, n, w)."""
     a = x
-    for w, b, kind in zip(weights, biases, acts):
-        s = a @ w + b
-        a = _apply(kind, s)
-        pre.append(s)
-        outputs.append(a)
-    return outputs, pre
+    for w, b, kind, (s, out, *_) in zip(weights, biases, acts, bufs):
+        np.matmul(a, w, out=s)
+        s += b
+        if kind == "sigmoid":
+            np.exp(np.negative(s, out=out), out=out)
+            np.divide(1.0, np.add(out, 1.0, out=out), out=out)  # 1 / (1 + e^-s)
+        elif kind == "relu":
+            np.maximum(s, 0.0, out=out)
+        a = out
+    return a
 
 
-def _gradient(weights, biases, acts, batch: np.ndarray):
-    """Gradient of each model's batch MSE for every weight and bias.
+def _gradient(weights, biases, acts, batch: np.ndarray, grads, bufs, transposed) -> None:
+    """Write into ``grads`` (every weight's, then every bias's) the gradient
+    of each model's batch MSE, overwriting the :func:`_buffers` ``bufs``;
+    ``transposed`` holds the weights' transposes.
 
     Parameters and ``batch`` may carry leading stack axes; each model's
     gradient then comes from its own slices alone, with the products and
     sums a single model takes, so it has the bits of that model alone.
     """
-    outputs, pre = _forward(weights, biases, acts, batch)
-    recon = outputs[-1]
-    delta = 2.0 * (recon - batch) / (batch.shape[-2] * batch.shape[-1])
-    delta = delta * _apply_grad(acts[-1], pre[-1], recon)
-    w_grads: list[np.ndarray] = [None] * len(weights)
-    b_grads: list[np.ndarray] = [None] * len(weights)
-    for layer in range(len(weights) - 1, -1, -1):
-        w_grads[layer] = np.swapaxes(outputs[layer], -1, -2) @ delta
-        b_grads[layer] = delta.sum(axis=-2).reshape(biases[layer].shape)
-        if layer > 0:
-            delta = (delta @ np.swapaxes(weights[layer], -1, -2)) * _apply_grad(
-                acts[layer - 1], pre[layer - 1], outputs[layer]
-            )
-    return w_grads, b_grads
+    layers = len(weights)
+    delta = np.subtract(_forward(weights, biases, acts, batch, bufs), batch, out=bufs[-1][2])
+    delta *= 2.0
+    delta /= batch.shape[-2] * batch.shape[-1]
+    for layer in range(layers - 1, -1, -1):
+        s, a, delta, _ = bufs[layer]
+        # times the activation's derivative at s (output a); the identity's is 1
+        if acts[layer] == "sigmoid":
+            delta *= np.multiply(np.subtract(1.0, a, out=s), a, out=s)
+        elif acts[layer] == "relu":
+            delta *= np.greater(s, 0.0, out=a)
+        np.matmul(bufs[layer - 1][3] if layer else batch.swapaxes(-1, -2), delta, out=grads[layer])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grads[layers + layer])
+        if layer:
+            np.matmul(delta, transposed[layer], out=bufs[layer - 1][2])
 
 
 def _activations(m: AeModel) -> list[str]:
@@ -191,9 +197,10 @@ def _activations(m: AeModel) -> list[str]:
 
 def ae_batch_loss(m: AeModel, batch: np.ndarray) -> float:
     """Mean squared reconstruction error over all entries of ``batch``."""
-    batch = np.asarray(batch, dtype=np.float64)
-    outputs, _ = _forward(m.weights, m.biases, _activations(m), batch)
-    return float(np.mean((outputs[-1] - batch) ** 2))
+    batch, acts = np.asarray(batch, dtype=np.float64), _activations(m)
+    bufs = _buffers(batch.shape[:-1], _full_widths(m.architecture, m.input_width), acts)
+    with _QUIET():
+        return float(np.mean((_forward(m.weights, m.biases, acts, batch, bufs) - batch) ** 2))
 
 
 def ae_gradient(m: AeModel, batch: np.ndarray):
@@ -206,8 +213,12 @@ def ae_gradient(m: AeModel, batch: np.ndarray):
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != m.input_width:
         raise ValueError(f"batch must be (b, {m.input_width})")
-    w_grads, b_grads = _gradient(m.weights, m.biases, _activations(m), batch)
-    return tuple(w_grads), tuple(b_grads)
+    acts = _activations(m)
+    grads = [np.empty_like(w) for w in m.weights] + [np.empty((1,) + b.shape) for b in m.biases]
+    bufs = _buffers(batch.shape[:-1], _full_widths(m.architecture, m.input_width), acts)
+    with _QUIET():
+        _gradient(m.weights, m.biases, acts, batch, grads, bufs, [w.T for w in m.weights])
+    return tuple(grads[: len(m.weights)]), tuple(g[0] for g in grads[len(m.weights) :])
 
 
 def ae_fit(
@@ -261,8 +272,8 @@ def ae_fit(
     # Adam's view: every weight, then every bias
     shapes = list(zip(widths[:-1], widths[1:])) + [(1, fan_out) for fan_out in widths[1:]]
     n_params = sum(a * b for a, b in shapes)
-    # a column's parameters, gradient and moments, and its rows' activations
-    part = max(1, _STACK_BYTES // (8 * (4 * n_params + 3 * n * sum(widths))))
+    # a column's parameters, gradient, moments and temporaries, and its rows' activations
+    part = max(1, _STACK_BYTES // (8 * (6 * n_params + 3 * n * sum(widths))))
     if size > part:
         models, failures = [], {}
         for at in range(0, size, part):
@@ -289,7 +300,7 @@ def ae_fit(
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     step = 0
-    lr = arch.learning_rate
+    lr, bs = arch.learning_rate, arch.batch_size
 
     batch_gens = [plan.rng(f"{tag}.batches") for plan, tag in keys]
     live = list(range(size))  # the stack's columns, in stack order
@@ -304,42 +315,53 @@ def ae_fit(
                             tuple(p[0, 0] for p in params[layers:]), out_act,
                             tuple(histories[j]))
 
-    for epoch in range(arch.epochs):
-        params = _views(theta, shapes)
-        grad = np.empty_like(theta)
-        grads = _views(grad, shapes)
-        order = np.stack([batch_gens[j].permutation(n_train) for j in live])
-        stack = np.arange(len(live))[:, None]
-        for start in range(0, n_train, arch.batch_size):
-            batch = x_split[stack, order[:, start : start + arch.batch_size]]
-            w_grads, b_grads = _gradient(params[:layers], params[layers:], acts, batch)
-            for into, g in zip(grads, w_grads + b_grads):
-                into[...] = g
-            step += 1
-            corr1 = 1.0 - _ADAM_BETA1**step
-            corr2 = 1.0 - _ADAM_BETA2**step
-            # In place, with the operations and order of
-            # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g**2 and
-            # theta = theta - lr * (m / corr1) / (sqrt(v / corr2) + eps).
-            m *= _ADAM_BETA1
-            m += (1 - _ADAM_BETA1) * grad
-            v *= _ADAM_BETA2
-            v += (1 - _ADAM_BETA2) * grad**2
-            theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + _ADAM_EPS)
-        train_mse, val_mse = _stack_losses(params, layers, acts, x_split, n_train)
-        keep = []
-        for k, j in enumerate(live):
-            if np.isfinite(train_mse[k]) and (not n_val or np.isfinite(val_mse[k])):
-                histories[j].append((float(train_mse[k]), float(val_mse[k])))
-                keep.append(k)
-            else:
-                failures[j] = DivergenceError(epoch)
-                leave(k, j)
-        if len(keep) < len(live):
-            live = [live[k] for k in keep]
-            theta, m, v, x_split = (a[keep] for a in (theta, m, v, x_split))
-        if not live:
-            break
+    with _QUIET():
+        for epoch in range(arch.epochs):
+            if epoch == 0 or len(theta) < len(grad):  # made again only when the stack shrinks
+                grad, temp, temp2 = (np.empty_like(theta) for _ in range(3))
+                params, grads = _views(theta, shapes), _views(grad, shapes)
+                weights, biases = params[:layers], params[layers:]
+                transposed = [w.swapaxes(-1, -2) for w in weights]
+                bufs = {rows: _buffers((len(live), rows), widths, acts)  # full and last batches
+                        for rows in (min(bs, n_train), n_train % bs or bs)}
+                # The loss pass needs no pre-activation, so each layer's outputs overwrite them.
+                scored = [(s, s) for s in (np.empty((len(live), n, w)) for w in widths[1:])]
+            order = np.stack([batch_gens[j].permutation(n_train) for j in live])
+            shuffled = x_split[np.arange(len(live))[:, None], order]
+            for start in range(0, n_train, bs):
+                batch = shuffled[:, start : start + bs]
+                _gradient(weights, biases, acts, batch, grads, bufs[batch.shape[1]], transposed)
+                step += 1
+                corr1 = 1.0 - _ADAM_BETA1**step
+                corr2 = 1.0 - _ADAM_BETA2**step
+                # In place, with the operations and order of
+                # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g**2 and
+                # theta = theta - lr * (m / corr1) / (sqrt(v / corr2) + eps).
+                m *= _ADAM_BETA1
+                m += np.multiply(grad, 1 - _ADAM_BETA1, out=temp)
+                v *= _ADAM_BETA2
+                v += np.multiply(np.square(grad, out=temp2), 1 - _ADAM_BETA2, out=temp2)
+                np.multiply(np.divide(m, corr1, out=temp), lr, out=temp)
+                np.add(np.sqrt(np.divide(v, corr2, out=temp2), out=temp2), _ADAM_EPS, out=temp2)
+                theta -= np.divide(temp, temp2, out=temp)
+            # Each split's mean squared error, with the bits of its rows alone.
+            sq = _forward(weights, biases, acts, x_split, scored)
+            np.square(np.subtract(sq, x_split, out=sq), out=sq)
+            train_mse = sq[:, :n_train].mean(axis=(1, 2))
+            val_mse = sq[:, n_train:].mean(axis=(1, 2)) if n_val else np.full(len(live), np.nan)
+            keep = []
+            for k, j in enumerate(live):
+                if np.isfinite(train_mse[k]) and (not n_val or np.isfinite(val_mse[k])):
+                    histories[j].append((float(train_mse[k]), float(val_mse[k])))
+                    keep.append(k)
+                else:
+                    failures[j] = DivergenceError(epoch)
+                    leave(k, j)
+            if len(keep) < len(live):
+                live = [live[k] for k in keep]
+                theta, m, v, x_split = (a[keep] for a in (theta, m, v, x_split))
+            if not live:
+                break
     for k, j in enumerate(live):
         leave(k, j)
     return models, failures
@@ -355,24 +377,14 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return out
 
 
-def _stack_losses(params, layers: int, acts, x: np.ndarray, n_train: int):
-    """Each stacked model's mean squared error over its first ``n_train`` rows
-    of ``x`` and over the rest (NaN if none), with the bits of those rows alone."""
-    a = x
-    for w, b, kind in zip(params[:layers], params[layers:], acts):
-        a = _apply(kind, a @ w + b)  # as in _forward, keeping one layer at a time
-    sq = (a - x) ** 2
-    val = sq[:, n_train:].mean(axis=(1, 2)) if n_train < x.shape[1] else np.full(len(x), np.nan)
-    return sq[:, :n_train].mean(axis=(1, 2)), val
-
-
 def ae_encode(m: AeModel, x: np.ndarray) -> np.ndarray:
     """Map rows of ``x`` to their code-layer activations."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.input_width:
         raise ValueError(f"x must be (n, {m.input_width})")
     layers = m.encoder_layers
-    outputs, _ = _forward(m.weights[:layers], m.biases[:layers],
-                          (m.architecture.activation,) * layers, x)
-    return outputs[-1]
+    acts = (m.architecture.activation,) * layers
+    bufs = _buffers(x.shape[:-1], _full_widths(m.architecture, m.input_width)[: layers + 1], acts)
+    with _QUIET():
+        return _forward(m.weights[:layers], m.biases[:layers], acts, x, bufs)
 

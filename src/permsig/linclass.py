@@ -474,11 +474,10 @@ def calibrate(margins: np.ndarray, y: np.ndarray):
         nonlocal live, m, t, sq, a, b, current, z
         if not done.any():
             return rest
-        for j in np.flatnonzero(done):
-            if message is None:
-                slope[live[j]], intercept[live[j]] = a[j], b[j]
-            else:
-                failures[int(live[j])] = FitError(message)
+        if message is None:
+            slope[live[done]], intercept[live[done]] = a[done], b[done]
+        else:
+            failures.update((int(j), FitError(message)) for j in live[done])
         keep = ~done
         live, a, b, current = live[keep], a[keep], b[keep], current[keep]
         m = m[keep]  # one at a time, so no two copies of the state coexist
@@ -515,13 +514,13 @@ def calibrate(margins: np.ndarray, y: np.ndarray):
         db = -(-h12 * ga + h11 * gb) / det
 
         # The full step first (1.0 * d is d); the columns that reject it try up to 8
-        # halvings per call, no more trial rows than columns.  A trial has the bits
-        # of one made alone, so the first of (da, db) * 2**-i, i < 40, accepted wins.
+        # halvings per call, no more trial rows than the batch has columns.  A trial has
+        # the bits of one made alone, so the first of (da, db) * 2**-i, i < 40, accepted wins.
         value, z_new = nll(a + da, b + db, m, t)
         searching, f, tried = ~(value <= current), 1.0, 1
         while tried < 40 and searching.any():
             rows = np.flatnonzero(searching)
-            k = min(8, 40 - tried, live.size // rows.size)
+            k = min(8, 40 - tried, len(y) // rows.size)
             fs = np.ldexp(f, -np.arange(1, k + 1))
             f, tried, at = fs[-1], tried + k, np.repeat(rows, k)
             ta, tb = (fs * da[rows, None]).ravel(), (fs * db[rows, None]).ravel()

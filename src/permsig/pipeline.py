@@ -294,25 +294,27 @@ def _codes(batch: Batch, cols: tuple[int, ...], models, cache: dict) -> np.ndarr
     return np.stack([z[rows] for z, rows in zip(codes, batch.rows)])
 
 
-def _pair_data(z: np.ndarray, labels: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's rows of classes ``a`` and ``b``, with signed targets, +1 = ``b``.
-
-    ``z`` holds each column's rows, (R, n, width), or rows shared by all
-    columns, (n, width); ``labels`` is (R, n).  Every column must hold as
-    many rows of ``a``, and of ``b``, as every other.
-    """
+def _pair_rows(labels: np.ndarray, a: int, b: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """Each column's rows of classes ``a`` and ``b`` in the (R, n) ``labels``
+    (None when they are all its rows), with signed targets, +1 = ``b``.  Every
+    column must hold as many rows of ``a``, and of ``b``, as every other."""
     n_a, n_b = (labels == a).sum(axis=1), (labels == b).sum(axis=1)
     if np.any(n_a != n_a[0]) or np.any(n_b != n_b[0]):
         raise ValueError("columns of a batch need equal class counts")
     if n_a[0] == 0 or n_b[0] == 0:
         raise FitError(f"class pair ({a}, {b}) is empty or single-class in training data")
     if n_a[0] + n_b[0] == labels.shape[1]:
-        return z, np.where(labels == b, 1.0, -1.0)
+        return None, np.where(labels == b, 1.0, -1.0)
     rows = np.nonzero((labels == a) | (labels == b))[1].reshape(len(labels), -1)
-    y = np.where(np.take_along_axis(labels, rows, axis=1) == b, 1.0, -1.0)
-    if z.ndim == 2:
-        return z[rows], y
-    return np.take_along_axis(z, rows[:, :, None], axis=1), y
+    return rows, np.where(np.take_along_axis(labels, rows, axis=1) == b, 1.0, -1.0)
+
+
+def _pair_data(z: np.ndarray, rows: np.ndarray | None, y: np.ndarray):
+    """The ``rows`` and targets ``y`` of :func:`_pair_rows`, with ``z`` each
+    column's rows, (R, n, width), or rows shared by all columns, (n, width)."""
+    if rows is not None:
+        z = z[rows] if z.ndim == 2 else np.take_along_axis(z, rows[:, :, None], axis=1)
+    return z, y
 
 
 def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
@@ -394,6 +396,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
         return FittedBatch([], batch.class_count, batch.n_features, [], failures)
     live, size, codes = batch.select(columns), len(columns), {}
     first: dict[int, tuple[tuple[int, int], FitError]] = {}  # live position -> (problem, stage)
+    selected = {}  # each class pair's rows and targets, chosen once for every block
 
     def record(owners, stage: int, errors: dict) -> None:
         """Keep each column's earliest error.  ``errors`` are keyed by the
@@ -412,7 +415,9 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
             cols, models = extractors[bi]
             z, block = _codes(live, cols, tuple(models[j] for j in columns), codes), bi
         try:
-            feats, y = _pair_data(z, live.labels, a, b)
+            if (a, b) not in selected:
+                selected[a, b] = _pair_rows(live.labels, a, b)
+            feats, y = _pair_data(z, *selected[a, b])
             if reducers is None:
                 red, failed = _fit_reducer(spec, feats, y)
             else:
@@ -425,7 +430,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
         key = (y.shape[1], int(np.count_nonzero(y[0] > 0)), scores.shape[-1])
         problems.append((bi, (a, b), red, key))
         stacks.setdefault(key, []).append((p, scores, y))
-    z = feats = scores = None  # the stacks alone hold the scores now
+    z = feats = scores = selected = None  # the stacks alone hold the scores and targets now
 
     fits = {}
     for key in list(stacks):
@@ -499,7 +504,8 @@ def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "
         z = _encode(model, d.features.take(cols, axis=1))
         if spec.reducer == "pls":
             for pair in pairs:
-                red, failed = _fit_reducer(spec, *_pair_data(z[None], d.labels[None], *pair))
+                pair_rows = _pair_rows(d.labels[None], *pair)
+                red, failed = _fit_reducer(spec, *_pair_data(z[None], *pair_rows))
                 if failed:
                     raise failed[0]
                 reducers[bi, pair] = red.column(0)

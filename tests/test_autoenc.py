@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -223,11 +224,27 @@ def test_divergence_carries_epoch():
         learning_rate=1e76,
         validation_fraction=0.0,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, failures = ae_fit(x[None], arch, [(PermutationPlan(0, 0), "ae")])
+    _, failures = ae_fit(x[None], arch, [(PermutationPlan(0, 0), "ae")])
     assert list(failures) == [0]
     assert isinstance(failures[0], DivergenceError)
     assert 0 <= failures[0].epoch < 50
+
+
+def test_a_diverging_fit_ends_in_its_error_without_a_warning():
+    # The sigmoid of a pre-activation below -709 overflows e^-s, and the
+    # loss of inputs near 1e200 overflows; each public call silences both.
+    gen = np.random.Generator(np.random.Philox(65))
+    x = gen.standard_normal((20, 4)) * 1e200
+    arch = AeArchitecture(layer_widths_encoder=(2,), output_activation="identity", epochs=3,
+                          validation_fraction=0.0)
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        (model,), failures = ae_fit(x[None], arch, [(PermutationPlan(0, 0), "ae")])
+        assert str(failures[0]) == "non-finite training loss at epoch 0"
+        assert not np.isfinite(ae_batch_loss(model, x))
+        ae_gradient(model, x)
+        ae_encode(model, x)
+    assert np.geterr()["over"] == np.geterr()["invalid"] == "warn"
 
 
 def test_encode_shape_and_width_check():
@@ -258,8 +275,7 @@ def test_large_stack_trains_in_parts_with_the_same_bits(monkeypatch):
     runs = []
     for budget in (autoenc._STACK_BYTES, 1):
         monkeypatch.setattr(autoenc, "_STACK_BYTES", budget)
-        with np.errstate(over="ignore", invalid="ignore"):
-            models, failures = ae_fit(x, arch, keys)
+        models, failures = ae_fit(x, arch, keys)
         assert {j: exc.epoch for j, exc in failures.items()} == {2: 0}
         runs.append([_model_digest(m) for m in models])
     assert runs[0] == runs[1]
@@ -331,3 +347,104 @@ def test_one_pass_scores_each_split_as_its_rows_alone(columns, n, width, widths,
         train, val = model.training_history[-1]
         assert train == ae_batch_loss(model, rows[:n_train])
         assert val == ae_batch_loss(model, rows[n_train:]) if vf else np.isnan(val)
+
+
+def _reference_fit(x, arch, plan, tag):
+    """One column's fit by the step :func:`ae_fit` took before it wrote
+    into reused buffers: every product a new array, the gradient copied
+    into the flat one, and Adam's moments and update as whole-array
+    expressions.  Returns ``(weights, biases, history, failed epoch or None)``."""
+    n, width = x.shape
+    widths = autoenc._full_widths(arch, width)
+    layers = len(widths) - 1
+    shapes = list(zip(widths[:-1], widths[1:])) + [(1, w) for w in widths[1:]]
+    theta = np.zeros((1, sum(a * b for a, b in shapes)))
+    init = plan.rng(f"{tag}.init")
+    for w, (fan_in, fan_out) in zip(autoenc._views(theta, shapes), shapes[:layers]):
+        a = np.sqrt(6.0 / (fan_in + fan_out))
+        w[0] = init.uniform(-a, a, size=(fan_in, fan_out))
+    n_train = n - int(np.floor(n * arch.validation_fraction))
+    rows = x[plan.rng(f"{tag}.split").permutation(n)][None]
+    acts = [arch.activation] * (layers - 1) + [arch.output_for(x)]
+    apply = {"sigmoid": lambda s: 1.0 / (1.0 + np.exp(-s)),
+             "relu": lambda s: np.maximum(s, 0.0), "identity": lambda s: s}
+    slope = {"sigmoid": lambda s, a: a * (1.0 - a),
+             "relu": lambda s, a: (s > 0.0).astype(np.float64),
+             "identity": lambda s, a: np.ones_like(s)}
+
+    def forward(params, batch):
+        outputs, pre = [batch], []
+        for w, b, kind in zip(params[:layers], params[layers:], acts):
+            pre.append(outputs[-1] @ w + b)
+            outputs.append(apply[kind](pre[-1]))
+        return outputs, pre
+
+    m, v, step, history = np.zeros_like(theta), np.zeros_like(theta), 0, []
+    batches = plan.rng(f"{tag}.batches")
+    for epoch in range(arch.epochs):
+        params = autoenc._views(theta, shapes)
+        grad = np.empty_like(theta)
+        order = batches.permutation(n_train)
+        for start in range(0, n_train, arch.batch_size):
+            batch = rows[:, order[start : start + arch.batch_size]]
+            outputs, pre = forward(params, batch)
+            delta = 2.0 * (outputs[-1] - batch) / (batch.shape[-2] * batch.shape[-1])
+            delta = delta * slope[acts[-1]](pre[-1], outputs[-1])
+            grads = [None] * (2 * layers)
+            for layer in range(layers - 1, -1, -1):
+                grads[layer] = np.swapaxes(outputs[layer], -1, -2) @ delta
+                grads[layers + layer] = delta.sum(axis=-2).reshape(params[layers + layer].shape)
+                if layer > 0:
+                    delta = (delta @ np.swapaxes(params[layer], -1, -2)) * slope[acts[layer - 1]](
+                        pre[layer - 1], outputs[layer])
+            for into, g in zip(autoenc._views(grad, shapes), grads):
+                into[...] = g
+            step += 1
+            corr1, corr2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            m = 0.9 * m + (1 - 0.9) * grad
+            v = 0.999 * v + (1 - 0.999) * grad**2
+            theta -= arch.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + 1e-8)
+        sq = (forward(params, rows)[0][-1] - rows) ** 2
+        train = sq[:, :n_train].mean(axis=(1, 2))[0]
+        val = sq[:, n_train:].mean(axis=(1, 2))[0] if n_train < n else np.nan
+        if not (np.isfinite(train) and (n_train == n or np.isfinite(val))):
+            break
+        history.append((float(train), float(val)))
+    else:
+        epoch = None
+    params = autoenc._views(theta, shapes)
+    return params[:layers], params[layers:], history, epoch
+
+
+# name: (columns, n, width, encoder widths, activation, output activation,
+#        validation fraction, batch size, epochs, learning rate)
+REFERENCE_CASES = {
+    "sigmoid_sigmoid_partial": (2, 23, 5, (3, 2), "sigmoid", "sigmoid", 0.3, 4, 4, 0.01),
+    "relu_identity_no_split": (16, 14, 4, (3,), "relu", "identity", 0.0, 5, 3, 0.02),
+    "identity_identity_code_1": (1, 17, 3, (2, 1), "identity", "identity", 0.25, 6, 5, 0.01),
+    "relu_sigmoid_one_batch": (2, 9, 4, (3, 2), "relu", "sigmoid", 0.0, 32, 6, 0.05),
+    # Adam's steps are about the learning rate, so at this one columns 9,
+    # 15, 4 and 11 overflow at epochs 9, 11, 17 and 17 and leave the stack.
+    "sigmoid_identity_diverging": (16, 20, 4, (3,), "sigmoid", "identity", 0.0, 1, 20, 5e152),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_fit_equals_the_step_without_reused_buffers_bit_for_bit(case):
+    columns, n, width, widths, act, out, vf, bs, epochs, lr = REFERENCE_CASES[case]
+    gen = np.random.Generator(np.random.Philox(64))
+    shape = (columns, n, width)
+    x = gen.random(shape) if out == "sigmoid" else gen.standard_normal(shape)
+    arch = AeArchitecture(widths, activation=act, output_activation=out, epochs=epochs,
+                          learning_rate=lr, batch_size=bs, validation_fraction=vf)
+    keys = [(PermutationPlan(6, j), "ae") for j in range(columns)]
+    models, failures = ae_fit(x, arch, keys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [_reference_fit(x[j], arch, *keys[j]) for j in range(columns)]
+    assert {j: exc.epoch for j, exc in failures.items()} == {
+        j: epoch for j, (*_, epoch) in enumerate(want) if epoch is not None}
+    assert len(failures) == (4 if "diverging" in case else 0)
+    for model, (weights, biases, history, _) in zip(models, want):
+        assert [w.tobytes() for w in model.weights] == [w[0].tobytes() for w in weights]
+        assert [b.tobytes() for b in model.biases] == [b[0, 0].tobytes() for b in biases]
+        assert repr(model.training_history) == repr(tuple(history))  # NaN != NaN

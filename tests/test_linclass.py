@@ -772,6 +772,27 @@ def test_calibrate_equals_one_trial_per_call_bit_for_bit(monkeypatch, cols, max_
         assert len(failed) == cols
 
 
+def test_a_lone_straggler_equals_one_trial_per_call_bit_for_bit(monkeypatch):
+    # At seed 98 the nine other columns settle within four Newton
+    # iterations, so column 6 line-searches alone in its sixth, where it
+    # rejects 12 step lengths: it tries 8 per call, as the batch's 10
+    # columns allow, and keeps the bits of one try per call.
+    margins, y = _null_scores(98, 98)
+    cols = [6, 0, 2, 4, 8, 9, 16, 18, 24, 27]
+    margins, y = margins[cols], y[cols]
+    rows = []
+    softplus = linclass._softplus
+    monkeypatch.setattr(linclass, "_softplus", lambda z: rows.append(len(z)) or softplus(z))
+    trials = []
+    want, want_failed = _calibrate_one_trial_per_call(margins, y, trials=trials)
+    got, failed = calibrate(margins, y)
+    assert got.slope.tobytes() == want.slope.tobytes()
+    assert got.intercept.tobytes() == want.intercept.tobytes()
+    assert failed == want_failed == {}
+    assert max(trials) == 13
+    assert rows[-3:] == [1, 8, 8]  # the full step, then two calls of 8 halvings
+
+
 def test_calibrated_probability_of_very_negative_logits_is_zero_without_warning():
     # The slope is 882.76, so a margin of -1 is a logit below -709, where
     # e^-z overflows to inf; the probability is still exactly 0.

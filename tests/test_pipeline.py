@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -374,8 +375,7 @@ def test_frozen_fit_bits_pinned(case):
         if red is not None:
             digest.update(red.mean.tobytes())
             digest.update(red.directions.tobytes())
-    with np.errstate(all="ignore"):
-        digest.update(model.fit(batch).probabilities(batch).tobytes())
+    digest.update(model.fit(batch).probabilities(batch).tobytes())
     assert digest.hexdigest()[:16] == FROZEN_PINS[case]
 
 
@@ -587,15 +587,13 @@ def test_stacked_autoencoders_equal_each_fitted_alone(monkeypatch, case):
     stacks = []
     monkeypatch.setattr(pipeline, "ae_fit", lambda x, a, keys: stacks.append(len(keys))
                         or ae_fit(x, a, keys))
-    with np.errstate(all="ignore"):
-        extractors, failures = pipeline._fit_extractors(spec, batch, "fit")
+    extractors, failures = pipeline._fit_extractors(spec, batch, "fit")
     assert stacks == [2 * columns]
     for j, plan in enumerate(plans):
         alone, first = [], None
         for bi, cols in enumerate(blocks):
-            with np.errstate(all="ignore"):
-                (model,), failed = ae_fit(batch.column_rows(j)[:, cols][None], arch,
-                                          [(plan, f"fit.b{bi}.ae")])
+            (model,), failed = ae_fit(batch.column_rows(j)[:, cols][None], arch,
+                                      [(plan, f"fit.b{bi}.ae")])
             alone.append(model)
             first = first or failed.get(0)
         if first is not None:
@@ -676,6 +674,28 @@ def test_failed_columns_carry_their_first_error(monkeypatch, reducer, max_passes
     assert stages == ({"degenerate", "calibration"} if reducer == "pls" else {"SVM", "calibration"})
 
 
+def test_an_empty_class_pair_fails_at_its_first_problem(monkeypatch):
+    # Three classes in two blocks, and class 2 absent: block 0's (0, 1) is
+    # fitted, then its (0, 2) fails every column that has not failed yet.
+    # Each pair's rows are chosen once per fit, and the error still comes
+    # at the pair's first problem, after the problems before it.
+    monkeypatch.setattr(linclass, "_MAX_PASSES", 8)
+    monkeypatch.setattr(linclass, "_MAX_ITER", 6)
+    labels = np.repeat(np.arange(2), (9, 12))
+    x = np.random.default_rng(2).standard_normal((labels.size, 5)) + labels[:, None]
+    spec = PipelineSpec(reducer="none", region_blocks=((0, 1), (2, 3, 4)))
+    batch = permute_labels(Dataset(x, labels, 3), [PermutationPlan(2, r) for r in range(16)])
+    fitted = spec.fit(batch)
+    assert fitted.columns == []
+    empty = "class pair (0, 2) is empty or single-class in training data"
+    first_block = PipelineSpec(reducer="none", region_blocks=((0, 1),))
+    for j in range(batch.size):
+        alone = _fit_one_pair_at_a_time(first_block, Dataset(x, batch.labels[j], 2))
+        assert str(fitted.failures[j]) == (str(alone) if isinstance(alone, FitError) else empty)
+    messages = [str(exc) for exc in fitted.failures.values()]
+    assert 0 < messages.count(empty) < batch.size
+
+
 # name: (spec, classes, calibration max_iter, frozen maps)
 REUSE_CASES = {
     "pls": (PipelineSpec(reducer="pls"), 2, 100, False),
@@ -747,16 +767,25 @@ def test_frozen_maps_raise_their_fit_errors():
     with pytest.raises(FitError, match="^degenerate PLS direction: covariance with labels is zero$"):
         fit_feature_maps(PipelineSpec(reducer="pls"), flat, PLAN)
     huge, arch = _diverging_autoencoder()
-    with np.errstate(all="ignore"), pytest.raises(
-            DivergenceError, match="^non-finite training loss at epoch 0$"):
+    with pytest.raises(DivergenceError, match="^non-finite training loss at epoch 0$"):
         fit_feature_maps(PipelineSpec(ae=arch, reducer="none"), huge, PLAN)
+
+
+def test_diverging_autoencoders_raise_no_floating_point_warning():
+    # numpy's default handling, every warning an error, and no errstate around the fits
+    d, arch = _diverging_autoencoder()
+    batch = permute_labels(d, [PermutationPlan(1, r) for r in range(3)])
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="^non-finite training loss at epoch 0$"):
+            fit_feature_maps(PipelineSpec(ae=arch, reducer="none"), d, PLAN)
+        assert PipelineSpec(ae=arch, reducer="none").fit(batch).columns == []
 
 
 def test_a_batch_whose_every_autoencoder_diverges_fits_no_column():
     d, arch = _diverging_autoencoder()
     batch = permute_labels(d, [PermutationPlan(1, r) for r in range(3)])
-    with np.errstate(all="ignore"):
-        fitted = PipelineSpec(ae=arch, reducer="none").fit(batch)
+    fitted = PipelineSpec(ae=arch, reducer="none").fit(batch)
     assert fitted.columns == []
     errors = fitted.errors(batch)
     assert [type(e) for e in errors] == [DivergenceError] * 3
