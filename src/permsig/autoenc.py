@@ -148,6 +148,11 @@ def _buffers(lead: tuple[int, ...], widths: Sequence[int], acts) -> list[tuple]:
     return out
 
 
+def _outputs(lead: tuple[int, ...], widths: Sequence[int]) -> list[tuple]:
+    """Per layer, one buffer for rows of shape ``lead``: outputs overwrite pre-activations."""
+    return [(s, s) for s in (np.empty(lead + (width,)) for width in widths[1:])]
+
+
 def _forward(weights, biases, acts, x: np.ndarray, bufs) -> np.ndarray:
     """The last layer's outputs for rows ``x``, each layer's pre-activations and
     outputs written to the first two buffers of its ``bufs`` entry: one model's
@@ -198,7 +203,7 @@ def _activations(m: AeModel) -> list[str]:
 def ae_batch_loss(m: AeModel, batch: np.ndarray) -> float:
     """Mean squared reconstruction error over all entries of ``batch``."""
     batch, acts = np.asarray(batch, dtype=np.float64), _activations(m)
-    bufs = _buffers(batch.shape[:-1], _full_widths(m.architecture, m.input_width), acts)
+    bufs = _outputs(batch.shape[:-1], _full_widths(m.architecture, m.input_width))
     with _QUIET():
         return float(np.mean((_forward(m.weights, m.biases, acts, batch, bufs) - batch) ** 2))
 
@@ -324,8 +329,7 @@ def ae_fit(
                 transposed = [w.swapaxes(-1, -2) for w in weights]
                 bufs = {rows: _buffers((len(live), rows), widths, acts)  # full and last batches
                         for rows in (min(bs, n_train), n_train % bs or bs)}
-                # The loss pass needs no pre-activation, so each layer's outputs overwrite them.
-                scored = [(s, s) for s in (np.empty((len(live), n, w)) for w in widths[1:])]
+                scored = _outputs((len(live), n), widths)
             order = np.stack([batch_gens[j].permutation(n_train) for j in live])
             shuffled = x_split[np.arange(len(live))[:, None], order]
             for start in range(0, n_train, bs):
@@ -384,7 +388,7 @@ def ae_encode(m: AeModel, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"x must be (n, {m.input_width})")
     layers = m.encoder_layers
     acts = (m.architecture.activation,) * layers
-    bufs = _buffers(x.shape[:-1], _full_widths(m.architecture, m.input_width)[: layers + 1], acts)
+    bufs = _outputs(x.shape[:-1], _full_widths(m.architecture, m.input_width)[: layers + 1])
     with _QUIET():
         return _forward(m.weights[:layers], m.biases[:layers], acts, x, bufs)
 

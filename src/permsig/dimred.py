@@ -1,11 +1,12 @@
 """Linear dimensionality reduction: single-component PLS and PCA.
 
 Both reducers store a column mean and a set of unit-norm projection
-directions; :func:`reduce` applies them to new data.  PLS extracts the
-single direction of maximal covariance with a signed binary response and
-is refit wherever labels change (per training fold, per class pair).
-PCA is the unsupervised fallback for data without labels.  A PLS fit
-takes only a batch of columns along a leading axis and returns
+directions, each one per column of a batch along a leading axis or one
+that every column shares; :func:`reduce` applies them to new data.  PLS
+extracts the single direction of maximal covariance with a signed binary
+response and is refit wherever labels change (per training fold, per
+class pair).  PCA is the unsupervised fallback for data without labels.
+A PLS fit takes only a batch of columns along a leading axis and returns
 ``(reducer, failures)``: a direction for every column, zero for a
 degenerate one, and the ``FitError`` of each degenerate column.
 """
@@ -27,9 +28,9 @@ class LinearReducer:
 
     Parameters
     ----------
-    mean : ndarray, shape (N,) or (R, N)
+    mean : ndarray, shape (N,), or (R, N) with one mean per column
         Column mean subtracted before projecting.
-    directions : ndarray, shape (N, r) or (R, N, r)
+    directions : ndarray, shape (N, r), or (R, N, r) with one set per column
         Unit-norm projection directions, one column per component.
     """
 
@@ -39,25 +40,21 @@ class LinearReducer:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=np.float64, copy=True)
         dirs = np.array(self.directions, dtype=np.float64, copy=True)
-        if mean.ndim not in (1, 2) or dirs.ndim != mean.ndim + 1 or dirs.shape[:-1] != mean.shape:
-            raise ValueError("mean must be (N,) and directions (N, r), or (R, N) and (R, N, r)")
+        if dirs.ndim not in (2, 3) or mean.shape not in (dirs.shape[-2:-1], dirs.shape[:-1]):
+            raise ValueError("directions must be (N, r) or (R, N, r), and mean (N,) or (R, N)")
         mean.setflags(write=False)
         dirs.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "directions", dirs)
 
-    def column(self, j: int) -> "LinearReducer":
-        """Column ``j`` of a batch; a single reducer is every column's."""
-        if self.mean.ndim == 1:
-            return self
-        return LinearReducer(self.mean[j], self.directions[j])
-
     def select(self, columns) -> "LinearReducer":
-        """The batch of the listed columns, in that order; a single
-        reducer is every column's."""
-        if self.mean.ndim == 1:
+        """The batch of the listed columns, in that order, or the one
+        column of an integer; a reducer with no column axis is every
+        column's."""
+        if self.directions.ndim == 2:
             return self
-        return LinearReducer(self.mean[columns], self.directions[columns])
+        mean = self.mean if self.mean.ndim == 1 else self.mean[columns]
+        return LinearReducer(mean, self.directions[columns])
 
 
 def pls1_fit(x: np.ndarray, y: np.ndarray):
@@ -72,7 +69,7 @@ def pls1_fit(x: np.ndarray, y: np.ndarray):
     Parameters
     ----------
     x : ndarray, shape (R, n, N) for a batch of R columns, or (n, N)
-        rows that every column shares
+        rows that every column shares, which give one shared (N,) mean
     y : ndarray, shape (R, n)
         Signed labels of each column, both of ``-1`` and ``+1`` present.
 
@@ -117,7 +114,6 @@ def pls1_fit(x: np.ndarray, y: np.ndarray):
     failures = {int(j): FitError("degenerate PLS direction: covariance with labels is zero")
                 for j in np.flatnonzero(degenerate)}
     w[degenerate], norm[degenerate] = 0.0, 1.0
-    mean = np.broadcast_to(mean, w.shape)
     return LinearReducer(mean, (w / norm[:, None])[:, :, None]), failures
 
 
@@ -136,7 +132,7 @@ def pca_fit(x: np.ndarray, r: int) -> LinearReducer:
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
-        return pca_fit(x[None], r).column(0)
+        return pca_fit(x[None], r).select(0)
     if x.ndim != 3:
         raise ValueError("x must be (n, N) or (R, n, N)")
     _, n, n_feat = x.shape
@@ -161,19 +157,16 @@ def reduce(m: LinearReducer, x: np.ndarray) -> np.ndarray:
     Returns the ``(..., n, r)`` scores ``(x - mean) @ directions``.  A
     batch of reducers projects a batch ``x`` of shape (R, n, N), or the
     same (n, N) rows for every column; the product is taken column by
-    column.  Shared rows are centred once when every column's mean has
-    the same bits, as a ``pls1_fit`` on shared rows gives.
+    column.  Shared rows are centred once when the mean is shared too,
+    as a ``pls1_fit`` on shared rows gives.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != m.mean.shape[-1]:
         raise ValueError(f"x must have {m.mean.shape[-1]} columns, got "
                          f"{x.shape[-1] if x.ndim in (2, 3) else 'non-2D'}")
-    mean = m.mean
-    if x.ndim == 2 and mean.ndim == 2 and (mean.view(np.int64) == mean[:1].view(np.int64)).all():
-        mean = mean[0]
     # A product's rounding depends on its operands' memory layout, which
     # broadcasting may leave in any order; C order makes every column's
     # product the one a single reducer computes.
-    mean = mean[..., None, :]
+    mean = m.mean[..., None, :]
     centered = np.subtract(x, mean, out=np.empty(np.broadcast_shapes(x.shape, mean.shape)))
     return np.matmul(centered, m.directions)

@@ -508,7 +508,7 @@ def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "
                 red, failed = _fit_reducer(spec, *_pair_data(z[None], *pair_rows))
                 if failed:
                     raise failed[0]
-                reducers[bi, pair] = red.column(0)
+                reducers[bi, pair] = red.select(0)
         else:
             shared = _fit_reducer(spec, z, None)[0]
             reducers.update({(bi, pair): shared for pair in pairs})

@@ -258,6 +258,22 @@ def test_encode_shape_and_width_check():
         ae_encode(model, np.zeros((3, 6)))
 
 
+@pytest.mark.parametrize("out", ["sigmoid", "identity"])
+@pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
+def test_encode_and_loss_equal_a_forward_pass_of_new_arrays_bit_for_bit(activation, out):
+    # Both write each layer's outputs over its pre-activations, in one
+    # buffer per layer; every product here is a new array.
+    apply = {"sigmoid": lambda s: 1.0 / (1.0 + np.exp(-s)),
+             "relu": lambda s: np.maximum(s, 0.0), "identity": lambda s: s}
+    model = make_model(6, (4, 2), activation=activation, out=out, seed=7)
+    x = np.random.Generator(np.random.Philox(65)).standard_normal((23, 6))
+    outputs = [x]
+    for w, b, kind in zip(model.weights, model.biases, [activation] * 3 + [out]):
+        outputs.append(apply[kind](outputs[-1] @ w + b))
+    assert ae_encode(model, x).tobytes() == outputs[model.encoder_layers].tobytes()
+    assert ae_batch_loss(model, x) == float(np.mean((outputs[-1] - x) ** 2))
+
+
 def test_code_wider_than_input_rejected():
     arch = AeArchitecture(layer_widths_encoder=(9,), epochs=1)
     with pytest.raises(ValueError, match="code width"):

@@ -21,7 +21,7 @@ def pls_one(x, y) -> LinearReducer:
     must not fail."""
     red, failures = pls1_fit(x[None], y[None])
     assert failures == {}
-    return red.column(0)
+    return red.select(0)
 
 
 # ------------------------------------------------------------------- PLS
@@ -177,13 +177,14 @@ def test_batched_pls_equals_single_fits_bit_for_bit(cols):
     (own, failed), (shared, _) = pls1_fit(x, y), pls1_fit(x[0], y)
     assert failed == {}
     assert own.directions.shape == (cols, 5, 1) and own.mean.shape == (cols, 5)
+    assert shared.directions.shape == (cols, 5, 1) and shared.mean.shape == (5,)
     for j in range(cols):
         one = pls_one(x[j], y[j])
-        np.testing.assert_array_equal(own.column(j).directions, one.directions)
-        np.testing.assert_array_equal(own.column(j).mean, one.mean)
+        np.testing.assert_array_equal(own.select(j).directions, one.directions)
+        np.testing.assert_array_equal(own.select(j).mean, one.mean)
         np.testing.assert_array_equal(reduce(own, x)[j], reduce(one, x[j]))
-        np.testing.assert_array_equal(shared.column(j).directions, pls_one(x[0], y[j]).directions)
-        np.testing.assert_array_equal(reduce(shared, x[0])[j], reduce(shared.column(j), x[0]))
+        np.testing.assert_array_equal(shared.select(j).directions, pls_one(x[0], y[j]).directions)
+        np.testing.assert_array_equal(reduce(shared, x[0])[j], reduce(shared.select(j), x[0]))
 
 
 def pls1_fit_per_feature(x, y):
@@ -231,7 +232,9 @@ def test_pls_equals_the_per_feature_reference_bit_for_bit(layout):
         y[:, :2] = [1.0, -1.0]
         red, failures = pls1_fit(x, y)
         mean, directions, degenerate = pls1_fit_per_feature(x, y)
-        assert np.array_equal(red.mean, mean), trial
+        # Shared rows have one mean, each row of the reference's.
+        assert red.mean.shape == ((n_feat,) if layout.startswith("shared") else mean.shape)
+        assert np.array_equal(np.broadcast_to(red.mean, mean.shape), mean), trial
         assert np.array_equal(red.directions, directions), trial
         assert list(failures) == degenerate, trial
         degenerate_seen += bool(degenerate)
@@ -255,17 +258,17 @@ def test_batched_pca_equals_single_fits_bit_for_bit():
     batch = pca_fit(x, 2)
     for j in range(4):
         one = pca_fit(x[j], 2)
-        np.testing.assert_array_equal(batch.column(j).directions, one.directions)
+        np.testing.assert_array_equal(batch.select(j).directions, one.directions)
         np.testing.assert_array_equal(reduce(batch, x)[j], reduce(one, x[j]))
     shared = LinearReducer(batch.mean[0], batch.directions[0])
-    assert shared.column(3) is shared
+    assert shared.select(3) is shared
 
 
 @pytest.mark.parametrize("cols", [1, 4, 98])
 def test_reduce_centres_shared_rows_once_bit_for_bit(cols):
-    # A pls batch fitted on shared rows has one mean in every row, so the
-    # shared rows are centred once; the scores keep the bits of every
-    # column's own (n, N) rows and of a single reducer.
+    # A pls batch fitted on shared rows has one mean, so the shared rows
+    # are centred once; the scores keep the bits of every column's own
+    # (n, N) rows and of a single reducer.
     gen = np.random.Generator(np.random.Philox(84))
     for n, n_feat in ((30, 5), (200, 10), (41, 300)):
         x = gen.standard_normal((n, n_feat)) * 10.0 ** gen.integers(-3, 4)
@@ -275,7 +278,7 @@ def test_reduce_centres_shared_rows_once_bit_for_bit(cols):
         shared = reduce(red, x)
         assert shared.tobytes() == reduce(red, np.repeat(x[None], cols, axis=0)).tobytes()
         for j in (0, cols // 2, cols - 1):
-            assert shared[j].tobytes() == reduce(red.column(j), x).tobytes()
+            assert shared[j].tobytes() == reduce(red.select(j), x).tobytes()
 
 
 @pytest.mark.parametrize("shared_rows", [False, True])
@@ -288,4 +291,34 @@ def test_reduce_keeps_each_column_mean_when_means_differ(shared_rows):
     scores = reduce(red, rows)
     for j in range(4):
         own = rows if shared_rows else x[j]
-        assert scores[j].tobytes() == reduce(red.column(j), own).tobytes()
+        assert scores[j].tobytes() == reduce(red.select(j), own).tobytes()
+
+
+def test_select_and_reduce_agree_across_the_three_forms():
+    # A single reducer, a batch with one shared mean and a batch with a
+    # mean per column: select indexes only the fields with a column axis,
+    # and a batch reduces each column as that column's reducer alone does.
+    gen = np.random.Generator(np.random.Philox(86))
+    cols, n, n_feat = 5, 12, 4
+    mean, means = gen.standard_normal(n_feat), gen.standard_normal((cols, n_feat))
+    dirs = gen.standard_normal((cols, n_feat, 2))
+    single = LinearReducer(mean, dirs[0])
+    assert single.select(3) is single and single.select([1, 0]) is single
+    for red, per_column in ((LinearReducer(mean, dirs), np.broadcast_to(mean, means.shape)),
+                            (LinearReducer(means, dirs), means)):
+        for pick in (3, np.int64(0), [4, 0, 2], np.array([1, 1])):
+            got = red.select(pick)
+            assert got.directions.tobytes() == dirs[pick].tobytes()
+            assert got.directions.shape == dirs[pick].shape
+            assert np.broadcast_to(got.mean, per_column[pick].shape).tobytes() \
+                == per_column[pick].tobytes()
+        rows = gen.standard_normal((n, n_feat))
+        batch_rows = gen.standard_normal((cols, n, n_feat))
+        on_shared, on_own = reduce(red, rows), reduce(red, batch_rows)
+        for j in range(cols):
+            assert on_shared[j].tobytes() == reduce(red.select(j), rows).tobytes()
+            assert on_own[j].tobytes() == reduce(red.select(j), batch_rows[j]).tobytes()
+    with pytest.raises(ValueError):
+        LinearReducer(means, dirs[0])  # a mean per column needs directions per column
+    with pytest.raises(ValueError):
+        LinearReducer(means[:2], dirs)

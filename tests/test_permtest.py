@@ -34,9 +34,8 @@ from permsig.rng import PermutationPlan
 from permsig.validate import Scheme
 
 
-def nd(values, scheme=Scheme.RESUB):
-    plans = tuple(PermutationPlan(0, i) for i in range(len(values)))
-    return NullDistribution(tuple(values), scheme, plans)
+def nd(values):
+    return NullDistribution(tuple(values), tuple(range(len(values))))
 
 
 def one_condition(n=40, dim=4, seed=5):
@@ -61,7 +60,7 @@ class _StubPipeline:
     def classifier_input_dim(self, n_features):
         return 1
 
-    def fit(self, batch, plan=None, tag="fit"):
+    def fit(self, batch, tag="fit"):
         return _StubFitted([
             FitError(f"scripted failure of {p.replicate_index}")
             if p.replicate_index in self.fail_indices else float(p.rng("stub").random())
@@ -277,14 +276,14 @@ class _ChildStub(_StubPipeline):
         self.threads = []
         self.fitted = []  # the plan indices fitted in this process
 
-    def fit(self, batch, plan=None, tag="fit"):
+    def fit(self, batch, tag="fit"):
         if os.getpid() != self.parent:
             self.started.set()
             if self.exit_code is not None:
                 os._exit(self.exit_code)
         else:
             self.fitted += [p.replicate_index for p in batch.plans]
-        return super().fit(batch, plan, tag)
+        return super().fit(batch, tag)
 
     def take(self, counter, then=None):
         if os.getpid() == self.parent and not self.threads:

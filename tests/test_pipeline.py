@@ -286,7 +286,7 @@ def test_frozen_pls_reducer_equals_the_full_fit_bit_for_bit(blocks):
         d = synth_effect(20, 6, 1.0, PermutationPlan(seed, 0))
         frozen, full = fit_feature_maps(spec, d, PLAN).reducers, fit(spec, d)
         for bi in range(len(full.blocks)):
-            red = pairs(full, bi)[0].reducer.column(0)
+            red = pairs(full, bi)[0].reducer.select(0)
             assert np.array_equal(frozen[bi, (0, 1)].mean, red.mean), (seed, bi)
             assert np.array_equal(frozen[bi, (0, 1)].directions, red.directions), (seed, bi)
 
@@ -477,7 +477,7 @@ def _assert_same_pairs(fitted, k, reference):
                 assert pair.reducer is None
             else:
                 # A frozen reducer is every column's.
-                got, red = pair.reducer.column(k), red.column(0)
+                got, red = pair.reducer.select(k), red.select(0)
                 assert np.array_equal(got.directions, red.directions)
                 assert np.array_equal(got.mean, red.mean)
             assert np.array_equal(pair.svm.weights[k], svm.weights[0])
