@@ -210,6 +210,7 @@ def _config_echo(
 
 
 def _free_path(path: str, force: bool) -> str:
+    check(not (force and os.path.isdir(path)), "out", f"is a directory: {path}")
     if force or not os.path.exists(path):
         return path
     stem, ext = os.path.splitext(path)
@@ -219,10 +220,7 @@ def _free_path(path: str, force: bool) -> str:
     return f"{stem}-{i}{ext}"
 
 
-def _write_outputs(report, config_echo: dict, out: str, force: bool) -> tuple[str, str]:
-    json_path = _free_path(out, force)
-    stem, _ = os.path.splitext(json_path)
-    csv_path = _free_path(f"{stem}_hist.csv", force)
+def _write_outputs(report, config_echo: dict, json_path: str, csv_path: str) -> None:
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(config_echo), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -230,7 +228,6 @@ def _write_outputs(report, config_echo: dict, out: str, force: bool) -> tuple[st
         fh.write("bin_left,bin_right,count\n")
         for left, right, count in report.histogram_csv_rows():
             fh.write(f"{left!r},{right!r},{count}\n")
-    return json_path, csv_path
 
 
 def _run_study(args: argparse.Namespace) -> int:
@@ -238,13 +235,15 @@ def _run_study(args: argparse.Namespace) -> int:
     out = doc.get("out") or f"{args.study}_report.json"
     out_dir = os.path.dirname(out) or "."
     check(os.path.isdir(out_dir), "out", f"directory not found: {out_dir}")
+    json_path = _free_path(out, args.force)
+    csv_path = _free_path(f"{os.path.splitext(json_path)[0]}_hist.csv", args.force)
     try:
         report = _STUDIES[args.study](spec, data, settings)
     except ValueError as exc:
         raise ConfigError("data", str(exc)) from None
     echo = _config_echo(args.study, doc["data"], spec, settings, report.m)
     with _config_path("", other="out"):
-        json_path, _ = _write_outputs(report, echo, out, args.force)
+        _write_outputs(report, echo, json_path, csv_path)
     if report.p_value is not None:
         summary = f"p={report.p_value:.4f} [{report.p_value_sd:.4f}]"
         verdict = "reject H0" if report.p_value <= report.alpha else "keep H0"

@@ -9,8 +9,8 @@ The pieces here are deliberately self-contained:
   corner ``alpha = c`` is tested first, for all columns of a batch at
   once; where it is certified optimal no SMO step runs and no ``FitError``
   can occur.  Only the other columns run SMO, one at a time and for at
-  most ``_MAX_PASSES`` passes, each with a FIFO cache of kernel columns
-  ``x @ x_t`` held to a fixed byte budget.
+  most ``_MAX_PASSES`` passes; see :func:`_svm_smo` for its gradient in
+  two masked copies, its stop test and its cache of kernel columns.
 * :func:`calibrate` fits a sigmoid ``p = sigma(slope * margin + intercept)``
   to training margins by damped Newton iterations on the Bernoulli
   log-likelihood with the usual smoothed targets, so separable margins
@@ -267,8 +267,12 @@ def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
     A step takes the first index ``i`` of the up set with the largest
     ``myg``, the second ``j`` by the second-order rule of Fan, Chen & Lin
     (2005; see :func:`_second_index`), and takes the pair's Newton step,
-    clipped to the box.  Kernel columns and curvature rows come from a FIFO cache
-    (Joachims 1999; LIBSVM), which changes no bit of the result.
+    clipped to the box.  ``myg`` is kept in two copies, ``gup`` -inf off
+    the up set and ``glow`` +inf off the low set; for c > 0 every index is
+    in one set at least, so a copy holds its ``myg``.  A pass ends when no
+    pair gains 1e-10, which ``diff[j] >= 1e-10`` rules out.
+    Kernel columns and curvature rows come from a FIFO cache (Joachims
+    1999; LIBSVM), which changes no bit of the result.
     """
     pos = y > 0
     n_pos = int(pos.sum())
@@ -281,25 +285,22 @@ def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
     nu = 0.9 * c * min(n_pos, n - n_pos)
     alpha = np.where(pos, nu / n_pos, nu / (n - n_pos))
     myg = y - x @ (x.T @ (alpha * y))
-    # Indices that may move up or down, as additive masks: 0 where an index
-    # may move, -inf where it may not.  A step changes only i's and j's.
-    up_mask = np.where((pos & (alpha < c)) | (~pos & (alpha > 0.0)), 0.0, -np.inf)
-    low_mask = np.where((pos & (alpha > 0.0)) | (~pos & (alpha < c)), 0.0, -np.inf)
-    # A step is a few passes over these n-buffers and at most two new
-    # kernel columns, with no array allocated; the scalar bookkeeping
-    # runs on Python floats.
-    diff, gain, upd = (np.empty(n) for _ in range(3))
+    # A step is a few passes over these n-buffers and at most two new kernel
+    # columns, with no array allocated; scalar bookkeeping runs on Python floats.
+    gup, glow, diff, gain, upd = _rows(5, n)
+    gup[:] = np.where(np.where(pos, alpha < c, alpha > 0.0), myg, -np.inf)
+    glow[:] = np.where(np.where(pos, alpha > 0.0, alpha < c), myg, np.inf)
     ineligible = np.empty(n, dtype=bool)
     alpha, signs, is_pos = alpha.tolist(), y.tolist(), pos.tolist()
 
-    # About half of a step's i and j were an i or j a few steps before, so
+    # About 40% of a step's i and j were an i or j a few steps before, so
     # kernel columns x @ x_t are kept in a FIFO cache of ``slots`` rows
     # within a byte budget, memory O(n), each with the curvature row
     # max(sq_t + sq - 2 x @ x_t, _TAU) filled the first time t is an i.
     # A row comes from the same matmul on the same operands as a fresh
     # one, so a hit gives the same bits.  j's lookup never evicts i's slot.
     slots = max(2, min(n, _CACHE_BYTES // (16 * n)))
-    kernel, curvature = list(np.empty((slots, n))), list(np.empty((slots, n)))
+    kernel, curvature = _rows(slots, n), _rows(slots, n)
     slot_of, held, curved = {}, [-1] * slots, [False] * slots
     clock = 0
 
@@ -316,18 +317,10 @@ def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
         return s
 
     for passes in range(1, _MAX_PASSES + 1):
-        stuck = False
-        for _ in range(n):
-            np.add(myg, up_mask, out=gain)
-            i = int(gain.argmax())
-            m_up = gain[i]  # -inf when no index may move up
-            # max over low of (m_up - myg) is m_up - (min over low of myg):
-            # rounding is monotone, so the two are equal bit for bit.
-            np.subtract(m_up, myg, out=diff)
-            diff += low_mask
-            if diff[diff.argmax()] < 1e-10:  # argmax is the faster reduction
-                stuck = True  # no step moves: every later pass ends here too
-                break
+        for _ in range(n):  # n >= 2: a pass sets ``stuck``
+            i = int(gup.argmax())
+            # max(diff) is m_up - (min over low of myg): rounding is monotone
+            np.subtract(gup.item(i), glow, out=diff)
             s_i = column(i, -1)
             k_i, curv = kernel[s_i], curvature[s_i]
             if not curved[s_i]:
@@ -336,27 +329,38 @@ def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
                 np.maximum(curv, _TAU, out=curv)
                 curved[s_i] = True
             j = _second_index(diff, curv, gain, ineligible)
-            step = float(diff[j]) / float(curv[j])
-            cap_i = (c - alpha[i]) if signs[i] > 0 else alpha[i]
-            cap_j = alpha[j] if signs[j] > 0 else (c - alpha[j])
-            step = min(step, cap_i, cap_j)
+            d_j = diff.item(j)
+            stuck = not d_j >= 1e-10 and diff[diff.argmax()] < 1e-10  # argmax is faster
+            if stuck:  # no step moves: every later pass ends here too
+                break
+            step = min(d_j / curv.item(j), (c - alpha[i]) if signs[i] > 0 else alpha[i],
+                       alpha[j] if signs[j] > 0 else (c - alpha[j]))
             alpha[i] += signs[i] * step
             alpha[j] -= signs[j] * step
             np.subtract(k_i, kernel[column(j, s_i)], out=upd)
             upd *= step
-            myg -= upd
-            for t in (i, j):
+            gup -= upd
+            glow -= upd
+            for t, g in ((i, gup.item(i)), (j, glow.item(j))):  # i was up, j low
                 a = alpha[t]
-                up_mask[t] = 0.0 if (a < c if is_pos[t] else a > 0.0) else -np.inf
-                low_mask[t] = 0.0 if (a > 0.0 if is_pos[t] else a < c) else -np.inf
+                gup[t] = g if (a < c if is_pos[t] else a > 0.0) else -np.inf
+                glow[t] = g if (a > 0.0 if is_pos[t] else a < c) else np.inf
 
-        w, b, gap_ok = _gap_test(x, y, np.array(alpha), myg, pos, c)
+        w, b, gap_ok = _gap_test(x, y, np.array(alpha), gup, glow, c)
         if gap_ok:
             return w, b
         if stuck:
             raise FitError(f"SVM duality gap still above tol {_SVM_TOL} after {passes} passes, "
                            "with no step left")
     raise FitError(f"SVM duality gap still above tol {_SVM_TOL} after {_MAX_PASSES} passes")
+
+
+def _rows(k, n) -> list[np.ndarray]:
+    """``k`` rows of ``n`` floats, each on a 64-byte boundary, so that a
+    pass's speed does not hang on where the heap put them."""
+    m = -(-n // 8) * 8  # whole 64-byte lines per row
+    buf = np.empty(k * m + 7)
+    return list(buf[(-buf.ctypes.data % 64) // 8:][:k * m].reshape(k, m)[:, :n])
 
 
 def _second_index(diff, curv, gain, ineligible) -> int:
@@ -381,25 +385,22 @@ def _second_index(diff, curv, gain, ineligible) -> int:
     return int(gain.argmax())
 
 
-def _gap_test(x, y, alpha, myg, pos, c) -> tuple[np.ndarray, float, bool]:
+def _gap_test(x, y, alpha, gup, glow, c) -> tuple[np.ndarray, float, bool]:
     """Primal ``(w, b)`` of a dual point, and whether its duality gap is
     below ``_SVM_TOL`` relative to the primal objective."""
     w = x.T @ (alpha * y)
-    b = _bias_from_kkt(alpha, myg, pos, c)
+    b = _bias_from_kkt(alpha, gup, glow, c)
     primal = svm_objective(x, y, w, b, c)
     dual = float(alpha.sum() - 0.5 * (w @ w))
     return w, b, primal - dual < _SVM_TOL * max(1.0, abs(primal))
 
 
-def _bias_from_kkt(alpha, myg, pos, c) -> float:
+def _bias_from_kkt(alpha, gup, glow, c) -> float:
     """Bias from free support vectors, or the KKT interval midpoint."""
     free = (alpha > 1e-9 * c) & (alpha < c * (1.0 - 1e-9))
     if free.any():
-        return float(myg[free].mean())
-    up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-    low = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
-    hi = np.where(up, myg, -np.inf).max()
-    lo = np.where(low, myg, np.inf).min()
+        return float(gup[free].mean())  # a free index is in both sets
+    hi, lo = gup.max(), glow.min()
     if not np.isfinite(hi):
         hi = lo
     if not np.isfinite(lo):

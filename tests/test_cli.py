@@ -314,19 +314,37 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("config error: config field 'config'") == 4
 
 
+def _no_study(*args):
+    raise AssertionError("the study ran before its output was checked")
+
+
 @pytest.mark.parametrize("argv", [
     ("power", "--m", "5"),
     ("bound", "--n", "100", "--d", "2"),
     ("synth", "--n-per-class", "5", "--dim", "2"),
 ], ids=lambda argv: argv[0])
 def test_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch, blob_csv, argv):
-    def no_study(*args):
-        raise AssertionError("the study ran before its output was checked")
-
-    monkeypatch.setitem(cli._STUDIES, "power", no_study)
+    monkeypatch.setitem(cli._STUDIES, "power", _no_study)
     data = ("--data", blob_csv) if argv[0] == "power" else ()
     assert run(*argv, *data, "--out", str(tmp_path / "absent" / "r.json")) == 2
     assert "config field 'out'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["r.json", "r_hist.csv"])
+def test_out_naming_a_directory_exits_2_before_the_study(tmp_path, capsys, monkeypatch, blob_csv,
+                                                         target):
+    # --force writes in place, so a directory at the report's or the
+    # histogram's path fails at once, not after the whole study has run.
+    (tmp_path / target).mkdir()
+    args = ("power", "--data", blob_csv, "--m", "5", "--seed", "1", "--out", str(tmp_path / "r.json"))
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._STUDIES, "power", _no_study)
+        assert run(*args, "--force") == 2
+    assert f"config field 'out': is a directory: {tmp_path / target}" in capsys.readouterr().err
+    # Without --force an existing path is numbered, as for a file.
+    assert run(*args) == 0
+    numbered = ("r-1.json", "r-1_hist.csv") if target == "r.json" else ("r.json", "r_hist-1.csv")
+    assert all((tmp_path / name).is_file() for name in numbered)
 
 
 @pytest.mark.parametrize("doc, field", [

@@ -326,18 +326,23 @@ def test_svm_stops_only_at_the_optimum(seed):
 
 # SMO's path is pinned bit for bit: SHA-256 of a fit's weights' bytes and
 # its bias's repr.  Every case reaches SMO: the balanced ones shift the
-# classes apart, so the corner alpha = c is not optimal.
-# name: (seed, n, n_pos, d, c, class shift, sha)
+# classes apart, so the corner alpha = c is not optimal.  Integer rows are
+# the shifted rows rounded into {0, 1, 2}: exact zeros and ties in myg and
+# in the kernel columns.  The small-c imbalanced case runs four passes, in
+# which indices leave the up set and come back.
+# name: (seed, n, n_pos, d, c, class shift, integer rows, sha)
 SMO_PINS = {
-    "balanced_d2_c1": (81, 120, 60, 2, 1.0, 1.0, "89d6af5551bc101a325d2899beb49a133801cea2011f55cb2287523cff0e17b1"),
-    "balanced_d5_c10": (82, 200, 100, 5, 10.0, 1.0, "d3737a2c70a62d4af56e61467ac9e03b1a6c11a2a9b52e88d0ade5c57d15b842"),
-    "balanced_d20_c1": (83, 600, 300, 20, 1.0, 0.3, "75e85e47ec96a3b96acb366e980645ca02df5b7a6a881c0f470d3e2586d0400e"),
-    "imbalanced_d2_c10": (84, 200, 50, 2, 10.0, 0.8, "1ae8736e841cc0014960ca14c6d6d7351d2823d879b8a1da8f8bb491ebc5a036"),
-    "imbalanced_d5_c0.1": (85, 400, 120, 5, 0.1, 0.4, "5555de2ae5906da16c0b4f225b4741f152c8b84d011ca8b937b3ed67a571bb07"),
-    "imbalanced_d20_c1": (86, 300, 90, 20, 1.0, 0.3, "8cb1a5d28432765626d214f310e42e7b3c27f1564e85a09a0f779bd2592e5d2b"),
-    "separable_d2_c10": (87, 150, 75, 2, 10.0, 2.5, "a2ca89fbd984c899facd6b34574db1dfb3e1b7b0a47f7bfa4be34a0c9d687130"),
-    "separable_d5_c1": (88, 250, 100, 5, 1.0, 2.0, "f2b1c8a519c31ba2b7b92f43749ca24facffd6ad233291ec0fb612d65c6617cd"),
-    "separable_d20_c0.1": (89, 600, 300, 20, 0.1, 1.2, "f6a372b4e9fab38665a85e6030ec70260e38f9cac32803cda7e7c3bfbe1a12fa"),
+    "balanced_d2_c1": (81, 120, 60, 2, 1.0, 1.0, False, "89d6af5551bc101a325d2899beb49a133801cea2011f55cb2287523cff0e17b1"),
+    "balanced_d5_c10": (82, 200, 100, 5, 10.0, 1.0, False, "d3737a2c70a62d4af56e61467ac9e03b1a6c11a2a9b52e88d0ade5c57d15b842"),
+    "balanced_d20_c1": (83, 600, 300, 20, 1.0, 0.3, False, "75e85e47ec96a3b96acb366e980645ca02df5b7a6a881c0f470d3e2586d0400e"),
+    "imbalanced_d2_c10": (84, 200, 50, 2, 10.0, 0.8, False, "1ae8736e841cc0014960ca14c6d6d7351d2823d879b8a1da8f8bb491ebc5a036"),
+    "imbalanced_d5_c0.1": (85, 400, 120, 5, 0.1, 0.4, False, "5555de2ae5906da16c0b4f225b4741f152c8b84d011ca8b937b3ed67a571bb07"),
+    "imbalanced_d20_c1": (86, 300, 90, 20, 1.0, 0.3, False, "8cb1a5d28432765626d214f310e42e7b3c27f1564e85a09a0f779bd2592e5d2b"),
+    "separable_d2_c10": (87, 150, 75, 2, 10.0, 2.5, False, "a2ca89fbd984c899facd6b34574db1dfb3e1b7b0a47f7bfa4be34a0c9d687130"),
+    "separable_d5_c1": (88, 250, 100, 5, 1.0, 2.0, False, "f2b1c8a519c31ba2b7b92f43749ca24facffd6ad233291ec0fb612d65c6617cd"),
+    "separable_d20_c0.1": (89, 600, 300, 20, 0.1, 1.2, False, "f6a372b4e9fab38665a85e6030ec70260e38f9cac32803cda7e7c3bfbe1a12fa"),
+    "integer012_d4_c1": (93, 300, 150, 4, 1.0, 0.6, True, "785da4b1eff0c5d9b8e7a4508cfe6700e10a62a557742bbe9889bbc7166d85b0"),
+    "imbalanced_d20_c0.05_passes": (95, 100, 25, 20, 0.05, 0.3, False, "378800cedccdd7e18fa05afc4fbdbc33d5d002063f0a06d73b10b504172819f4"),
 }
 SMO_PIN_SHARED = "3367b96e836f677b73f5c17ffc4c47f698efa29ecfbdd657328616e962e20bf4"
 
@@ -347,12 +352,21 @@ def _fit_digest(weights, bias):
     return hashlib.sha256(weights.tobytes() + bias.encode()).hexdigest()
 
 
+def _pin_problem(name):
+    """The rows, labels and cost of an SMO pin."""
+    seed, n, n_pos, d, c, shift, integer, _ = SMO_PINS[name]
+    gen = np.random.Generator(np.random.Philox(seed))
+    y = gen.permutation(np.where(np.arange(n) < n_pos, 1.0, -1.0))
+    x = gen.standard_normal((n, d)) + shift * y[:, None]
+    if integer:
+        x = np.clip(np.rint(x + 1.0), 0.0, 2.0)
+    return x, y, c
+
+
 def test_smo_bits_pinned():
     digests = {}
-    for name, (seed, n, n_pos, d, c, shift, _) in SMO_PINS.items():
-        gen = np.random.Generator(np.random.Philox(seed))
-        y = gen.permutation(np.where(np.arange(n) < n_pos, 1.0, -1.0))
-        x = gen.standard_normal((n, d)) + shift * y[:, None]
+    for name in SMO_PINS:
+        x, y, c = _pin_problem(name)
         m = fit_one(svm_fit, x, y, c=c)
         assert not np.array_equal(m.weights[0], x.T @ (c * y)), name
         digests[name] = _fit_digest(m.weights[0], m.bias[0])
@@ -402,12 +416,14 @@ def test_second_index_equals_masked_argmax():
     assert 100 < fallbacks < 500
 
 
-def test_stopping_test_equals_max_of_masked_diff():
-    # SMO stops when m_up - (min over low of myg) < 1e-10, and reads that
-    # value as the max over low of (m_up - myg), from the step's own diff
-    # with the additive low mask.  Rounding is monotone, so the two are
-    # equal exactly, also with ties, signed zeros, huge magnitudes, an
-    # empty low set and m_up = -inf (an empty up set).
+def test_stopping_test_reads_the_masked_copy():
+    # SMO's diff is m_up - glow, where glow holds myg on the low set and
+    # +inf off it.  Rounding is monotone, so its max is m_up - (min over
+    # low of myg) exactly, also with ties, signed zeros, huge magnitudes,
+    # an empty low set and m_up = -inf (an empty up set).  The stop test
+    # reads that max only when diff[j] < 1e-10: a pair j that gains 1e-10
+    # proves the max is no smaller, so the test stops exactly when the max
+    # is below 1e-10, whichever j the step chose.
     gen = np.random.Generator(np.random.Philox(91))
     for trial in range(400):
         n = int(gen.integers(1, 60))
@@ -416,12 +432,53 @@ def test_stopping_test_equals_max_of_masked_diff():
         myg[gen.random(n) < 0.2] = 0.0
         myg[gen.random(n) < 0.2] = -0.0
         low = gen.random(n) < (0.0 if trial % 10 == 0 else 0.6)
-        low_mask = np.where(low, 0.0, -np.inf)
+        glow = np.where(low, myg, np.inf)
         m_up = -np.inf if trial % 7 == 0 else float(gen.choice(myg)) + gen.choice([0.0, scale])
-        reference = m_up - np.where(low, myg, np.inf).min()
-        diff = m_up - myg
-        diff += low_mask
-        assert diff[diff.argmax()] == reference, (trial, m_up, reference)
+        with np.errstate(over="ignore"):  # m_up - myg may round to +-inf
+            diff = m_up - glow
+            reference = m_up - np.where(low, myg, np.inf).min()
+        top = diff[diff.argmax()]
+        assert top == reference, (trial, m_up, reference)
+        for j in range(n):
+            stops = not diff[j] >= 1e-10 and diff[diff.argmax()] < 1e-10
+            assert stops == (top < 1e-10), (trial, j)
+
+
+def test_every_index_is_up_or_low(monkeypatch):
+    # SMO keeps myg in two masked copies, gup (-inf off the up set) and glow
+    # (+inf off the low set), and a flip reads an index's myg from the copy
+    # that holds it.  So every index must be in one set at least, which the
+    # step's comparisons give for c > 0 at any alpha: on a bound, inside, or
+    # just past a bound.
+    for c in (5e-324, 1e-300, 1e-3, 1.0, 10.0, 1e300):
+        alpha = [0.0, -0.0, 0.5 * c, c, -c, 2.0 * c]
+        alpha += [np.nextafter(a, toward) for a in (0.0, c) for toward in (-np.inf, np.inf)]
+        for a in alpha:
+            for pos in (True, False):
+                up, low = (a < c, a > 0.0) if pos else (a > 0.0, a < c)
+                assert up or low, (c, a, pos)
+
+    # SMO's own copies keep it: at the end of every pass each index has a
+    # finite value in one copy, equal in both where both hold it, in fits
+    # whose alphas reach both bounds.
+    bounds = set()
+
+    def checked(x, y, alpha, gup, glow, c):
+        assert ((gup != -np.inf) | (glow != np.inf)).all()
+        both = (gup != -np.inf) & (glow != np.inf)
+        np.testing.assert_array_equal(gup[both], glow[both])
+        if (alpha == 0.0).any():
+            bounds.add("0")
+        if (alpha == c).any():
+            bounds.add("c")
+        return gap_test(x, y, alpha, gup, glow, c)
+
+    gap_test = linclass._gap_test
+    monkeypatch.setattr(linclass, "_gap_test", checked)
+    for name in ("integer012_d4_c1", "imbalanced_d20_c0.05_passes", "separable_d2_c10"):
+        x, y, c = _pin_problem(name)
+        fit_one(svm_fit, x, y, c=c)
+    assert bounds == {"0", "c"}
 
 
 # (minority scores, majority scores, whether w = 0 is optimal)
