@@ -210,6 +210,9 @@ def _config_echo(
 
 
 def _free_path(path: str, force: bool) -> str:
+    check(path != "", "out", "must not be empty")
+    folder = os.path.dirname(path) or "."
+    check(os.path.isdir(folder), "out", f"directory not found: {folder}")
     check(not (force and os.path.isdir(path)), "out", f"is a directory: {path}")
     if force or not os.path.exists(path):
         return path
@@ -232,10 +235,7 @@ def _write_outputs(report, config_echo: dict, json_path: str, csv_path: str) -> 
 
 def _run_study(args: argparse.Namespace) -> int:
     doc, settings, data, spec = _resolve_config(args)
-    out = doc.get("out") or f"{args.study}_report.json"
-    out_dir = os.path.dirname(out) or "."
-    check(os.path.isdir(out_dir), "out", f"directory not found: {out_dir}")
-    json_path = _free_path(out, args.force)
+    json_path = _free_path(doc.get("out", f"{args.study}_report.json"), args.force)
     csv_path = _free_path(f"{os.path.splitext(json_path)[0]}_hist.csv", args.force)
     try:
         report = _STUDIES[args.study](spec, data, settings)
@@ -261,9 +261,9 @@ def _run_bound(args: argparse.Namespace) -> int:
         raise ConfigError("bound", str(exc)) from None
     emp = empirical_bound(spec)
     vap = vapnik_bound(spec)
+    path = None if args.out is None else _free_path(args.out, args.force)
     print(f"empirical={emp:.4f} vapnik={vap:.4f} (n={spec.n} d={spec.d} eta={spec.eta:g})")
-    if args.out:
-        path = _free_path(args.out, args.force)
+    if path is not None:
         with _config_path("", other="out"), open(path, "w", encoding="utf-8") as fh:
             json.dump(
                 {"n": spec.n, "d": spec.d, "eta": spec.eta, "empirical": emp, "vapnik": vap},

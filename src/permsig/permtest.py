@@ -38,6 +38,7 @@ import math
 import os
 import pickle
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -82,7 +83,8 @@ class StudySettings:
 
     ``m`` is the number of permutation replicates; ``None`` picks the
     scheme default (1000 for resubstitution-based statistics, 100 for
-    k-fold, whose replicates contribute k values each).
+    k-fold, whose replicates contribute k values each).  A power study
+    averages ``observed_iterations`` row-shuffled iterations, a class constant.
     """
 
     scheme: Scheme = Scheme.RUB
@@ -91,8 +93,8 @@ class StudySettings:
     alpha: float = 0.05
     eta: float = 0.05
     master_seed: int = 0
-    observed_iterations: int = 20
     workers: int = 1
+    observed_iterations: ClassVar[int] = 20
 
     def __post_init__(self):
         check(self.scheme in list(Scheme), "scheme", f"unknown scheme {self.scheme!r}")
@@ -104,9 +106,7 @@ class StudySettings:
         check(is_real(eta) and 0.0 < eta < 1.0, "eta", "must lie strictly between 0 and 1")
         seed = PermutationPlan(self.master_seed).master_seed  # checked, and an int
         object.__setattr__(self, "master_seed", seed)
-        for name in ("observed_iterations", "workers"):
-            value = getattr(self, name)
-            check(is_int(value) and value >= 1, name, "must be a positive integer")
+        check(is_int(self.workers) and self.workers >= 1, "workers", "must be a positive integer")
 
     @property
     def replicates(self) -> int:
@@ -411,7 +411,7 @@ def null_distribution(pipeline, d: Dataset, settings: StudySettings, *,
     into two pseudo-groups.  Each replicate derives every random draw from
     ``(master_seed, replicate_index)``.  The RUB scheme adds ``mu``, its
     deviation bound, to every statistic; other schemes ignore it.  With
-    ``observed``, the ``settings.observed_iterations`` row-shuffled
+    ``observed``, the ``StudySettings.observed_iterations`` row-shuffled
     iterations are fitted too, by the same procedure.
 
     The observed iterations and the replicates are split into the chunks

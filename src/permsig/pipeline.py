@@ -34,9 +34,9 @@ Two fitting modes share that one pairwise fit path:
 * :meth:`PipelineSpec.fit` refits every stage on the data it is given
   (the usual mode; used inside every fold and permutation replicate).
 * :func:`fit_feature_maps` fits the extractor and reducer once, on the
-  original data, and returns an :class:`AltPipeline` that holds them
-  frozen, so its fits refit only the classifier and its calibration —
-  the cheap alternative scheme for permutation nulls.
+  original data, and returns an :class:`AltPipeline` that holds them and
+  their codes frozen, so its fits refit only the classifier and its
+  calibration — the cheap alternative scheme for permutation nulls.
 """
 
 from __future__ import annotations
@@ -266,14 +266,10 @@ class FittedBatch:
         return out
 
 
-def _encode(ae_model: AeModel | None, xb: np.ndarray) -> np.ndarray:
-    return ae_encode(ae_model, xb) if ae_model is not None else xb
-
-
 def _codes(batch: Batch, cols: tuple[int, ...], models, cache: dict) -> np.ndarray:
     """Each column's rows of one block, encoded.
 
-    The features are encoded once per model, and the result kept in
+    Features are encoded here alone, once per model, and kept in
     ``cache``.  When every column has all rows of the same codes, those
     (n, width) codes serve them all; otherwise each column gathers its
     rows into an (R, n, width) array.
@@ -282,9 +278,9 @@ def _codes(batch: Batch, cols: tuple[int, ...], models, cache: dict) -> np.ndarr
     for model in models:
         key = (id(feats), id(model), cols)
         if key not in cache:  # the entry holds its keys' objects, so their ids stay unique
-            # take copies in C order, as the reducers' bits need (see fit_feature_maps)
+            # a block of some columns is a copy in C order, whose layout the reducers' bits need
             block = feats if cols == tuple(range(feats.shape[1])) else feats.take(cols, axis=1)
-            cache[key] = (feats, model, _encode(model, block))
+            cache[key] = (feats, model, block if model is None else ae_encode(model, block))
         codes.append(cache[key][2])
     shared = all(z is codes[0] for z in codes)
     if batch.rows is None:
@@ -368,13 +364,14 @@ def _fit_reducer(spec: PipelineSpec, feats: np.ndarray, y: np.ndarray):
 
 
 def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dict | None = None,
-                     failures: dict | None = None) -> FittedBatch:
+                     failures: dict | None = None, codes: dict | None = None) -> FittedBatch:
     """The one pairwise fit path of full and frozen pipelines.
 
     Every block and class pair is a pair problem: each column's rows of
     the pair, reduced by the frozen reducer ``reducers[block_index,
     pair]``, or, when ``reducers`` is None, by a reducer fitted on those
-    rows, which records the ``FitError`` of each column it failed on.  The
+    rows, which records the ``FitError`` of each column it failed on.
+    Blocks are encoded through ``codes`` (a new cache when None).  The
     problems' scores are stacked along the column axis, one stack per row
     count, +1 count and width, and each stack's SVMs and calibrations are
     fitted in one call apiece.
@@ -394,7 +391,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
     columns = [j for j in range(batch.size) if j not in failures]
     if not columns:
         return FittedBatch([], batch.class_count, batch.n_features, [], failures)
-    live, size, codes = batch.select(columns), len(columns), {}
+    live, size, codes = batch.select(columns), len(columns), {} if codes is None else codes
     first: dict[int, tuple[tuple[int, int], FitError]] = {}  # live position -> (problem, stage)
     selected = {}  # each class pair's rows and targets, chosen once for every block
 
@@ -487,21 +484,21 @@ def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "
     every pair.  One-condition data cannot drive a supervised reduction, so
     ``pca`` (or ``none``) must be used there; its reducers cover the pair
     ``(0, 1)`` of the two pseudo-groups a type-1 replicate splits it into.
-    A failed fit raises its ``FitError``.
+    A failed fit raises its ``FitError``.  The pipeline keeps the codes.
     """
     if spec.reducer == "pls" and d.class_count < 2:
         raise ValueError(
             "pls cannot be frozen on one-condition data; use reducer='pca' or 'none'"
         )
     pairs = list(combinations(range(max(d.class_count, 2)), 2))
-    extractors, failures = _fit_extractors(spec, Batch.of(d, [plan]), "extract")
+    batch, codes = Batch.of(d, [plan]), {}
+    extractors, failures = _fit_extractors(spec, batch, "extract")
     if failures:
         raise failures[0]
     frozen = [(cols, model) for cols, (model,) in extractors]
     reducers = {}
     for bi, (cols, model) in enumerate(frozen):
-        # A copy in C order, as _codes makes: the reducers' bits depend on its layout.
-        z = _encode(model, d.features.take(cols, axis=1))
+        z = _codes(batch, cols, (model,), codes)
         if spec.reducer == "pls":
             for pair in pairs:
                 pair_rows = _pair_rows(d.labels[None], *pair)
@@ -512,7 +509,7 @@ def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "
         else:
             shared = _fit_reducer(spec, z, None)[0]
             reducers.update({(bi, pair): shared for pair in pairs})
-    return AltPipeline(spec, frozen, reducers, d.n_features)
+    return AltPipeline(spec, frozen, reducers, d.n_features, codes)
 
 
 @dataclass
@@ -523,7 +520,8 @@ class AltPipeline:
     ``extractors`` holds each block's columns and frozen autoencoder (or
     None), and ``reducers`` maps each block index and class pair to its
     frozen reducer (None for ``none``); a ``pca`` reducer is one object
-    under every pair of its block.  Built by :func:`fit_feature_maps`.
+    under every pair of its block; ``codes`` holds the codes they were
+    fitted on, which each fit copies.  Built by :func:`fit_feature_maps`.
     It has the ``fit(batch, tag)`` of :class:`PipelineSpec`, so the
     validation estimators accept either.  Fitting is deterministic given
     the data, so the columns' plans go unused.
@@ -533,6 +531,7 @@ class AltPipeline:
     extractors: list[tuple[tuple[int, ...], AeModel | None]]
     reducers: dict[tuple[int, tuple[int, int]], LinearReducer | None]
     n_features: int
+    codes: dict = field(repr=False, compare=False)
 
     def classifier_input_dim(self, n_features: int) -> int:
         return self.spec.classifier_input_dim(n_features)
@@ -549,4 +548,4 @@ class AltPipeline:
             if (0, pair) not in self.reducers:
                 raise ValueError(f"no frozen reducer for class pair {pair}")
         extractors = [(cols, (model,) * batch.size) for cols, model in self.extractors]
-        return _fit_classifiers(self.spec, batch, extractors, self.reducers)
+        return _fit_classifiers(self.spec, batch, extractors, self.reducers, codes=dict(self.codes))

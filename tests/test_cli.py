@@ -330,6 +330,28 @@ def test_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch, blob_cs
     assert "config field 'out'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (("power", "--m", "5", "--out", ""), None),
+    (("power", "--m", "5"), {"out": ""}),
+    (("bound", "--n", "100", "--d", "2", "--out", ""), None),
+    (("synth", "--n-per-class", "5", "--dim", "2", "--out", ""), None),
+], ids=["study_flag", "study_config", "bound_flag", "synth_flag"])
+def test_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, blob_csv, argv,
+                                              config):
+    # An empty path is no path: it names no default, and is not "no output".
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli._STUDIES, "power", _no_study)
+    data = ("--data", blob_csv) if argv[0] == "power" else ()
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        data += ("--config", "cfg.json")
+    before = sorted(os.listdir(tmp_path))
+    assert run(*argv, *data) == 2
+    out, err = capsys.readouterr()
+    assert "config field 'out': must not be empty" in err and out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 @pytest.mark.parametrize("target", ["r.json", "r_hist.csv"])
 def test_out_naming_a_directory_exits_2_before_the_study(tmp_path, capsys, monkeypatch, blob_csv,
                                                          target):

@@ -182,9 +182,10 @@ def test_null_distribution_records_retries():
     assert null_distribution(_StubPipeline(), d, _resub_settings(20)).retries == ()
 
 
-def test_report_lists_retries_only_when_present():
+def test_report_lists_retries_only_when_present(monkeypatch):
+    monkeypatch.setattr(StudySettings, "observed_iterations", 3)
     d = synth_effect(10, 3, 0.0, PermutationPlan(2, 0))
-    settings = StudySettings(scheme=Scheme.RESUB, m=12, master_seed=5, observed_iterations=3)
+    settings = StudySettings(scheme=Scheme.RESUB, m=12, master_seed=5)
     doc = power_study(_StubPipeline({4, 9}), d, settings).to_json_dict()
     assert doc["retries"] == [
         {"replicate": 4, "attempt": 0, "error": "scripted failure of 4"},
@@ -252,9 +253,10 @@ def test_pool_is_sized_to_its_chunks(monkeypatch, forked_children, workers, m, p
     (alt_scheme_study, synth_effect(12, 4, 0.7, PermutationPlan(4, 0)), Scheme.RESUB,
      PipelineSpec(reducer="pca", pca_components=2)),
 ], ids=["power", "type1", "alt"])
-def test_reports_are_byte_identical_at_one_two_and_three_workers(forked_children, study, data,
-                                                                 scheme, spec):
-    settings = StudySettings(scheme, m=14, k=3, master_seed=8, observed_iterations=3)
+def test_reports_are_byte_identical_at_one_two_and_three_workers(monkeypatch, forked_children,
+                                                                 study, data, scheme, spec):
+    monkeypatch.setattr(StudySettings, "observed_iterations", 3)
+    settings = StudySettings(scheme, m=14, k=3, master_seed=8)
     docs = {json.dumps(study(spec, data, dataclasses.replace(settings, workers=w)).to_json_dict())
             for w in (1, 2, 3)}
     assert len(docs) == 1
@@ -332,9 +334,9 @@ def test_an_observed_failure_leaves_no_child_behind(monkeypatch, forked_children
     whichever process fitted it.  Held back, this process takes no chunk
     before a child has taken the first one, which holds the observed
     iterations, so the error reaches this process from the child."""
+    monkeypatch.setattr(StudySettings, "observed_iterations", 3)
     d = synth_effect(10, 3, 0.5, PermutationPlan(2, 0))
-    settings = StudySettings(Scheme.RESUB, m=12, master_seed=5, observed_iterations=3,
-                             workers=workers)
+    settings = StudySettings(Scheme.RESUB, m=12, master_seed=5, workers=workers)
     stub = _ChildStub({OBSERVED_BASE + 1})
     message = f"scripted failure of {OBSERVED_BASE + 1}"
     with pytest.raises(FitError, match=message) as alone:
@@ -380,15 +382,22 @@ def test_null_distribution_kfold_collects_k_values_each():
     assert null.replicate_indices == (0, 1, 2, 3)
 
 
-def test_null_distribution_rub_adds_bound():
-    d = synth_effect(10, 3, 0.0, PermutationPlan(2, 0))
-    spec = PipelineSpec(reducer="pls")
-    mu = empirical_bound(BoundSpec(d.n, 1, 0.05))
-    resub = null_distribution(spec, d, StudySettings(Scheme.RESUB, m=6, master_seed=3))
-    rub = null_distribution(spec, d, StudySettings(Scheme.RUB, m=6, master_seed=3), mu=mu)
-    np.testing.assert_allclose(
-        np.asarray(rub.statistics) - np.asarray(resub.statistics), mu, atol=1e-12
-    )
+@pytest.mark.parametrize("spec, classes", [
+    (PipelineSpec(reducer="pls"), 2),
+    (PipelineSpec(reducer="pca"), 3),
+    (PipelineSpec(reducer="none"), 2),
+], ids=["pls", "pca", "none"])
+def test_null_distribution_rub_adds_bound(spec, classes):
+    # Exactly: each RUB value is its resubstitution error plus mu, rounded once.
+    d = synth_effect(10, 3, 0.0, PermutationPlan(2, 0), classes=classes)
+    mu = empirical_bound(BoundSpec(d.n, spec.classifier_input_dim(d.n_features), 0.05))
+    resub = null_distribution(spec, d, StudySettings(Scheme.RESUB, m=6, master_seed=3),
+                              observed=True)
+    rub = null_distribution(spec, d, StudySettings(Scheme.RUB, m=6, master_seed=3), mu=mu,
+                            observed=True)
+    assert rub.statistics == tuple(value + mu for value in resub.statistics)
+    assert rub.observed == tuple(value + mu for value in resub.observed)
+    assert len(rub.observed) == StudySettings.observed_iterations
     with pytest.raises(ValueError, match="needs mu"):
         null_distribution(spec, d, StudySettings(Scheme.RUB, m=6, master_seed=3))
 
@@ -405,7 +414,8 @@ def test_a_rub_study_computes_its_bound_once(monkeypatch, study, data):
         return empirical_bound(spec)
 
     monkeypatch.setattr(permtest, "empirical_bound", counted)
-    settings = StudySettings(Scheme.RUB, m=6, master_seed=3, observed_iterations=3)
+    monkeypatch.setattr(StudySettings, "observed_iterations", 3)
+    settings = StudySettings(Scheme.RUB, m=6, master_seed=3)
     report = study(PipelineSpec(reducer="pls"), data, settings)
     assert len(calls) == 1
     assert report.mu == empirical_bound(calls[0])
@@ -470,8 +480,14 @@ def test_settings_validation():
         StudySettings(eta=1.0)
     with pytest.raises(ValueError):
         StudySettings(workers=0)
-    with pytest.raises(ValueError):
-        StudySettings(observed_iterations=0)
+
+
+def test_observed_iterations_is_a_class_constant_not_a_setting():
+    assert [f.name for f in dataclasses.fields(StudySettings)] == [
+        "scheme", "m", "k", "alpha", "eta", "master_seed", "workers"]
+    assert StudySettings().observed_iterations == StudySettings.observed_iterations == 20
+    with pytest.raises(TypeError):
+        StudySettings(observed_iterations=3)
 
 
 @pytest.mark.parametrize("field, value", [

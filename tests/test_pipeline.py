@@ -6,8 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from permsig import linclass, pipeline
-from permsig.autoenc import AeArchitecture, ae_fit
+from permsig import linclass, permtest, pipeline
+from permsig.autoenc import AeArchitecture, ae_encode, ae_fit
 from permsig.dataset import (
     Batch,
     Dataset,
@@ -21,8 +21,10 @@ from permsig.dataset import (
 from permsig.dimred import pls1_fit, reduce
 from permsig.errors import ConfigError, DivergenceError, FitError
 from permsig.linclass import calibrate, calibrated_probability, decision_values, svm_fit
+from permsig.permtest import StudySettings, alt_scheme_study
 from permsig.pipeline import PipelineSpec, fit_feature_maps
 from permsig.rng import PermutationPlan
+from permsig.validate import Scheme
 
 
 def blobs(n_per=20, dim=4, effect=3.0, classes=2, seed=0):
@@ -280,7 +282,7 @@ def test_alt_pipeline_full_refit_differs():
 def test_frozen_pls_reducer_equals_the_full_fit_bit_for_bit(blocks):
     """A reducer frozen on the unpermuted data is the one a full fit of the
     same data fits, to the last bit: a reducer's bits depend on the memory
-    layout of its block's features, which both paths copy in C order."""
+    layout of its block's features, which both paths take from ``_codes``."""
     spec = PipelineSpec(reducer="pls", region_blocks=blocks)
     for seed in range(20):
         d = synth_effect(20, 6, 1.0, PermutationPlan(seed, 0))
@@ -289,6 +291,35 @@ def test_frozen_pls_reducer_equals_the_full_fit_bit_for_bit(blocks):
             red = pairs(full, bi)[0].reducer.select(0)
             assert np.array_equal(frozen[bi, (0, 1)].mean, red.mean), (seed, bi)
             assert np.array_equal(frozen[bi, (0, 1)].directions, red.directions), (seed, bi)
+
+
+def test_an_alt_study_encodes_each_block_once(monkeypatch):
+    """The frozen autoencoders encode their blocks once, in
+    ``fit_feature_maps``; every chunk of observed iterations, null
+    replicates or folds reuses those codes, and no fit grows them."""
+    calls = []
+
+    def counted(model, x):
+        calls.append((model, x.shape[1]))
+        return ae_encode(model, x)
+
+    monkeypatch.setattr(pipeline, "ae_encode", counted)
+    monkeypatch.setattr(permtest, "BATCH_BYTES", 0)  # chunks of MIN_BATCH columns
+    arch = AeArchitecture(layer_widths_encoder=(2,), epochs=3, validation_fraction=0.0)
+    spec = PipelineSpec(ae=arch, reducer="none", region_blocks=((0, 1, 2), (3, 4)))
+    d = synth_effect(12, 5, 0.5, PermutationPlan(4, 0))
+    for scheme in (Scheme.RUB, Scheme.KFOLD):
+        calls.clear()
+        alt_scheme_study(spec, d, StudySettings(scheme, m=9, k=3, master_seed=2, workers=1))
+        assert [width for _, width in calls] == [3, 2], scheme
+        assert calls[0][0] is not calls[1][0]
+    alt = fit_feature_maps(spec, d, PLAN)
+    codes = dict(alt.codes)
+    assert len(codes) == 2
+    calls.clear()
+    for batch in (permute_labels(d, [PLAN]), shuffle_rows(d, [PLAN, PermutationPlan(0, 1)])):
+        assert alt.fit(batch).errors(batch)
+    assert calls == [] and alt.codes == codes
 
 
 def test_alt_pipeline_width_check():

@@ -161,12 +161,13 @@ OBSERVED_CASES = {
 }
 
 
-def test_observed_iterations_replay_alone_bit_for_bit(forked_children):
+def test_observed_iterations_replay_alone_bit_for_bit(monkeypatch, forked_children):
+    monkeypatch.setattr(StudySettings, "observed_iterations", 7)
     data = _labeled(3)
     # forked_children sets BATCH_BYTES to 0: batches of MIN_BATCH columns
     assert [len(chunk) for chunk in permtest._batches(7, data)] == [4, 3]
     for name, (study, spec, scheme) in OBSERVED_CASES.items():
-        settings = StudySettings(scheme=scheme, m=5, k=3, master_seed=SEED, observed_iterations=7)
+        settings = StudySettings(scheme=scheme, m=5, k=3, master_seed=SEED)
         pipeline = _alt(spec, data) if study is alt_scheme_study else spec
         mu = _mu_for(pipeline, data, scheme, 0.05)
         replayed = []
@@ -187,10 +188,10 @@ def test_retried_reports_do_not_depend_on_worker_count(monkeypatch, name):
     make_pipeline, make_data, m, scheme, labeling = REPLAY_CASES[name]
     # so that two workers share the chunks
     assert batch_width(monkeypatch, make_data(), m) == [WIDTH, m - WIDTH]
+    monkeypatch.setattr(StudySettings, "observed_iterations", 3)
     docs = []
     for workers in (1, 2):
-        settings = StudySettings(scheme=scheme, m=m, master_seed=SEED, observed_iterations=3,
-                                 workers=workers)
+        settings = StudySettings(scheme=scheme, m=m, master_seed=SEED, workers=workers)
         data = make_data()
         docs.append(json.dumps(power_study(make_pipeline(data), data, settings).to_json_dict()))
     assert docs[0] == docs[1]
@@ -217,7 +218,8 @@ REPLICATES = (5, WIDTH, WIDTH + 9)
 def test_reports_keep_their_promises_at_any_worker_count(monkeypatch, i, study, scheme):
     run, make_data, spec = STUDIES[study]
     m = REPLICATES[i % len(REPLICATES)]
-    settings = StudySettings(scheme=scheme, m=m, k=3, master_seed=SEED + i, observed_iterations=3)
+    monkeypatch.setattr(StudySettings, "observed_iterations", 3)
+    settings = StudySettings(scheme=scheme, m=m, k=3, master_seed=SEED + i)
     # The study fits its prepared data: a type-1 set of odd size loses a row.
     split = batch_width(monkeypatch, permtest._prepared(make_data(), settings), m)
     assert split == ([WIDTH, 9] if m > WIDTH else [m])
@@ -244,7 +246,7 @@ RESCALINGS = [
 
 @pytest.mark.parametrize("i, spec, col, scale, shift",
                          [(i, *case) for i, case in enumerate(RESCALINGS)])
-def test_affine_rescaling_of_a_column_keeps_the_report(i, spec, col, scale, shift):
+def test_affine_rescaling_of_a_column_keeps_the_report(monkeypatch, i, spec, col, scale, shift):
     """Error counts do not change under ``x -> scale * x + shift`` of a column.
 
     Studies map every column onto [0, 1] first, which undoes the map up to
@@ -266,5 +268,6 @@ def test_affine_rescaling_of_a_column_keeps_the_report(i, spec, col, scale, shif
     assert gap <= 4 * eps * (1.0 + (np.abs(column).max() + abs(shift) / scale) / np.ptp(column))
     study = alt_scheme_study if i % 4 >= 2 else power_study
     scheme = (Scheme.RUB, Scheme.RESUB, Scheme.KFOLD)[i % 3]
-    settings = StudySettings(scheme=scheme, m=20, k=3, master_seed=SEED, observed_iterations=3)
+    monkeypatch.setattr(StudySettings, "observed_iterations", 3)
+    settings = StudySettings(scheme=scheme, m=20, k=3, master_seed=SEED)
     assert study(spec, data, settings).to_json_dict() == study(spec, moved, settings).to_json_dict()
