@@ -17,11 +17,12 @@ column: the columns' parameters and Adam moments are stacked along a
 leading axis and every product is one stacked ``matmul``.  A column's
 arithmetic stays its own, so it gets the bits it gets in a stack of
 one, and a column whose loss stops being finite is recorded as failed
-without stopping the others.  One Adam step writes only into buffers
-made for the live stack (each layer's pre-activations, outputs and
-deltas, each gradient's view of the flat gradient, two temporaries for
-the moment and parameter updates), with the operations and order of the
-textbook expressions, so its bits are those of new arrays.
+and stays in the stack, unread, so the stack keeps one shape for the
+whole fit.  One Adam step writes only into buffers made once per fit
+(each layer's pre-activations, outputs and deltas, each gradient's view
+of the flat gradient, two temporaries for the moment and parameter
+updates), with the operations and order of the textbook expressions,
+so its bits are those of new arrays.
 :class:`AeModel`, :func:`ae_encode`, :func:`ae_batch_loss` and
 :func:`ae_gradient` are per model.
 
@@ -251,9 +252,10 @@ def ae_fit(
 
     Returns ``(models, failures)``: each column's model, and a
     ``DivergenceError`` carrying the epoch for each column whose recorded
-    loss stopped being finite.  Such a column leaves the stack at the end
-    of that epoch; its model is the one it left with, and its history
-    holds the epochs before.
+    loss stopped being finite.  Such a column stays in the stack, unread:
+    its model is a copy of its parameters at the end of that epoch, and
+    its history holds the epochs before.  The fit ends early only when
+    every column has diverged.
 
     Raises
     ------
@@ -288,8 +290,9 @@ def ae_fit(
         return models, failures
     layers = len(widths) - 1
     theta = np.zeros((size, n_params))
+    params = _views(theta, shapes)
     init_gens = [plan.rng(f"{tag}.init") for plan, tag in keys]
-    for w, (fan_in, fan_out) in zip(_views(theta, shapes), shapes[:layers]):
+    for w, (fan_in, fan_out) in zip(params, shapes[:layers]):
         a = np.sqrt(6.0 / (fan_in + fan_out))
         for k, g in enumerate(init_gens):
             w[k] = g.uniform(-a, a, size=(fan_in, fan_out))
@@ -299,39 +302,36 @@ def ae_fit(
     gen = None
     split = np.stack([(gen := plan.rng(f"{tag}.split", gen)).permutation(n) for plan, tag in keys])
     # Each column's training rows, then its validation rows: one pass scores both.
-    x_split = x[np.arange(size)[:, None], split]
+    stack = np.arange(size)[:, None]
+    x_split = x[stack, split]
 
     acts = _layer_activations(arch, layers, out_act)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    grad, temp, temp2 = (np.empty_like(theta) for _ in range(3))
+    grads = _views(grad, shapes)
+    weights, biases = params[:layers], params[layers:]
+    transposed = [w.swapaxes(-1, -2) for w in weights]
     step = 0
     lr, bs = arch.learning_rate, arch.batch_size
+    bufs = {rows: _buffers((size, rows), widths, acts)  # full and last batches
+            for rows in (min(bs, n_train), n_train % bs or bs)}
+    scored = _outputs((size, n), widths)
 
     batch_gens = [plan.rng(f"{tag}.batches") for plan, tag in keys]
-    live = list(range(size))  # the stack's columns, in stack order
     histories: list[list[tuple[float, float]]] = [[] for _ in range(size)]
-    models: list[AeModel | None] = [None] * size
+    failed: list[AeModel | None] = [None] * size  # each diverged column's model
     failures: dict[int, DivergenceError] = {}
 
-    def leave(k: int, j: int) -> None:
-        """Record stack position ``k``'s model as column ``j``'s."""
-        params = _views(theta[k : k + 1], shapes)
-        models[j] = AeModel(arch, width, tuple(p[0] for p in params[:layers]),
-                            tuple(p[0, 0] for p in params[layers:]), out_act,
-                            tuple(histories[j]))
+    def model(params, k: int, j: int) -> AeModel:
+        """Column ``j``'s model, stack position ``k`` of ``params``."""
+        return AeModel(arch, width, tuple(p[k] for p in params[:layers]),
+                       tuple(p[k, 0] for p in params[layers:]), out_act, tuple(histories[j]))
 
     with _QUIET():
         for epoch in range(arch.epochs):
-            if epoch == 0 or len(theta) < len(grad):  # made again only when the stack shrinks
-                grad, temp, temp2 = (np.empty_like(theta) for _ in range(3))
-                params, grads = _views(theta, shapes), _views(grad, shapes)
-                weights, biases = params[:layers], params[layers:]
-                transposed = [w.swapaxes(-1, -2) for w in weights]
-                bufs = {rows: _buffers((len(live), rows), widths, acts)  # full and last batches
-                        for rows in (min(bs, n_train), n_train % bs or bs)}
-                scored = _outputs((len(live), n), widths)
-            order = np.stack([batch_gens[j].permutation(n_train) for j in live])
-            shuffled = x_split[np.arange(len(live))[:, None], order]
+            order = np.stack([g.permutation(n_train) for g in batch_gens])
+            shuffled = x_split[stack, order]
             for start in range(0, n_train, bs):
                 batch = shuffled[:, start : start + bs]
                 _gradient(weights, biases, acts, batch, grads, bufs[batch.shape[1]], transposed)
@@ -352,23 +352,18 @@ def ae_fit(
             sq = _forward(weights, biases, acts, x_split, scored)
             np.square(np.subtract(sq, x_split, out=sq), out=sq)
             train_mse = sq[:, :n_train].mean(axis=(1, 2))
-            val_mse = sq[:, n_train:].mean(axis=(1, 2)) if n_val else np.full(len(live), np.nan)
-            keep = []
-            for k, j in enumerate(live):
-                if np.isfinite(train_mse[k]) and (not n_val or np.isfinite(val_mse[k])):
-                    histories[j].append((float(train_mse[k]), float(val_mse[k])))
-                    keep.append(k)
+            val_mse = sq[:, n_train:].mean(axis=(1, 2)) if n_val else np.full(size, np.nan)
+            for j in range(size):
+                if j in failures:
+                    continue
+                if np.isfinite(train_mse[j]) and (not n_val or np.isfinite(val_mse[j])):
+                    histories[j].append((float(train_mse[j]), float(val_mse[j])))
                 else:
                     failures[j] = DivergenceError(epoch)
-                    leave(k, j)
-            if len(keep) < len(live):
-                live = [live[k] for k in keep]
-                theta, m, v, x_split = (a[keep] for a in (theta, m, v, x_split))
-            if not live:
+                    failed[j] = model(_views(theta[j : j + 1].copy(), shapes), 0, j)
+            if len(failures) == size:
                 break
-    for k, j in enumerate(live):
-        leave(k, j)
-    return models, failures
+    return [failed[j] or model(params, j, j) for j in range(size)], failures
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check, is_int, is_real
+
 
 @dataclass(frozen=True)
 class BoundSpec:
@@ -39,6 +41,9 @@ class BoundSpec:
     eta : float
         Confidence level parameter in (0, 1); the bound holds with
         probability at least ``1 - eta``.
+
+    A value out of range or of the wrong type raises ``ConfigError``
+    naming its field.
     """
 
     n: int
@@ -46,14 +51,11 @@ class BoundSpec:
     eta: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
-        if self.d >= self.n:
-            raise ValueError("d must be smaller than n")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie strictly between 0 and 1")
+        n, d, eta = self.n, self.d, self.eta
+        check(is_int(n) and n >= 2, "n", "must be an integer of at least 2")
+        check(is_int(d) and d >= 1, "d", "must be a positive integer")
+        check(d < n, "d", "must be smaller than n")
+        check(is_real(eta) and 0.0 < eta < 1.0, "eta", "must lie strictly between 0 and 1")
 
 
 def _log_gamma(k: int) -> float:

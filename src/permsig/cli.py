@@ -239,8 +239,9 @@ def _run_study(args: argparse.Namespace) -> int:
     csv_path = _free_path(f"{os.path.splitext(json_path)[0]}_hist.csv", args.force)
     try:
         report = _STUDIES[args.study](spec, data, settings)
-    except ValueError as exc:
-        raise ConfigError("data", str(exc)) from None
+    except ValueError as exc:  # data the study cannot use; the bound's errors name their field
+        message = f"{exc.field} {exc.message}" if isinstance(exc, ConfigError) else str(exc)
+        raise ConfigError("data", message) from None
     echo = _config_echo(args.study, doc["data"], spec, settings, report.m)
     with _config_path("", other="out"):
         _write_outputs(report, echo, json_path, csv_path)
@@ -255,10 +256,8 @@ def _run_study(args: argparse.Namespace) -> int:
 
 
 def _run_bound(args: argparse.Namespace) -> int:
-    try:
+    with _config_path(""):
         spec = BoundSpec(args.n, args.d, args.eta)
-    except ValueError as exc:
-        raise ConfigError("bound", str(exc)) from None
     emp = empirical_bound(spec)
     vap = vapnik_bound(spec)
     path = None if args.out is None else _free_path(args.out, args.force)

@@ -549,7 +549,10 @@ def type1_study(pipeline: PipelineSpec, d: Dataset, settings: StudySettings) -> 
 
     Every replicate splits the rows into two pseudo-groups, so the null
     hypothesis holds by construction; the report carries the omnibus
-    rejection rate at level alpha and its Monte-Carlo deviation.
+    rejection rate at level alpha and its Monte-Carlo deviation.  That
+    rate is at most ``floor(alpha M) / M`` for M null values, with
+    equality when none tie, whatever the pipeline and data: it states
+    the omnibus test's exactness rather than measuring an error rate.
     """
     if d.class_count != 1:
         raise ValueError("type1_study requires a one-condition dataset")

@@ -107,8 +107,9 @@ def kfold_errors(
     K fold-wise test-error estimates (not their mean), or the
     ``FitError`` of the first fold it could not be fitted on (for example
     because its training rows are single-class), whose message names the
-    fold.  Each fold is fitted for every column still standing at once,
-    on its rows in ascending order.
+    fold.  Each fold is fitted for every column at once, on its rows in
+    ascending order; a failed column is fitted on to the last fold, and
+    its later folds' results are not read.
 
     Raises
     ------
@@ -129,15 +130,13 @@ def kfold_errors(
         raise ValueError("the folds of a batch's columns must have equal sizes")
     out: list = [[] for _ in range(batch.size)]
     for f in range(k):
-        standing = [j for j in range(batch.size) if not isinstance(out[j], FitError)]
-        if not standing:
-            break
-        live = batch.select(standing)
-        test = folds[standing] == f
-        train_rows = np.nonzero(~test)[1].reshape(len(standing), -1)
-        test_rows = np.nonzero(test)[1].reshape(len(standing), -1)
-        fitted = pipeline.fit(live.subset(train_rows), tag=f"fold{f}")
-        for j, test_error in zip(standing, fitted.errors(live.subset(test_rows))):
+        test = folds == f
+        train_rows = np.nonzero(~test)[1].reshape(batch.size, -1)
+        test_rows = np.nonzero(test)[1].reshape(batch.size, -1)
+        fitted = pipeline.fit(batch.subset(train_rows), tag=f"fold{f}")
+        for j, test_error in enumerate(fitted.errors(batch.subset(test_rows))):
+            if isinstance(out[j], FitError):
+                continue
             if isinstance(test_error, FitError):
                 error = FitError(f"fold {f}: {test_error}")
                 error.__cause__ = test_error

@@ -440,23 +440,29 @@ REFERENCE_CASES = {
     "identity_identity_code_1": (1, 17, 3, (2, 1), "identity", "identity", 0.25, 6, 5, 0.01),
     "relu_sigmoid_one_batch": (2, 9, 4, (3, 2), "relu", "sigmoid", 0.0, 32, 6, 0.05),
     # Adam's steps are about the learning rate, so at this one columns 9,
-    # 15, 4 and 11 overflow at epochs 9, 11, 17 and 17 and leave the stack.
+    # 15, 4 and 11 overflow at epochs 9, 11, 17 and 17 and stay in the
+    # stack, unread.
     "sigmoid_identity_diverging": (16, 20, 4, (3,), "sigmoid", "identity", 0.0, 1, 20, 5e152),
 }
 
 
-@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_fit_equals_the_step_without_reused_buffers_bit_for_bit(case):
+def _reference_case(case):
+    """The stack ``x``, architecture and keys of a reference case."""
     columns, n, width, widths, act, out, vf, bs, epochs, lr = REFERENCE_CASES[case]
     gen = np.random.Generator(np.random.Philox(64))
     shape = (columns, n, width)
     x = gen.random(shape) if out == "sigmoid" else gen.standard_normal(shape)
     arch = AeArchitecture(widths, activation=act, output_activation=out, epochs=epochs,
                           learning_rate=lr, batch_size=bs, validation_fraction=vf)
-    keys = [(PermutationPlan(6, j), "ae") for j in range(columns)]
+    return x, arch, [(PermutationPlan(6, j), "ae") for j in range(columns)]
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_fit_equals_the_step_without_reused_buffers_bit_for_bit(case):
+    x, arch, keys = _reference_case(case)
     models, failures = ae_fit(x, arch, keys)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = [_reference_fit(x[j], arch, *keys[j]) for j in range(columns)]
+        want = [_reference_fit(x[j], arch, *key) for j, key in enumerate(keys)]
     assert {j: exc.epoch for j, exc in failures.items()} == {
         j: epoch for j, (*_, epoch) in enumerate(want) if epoch is not None}
     assert len(failures) == (4 if "diverging" in case else 0)
@@ -464,3 +470,19 @@ def test_fit_equals_the_step_without_reused_buffers_bit_for_bit(case):
         assert [w.tobytes() for w in model.weights] == [w[0].tobytes() for w in weights]
         assert [b.tobytes() for b in model.biases] == [b[0, 0].tobytes() for b in biases]
         assert repr(model.training_history) == repr(tuple(history))  # NaN != NaN
+
+
+def test_diverged_columns_stay_in_the_stack_to_the_last_step(monkeypatch):
+    # Four of the 16 columns diverge mid-fit; every Adam step still takes
+    # a gradient of all 16, one row each (batch size 1, no validation rows).
+    x, arch, keys = _reference_case("sigmoid_identity_diverging")
+    stacks, gradient = [], autoenc._gradient
+
+    def recording(weights, biases, acts, batch, *rest):
+        stacks.append(batch.shape[:2])
+        return gradient(weights, biases, acts, batch, *rest)
+
+    monkeypatch.setattr(autoenc, "_gradient", recording)
+    _, failures = ae_fit(x, arch, keys)
+    assert len(failures) == 4
+    assert stacks == [(len(keys), 1)] * (arch.epochs * x.shape[1])

@@ -10,6 +10,7 @@ from permsig import cli
 from permsig.bounds import BoundSpec, empirical_bound
 from permsig.cli import main
 from permsig.dataset import load_csv, save_csv, synth_effect
+from permsig.errors import ConfigError
 from permsig.rng import PermutationPlan
 
 
@@ -79,6 +80,43 @@ def test_bound_json_output(tmp_path):
 def test_bound_invalid_inputs_exit_2(capsys):
     assert run("bound", "--n", "1", "--d", "1") == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field, message", [
+    (("--n", "1", "--d", "1"), "n", "must be an integer of at least 2"),
+    (("--n", "10", "--d", "0"), "d", "must be a positive integer"),
+    (("--n", "10", "--d", "10"), "d", "must be smaller than n"),
+    (("--n", "10", "--d", "1", "--eta", "2"), "eta", "must lie strictly between 0 and 1"),
+], ids=["n_1", "d_0", "d_n", "eta_2"])
+def test_bound_names_the_field_it_rejects(argv, field, message, capsys):
+    assert run("bound", *argv) == 2
+    assert capsys.readouterr().err == f"config error: config field '{field}': {message}\n"
+
+
+@pytest.mark.parametrize("args, field", [
+    ((True, 1, 0.05), "n"),
+    ((2.5, 1, 0.05), "n"),
+    ((10, 1.0, 0.05), "d"),
+    ((10, False, 0.05), "d"),
+    ((10, 1, True), "eta"),
+    ((10, 1, "0.05"), "eta"),
+    ((10, 1, float("nan")), "eta"),
+])
+def test_bound_spec_rejects_values_of_the_wrong_type(args, field):
+    with pytest.raises(ConfigError) as info:
+        BoundSpec(*args)
+    assert info.value.field == field
+
+
+def test_rub_study_wider_than_its_rows_names_the_data(tmp_path, capsys):
+    # raw features: the classifier sees 10 inputs of 8 rows, past the bound's range
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"synth": {"n_per_class": 4, "dim": 10}}, "m": 5,
+                               "scheme": "rub", "pipeline": {"reducer": "none"},
+                               "out": str(tmp_path / "r.json")}))
+    assert run("power", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == "config error: config field 'data': d must be smaller than n\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 # ------------------------------------------------------------------- studies

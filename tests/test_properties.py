@@ -5,6 +5,8 @@
 * Reports do not depend on the worker count, retries included.
 * ``1 / (M + 1) <= p <= 1``, ``0 <= fwe <= 1``, and the histogram
   counts sum to the number of null values.
+* The type-1 report's rate is at most the share of ranks at or below
+  alpha, and equal to it when no null values tie, whatever the values.
 * A positive affine rescaling of a feature column leaves the report, and
   so every error count, unchanged.
 
@@ -37,10 +39,13 @@ from permsig.permtest import (
     EXTRACTOR_INDEX,
     OBSERVED_BASE,
     RETRY_STRIDE,
+    NullDistribution,
     StudySettings,
     _mu_for,
     alt_scheme_study,
+    fwe_rate,
     null_distribution,
+    omnibus_pvalues,
     power_study,
     type1_study,
 )
@@ -233,6 +238,30 @@ def test_reports_keep_their_promises_at_any_worker_count(monkeypatch, i, study, 
         assert 1.0 / (total + 1) <= serial.p_value <= 1.0
     else:
         assert 0.0 <= serial.fwe_rate <= 1.0
+
+
+def test_type1_rate_is_the_share_of_ranks_at_or_below_alpha():
+    """``fwe_rate(omnibus_pvalues(null), alpha) <= c / M``, where ``c`` counts
+    the ranks ``r`` in 1..M with ``r / M <= alpha``, with equality when no
+    two null values tie.  So a type-1 report states the omnibus test's
+    exactness for any pipeline and data, rather than measuring an error
+    rate.  Half the cases draw their values from a few levels, so they tie."""
+    gen = np.random.Generator(np.random.Philox(SEED))
+    below = 0
+    for case in range(1200):
+        m = int(gen.integers(1, 1002))
+        alpha = 1.0 if case % 50 == 0 else float(gen.uniform(0.01, 1.0))
+        tied = case % 2 == 1
+        values = gen.integers(0, gen.integers(1, m + 1), m) / 3 if tied else gen.permutation(m) / 7
+        null = NullDistribution(tuple(values.tolist()), tuple(range(m)))
+        c = np.count_nonzero(np.arange(1, m + 1) / m <= alpha)
+        rate = fwe_rate(omnibus_pvalues(null), alpha)
+        if tied:
+            assert rate <= c / m, (case, m, alpha)
+            below += rate < c / m
+        else:
+            assert rate == c / m, (case, m, alpha)
+    assert below > 100  # ties do lower the rate
 
 
 # (pipeline, column, scale, shift): a positive affine map of one column

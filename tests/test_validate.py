@@ -110,6 +110,38 @@ def test_kfold_fits_each_fold_on_its_rows_in_ascending_order():
         np.testing.assert_array_equal(got, want)
 
 
+def test_kfold_fits_a_failed_column_in_every_fold():
+    """A column that fails in fold 0 is fitted with the others in every
+    fold; it keeps its fold-0 error, and the other columns get the fold
+    errors of a batch without it."""
+
+    class FailsColumn0InFold0:
+        def __init__(self):
+            self.sizes, self.fitted, self.fold = [], None, None
+
+        def fit(self, batch, tag):
+            self.sizes.append(batch.size)
+            self.fitted, self.fold = PipelineSpec(reducer="pls").fit(batch, tag), tag
+            return self
+
+        def errors(self, batch):
+            out = list(self.fitted.errors(batch))
+            if self.fold == "fold0":
+                out[0] = FitError("no fit")
+            return out
+
+    d = blobs(n_per=10, effect=1.0)
+    plans = [PermutationPlan(0, j) for j in range(4)]
+    batch = Batch.of(d, plans)
+    folds = stratified_folds(batch, 5)
+    pipeline = FailsColumn0InFold0()
+    out = kfold_errors(pipeline, batch, folds)
+    assert pipeline.sizes == [4] * 5
+    assert str(out[0]) == "fold 0: no fit" and str(out[0].__cause__) == "no fit"
+    assert out[1:] == kfold_errors(PipelineSpec(reducer="pls"), Batch.of(d, plans[1:]), folds[1:])
+    assert len(set(map(tuple, out[1:]))) > 1  # the columns' folds differ
+
+
 @pytest.mark.parametrize("folds, message", [
     pytest.param(np.array([[0, 1] * 3]), "shape", id="short"),  # 6 rows for a 10-row set
     pytest.param(np.array([0, 1] * 5), "shape", id="no_column_axis"),
