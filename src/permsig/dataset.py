@@ -154,9 +154,9 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         If the file does not exist.
     ValueError
         If the label column or every feature column is missing, any
-        cell fails to parse (the message names the 1-based data row and
-        the column), or fewer than 2 data rows are present.  A label
-        column that is not a string raises ``ConfigError``.
+        cell fails to parse or a label cell is blank (the message names the
+        1-based data row and the column), or fewer than 2 data rows are
+        present.  A label column that is not a string raises ``ConfigError``.
     """
     check(isinstance(label_column, str), "label_column", "must be a string")
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -182,7 +182,9 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
                 raise ValueError(
                     f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
                 )
-            raw_labels.append(row.pop(label_idx).strip())
+            if not (label := row.pop(label_idx).strip()):
+                raise ValueError(f"{path}: blank label at row {row_num}, column '{label_column}'")
+            raw_labels.append(label)
             try:
                 values = list(map(float, row))
             except ValueError:

@@ -273,6 +273,14 @@ def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
     pair gains 1e-10, which ``diff[j] >= 1e-10`` rules out.
     Kernel columns and curvature rows come from a FIFO cache (Joachims
     1999; LIBSVM), which changes no bit of the result.
+    Curvature rows are kept halved, ``max((sqh_i + sqh) - x @ x_i, _TAU / 2)``
+    with ``sqh = sq / 2``.  Halving is exact in the normal range and values
+    below it are clamped, so a row is half the full one bit for bit unless
+    a sum of two squared norms overflows.  The step is then the same, and
+    so is the first maximizer of the gains ``diff * |diff| / curvh``, unless
+    the largest overflows (only with ``||w||**2``) or is subnormal: then each
+    eligible ``diff`` is below 1e-10, unless rows lie ~1e144 apart, and the
+    pass stops whatever ``j`` is.
     """
     pos = y > 0
     n_pos = int(pos.sum())
@@ -280,7 +288,7 @@ def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
     # The dual's Hessian Q_kl = y_k y_l x_k . x_l is never formed: a step
     # needs only the kernel columns x @ x_i and x @ x_j, so memory stays
     # O(n * d).  ``myg`` is -y * (dual gradient), which equals y - x @ w.
-    sq = np.einsum("ij,ij->i", x, x)
+    sqh = 0.5 * np.einsum("ij,ij->i", x, x)
     # Feasible warm start near the typical non-separable solution.
     nu = 0.9 * c * min(n_pos, n - n_pos)
     alpha = np.where(pos, nu / n_pos, nu / (n - n_pos))
@@ -295,10 +303,10 @@ def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
 
     # About 40% of a step's i and j were an i or j a few steps before, so
     # kernel columns x @ x_t are kept in a FIFO cache of ``slots`` rows
-    # within a byte budget, memory O(n), each with the curvature row
-    # max(sq_t + sq - 2 x @ x_t, _TAU) filled the first time t is an i.
-    # A row comes from the same matmul on the same operands as a fresh
-    # one, so a hit gives the same bits.  j's lookup never evicts i's slot.
+    # within a byte budget, memory O(n), each with its half curvature row
+    # filled the first time t is an i.  A row comes from the same dgemv on
+    # the same operands as a fresh one, so a hit gives the same bits; np.dot
+    # calls it without matmul's ufunc layer.  j's lookup never evicts i's slot.
     slots = max(2, min(n, _CACHE_BYTES // (16 * n)))
     kernel, curvature = _rows(slots, n), _rows(slots, n)
     slot_of, held, curved = {}, [-1] * slots, [False] * slots
@@ -313,7 +321,7 @@ def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
             clock = (s + 1) % slots
             slot_of.pop(held[s], None)
             held[s], slot_of[t], curved[s] = t, s, False
-            np.matmul(x, x[t], out=kernel[s])
+            np.dot(x, x[t], out=kernel[s])
         return s
 
     for passes in range(1, _MAX_PASSES + 1):
@@ -322,18 +330,18 @@ def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
             # max(diff) is m_up - (min over low of myg): rounding is monotone
             np.subtract(gup.item(i), glow, out=diff)
             s_i = column(i, -1)
-            k_i, curv = kernel[s_i], curvature[s_i]
+            k_i, curvh = kernel[s_i], curvature[s_i]
             if not curved[s_i]:
-                np.add(sq[i], sq, out=curv)
-                np.subtract(curv, np.multiply(2.0, k_i, out=gain), out=curv)
-                np.maximum(curv, _TAU, out=curv)
+                np.add(sqh[i], sqh, out=curvh)
+                curvh -= k_i
+                np.maximum(curvh, 0.5 * _TAU, out=curvh)
                 curved[s_i] = True
-            j = _second_index(diff, curv, gain, ineligible)
+            j = _second_index(diff, curvh, gain, ineligible)
             d_j = diff.item(j)
             stuck = not d_j >= 1e-10 and diff[diff.argmax()] < 1e-10  # argmax is faster
             if stuck:  # no step moves: every later pass ends here too
                 break
-            step = min(d_j / curv.item(j), (c - alpha[i]) if signs[i] > 0 else alpha[i],
+            step = min(d_j / (2.0 * curvh.item(j)), (c - alpha[i]) if signs[i] > 0 else alpha[i],
                        alpha[j] if signs[j] > 0 else (c - alpha[j]))
             alpha[i] += signs[i] * step
             alpha[j] -= signs[j] * step

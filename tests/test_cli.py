@@ -332,6 +332,22 @@ def test_label_column_flag_names_a_middle_column(tmp_path):
     assert doc["mu"] == empirical_bound(BoundSpec(30, 1, 0.05))  # n = 30 rows
 
 
+@pytest.mark.parametrize("features", [1, 2])
+def test_blank_label_exits_2(tmp_path, capsys, features):
+    # Read as a class of its own, a blank label made a 3-class study of two
+    # features, and a PLS failure (exit 3) of one.
+    labels = ["a", "b", "a", " ", "b", "a", "b"]
+    rows = ["label" + "".join(f",f{k}" for k in range(features))]
+    rows += [label + "".join(f",{0.1 * i + k}" for k in range(features))
+             for i, label in enumerate(labels)]
+    data, out = tmp_path / "blank.csv", tmp_path / "r.json"
+    data.write_text("\n".join(rows) + "\n")
+    assert run("power", "--data", str(data), "--m", "9", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config field 'data.csv'" in err and "blank label at row 4, column 'label'" in err
+    assert not out.exists()
+
+
 def test_one_condition_data_for_power_exits_2(tmp_path, capsys):
     rows = ["label,f0"] + [f"0,{float(i)}" for i in range(10)]
     data = tmp_path / "flat.csv"

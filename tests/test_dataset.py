@@ -172,6 +172,15 @@ def test_csv_first_faulty_row_wins(tmp_path):
         load_csv(str(path))
 
 
+@pytest.mark.parametrize("cell", ["", "  ", "\t"])
+def test_csv_blank_label_names_row_and_column(tmp_path, cell):
+    # A blank label is missing data, not a class of its own.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,group,f1\n1.0,a,2.0\n3.0,{cell},4.0\n5.0,b,oops\n")
+    with pytest.raises(ValueError, match=r"blank label at row 2, column 'group'"):
+        load_csv(str(path), label_column="group")
+
+
 def test_csv_row_whose_sum_overflows_loads(tmp_path):
     path = tmp_path / "huge.csv"
     path.write_text("label,f0,f1\n0,1e308,1e308\n1,-1e308,-1e308\n")

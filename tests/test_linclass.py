@@ -329,7 +329,9 @@ def test_svm_stops_only_at_the_optimum(seed):
 # classes apart, so the corner alpha = c is not optimal.  Integer rows are
 # the shifted rows rounded into {0, 1, 2}: exact zeros and ties in myg and
 # in the kernel columns.  The small-c imbalanced case runs four passes, in
-# which indices leave the up set and come back.
+# which indices leave the up set and come back.  The n = 1500 case has the
+# shape of a type1_kfold_raw fold: its 21-slot cache of kernel columns
+# cycles many times over.
 # name: (seed, n, n_pos, d, c, class shift, integer rows, sha)
 SMO_PINS = {
     "balanced_d2_c1": (81, 120, 60, 2, 1.0, 1.0, False, "89d6af5551bc101a325d2899beb49a133801cea2011f55cb2287523cff0e17b1"),
@@ -343,6 +345,7 @@ SMO_PINS = {
     "separable_d20_c0.1": (89, 600, 300, 20, 0.1, 1.2, False, "f6a372b4e9fab38665a85e6030ec70260e38f9cac32803cda7e7c3bfbe1a12fa"),
     "integer012_d4_c1": (93, 300, 150, 4, 1.0, 0.6, True, "785da4b1eff0c5d9b8e7a4508cfe6700e10a62a557742bbe9889bbc7166d85b0"),
     "imbalanced_d20_c0.05_passes": (95, 100, 25, 20, 0.05, 0.3, False, "378800cedccdd7e18fa05afc4fbdbc33d5d002063f0a06d73b10b504172819f4"),
+    "balanced_d20_c1_n1500": (96, 1500, 750, 20, 1.0, 0.3, False, "de15050508764060f206b815adde0badfa4ca6afa8adf7226397e86a62c06753"),
 }
 SMO_PIN_SHARED = "3367b96e836f677b73f5c17ffc4c47f698efa29ecfbdd657328616e962e20bf4"
 
@@ -389,15 +392,10 @@ def test_smo_bits_pinned_under_heavy_eviction(monkeypatch):
     test_smo_bits_pinned()
 
 
-def test_second_index_equals_masked_argmax():
-    # SMO's second index is the first maximizer of diff**2 / curv over
-    # diff > 0, with the others masked to -inf.  The helper skips the mask
-    # when the unmasked diff * |diff| / curv has a positive maximum; check
-    # it against the masked reference with ties, signed zeros, negatives,
-    # -inf entries, and tiny positives whose squares underflow to 0, where
-    # it must fall back to the mask.
+def _second_index_cases():
+    """(trial, diff, curv) with ties, signed zeros, negatives, -inf entries,
+    and tiny positives whose squares underflow to 0."""
     gen = np.random.Generator(np.random.Philox(92))
-    fallbacks = 0
     for trial in range(600):
         n = int(gen.integers(1, 60))
         scale = 10.0 ** gen.integers(-3, 4)
@@ -408,12 +406,55 @@ def test_second_index_equals_masked_argmax():
         if trial % 3 == 0:
             diff[diff > 0] = 10.0 ** gen.integers(-200, -162)  # diff**2 is 0
         curv = gen.choice([1e-12, 0.5, 2.0, 3.0], n) if trial % 2 else gen.random(n) * scale + 1e-12
+        yield trial, diff, curv
+
+
+def test_second_index_equals_masked_argmax():
+    # SMO's second index is the first maximizer of diff**2 / curv over
+    # diff > 0, with the others masked to -inf.  The helper skips the mask
+    # when the unmasked diff * |diff| / curv has a positive maximum; check
+    # it against the masked reference, also where every square underflows
+    # and it must fall back to the mask.
+    fallbacks = 0
+    for trial, diff, curv in _second_index_cases():
+        n = len(diff)
         reference = diff * diff / curv
         reference[diff <= 0.0] = -np.inf
         j = _second_index(diff, curv, np.empty(n), np.empty(n, dtype=bool))
         assert j == int(reference.argmax()), trial
         fallbacks += not reference.max() > 0.0
     assert 100 < fallbacks < 500
+
+
+def test_second_index_of_the_half_curvature_is_the_same():
+    # SMO passes its curvature rows halved: the gains double exactly, so
+    # the first maximizer stays, ties and the underflow fallback included.
+    for trial, diff, curv in _second_index_cases():
+        n = len(diff)
+        scratch = np.empty(n), np.empty(n, dtype=bool)
+        assert _second_index(diff, 0.5 * curv, *scratch) == _second_index(diff, curv, *scratch), trial
+
+
+def test_half_curvature_rows_are_half_the_full_rows_bit_for_bit():
+    # SMO fills a curvature row as max((sqh_i + sqh) - x @ x_i, _TAU / 2)
+    # with sqh = sq / 2.  Twice that is the full row max((sq_i + sq) -
+    # 2 x @ x_i, _TAU) bit for bit on every pin's rows, with every fifth row
+    # repeated so that entries clamp beyond each row's own, as the integer
+    # rows' do.
+    for name in SMO_PINS:
+        x, _, _ = _pin_problem(name)
+        x = np.concatenate([x, x[::5]])
+        sq = np.einsum("ij,ij->i", x, x)
+        sqh = 0.5 * np.einsum("ij,ij->i", x, x)
+        rows = range(0, len(x), 3)
+        clamped = 0
+        for i in rows:
+            k_i = np.dot(x, x[i])
+            curv = np.maximum((sq[i] + sq) - 2.0 * k_i, linclass._TAU)
+            curvh = np.maximum((sqh[i] + sqh) - k_i, 0.5 * linclass._TAU)
+            assert np.array_equal(2.0 * curvh, curv), (name, i)
+            clamped += int((curv == linclass._TAU).sum())
+        assert clamped > len(rows), name  # more than each row against itself
 
 
 def test_stopping_test_reads_the_masked_copy():
