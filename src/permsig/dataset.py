@@ -12,6 +12,7 @@ same plans reproduces the result bit for bit.
 
 from __future__ import annotations
 
+import array
 import csv
 import math
 from dataclasses import dataclass
@@ -146,14 +147,17 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
     The named label column may hold arbitrary strings; classes are encoded
     by order of first appearance.  Every other column must parse as a
     finite float.  Comma separator, ``.`` decimal point, UTF-8 with or
-    without a byte-order mark.
+    without a byte-order mark.  Parsed cells go straight into one float64
+    buffer, which ``Dataset`` copies once: a load peaks at about 2.3 times
+    the features' bytes.
 
     Raises
     ------
     FileNotFoundError
         If the file does not exist.
     ValueError
-        If the label column or every feature column is missing, any
+        If a header name repeats (the message names its two 1-based
+        columns), the label column or every feature column is missing, any
         cell fails to parse or a label cell is blank (the message names the
         1-based data row and the column), or fewer than 2 data rows are
         present.  A label column that is not a string raises ``ConfigError``.
@@ -166,6 +170,10 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
+        first: dict[str, int] = {}
+        for col, name in enumerate(header, start=1):
+            if (at := first.setdefault(name, col)) != col:
+                raise ValueError(f"{path}: header name '{name}' repeats, at columns {at} and {col}")
         if label_column not in header:
             raise ValueError(f"{path}: label column '{label_column}' not found in header")
         label_idx = header.index(label_column)
@@ -173,7 +181,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         if not feature_names:
             raise ValueError(f"{path}: no feature columns besides label column '{label_column}'")
 
-        rows: list[list[float]] = []
+        cells = array.array("d")
         raw_labels: list[str] = []
         for row_num, row in enumerate(reader, start=1):
             if not row:
@@ -192,10 +200,10 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             # A non-finite cell makes the sum non-finite; so, rarely, does an overflow.
             if values is None or not math.isfinite(sum(values)):
                 _check_cells(path, row_num, row, feature_names)
-            rows.append(values)
+            cells.extend(values)
 
-    if len(rows) < 2:
-        raise ValueError(f"{path}: at least 2 data rows required, found {len(rows)}")
+    if len(raw_labels) < 2:
+        raise ValueError(f"{path}: at least 2 data rows required, found {len(raw_labels)}")
 
     seen: dict[str, int] = {}
     labels = np.empty(len(raw_labels), dtype=np.int64)
@@ -203,7 +211,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         if name not in seen:
             seen[name] = len(seen)
         labels[i] = seen[name]
-    return Dataset(np.asarray(rows, dtype=np.float64), labels, len(seen), feature_names)
+    return Dataset(np.frombuffer(cells).reshape(len(labels), -1), labels, len(seen), feature_names)
 
 
 def _check_cells(path: str, row_num: int, cells: list[str], names: tuple[str, ...]) -> None:
@@ -243,7 +251,8 @@ def scale_unit_interval(d: Dataset) -> Dataset:
     hi = d.features.max(axis=0)
     span = hi - lo
     safe = np.where(span > 0, span, 1.0)
-    scaled = (d.features - lo) / safe
+    scaled = d.features - lo
+    scaled /= safe
     scaled[:, span == 0] = 0.0
     return Dataset(scaled, d.labels, d.class_count, d.feature_names)
 

@@ -423,6 +423,16 @@ def test_out_naming_a_directory_exits_2_before_the_study(tmp_path, capsys, monke
     assert all((tmp_path / name).is_file() for name in numbered)
 
 
+def test_repeated_header_name_exits_2(tmp_path, capsys):
+    rows = ["label,f0,f0"] + [f"{i % 2},{0.1 * i},{0.2 * i}" for i in range(10)]
+    data, out = tmp_path / "repeat.csv", tmp_path / "r.json"
+    data.write_text("\n".join(rows) + "\n")
+    assert run("power", "--data", str(data), "--m", "9", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config field 'data.csv'" in err and "header name 'f0' repeats, at columns 2 and 3" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"alpha": "x"}, "alpha"),
     ({"eta": "x"}, "eta"),
