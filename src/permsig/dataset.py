@@ -245,14 +245,18 @@ def save_csv(d: Dataset, path: str) -> None:
 def scale_unit_interval(d: Dataset) -> Dataset:
     """Min-max scale every feature column into ``[0, 1]``.
 
-    Constant columns map to 0.
+    Constant columns map to 0.  A column whose range passes the float
+    maximum is scaled through the halves of its values, which halving
+    keeps exact in the normal range; every other column keeps its bits.
     """
-    lo = d.features.min(axis=0)
-    hi = d.features.max(axis=0)
-    span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    scaled = d.features - lo
-    scaled /= safe
+    lo, hi = d.features.min(axis=0), d.features.max(axis=0)
+    with np.errstate(over="ignore"):  # the columns that overflow are redone below
+        span = hi - lo
+        scaled = d.features - lo
+    wide = np.isinf(span)
+    span[wide] = hi[wide] / 2 - lo[wide] / 2
+    scaled /= np.where(span > 0, span, 1.0)
+    scaled[:, wide] = (d.features[:, wide] / 2 - lo[wide] / 2) / span[wide]
     scaled[:, span == 0] = 0.0
     return Dataset(scaled, d.labels, d.class_count, d.feature_names)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, signed_counts
 
 _DEGENERATE_TOL = 1e-12
 
@@ -91,10 +91,7 @@ def pls1_fit(x: np.ndarray, y: np.ndarray):
     if x.ndim not in (2, 3) or y.ndim != 2 or x.shape[-2] != y.shape[1] \
             or (x.ndim == 3 and x.shape[0] != y.shape[0]):
         raise ValueError("x must be (R, n, N) or shared (n, N), and y (R, n)")
-    if not np.all((y == 1.0) | (y == -1.0)):
-        raise ValueError("y must contain only -1 and +1")
-    if not np.all((y > 0).any(axis=1) & (y < 0).any(axis=1)):
-        raise ValueError("both label signs must be present")
+    signed_counts(y)
     (cols, n), n_feat = y.shape, x.shape[-1]
     mean = x.mean(axis=-2)
     yc = y - y.mean(axis=1, keepdims=True)

@@ -61,3 +61,13 @@ def is_int(value) -> bool:
 
 def is_real(value) -> bool:
     return type(value) in (float, int) or (isinstance(value, Real) and not isinstance(value, bool))
+
+
+def signed_counts(y):
+    """Each column's ``+1`` count in (R, n) labels, all -1 or +1 and both in every column."""
+    if not ((y == 1.0) | (y == -1.0)).all():
+        raise ValueError("y must contain only -1 and +1")
+    n_pos = (y > 0).sum(axis=1)
+    if (n_pos == 0).any() or (n_pos == y.shape[1]).any():
+        raise ValueError("both label signs must be present")
+    return n_pos

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, signed_counts
 
 _TAU = 1e-12  # curvature floor in the SMO subproblem
 _CACHE_BYTES = 512 * 1024  # kernel and curvature rows cached per SMO fit
@@ -57,6 +57,7 @@ _SVM_TOL = 1e-6  # duality gap, relative to the primal, at which an SVM fit stop
 _MAX_PASSES = 10_000  # SMO passes before a column fails
 _CAL_TOL = 1e-8  # gradient and step size at which a calibration stops
 _MAX_ITER = 100  # Newton iterations before a calibration fails
+_OVERFLOW = "SVM objective overflows the float range"
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,10 @@ def svm_fit(x: np.ndarray, y: np.ndarray, c: float = 1.0):
     ``(svm, failures)``: ``failures`` maps each column whose duality gap
     is still above ``_SVM_TOL`` after ``_MAX_PASSES`` passes, or after a pass
     that left no step to take, to its ``FitError``, and that column keeps
-    the corner's finite ``(w, b)``.  On one feature, a column whose scores
-    near the float limit overflow their sum of magnitudes, their spread or
-    the centred map gets its ``FitError`` and keeps ``(0, 0)``.
+    the corner's finite ``(w, b)``.  A column whose corner or SMO duality
+    gap overflows fails at once, with no warning, and keeps ``(0, 0)``, as
+    on one feature does a column whose scores near the float limit
+    overflow their sum of magnitudes, their spread or the centred map.
 
     Raises
     ------
@@ -170,15 +172,11 @@ def svm_fit(x: np.ndarray, y: np.ndarray, c: float = 1.0):
     if x.ndim not in (2, 3) or y.ndim != 2 or x.shape[-2] != y.shape[1] \
             or (x.ndim == 3 and x.shape[0] != y.shape[0]):
         raise ValueError("x must be (R, n, d) or shared (n, d), and y (R, n)")
-    if not np.all((y == 1.0) | (y == -1.0)):
-        raise ValueError("y must contain only -1 and +1")
+    n_pos = signed_counts(y)
     if not 0.0 < c < np.inf:
         raise ValueError("c must be positive and finite")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    n_pos = (y > 0).sum(axis=1)
-    if np.any(n_pos == 0) or np.any(n_pos == y.shape[1]):
-        raise ValueError("both label signs must be present")
     c = float(c)
     if x.shape[-1] == 1:  # the margin map of the module docstring
         if np.any(n_pos != n_pos[0]):
@@ -211,18 +209,20 @@ def svm_fit(x: np.ndarray, y: np.ndarray, c: float = 1.0):
             int(j): FitError("one-feature scores overflow the margin map") for j in bad}
 
     x = np.ascontiguousarray(x)  # see decision_values: the layout sets the rounding
-    weights, bias, certified = _corner(x, y, c)
-    x = np.broadcast_to(x, y.shape + x.shape[-1:])
-    failures = {}
-    for j in np.flatnonzero(~certified):
-        try:
-            weights[j], bias[j] = _svm_smo(x[j], y[j], c)
-        except FitError as exc:
-            failures[int(j)] = exc
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its column
+        weights, bias, certified, finite = _corner(x, y, c)
+        x = np.broadcast_to(x, y.shape + x.shape[-1:])
+        failures = {int(j): FitError(_OVERFLOW) for j in np.flatnonzero(~finite)}
+        for j in np.flatnonzero(~certified & finite):
+            try:
+                weights[j], bias[j] = _svm_smo(x[j], y[j], c)
+            except FitError as exc:
+                failures[int(j)], finite[j] = exc, str(exc) != _OVERFLOW
+    weights[~finite], bias[~finite] = 0.0, 0.0
     return LinearSvm(weights, bias), failures
 
 
-def _corner(x, y, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _corner(x, y, c) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The dual corner ``alpha = c`` of every column, and whether it is optimal.
 
     Balanced classes make the corner feasible.  Where permuted labels
@@ -231,7 +231,8 @@ def _corner(x, y, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     certified when it passes the tests that end an SMO pass: no KKT
     violation above 1e-10, then a duality gap below ``_SVM_TOL`` relative
     to the primal (see :func:`_gap_test`).  Returns the corner's ``(w, b)``
-    of every column, (R, d) and (R,), and the (R,) certified mask.
+    of every column, (R, d) and (R,), the (R,) certified mask, and the
+    (R,) mask of the columns whose duality gap is finite.
 
     Each product is a stacked ``np.matmul``, which takes every column's
     product on its own, and every reduction runs over one column's rows:
@@ -255,10 +256,10 @@ def _corner(x, y, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.maximum(0.0, hinge, out=hinge)
     ww = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
     primal = 0.5 * ww + c * hinge.sum(axis=1)
-    dual = np.full(y.shape[1], c).sum() - 0.5 * ww
+    gap = primal - (np.full(y.shape[1], c).sum() - 0.5 * ww)
     certified = (2 * pos.sum(axis=1) == y.shape[1]) & (hi - lo < 1e-10) \
-        & (primal - dual < _SVM_TOL * np.maximum(1.0, np.abs(primal)))
-    return w, b, certified
+        & (gap < _SVM_TOL * np.maximum(1.0, np.abs(primal)))
+    return w, b, certified, np.isfinite(gap)
 
 
 def _svm_smo(x, y, c) -> tuple[np.ndarray, float]:
@@ -395,12 +396,15 @@ def _second_index(diff, curv, gain, ineligible) -> int:
 
 def _gap_test(x, y, alpha, gup, glow, c) -> tuple[np.ndarray, float, bool]:
     """Primal ``(w, b)`` of a dual point, and whether its duality gap is
-    below ``_SVM_TOL`` relative to the primal objective."""
+    below ``_SVM_TOL`` relative to the primal objective; a gap past the
+    float range raises."""
     w = x.T @ (alpha * y)
     b = _bias_from_kkt(alpha, gup, glow, c)
     primal = svm_objective(x, y, w, b, c)
-    dual = float(alpha.sum() - 0.5 * (w @ w))
-    return w, b, primal - dual < _SVM_TOL * max(1.0, abs(primal))
+    gap = primal - float(alpha.sum() - 0.5 * (w @ w))
+    if not math.isfinite(gap):
+        raise FitError(_OVERFLOW)
+    return w, b, gap < _SVM_TOL * max(1.0, abs(primal))
 
 
 def _bias_from_kkt(alpha, gup, glow, c) -> float:
@@ -445,12 +449,8 @@ def calibrate(margins: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=np.float64)
     if margins.ndim != 2 or margins.shape != y.shape:
         raise ValueError("margins and y must both be (R, n)")
-    if not np.all((y == 1.0) | (y == -1.0)):
-        raise ValueError("y must contain only -1 and +1")
-    n_pos = (y > 0).sum(axis=1)
+    n_pos = signed_counts(y)
     n_neg = y.shape[1] - n_pos
-    if np.any(n_pos == 0) or np.any(n_neg == 0):
-        raise ValueError("both label signs must be present")
 
     hi = (n_pos + 1.0) / (n_pos + 2.0)
     lo = 1.0 / (n_neg + 2.0)

@@ -15,21 +15,23 @@ distribution built by refitting the pipeline on label-randomized data:
   and reducer are fitted once on the unrandomized data and only the
   classifier refits inside replicates.
 
-Replicates and observed iterations are independent and own their
-random streams.  They are fitted in chunks, each chunk as one batch of
-columns over the shared features, and every chunk of a study goes
-through one queue: the observed iterations' chunks first, then the
-null's.  The study's process takes the next untaken chunk, beside
-``min(workers, chunks) - 1`` forked children that do the same; with one
-worker it forks none.  A chunk holds as many columns as keep an
-(R, n, N) float64 array of the data within :data:`BATCH_BYTES`, and at
-least :data:`MIN_BATCH`, so the chunks depend on the iteration or
-replicate count and the data's shape alone, and a study's memory stays
-linear in the data.  A column's arithmetic never mixes with another's,
-so results depend neither on the chunking nor on the worker count.  A
-replicate whose fit fails is resampled with a fresh sub-stream up to
-three times before the study aborts; the report lists every such retry.
-An observed iteration is never retried.
+A study fits everything in :func:`null_distribution`, which works out
+the RUB bound and, on labeled data, fits the observed iterations too.
+Replicates and observed iterations own their random streams.  They are
+fitted in chunks, each one batch of columns over the shared features,
+by one chunk function, and every chunk of a study goes through one
+queue: the observed iterations' chunks first, then the null's.  The study's
+process takes the next untaken chunk, beside ``min(workers, chunks) - 1``
+forked children that do the same; with one worker it forks none.  A
+chunk holds as many columns as keep an (R, n, N) float64 array of the
+data within :data:`BATCH_BYTES`, and at least :data:`MIN_BATCH`, so the
+chunks depend on the iteration or replicate count and the data's shape
+alone, and a study's memory stays linear in the data.  A column's
+arithmetic never mixes with another's, so results depend neither on the
+chunking nor on the worker count.  A replicate whose fit fails is
+resampled with a fresh sub-stream up to three times before the study
+aborts; the report lists every such retry.  An observed iteration is
+never retried.
 """
 
 from __future__ import annotations
@@ -126,14 +128,15 @@ class NullDistribution:
     ``PermutationPlan(master_seed, index)`` replays the replicate.
     ``retries`` holds ``(replicate, attempt, message)`` for every failed
     attempt that was retried, in replicate order.  ``observed`` holds the
-    observed iterations' statistics, in iteration order, when they were
-    asked for, and is empty otherwise.
+    observed iterations' statistics in order, empty on one-condition data.
+    ``mu`` is the RUB bound added to every value, ``None`` off RUB.
     """
 
     statistics: tuple[float, ...]
     replicate_indices: tuple[int, ...]
     retries: tuple[tuple[int, int, str], ...] = ()
     observed: tuple[float, ...] = ()
+    mu: float | None = None
 
     @property
     def m(self) -> int:
@@ -183,10 +186,7 @@ class StudyReport:
 
     def histogram_csv_rows(self) -> list[tuple[float, float, int]]:
         edges = self.histogram_edges
-        return [
-            (edges[i], edges[i + 1], self.histogram_counts[i])
-            for i in range(len(self.histogram_counts))
-        ]
+        return list(zip(edges, edges[1:], self.histogram_counts))
 
 
 def p_value(observed: float, null: NullDistribution) -> float:
@@ -257,35 +257,35 @@ def _statistics(pipeline, batch: Batch, scheme: Scheme, k: int, mu) -> list:
             for out in resub_error(pipeline, batch)]
 
 
-def _chunk_stats(statistics, d: Dataset, seed: int, replicates: range):
-    """Statistics of a chunk of null replicates, and its retries.
+def _chunk_stats(statistics, make, d: Dataset, seed: int, indices: range, retries: int):
+    """Each column's ``(plan index, values)`` of a chunk, and its retries.
 
-    Every replicate draws its labeling from its own plan, and the chunk's
-    labelings are one batch over the shared features.  The replicates
-    whose fit failed are drawn again from their next plan and fitted
-    together, up to ``MAX_RETRIES`` times.  ``statistics`` maps a batch to
-    its columns' values, as :func:`_statistics` does.
+    Column ``i`` of ``indices`` draws from ``PermutationPlan(seed, i)``, and
+    ``make(d, plans)`` gives the chunk's batch: row orders for observed
+    iterations, labelings for the null.  Failed columns are drawn again
+    from their next plan and fitted together, up to ``retries`` times; then
+    the first failure raises, as its own ``FitError`` if never retried.
+    ``statistics`` maps a batch to its columns' values (:func:`_statistics`).
     """
-    label = split_null_groups if d.class_count == 1 else permute_labels
-    results: dict[int, tuple[int, list[float]]] = {}
-    retries: list[tuple[int, int, str]] = []
-    pending = list(replicates)
-    for attempt in range(MAX_RETRIES + 1):
-        plans = [PermutationPlan(seed, r + attempt * RETRY_STRIDE) for r in pending]
+    results, failures = {}, []
+    pending = list(indices)
+    for attempt in range(retries + 1):
+        plans = [PermutationPlan(seed, i + attempt * RETRY_STRIDE) for i in pending]
         failed = []
-        for r, plan, out in zip(pending, plans, statistics(label(d, plans))):
+        for i, plan, out in zip(pending, plans, statistics(make(d, plans))):
             if isinstance(out, FitError):
-                failed.append((r, out))
+                failed.append((i, out))
             else:
-                results[r] = (plan.replicate_index, out)
-        if attempt == MAX_RETRIES and failed:
-            r, exc = failed[0]
-            raise FitError(f"replicate {r} failed after {MAX_RETRIES} retries: {exc}")
-        retries += [(r, attempt, str(exc)) for r, exc in failed]
-        pending = [r for r, _ in failed]
+                results[i] = (plan.replicate_index, out)
+        if failed and attempt == retries:
+            i, exc = failed[0]
+            raise exc if not retries else FitError(
+                f"replicate {i} failed after {retries} retries: {exc}")
+        failures += [(i, attempt, str(exc)) for i, exc in failed]
+        pending = [i for i, _ in failed]
         if not pending:
             break
-    return [results[r] for r in replicates], sorted(retries)
+    return [results[i] for i in indices], sorted(failures)
 
 
 def _batches(count: int, d: Dataset) -> list[range]:
@@ -403,64 +403,52 @@ def _dispatch(work, count: int, children: int) -> list:
     return [done[i] for i in range(count)]
 
 
-def null_distribution(pipeline, d: Dataset, settings: StudySettings, *,
-                      mu: float | None = None, observed: bool = False) -> NullDistribution:
+def null_distribution(pipeline, d: Dataset, settings: StudySettings) -> NullDistribution:
     """Null statistics from ``settings.replicates`` label-randomized replicates.
 
-    Labeled data has its labels permuted; one-condition data is split
-    into two pseudo-groups.  Each replicate derives every random draw from
-    ``(master_seed, replicate_index)``.  The RUB scheme adds ``mu``, its
-    deviation bound, to every statistic; other schemes ignore it.  With
-    ``observed``, the ``StudySettings.observed_iterations`` row-shuffled
-    iterations are fitted too, by the same procedure.
+    Labeled data has its labels permuted, and its
+    ``StudySettings.observed_iterations`` row-shuffled iterations are
+    fitted too, by the same procedure; one-condition data is split into
+    two pseudo-groups.  Column ``i`` derives every random draw from
+    ``(master_seed, i)``, observed iteration ``i`` from
+    ``(master_seed, OBSERVED_BASE + i)``.  The RUB scheme adds its bound
+    ``mu`` from :func:`_mu_for`, which the result carries, to every value.
 
-    The observed iterations and the replicates are split into the chunks
-    of :func:`_batches`, the observed ones first, and this process fits
-    chunks beside ``min(workers, chunk count) - 1`` forked children, each
-    process taking the next untaken chunk.  Statistics are gathered in
-    iteration and replicate order, so the result is identical for any
-    ``workers``.  A failed observed iteration raises its ``FitError``
+    The chunks of :func:`_batches`, the observed ones first, are fitted by
+    :func:`_chunk_stats` in this process beside ``min(workers, chunk
+    count) - 1`` forked children, each taking the next untaken chunk.
+    Values are gathered in order, so the result is identical for any
+    ``workers``, and a failed observed iteration raises its ``FitError``
     before any failure of the null.
     """
-    if settings.scheme is Scheme.RUB and mu is None:
-        raise ValueError("the rub scheme needs mu, its deviation bound")
-    head = _batches(settings.observed_iterations, d) if observed else []
-    chunks = head + _batches(settings.replicates, d)
+    mu = _mu_for(pipeline, d, settings.scheme, settings.eta)
+    labeled = d.class_count > 1
+    chunks = [(shuffle_rows, range(OBSERVED_BASE + c.start, OBSERVED_BASE + c.stop), 0)
+              for c in _batches(settings.observed_iterations, d) if labeled]
+    chunks += [(permute_labels if labeled else split_null_groups, c, MAX_RETRIES)
+               for c in _batches(settings.replicates, d)]
 
     def statistics(batch: Batch) -> list:
         return _statistics(pipeline, batch, settings.scheme, settings.k, mu)
 
     def work(index: int):
-        if index >= len(head):
-            return _chunk_stats(statistics, d, settings.master_seed, chunks[index])
-        # Observed iteration i indexes the rows in the order of plan
-        # OBSERVED_BASE + i, and is not retried.
-        plans = [PermutationPlan(settings.master_seed, OBSERVED_BASE + i) for i in chunks[index]]
-        outs = statistics(shuffle_rows(d, plans))
-        for out in outs:
-            if isinstance(out, FitError):
-                raise out
-        return outs
+        make, indices, retries = chunks[index]
+        return _chunk_stats(statistics, make, d, settings.master_seed, indices, retries)
 
     done = _dispatch(work, len(chunks), min(settings.workers, len(chunks)) - 1)
-    null = done[len(head):]
-    results = [result for chunk_results, _ in null for result in chunk_results]
+    results = [result for chunk_results, _ in done for result in chunk_results]
+    observed, null = results[:-settings.replicates], results[-settings.replicates:]
     return NullDistribution(
-        tuple(value for _, values in results for value in values),
-        tuple(index for index, _ in results),
-        tuple(retry for _, chunk_retries in null for retry in chunk_retries),
-        tuple(value for outs in done[:len(head)] for out in outs for value in out),
+        tuple(value for _, values in null for value in values),
+        tuple(index for index, _ in null),
+        tuple(retry for _, chunk_retries in done for retry in chunk_retries),
+        tuple(value for _, values in observed for value in values),
+        mu,
     )
 
 
 # ---------------------------------------------------------------------------
 # Studies
-
-
-def _histogram(stats) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    clipped = np.clip(np.asarray(stats, dtype=np.float64), 0.0, 1.0)
-    counts, edges = np.histogram(clipped, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
-    return tuple(float(e) for e in edges), tuple(int(c) for c in counts)
 
 
 def _mu_for(pipeline, d: Dataset, scheme: Scheme, eta: float) -> float | None:
@@ -477,19 +465,17 @@ def _sd(values) -> float:
 
 
 def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> StudyReport:
-    """Run a study and build its report.
+    """Run a study and build its report from one :func:`null_distribution`,
+    whose bound ``mu`` the report carries.
 
     Labeled data gets the power flavor: the null permutes the labels,
-    the observed statistic is the mean over the row-shuffled iterations
-    that :func:`null_distribution` fits as the head of its chunks, and
-    the report carries its p-value.
+    the observed statistic is the mean over the null's row-shuffled
+    ``observed`` iterations, and the report carries its p-value.
     One-condition data gets the type-1 flavor: the null splits the rows
     into two pseudo-groups, and the report carries the omnibus
     family-wise error rate instead.
     """
-    scheme = settings.scheme
-    mu = _mu_for(pipeline, data, scheme, settings.eta)
-    null = null_distribution(pipeline, data, settings, mu=mu, observed=data.class_count > 1)
+    null = null_distribution(pipeline, data, settings)
     observed = null.observed
     t_obs = p = rate = None
     if observed:
@@ -498,15 +484,15 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
     else:
         rate = fwe_rate(omnibus_pvalues(null), settings.alpha)
     stats = np.asarray(null.statistics)
-    edges, counts = _histogram(stats)
+    counts, edges = np.histogram(np.clip(stats, 0.0, 1.0), bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return StudyReport(
         study=study,
-        scheme=scheme,
+        scheme=settings.scheme,
         m=null.m,
-        k=settings.k if scheme is Scheme.KFOLD else None,
+        k=settings.k if settings.scheme is Scheme.KFOLD else None,
         alpha=settings.alpha,
         eta=settings.eta,
-        mu=mu,
+        mu=null.mu,
         observed_mean=t_obs,
         observed_sd=_sd(observed) if observed else None,
         null_mean=float(stats.mean()),
@@ -515,8 +501,8 @@ def _study(pipeline, data: Dataset, settings: StudySettings, study: str) -> Stud
         p_value_sd=None if p is None else mc_stddev(p, null.m),
         fwe_rate=rate,
         fwe_rate_sd=None if rate is None else mc_stddev(rate, null.m),
-        histogram_edges=edges,
-        histogram_counts=counts,
+        histogram_edges=tuple(float(e) for e in edges),
+        histogram_counts=tuple(int(c) for c in counts),
         master_seed=settings.master_seed,
         replicate_indices=null.replicate_indices,
         retries=null.retries,

@@ -433,6 +433,16 @@ def test_repeated_header_name_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_column_range_past_the_float_maximum_runs_clean(tmp_path, capsys):
+    rows = ["label,f0,f1"] + [f"{i % 2},{0.1 * i},{(i % 3) * 0.7}" for i in range(12)]
+    rows[1], rows[2] = "0,1e308,0.5", "1,-1e308,0.25"
+    data, out = tmp_path / "wide.csv", tmp_path / "r.json"
+    data.write_text("\n".join(rows) + "\n")
+    assert run("power", "--data", str(data), "--m", "9", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"alpha": "x"}, "alpha"),
     ({"eta": "x"}, "eta"),

@@ -339,6 +339,19 @@ def test_scale_unit_interval_range_and_constants():
     np.testing.assert_allclose(s.features[:, 0], [0.0, 1.0, 0.5])
 
 
+def test_scale_unit_interval_takes_a_range_past_the_float_maximum():
+    # 1e308 - (-1e308) overflows: the column used to scale to inf and nan.
+    gen = np.random.Generator(np.random.Philox(8))
+    x = gen.standard_normal((12, 3))
+    x[3, 1], x[8, 1] = 1e308, -1e308
+    d = Dataset(x, np.zeros(12, dtype=int), 1)
+    s = scale_unit_interval(d).features
+    assert s[:, 1].min() == 0.0 and s[:, 1].max() == 1.0
+    assert s[3, 1] == 1.0 and s[8, 1] == 0.0
+    rest = scale_unit_interval(Dataset(x[:, [0, 2]], d.labels, 1)).features
+    assert np.array_equal(s[:, [0, 2]].view(np.int64), rest.view(np.int64))
+
+
 # ---------------------------------------------------------------- shuffles
 
 

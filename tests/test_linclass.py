@@ -216,6 +216,27 @@ def test_svm_rejects_non_finite_input_fast(d, bad):
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_svm_objective_overflow_fails_fast_with_a_zero_model():
+    # A huge c used to overflow the corner's and SMO's objectives, warn, and
+    # run every SMO pass before the column failed.
+    gen = np.random.Generator(np.random.Philox(15))
+    balanced = gen.standard_normal((12, 3)), np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    # Each positive row is the sum of two negative ones, so the corner's w is
+    # zero and its objective finite: the overflow shows in SMO's gap test.
+    xp = gen.standard_normal((4, 3))
+    cancelling = np.concatenate([xp, xp / 2, xp / 2]), np.r_[np.ones(4), -np.ones(8)]
+    assert linclass._corner(cancelling[0], cancelling[1][None], 1e200)[3].all()
+    for (x, y), c in ((balanced, 1e300), (balanced, 1e200), (cancelling, 1e200)):
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svm, failures = svm_fit(x, np.stack([y, y]), c=c)
+        assert time.perf_counter() - t0 < 0.5
+        assert sorted(failures) == [0, 1]
+        assert all("overflows" in str(exc) for exc in failures.values())
+        assert not svm.weights.any() and not svm.bias.any()
+
+
 def test_svm_1d_fit_is_fast():
     # One feature runs no solver: a batch of 300 columns, a third of them
     # on tied scores that need exact sums, takes a few passes over them.

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import multiprocessing
 import os
@@ -147,6 +148,11 @@ def _resub_settings(m, **kwargs):
     return StudySettings(Scheme.RESUB, m=m, master_seed=7, **kwargs)
 
 
+def test_null_distribution_takes_pipeline_data_and_settings_alone():
+    # The bound and the observed iterations follow from these three.
+    assert list(inspect.signature(null_distribution).parameters) == ["pipeline", "d", "settings"]
+
+
 def test_null_distribution_deterministic_and_sized():
     d = one_condition()
     null = null_distribution(_StubPipeline(), d, _resub_settings(20))
@@ -206,13 +212,12 @@ def _batch_width(monkeypatch, d, width):
 def test_null_statistics_do_not_depend_on_the_chunking(monkeypatch, spec, scheme):
     d = synth_effect(8, 3, 0.5, PermutationPlan(6, 0), classes=3)
     settings = StudySettings(scheme, m=15, k=3, master_seed=4)
-    mu = permtest._mu_for(spec, d, scheme, settings.eta)
     monkeypatch.setattr(permtest, "MIN_BATCH", 1)
     runs = []
     for width, split in ((1, [1] * 15), (7, [7, 7, 1]), (15, [15])):
         _batch_width(monkeypatch, d, width)
         assert [len(chunk) for chunk in permtest._batches(15, d)] == split
-        runs.append(null_distribution(spec, d, settings, mu=mu))
+        runs.append(null_distribution(spec, d, settings))
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -391,15 +396,11 @@ def test_null_distribution_rub_adds_bound(spec, classes):
     # Exactly: each RUB value is its resubstitution error plus mu, rounded once.
     d = synth_effect(10, 3, 0.0, PermutationPlan(2, 0), classes=classes)
     mu = empirical_bound(BoundSpec(d.n, spec.classifier_input_dim(d.n_features), 0.05))
-    resub = null_distribution(spec, d, StudySettings(Scheme.RESUB, m=6, master_seed=3),
-                              observed=True)
-    rub = null_distribution(spec, d, StudySettings(Scheme.RUB, m=6, master_seed=3), mu=mu,
-                            observed=True)
+    resub = null_distribution(spec, d, StudySettings(Scheme.RESUB, m=6, master_seed=3))
+    rub = null_distribution(spec, d, StudySettings(Scheme.RUB, m=6, master_seed=3))
     assert rub.statistics == tuple(value + mu for value in resub.statistics)
     assert rub.observed == tuple(value + mu for value in resub.observed)
     assert len(rub.observed) == StudySettings.observed_iterations
-    with pytest.raises(ValueError, match="needs mu"):
-        null_distribution(spec, d, StudySettings(Scheme.RUB, m=6, master_seed=3))
 
 
 @pytest.mark.parametrize("study, data", [

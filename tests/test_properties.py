@@ -134,8 +134,7 @@ def test_replicates_replay_alone_bit_for_bit(monkeypatch, name):
     k = 3
     assert batch_width(monkeypatch, data, m) == ([WIDTH, m - WIDTH] if m > WIDTH else [m])
     mu = _mu_for(pipeline, data, scheme, 0.05)
-    null = null_distribution(pipeline, data, StudySettings(scheme, m=m, k=k, master_seed=SEED),
-                             mu=mu)
+    null = null_distribution(pipeline, data, StudySettings(scheme, m=m, k=k, master_seed=SEED))
     width = k if scheme is Scheme.KFOLD else 1
     retried = sorted({r for r, _, _ in null.retries})
     chosen = set(np.random.default_rng(len(name)).choice(m, size=4, replace=False)) | set(retried)
@@ -166,6 +165,30 @@ OBSERVED_CASES = {
 }
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "one_condition"])
+@pytest.mark.parametrize("scheme", [Scheme.RUB, Scheme.RESUB, Scheme.KFOLD])
+@pytest.mark.parametrize("reducer", ["pls", "pca", "none"])
+def test_null_works_out_its_bound_and_observed_iterations(monkeypatch, forked_children, reducer,
+                                                          scheme, labeled, workers):
+    monkeypatch.setattr(StudySettings, "observed_iterations", 5)
+    spec = PipelineSpec(reducer=reducer)
+    settings = StudySettings(scheme, m=6, k=3, master_seed=SEED, workers=workers)
+    data = _labeled(3) if labeled else _labeled(1, 20)
+    null = null_distribution(spec, permtest._prepared(data, settings), settings)
+    assert null.mu == _mu_for(spec, data, scheme, settings.eta)
+    assert (null.mu is None) == (scheme is not Scheme.RUB)
+    per_iteration = settings.k if scheme is Scheme.KFOLD else 1
+    assert len(null.observed) == (5 * per_iteration if labeled else 0)
+    report = (power_study if labeled else type1_study)(spec, data, settings)
+    assert report.mu == null.mu
+    if labeled:
+        assert report.observed_mean == float(np.mean(null.observed))
+        assert report.observed_sd == float(np.std(null.observed, ddof=1))
+    else:
+        assert report.observed_mean is None and report.observed_sd is None
+
+
 def test_observed_iterations_replay_alone_bit_for_bit(monkeypatch, forked_children):
     monkeypatch.setattr(StudySettings, "observed_iterations", 7)
     data = _labeled(3)
@@ -181,8 +204,7 @@ def test_observed_iterations_replay_alone_bit_for_bit(monkeypatch, forked_childr
                                mu, "shuffle")
         assert len(replayed) == 7 * (3 if scheme is Scheme.KFOLD else 1), name
         for workers in (1, 2, 3):
-            null = null_distribution(pipeline, data, dataclasses.replace(settings, workers=workers),
-                                     mu=mu, observed=True)
+            null = null_distribution(pipeline, data, dataclasses.replace(settings, workers=workers))
             assert null.observed == tuple(replayed), (name, workers)
         assert study(spec, data, settings).observed_mean == float(np.mean(replayed)), name
     assert len(forked_children) == len(OBSERVED_CASES) * (1 + 2)  # four chunks of work
