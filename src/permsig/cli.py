@@ -12,8 +12,9 @@ Study settings may come from ``--config FILE`` (JSON); explicit flags
 override config values, and the master seed falls back to the
 ``PERMSIG_SEED`` environment variable.  Reports are never overwritten:
 an existing output path gets a numeric suffix unless ``--force`` is
-given.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+given, and a study's report and its ``_hist.csv`` take the first
+suffix at which both names are free.  Exit codes: 0 success, 2
+configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import chain, count
 
 from .autoenc import AeArchitecture
 from .bounds import BoundSpec, empirical_bound, vapnik_bound
@@ -175,6 +177,8 @@ def _pipeline_from(pipe: dict, study: str, scheme: Scheme, d: Dataset) -> Pipeli
     reducer = pipe.get("reducer", "auto")
     if reducer == "auto":
         reducer = _resolve_reducer(study, scheme, d.class_count)
+    check(not (reducer == "pls" and study == "alt" and d.class_count == 1), "pipeline.reducer",
+          "pls cannot be frozen on one-condition data; use 'pca' or 'none'")
     with _config_path("pipeline."):
         spec = PipelineSpec(**{**pipe, "ae": ae, "reducer": reducer})
         spec.resolve_blocks(d.n_features)
@@ -209,18 +213,21 @@ def _config_echo(
     }
 
 
-def _free_path(path: str, force: bool) -> str:
+def _free_path(path: str, force: bool, sidecar: str = "") -> str:
+    """``path``, or the first ``stem-i.ext`` of it at which it and its
+    ``stem-i + sidecar`` (when given) are both free; with ``force``,
+    ``path`` itself, provided neither name is a directory."""
     check(path != "", "out", "must not be empty")
     folder = os.path.dirname(path) or "."
     check(os.path.isdir(folder), "out", f"directory not found: {folder}")
-    check(not (force and os.path.isdir(path)), "out", f"is a directory: {path}")
-    if force or not os.path.exists(path):
-        return path
     stem, ext = os.path.splitext(path)
-    i = 1
-    while os.path.exists(f"{stem}-{i}{ext}"):
-        i += 1
-    return f"{stem}-{i}{ext}"
+    tails = (ext, sidecar) if sidecar else (ext,)
+    if force:
+        for tail in tails:
+            check(not os.path.isdir(stem + tail), "out", f"is a directory: {stem + tail}")
+        return path
+    stems = (stem + suffix for suffix in chain([""], (f"-{i}" for i in count(1))))
+    return next(s for s in stems if not any(os.path.exists(s + tail) for tail in tails)) + ext
 
 
 def _write_outputs(report, config_echo: dict, json_path: str, csv_path: str) -> None:
@@ -235,8 +242,8 @@ def _write_outputs(report, config_echo: dict, json_path: str, csv_path: str) -> 
 
 def _run_study(args: argparse.Namespace) -> int:
     doc, settings, data, spec = _resolve_config(args)
-    json_path = _free_path(doc.get("out", f"{args.study}_report.json"), args.force)
-    csv_path = _free_path(f"{os.path.splitext(json_path)[0]}_hist.csv", args.force)
+    json_path = _free_path(doc.get("out", f"{args.study}_report.json"), args.force, "_hist.csv")
+    csv_path = f"{os.path.splitext(json_path)[0]}_hist.csv"
     try:
         report = _STUDIES[args.study](spec, data, settings)
     except ValueError as exc:  # data the study cannot use; the bound's errors name their field

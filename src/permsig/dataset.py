@@ -129,17 +129,6 @@ class Batch:
         labels = np.take_along_axis(self.labels, positions, axis=1)
         return Batch(self.features, rows, labels, self.class_count, self.plans)
 
-    def select(self, columns) -> "Batch":
-        """The batch of the listed columns, in that order."""
-        columns = list(columns)
-        return Batch(
-            self.features,
-            None if self.rows is None else self.rows[columns],
-            self.labels[columns],
-            self.class_count,
-            tuple(self.plans[j] for j in columns),
-        )
-
 
 def load_csv(path: str, label_column: str = "label") -> Dataset:
     """Load a dataset from a headed CSV file.

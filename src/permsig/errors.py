@@ -7,8 +7,9 @@ marks data-dependent failures that can legitimately occur inside a study
 replicate and are therefore eligible for the replicate retry policy.
 The autoencoder, PLS, SVM, calibration and pipeline fits take a batch
 and do not raise them: each returns its model for every column with the
-``FitError`` of each column that failed, and the caller drops those
-columns.
+``FitError`` of each column that failed.  A failed column keeps finite
+models to the end of a pipeline fit, and only ``FittedBatch.errors``
+reads its ``FitError``.
 """
 
 from numbers import Integral, Real

@@ -22,12 +22,14 @@ class pair with the same row count, +1 count and width are stacked along
 the column axis, and each stack's SVMs and calibrations are fitted in
 one call apiece.  The stage fits return ``(model, failures)``: a model
 for every column and the ``FitError`` of each column that failed.
-Failed columns are fitted alongside the others, with finite models (a
-diverged autoencoder aside), and then dropped, so each stage runs once
-per batch.  A column whose autoencoder fails carries the
-``DivergenceError`` of its first failing block.  Any other column that
-fails carries the ``FitError`` of its first failing block and pair, and
-within those of its first failing stage: reducer, SVM, then calibration.
+Failed columns are fitted alongside the others, so each stage runs once
+per batch, and a failed column keeps finite models to the end: a block
+whose autoencoder diverged gets one whose parameters are all zero.  Only
+:meth:`FittedBatch.errors` reads a failed column's ``FitError``.  A column
+whose autoencoder fails carries the ``DivergenceError`` of its first
+failing block.  Any other column that fails carries the ``FitError`` of
+its first failing block and pair, and within those of its first failing
+stage: reducer, SVM, then calibration.
 
 Two fitting modes share that one pairwise fit path:
 
@@ -41,7 +43,7 @@ Two fitting modes share that one pairwise fit path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -168,7 +170,7 @@ class PairModel:
     """Calibrated pairwise classifier for classes ``(a, b)``; +1 = b.
 
     In a :class:`FittedBatch` the reducer, SVM and calibration hold one
-    model per fitted column along a leading axis; a frozen reducer is a
+    model per column along a leading axis; a frozen reducer is a
     single one that every column shares.
     """
 
@@ -198,51 +200,50 @@ class FittedBatch:
     """A pipeline fitted on every column of a batch; a dataset's fit is a
     batch of one.
 
-    ``columns`` lists the batch columns that were fitted, in the order of
-    the models' leading axis, and ``failures`` maps every other column to
-    the ``FitError`` that stopped its fit.  Each block holds its feature
-    columns, the autoencoder of each fitted column (or None), and its pair
-    models.  ``codes`` keeps the encoded features already computed, and
-    ``margins`` the batch the fit was given with the (R, n) margins its
-    fit computed, by block and pair index, of each pair of all its rows
-    when those are all the rows of its features.
+    ``batch`` is the batch it was fitted on, and ``failures`` maps each
+    column that failed to the ``FitError`` that stopped its fit.  A failed
+    column keeps finite models to the end, and only :meth:`errors` reads
+    its ``FitError``.  Each block holds its feature columns, each column's
+    autoencoder (or None), and its pair models, every one of which holds
+    one model per column along a leading axis.  ``codes`` keeps the
+    encoded features already computed, and ``margins`` the (R, n) margins
+    the fit computed, by block and pair index, of each pair of all the
+    rows of ``batch`` when those are all the rows of its features.
     """
 
     blocks: list[tuple[tuple[int, ...], tuple[AeModel | None, ...], list[PairModel]]]
-    class_count: int
-    n_features: int
-    columns: list[int]
+    batch: Batch = field(repr=False)
     failures: dict[int, FitError]
-    codes: dict = field(default_factory=dict, repr=False)
-    margins: tuple[Batch | None, dict] = field(default=(None, {}), repr=False, compare=False)
+    codes: dict = field(repr=False)
+    margins: dict = field(repr=False, compare=False)
 
     def probabilities(self, batch: Batch) -> np.ndarray:
-        """Each fitted column's class probabilities of its rows in ``batch``.
+        """Each column's class probabilities of its rows in ``batch``.
 
         ``batch`` has the columns of the fitted batch, with any of their
-        rows.  The result is (R, n, class_count), one entry per column in
-        ``columns``: the pairwise votes of each block, averaged over the
-        blocks.  Each is a probability in [0, 1], never NaN.  The array is
-        a view of one contiguous (R, n) plane per class.  On the batch
-        object the fit was given, a pair fitted on all its rows takes the
-        margins its fit computed, the bits of margins computed again.
+        rows.  The result is (R, n, class_count), failed columns included:
+        the pairwise votes of each block, averaged over the blocks, or all
+        zero when every column failed.  Each is a probability in [0, 1],
+        never NaN.  The array is a view of one contiguous (R, n) plane per
+        class.  On the batch object the fit was given, a pair fitted on all
+        its rows takes the margins its fit computed, the bits of margins
+        computed again.
         """
-        if batch.n_features != self.n_features:
-            raise ValueError(f"batch must have {self.n_features} features, "
+        own = self.batch
+        if batch.n_features != own.n_features:
+            raise ValueError(f"batch must have {own.n_features} features, "
                              f"got {batch.n_features}")
-        size = len(self.columns) + len(self.failures)
-        if batch.size != size:
-            raise ValueError(f"batch must have the fit's {size} columns, got {batch.size}")
-        if not self.columns:
-            return np.zeros((0, batch.n, self.class_count))
-        live, votes = batch.select(self.columns), []
-        kept = self.margins[1] if batch is self.margins[0] else {}
+        if batch.size != own.size:
+            raise ValueError(f"batch must have the fit's {own.size} columns, got {batch.size}")
+        if len(self.failures) == batch.size:
+            return np.zeros((batch.size, batch.n, own.class_count))
+        votes, kept = [], self.margins if batch is own else {}
         for bi, (cols, models, pairs) in enumerate(self.blocks):
-            scores, z = np.zeros((self.class_count, len(self.columns), batch.n)), None
+            scores, z = np.zeros((own.class_count, batch.size, batch.n)), None
             for pi, pair in enumerate(pairs):
                 margins = kept.get((bi, pi))
                 if margins is None:
-                    z = _codes(live, cols, models, self.codes) if z is None else z
+                    z = _codes(batch, cols, models, self.codes) if z is None else z
                     p = pair.probability(z)
                 else:
                     p = calibrated_probability(pair.calibration, margins)
@@ -255,14 +256,14 @@ class FittedBatch:
         """Each column's misclassified fraction of its rows in ``batch``.
 
         A row goes to its most probable class, ties to the lowest index
-        (see :func:`_choose`).  A column that was not fitted gets its
-        ``FitError`` instead.
+        (see :func:`_choose`).  A column that failed gets its ``FitError``
+        instead.
         """
-        out: list = [self.failures.get(j) for j in range(batch.size)]
         predicted = _choose(np.moveaxis(self.probabilities(batch), -1, 0))
-        wrong = np.count_nonzero(predicted != batch.labels[self.columns], axis=1)
-        for j, count in zip(self.columns, wrong):
-            out[j] = float(count / batch.n)
+        out: list = [float(count / batch.n)
+                     for count in np.count_nonzero(predicted != batch.labels, axis=1)]
+        for j, exc in self.failures.items():
+            out[j] = exc
         return out
 
 
@@ -319,7 +320,9 @@ def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
 
     The autoencoders of every column and block with the same width and
     output activation train in one ``ae_fit`` call.  A column that fails
-    keeps the ``FitError`` of its first failing block, and has no models.
+    keeps the ``DivergenceError`` of its first failing block, and each
+    block it fails in gives it a model whose parameters are all zero, so
+    its codes are finite constants.
     """
     blocks = spec.resolve_blocks(batch.n_features)
     if spec.ae is None:
@@ -336,12 +339,13 @@ def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
         keys = [(batch.plans[j], f"{tag}.b{bi}.ae") for bi, j in members]
         fitted, failed = ae_fit(x, spec.ae, keys)
         for k, (bi, j) in enumerate(members):
-            models[bi][j] = fitted[k]
-            if k in failed and (j not in first or bi < first[j][0]):
-                first[j] = (bi, failed[k])
-    for j in first:
-        for block_models in models:
-            block_models[j] = None
+            model = fitted[k]
+            if k in failed:
+                if j not in first or bi < first[j][0]:
+                    first[j] = (bi, failed[k])
+                model = replace(model, weights=tuple(map(np.zeros_like, model.weights)),
+                                biases=tuple(map(np.zeros_like, model.biases)))
+            models[bi][j] = model
     return ([(cols, tuple(ms)) for cols, ms in zip(blocks, models)],
             {j: first[j][1] for j in sorted(first)})
 
@@ -377,22 +381,18 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
     fitted in one call apiece.
 
     Every stage fits every column, the failed ones too, whose models stay
-    finite.  A column then fails with the ``FitError`` of its first
-    failing problem, in block and then pair order, and within a problem
-    of its first failing stage: reducer, SVM, calibration.  That is the
-    error a batch of the column alone records.  Failed columns are dropped
-    from the result.  A ``FitError`` that every column shares ends the
-    problems; the stacks of the problems before it are still fitted, as
-    their errors come first.
+    finite, and the result holds them all.  A column fails with the
+    ``FitError`` of ``failures`` (its extractor's) when it has one, else
+    with that of its first failing problem, in block and then pair order,
+    and within a problem of its first failing stage: reducer, SVM,
+    calibration.  That is the error a batch of the column alone records.
+    A ``FitError`` that every column shares ends the problems; the stacks
+    of the problems before it are still fitted, as their errors come first.
     """
     if batch.class_count < 2:
         raise ValueError("fitting requires at least two classes")
-    failures = dict(failures or {})
-    columns = [j for j in range(batch.size) if j not in failures]
-    if not columns:
-        return FittedBatch([], batch.class_count, batch.n_features, [], failures)
-    live, size, codes = batch.select(columns), len(columns), {} if codes is None else codes
-    first: dict[int, tuple[tuple[int, int], FitError]] = {}  # live position -> (problem, stage)
+    size, codes = batch.size, {} if codes is None else codes
+    first: dict[int, tuple[tuple[int, int], FitError]] = {}  # column -> (problem, stage)
     selected = {}  # each class pair's rows and targets, chosen once for every block
 
     def record(owners, stage: int, errors: dict) -> None:
@@ -410,10 +410,10 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
                                              combinations(range(batch.class_count), 2))):
         if block != bi:
             cols, models = extractors[bi]
-            z, block = _codes(live, cols, tuple(models[j] for j in columns), codes), bi
+            z, block = _codes(batch, cols, models, codes), bi
         try:
             if (a, b) not in selected:
-                selected[a, b] = _pair_rows(live.labels, a, b)
+                selected[a, b] = _pair_rows(batch.labels, a, b)
             feats, y = _pair_data(z, *selected[a, b])
             if reducers is None:
                 red, failed = _fit_reducer(spec, feats, y)
@@ -444,34 +444,24 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
         x = None  # the calibrations need only the margins
         cal, failed = calibrate(margins, y)
         record(owners, 2, failed)
-        whole = key[0] == live.n == live.features.shape[0]  # a resubstitution batch, not a fold
+        whole = key[0] == batch.n == batch.features.shape[0]  # a resubstitution batch, not a fold
         fits[key] = (owners, svm, cal, margins if whole else None)
 
-    for k, (_, exc) in first.items():
-        failures[columns[k]] = exc
-    survivors = np.array([k for k in range(size) if k not in first], dtype=np.intp)
-    if not survivors.size:
-        return FittedBatch([], batch.class_count, batch.n_features, [], failures, codes)
+    failures = {k: exc for k, (_, exc) in first.items()} | (failures or {})
     fitted: list[list[PairModel]] = [[] for _ in extractors]
     kept = {}  # the margins of each pair of all the batch's rows
     for p, (bi, (a, b), red, key) in enumerate(problems):
         owners, svm, cal, margins = fits[key]
-        at = owners.index(p) * size + survivors
+        if len(owners) > 1:  # the problem's columns of its stack
+            at = owners.index(p) * size
+            at = slice(at, at + size)
+            svm, cal = svm.select(at), cal.select(at)
+            margins = None if margins is None else margins[at]
         if margins is not None:
-            kept[bi, len(fitted[bi])] = margins if len(at) == len(margins) else margins[at]
-        fitted[bi].append(PairModel(a, b, _part(red, survivors, size),
-                                    _part(svm, at, len(svm.weights)),
-                                    _part(cal, at, len(cal.slope))))
-    blocks = [(cols, tuple(models[columns[k]] for k in survivors), pairs)
-              for (cols, models), pairs in zip(extractors, fitted)]
-    return FittedBatch(blocks, batch.class_count, batch.n_features,
-                       [columns[k] for k in survivors], failures, codes, (batch, kept))
-
-
-def _part(model, cols: np.ndarray, size: int):
-    """Columns ``cols``, increasing, of a batched model of ``size`` columns;
-    the model itself when they are all of them, or when it is None."""
-    return model if model is None or len(cols) == size else model.select(cols)
+            kept[bi, len(fitted[bi])] = margins
+        fitted[bi].append(PairModel(a, b, red, svm, cal))
+    blocks = [(cols, models, pairs) for (cols, models), pairs in zip(extractors, fitted)]
+    return FittedBatch(blocks, batch, failures, codes, kept)
 
 
 def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "AltPipeline":

@@ -356,6 +356,19 @@ def test_one_condition_data_for_power_exits_2(tmp_path, capsys):
     assert "two classes" in capsys.readouterr().err
 
 
+def test_alt_pls_on_one_condition_data_names_the_reducer(tmp_path, capsys):
+    rows = ["label,f0,f1"] + [f"0,{float(i)},{float(i % 3)}" for i in range(10)]
+    data, out = tmp_path / "flat.csv", tmp_path / "r.json"
+    data.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pipeline": {"reducer": "pls"}}))
+    args = ("alt", "--config", str(cfg), "--data", str(data), "--m", "5", "--out", str(out))
+    assert run(*args) == 2
+    assert capsys.readouterr() == ("", "config error: config field 'pipeline.reducer': pls cannot "
+                                   "be frozen on one-condition data; use 'pca' or 'none'\n")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "flat.csv"]
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -419,8 +432,22 @@ def test_out_naming_a_directory_exits_2_before_the_study(tmp_path, capsys, monke
     assert f"config field 'out': is a directory: {tmp_path / target}" in capsys.readouterr().err
     # Without --force an existing path is numbered, as for a file.
     assert run(*args) == 0
-    numbered = ("r-1.json", "r-1_hist.csv") if target == "r.json" else ("r.json", "r_hist-1.csv")
-    assert all((tmp_path / name).is_file() for name in numbered)
+    # A report and its histogram share one suffix, the first at which both are free.
+    assert all((tmp_path / name).is_file() for name in ("r-1.json", "r-1_hist.csv"))
+    assert not (tmp_path / "r.json").is_file()
+
+
+def test_a_file_at_the_histogram_path_numbers_the_report_too(tmp_path, capsys, blob_csv):
+    (tmp_path / "r_hist.csv").write_text("kept\n")
+    args = ("power", "--data", blob_csv, "--m", "5", "--seed", "1", "--out", str(tmp_path / "r.json"))
+    assert run(*args) == 0
+    assert str(tmp_path / "r-1.json") in capsys.readouterr().out
+    assert (tmp_path / "r_hist.csv").read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["blobs.csv", "r-1.json", "r-1_hist.csv", "r_hist.csv"]
+    # the next run takes the next suffix free for both
+    assert run(*args) == 0
+    assert (tmp_path / "r-2.json").is_file() and (tmp_path / "r-2_hist.csv").is_file()
+    assert (tmp_path / "r_hist.csv").read_text() == "kept\n"
 
 
 def test_repeated_header_name_exits_2(tmp_path, capsys):

@@ -44,14 +44,16 @@ def fit(model, d, plan=PLAN):
 def failure(model, d, plan=PLAN) -> FitError:
     """The ``FitError`` that ``model`` records for ``d`` fitted alone, as a
     batch of one."""
-    fitted = model.fit(Batch.of(d, [plan]))
-    assert fitted.columns == [] and list(fitted.failures) == [0]
+    batch = Batch.of(d, [plan])
+    fitted = model.fit(batch)
+    assert list(fitted.failures) == [0]
+    assert np.isfinite(fitted.probabilities(batch)).all()
     return fitted.failures[0]
 
 
 def proba(fitted, x):
     """The class probabilities of rows ``x`` under the fit of one dataset."""
-    rows = Dataset(x, np.zeros(len(x), dtype=np.int64), fitted.class_count)
+    rows = Dataset(x, np.zeros(len(x), dtype=np.int64), fitted.batch.class_count)
     return fitted.probabilities(Batch.of(rows, [PLAN]))[0]
 
 
@@ -459,9 +461,9 @@ def test_probabilities_and_errors_check_the_column_count():
     d = blobs(effect=0.5)
     plans = [PermutationPlan(4, r) for r in range(3)]
     batch = permute_labels(d, plans)
-    fitted = PipelineSpec(reducer="pls").fit(batch.select([0, 1]))
+    fitted = PipelineSpec(reducer="pls").fit(permute_labels(d, plans[:2]))
     assert fitted.failures == {}
-    for other in (batch, batch.select([2])):
+    for other in (batch, permute_labels(d, plans[2:])):
         for method in (fitted.probabilities, fitted.errors):
             with pytest.raises(ValueError, match=f"the fit's 2 columns, got {other.size}"):
                 method(other)
@@ -531,13 +533,20 @@ def _counting(monkeypatch, name):
 
 
 def _assert_fits_columns_alone(fitted, batch, fit_alone):
-    """Each column's pair models, or its error, are those ``fit_alone(j)`` gives."""
+    """Each column's pair models, or its error, are those ``fit_alone(j)``
+    gives; a failed column's models are finite."""
     for j in range(batch.size):
         expected = fit_alone(j)
         if isinstance(expected, FitError):
-            assert j not in fitted.columns and str(fitted.failures[j]) == str(expected)
+            assert str(fitted.failures[j]) == str(expected)
+            for _, _, fitted_pairs in fitted.blocks:
+                for pair in fitted_pairs:
+                    assert np.isfinite(pair.svm.weights[j]).all() and np.isfinite(pair.svm.bias[j])
+                    assert np.isfinite([pair.calibration.slope[j],
+                                        pair.calibration.intercept[j]]).all()
         else:
-            _assert_same_pairs(fitted, fitted.columns.index(j), expected)
+            assert j not in fitted.failures
+            _assert_same_pairs(fitted, j, expected)
 
 
 @pytest.mark.parametrize("folds", [False, True])
@@ -564,8 +573,8 @@ def test_batch_probabilities_equal_each_column_fitted_alone(monkeypatch, frozen,
     with np.errstate(all="ignore"):
         fitted = model.fit(train_batch)
         probs = fitted.probabilities(test_batch)
-        assert 0 < len(fitted.columns) < len(plans)
-        assert probs.shape == (len(fitted.columns), test.shape[1], 3)
+        assert 0 < len(fitted.failures) < len(plans)
+        assert probs.shape == (len(plans), test.shape[1], 3) and np.isfinite(probs).all()
         for j, (labels, plan) in enumerate(zip(batch.labels, plans)):
             train_j = Dataset(d.features[train[j]], labels[train[j]], 3)
             if j in fitted.failures:
@@ -573,7 +582,7 @@ def test_batch_probabilities_equal_each_column_fitted_alone(monkeypatch, frozen,
                 continue
             test_j = Dataset(d.features[test[j]], labels[test[j]], 3)
             (alone,) = fit(model, train_j, plan).probabilities(Batch.of(test_j, [plan]))
-            assert np.array_equal(probs[fitted.columns.index(j)], alone)
+            assert np.array_equal(probs[j], alone)
 
 
 def _ae_bits(model):
@@ -621,23 +630,59 @@ def test_stacked_autoencoders_equal_each_fitted_alone(monkeypatch, case):
     extractors, failures = pipeline._fit_extractors(spec, batch, "fit")
     assert stacks == [2 * columns]
     for j, plan in enumerate(plans):
-        alone, first = [], None
-        for bi, cols in enumerate(blocks):
+        first = None
+        for bi, (cols, models) in enumerate(extractors):
             (model,), failed = ae_fit(batch.column_rows(j)[:, cols][None], arch,
                                       [(plan, f"fit.b{bi}.ae")])
-            alone.append(model)
             first = first or failed.get(0)
+            if failed:  # zero parameters, so finite constant codes
+                assert not any(p.any() for p in models[j].weights + models[j].biases)
+                codes = ae_encode(models[j], batch.column_rows(j)[:, cols])
+                assert np.isfinite(codes).all() and np.ptp(codes, axis=0).max() == 0.0
+            else:
+                assert _ae_bits(models[j]) == _ae_bits(model)
         if first is not None:
             assert isinstance(failures[j], DivergenceError)
             assert failures[j].epoch == first.epoch
-            assert all(models[j] is None for _, models in extractors)
         else:
             assert j not in failures
-            for (_, models), model in zip(extractors, alone):
-                assert _ae_bits(models[j]) == _ae_bits(model)
     if case == "diverging":
         assert 0 < len(failures) < columns
         assert len({exc.epoch for exc in failures.values()}) > 1
+
+
+@pytest.mark.parametrize("folds", [False, True])
+def test_columns_whose_autoencoders_diverge_stay_in_the_fit(folds):
+    """A fit of columns whose autoencoders diverge, among columns whose
+    autoencoders converge, holds every column: each gets a finite row of
+    probabilities, and the error, ``DivergenceError`` included, that its
+    own batch of one gets."""
+    columns, _, _, settings = AE_STACK_CASES["diverging"]
+    gen = np.random.Generator(np.random.Philox(4))
+    d = Dataset(gen.standard_normal((20, 8)), np.repeat(np.arange(2), 10), 2)
+    arch = AeArchitecture(**{"layer_widths_encoder": (3, 2), "epochs": 5, "batch_size": 4,
+                             **settings})
+    spec = PipelineSpec(ae=arch, reducer="none", region_blocks=((0, 1, 2, 3), (4, 5, 6, 7)))
+    plans = [PermutationPlan(1, r) for r in range(columns)]
+    batch = permute_labels(d, plans)
+    fold_of = stratified_folds(batch, 3)
+    train = np.stack([np.flatnonzero(row != 0) for row in fold_of])
+    test = np.stack([np.flatnonzero(row == 0) for row in fold_of])
+
+    def split(b, j=slice(None)):
+        """The rows ``b``'s fit is given, and the rows it is asked about."""
+        return (b.subset(train[j]), b.subset(test[j])) if folds else (b, b)
+
+    fit_rows, rows = split(batch)
+    fitted = spec.fit(fit_rows)
+    probs, errors = fitted.probabilities(rows), fitted.errors(rows)
+    assert probs.shape == (columns, rows.n, 2) and np.isfinite(probs).all()
+    diverged = [j for j, e in enumerate(errors) if isinstance(e, DivergenceError)]
+    assert 0 < len(diverged) < columns and sorted(fitted.failures) == diverged
+    for j, plan in enumerate(plans):
+        own_fit, own = split(permute_labels(d, [plan]), slice(j, j + 1))
+        (alone,) = spec.fit(own_fit).errors(own)
+        assert type(errors[j]) is type(alone) and str(errors[j]) == str(alone)
 
 
 # Unequal class sizes: pairs differ in rows and +1 counts, and blocks of
@@ -672,7 +717,7 @@ def test_stacked_pair_fits_equal_per_pair_fits_bit_for_bit(monkeypatch, case, re
         assert svm_calls == cal_calls and sum(svm_calls) == problems * batch.size
         _assert_fits_columns_alone(fitted, batch, lambda j: _fit_one_pair_at_a_time(
             spec, Dataset(d.features, batch.labels[j], d.class_count), reducers))
-    assert len(fitted.columns) > batch.size // 2
+    assert batch.size - len(fitted.failures) > batch.size // 2
 
 
 @pytest.mark.parametrize("reducer, max_passes, max_iter, sizes, seed", [
@@ -700,7 +745,7 @@ def test_failed_columns_carry_their_first_error(monkeypatch, reducer, max_passes
         fitted = spec.fit(batch)
         _assert_fits_columns_alone(fitted, batch, lambda j: _fit_one_pair_at_a_time(
             spec, Dataset(x, batch.labels[j], d.class_count)))
-    assert 0 < len(fitted.columns) < batch.size
+    assert 0 < len(fitted.failures) < batch.size
     stages = {str(exc).split()[0] for exc in fitted.failures.values()}
     assert stages == ({"degenerate", "calibration"} if reducer == "pls" else {"SVM", "calibration"})
 
@@ -717,7 +762,7 @@ def test_an_empty_class_pair_fails_at_its_first_problem(monkeypatch):
     spec = PipelineSpec(reducer="none", region_blocks=((0, 1), (2, 3, 4)))
     batch = permute_labels(Dataset(x, labels, 3), [PermutationPlan(2, r) for r in range(16)])
     fitted = spec.fit(batch)
-    assert fitted.columns == []
+    assert sorted(fitted.failures) == list(range(batch.size))
     empty = "class pair (0, 2) is empty or single-class in training data"
     first_block = PipelineSpec(reducer="none", region_blocks=((0, 1),))
     for j in range(batch.size):
@@ -754,7 +799,7 @@ def test_errors_on_the_fit_batch_reuse_its_margins_bit_for_bit(monkeypatch, case
     batch = permute_labels(d, [PermutationPlan(29, r) for r in range(12)])
     equal = Batch(batch.features, batch.rows, batch.labels.copy(), batch.class_count, batch.plans)
     fitted = model.fit(batch)
-    assert bool(fitted.failures) == (case == "failed") and fitted.columns
+    assert bool(fitted.failures) == (case == "failed") and len(fitted.failures) < batch.size
     calls = {"reduce": [], "decision_values": []}
     for name, seen in calls.items():
         monkeypatch.setattr(pipeline, name, lambda *args, _f=getattr(pipeline, name), _seen=seen:
@@ -778,10 +823,10 @@ def test_only_a_fit_on_every_row_keeps_its_margins(case):
     for resub in (batch, shuffle_rows(d, plans)):
         fitted = model.fit(resub)
         pairs = [(bi, pi) for bi, (_, _, ps) in enumerate(fitted.blocks) for pi in range(len(ps))]
-        assert fitted.margins[0] is resub
-        assert sorted(fitted.margins[1]) == (pairs if classes == 2 else [])
+        assert fitted.batch is resub
+        assert sorted(fitted.margins) == (pairs if classes == 2 else [])
     train = np.stack([np.flatnonzero(row != 0) for row in stratified_folds(batch, 3)])
-    assert model.fit(batch.subset(train)).margins[1] == {}
+    assert model.fit(batch.subset(train)).margins == {}
 
 
 def _diverging_autoencoder():
@@ -810,18 +855,18 @@ def test_diverging_autoencoders_raise_no_floating_point_warning():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match="^non-finite training loss at epoch 0$"):
             fit_feature_maps(PipelineSpec(ae=arch, reducer="none"), d, PLAN)
-        assert PipelineSpec(ae=arch, reducer="none").fit(batch).columns == []
+        assert sorted(PipelineSpec(ae=arch, reducer="none").fit(batch).failures) == [0, 1, 2]
 
 
 def test_a_batch_whose_every_autoencoder_diverges_fits_no_column():
     d, arch = _diverging_autoencoder()
     batch = permute_labels(d, [PermutationPlan(1, r) for r in range(3)])
     fitted = PipelineSpec(ae=arch, reducer="none").fit(batch)
-    assert fitted.columns == []
+    assert sorted(fitted.failures) == [0, 1, 2]
     errors = fitted.errors(batch)
     assert [type(e) for e in errors] == [DivergenceError] * 3
     assert {str(e) for e in errors} == {"non-finite training loss at epoch 0"}
-    assert fitted.probabilities(batch).shape == (0, 20, 2)
+    assert np.array_equal(fitted.probabilities(batch), np.zeros((3, 20, 2)))
 
 
 @pytest.mark.parametrize("classes", [2, 3, 4])
