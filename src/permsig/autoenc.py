@@ -18,11 +18,11 @@ leading axis and every product is one stacked ``matmul``.  A column's
 arithmetic stays its own, so it gets the bits it gets in a stack of
 one, and a column whose loss stops being finite is recorded as failed
 and stays in the stack, unread, so the stack keeps one shape for the
-whole fit.  One Adam step writes only into buffers made once per fit
-(each layer's pre-activations, outputs and deltas, each gradient's view
-of the flat gradient, two temporaries for the moment and parameter
-updates), with the operations and order of the textbook expressions,
-so its bits are those of new arrays.
+whole fit; it ends with the zero model.  One Adam step writes only into
+buffers made once per fit (each layer's pre-activations, outputs and
+deltas, each gradient's view of the flat gradient, two temporaries for
+the moment and parameter updates), with the operations and order of
+the textbook expressions, so its bits are those of new arrays.
 :class:`AeModel`, :func:`ae_encode`, :func:`ae_batch_loss` and
 :func:`ae_gradient` are per model.
 
@@ -252,10 +252,10 @@ def ae_fit(
 
     Returns ``(models, failures)``: each column's model, and a
     ``DivergenceError`` carrying the epoch for each column whose recorded
-    loss stopped being finite.  Such a column stays in the stack, unread:
-    its model is a copy of its parameters at the end of that epoch, and
-    its history holds the epochs before.  The fit ends early only when
-    every column has diverged.
+    loss stopped being finite.  Such a column stays in the stack, unread,
+    and gets the zero model: every weight and bias is zero, and its
+    history holds the epochs before.  The fit ends early only when every
+    column has diverged.
 
     Raises
     ------
@@ -320,14 +320,7 @@ def ae_fit(
 
     batch_gens = [plan.rng(f"{tag}.batches") for plan, tag in keys]
     histories: list[list[tuple[float, float]]] = [[] for _ in range(size)]
-    failed: list[AeModel | None] = [None] * size  # each diverged column's model
     failures: dict[int, DivergenceError] = {}
-
-    def model(params, k: int, j: int) -> AeModel:
-        """Column ``j``'s model, stack position ``k`` of ``params``."""
-        return AeModel(arch, width, tuple(p[k] for p in params[:layers]),
-                       tuple(p[k, 0] for p in params[layers:]), out_act, tuple(histories[j]))
-
     with _QUIET():
         for epoch in range(arch.epochs):
             order = np.stack([g.permutation(n_train) for g in batch_gens])
@@ -360,10 +353,11 @@ def ae_fit(
                     histories[j].append((float(train_mse[j]), float(val_mse[j])))
                 else:
                     failures[j] = DivergenceError(epoch)
-                    failed[j] = model(_views(theta[j : j + 1].copy(), shapes), 0, j)
             if len(failures) == size:
                 break
-    return [failed[j] or model(params, j, j) for j in range(size)], failures
+    theta[list(failures)] = 0.0
+    return [AeModel(arch, width, tuple(p[j] for p in weights), tuple(p[j, 0] for p in biases),
+                    out_act, tuple(histories[j])) for j in range(size)], failures
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:

@@ -7,8 +7,8 @@ marks data-dependent failures that can legitimately occur inside a study
 replicate and are therefore eligible for the replicate retry policy.
 The autoencoder, PLS, SVM, calibration and pipeline fits take a batch
 and do not raise them: each returns its model for every column with the
-``FitError`` of each column that failed.  A failed column keeps finite
-models to the end of a pipeline fit, and only ``FittedBatch.errors``
+``FitError`` of each column that failed, whose model is that fit's zero
+model, kept to the end of a pipeline fit.  Only ``FittedBatch.errors``
 reads its ``FitError``.
 """
 

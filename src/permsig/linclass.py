@@ -35,8 +35,9 @@ midpoint of the biases that minimize the hinge sum.
 Both fits take only a batch of columns along a leading axis; each
 column's arithmetic uses only its own rows, so its result is the one a
 batch of that column alone gives, bit for bit.  A fit returns
-``(model, failures)``: a finite model for every column, and the
-``FitError`` of each column that failed, which the caller drops.
+``(model, failures)``: a model for every column, and the ``FitError`` of
+each column that failed, whose model is the zero one: the SVM ``(0, 0)``,
+and the calibration of slope 0 it starts from.
 
 One-vs-one voting over class pairs and the region-block average live in
 :mod:`permsig.pipeline`.
@@ -155,11 +156,11 @@ def svm_fit(x: np.ndarray, y: np.ndarray, c: float = 1.0):
     -------
     ``(svm, failures)``: ``failures`` maps each column whose duality gap
     is still above ``_SVM_TOL`` after ``_MAX_PASSES`` passes, or after a pass
-    that left no step to take, to its ``FitError``, and that column keeps
-    the corner's finite ``(w, b)``.  A column whose corner or SMO duality
-    gap overflows fails at once, with no warning, and keeps ``(0, 0)``, as
-    on one feature does a column whose scores near the float limit
-    overflow their sum of magnitudes, their spread or the centred map.
+    that left no step to take, to its ``FitError``.  A column whose corner
+    or SMO duality gap overflows fails at once, with no warning, as on one
+    feature does a column whose scores near the float limit overflow their
+    sum of magnitudes, their spread or the centred map.  Every failed
+    column gets the zero model ``(0, 0)``.
 
     Raises
     ------
@@ -217,8 +218,8 @@ def svm_fit(x: np.ndarray, y: np.ndarray, c: float = 1.0):
             try:
                 weights[j], bias[j] = _svm_smo(x[j], y[j], c)
             except FitError as exc:
-                failures[int(j)], finite[j] = exc, str(exc) != _OVERFLOW
-    weights[~finite], bias[~finite] = 0.0, 0.0
+                failures[int(j)] = exc
+    weights[list(failures)], bias[list(failures)] = 0.0, 0.0
     return LinearSvm(weights, bias), failures
 
 
@@ -437,7 +438,7 @@ def calibrate(margins: np.ndarray, y: np.ndarray):
     -------
     ``(calibration, failures)``: ``failures`` maps each column where
     Newton failed to converge within ``_MAX_ITER`` iterations to its
-    ``FitError``, and that column keeps its starting sigmoid.
+    ``FitError``, and that column keeps its starting sigmoid, of slope 0.
 
     Raises
     ------

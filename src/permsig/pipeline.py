@@ -23,8 +23,8 @@ the column axis, and each stack's SVMs and calibrations are fitted in
 one call apiece.  The stage fits return ``(model, failures)``: a model
 for every column and the ``FitError`` of each column that failed.
 Failed columns are fitted alongside the others, so each stage runs once
-per batch, and a failed column keeps finite models to the end: a block
-whose autoencoder diverged gets one whose parameters are all zero.  Only
+per batch, and each stage gives a column that fails in it that stage's
+zero model (see :class:`FittedBatch`), which it keeps to the end.  Only
 :meth:`FittedBatch.errors` reads a failed column's ``FitError``.  A column
 whose autoencoder fails carries the ``DivergenceError`` of its first
 failing block.  Any other column that fails carries the ``FitError`` of
@@ -43,7 +43,7 @@ Two fitting modes share that one pairwise fit path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
@@ -113,10 +113,10 @@ class PipelineSpec:
         seen: set[int] = set()
         for bi, blk in enumerate(blocks):
             check(len(blk) > 0, "region_blocks", f"block {bi} is empty")
-            for col in blk:
+            for i, col in enumerate(blk):
                 if col in seen:
-                    raise ConfigError("region_blocks",
-                                      f"column {col} appears in more than one block")
+                    where = f"twice in block {bi}" if col in blk[:i] else "in more than one block"
+                    raise ConfigError("region_blocks", f"column {col} appears {where}")
                 seen.add(col)
         object.__setattr__(self, "region_blocks", blocks)
 
@@ -201,14 +201,17 @@ class FittedBatch:
     batch of one.
 
     ``batch`` is the batch it was fitted on, and ``failures`` maps each
-    column that failed to the ``FitError`` that stopped its fit.  A failed
-    column keeps finite models to the end, and only :meth:`errors` reads
-    its ``FitError``.  Each block holds its feature columns, each column's
-    autoencoder (or None), and its pair models, every one of which holds
-    one model per column along a leading axis.  ``codes`` keeps the
-    encoded features already computed, and ``margins`` the (R, n) margins
-    the fit computed, by block and pair index, of each pair of all the
-    rows of ``batch`` when those are all the rows of its features.
+    column that failed to the ``FitError`` that stopped its fit.  Every
+    stage gives a column that fails in it the zero model: autoencoder
+    weights and biases of zero, a zero PLS direction, the SVM ``(0, 0)``,
+    a calibration of slope 0.  Only :meth:`errors` reads its ``FitError``.
+    Each block holds its feature columns, each column's autoencoder (or
+    None), and its pair models, every one of which holds one model per
+    column along a leading axis.  ``codes`` keeps the encoded features
+    already computed of the batch's own features array (another array's
+    codes last one call), and ``margins`` the (R, n) margins the fit
+    computed, by block and pair index, of each pair of all the rows of
+    ``batch`` when those are all the rows of its features.
     """
 
     blocks: list[tuple[tuple[int, ...], tuple[AeModel | None, ...], list[PairModel]]]
@@ -238,12 +241,13 @@ class FittedBatch:
         if len(self.failures) == batch.size:
             return np.zeros((batch.size, batch.n, own.class_count))
         votes, kept = [], self.margins if batch is own else {}
+        cache = self.codes if batch.features is own.features else {}  # keep no foreign codes
         for bi, (cols, models, pairs) in enumerate(self.blocks):
             scores, z = np.zeros((own.class_count, batch.size, batch.n)), None
             for pi, pair in enumerate(pairs):
                 margins = kept.get((bi, pi))
                 if margins is None:
-                    z = _codes(batch, cols, models, self.codes) if z is None else z
+                    z = _codes(batch, cols, models, cache) if z is None else z
                     p = pair.probability(z)
                 else:
                     p = calibrated_probability(pair.calibration, margins)
@@ -320,9 +324,9 @@ def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
 
     The autoencoders of every column and block with the same width and
     output activation train in one ``ae_fit`` call.  A column that fails
-    keeps the ``DivergenceError`` of its first failing block, and each
-    block it fails in gives it a model whose parameters are all zero, so
-    its codes are finite constants.
+    keeps the ``DivergenceError`` of its first failing block; each block
+    it fails in holds the zero model ``ae_fit`` gives it, so its codes
+    are finite constants.
     """
     blocks = spec.resolve_blocks(batch.n_features)
     if spec.ae is None:
@@ -339,13 +343,9 @@ def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
         keys = [(batch.plans[j], f"{tag}.b{bi}.ae") for bi, j in members]
         fitted, failed = ae_fit(x, spec.ae, keys)
         for k, (bi, j) in enumerate(members):
-            model = fitted[k]
-            if k in failed:
-                if j not in first or bi < first[j][0]:
-                    first[j] = (bi, failed[k])
-                model = replace(model, weights=tuple(map(np.zeros_like, model.weights)),
-                                biases=tuple(map(np.zeros_like, model.biases)))
-            models[bi][j] = model
+            models[bi][j] = fitted[k]
+            if k in failed and (j not in first or bi < first[j][0]):
+                first[j] = (bi, failed[k])
     return ([(cols, tuple(ms)) for cols, ms in zip(blocks, models)],
             {j: first[j][1] for j in sorted(first)})
 

@@ -533,6 +533,17 @@ def test_overflowing_svm_c_exits_2(tmp_path, blob_csv, capsys):
     assert "config field 'pipeline.svm_c'" in err and "Traceback" not in err
 
 
+def test_a_column_repeated_in_one_block_exits_2_and_names_the_block(tmp_path, blob_csv, capsys):
+    out = tmp_path / "r.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"csv": blob_csv}, "m": 5, "out": str(out),
+                               "pipeline": {"region_blocks": [[1, 2], [0, 3, 0]]}}))
+    assert run("power", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == ("config error: config field 'pipeline.region_blocks': "
+                                       "column 0 appears twice in block 1\n")
+    assert not out.exists()
+
+
 def test_single_replicate_report_is_strict_json(tmp_path, blob_csv):
     out = tmp_path / "m1.json"
     assert run("power", "--data", blob_csv, "--m", "1", "--seed", "2", "--out", str(out)) == 0

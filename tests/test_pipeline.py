@@ -113,6 +113,17 @@ def test_region_block_validation():
     assert len(fitted.blocks) == 2
 
 
+@pytest.mark.parametrize("blocks, message", [
+    (((0, 0),), "column 0 appears twice in block 0"),
+    (((0, 1), (2, 3, 2)), "column 2 appears twice in block 1"),
+    (((0, 1), (1, 2)), "column 1 appears in more than one block"),
+])
+def test_a_repeated_column_names_its_fault(blocks, message):
+    with pytest.raises(ConfigError) as info:
+        PipelineSpec(region_blocks=blocks)
+    assert info.value.field == "region_blocks" and info.value.message == message
+
+
 def test_classifier_input_dim():
     assert PipelineSpec(reducer="pls").classifier_input_dim(10) == 1
     assert PipelineSpec(reducer="pca", pca_components=3).classifier_input_dim(10) == 3
@@ -448,6 +459,19 @@ def test_spec_rejects_wrong_types(field, value):
         PipelineSpec(**{field: value})
 
 
+def test_predicting_other_features_keeps_none_of_their_codes():
+    # The fit caches its own features' codes, one entry per block; those of
+    # another features array last one call, with the bits they had when kept.
+    spec = PipelineSpec(ae=AeArchitecture((2,), epochs=3), region_blocks=((0, 1), (2, 3)))
+    fitted = fit(spec, blobs())
+    assert len(fitted.codes) == 2
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        digest.update(fitted.probabilities(Batch.of(blobs(seed=seed), [PLAN])).tobytes())
+        assert len(fitted.codes) == 2
+    assert digest.hexdigest() == "ae3a35d3fccd50fd5913836de13f5abbf90e0dc279fbded62c597cbd061a4c69"
+
+
 def test_probabilities_width_check():
     d = blobs()
     fitted = fit(PipelineSpec(reducer="pls"), d)
@@ -748,6 +772,58 @@ def test_failed_columns_carry_their_first_error(monkeypatch, reducer, max_passes
     assert 0 < len(fitted.failures) < batch.size
     stages = {str(exc).split()[0] for exc in fitted.failures.values()}
     assert stages == ({"degenerate", "calibration"} if reducer == "pls" else {"SVM", "calibration"})
+
+
+def _failed_stage_fit(case, monkeypatch):
+    """A stage fit in which columns fail, as ``(failures, model)``, where
+    ``model(j)`` gives the arrays of column ``j``'s model."""
+    gen = np.random.Generator(np.random.Philox({"svm_pass_cap": 14, "svm_stuck_pass": 84,
+                                                "calibrate": 73}.get(case, 15)))
+    if case == "ae_divergence":  # test_autoenc's sigmoid_identity_diverging reference
+        x = np.random.Generator(np.random.Philox(64)).standard_normal((16, 20, 4))
+        arch = AeArchitecture((3,), activation="sigmoid", output_activation="identity",
+                              epochs=20, learning_rate=5e152, batch_size=1,
+                              validation_fraction=0.0)
+        models, failures = ae_fit(x, arch, [(PermutationPlan(6, j), "ae") for j in range(16)])
+        return failures, lambda j: models[j].weights + models[j].biases
+    if case == "pls_degenerate":
+        reducer, failures = pls1_fit(np.ones((6, 3)), np.tile([1.0, -1.0], (2, 3)))
+        return failures, lambda j: [reducer.directions[j]]
+    if case == "calibrate":
+        margins, y = gen.standard_normal((4, 20)), np.tile([1.0, -1.0], (4, 10))
+        margins[2] = np.nan
+        with np.errstate(invalid="ignore"):
+            cal, failures = calibrate(margins, y)
+        return failures, lambda j: [cal.slope[j]]
+    y, c = np.where(np.arange(40) % 2 == 0, 1.0, -1.0), 1.0
+    if case == "svm_pass_cap":  # a separated column: the corner is not optimal
+        x = gen.standard_normal((40, 2)) + 0.3 * y[:, None]
+        monkeypatch.setattr(linclass, "_MAX_PASSES", 1)
+    elif case == "svm_stuck_pass":  # see test_linclass.test_svm_stuck_pass_fails_at_once
+        y = gen.permutation(np.where(np.arange(200) < 50, 1.0, -1.0))
+        x = gen.standard_normal((200, 2)) + 0.8 * y[:, None]
+        monkeypatch.setattr(linclass, "_SVM_TOL", 0.0)
+    elif case == "svm_corner_overflow":
+        x, c = gen.standard_normal((40, 3)), 1e300
+    elif case == "svm_gap_overflow":  # the corner's w is zero: SMO's gap test overflows
+        xp = gen.standard_normal((4, 3))
+        x, y, c = np.concatenate([xp, xp / 2, xp / 2]), np.r_[np.ones(4), -np.ones(8)], 1e200
+    else:  # one feature, whose score spread passes the float maximum
+        x = np.where(y > 0, 1e308, -1e308)[:, None]
+    svm, failures = svm_fit(x, np.stack([y, y]), c)
+    return failures, lambda j: [svm.weights[j], svm.bias[j]]
+
+
+@pytest.mark.parametrize("case", [
+    "ae_divergence", "svm_pass_cap", "svm_stuck_pass", "svm_corner_overflow",
+    "svm_gap_overflow", "one_feature_overflow", "pls_degenerate", "calibrate"])
+def test_a_failed_column_gets_its_stage_zero_model(monkeypatch, case):
+    # Every stage fit gives each column that fails in it the stage's zero
+    # model: a calibration keeps its starting map, of slope 0.
+    failures, model = _failed_stage_fit(case, monkeypatch)
+    assert failures
+    for j in failures:
+        assert not any(np.any(a) for a in model(j)), j
 
 
 def test_an_empty_class_pair_fails_at_its_first_problem(monkeypatch):
