@@ -13,7 +13,8 @@ override config values, and the master seed falls back to the
 ``PERMSIG_SEED`` environment variable.  Reports are never overwritten:
 an existing output path gets a numeric suffix unless ``--force`` is
 given, and a study's report and its ``_hist.csv`` take the first
-suffix at which both names are free.  Exit codes: 0 success, 2
+suffix at which both names are free.  An output path must end in a file
+name, not in a separator, ``.`` or ``..``.  Exit codes: 0 success, 2
 configuration error, 3 numerical failure.
 """
 
@@ -218,6 +219,7 @@ def _free_path(path: str, force: bool, sidecar: str = "") -> str:
     ``stem-i + sidecar`` (when given) are both free; with ``force``,
     ``path`` itself, provided neither name is a directory."""
     check(path != "", "out", "must not be empty")
+    check(os.path.basename(path) not in ("", ".", ".."), "out", f"must end in a file name: {path}")
     folder = os.path.dirname(path) or "."
     check(os.path.isdir(folder), "out", f"directory not found: {folder}")
     stem, ext = os.path.splitext(path)
@@ -230,14 +232,14 @@ def _free_path(path: str, force: bool, sidecar: str = "") -> str:
     return next(s for s in stems if not any(os.path.exists(s + tail) for tail in tails)) + ext
 
 
-def _write_outputs(report, config_echo: dict, json_path: str, csv_path: str) -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(config_echo), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for left, right, count in report.histogram_csv_rows():
-            fh.write(f"{left!r},{right!r},{count}\n")
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an error writing it names ``out``."""
+    with _config_path("", other="out"), open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _run_study(args: argparse.Namespace) -> int:
@@ -250,8 +252,9 @@ def _run_study(args: argparse.Namespace) -> int:
         message = f"{exc.field} {exc.message}" if isinstance(exc, ConfigError) else str(exc)
         raise ConfigError("data", message) from None
     echo = _config_echo(args.study, doc["data"], spec, settings, report.m)
-    with _config_path("", other="out"):
-        _write_outputs(report, echo, json_path, csv_path)
+    _write(json_path, _json(report.to_json_dict(echo)))
+    _write(csv_path, "bin_left,bin_right,count\n" + "".join(
+        f"{left!r},{right!r},{count}\n" for left, right, count in report.histogram_csv_rows()))
     if report.p_value is not None:
         summary = f"p={report.p_value:.4f} [{report.p_value_sd:.4f}]"
         verdict = "reject H0" if report.p_value <= report.alpha else "keep H0"
@@ -270,14 +273,8 @@ def _run_bound(args: argparse.Namespace) -> int:
     path = None if args.out is None else _free_path(args.out, args.force)
     print(f"empirical={emp:.4f} vapnik={vap:.4f} (n={spec.n} d={spec.d} eta={spec.eta:g})")
     if path is not None:
-        with _config_path("", other="out"), open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"n": spec.n, "d": spec.d, "eta": spec.eta, "empirical": emp, "vapnik": vap},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        _write(path, _json({"n": spec.n, "d": spec.d, "eta": spec.eta, "empirical": emp,
+                            "vapnik": vap}))
     return 0
 
 

@@ -61,7 +61,7 @@ from .rng import PermutationPlan
 from .validate import Scheme, kfold_errors, resub_error
 
 # Replicate-index spaces for the (master_seed, replicate_index, tag) keying.
-# Null replicates live at [0, m); retries stride far above any real m;
+# Null replicates live at [0, m), m < RETRY_STRIDE; retries stride above them;
 # observed iterations and one-off fits use their own reserved ranges.
 RETRY_STRIDE = 2**32
 OBSERVED_BASE = 2**48
@@ -83,10 +83,12 @@ HISTOGRAM_BINS = 30
 class StudySettings:
     """Knobs of a permutation study.
 
-    ``m`` is the number of permutation replicates; ``None`` picks the
-    scheme default (1000 for resubstitution-based statistics, 100 for
-    k-fold, whose replicates contribute k values each).  A power study
-    averages ``observed_iterations`` row-shuffled iterations, a class constant.
+    ``m`` is the number of permutation replicates, below
+    :data:`RETRY_STRIDE` (2**32) so that no retry reuses a replicate's
+    plan index; ``None`` picks the scheme default (1000 for
+    resubstitution-based statistics, 100 for k-fold, whose replicates
+    contribute k values each).  A power study averages
+    ``observed_iterations`` row-shuffled iterations, a class constant.
     """
 
     scheme: Scheme = Scheme.RUB
@@ -103,6 +105,7 @@ class StudySettings:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         m, k, alpha, eta = self.m, self.k, self.alpha, self.eta
         check(m is None or (is_int(m) and m >= 1), "m", "must be a positive integer")
+        check(m is None or m < RETRY_STRIDE, "m", "must be below 2**32, the retry stride")
         check(is_int(k) and k >= 2, "k", "must be an integer >= 2")
         check(is_real(alpha) and 0.0 < alpha <= 1.0, "alpha", "must lie in (0, 1]")
         check(is_real(eta) and 0.0 < eta < 1.0, "eta", "must lie strictly between 0 and 1")

@@ -20,16 +20,17 @@ gathers its rows of the codes (a row shuffle or a fold subset).  The
 classifier stage goes further: the pair problems of every block and
 class pair with the same row count, +1 count and width are stacked along
 the column axis, and each stack's SVMs and calibrations are fitted in
-one call apiece.  The stage fits return ``(model, failures)``: a model
-for every column and the ``FitError`` of each column that failed.
-Failed columns are fitted alongside the others, so each stage runs once
-per batch, and each stage gives a column that fails in it that stage's
-zero model (see :class:`FittedBatch`), which it keeps to the end.  Only
-:meth:`FittedBatch.errors` reads a failed column's ``FitError``.  A column
-whose autoencoder fails carries the ``DivergenceError`` of its first
-failing block.  Any other column that fails carries the ``FitError`` of
-its first failing block and pair, and within those of its first failing
-stage: reducer, SVM, then calibration.
+one call apiece; a pair of every row of the features keeps its margins,
+which the batch's own probabilities reuse.  The stage fits return
+``(model, failures)``: a model for every column and the ``FitError`` of
+each column that failed.  Failed columns are fitted alongside the others,
+so each stage runs once per batch, and each stage gives a column that
+fails in it that stage's zero model (see :class:`FittedBatch`), which it
+keeps to the end.  Only :meth:`FittedBatch.errors` reads a failed
+column's ``FitError``.  A column whose autoencoder fails carries the
+``DivergenceError`` of its first failing block.  Any other column that
+fails carries the ``FitError`` of its first failing block and pair, and
+within those of its first failing stage: reducer, SVM, then calibration.
 
 Two fitting modes share that one pairwise fit path:
 
@@ -171,7 +172,10 @@ class PairModel:
 
     In a :class:`FittedBatch` the reducer, SVM and calibration hold one
     model per column along a leading axis; a frozen reducer is a
-    single one that every column shares.
+    single one that every column shares.  ``margins`` holds the (R, n)
+    margins its fit computed when it was fitted on all the rows of its
+    batch and those are all the rows of the batch's features; it is None
+    for a fold's fit and for a pair of some of the rows.
     """
 
     a: int
@@ -179,6 +183,7 @@ class PairModel:
     reducer: LinearReducer | None
     svm: LinearSvm
     calibration: Calibration
+    margins: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def probability(self, z: np.ndarray) -> np.ndarray:
         feats = reduce(self.reducer, z) if self.reducer is not None else z
@@ -209,16 +214,13 @@ class FittedBatch:
     None), and its pair models, every one of which holds one model per
     column along a leading axis.  ``codes`` keeps the encoded features
     already computed of the batch's own features array (another array's
-    codes last one call), and ``margins`` the (R, n) margins the fit
-    computed, by block and pair index, of each pair of all the rows of
-    ``batch`` when those are all the rows of its features.
+    codes last one call).
     """
 
     blocks: list[tuple[tuple[int, ...], tuple[AeModel | None, ...], list[PairModel]]]
     batch: Batch = field(repr=False)
     failures: dict[int, FitError]
     codes: dict = field(repr=False)
-    margins: dict = field(repr=False, compare=False)
 
     def probabilities(self, batch: Batch) -> np.ndarray:
         """Each column's class probabilities of its rows in ``batch``.
@@ -228,9 +230,8 @@ class FittedBatch:
         the pairwise votes of each block, averaged over the blocks, or all
         zero when every column failed.  Each is a probability in [0, 1],
         never NaN.  The array is a view of one contiguous (R, n) plane per
-        class.  On the batch object the fit was given, a pair fitted on all
-        its rows takes the margins its fit computed, the bits of margins
-        computed again.
+        class.  On the batch object the fit was given, a pair that holds
+        its ``margins`` takes them, the bits of margins computed again.
         """
         own = self.batch
         if batch.n_features != own.n_features:
@@ -240,17 +241,16 @@ class FittedBatch:
             raise ValueError(f"batch must have the fit's {own.size} columns, got {batch.size}")
         if len(self.failures) == batch.size:
             return np.zeros((batch.size, batch.n, own.class_count))
-        votes, kept = [], self.margins if batch is own else {}
+        votes = []
         cache = self.codes if batch.features is own.features else {}  # keep no foreign codes
-        for bi, (cols, models, pairs) in enumerate(self.blocks):
+        for cols, models, pairs in self.blocks:
             scores, z = np.zeros((own.class_count, batch.size, batch.n)), None
-            for pi, pair in enumerate(pairs):
-                margins = kept.get((bi, pi))
-                if margins is None:
+            for pair in pairs:
+                if pair.margins is None or batch is not own:
                     z = _codes(batch, cols, models, cache) if z is None else z
                     p = pair.probability(z)
                 else:
-                    p = calibrated_probability(pair.calibration, margins)
+                    p = calibrated_probability(pair.calibration, pair.margins)
                 scores[pair.b] += p
                 scores[pair.a] += 1.0 - p
             votes.append(scores / len(pairs))
@@ -449,7 +449,6 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
 
     failures = {k: exc for k, (_, exc) in first.items()} | (failures or {})
     fitted: list[list[PairModel]] = [[] for _ in extractors]
-    kept = {}  # the margins of each pair of all the batch's rows
     for p, (bi, (a, b), red, key) in enumerate(problems):
         owners, svm, cal, margins = fits[key]
         if len(owners) > 1:  # the problem's columns of its stack
@@ -457,11 +456,9 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
             at = slice(at, at + size)
             svm, cal = svm.select(at), cal.select(at)
             margins = None if margins is None else margins[at]
-        if margins is not None:
-            kept[bi, len(fitted[bi])] = margins
-        fitted[bi].append(PairModel(a, b, red, svm, cal))
+        fitted[bi].append(PairModel(a, b, red, svm, cal, margins))
     blocks = [(cols, models, pairs) for (cols, models), pairs in zip(extractors, fitted)]
-    return FittedBatch(blocks, batch, failures, codes, kept)
+    return FittedBatch(blocks, batch, failures, codes)
 
 
 def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "AltPipeline":

@@ -77,6 +77,13 @@ def test_bound_json_output(tmp_path):
     assert 0 < doc["empirical"] < doc["vapnik"]
 
 
+def test_bound_json_bytes(tmp_path):
+    out = tmp_path / "b.json"
+    assert run("bound", "--n", "100", "--d", "2", "--out", str(out)) == 0
+    assert out.read_bytes() == (b'{\n  "d": 2,\n  "empirical": 0.2036424518623517,\n  "eta": 0.05,\n'
+                                b'  "n": 100,\n  "vapnik": 0.44700270545393417\n}\n')
+
+
 def test_bound_invalid_inputs_exit_2(capsys):
     assert run("bound", "--n", "1", "--d", "1") == 2
     assert "config error" in capsys.readouterr().err
@@ -416,6 +423,38 @@ def test_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, blo
     assert run(*argv, *data) == 2
     out, err = capsys.readouterr()
     assert "config field 'out': must not be empty" in err and out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("out", ["sub/", "sub/.", ".", ".."])
+@pytest.mark.parametrize("argv", [
+    ("power", "--m", "5"),
+    ("bound", "--n", "10", "--d", "1"),
+    ("synth", "--n-per-class", "3", "--dim", "2"),
+], ids=lambda argv: argv[0])
+def test_out_ending_in_no_file_name_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                               blob_csv, argv, out):
+    # Numbered, such a path would name a file with no name: "sub/-1", ".-1".
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli._STUDIES, "power", _no_study)
+    (tmp_path / "sub").mkdir()
+    data = ("--data", blob_csv) if argv[0] == "power" else ()
+    before = sorted(os.listdir(tmp_path)), sorted(os.listdir(tmp_path.parent))
+    for force in ((), ("--force",)):
+        assert run(*argv, *data, "--out", out, *force) == 2
+        assert capsys.readouterr() == ("", f"config error: config field 'out': must end in a file "
+                                           f"name: {out}\n")
+    assert (sorted(os.listdir(tmp_path)), sorted(os.listdir(tmp_path.parent))) == before
+    assert os.listdir(tmp_path / "sub") == []
+
+
+def test_m_at_the_retry_stride_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, blob_csv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli._STUDIES, "power", _no_study)
+    before = sorted(os.listdir(tmp_path))
+    assert run("power", "--data", blob_csv, "--m", str(2**32)) == 2
+    assert capsys.readouterr() == ("", "config error: config field 'm': must be below 2**32, the "
+                                       "retry stride\n")
     assert sorted(os.listdir(tmp_path)) == before
 
 

@@ -19,6 +19,7 @@ from permsig.permtest import (
     MAX_RETRIES,
     OBSERVED_BASE,
     RETRY_STRIDE,
+    TRIM_INDEX,
     NullDistribution,
     StudySettings,
     alt_scheme_study,
@@ -604,5 +605,18 @@ def test_report_json_layout():
 
 
 def test_reserved_index_spaces_do_not_overlap():
-    assert OBSERVED_BASE > 10**6 + 3 * RETRY_STRIDE  # beyond any retried null index
-    assert EXTRACTOR_INDEX > OBSERVED_BASE + 10**6  # beyond any observed iteration
+    # StudySettings keeps m below RETRY_STRIDE, so replicate i < m's attempts
+    # i + a * RETRY_STRIDE are distinct, and the last of the largest i is the highest
+    highest_retry = (RETRY_STRIDE - 2) + MAX_RETRIES * RETRY_STRIDE
+    assert OBSERVED_BASE > highest_retry
+    highest_observed = OBSERVED_BASE + StudySettings.observed_iterations - 1
+    assert EXTRACTOR_INDEX > highest_observed and TRIM_INDEX > EXTRACTOR_INDEX
+
+
+def test_m_stays_below_the_retry_stride():
+    # with m > i + RETRY_STRIDE, replicate i's first retry would redraw the
+    # labelling of null replicate i + RETRY_STRIDE
+    assert StudySettings(m=RETRY_STRIDE - 1).replicates == RETRY_STRIDE - 1
+    with pytest.raises(ConfigError) as raised:
+        StudySettings(m=RETRY_STRIDE)
+    assert (raised.value.field, raised.value.message) == ("m", "must be below 2**32, the retry stride")

@@ -889,8 +889,9 @@ def test_errors_on_the_fit_batch_reuse_its_margins_bit_for_bit(monkeypatch, case
 @pytest.mark.parametrize("case", ["pls", "blocks", "frozen", "three_class"])
 def test_only_a_fit_on_every_row_keeps_its_margins(case):
     """A resubstitution fit, of permuted labels or of shuffled rows, keeps
-    the margins of each pair of all its rows; a fit on a training fold,
-    never predicted on its own rows, keeps none."""
+    on each pair model of all its rows the (R, n) margins; a pair of some
+    rows, and every pair of a fit on a training fold, never predicted on
+    its own rows, keeps none."""
     spec, classes, _, frozen = REUSE_CASES[case]
     d = synth_effect(30 // classes * 2, 6, 0.3, PermutationPlan(23, 0), classes=classes)
     model = fit_feature_maps(spec, d, PLAN) if frozen else spec
@@ -898,11 +899,13 @@ def test_only_a_fit_on_every_row_keeps_its_margins(case):
     batch = permute_labels(d, plans)
     for resub in (batch, shuffle_rows(d, plans)):
         fitted = model.fit(resub)
-        pairs = [(bi, pi) for bi, (_, _, ps) in enumerate(fitted.blocks) for pi in range(len(ps))]
         assert fitted.batch is resub
-        assert sorted(fitted.margins) == (pairs if classes == 2 else [])
+        for pair in (pair for _, _, pairs in fitted.blocks for pair in pairs):
+            shape = None if pair.margins is None else pair.margins.shape
+            assert shape == ((resub.size, resub.n) if classes == 2 else None)
     train = np.stack([np.flatnonzero(row != 0) for row in stratified_folds(batch, 3)])
-    assert model.fit(batch.subset(train)).margins == {}
+    fold = model.fit(batch.subset(train))
+    assert all(pair.margins is None for _, _, ps in fold.blocks for pair in ps)
 
 
 def _diverging_autoencoder():
