@@ -85,10 +85,11 @@ class Batch:
     ``features``, an (n, N) array, with label ``labels[j, i]``, and whose
     random draws come from ``plans[j]``; ``rows`` is None when every
     column has all rows, in order.  A relabeling gives each column its own
-    labels, a row shuffle or a fold subset its own rows, and the features
-    are never copied, so work that depends only on them (an encoding, say)
-    is done once for all columns.  Fits also need every column to hold the
-    same number of rows of each class, which all of these keep.
+    labels, a row shuffle its own rows, and a :meth:`subset` (a fold's
+    rows, or a class pair's) its own rows of those; the features are never
+    copied, so work that depends only on them (an encoding, say) is done
+    once for all columns.  Fits also need every column to hold the same
+    number of rows of each class, which all of these keep.
     """
 
     features: np.ndarray
@@ -117,10 +118,6 @@ class Batch:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def column_rows(self, j: int) -> np.ndarray:
-        """Column ``j``'s rows of the features."""
-        return self.features if self.rows is None else self.features[self.rows[j]]
 
     def subset(self, positions: np.ndarray) -> "Batch":
         """Each column's rows at ``positions[j]``, an (R, n') index array."""

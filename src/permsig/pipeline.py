@@ -16,12 +16,14 @@ arithmetic stays its own, so its fit and its probabilities do not depend
 on the batch it is in.  The autoencoders of every column and block of
 equal width and output activation train in one ``ae_fit`` call.  Each
 autoencoder encodes the batch's one features array once, and each column
-gathers its rows of the codes (a row shuffle or a fold subset).  The
-classifier stage goes further: the pair problems of every block and
-class pair with the same row count, +1 count and width are stacked along
-the column axis, and each stack's SVMs and calibrations are fitted in
-one call apiece; a pair of every row of the features keeps its margins,
-which the batch's own probabilities reuse.  The stage fits return
+gathers its rows of the codes (a row shuffle, a fold or a class pair) in
+:func:`_codes`, the one gather of every row a fit reads; a class pair is
+a ``Batch.subset``, as a fold is.  The classifier stage goes further: the
+pair problems of every block and class pair with the same row count, +1
+count and width are stacked along the column axis, and each stack's SVMs
+and calibrations are fitted in one call apiece; a pair of every row of
+the features keeps its margins, which the batch's own probabilities
+reuse.  The stage fits return
 ``(model, failures)``: a model for every column and the ``FitError`` of
 each column that failed.  Failed columns are fitted alongside the others,
 so each stage runs once per batch, and each stage gives a column that
@@ -295,46 +297,43 @@ def _codes(batch: Batch, cols: tuple[int, ...], models, cache: dict) -> np.ndarr
     return np.stack([z[rows] for z, rows in zip(codes, batch.rows)])
 
 
-def _pair_rows(labels: np.ndarray, a: int, b: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """Each column's rows of classes ``a`` and ``b`` in the (R, n) ``labels``
-    (None when they are all its rows), with signed targets, +1 = ``b``.  Every
-    column must hold as many rows of ``a``, and of ``b``, as every other."""
+def _pair_batch(batch: Batch, a: int, b: int) -> tuple[Batch, np.ndarray]:
+    """Each column's rows of classes ``a`` and ``b``: ``batch`` itself when
+    they are all its rows, else its subset of them, with signed targets,
+    +1 = ``b``.  Every column must hold as many rows of ``a``, and of ``b``,
+    as every other."""
+    labels = batch.labels
     n_a, n_b = (labels == a).sum(axis=1), (labels == b).sum(axis=1)
     if np.any(n_a != n_a[0]) or np.any(n_b != n_b[0]):
         raise ValueError("columns of a batch need equal class counts")
     if n_a[0] == 0 or n_b[0] == 0:
         raise FitError(f"class pair ({a}, {b}) is empty or single-class in training data")
-    if n_a[0] + n_b[0] == labels.shape[1]:
-        return None, np.where(labels == b, 1.0, -1.0)
-    rows = np.nonzero((labels == a) | (labels == b))[1].reshape(len(labels), -1)
-    return rows, np.where(np.take_along_axis(labels, rows, axis=1) == b, 1.0, -1.0)
-
-
-def _pair_data(z: np.ndarray, rows: np.ndarray | None, y: np.ndarray):
-    """The ``rows`` and targets ``y`` of :func:`_pair_rows`, with ``z`` each
-    column's rows, (R, n, width), or rows shared by all columns, (n, width)."""
-    if rows is not None:
-        z = z[rows] if z.ndim == 2 else np.take_along_axis(z, rows[:, :, None], axis=1)
-    return z, y
+    if n_a[0] + n_b[0] < batch.n:
+        batch = batch.subset(np.nonzero((labels == a) | (labels == b))[1].reshape(len(labels), -1))
+    return batch, np.where(batch.labels == b, 1.0, -1.0)
 
 
 def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
     """Each block's columns and each column's trained autoencoder (when
     configured), plus the ``FitError`` of every column whose training failed.
 
-    The autoencoders of every column and block with the same width and
-    output activation train in one ``ae_fit`` call.  A column that fails
-    keeps the ``DivergenceError`` of its first failing block; each block
-    it fails in holds the zero model ``ae_fit`` gives it, so its codes
-    are finite constants.
+    Each column's rows of a block come from :func:`_codes`, unencoded.  The
+    autoencoders of every column and block with the same width and output
+    activation train in one ``ae_fit`` call.  A column that fails keeps the
+    ``DivergenceError`` of its first failing block; each block it fails in
+    holds the zero model ``ae_fit`` gives it, so its codes are finite
+    constants.
     """
     blocks = spec.resolve_blocks(batch.n_features)
     if spec.ae is None:
         return [(cols, (None,) * batch.size) for cols in blocks], {}
     stacks: dict[tuple[int, str], list] = {}  # (width, activation) -> [((block, column), rows)]
-    for (bi, cols), j in product(enumerate(blocks), range(batch.size)):
-        rows = batch.column_rows(j)[:, cols]
-        stacks.setdefault((len(cols), spec.ae.output_for(rows)), []).append(((bi, j), rows))
+    for bi, cols in enumerate(blocks):
+        z = _codes(batch, cols, (None,) * batch.size, {})
+        for j in range(batch.size):
+            rows = z if batch.rows is None else z[j]
+            stacks.setdefault((len(cols), spec.ae.output_for(rows)), []).append(((bi, j), rows))
+    z = rows = None
     models = [[None] * batch.size for _ in blocks]
     first: dict[int, tuple[int, FitError]] = {}  # column -> (block, error)
     for key in list(stacks):
@@ -371,14 +370,15 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
                      failures: dict | None = None, codes: dict | None = None) -> FittedBatch:
     """The one pairwise fit path of full and frozen pipelines.
 
-    Every block and class pair is a pair problem: each column's rows of
-    the pair, reduced by the frozen reducer ``reducers[block_index,
-    pair]``, or, when ``reducers`` is None, by a reducer fitted on those
-    rows, which records the ``FitError`` of each column it failed on.
-    Blocks are encoded through ``codes`` (a new cache when None).  The
-    problems' scores are stacked along the column axis, one stack per row
-    count, +1 count and width, and each stack's SVMs and calibrations are
-    fitted in one call apiece.
+    Every block and class pair is a pair problem: the block's codes of the
+    pair's sub-batch (:func:`_pair_batch`, chosen once for every block),
+    read through ``_codes`` and the cache ``codes`` (a new one when None),
+    reduced by the frozen reducer ``reducers[block_index, pair]``, or, when
+    ``reducers`` is None, by a reducer fitted on those rows, which records
+    the ``FitError`` of each column it failed on.  The problems' scores are
+    stacked along the column axis, one stack per row count, +1 count and
+    width, and each stack's SVMs and calibrations are fitted in one call
+    apiece.
 
     Every stage fits every column, the failed ones too, whose models stay
     finite, and the result holds them all.  A column fails with the
@@ -393,7 +393,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
         raise ValueError("fitting requires at least two classes")
     size, codes = batch.size, {} if codes is None else codes
     first: dict[int, tuple[tuple[int, int], FitError]] = {}  # column -> (problem, stage)
-    selected = {}  # each class pair's rows and targets, chosen once for every block
+    selected = {}  # each class pair's sub-batch and targets, chosen once for every block
 
     def record(owners, stage: int, errors: dict) -> None:
         """Keep each column's earliest error.  ``errors`` are keyed by the
@@ -405,16 +405,13 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
 
     problems = []  # (block, pair, reducer, stack key), in block and then pair order
     stacks: dict[tuple[int, int, int], list] = {}  # key -> [(problem, scores, targets)]
-    block = None
     for p, (bi, (a, b)) in enumerate(product(range(len(extractors)),
                                              combinations(range(batch.class_count), 2))):
-        if block != bi:
-            cols, models = extractors[bi]
-            z, block = _codes(batch, cols, models, codes), bi
         try:
             if (a, b) not in selected:
-                selected[a, b] = _pair_rows(batch.labels, a, b)
-            feats, y = _pair_data(z, *selected[a, b])
+                selected[a, b] = _pair_batch(batch, a, b)
+            pair, y = selected[a, b]
+            feats = _codes(pair, *extractors[bi], codes)
             if reducers is None:
                 red, failed = _fit_reducer(spec, feats, y)
             else:
@@ -427,7 +424,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
         key = (y.shape[1], int(np.count_nonzero(y[0] > 0)), scores.shape[-1])
         problems.append((bi, (a, b), red, key))
         stacks.setdefault(key, []).append((p, scores, y))
-    z = feats = scores = selected = None  # the stacks alone hold the scores and targets now
+    pair = feats = scores = selected = None  # the stacks alone hold the scores and targets now
 
     fits = {}
     for key in list(stacks):
@@ -485,16 +482,15 @@ def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "
     frozen = [(cols, model) for cols, (model,) in extractors]
     reducers = {}
     for bi, (cols, model) in enumerate(frozen):
-        z = _codes(batch, cols, (model,), codes)
         if spec.reducer == "pls":
             for pair in pairs:
-                pair_rows = _pair_rows(d.labels[None], *pair)
-                red, failed = _fit_reducer(spec, *_pair_data(z[None], *pair_rows))
+                sub, y = _pair_batch(batch, *pair)
+                red, failed = _fit_reducer(spec, _codes(sub, cols, (model,), codes), y)
                 if failed:
                     raise failed[0]
                 reducers[bi, pair] = red.select(0)
         else:
-            shared = _fit_reducer(spec, z, None)[0]
+            shared = _fit_reducer(spec, _codes(batch, cols, (model,), codes), None)[0]
             reducers.update({(bi, pair): shared for pair in pairs})
     return AltPipeline(spec, frozen, reducers, d.n_features, codes)
 

@@ -83,7 +83,7 @@ def test_batch_of_datasets_and_its_subsets():
     sub = batch.subset(np.array([[0, 2], [1, 3], [4, 5]]))
     np.testing.assert_array_equal(sub.rows, [[0, 2], [1, 3], [4, 5]])
     np.testing.assert_array_equal(sub.labels[2], batch.labels[2, [4, 5]])
-    np.testing.assert_array_equal(sub.column_rows(1), d.features[[1, 3]])
+    np.testing.assert_array_equal(sub.features[sub.rows[1]], d.features[[1, 3]])
     np.testing.assert_array_equal(sub.subset(np.array([[1], [0], [1]])).rows, [[2], [1], [5]])
     own = Batch.of(d, plans[:2])
     assert (own.size, own.rows, own.class_count, own.plans) == (2, None, 2, tuple(plans[:2]))
@@ -383,9 +383,9 @@ def test_shuffle_rows_keeps_pairs_together():
     orig = {(tuple(f), int(l)) for f, l in zip(d.features, d.labels)}
     for j in range(s.size):
         np.testing.assert_array_equal(np.sort(s.rows[j]), np.arange(d.n))
-        assert not np.array_equal(s.column_rows(j), d.features)
+        assert not np.array_equal(s.features[s.rows[j]], d.features)
         # every (row, label) pair must still exist
-        new = {(tuple(f), int(l)) for f, l in zip(s.column_rows(j), s.labels[j])}
+        new = {(tuple(f), int(l)) for f, l in zip(s.features[s.rows[j]], s.labels[j])}
         assert orig == new
 
 

@@ -655,13 +655,13 @@ def test_stacked_autoencoders_equal_each_fitted_alone(monkeypatch, case):
     assert stacks == [2 * columns]
     for j, plan in enumerate(plans):
         first = None
+        rows = batch.features if batch.rows is None else batch.features[batch.rows[j]]
         for bi, (cols, models) in enumerate(extractors):
-            (model,), failed = ae_fit(batch.column_rows(j)[:, cols][None], arch,
-                                      [(plan, f"fit.b{bi}.ae")])
+            (model,), failed = ae_fit(rows[:, cols][None], arch, [(plan, f"fit.b{bi}.ae")])
             first = first or failed.get(0)
             if failed:  # zero parameters, so finite constant codes
                 assert not any(p.any() for p in models[j].weights + models[j].biases)
-                codes = ae_encode(models[j], batch.column_rows(j)[:, cols])
+                codes = ae_encode(models[j], rows[:, cols])
                 assert np.isfinite(codes).all() and np.ptp(codes, axis=0).max() == 0.0
             else:
                 assert _ae_bits(models[j]) == _ae_bits(model)
@@ -742,6 +742,75 @@ def test_stacked_pair_fits_equal_per_pair_fits_bit_for_bit(monkeypatch, case, re
         _assert_fits_columns_alone(fitted, batch, lambda j: _fit_one_pair_at_a_time(
             spec, Dataset(d.features, batch.labels[j], d.class_count), reducers))
     assert batch.size - len(fitted.failures) > batch.size // 2
+
+
+def _gathered_pair(batch, a, b):
+    """Each column's feature rows of classes ``a`` and ``b``, and their
+    labels, picked out of the column one by one."""
+    rows, labels = [], []
+    for j in range(batch.size):
+        own = np.arange(len(batch.features)) if batch.rows is None else batch.rows[j]
+        keep = (batch.labels[j] == a) | (batch.labels[j] == b)
+        rows.append(own[keep])
+        labels.append(batch.labels[j][keep])
+    return np.stack(rows), np.stack(labels)
+
+
+@pytest.mark.parametrize("case", ["null_chunk", "observed", "fold", "per_column_ae"])
+def test_a_class_pair_is_a_sub_batch_read_through_codes_bit_for_bit(case):
+    """A class pair is a ``Batch.subset`` of its batch's rows, and its codes,
+    read through ``_codes``, are each column's rows of the encoded block, to
+    the last bit: on shared rows (a null chunk), on each column's own row
+    order (observed iterations), in a fold (a subset of a subset), and
+    through each column's own autoencoder."""
+    gen = np.random.Generator(np.random.Philox(8))
+    labels = np.repeat(np.arange(3), (5, 6, 7))
+    d = Dataset(gen.random((labels.size, 6)), labels, 3)
+    plans = [PermutationPlan(3, r) for r in range(4)]
+    batch = (shuffle_rows if case == "observed" else permute_labels)(d, plans)
+    if case == "fold":  # each column's training rows of fold 0
+        fold_of = stratified_folds(batch, 3)
+        batch = batch.subset(np.stack([np.flatnonzero(row != 0) for row in fold_of]))
+    blocks = ((0, 1, 2), (3, 4, 5))
+    if case == "per_column_ae":
+        arch = AeArchitecture(layer_widths_encoder=(2,), epochs=2, batch_size=4)
+        spec = PipelineSpec(ae=arch, reducer="none", region_blocks=blocks)
+        extractors, failures = pipeline._fit_extractors(spec, batch, "fit")
+        assert failures == {} and len({id(m) for m in extractors[0][1]}) == batch.size
+    else:
+        extractors = [(cols, (None,) * batch.size) for cols in blocks]
+    for a, b in combinations(range(3), 2):
+        pair, y = pipeline._pair_batch(batch, a, b)
+        rows, labels = _gathered_pair(batch, a, b)
+        assert pair.features is d.features and pair.plans == batch.plans
+        assert np.array_equal(pair.rows, rows) and np.array_equal(pair.labels, labels)
+        targets = np.where(labels == b, 1.0, -1.0)
+        assert y.shape == targets.shape and y.tobytes() == targets.tobytes()
+        for cols, models in extractors:
+            block = np.ascontiguousarray(d.features[:, cols])
+            expected = np.stack([(block if m is None else ae_encode(m, block))[r]
+                                 for m, r in zip(models, rows)])
+            z = pipeline._codes(pair, cols, models, {})
+            assert z.shape == expected.shape and z.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_frozen_pls_fits_each_pair_on_its_gathered_rows_bit_for_bit(classes):
+    """Each frozen ``pls`` reducer is, to the last bit, the one ``pls1_fit``
+    fits on its pair's rows and targets picked out one by one; with two
+    classes the pair is the batch itself, whose rows every column shares."""
+    d = blobs(n_per=7, dim=6, effect=1.0, classes=classes)
+    blocks = ((0, 1, 2), (3, 4, 5))
+    reducers = fit_feature_maps(PipelineSpec(region_blocks=blocks), d, PLAN).reducers
+    batch = Batch.of(d, [PLAN])
+    for a, b in combinations(range(classes), 2):
+        assert (pipeline._pair_batch(batch, a, b)[0] is batch) == (classes == 2)
+        rows, labels = _gathered_pair(batch, a, b)
+        y = np.where(labels == b, 1.0, -1.0)
+        for bi, cols in enumerate(blocks):
+            red = pls1_fit(np.ascontiguousarray(d.features[:, cols])[rows], y)[0].select(0)
+            assert reducers[bi, (a, b)].mean.tobytes() == red.mean.tobytes()
+            assert reducers[bi, (a, b)].directions.tobytes() == red.directions.tobytes()
 
 
 @pytest.mark.parametrize("reducer, max_passes, max_iter, sizes, seed", [
