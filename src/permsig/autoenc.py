@@ -93,7 +93,7 @@ class AeArchitecture:
         )
         object.__setattr__(self, "layer_widths_encoder", tuple(int(w) for w in widths))
         check(self.activation in _ACTIVATIONS, "activation", f"must be one of {_ACTIVATIONS}")
-        check(self.output_activation in ("auto",) + _ACTIVATIONS, "output_activation",
+        check(self.output_activation in ("auto", "sigmoid", "identity"), "output_activation",
               "must be auto, sigmoid or identity")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)

@@ -15,24 +15,25 @@ Every stage handles all columns of a batch at once, but a column's
 arithmetic stays its own, so its fit and its probabilities do not depend
 on the batch it is in.  The autoencoders of every column and block of
 equal width and output activation train in one ``ae_fit`` call.  Each
-autoencoder encodes the batch's one features array once, and each column
-gathers its rows of the codes (a row shuffle, a fold or a class pair) in
-:func:`_codes`, the one gather of every row a fit reads; a class pair is
-a ``Batch.subset``, as a fold is.  The classifier stage goes further: the
-pair problems of every block and class pair with the same row count, +1
-count and width are stacked along the column axis, and each stack's SVMs
-and calibrations are fitted in one call apiece; a pair of every row of
-the features keeps its margins, which the batch's own probabilities
-reuse.  The stage fits return
-``(model, failures)``: a model for every column and the ``FitError`` of
-each column that failed.  Failed columns are fitted alongside the others,
-so each stage runs once per batch, and each stage gives a column that
-fails in it that stage's zero model (see :class:`FittedBatch`), which it
-keeps to the end.  Only :meth:`FittedBatch.errors` reads a failed
-column's ``FitError``.  A column whose autoencoder fails carries the
-``DivergenceError`` of its first failing block.  Any other column that
-fails carries the ``FitError`` of its first failing block and pair, and
-within those of its first failing stage: reducer, SVM, then calibration.
+block's codes of the batch's features are computed once, beside its
+extractor (:func:`_encode`), and each column gathers its rows of them (a
+row shuffle, a fold or a class pair) in :func:`_codes`, the one gather
+of every row a fit reads; a class pair is a ``Batch.subset``, as a fold
+is.  The classifier stage goes further: the pair problems of every block
+and class pair with the same row count, +1 count and width are stacked
+along the column axis, and each stack's SVMs and calibrations are fitted
+in one call apiece; a pair of every row of the features keeps its
+margins, which the batch's own probabilities reuse. The stage fits
+return ``(model, failures)``: a model for every column and the
+``FitError`` of each column that failed.  Failed columns are fitted
+alongside the others, so each stage runs once per batch, and each stage
+gives a column that fails in it that stage's zero model (see
+:class:`FittedBatch`), which it keeps to the end.  Only
+:meth:`FittedBatch.errors` reads a failed column's ``FitError``.  A
+column whose autoencoder fails carries the ``DivergenceError`` of its
+first failing block.  Any other column that fails carries the
+``FitError`` of its first failing block and pair, and within those of
+its first failing stage: reducer, SVM, then calibration.
 
 Two fitting modes share that one pairwise fit path:
 
@@ -164,8 +165,7 @@ class PipelineSpec:
         fitted.  Invalid region blocks or fewer than two classes raise
         ``ValueError``.
         """
-        extractors, failures = _fit_extractors(self, batch, tag)
-        return _fit_classifiers(self, batch, extractors, failures=failures)
+        return _fit_classifiers(self, batch, *_fit_extractors(self, batch, tag))
 
 
 @dataclass
@@ -214,15 +214,15 @@ class FittedBatch:
     a calibration of slope 0.  Only :meth:`errors` reads its ``FitError``.
     Each block holds its feature columns, each column's autoencoder (or
     None), and its pair models, every one of which holds one model per
-    column along a leading axis.  ``codes`` keeps the encoded features
-    already computed of the batch's own features array (another array's
-    codes last one call).
+    column along a leading axis.  ``codes`` holds each block's codes of the
+    batch's own features array, one (n, width) array per column (another
+    array's codes last one call).
     """
 
     blocks: list[tuple[tuple[int, ...], tuple[AeModel | None, ...], list[PairModel]]]
     batch: Batch = field(repr=False)
     failures: dict[int, FitError]
-    codes: dict = field(repr=False)
+    codes: list[tuple[np.ndarray, ...]] = field(repr=False)
 
     def probabilities(self, batch: Batch) -> np.ndarray:
         """Each column's class probabilities of its rows in ``batch``.
@@ -243,13 +243,13 @@ class FittedBatch:
             raise ValueError(f"batch must have the fit's {own.size} columns, got {batch.size}")
         if len(self.failures) == batch.size:
             return np.zeros((batch.size, batch.n, own.class_count))
-        votes = []
-        cache = self.codes if batch.features is own.features else {}  # keep no foreign codes
-        for cols, models, pairs in self.blocks:
+        votes, feats = [], batch.features
+        for (cols, models, pairs), codes in zip(self.blocks, self.codes):
+            codes = codes if feats is own.features else _encode(feats, cols, models)
             scores, z = np.zeros((own.class_count, batch.size, batch.n)), None
             for pair in pairs:
                 if pair.margins is None or batch is not own:
-                    z = _codes(batch, cols, models, cache) if z is None else z
+                    z = _codes(batch, codes) if z is None else z
                     p = pair.probability(z)
                 else:
                     p = calibrated_probability(pair.calibration, pair.margins)
@@ -273,22 +273,20 @@ class FittedBatch:
         return out
 
 
-def _codes(batch: Batch, cols: tuple[int, ...], models, cache: dict) -> np.ndarray:
-    """Each column's rows of one block, encoded.
+def _encode(feats: np.ndarray, cols: tuple[int, ...], models) -> tuple[np.ndarray, ...]:
+    """Each column's codes of the block ``cols`` of ``feats``: the block, or
+    its model's encoding of it; columns of one model (or none) share one."""
+    # a block of some columns is a copy in C order, whose layout the reducers' bits need
+    block = feats if cols == tuple(range(feats.shape[1])) else feats.take(cols, axis=1)
+    if all(model is models[0] for model in models):
+        return (block if models[0] is None else ae_encode(models[0], block),) * len(models)
+    return tuple(block if model is None else ae_encode(model, block) for model in models)
 
-    Features are encoded here alone, once per model, and kept in
-    ``cache``.  When every column has all rows of the same codes, those
-    (n, width) codes serve them all; otherwise each column gathers its
-    rows into an (R, n, width) array.
-    """
-    feats, codes = batch.features, []
-    for model in models:
-        key = (id(feats), id(model), cols)
-        if key not in cache:  # the entry holds its keys' objects, so their ids stay unique
-            # a block of some columns is a copy in C order, whose layout the reducers' bits need
-            block = feats if cols == tuple(range(feats.shape[1])) else feats.take(cols, axis=1)
-            cache[key] = (feats, model, block if model is None else ae_encode(model, block))
-        codes.append(cache[key][2])
+
+def _codes(batch: Batch, codes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each column's rows of its (n, width) ``codes`` of one block.  When
+    every column has all rows of the same codes, those serve them all;
+    otherwise each column gathers its rows into an (R, n, width) array."""
     shared = all(z is codes[0] for z in codes)
     if batch.rows is None:
         return codes[0] if shared else np.stack(codes)
@@ -314,8 +312,9 @@ def _pair_batch(batch: Batch, a: int, b: int) -> tuple[Batch, np.ndarray]:
 
 
 def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
-    """Each block's columns and each column's trained autoencoder (when
-    configured), plus the ``FitError`` of every column whose training failed.
+    """Each block's columns, each column's autoencoder (None when none is
+    configured) and codes, plus the ``FitError`` of every column whose
+    training failed.
 
     Each column's rows of a block come from :func:`_codes`, unencoded.  The
     autoencoders of every column and block with the same width and output
@@ -324,12 +323,10 @@ def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
     holds the zero model ``ae_fit`` gives it, so its codes are finite
     constants.
     """
-    blocks = spec.resolve_blocks(batch.n_features)
-    if spec.ae is None:
-        return [(cols, (None,) * batch.size) for cols in blocks], {}
+    blocks, feats = spec.resolve_blocks(batch.n_features), batch.features
     stacks: dict[tuple[int, str], list] = {}  # (width, activation) -> [((block, column), rows)]
-    for bi, cols in enumerate(blocks):
-        z = _codes(batch, cols, (None,) * batch.size, {})
+    for bi, cols in enumerate(blocks if spec.ae is not None else ()):
+        z = _codes(batch, _encode(feats, cols, (None,) * batch.size))
         for j in range(batch.size):
             rows = z if batch.rows is None else z[j]
             stacks.setdefault((len(cols), spec.ae.output_for(rows)), []).append(((bi, j), rows))
@@ -345,7 +342,7 @@ def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
             models[bi][j] = fitted[k]
             if k in failed and (j not in first or bi < first[j][0]):
                 first[j] = (bi, failed[k])
-    return ([(cols, tuple(ms)) for cols, ms in zip(blocks, models)],
+    return ([(cols, tuple(ms), _encode(feats, cols, ms)) for cols, ms in zip(blocks, models)],
             {j: first[j][1] for j in sorted(first)})
 
 
@@ -366,19 +363,19 @@ def _fit_reducer(spec: PipelineSpec, feats: np.ndarray, y: np.ndarray):
     return None, {}
 
 
-def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dict | None = None,
-                     failures: dict | None = None, codes: dict | None = None) -> FittedBatch:
+def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, failures: dict,
+                     reducers: dict | None = None) -> FittedBatch:
     """The one pairwise fit path of full and frozen pipelines.
 
-    Every block and class pair is a pair problem: the block's codes of the
-    pair's sub-batch (:func:`_pair_batch`, chosen once for every block),
-    read through ``_codes`` and the cache ``codes`` (a new one when None),
-    reduced by the frozen reducer ``reducers[block_index, pair]``, or, when
-    ``reducers`` is None, by a reducer fitted on those rows, which records
-    the ``FitError`` of each column it failed on.  The problems' scores are
-    stacked along the column axis, one stack per row count, +1 count and
-    width, and each stack's SVMs and calibrations are fitted in one call
-    apiece.
+    Every block and class pair is a pair problem: the block's codes (the
+    last of its ``extractors`` entry) of the pair's sub-batch
+    (:func:`_pair_batch`, chosen once for every block), read through
+    ``_codes``, reduced by the frozen reducer ``reducers[block_index,
+    pair]``, or, when ``reducers`` is None, by a reducer fitted on those
+    rows, which records the ``FitError`` of each column it failed on.  The
+    problems' scores are stacked along the column axis, one stack per row
+    count, +1 count and width, and each stack's SVMs and calibrations are
+    fitted in one call apiece.
 
     Every stage fits every column, the failed ones too, whose models stay
     finite, and the result holds them all.  A column fails with the
@@ -391,7 +388,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
     """
     if batch.class_count < 2:
         raise ValueError("fitting requires at least two classes")
-    size, codes = batch.size, {} if codes is None else codes
+    size = batch.size
     first: dict[int, tuple[tuple[int, int], FitError]] = {}  # column -> (problem, stage)
     selected = {}  # each class pair's sub-batch and targets, chosen once for every block
 
@@ -411,7 +408,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
             if (a, b) not in selected:
                 selected[a, b] = _pair_batch(batch, a, b)
             pair, y = selected[a, b]
-            feats = _codes(pair, *extractors[bi], codes)
+            feats = _codes(pair, extractors[bi][2])
             if reducers is None:
                 red, failed = _fit_reducer(spec, feats, y)
             else:
@@ -444,7 +441,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
         whole = key[0] == batch.n == batch.features.shape[0]  # a resubstitution batch, not a fold
         fits[key] = (owners, svm, cal, margins if whole else None)
 
-    failures = {k: exc for k, (_, exc) in first.items()} | (failures or {})
+    failures = {k: exc for k, (_, exc) in first.items()} | failures
     fitted: list[list[PairModel]] = [[] for _ in extractors]
     for p, (bi, (a, b), red, key) in enumerate(problems):
         owners, svm, cal, margins = fits[key]
@@ -454,8 +451,8 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, reducers: dic
             svm, cal = svm.select(at), cal.select(at)
             margins = None if margins is None else margins[at]
         fitted[bi].append(PairModel(a, b, red, svm, cal, margins))
-    blocks = [(cols, models, pairs) for (cols, models), pairs in zip(extractors, fitted)]
-    return FittedBatch(blocks, batch, failures, codes)
+    blocks = [(cols, models, pairs) for (cols, models, _), pairs in zip(extractors, fitted)]
+    return FittedBatch(blocks, batch, failures, [codes for _, _, codes in extractors])
 
 
 def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "AltPipeline":
@@ -475,24 +472,24 @@ def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "
             "pls cannot be frozen on one-condition data; use reducer='pca' or 'none'"
         )
     pairs = list(combinations(range(max(d.class_count, 2)), 2))
-    batch, codes = Batch.of(d, [plan]), {}
+    batch = Batch.of(d, [plan])
     extractors, failures = _fit_extractors(spec, batch, "extract")
     if failures:
         raise failures[0]
-    frozen = [(cols, model) for cols, (model,) in extractors]
+    frozen = [(cols, model, z) for cols, (model,), (z,) in extractors]
     reducers = {}
-    for bi, (cols, model) in enumerate(frozen):
+    for bi, (_, _, z) in enumerate(frozen):
         if spec.reducer == "pls":
             for pair in pairs:
                 sub, y = _pair_batch(batch, *pair)
-                red, failed = _fit_reducer(spec, _codes(sub, cols, (model,), codes), y)
+                red, failed = _fit_reducer(spec, _codes(sub, (z,)), y)
                 if failed:
                     raise failed[0]
                 reducers[bi, pair] = red.select(0)
         else:
-            shared = _fit_reducer(spec, _codes(batch, cols, (model,), codes), None)[0]
+            shared = _fit_reducer(spec, z, None)[0]
             reducers.update({(bi, pair): shared for pair in pairs})
-    return AltPipeline(spec, frozen, reducers, d.n_features, codes)
+    return AltPipeline(spec, frozen, reducers, d.features)
 
 
 @dataclass
@@ -500,21 +497,21 @@ class AltPipeline:
     """A pipeline whose extractor and reducer are frozen; only the
     classifier and its calibration refit.
 
-    ``extractors`` holds each block's columns and frozen autoencoder (or
-    None), and ``reducers`` maps each block index and class pair to its
-    frozen reducer (None for ``none``); a ``pca`` reducer is one object
-    under every pair of its block; ``codes`` holds the codes they were
-    fitted on, which each fit copies.  Built by :func:`fit_feature_maps`.
+    ``extractors`` holds each block's columns, frozen autoencoder (or
+    None) and (n, width) codes of ``features``, which every fit over that
+    array reads (another array is encoded for its fit alone), and
+    ``reducers`` maps each block index and class pair to its frozen reducer
+    (None for ``none``); a ``pca`` reducer is one object under every pair
+    of its block.  Built by :func:`fit_feature_maps`.
     It has the ``fit(batch, tag)`` of :class:`PipelineSpec`, so the
     validation estimators accept either.  Fitting is deterministic given
     the data, so the columns' plans go unused.
     """
 
     spec: PipelineSpec
-    extractors: list[tuple[tuple[int, ...], AeModel | None]]
+    extractors: list[tuple[tuple[int, ...], AeModel | None, np.ndarray]]
     reducers: dict[tuple[int, tuple[int, int]], LinearReducer | None]
-    n_features: int
-    codes: dict = field(repr=False, compare=False)
+    features: np.ndarray = field(repr=False, compare=False)
 
     def classifier_input_dim(self, n_features: int) -> int:
         return self.spec.classifier_input_dim(n_features)
@@ -525,10 +522,12 @@ class AltPipeline:
         A batch of another width, or with a class pair that has no frozen
         reducer, raises ``ValueError``.
         """
-        if batch.n_features != self.n_features:
+        if batch.n_features != self.features.shape[1]:
             raise ValueError("dataset width differs from the mapped width")
         for pair in combinations(range(batch.class_count), 2):
             if (0, pair) not in self.reducers:
                 raise ValueError(f"no frozen reducer for class pair {pair}")
-        extractors = [(cols, (model,) * batch.size) for cols, model in self.extractors]
-        return _fit_classifiers(self.spec, batch, extractors, self.reducers, codes=dict(self.codes))
+        feats, size = batch.features, batch.size
+        extractors = [(cols, (m,) * size, (z,) * size if feats is self.features
+                       else _encode(feats, cols, (m,)) * size) for cols, m, z in self.extractors]
+        return _fit_classifiers(self.spec, batch, extractors, {}, self.reducers)

@@ -13,7 +13,7 @@ from permsig.autoenc import (
     ae_fit,
     ae_gradient,
 )
-from permsig.errors import DivergenceError
+from permsig.errors import ConfigError, DivergenceError
 from permsig.rng import PermutationPlan
 
 
@@ -321,6 +321,17 @@ def test_architecture_validation():
         AeArchitecture(layer_widths_encoder=(4,), epochs=0)
     with pytest.raises(ValueError):
         AeArchitecture(layer_widths_encoder=(4,), validation_fraction=1.0)
+
+
+def test_architecture_rejects_a_relu_output_activation():
+    # relu is a hidden-layer activation only: the output layer is auto,
+    # sigmoid or identity, as the error message says.
+    with pytest.raises(ConfigError) as info:
+        AeArchitecture((2,), output_activation="relu")
+    assert (info.value.field, info.value.message) == ("output_activation",
+                                                      "must be auto, sigmoid or identity")
+    for value in ("auto", "sigmoid", "identity"):
+        assert AeArchitecture((2,), output_activation=value).output_activation == value
 
 
 @pytest.mark.parametrize("field, value", [

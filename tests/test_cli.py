@@ -550,6 +550,9 @@ def test_column_range_past_the_float_maximum_runs_clean(tmp_path, capsys):
     # JSON's Infinity parses to inf, with which training diverges at once
     ({"pipeline": {"ae": {"widths": [2], "learning_rate": float("inf")}}},
      "pipeline.ae.learning_rate"),
+    # relu is a hidden-layer activation only
+    ({"pipeline": {"ae": {"widths": [2], "output_activation": "relu"}}},
+     "pipeline.ae.output_activation"),
 ])
 def test_malformed_field_exits_2_and_names_it(doc, field, tmp_path, blob_csv, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -5,22 +5,31 @@ since the package must run on numpy alone and scipy is a test oracle.
 The SHA-256 of its standard output is compared with the value recorded
 when the demo was last changed on purpose.  A demo prints results of
 whole studies, so a refactor that moves any reported number fails here.
-README's Python examples run as one script, so an API change that they
-do not follow fails here too.
+README's Python examples run as one script, and its command lines through
+the CLI, so an API change that they do not follow fails here too; and its
+config table lists exactly the keys that the CLI accepts.
 """
 
 import hashlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import permsig
+from permsig import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = os.path.join(ROOT, "demos")
+
+
+def readme() -> str:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
 
 STDOUT_SHA256 = {
     "alt_scheme.py": "4b25ce89749a6b95b62d6d9023a643e66ab3760dfe7e2e2780f5779ce90e8aa3",
@@ -52,9 +61,33 @@ def test_demo_output_is_unchanged(demo):
 
 
 def test_readme_examples_run(capsys):
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), flags=re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme(), flags=re.M | re.S)
     assert len(blocks) == 2
     exec(compile("".join(blocks), "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2  # the study's p-value, then the batch's errors
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # Each `permsig` line of README's shell examples, in order, in one
+    # directory, so a line may read what an earlier one wrote.
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme(), flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("permsig ")]
+    assert len(lines) == 6
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PERMSIG_SEED", raising=False)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert cli.main(argv) == 0, (line, capsys.readouterr().err)
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).is_file(), line
+
+
+def test_readme_config_table_lists_every_config_key():
+    # Every key that the CLI accepts, but for the objects that only hold
+    # other keys, has a row in the table, and the table has no other row.
+    section = readme().split("\n## Config file\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    accepted = {prefix + key for prefix, keys in cli._KEYS.items() for key in keys}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == accepted - {"data", "pipeline", "data.synth"}

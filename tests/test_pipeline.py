@@ -309,7 +309,8 @@ def test_frozen_pls_reducer_equals_the_full_fit_bit_for_bit(blocks):
 def test_an_alt_study_encodes_each_block_once(monkeypatch):
     """The frozen autoencoders encode their blocks once, in
     ``fit_feature_maps``; every chunk of observed iterations, null
-    replicates or folds reuses those codes, and no fit grows them."""
+    replicates or folds reuses those codes, and no fit replaces them.  A
+    fit on another array of the same width encodes it for that fit alone."""
     calls = []
 
     def counted(model, x):
@@ -327,12 +328,26 @@ def test_an_alt_study_encodes_each_block_once(monkeypatch):
         assert [width for _, width in calls] == [3, 2], scheme
         assert calls[0][0] is not calls[1][0]
     alt = fit_feature_maps(spec, d, PLAN)
-    codes = dict(alt.codes)
-    assert len(codes) == 2
+    codes = [z for _, _, z in alt.extractors]
+    assert [z.shape for z in codes] == [(d.n, 2), (d.n, 2)]
     calls.clear()
     for batch in (permute_labels(d, [PLAN]), shuffle_rows(d, [PLAN, PermutationPlan(0, 1)])):
-        assert alt.fit(batch).errors(batch)
-    assert calls == [] and alt.codes == codes
+        fitted = alt.fit(batch)
+        assert fitted.errors(batch)
+        assert all(c is z for block, z in zip(fitted.codes, codes) for c in block)
+    assert calls == []
+    assert all(z is own for (_, _, z), own in zip(alt.extractors, codes))
+    other = synth_effect(12, 5, 0.5, PermutationPlan(5, 0))
+    batch = permute_labels(other, [PLAN, PermutationPlan(0, 1)])
+    for _ in range(2):  # nothing is kept: the second fit encodes again
+        calls.clear()
+        fitted = alt.fit(batch)
+        assert fitted.errors(batch)
+        assert [width for _, width in calls] == [3, 2]
+        for (cols, model, _), block in zip(alt.extractors, fitted.codes):
+            expected = ae_encode(model, np.ascontiguousarray(other.features[:, cols]))
+            assert all(c.tobytes() == expected.tobytes() for c in block)
+    assert all(z is own for (_, _, z), own in zip(alt.extractors, codes))
 
 
 def test_alt_pipeline_width_check():
@@ -460,15 +475,17 @@ def test_spec_rejects_wrong_types(field, value):
 
 
 def test_predicting_other_features_keeps_none_of_their_codes():
-    # The fit caches its own features' codes, one entry per block; those of
-    # another features array last one call, with the bits they had when kept.
+    # The fit keeps its own features' codes, one array per block and column;
+    # those of another features array last one call, with the bits they had
+    # when kept.
     spec = PipelineSpec(ae=AeArchitecture((2,), epochs=3), region_blocks=((0, 1), (2, 3)))
     fitted = fit(spec, blobs())
-    assert len(fitted.codes) == 2
+    codes = [list(block) for block in fitted.codes]
+    assert [len(block) for block in codes] == [1, 1]
     digest = hashlib.sha256()
     for seed in (1, 2, 3):
         digest.update(fitted.probabilities(Batch.of(blobs(seed=seed), [PLAN])).tobytes())
-        assert len(fitted.codes) == 2
+        assert all(c is z for new, old in zip(fitted.codes, codes) for c, z in zip(new, old))
     assert digest.hexdigest() == "ae3a35d3fccd50fd5913836de13f5abbf90e0dc279fbded62c597cbd061a4c69"
 
 
@@ -656,7 +673,9 @@ def test_stacked_autoencoders_equal_each_fitted_alone(monkeypatch, case):
     for j, plan in enumerate(plans):
         first = None
         rows = batch.features if batch.rows is None else batch.features[batch.rows[j]]
-        for bi, (cols, models) in enumerate(extractors):
+        for bi, (cols, models, codes) in enumerate(extractors):
+            block = np.ascontiguousarray(batch.features[:, cols])
+            assert codes[j].tobytes() == ae_encode(models[j], block).tobytes()
             (model,), failed = ae_fit(rows[:, cols][None], arch, [(plan, f"fit.b{bi}.ae")])
             first = first or failed.get(0)
             if failed:  # zero parameters, so finite constant codes
@@ -771,14 +790,13 @@ def test_a_class_pair_is_a_sub_batch_read_through_codes_bit_for_bit(case):
     if case == "fold":  # each column's training rows of fold 0
         fold_of = stratified_folds(batch, 3)
         batch = batch.subset(np.stack([np.flatnonzero(row != 0) for row in fold_of]))
-    blocks = ((0, 1, 2), (3, 4, 5))
+    arch = AeArchitecture(layer_widths_encoder=(2,), epochs=2, batch_size=4)
+    spec = PipelineSpec(ae=arch if case == "per_column_ae" else None, reducer="none",
+                        region_blocks=((0, 1, 2), (3, 4, 5)))
+    extractors, failures = pipeline._fit_extractors(spec, batch, "fit")
+    assert failures == {}
     if case == "per_column_ae":
-        arch = AeArchitecture(layer_widths_encoder=(2,), epochs=2, batch_size=4)
-        spec = PipelineSpec(ae=arch, reducer="none", region_blocks=blocks)
-        extractors, failures = pipeline._fit_extractors(spec, batch, "fit")
-        assert failures == {} and len({id(m) for m in extractors[0][1]}) == batch.size
-    else:
-        extractors = [(cols, (None,) * batch.size) for cols in blocks]
+        assert len({id(m) for m in extractors[0][1]}) == batch.size
     for a, b in combinations(range(3), 2):
         pair, y = pipeline._pair_batch(batch, a, b)
         rows, labels = _gathered_pair(batch, a, b)
@@ -786,11 +804,11 @@ def test_a_class_pair_is_a_sub_batch_read_through_codes_bit_for_bit(case):
         assert np.array_equal(pair.rows, rows) and np.array_equal(pair.labels, labels)
         targets = np.where(labels == b, 1.0, -1.0)
         assert y.shape == targets.shape and y.tobytes() == targets.tobytes()
-        for cols, models in extractors:
+        for cols, models, codes in extractors:
             block = np.ascontiguousarray(d.features[:, cols])
             expected = np.stack([(block if m is None else ae_encode(m, block))[r]
                                  for m, r in zip(models, rows)])
-            z = pipeline._codes(pair, cols, models, {})
+            z = pipeline._codes(pair, codes)
             assert z.shape == expected.shape and z.tobytes() == expected.tobytes()
 
 
