@@ -52,8 +52,10 @@ class Dataset:
         labs = np.array(self.labels, dtype=np.int64, copy=True)
         if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
             raise ValueError("labels must be 1-D with one entry per feature row")
-        if self.class_count < 1:
-            raise ValueError("class_count must be at least 1")
+        if not np.array_equal(labs, self.labels):
+            raise ValueError("labels must be integers")
+        if not is_int(self.class_count) or self.class_count < 1:
+            raise ValueError("class_count must be an integer of at least 1")
         if labs.size and (labs.min() < 0 or labs.max() >= self.class_count):
             raise ValueError("every label must lie in [0, class_count)")
         if not np.all(np.isfinite(feats)):

@@ -16,18 +16,19 @@ arithmetic stays its own, so its fit and its probabilities do not depend
 on the batch it is in.  The autoencoders of every column and block of
 equal width and output activation train in one ``ae_fit`` call.  Each
 block's codes of the batch's features are computed once, beside its
-extractor (:func:`_encode`), and each column gathers its rows of them (a
-row shuffle, a fold or a class pair) in :func:`_codes`, the one gather
-of every row a fit reads; a class pair is a ``Batch.subset``, as a fold
-is.  The classifier stage goes further: the pair problems of every block
-and class pair with the same row count, +1 count and width are stacked
-along the column axis, and each stack's SVMs and calibrations are fitted
-in one call apiece; a pair of every row of the features keeps its
-margins, which the batch's own probabilities reuse. The stage fits
-return ``(model, failures)``: a model for every column and the
-``FitError`` of each column that failed.  Failed columns are fitted
-alongside the others, so each stage runs once per batch, and each stage
-gives a column that fails in it that stage's zero model (see
+extractor (:func:`_encode`), as one array under the reducers' rule: (n,
+width) when every column shares them, else (R, n, width).  Each column
+gathers its rows of them (a row shuffle, a fold or a class pair) in
+:func:`_codes`, the one gather of every row a fit reads; a class pair is
+a ``Batch.subset``, as a fold is.  The classifier stage goes further:
+the pair problems of every block and class pair with the same row count,
++1 count and width are stacked along the column axis, and each stack's
+SVMs and calibrations are fitted in one call apiece; a pair of every row
+of the features keeps its margins, which the batch's own probabilities
+reuse. The stage fits return ``(model, failures)``: a model for every
+column and the ``FitError`` of each column that failed.  Failed columns
+are fitted alongside the others, so each stage runs once per batch, and
+each stage gives a column that fails in it that stage's zero model (see
 :class:`FittedBatch`), which it keeps to the end.  Only
 :meth:`FittedBatch.errors` reads a failed column's ``FitError``.  A
 column whose autoencoder fails carries the ``DivergenceError`` of its
@@ -212,17 +213,15 @@ class FittedBatch:
     stage gives a column that fails in it the zero model: autoencoder
     weights and biases of zero, a zero PLS direction, the SVM ``(0, 0)``,
     a calibration of slope 0.  Only :meth:`errors` reads its ``FitError``.
-    Each block holds its feature columns, each column's autoencoder (or
-    None), and its pair models, every one of which holds one model per
-    column along a leading axis.  ``codes`` holds each block's codes of the
-    batch's own features array, one (n, width) array per column (another
-    array's codes last one call).
+    Each block holds its feature columns, its autoencoders and codes of the
+    batch's own features array (see :func:`_fit_extractors`; another
+    array's codes last one call), and its pair models, every one of which
+    holds one model per column along a leading axis.
     """
 
-    blocks: list[tuple[tuple[int, ...], tuple[AeModel | None, ...], list[PairModel]]]
+    blocks: list[tuple[tuple[int, ...], tuple[AeModel | None, ...], np.ndarray, list[PairModel]]]
     batch: Batch = field(repr=False)
     failures: dict[int, FitError]
-    codes: list[tuple[np.ndarray, ...]] = field(repr=False)
 
     def probabilities(self, batch: Batch) -> np.ndarray:
         """Each column's class probabilities of its rows in ``batch``.
@@ -244,7 +243,7 @@ class FittedBatch:
         if len(self.failures) == batch.size:
             return np.zeros((batch.size, batch.n, own.class_count))
         votes, feats = [], batch.features
-        for (cols, models, pairs), codes in zip(self.blocks, self.codes):
+        for cols, models, codes, pairs in self.blocks:
             codes = codes if feats is own.features else _encode(feats, cols, models)
             scores, z = np.zeros((own.class_count, batch.size, batch.n)), None
             for pair in pairs:
@@ -273,26 +272,26 @@ class FittedBatch:
         return out
 
 
-def _encode(feats: np.ndarray, cols: tuple[int, ...], models) -> tuple[np.ndarray, ...]:
-    """Each column's codes of the block ``cols`` of ``feats``: the block, or
-    its model's encoding of it; columns of one model (or none) share one."""
+def _encode(feats: np.ndarray, cols: tuple[int, ...], models) -> np.ndarray:
+    """The codes of the block ``cols`` of ``feats``: (n, width), the block or
+    its encoding, under one entry of ``models`` that every column shares;
+    else (R, n, width), each column's encoding by its own model."""
     # a block of some columns is a copy in C order, whose layout the reducers' bits need
     block = feats if cols == tuple(range(feats.shape[1])) else feats.take(cols, axis=1)
-    if all(model is models[0] for model in models):
-        return (block if models[0] is None else ae_encode(models[0], block),) * len(models)
-    return tuple(block if model is None else ae_encode(model, block) for model in models)
+    if len(models) == 1:
+        return block if models[0] is None else ae_encode(models[0], block)
+    return np.stack([ae_encode(model, block) for model in models])
 
 
-def _codes(batch: Batch, codes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Each column's rows of its (n, width) ``codes`` of one block.  When
-    every column has all rows of the same codes, those serve them all;
-    otherwise each column gathers its rows into an (R, n, width) array."""
-    shared = all(z is codes[0] for z in codes)
+def _codes(batch: Batch, codes: np.ndarray) -> np.ndarray:
+    """Each column's rows of one block's ``codes`` (see :func:`_encode`):
+    the codes themselves when every column has all rows, else a C-ordered
+    (R, n, width) gather from the shared codes, or each from its own."""
     if batch.rows is None:
-        return codes[0] if shared else np.stack(codes)
-    if shared:
-        return codes[0][batch.rows]
-    return np.stack([z[rows] for z, rows in zip(codes, batch.rows)])
+        return codes
+    if codes.ndim == 2:
+        return codes[batch.rows]
+    return codes[np.arange(batch.size)[:, None], batch.rows]
 
 
 def _pair_batch(batch: Batch, a: int, b: int) -> tuple[Batch, np.ndarray]:
@@ -312,9 +311,10 @@ def _pair_batch(batch: Batch, a: int, b: int) -> tuple[Batch, np.ndarray]:
 
 
 def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
-    """Each block's columns, each column's autoencoder (None when none is
-    configured) and codes, plus the ``FitError`` of every column whose
-    training failed.
+    """Each block's columns, autoencoders and codes, plus the ``FitError``
+    of every column whose training failed.  A block holds ``(None,)`` and
+    (n, width) codes without an autoencoder, or one per column and (R, n,
+    width) codes; a batch of one column holds ``(model,)`` and (n, width).
 
     Each column's rows of a block come from :func:`_codes`, unencoded.  The
     autoencoders of every column and block with the same width and output
@@ -326,12 +326,12 @@ def _fit_extractors(spec: PipelineSpec, batch: Batch, tag: str):
     blocks, feats = spec.resolve_blocks(batch.n_features), batch.features
     stacks: dict[tuple[int, str], list] = {}  # (width, activation) -> [((block, column), rows)]
     for bi, cols in enumerate(blocks if spec.ae is not None else ()):
-        z = _codes(batch, _encode(feats, cols, (None,) * batch.size))
+        z = _codes(batch, _encode(feats, cols, (None,)))
         for j in range(batch.size):
             rows = z if batch.rows is None else z[j]
             stacks.setdefault((len(cols), spec.ae.output_for(rows)), []).append(((bi, j), rows))
     z = rows = None
-    models = [[None] * batch.size for _ in blocks]
+    models = [[None] * (batch.size if spec.ae is not None else 1) for _ in blocks]
     first: dict[int, tuple[int, FitError]] = {}  # column -> (block, error)
     for key in list(stacks):
         members, rows = zip(*stacks.pop(key))
@@ -451,8 +451,7 @@ def _fit_classifiers(spec: PipelineSpec, batch: Batch, extractors, failures: dic
             svm, cal = svm.select(at), cal.select(at)
             margins = None if margins is None else margins[at]
         fitted[bi].append(PairModel(a, b, red, svm, cal, margins))
-    blocks = [(cols, models, pairs) for (cols, models, _), pairs in zip(extractors, fitted)]
-    return FittedBatch(blocks, batch, failures, [codes for _, _, codes in extractors])
+    return FittedBatch([(*ext, pairs) for ext, pairs in zip(extractors, fitted)], batch, failures)
 
 
 def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "AltPipeline":
@@ -476,20 +475,19 @@ def fit_feature_maps(spec: PipelineSpec, d: Dataset, plan: PermutationPlan) -> "
     extractors, failures = _fit_extractors(spec, batch, "extract")
     if failures:
         raise failures[0]
-    frozen = [(cols, model, z) for cols, (model,), (z,) in extractors]
     reducers = {}
-    for bi, (_, _, z) in enumerate(frozen):
+    for bi, (_, _, z) in enumerate(extractors):
         if spec.reducer == "pls":
             for pair in pairs:
                 sub, y = _pair_batch(batch, *pair)
-                red, failed = _fit_reducer(spec, _codes(sub, (z,)), y)
+                red, failed = _fit_reducer(spec, _codes(sub, z), y)
                 if failed:
                     raise failed[0]
                 reducers[bi, pair] = red.select(0)
         else:
             shared = _fit_reducer(spec, z, None)[0]
             reducers.update({(bi, pair): shared for pair in pairs})
-    return AltPipeline(spec, frozen, reducers, d.features)
+    return AltPipeline(spec, extractors, reducers, d.features)
 
 
 @dataclass
@@ -497,19 +495,19 @@ class AltPipeline:
     """A pipeline whose extractor and reducer are frozen; only the
     classifier and its calibration refit.
 
-    ``extractors`` holds each block's columns, frozen autoencoder (or
-    None) and (n, width) codes of ``features``, which every fit over that
-    array reads (another array is encoded for its fit alone), and
-    ``reducers`` maps each block index and class pair to its frozen reducer
-    (None for ``none``); a ``pca`` reducer is one object under every pair
-    of its block.  Built by :func:`fit_feature_maps`.
-    It has the ``fit(batch, tag)`` of :class:`PipelineSpec`, so the
+    ``extractors`` is :func:`_fit_extractors`' output on ``features`` as one
+    column: each block's columns, ``(model,)`` (or ``(None,)``) and (n,
+    width) codes, which every column of a fit over that array shares
+    (another array is encoded for its fit alone).  ``reducers`` maps each
+    block index and class pair to its frozen reducer (None for ``none``);
+    a ``pca`` reducer is one object under every pair of its block.  Built
+    by :func:`fit_feature_maps`.  It has the ``fit(batch, tag)`` of :class:`PipelineSpec`, so the
     validation estimators accept either.  Fitting is deterministic given
     the data, so the columns' plans go unused.
     """
 
     spec: PipelineSpec
-    extractors: list[tuple[tuple[int, ...], AeModel | None, np.ndarray]]
+    extractors: list[tuple[tuple[int, ...], tuple[AeModel | None], np.ndarray]]
     reducers: dict[tuple[int, tuple[int, int]], LinearReducer | None]
     features: np.ndarray = field(repr=False, compare=False)
 
@@ -527,7 +525,6 @@ class AltPipeline:
         for pair in combinations(range(batch.class_count), 2):
             if (0, pair) not in self.reducers:
                 raise ValueError(f"no frozen reducer for class pair {pair}")
-        feats, size = batch.features, batch.size
-        extractors = [(cols, (m,) * size, (z,) * size if feats is self.features
-                       else _encode(feats, cols, (m,)) * size) for cols, m, z in self.extractors]
+        extractors = self.extractors if batch.features is self.features else [
+            (cols, ms, _encode(batch.features, cols, ms)) for cols, ms, _ in self.extractors]
         return _fit_classifiers(self.spec, batch, extractors, {}, self.reducers)

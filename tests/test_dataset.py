@@ -71,6 +71,22 @@ def test_dataset_validation():
         Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 1, feature_names=("a",))
 
 
+def test_non_integer_labels_are_refused_not_truncated():
+    # They were cast to int64, so [0.5, 1.7, 0.2] became [0, 1, 0].
+    with pytest.raises(ValueError, match="labels must be integers"):
+        Dataset(np.zeros((3, 1)), [0.5, 1.7, 0.2], 2)
+    for labels in ([0.0, 1.0, 0.0], [False, True, False], np.array([0, 1, 0], dtype=np.int8)):
+        assert Dataset(np.zeros((3, 1)), labels, 2).labels.tolist() == [0, 1, 0]
+
+
+def test_a_class_count_that_is_not_an_integer_is_refused():
+    # 2.0 was accepted, and a study of the dataset then failed with a TypeError.
+    for count in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="class_count must be an integer"):
+            Dataset(np.zeros((3, 1)), [0, 1, 0], count)
+    assert Dataset(np.zeros((3, 1)), [0, 1, 0], np.int64(2)).class_count == 2
+
+
 # ---------------------------------------------------------------- Batch
 
 

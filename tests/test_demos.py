@@ -91,3 +91,18 @@ def test_readme_config_table_lists_every_config_key():
     accepted = {prefix + key for prefix, keys in cli._KEYS.items() for key in keys}
     assert len(rows) == len(set(rows))
     assert set(rows) == accepted - {"data", "pipeline", "data.synth"}
+
+
+def test_readme_test_counts_match_the_suites():
+    # README's "Tests" section once said twelve golden reports and six null
+    # designs after a thirteenth and a seventh were added.
+    from test_golden import CASES
+    from test_null_rejections import CELLS
+
+    section = " ".join(readme().split("\n## Tests\n")[1].split("\n## ")[0].split())
+    with open(os.path.join(ROOT, "tests", "test_acceptance.py"), encoding="utf-8") as fh:
+        guarantees = len(re.findall(r"^def test_", fh.read(), flags=re.M))
+    counts = [int(re.search(pattern, section)[1]) for pattern in (
+        r"holds (\d+) end-to-end guarantees", r"SHA-256 of (\d+) small CLI reports",
+        r"rejection counts of (\d+) null designs")]
+    assert counts == [guarantees, len(CASES), len(CELLS)]

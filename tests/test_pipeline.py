@@ -68,7 +68,7 @@ def error(fitted, d):
 
 def pairs(fitted, block=0):
     """The pair models of one block."""
-    return fitted.blocks[block][2]
+    return fitted.blocks[block][3]
 
 
 def test_separable_blobs_fit_perfectly():
@@ -328,15 +328,15 @@ def test_an_alt_study_encodes_each_block_once(monkeypatch):
         assert [width for _, width in calls] == [3, 2], scheme
         assert calls[0][0] is not calls[1][0]
     alt = fit_feature_maps(spec, d, PLAN)
-    codes = [z for _, _, z in alt.extractors]
-    assert [z.shape for z in codes] == [(d.n, 2), (d.n, 2)]
+    extractors = list(alt.extractors)
+    assert [(len(ms), z.shape) for _, ms, z in extractors] == [(1, (d.n, 2)), (1, (d.n, 2))]
     calls.clear()
     for batch in (permute_labels(d, [PLAN]), shuffle_rows(d, [PLAN, PermutationPlan(0, 1)])):
         fitted = alt.fit(batch)
         assert fitted.errors(batch)
-        assert all(c is z for block, z in zip(fitted.codes, codes) for c in block)
+        assert all(block[2] is z for block, (_, _, z) in zip(fitted.blocks, extractors))
     assert calls == []
-    assert all(z is own for (_, _, z), own in zip(alt.extractors, codes))
+    assert all(new is old for new, old in zip(alt.extractors, extractors))
     other = synth_effect(12, 5, 0.5, PermutationPlan(5, 0))
     batch = permute_labels(other, [PLAN, PermutationPlan(0, 1)])
     for _ in range(2):  # nothing is kept: the second fit encodes again
@@ -344,10 +344,10 @@ def test_an_alt_study_encodes_each_block_once(monkeypatch):
         fitted = alt.fit(batch)
         assert fitted.errors(batch)
         assert [width for _, width in calls] == [3, 2]
-        for (cols, model, _), block in zip(alt.extractors, fitted.codes):
+        for (cols, (model,), _), (_, _, z, _) in zip(extractors, fitted.blocks):
             expected = ae_encode(model, np.ascontiguousarray(other.features[:, cols]))
-            assert all(c.tobytes() == expected.tobytes() for c in block)
-    assert all(z is own for (_, _, z), own in zip(alt.extractors, codes))
+            assert z.shape == expected.shape and z.tobytes() == expected.tobytes()
+    assert all(new is old for new, old in zip(alt.extractors, extractors))
 
 
 def test_alt_pipeline_width_check():
@@ -475,17 +475,18 @@ def test_spec_rejects_wrong_types(field, value):
 
 
 def test_predicting_other_features_keeps_none_of_their_codes():
-    # The fit keeps its own features' codes, one array per block and column;
-    # those of another features array last one call, with the bits they had
-    # when kept.
+    # The fit keeps its own features' codes, one (n, width) array per block
+    # for a batch of one column; those of another features array last one
+    # call, with the bits they had when kept.
     spec = PipelineSpec(ae=AeArchitecture((2,), epochs=3), region_blocks=((0, 1), (2, 3)))
-    fitted = fit(spec, blobs())
-    codes = [list(block) for block in fitted.codes]
-    assert [len(block) for block in codes] == [1, 1]
+    d = blobs()
+    fitted = fit(spec, d)
+    codes = [z for _, _, z, _ in fitted.blocks]
+    assert [z.shape for z in codes] == [(d.n, 2), (d.n, 2)]
     digest = hashlib.sha256()
     for seed in (1, 2, 3):
         digest.update(fitted.probabilities(Batch.of(blobs(seed=seed), [PLAN])).tobytes())
-        assert all(c is z for new, old in zip(fitted.codes, codes) for c, z in zip(new, old))
+        assert all(block[2] is z for block, z in zip(fitted.blocks, codes))
     assert digest.hexdigest() == "ae3a35d3fccd50fd5913836de13f5abbf90e0dc279fbded62c597cbd061a4c69"
 
 
@@ -544,7 +545,7 @@ def _fit_one_pair_at_a_time(spec, d, reducers=None):
 def _assert_same_pairs(fitted, k, reference):
     """The pair models of fitted column ``k``, sliced from the batched ones,
     are those of ``reference``."""
-    for (_, _, fitted_pairs), expected in zip(fitted.blocks, reference):
+    for (*_, fitted_pairs), expected in zip(fitted.blocks, reference):
         assert len(fitted_pairs) == len(expected)
         for pair, (red, svm, cal) in zip(fitted_pairs, expected):
             if red is None:
@@ -580,7 +581,7 @@ def _assert_fits_columns_alone(fitted, batch, fit_alone):
         expected = fit_alone(j)
         if isinstance(expected, FitError):
             assert str(fitted.failures[j]) == str(expected)
-            for _, _, fitted_pairs in fitted.blocks:
+            for *_, fitted_pairs in fitted.blocks:
                 for pair in fitted_pairs:
                     assert np.isfinite(pair.svm.weights[j]).all() and np.isfinite(pair.svm.bias[j])
                     assert np.isfinite([pair.calibration.slope[j],
@@ -674,8 +675,10 @@ def test_stacked_autoencoders_equal_each_fitted_alone(monkeypatch, case):
         first = None
         rows = batch.features if batch.rows is None else batch.features[batch.rows[j]]
         for bi, (cols, models, codes) in enumerate(extractors):
+            assert len(models) == columns and codes.ndim == (3 if columns > 1 else 2)
             block = np.ascontiguousarray(batch.features[:, cols])
-            assert codes[j].tobytes() == ae_encode(models[j], block).tobytes()
+            own = codes[j] if columns > 1 else codes  # a batch of one shares its codes
+            assert own.tobytes() == ae_encode(models[j], block).tobytes()
             (model,), failed = ae_fit(rows[:, cols][None], arch, [(plan, f"fit.b{bi}.ae")])
             first = first or failed.get(0)
             if failed:  # zero parameters, so finite constant codes
@@ -805,11 +808,33 @@ def test_a_class_pair_is_a_sub_batch_read_through_codes_bit_for_bit(case):
         targets = np.where(labels == b, 1.0, -1.0)
         assert y.shape == targets.shape and y.tobytes() == targets.tobytes()
         for cols, models, codes in extractors:
+            models = models * batch.size if len(models) == 1 else models  # one shared entry
             block = np.ascontiguousarray(d.features[:, cols])
             expected = np.stack([(block if m is None else ae_encode(m, block))[r]
                                  for m, r in zip(models, rows)])
             z = pipeline._codes(pair, codes)
             assert z.shape == expected.shape and z.tobytes() == expected.tobytes()
+
+
+def test_per_column_codes_are_read_whole_or_gathered_per_column_bit_for_bit():
+    """With two classes and an autoencoder per column, the class pair is
+    the batch itself, whose ``_codes`` are the (R, n, width) codes object;
+    a fold's are a C-ordered copy of each column's rows of its own codes."""
+    gen = np.random.Generator(np.random.Philox(8))
+    d = Dataset(gen.random((12, 4)), np.repeat(np.arange(2), 6), 2)
+    batch = permute_labels(d, [PermutationPlan(3, r) for r in range(4)])
+    arch = AeArchitecture(layer_widths_encoder=(2,), epochs=2, batch_size=4)
+    spec = PipelineSpec(ae=arch, reducer="none")
+    ((_, models, codes),), failures = pipeline._fit_extractors(spec, batch, "fit")
+    assert failures == {} and len(models) == batch.size and codes.shape == (batch.size, d.n, 2)
+    pair, _ = pipeline._pair_batch(batch, 0, 1)
+    assert pair is batch and pipeline._codes(pair, codes) is codes
+    train = batch.subset(np.stack([np.flatnonzero(row != 0) for row in stratified_folds(batch, 3)]))
+    z = pipeline._codes(train, codes)
+    assert z.flags.c_contiguous and not np.shares_memory(z, codes)
+    assert z.shape == (batch.size, train.n, 2)
+    for j, (model, rows) in enumerate(zip(models, train.rows)):
+        assert z[j].tobytes() == ae_encode(model, d.features)[rows].tobytes()
 
 
 @pytest.mark.parametrize("classes", [2, 3])
@@ -987,12 +1012,12 @@ def test_only_a_fit_on_every_row_keeps_its_margins(case):
     for resub in (batch, shuffle_rows(d, plans)):
         fitted = model.fit(resub)
         assert fitted.batch is resub
-        for pair in (pair for _, _, pairs in fitted.blocks for pair in pairs):
+        for pair in (pair for *_, pairs in fitted.blocks for pair in pairs):
             shape = None if pair.margins is None else pair.margins.shape
             assert shape == ((resub.size, resub.n) if classes == 2 else None)
     train = np.stack([np.flatnonzero(row != 0) for row in stratified_folds(batch, 3)])
     fold = model.fit(batch.subset(train))
-    assert all(pair.margins is None for _, _, ps in fold.blocks for pair in ps)
+    assert all(pair.margins is None for *_, ps in fold.blocks for pair in ps)
 
 
 def _diverging_autoencoder():
